@@ -8,7 +8,10 @@
 //!
 //! Usage: `fig4 [seed] [--quick]`
 
-use flowtime_bench::experiments::{run, summarize, testbed_cluster, Algo, WorkflowExperiment};
+use flowtime::RunSpec;
+use flowtime_bench::experiments::{
+    run_checked, summarize, testbed_cluster, Algo, WorkflowExperiment,
+};
 use flowtime_bench::report;
 
 fn main() {
@@ -43,7 +46,8 @@ fn main() {
     for algo in Algo::FIG4 {
         let workload = exp.build(&cluster);
         let t0 = std::time::Instant::now();
-        let metrics = run(algo, &cluster, workload);
+        let (outcome, _) = run_checked(&RunSpec::new(algo), &cluster, &workload).into_single();
+        let metrics = outcome.metrics;
         let row = summarize(algo, &metrics);
         println!(
             "  {:<12} done in {:>6.1}s wall ({} jobs)",

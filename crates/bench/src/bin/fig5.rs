@@ -8,7 +8,10 @@
 //!
 //! Usage: `fig5 [seed] [--overrun 0.2]`
 
-use flowtime_bench::experiments::{run, summarize, testbed_cluster, Algo, WorkflowExperiment};
+use flowtime::RunSpec;
+use flowtime_bench::experiments::{
+    run_checked, summarize, testbed_cluster, Algo, WorkflowExperiment,
+};
 use flowtime_bench::report;
 
 fn main() {
@@ -37,8 +40,9 @@ fn main() {
     );
     let mut rows = Vec::new();
     for algo in [Algo::FlowTime, Algo::FlowTimeNoDs] {
-        let metrics = run(algo, &cluster, exp.build(&cluster));
-        rows.push(summarize(algo, &metrics));
+        let (outcome, _) =
+            run_checked(&RunSpec::new(algo), &cluster, &exp.build(&cluster)).into_single();
+        rows.push(summarize(algo, &outcome.metrics));
     }
     println!();
     print!(

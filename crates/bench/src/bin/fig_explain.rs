@@ -13,12 +13,11 @@
 //!
 //! Usage: `fig_explain [--threads N] [--seeds N] [--rates 0.1,0.3,0.5]`
 
-use flowtime_bench::experiments::{
-    run_outcome_traced_with, testbed_cluster, Algo, WorkflowExperiment,
-};
+use flowtime::RunSpec;
+use flowtime_bench::experiments::{run_checked, testbed_cluster, Algo, WorkflowExperiment};
 use flowtime_bench::report;
 use flowtime_bench::sweep::RecoveryProfile;
-use flowtime_sim::{explain, run_cells};
+use flowtime_sim::{explain, run_cells, DEFAULT_TRACE_CAPACITY};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -119,17 +118,27 @@ fn run_cli() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let rows: Vec<CellRow> = run_cells(&cells, threads, |_, &(rate, algo, seed)| {
-        let setup = RecoveryProfile::chaos(rate).setup(seed);
-        let (outcome, trace) =
-            run_outcome_traced_with(algo, &cluster, workload.clone(), Some(&setup));
-        let report =
-            explain(&cluster, &workload, &outcome, &trace, Some(&setup)).unwrap_or_else(|e| {
-                panic!(
-                    "chaos-{} {} seed {seed}: explain refused a grid cell: {e}",
-                    (rate * 100.0).round(),
-                    algo.name()
-                )
-            });
+        let spec = RunSpec {
+            recovery: Some(RecoveryProfile::chaos(rate).setup(seed)),
+            trace_capacity: Some(DEFAULT_TRACE_CAPACITY),
+            ..RunSpec::new(algo)
+        };
+        let (outcome, trace) = run_checked(&spec, &cluster, &workload).into_single();
+        let trace = trace.expect("traced run");
+        let report = explain(
+            &cluster,
+            &workload,
+            &outcome,
+            &trace,
+            spec.recovery.as_ref(),
+        )
+        .unwrap_or_else(|e| {
+            panic!(
+                "chaos-{} {} seed {seed}: explain refused a grid cell: {e}",
+                (rate * 100.0).round(),
+                algo.name()
+            )
+        });
         let mut codes = BTreeMap::new();
         for wf in &report.workflows {
             for d in &wf.chain {

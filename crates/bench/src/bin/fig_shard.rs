@@ -21,12 +21,10 @@
 //! algorithmic floor, chosen so the gate also holds on 1-core runners;
 //! multi-core CI additionally reports the parallel speedup.
 
-use flowtime_bench::experiments::{
-    run_sharded_outcome_traced_with, run_sharded_outcome_with, testbed_cluster, Algo,
-    WorkflowExperiment,
-};
+use flowtime::RunSpec;
+use flowtime_bench::experiments::{run_checked, testbed_cluster, Algo, WorkflowExperiment};
 use flowtime_bench::report;
-use flowtime_sim::{certify_sharded, Placer, ShardSpec};
+use flowtime_sim::{certify_sharded, Placer, ShardSpec, DEFAULT_TRACE_CAPACITY};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -118,14 +116,22 @@ fn main() {
     let mut base_wall: Option<f64> = None;
     for &k in &pods {
         let spec = ShardSpec::new(k).with_placer(placer);
+        let run = |threads: usize, trace_capacity: Option<usize>| {
+            let spec = RunSpec {
+                shard: spec.clone(),
+                trace_capacity,
+                threads,
+                ..RunSpec::new(Algo::FlowTime)
+            };
+            run_checked(&spec, &cluster, &workload)
+        };
 
         let t0 = Instant::now();
-        let serial = run_sharded_outcome_with(Algo::FlowTime, &cluster, &workload, None, &spec, 1);
+        let serial = run(1, None).outcome;
         let serial_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let t0 = Instant::now();
-        let parallel =
-            run_sharded_outcome_with(Algo::FlowTime, &cluster, &workload, None, &spec, k);
+        let parallel = run(k, None).outcome;
         let parallel_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // Determinism: thread count must not change a byte.
@@ -138,14 +144,20 @@ fn main() {
 
         // Certification: traced rerun must be byte-identical and pass the
         // sharded auditor's cross-pod + per-pod checks.
-        let (traced, traces) =
-            run_sharded_outcome_traced_with(Algo::FlowTime, &cluster, &workload, None, &spec, k);
+        let traced = run(k, Some(DEFAULT_TRACE_CAPACITY));
         assert_eq!(
-            serde_json::to_string(&traced).expect("outcome serializes"),
+            serde_json::to_string(&traced.outcome).expect("outcome serializes"),
             serial_bytes,
             "pods={k}: traced outcome diverges from untraced"
         );
-        let audit = certify_sharded(&cluster, &workload, &spec, &traced, &traces, None);
+        let audit = certify_sharded(
+            &cluster,
+            &workload,
+            &spec,
+            &traced.outcome,
+            &traced.traces,
+            None,
+        );
         assert!(
             audit.is_certified(),
             "pods={k}: audit rejected the run: {}",

@@ -10,7 +10,10 @@
 //!
 //! Usage: `robustness [seed] [fault-seeds] [threads]`
 
-use flowtime_bench::experiments::{run, summarize, testbed_cluster, Algo, WorkflowExperiment};
+use flowtime::RunSpec;
+use flowtime_bench::experiments::{
+    run_checked, summarize, testbed_cluster, Algo, WorkflowExperiment,
+};
 use flowtime_bench::report;
 use flowtime_bench::sweep::{SweepBenchPoint, SweepSpec};
 use flowtime_sim::run_cells;
@@ -49,8 +52,9 @@ fn main() {
             seed,
             ..Default::default()
         };
-        let metrics = run(algo, &cluster, exp.build(&cluster));
-        let row = summarize(algo, &metrics);
+        let (outcome, _) =
+            run_checked(&RunSpec::new(algo), &cluster, &exp.build(&cluster)).into_single();
+        let row = summarize(algo, &outcome.metrics);
         Point {
             overrun_pct,
             algo: row.algo,

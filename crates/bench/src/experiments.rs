@@ -1,14 +1,10 @@
-//! Workload construction, scheduler factory, and experiment runners.
+//! Workload construction and the checked experiment runner.
 
 use flowtime::decompose::{decompose, DecomposeConfig};
-use flowtime::{
-    CoraScheduler, EdfScheduler, FairScheduler, FifoScheduler, FlowTimeConfig, FlowTimeScheduler,
-    MorpheusScheduler,
-};
+pub use flowtime::Algo;
+use flowtime::{RunOutput, RunSpec};
 use flowtime_dag::{ResourceVec, WorkflowId};
-use flowtime_sim::{
-    ClusterConfig, Engine, FaultConfig, FaultPlan, Metrics, RecoverySetup, Scheduler, SimWorkload,
-};
+use flowtime_sim::{ClusterConfig, FaultConfig, FaultPlan, Metrics, SimWorkload};
 use flowtime_workload::{AdhocStream, ScientificShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,89 +24,6 @@ pub fn testbed_cluster() -> ClusterConfig {
 /// The Fig. 7 cluster: 500 CPU cores and 1 TB of memory.
 pub fn fig7_cluster() -> ClusterConfig {
     ClusterConfig::new(ResourceVec::new([500, 1_048_576]), SLOT_SECONDS)
-}
-
-/// The algorithms compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-#[allow(missing_docs)]
-pub enum Algo {
-    FlowTime,
-    /// Ablation: FlowTime without deadline slack (Fig. 5).
-    FlowTimeNoDs,
-    Cora,
-    Edf,
-    Fair,
-    Fifo,
-    Morpheus,
-}
-
-impl Algo {
-    /// The five algorithms shown in Fig. 4, in the paper's order, plus the
-    /// Morpheus baseline named in Section VII-A.
-    pub const FIG4: [Algo; 6] = [
-        Algo::FlowTime,
-        Algo::Cora,
-        Algo::Edf,
-        Algo::Fair,
-        Algo::Fifo,
-        Algo::Morpheus,
-    ];
-
-    /// Display name matching the paper's figures.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algo::FlowTime => "FlowTime",
-            Algo::FlowTimeNoDs => "FlowTime_no_ds",
-            Algo::Cora => "CORA",
-            Algo::Edf => "EDF",
-            Algo::Fair => "Fair",
-            Algo::Fifo => "FIFO",
-            Algo::Morpheus => "Morpheus",
-        }
-    }
-
-    /// Parses a scheduler name as printed by [`Algo::name`], ignoring case
-    /// and separators (`flowtime`, `FlowTime_no_ds`, `flow-time-no-ds` and
-    /// the like all resolve).
-    pub fn parse(name: &str) -> Option<Algo> {
-        let norm: String = name
-            .chars()
-            .filter(char::is_ascii_alphanumeric)
-            .collect::<String>()
-            .to_ascii_lowercase();
-        match norm.as_str() {
-            "flowtime" => Some(Algo::FlowTime),
-            "flowtimenods" => Some(Algo::FlowTimeNoDs),
-            "cora" => Some(Algo::Cora),
-            "edf" => Some(Algo::Edf),
-            "fair" => Some(Algo::Fair),
-            "fifo" => Some(Algo::Fifo),
-            "morpheus" => Some(Algo::Morpheus),
-            _ => None,
-        }
-    }
-
-    /// Instantiates the scheduler.
-    pub fn make(&self, cluster: &ClusterConfig) -> Box<dyn Scheduler> {
-        match self {
-            Algo::FlowTime => Box::new(FlowTimeScheduler::new(
-                cluster.clone(),
-                FlowTimeConfig::default(),
-            )),
-            Algo::FlowTimeNoDs => Box::new(FlowTimeScheduler::new(
-                cluster.clone(),
-                FlowTimeConfig {
-                    slack_slots: 0,
-                    ..Default::default()
-                },
-            )),
-            Algo::Cora => Box::new(CoraScheduler::new(cluster.clone())),
-            Algo::Edf => Box::new(EdfScheduler::new()),
-            Algo::Fair => Box::new(FairScheduler::new()),
-            Algo::Fifo => Box::new(FifoScheduler::new()),
-            Algo::Morpheus => Box::new(MorpheusScheduler::new(cluster.clone())),
-        }
-    }
 }
 
 /// Parameters of the Fig. 4/5 workflow experiment.
@@ -253,184 +166,29 @@ pub fn faulted_instance(
     (workload, cluster)
 }
 
-/// Runs `algo` on a workload, returning its metrics.
+/// Runs `spec` through the one run path ([`flowtime::run`]) under the
+/// experiment harness's contract: a figure or a property suite has no use
+/// for a failed or partial run, so either aborts.
 ///
 /// # Panics
 ///
-/// Panics if the engine rejects the scheduler (a bug) or the horizon is
-/// exhausted (workload mis-sized).
-pub fn run(algo: Algo, cluster: &ClusterConfig, workload: SimWorkload) -> Metrics {
-    run_outcome(algo, cluster, workload).metrics
-}
-
-/// Runs `algo` on a workload, returning the full outcome (metrics plus
-/// solver and engine telemetry).
-///
-/// # Panics
-///
-/// Panics if the engine rejects the scheduler (a bug) or the horizon is
-/// exhausted (workload mis-sized) — the engine reports exhaustion via
-/// [`flowtime_sim::SimOutcome::in_flight`], and the experiment harness
-/// treats a partial run as unusable for comparisons.
-pub fn run_outcome(
-    algo: Algo,
-    cluster: &ClusterConfig,
-    workload: SimWorkload,
-) -> flowtime_sim::SimOutcome {
-    run_outcome_with(algo, cluster, workload, None)
-}
-
-/// [`run_outcome`] with an optional mid-run failure/recovery layer. With
-/// `None` this is exactly `run_outcome`; passing an inert setup attaches
-/// the layer (crash overlays, degradation scans) without firing anything.
-///
-/// # Panics
-///
-/// Same contract as [`run_outcome`].
-pub fn run_outcome_with(
-    algo: Algo,
-    cluster: &ClusterConfig,
-    workload: SimWorkload,
-    recovery: Option<&RecoverySetup>,
-) -> flowtime_sim::SimOutcome {
-    let mut scheduler = algo.make(cluster);
-    let mut engine = Engine::new(cluster.clone(), workload, 1_000_000).expect("valid workload");
-    if let Some(setup) = recovery {
-        engine = engine.with_recovery(setup.clone());
-    }
-    let outcome = engine
-        .run(scheduler.as_mut())
-        .unwrap_or_else(|e| panic!("{} failed: {e}", algo.name()));
-    assert!(
-        outcome.is_complete(),
-        "{}: horizon exhausted with {} jobs in flight",
-        algo.name(),
-        outcome.in_flight.len()
-    );
-    outcome
-}
-
-/// Runs `algo` on a workload with decision-trace recording enabled (ring
-/// bound [`flowtime_sim::DEFAULT_TRACE_CAPACITY`]), returning the outcome
-/// together with the recorded trace. The outcome is bit-identical to
-/// [`run_outcome`] — tracing only observes.
-///
-/// # Panics
-///
-/// Same contract as [`run_outcome`].
-pub fn run_outcome_traced(
-    algo: Algo,
-    cluster: &ClusterConfig,
-    workload: SimWorkload,
-) -> (flowtime_sim::SimOutcome, flowtime_sim::DecisionTrace) {
-    run_outcome_traced_with(algo, cluster, workload, None)
-}
-
-/// [`run_outcome_traced`] with an optional mid-run failure/recovery layer.
-///
-/// # Panics
-///
-/// Same contract as [`run_outcome`].
-pub fn run_outcome_traced_with(
-    algo: Algo,
-    cluster: &ClusterConfig,
-    workload: SimWorkload,
-    recovery: Option<&RecoverySetup>,
-) -> (flowtime_sim::SimOutcome, flowtime_sim::DecisionTrace) {
-    let mut scheduler = algo.make(cluster);
-    let mut engine = Engine::new(cluster.clone(), workload, 1_000_000).expect("valid workload");
-    if let Some(setup) = recovery {
-        engine = engine.with_recovery(setup.clone());
-    }
-    let (engine, handle) = engine.with_trace(flowtime_sim::DEFAULT_TRACE_CAPACITY);
-    let outcome = engine
-        .run(scheduler.as_mut())
-        .unwrap_or_else(|e| panic!("{} failed: {e}", algo.name()));
-    assert!(
-        outcome.is_complete(),
-        "{}: horizon exhausted with {} jobs in flight",
-        algo.name(),
-        outcome.in_flight.len()
-    );
-    (outcome, handle.take())
-}
-
-/// Runs `algo` sharded across `shard.pods` pods ([`flowtime_sim::shard`]),
-/// with per-pod engines executed on up to `threads` workers. Each pod gets
-/// its own scheduler instance built against its capacity slice — and
-/// therefore its own plan cache, so warm starts survive sharding without
-/// cross-pod interference.
-///
-/// # Panics
-///
-/// Panics if any pod's engine rejects the scheduler or exhausts the
-/// horizon — same contract as [`run_outcome`], applied per pod.
-pub fn run_sharded_outcome_with(
-    algo: Algo,
-    cluster: &ClusterConfig,
-    workload: &SimWorkload,
-    recovery: Option<&RecoverySetup>,
-    shard: &flowtime_sim::ShardSpec,
-    threads: usize,
-) -> flowtime_sim::ShardedOutcome {
-    let outcome = flowtime_sim::run_sharded(
-        cluster,
-        workload,
-        shard,
-        1_000_000,
-        threads,
-        recovery,
-        |_pod, pod_cluster| algo.make(pod_cluster),
-    )
-    .unwrap_or_else(|e| panic!("{} (sharded) failed: {e}", algo.name()));
-    assert_sharded_complete(algo, &outcome);
-    outcome
-}
-
-/// [`run_sharded_outcome_with`] with one decision trace recorded per pod
-/// (ring bound [`flowtime_sim::DEFAULT_TRACE_CAPACITY`]), for
-/// certification via [`flowtime_sim::certify_sharded`]. The outcome is
-/// bit-identical to the untraced run.
-///
-/// # Panics
-///
-/// Same contract as [`run_sharded_outcome_with`].
-pub fn run_sharded_outcome_traced_with(
-    algo: Algo,
-    cluster: &ClusterConfig,
-    workload: &SimWorkload,
-    recovery: Option<&RecoverySetup>,
-    shard: &flowtime_sim::ShardSpec,
-    threads: usize,
-) -> (
-    flowtime_sim::ShardedOutcome,
-    Vec<flowtime_sim::DecisionTrace>,
-) {
-    let (outcome, traces) = flowtime_sim::run_sharded_traced(
-        cluster,
-        workload,
-        shard,
-        1_000_000,
-        threads,
-        recovery,
-        flowtime_sim::DEFAULT_TRACE_CAPACITY,
-        |_pod, pod_cluster| algo.make(pod_cluster),
-    )
-    .unwrap_or_else(|e| panic!("{} (sharded) failed: {e}", algo.name()));
-    assert_sharded_complete(algo, &outcome);
-    (outcome, traces)
-}
-
-fn assert_sharded_complete(algo: Algo, outcome: &flowtime_sim::ShardedOutcome) {
-    for pod in &outcome.pods {
+/// Panics if any pod's engine rejects the scheduler (a bug) or exhausts
+/// the horizon (workload mis-sized) — the engine reports exhaustion via
+/// [`flowtime_sim::SimOutcome::in_flight`], and the harness treats a
+/// partial run as unusable for comparisons.
+pub fn run_checked(spec: &RunSpec, cluster: &ClusterConfig, workload: &SimWorkload) -> RunOutput {
+    let name = spec.algo.name();
+    let out =
+        flowtime::run(spec, cluster, workload).unwrap_or_else(|e| panic!("{name} failed: {e}"));
+    for pod in &out.outcome.pods {
         assert!(
             pod.is_complete(),
-            "{} pod {}: horizon exhausted with {} jobs in flight",
-            algo.name(),
+            "{name} pod {}: horizon exhausted with {} jobs in flight",
             pod.pod,
             pod.in_flight.len()
         );
     }
+    out
 }
 
 /// One row of the Fig. 4/5 comparison tables.
@@ -524,8 +282,10 @@ mod tests {
             adhoc_rate: 0.45,
             ..Default::default()
         };
+        let workload = exp.build(&cluster);
         for algo in Algo::FIG4 {
-            let metrics = run(algo, &cluster, exp.build(&cluster));
+            let (outcome, _) = run_checked(&RunSpec::new(algo), &cluster, &workload).into_single();
+            let metrics = outcome.metrics;
             assert!(metrics.completed_jobs() > 12, "{}", algo.name());
             let row = summarize(algo, &metrics);
             assert_eq!(row.deadline_jobs, 12);

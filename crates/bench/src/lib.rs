@@ -2,10 +2,10 @@
 //! paper's evaluation (Section VII).
 //!
 //! Each paper figure has a binary in `src/bin/` (`fig1`, `fig4`, `fig5`,
-//! `fig6`, `fig7`, `trace_sim`) plus a `repro_all` driver; Criterion
-//! micro-benches live in `benches/`. This library holds the shared
-//! machinery: workload construction, the scheduler factory, metric
-//! summarization, and table rendering.
+//! `fig6`, `fig7`, `trace_sim`) plus a `repro_all` driver; timing lives in
+//! the standalone `benchmark/` crate. This library holds the shared
+//! machinery: workload construction, the checked runner over
+//! [`flowtime::run`], metric summarization, and table rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,12 +15,12 @@
 //! never inside the report, mirroring how [`flowtime_sim::telemetry`]
 //! excludes wall time from serialization.
 
-use crate::experiments::{faulted_instance, Algo, WorkflowExperiment};
+use crate::experiments::{faulted_instance, run_checked, Algo, WorkflowExperiment};
 use crate::report;
+use flowtime::RunSpec;
 use flowtime_sim::{
     run_cells, ClusterConfig, EngineTelemetry, FaultConfig, RecoveryPolicy, RecoverySetup,
-    RecoveryStats, RuntimeFaultConfig, ShardSpec, ShardedOutcome, ShedPolicy, SimOutcome,
-    SolverTelemetry,
+    RecoveryStats, RuntimeFaultConfig, ShardSpec, ShedPolicy, SimOutcome, SolverTelemetry,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -183,17 +183,17 @@ pub struct SweepSpec {
     /// Fault seeds, in report order.
     pub fault_seeds: Vec<u64>,
     /// When true, every cell additionally records a decision trace and the
-    /// offline auditor ([`flowtime_sim::certify`]) must certify the run; a
-    /// rejected cell aborts the sweep. The report's bytes are unchanged by
-    /// this flag — auditing only verifies.
+    /// offline auditor ([`flowtime_sim::certify_sharded`], whose one-pod
+    /// case is the plain per-run certification plus trivially true
+    /// cross-pod checks) must certify the run; a rejected cell aborts the
+    /// sweep. The report's bytes are unchanged by this flag — auditing only
+    /// verifies.
     pub audit: bool,
     /// Pod-level sharding ([`flowtime_sim::shard`]) applied to every cell.
-    /// `None` runs the unsharded engine; `Some` runs each cell as
-    /// `shard.pods` per-pod engines (sequentially inside the cell — the
-    /// sweep grid already saturates the workers) and aggregates per-pod
-    /// outcomes into the cell row. With auditing on, sharded cells are
-    /// certified by [`flowtime_sim::certify_sharded`], including the
-    /// cross-pod conservation checks.
+    /// `None` is the one-pod run with no shard keys in the report; `Some`
+    /// runs each cell as `shard.pods` per-pod engines (sequentially inside
+    /// the cell — the sweep grid already saturates the workers) and
+    /// aggregates per-pod outcomes into the cell row.
     pub shard: Option<ShardSpec>,
 }
 
@@ -407,7 +407,8 @@ impl SweepSpec {
     }
 
     /// Builds and runs one cell, fully isolated: its own workload, its own
-    /// scheduler instance, its own engine.
+    /// scheduler instance(s), its own engine(s). An unsharded sweep is the
+    /// one-pod case of the same run.
     fn run_cell(&self, cell: &SweepCell) -> CellOutcome {
         let scenario = &self.scenarios[cell.scenario];
         let exp = WorkflowExperiment {
@@ -416,62 +417,24 @@ impl SweepSpec {
         };
         let (workload, cluster) =
             faulted_instance(&exp, &self.cluster, scenario.faults.config(cell.fault_seed));
-        let recovery = scenario.recovery.as_ref().map(|p| p.setup(cell.fault_seed));
-        if let Some(shard) = &self.shard {
-            // Pods run sequentially inside the cell (threads = 1): the
-            // sweep grid is already spread across the workers, and nested
-            // parallelism would oversubscribe them.
-            let outcome = if self.audit {
-                let (outcome, traces) = crate::experiments::run_sharded_outcome_traced_with(
-                    cell.algo,
-                    &cluster,
-                    &workload,
-                    recovery.as_ref(),
-                    shard,
-                    1,
-                );
-                let report = flowtime_sim::certify_sharded(
-                    &cluster,
-                    &workload,
-                    shard,
-                    &outcome,
-                    &traces,
-                    recovery.as_ref(),
-                );
-                assert!(
-                    report.is_certified(),
-                    "shard audit rejected {} / {} / seed {}: {}",
-                    scenario.name,
-                    cell.algo.name(),
-                    cell.fault_seed,
-                    report.summary()
-                );
-                outcome
-            } else {
-                crate::experiments::run_sharded_outcome_with(
-                    cell.algo,
-                    &cluster,
-                    &workload,
-                    recovery.as_ref(),
-                    shard,
-                    1,
-                )
-            };
-            return sharded_cell_outcome(scenario, cell, &outcome);
-        }
-        let outcome = if self.audit {
-            let (outcome, trace) = crate::experiments::run_outcome_traced_with(
-                cell.algo,
-                &cluster,
-                workload.clone(),
-                recovery.as_ref(),
-            );
-            let report = flowtime_sim::certify_with_recovery(
+        // Pods run sequentially inside the cell (threads = 1): the sweep
+        // grid is already spread across the workers, and nested
+        // parallelism would oversubscribe them.
+        let spec = RunSpec {
+            recovery: scenario.recovery.as_ref().map(|p| p.setup(cell.fault_seed)),
+            shard: self.shard.clone().unwrap_or_else(|| ShardSpec::new(1)),
+            trace_capacity: self.audit.then_some(flowtime_sim::DEFAULT_TRACE_CAPACITY),
+            ..RunSpec::new(cell.algo)
+        };
+        let run = run_checked(&spec, &cluster, &workload);
+        if self.audit {
+            let report = flowtime_sim::certify_sharded(
                 &cluster,
                 &workload,
-                &outcome,
-                &trace,
-                recovery.as_ref(),
+                &spec.shard,
+                &run.outcome,
+                &run.traces,
+                spec.recovery.as_ref(),
             );
             assert!(
                 report.is_certified(),
@@ -481,11 +444,11 @@ impl SweepSpec {
                 cell.fault_seed,
                 report.summary()
             );
-            outcome
-        } else {
-            crate::experiments::run_outcome_with(cell.algo, &cluster, workload, recovery.as_ref())
-        };
-        cell_outcome(scenario, cell, &outcome)
+        }
+        // `pods` is recorded only for sweeps that asked for sharding, so
+        // unsharded report bytes carry no shard keys.
+        let pods = self.shard.as_ref().map_or(0, |s| s.pods);
+        cell_outcome(scenario, cell, &run.outcome.pods, pods)
     }
 
     /// Executes the sweep on up to `threads` workers.
@@ -581,59 +544,16 @@ fn percentile_seconds(sorted_slots: &[u64], p: f64, slot_seconds: f64) -> f64 {
     sorted_slots[idx] as f64 * slot_seconds
 }
 
-fn cell_outcome(scenario: &SweepScenario, cell: &SweepCell, outcome: &SimOutcome) -> CellOutcome {
-    let metrics = &outcome.metrics;
-    let mut adhoc_turnaround_slots: Vec<u64> =
-        metrics.adhoc_jobs().map(|j| j.turnaround_slots()).collect();
-    adhoc_turnaround_slots.sort_unstable();
-    let overrun_slots: u64 = outcome
-        .deadline_attribution
-        .iter()
-        .map(|a| a.total_overrun_slots)
-        .sum();
-    // Strict `>` keeps the first maximum in (workflow, node) order, so the
-    // pick is deterministic.
-    let mut top_culprit: Option<(u64, String)> = None;
-    for a in &outcome.deadline_attribution {
-        for c in &a.culprits {
-            if top_culprit
-                .as_ref()
-                .is_none_or(|(best, _)| c.overrun_slots > *best)
-            {
-                top_culprit = Some((c.overrun_slots, format!("{}:n{}", a.workflow, c.node)));
-            }
-        }
-    }
-    CellOutcome {
-        row: SweepCellRow {
-            scenario: scenario.name.clone(),
-            algo: cell.algo.name().to_string(),
-            fault_seed: cell.fault_seed,
-            completed_jobs: metrics.completed_jobs(),
-            deadline_jobs: metrics.deadline_jobs().count(),
-            job_misses: metrics.job_deadline_misses(),
-            workflow_misses: metrics.workflow_deadline_misses(),
-            adhoc_turnaround_s: metrics.avg_adhoc_turnaround_seconds().unwrap_or(0.0),
-            overrun_slots,
-            slots_elapsed: outcome.slots_elapsed,
-            pods: 0,
-            recovery: outcome.recovery.clone(),
-        },
-        adhoc_turnaround_slots,
-        top_culprit,
-        solver: outcome.solver_telemetry.clone(),
-        engine: outcome.engine_telemetry.clone(),
-    }
-}
-
-/// Aggregates one sharded cell's per-pod outcomes into a single row:
-/// counters sum, makespan is the slowest pod's, ad-hoc turnarounds pool
-/// across pods, and telemetry accumulates exactly as [`rollup`] does
-/// across cells.
-fn sharded_cell_outcome(
+/// Folds a cell's per-pod outcomes into a single row: counters sum,
+/// makespan is the slowest pod's, ad-hoc turnarounds pool across pods, and
+/// telemetry accumulates exactly as [`rollup`] does across cells. Over one
+/// pod every fold is the identity, so an unsharded cell's row is that
+/// pod's own numbers.
+fn cell_outcome(
     scenario: &SweepScenario,
     cell: &SweepCell,
-    outcome: &ShardedOutcome,
+    pod_outcomes: &[SimOutcome],
+    pods: usize,
 ) -> CellOutcome {
     let mut adhoc_turnaround_slots: Vec<u64> = Vec::new();
     let mut overrun_slots = 0u64;
@@ -642,7 +562,7 @@ fn sharded_cell_outcome(
     let mut engine = EngineTelemetry::default();
     let mut recovery = RecoveryStats::default();
     let mut slot_seconds = 0.0;
-    for pod in &outcome.pods {
+    for pod in pod_outcomes {
         slot_seconds = pod.metrics.slot_seconds;
         adhoc_turnaround_slots.extend(pod.metrics.adhoc_jobs().map(|j| j.turnaround_slots()));
         overrun_slots += pod
@@ -677,23 +597,24 @@ fn sharded_cell_outcome(
         let sum: u64 = adhoc_turnaround_slots.iter().sum();
         sum as f64 / adhoc_turnaround_slots.len() as f64 * slot_seconds
     };
+    let metrics = || pod_outcomes.iter().map(|p| &p.metrics);
     CellOutcome {
         row: SweepCellRow {
             scenario: scenario.name.clone(),
             algo: cell.algo.name().to_string(),
             fault_seed: cell.fault_seed,
-            completed_jobs: outcome.completed_jobs(),
-            deadline_jobs: outcome
-                .pods
-                .iter()
-                .map(|p| p.metrics.deadline_jobs().count())
-                .sum(),
-            job_misses: outcome.job_deadline_misses(),
-            workflow_misses: outcome.workflow_deadline_misses(),
+            completed_jobs: metrics().map(|m| m.completed_jobs()).sum(),
+            deadline_jobs: metrics().map(|m| m.deadline_jobs().count()).sum(),
+            job_misses: metrics().map(|m| m.job_deadline_misses()).sum(),
+            workflow_misses: metrics().map(|m| m.workflow_deadline_misses()).sum(),
             adhoc_turnaround_s,
             overrun_slots,
-            slots_elapsed: outcome.slots_elapsed(),
-            pods: outcome.pods.len(),
+            slots_elapsed: pod_outcomes
+                .iter()
+                .map(|p| p.slots_elapsed)
+                .max()
+                .unwrap_or(0),
+            pods,
             recovery,
         },
         adhoc_turnaround_slots,

@@ -2,14 +2,11 @@
 
 use crate::args::Args;
 use flowtime::decompose::{decompose, slack::slacked_windows, DecomposeConfig};
-use flowtime::{
-    CoraScheduler, EdfScheduler, FairScheduler, FifoScheduler, FlowTimeConfig, FlowTimeScheduler,
-    MorpheusScheduler,
-};
+use flowtime::{Algo, FlowTimeConfig, RunOutput, RunSpec};
 use flowtime_dag::ResourceVec;
 use flowtime_sim::{
-    ClusterConfig, Engine, FaultConfig, FaultPlan, Metrics, RecoveryPolicy, RecoverySetup,
-    RuntimeFaultConfig, Scheduler, ShedPolicy,
+    ClusterConfig, FaultConfig, FaultPlan, Metrics, RecoveryPolicy, RecoverySetup,
+    RuntimeFaultConfig, ShardSpec, ShedPolicy, DEFAULT_TRACE_CAPACITY,
 };
 use flowtime_workload::trace::{ProductionTraceConfig, Trace};
 use std::error::Error;
@@ -54,6 +51,7 @@ USAGE:
   flowtime-cli drain     --connect HOST:PORT [--out outcome.json]
 
 SCHEDULERS: flowtime, flowtime-no-ds, edf, fifo, fair, cora, morpheus
+            (case and separators are ignored: FlowTime_no_ds, CORA, ...)
 
 DAEMON CLIENT (submit/status/drain talk to a running `flowtimed`):
   --connect HOST:PORT  daemon address (e.g. 127.0.0.1:7171)
@@ -164,34 +162,10 @@ fn load_trace(args: &Args) -> Result<Trace, Box<dyn Error>> {
     Ok(Trace::read_jsonl(BufReader::new(file))?)
 }
 
-fn make_scheduler(
-    name: &str,
-    cluster: &ClusterConfig,
-    plan_cache: bool,
-) -> Result<Box<dyn Scheduler>, Box<dyn Error>> {
-    Ok(match name {
-        "flowtime" => Box::new(FlowTimeScheduler::new(
-            cluster.clone(),
-            FlowTimeConfig {
-                plan_cache,
-                ..Default::default()
-            },
-        )),
-        "flowtime-no-ds" => Box::new(FlowTimeScheduler::new(
-            cluster.clone(),
-            FlowTimeConfig {
-                slack_slots: 0,
-                plan_cache,
-                ..Default::default()
-            },
-        )),
-        "edf" => Box::new(EdfScheduler::new()),
-        "fifo" => Box::new(FifoScheduler::new()),
-        "fair" => Box::new(FairScheduler::new()),
-        "cora" => Box::new(CoraScheduler::new(cluster.clone())),
-        "morpheus" => Box::new(MorpheusScheduler::new(cluster.clone())),
-        other => return Err(format!("unknown scheduler `{other}`").into()),
-    })
+/// Resolves a scheduler name through the registry; every subcommand, the
+/// daemon and the sweep accept exactly the spellings [`Algo::parse`] does.
+fn parse_algo(name: &str) -> Result<Algo, Box<dyn Error>> {
+    Algo::parse(name).ok_or_else(|| format!("unknown scheduler `{name}`").into())
 }
 
 /// Flags of the runtime failure/recovery family ([`recovery_setup`]).
@@ -298,29 +272,55 @@ fn recovery_setup(args: &Args) -> Result<Option<RecoverySetup>, Box<dyn Error>> 
     Ok(Some(RecoverySetup::new(faults, policy)))
 }
 
-/// Builds the pod-sharding spec from `--pods` / `--placer`. Absent flags
-/// yield `None` (the unsharded path, byte-identical to pre-shard builds);
-/// `--pods 0`, a bare `--pods`, an unknown placer, or `--placer` without
-/// `--pods` are errors, never silent fallbacks.
-fn shard_spec(args: &Args) -> Result<Option<flowtime_sim::ShardSpec>, Box<dyn Error>> {
-    if !args.has("pods") {
-        if args.has("placer") {
-            return Err("--placer requires --pods <K>".into());
+/// Builds a pod-sharding spec from a `--pods` / `--placer` flag pair
+/// (`whatif` reads its alt side from `--alt-pods` / `--alt-placer`). An
+/// absent pod count is the one-pod spec, i.e. the unsharded run; `0`, a
+/// bare flag, an unknown placer, or a placer without a pod count are
+/// errors, never silent fallbacks.
+fn shard_spec(args: &Args, pods_key: &str, placer_key: &str) -> Result<ShardSpec, Box<dyn Error>> {
+    if !args.has(pods_key) {
+        if args.has(placer_key) {
+            return Err(format!("--{placer_key} requires --{pods_key} <K>").into());
         }
-        return Ok(None);
+        return Ok(ShardSpec::new(1));
     }
-    let pods: usize = args.get_parsed("pods", 1usize)?;
+    let pods: usize = args.get_parsed(pods_key, 1usize)?;
     if pods == 0 {
-        return Err("--pods must be at least 1".into());
+        return Err(format!("--{pods_key} must be at least 1").into());
     }
-    let mut spec = flowtime_sim::ShardSpec::new(pods);
-    if let Some(raw) = args.get("placer") {
+    let mut spec = ShardSpec::new(pods);
+    if let Some(raw) = args.get(placer_key) {
         let placer = flowtime_sim::Placer::parse(raw).ok_or_else(|| {
             format!("unknown placer `{raw}` (expected firstfit, worstfit, or demand)")
         })?;
         spec = spec.with_placer(placer);
     }
-    Ok(Some(spec))
+    Ok(spec)
+}
+
+/// Slot horizon of every CLI run.
+const MAX_SLOTS: u64 = 10_000_000;
+
+/// Parses the flags that describe a run — `--scheduler` (falling back to
+/// `default_scheduler`), `--no-plan-cache`, the RECOVERY family and
+/// `--pods` / `--placer` — into the [`RunSpec`] every simulating
+/// subcommand hands to [`flowtime::run`]. Parsed once per invocation;
+/// subcommands adjust the fields they own (tracing, timeline, the what-if
+/// alt side). Pods run on one worker thread each.
+fn run_spec(args: &Args, default_scheduler: &str) -> Result<RunSpec, Box<dyn Error>> {
+    let algo = parse_algo(args.get("scheduler").unwrap_or(default_scheduler))?;
+    let shard = shard_spec(args, "pods", "placer")?;
+    Ok(RunSpec {
+        flowtime: FlowTimeConfig {
+            plan_cache: !args.has("no-plan-cache"),
+            ..Default::default()
+        },
+        max_slots: MAX_SLOTS,
+        recovery: recovery_setup(args)?,
+        threads: shard.pods,
+        shard,
+        ..RunSpec::new(algo)
+    })
 }
 
 fn attach_milestones(trace: &mut Trace) {
@@ -332,18 +332,6 @@ fn attach_milestones(trace: &mut Trace) {
             }
         }
     }
-}
-
-fn run_one(
-    trace: &Trace,
-    scheduler: &mut dyn Scheduler,
-    recovery: Option<&RecoverySetup>,
-) -> Result<flowtime_sim::SimOutcome, Box<dyn Error>> {
-    let mut engine = Engine::new(trace.cluster.clone(), trace.workload.clone(), 10_000_000)?;
-    if let Some(setup) = recovery {
-        engine = engine.with_recovery(setup.clone());
-    }
-    Ok(engine.run(scheduler)?)
 }
 
 fn recovery_line(outcome: &flowtime_sim::SimOutcome) -> Option<String> {
@@ -405,43 +393,88 @@ fn generate(args: &Args) -> CliResult {
     Ok(())
 }
 
+/// Labels a per-pod output row: the bare label for an unsharded run,
+/// `label[pod i]` when `--pods` was given.
+fn pod_label(label: &str, pod: usize, sharded: bool) -> String {
+    if sharded {
+        format!("{label}[pod {pod}]")
+    } else {
+        label.to_string()
+    }
+}
+
+fn write_decisions(path: &str, decisions: &flowtime_sim::DecisionTrace) -> CliResult {
+    let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    decisions.write_jsonl(BufWriter::new(file))?;
+    println!(
+        "decision trace ({} events) written to {path}",
+        decisions.recorded()
+    );
+    Ok(())
+}
+
+/// Runs one scheduler over the trace. Without `--pods` this is the one-pod
+/// run, recorded and audited only when `--trace-out` asks for the trace.
+/// `--pods K` partitions the cluster, places the workload, runs one engine
+/// per pod (each scheduler gets its own pod-sized cluster and plan cache),
+/// and always self-audits through the sharded certifier's cross-pod +
+/// per-pod checks. With one pod the artifacts are byte-identical either
+/// way (CI diffs `--pods 1` against a plain `simulate`); with several
+/// pods the outcome file holds the full [`flowtime_sim::ShardedOutcome`],
+/// `--trace-out d.jsonl` writes one trace per pod (`d.jsonl.pod0`,
+/// `d.jsonl.pod1`, ...; each header carries its pod provenance, so
+/// `audit`/`explain` need no `--pods` re-statement), and per-pod
+/// timelines / metrics are not merged, so `--gantt` and `--out` are
+/// errors.
 fn simulate(args: &Args) -> CliResult {
     let mut trace = load_trace(args)?;
     attach_milestones(&mut trace);
     apply_faults(args, &mut trace)?;
-    let recovery = recovery_setup(args)?;
-    if let Some(shard) = shard_spec(args)? {
-        return simulate_sharded(args, &trace, recovery, &shard);
-    }
-    let name = args.get("scheduler").unwrap_or("flowtime");
-    let mut scheduler = make_scheduler(name, &trace.cluster, !args.has("no-plan-cache"))?;
-    let want_gantt = args.has("gantt");
-    let mut engine = Engine::new(trace.cluster.clone(), trace.workload.clone(), 10_000_000)?;
-    if let Some(setup) = &recovery {
-        engine = engine.with_recovery(setup.clone());
-    }
-    if want_gantt {
-        engine = engine.with_timeline();
-    }
-    let outcome;
-    if let Some(trace_out) = args.get("trace-out") {
-        let (traced, handle) = engine.with_trace(flowtime_sim::DEFAULT_TRACE_CAPACITY);
-        outcome = traced.run(scheduler.as_mut())?;
-        let decisions = handle.take();
-        let file =
-            File::create(trace_out).map_err(|e| format!("cannot create {trace_out}: {e}"))?;
-        decisions.write_jsonl(BufWriter::new(file))?;
-        println!(
-            "decision trace ({} events) written to {trace_out}",
-            decisions.recorded()
+    let mut spec = run_spec(args, "flowtime")?;
+    let sharded = args.has("pods");
+    if sharded && args.has("gantt") {
+        return Err(
+            "--gantt is not supported with --pods (per-pod timelines are not merged)".into(),
         );
+    }
+    if spec.shard.pods > 1 && args.has("out") {
+        return Err(
+            "--out (metrics) needs --pods 1; use --outcome-out for the full sharded outcome".into(),
+        );
+    }
+    spec.timeline = args.has("gantt");
+    if sharded || args.has("trace-out") {
+        spec.trace_capacity = Some(DEFAULT_TRACE_CAPACITY);
+    }
+    let RunOutput { outcome, traces } = flowtime::run(&spec, &trace.cluster, &trace.workload)?;
+    if sharded {
+        println!(
+            "{:<16} {} pod(s), placer {}, {} rebalance move(s)",
+            "shard",
+            outcome.placement.pods,
+            outcome.placement.placer.name(),
+            outcome.placement.rebalances.len()
+        );
+    }
+    if let Some(trace_out) = args.get("trace-out") {
+        match traces.as_slice() {
+            [decisions] => write_decisions(trace_out, decisions)?,
+            _ => {
+                for (i, decisions) in traces.iter().enumerate() {
+                    write_decisions(&format!("{trace_out}.pod{i}"), decisions)?;
+                }
+            }
+        }
+    }
+    if spec.trace_capacity.is_some() {
         // Self-check: the auditor must certify the run it just watched.
-        let report = flowtime_sim::certify_with_recovery(
+        let report = flowtime_sim::certify_sharded(
             &trace.cluster,
             &trace.workload,
+            &spec.shard,
             &outcome,
-            &decisions,
-            recovery.as_ref(),
+            &traces,
+            spec.recovery.as_ref(),
         );
         println!("{:<16} {}", "audit", report.summary());
         if !report.is_certified() {
@@ -450,139 +483,33 @@ fn simulate(args: &Args) -> CliResult {
             }
             return Err("auditor rejected the traced run (engine bug?)".into());
         }
-    } else {
-        outcome = engine.run(scheduler.as_mut())?;
     }
-    if let Some(line) = recovery_line(&outcome) {
-        println!("{:<16} {}", "recovery", line);
-    }
-    if let Some(out) = args.get("outcome-out") {
-        let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-        serde_json::to_writer_pretty(BufWriter::new(file), &outcome)?;
-        println!("full outcome written to {out}");
-    }
-    let metrics = outcome.metrics;
-    println!("{}", summary_line(scheduler.name(), &metrics));
-    if let Some(t) = &outcome.solver_telemetry {
-        println!("{:<16} {}", "solver", t.summary());
-    }
-    if let Some(tl) = &outcome.timeline {
-        print!(
-            "{}",
-            flowtime_sim::timeline::render_gantt(tl, Some(&metrics), 100)
-        );
-    }
-    if let Some(out) = args.get("out") {
-        let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-        serde_json::to_writer_pretty(BufWriter::new(file), &metrics)?;
-        println!("full metrics written to {out}");
-    }
-    Ok(())
-}
-
-/// The `--pods K` variant of `simulate`: partitions the cluster, places the
-/// workload, runs one engine per pod (each scheduler gets its own pod-sized
-/// cluster and plan cache), and always self-audits through the sharded
-/// certifier's cross-pod + per-pod checks. With one pod the run is
-/// byte-identical to the unsharded engine, so `--outcome-out` /
-/// `--trace-out` write the pod-0 artifacts directly (CI diffs them against
-/// a plain `simulate`); with several pods the outcome file holds the full
-/// [`flowtime_sim::ShardedOutcome`], `--trace-out d.jsonl` writes one
-/// trace per pod (`d.jsonl.pod0`, `d.jsonl.pod1`, ...; each header carries
-/// its pod provenance, so `audit`/`explain` need no `--pods` re-statement),
-/// and per-pod timelines / metrics are not merged, so `--gantt` and
-/// `--out` are errors.
-fn simulate_sharded(
-    args: &Args,
-    trace: &Trace,
-    recovery: Option<RecoverySetup>,
-    shard: &flowtime_sim::ShardSpec,
-) -> CliResult {
-    if args.has("gantt") {
-        return Err(
-            "--gantt is not supported with --pods (per-pod timelines are not merged)".into(),
-        );
-    }
-    if shard.pods > 1 && args.has("out") {
-        return Err(
-            "--out (metrics) needs --pods 1; use --outcome-out for the full sharded outcome".into(),
-        );
-    }
-    let name = args.get("scheduler").unwrap_or("flowtime");
-    let plan_cache = !args.has("no-plan-cache");
-    // Validate the scheduler name before spending time on the run; the
-    // per-pod factory below can then never fail.
-    make_scheduler(name, &trace.cluster, plan_cache)?;
-    let (outcome, traces) = flowtime_sim::run_sharded_traced(
-        &trace.cluster,
-        &trace.workload,
-        shard,
-        10_000_000,
-        shard.pods,
-        recovery.as_ref(),
-        flowtime_sim::DEFAULT_TRACE_CAPACITY,
-        |_pod, pod_cluster| make_scheduler(name, pod_cluster, plan_cache).expect("name validated"),
-    )?;
-    println!(
-        "{:<16} {} pod(s), placer {}, {} rebalance move(s)",
-        "shard",
-        outcome.placement.pods,
-        outcome.placement.placer.name(),
-        outcome.placement.rebalances.len()
-    );
-    let report = flowtime_sim::certify_sharded(
-        &trace.cluster,
-        &trace.workload,
-        shard,
-        &outcome,
-        &traces,
-        recovery.as_ref(),
-    );
-    println!("{:<16} {}", "audit", report.summary());
-    if !report.is_certified() {
-        for v in &report.violations {
-            eprintln!("  {v}");
-        }
-        return Err("sharded auditor rejected the run (engine bug?)".into());
-    }
-    if let Some(trace_out) = args.get("trace-out") {
-        if shard.pods == 1 {
-            let decisions = &traces[0];
-            let file =
-                File::create(trace_out).map_err(|e| format!("cannot create {trace_out}: {e}"))?;
-            decisions.write_jsonl(BufWriter::new(file))?;
-            println!(
-                "decision trace ({} events) written to {trace_out}",
-                decisions.recorded()
-            );
-        } else {
-            for (i, decisions) in traces.iter().enumerate() {
-                let path = format!("{trace_out}.pod{i}");
-                let file = File::create(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
-                decisions.write_jsonl(BufWriter::new(file))?;
-                println!(
-                    "decision trace ({} events) written to {path}",
-                    decisions.recorded()
-                );
-            }
+    for (i, pod) in outcome.pods.iter().enumerate() {
+        if let Some(line) = recovery_line(pod) {
+            println!("{:<16} {}", pod_label("recovery", i, sharded), line);
         }
     }
     if let Some(out) = args.get("outcome-out") {
         let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-        if shard.pods == 1 {
-            serde_json::to_writer_pretty(BufWriter::new(file), &outcome.pods[0])?;
-        } else {
-            serde_json::to_writer_pretty(BufWriter::new(file), &outcome)?;
+        match outcome.pods.as_slice() {
+            [pod] => serde_json::to_writer_pretty(BufWriter::new(file), pod)?,
+            _ => serde_json::to_writer_pretty(BufWriter::new(file), &outcome)?,
         }
         println!("full outcome written to {out}");
     }
     for (i, pod) in outcome.pods.iter().enumerate() {
         println!(
             "{}",
-            summary_line(&format!("{name}[pod {i}]"), &pod.metrics)
+            summary_line(&pod_label(spec.algo.name(), i, sharded), &pod.metrics)
         );
-        if let Some(line) = recovery_line(pod) {
-            println!("{:<16} {}", "", line);
+        if let Some(t) = &pod.solver_telemetry {
+            println!("{:<16} {}", pod_label("solver", i, sharded), t.summary());
+        }
+        if let Some(tl) = &pod.timeline {
+            print!(
+                "{}",
+                flowtime_sim::timeline::render_gantt(tl, Some(&pod.metrics), 100)
+            );
         }
     }
     if outcome.pods.len() > 1 {
@@ -628,19 +555,18 @@ struct AuditScope {
 
 fn audit_scope(
     args: &Args,
+    given: &ShardSpec,
     trace: &Trace,
     decisions: &flowtime_sim::DecisionTrace,
 ) -> Result<AuditScope, Box<dyn Error>> {
     let header = &decisions.header;
     if header.pods <= 1 {
-        if let Some(spec) = shard_spec(args)? {
-            if spec.pods > 1 {
-                return Err(format!(
-                    "--pods {} given, but the decision trace is from an unsharded (or K=1) run",
-                    spec.pods
-                )
-                .into());
-            }
+        if given.pods > 1 {
+            return Err(format!(
+                "--pods {} given, but the decision trace is from an unsharded (or K=1) run",
+                given.pods
+            )
+            .into());
         }
         return Ok(AuditScope {
             cluster: trace.cluster.clone(),
@@ -652,19 +578,17 @@ fn audit_scope(
     let pod = header.pod as usize;
     let placer = flowtime_sim::Placer::parse(&header.placer)
         .ok_or_else(|| format!("decision trace records unknown placer `{}`", header.placer))?;
-    if let Some(spec) = shard_spec(args)? {
-        if spec.pods != pods || spec.placer != placer {
-            return Err(format!(
-                "--pods {} --placer {} disagree with the trace header (pods={} placer={})",
-                spec.pods,
-                spec.placer.name(),
-                pods,
-                placer.name()
-            )
-            .into());
-        }
+    if args.has("pods") && (given.pods != pods || given.placer != placer) {
+        return Err(format!(
+            "--pods {} --placer {} disagree with the trace header (pods={} placer={})",
+            given.pods,
+            given.placer.name(),
+            pods,
+            placer.name()
+        )
+        .into());
     }
-    let spec = flowtime_sim::ShardSpec::new(pods).with_placer(placer);
+    let spec = ShardSpec::new(pods).with_placer(placer);
     let placement = flowtime_sim::place(&trace.cluster, &trace.workload, &spec);
     let mut workloads = placement.pod_workloads(&trace.workload)?;
     if pod >= workloads.len() {
@@ -710,9 +634,9 @@ fn audit_cmd(args: &Args) -> CliResult {
     attach_milestones(&mut trace);
     apply_faults(args, &mut trace)?;
     let decisions = load_decisions(args)?;
-    let scope = audit_scope(args, &trace, &decisions)?;
+    let spec = run_spec(args, "flowtime")?;
+    let scope = audit_scope(args, &spec.shard, &trace, &decisions)?;
     let outcome = load_outcome(args, &decisions)?;
-    let recovery = recovery_setup(args)?;
     if let Some((pod, pods)) = scope.pod {
         println!(
             "{:<16} verifying pod {pod} of {pods} against its own slice",
@@ -724,7 +648,7 @@ fn audit_cmd(args: &Args) -> CliResult {
         &scope.workload,
         &outcome,
         &decisions,
-        recovery.as_ref(),
+        spec.recovery.as_ref(),
     );
     println!("{}", report.summary());
     if !report.is_certified() {
@@ -758,15 +682,15 @@ fn explain_cmd(args: &Args) -> CliResult {
     attach_milestones(&mut trace);
     apply_faults(args, &mut trace)?;
     let decisions = load_decisions(args)?;
-    let scope = audit_scope(args, &trace, &decisions)?;
+    let spec = run_spec(args, "flowtime")?;
+    let scope = audit_scope(args, &spec.shard, &trace, &decisions)?;
     let outcome = load_outcome(args, &decisions)?;
-    let recovery = recovery_setup(args)?;
     let report = flowtime_sim::explain(
         &scope.cluster,
         &scope.workload,
         &outcome,
         &decisions,
-        recovery.as_ref(),
+        spec.recovery.as_ref(),
     )
     .map_err(|e| {
         if let flowtime_sim::ExplainError::Uncertified { violations, .. } = &e {
@@ -871,88 +795,62 @@ fn whatif_cmd(args: &Args) -> CliResult {
         );
     }
     let outcome = load_outcome(args, &decisions)?;
-    let base_recovery = recovery_setup(args)?;
-    let alt_recovery = alt_recovery_setup(args, base_recovery.as_ref())?;
-    // The trace header records the scheduler's display name ("EDF"); the
-    // lowercase form is the CLI name `make_scheduler` accepts. A recording
-    // made with flowtime-no-ds replays as plain flowtime unless the
-    // variant is re-stated with --scheduler.
-    let base_name = decisions.header.scheduler.to_lowercase();
-    let alt_name = args.get("scheduler").unwrap_or(&base_name).to_string();
-    let plan_cache = !args.has("no-plan-cache");
-    let base = flowtime_sim::RunArtifacts {
-        outcome,
-        trace: decisions,
+    // `--scheduler` names the alt side and defaults to the recorded
+    // scheduler: the trace header carries its display name ("EDF"), which
+    // the registry parses as is. A recording made with flowtime-no-ds
+    // replays as plain flowtime unless the variant is re-stated. The
+    // RECOVERY flags describe the recorded base run.
+    let stated = run_spec(args, &decisions.header.scheduler)?;
+    let base_recovery = stated.recovery.clone();
+    let alt_shard = shard_spec(args, "alt-pods", "alt-placer")?;
+    let alt_spec = RunSpec {
+        recovery: alt_recovery_setup(args, base_recovery.as_ref())?,
+        threads: alt_shard.pods,
+        shard: alt_shard,
+        trace_capacity: Some(DEFAULT_TRACE_CAPACITY),
+        ..stated
     };
-
-    let alt_pods: usize = args.get_parsed("alt-pods", 1usize)?;
-    if alt_pods == 0 {
-        return Err("--alt-pods must be at least 1".into());
-    }
-    if args.has("alt-placer") && !args.has("alt-pods") {
-        return Err("--alt-placer requires --alt-pods <K>".into());
-    }
+    let alt = flowtime::run(&alt_spec, &trace.cluster, &trace.workload)?;
     let diff = if args.has("alt-pods") {
-        let mut alt_spec = flowtime_sim::ShardSpec::new(alt_pods);
-        if let Some(raw) = args.get("alt-placer") {
-            let placer = flowtime_sim::Placer::parse(raw).ok_or_else(|| {
-                format!("unknown placer `{raw}` (expected firstfit, worstfit, or demand)")
-            })?;
-            alt_spec = alt_spec.with_placer(placer);
-        }
-        make_scheduler(&alt_name, &trace.cluster, plan_cache)?;
-        let (alt_outcome, alt_traces) = flowtime_sim::run_sharded_traced(
-            &trace.cluster,
-            &trace.workload,
-            &alt_spec,
-            10_000_000,
-            alt_spec.pods,
-            alt_recovery.as_ref(),
-            flowtime_sim::DEFAULT_TRACE_CAPACITY,
-            |_pod, pod_cluster| {
-                make_scheduler(&alt_name, pod_cluster, plan_cache).expect("name validated")
-            },
-        )?;
-        // The recorded unsharded base is byte-identical to a K=1 sharded
-        // run, so it slots into the sharded differ as a one-pod side.
-        let base_spec = flowtime_sim::ShardSpec::new(1);
-        let base_sharded = flowtime_sim::ShardedRunArtifacts {
+        // Sharded alternatives diff at workflow granularity. The recorded
+        // unsharded base is the one-pod case of the same run path, so it
+        // slots into the sharded differ as a one-pod side.
+        let base_shard = ShardSpec::new(1);
+        let base = flowtime_sim::ShardedRunArtifacts {
             outcome: flowtime_sim::ShardedOutcome {
-                placement: flowtime_sim::place(&trace.cluster, &trace.workload, &base_spec),
-                pods: vec![base.outcome],
+                placement: flowtime_sim::place(&trace.cluster, &trace.workload, &base_shard),
+                pods: vec![outcome],
             },
-            traces: vec![base.trace],
+            traces: vec![decisions],
         };
         flowtime_sim::certified_sharded_diff(
             &trace.cluster,
             &trace.workload,
-            &base_sharded,
-            &base_spec,
+            &base,
+            &base_shard,
             base_recovery.as_ref(),
             &flowtime_sim::ShardedRunArtifacts {
-                outcome: alt_outcome,
-                traces: alt_traces,
+                outcome: alt.outcome,
+                traces: alt.traces,
             },
-            &alt_spec,
-            alt_recovery.as_ref(),
+            &alt_spec.shard,
+            alt_spec.recovery.as_ref(),
         )
     } else {
-        let mut alt_scheduler = make_scheduler(&alt_name, &trace.cluster, plan_cache)?;
-        let alt = flowtime_sim::run_policy(
-            &trace.cluster,
-            &trace.workload,
-            10_000_000,
-            flowtime_sim::DEFAULT_TRACE_CAPACITY,
-            alt_recovery.as_ref(),
-            alt_scheduler.as_mut(),
-        )?;
+        let (alt_outcome, alt_trace) = alt.into_single();
         flowtime_sim::certified_diff(
             &trace.cluster,
             &trace.workload,
-            &base,
+            &flowtime_sim::RunArtifacts {
+                outcome,
+                trace: decisions,
+            },
             base_recovery.as_ref(),
-            &alt,
-            alt_recovery.as_ref(),
+            &flowtime_sim::RunArtifacts {
+                outcome: alt_outcome,
+                trace: alt_trace.expect("the alt side was run traced"),
+            },
+            alt_spec.recovery.as_ref(),
         )
     }
     .map_err(|e| {
@@ -1033,16 +931,28 @@ fn compare(args: &Args) -> CliResult {
     let mut trace = load_trace(args)?;
     attach_milestones(&mut trace);
     apply_faults(args, &mut trace)?;
-    let recovery = recovery_setup(args)?;
-    for name in ["flowtime", "cora", "edf", "fair", "fifo", "morpheus"] {
-        let mut scheduler = make_scheduler(name, &trace.cluster, !args.has("no-plan-cache"))?;
-        let outcome = run_one(&trace, scheduler.as_mut(), recovery.as_ref())?;
-        println!("{}", summary_line(scheduler.name(), &outcome.metrics));
-        if let Some(line) = recovery_line(&outcome) {
-            println!("{:<16} {}", "", line);
-        }
-        if let Some(t) = &outcome.solver_telemetry {
-            println!("{:<16} {}", "", t.summary());
+    let spec = run_spec(args, "flowtime")?;
+    let sharded = args.has("pods");
+    for algo in Algo::FIG4 {
+        let run = flowtime::run(
+            &RunSpec {
+                algo,
+                ..spec.clone()
+            },
+            &trace.cluster,
+            &trace.workload,
+        )?;
+        for (i, pod) in run.outcome.pods.iter().enumerate() {
+            println!(
+                "{}",
+                summary_line(&pod_label(algo.name(), i, sharded), &pod.metrics)
+            );
+            if let Some(line) = recovery_line(pod) {
+                println!("{:<16} {}", "", line);
+            }
+            if let Some(t) = &pod.solver_telemetry {
+                println!("{:<16} {}", "", t.summary());
+            }
         }
     }
     Ok(())
@@ -1069,17 +979,15 @@ fn parse_seed_range(raw: &str) -> Result<Vec<u64>, Box<dyn Error>> {
 
 fn sweep_cmd(args: &Args) -> CliResult {
     use flowtime_bench::sweep::{SweepScenario, SweepSpec};
-    use flowtime_bench::Algo;
 
     let threads = args.get_parsed("threads", 1usize)?.max(1);
+    let shard = run_spec(args, "flowtime")?.shard;
     let fault_seeds = parse_seed_range(args.get("seeds").unwrap_or("0..4"))?;
     let schedulers = match args.get("schedulers") {
-        None => flowtime_bench::Algo::FIG4.to_vec(),
+        None => Algo::FIG4.to_vec(),
         Some(raw) => raw
             .split(',')
-            .map(|name| {
-                Algo::parse(name).ok_or_else(|| format!("unknown scheduler `{name}`").into())
-            })
+            .map(parse_algo)
             .collect::<Result<Vec<_>, Box<dyn Error>>>()?,
     };
     let scenarios = match args.get("scenarios") {
@@ -1124,7 +1032,8 @@ fn sweep_cmd(args: &Args) -> CliResult {
         schedulers,
         fault_seeds,
         audit: args.has("audit"),
-        shard: shard_spec(args)?,
+        // Only a sweep that asked for pods records shard keys in its report.
+        shard: args.has("pods").then_some(shard),
     };
     // Validate the bench axis up front, before spending minutes on the
     // sweep itself.
@@ -1406,21 +1315,93 @@ mod tests {
         assert!(dispatch(&argv(&["simulate"])).is_err());
     }
 
+    /// One registry behind every front end: each spelling resolves — and
+    /// an unknown name is a typed error, never a panic — identically in
+    /// `simulate --scheduler`, `sweep --schedulers` and `Session::new`.
     #[test]
-    fn scheduler_factory_knows_all_names() {
-        let cluster = ClusterConfig::new(ResourceVec::new([4, 4096]), 10.0);
-        for name in [
-            "flowtime",
-            "flowtime-no-ds",
-            "edf",
-            "fifo",
-            "fair",
-            "cora",
-            "morpheus",
+    fn every_front_end_accepts_the_same_scheduler_spellings() {
+        let dir = std::env::temp_dir().join("flowtime-cli-test-registry");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace_path = dir.join("t.jsonl");
+        dispatch(&argv(&[
+            "generate",
+            "--out",
+            trace_path.to_str().unwrap(),
+            "--workflows",
+            "1",
+            "--cores",
+            "64",
+            "--seed",
+            "3",
+        ]))
+        .unwrap();
+        let simulate = |name: &str| {
+            dispatch(&argv(&[
+                "simulate",
+                "--trace",
+                trace_path.to_str().unwrap(),
+                "--scheduler",
+                name,
+            ]))
+        };
+        let sweep = |name: &str| {
+            dispatch(&argv(&[
+                "sweep",
+                "--workflows",
+                "1",
+                "--jobs",
+                "4",
+                "--adhoc-horizon",
+                "10",
+                "--seeds",
+                "0..1",
+                "--scenarios",
+                "clean",
+                "--schedulers",
+                name,
+                "--out",
+                "cli-registry-test",
+            ]))
+        };
+        let session = |name: &str| {
+            flowtime_daemon::Session::new(flowtime_daemon::SessionConfig {
+                cluster: ClusterConfig::new(ResourceVec::new([8, 32_768]), 10.0),
+                scheduler: name.to_string(),
+                max_slots: 100_000,
+                trace_capacity: 1 << 12,
+                snapshot_path: None,
+                pods: 0,
+                placer: None,
+            })
+        };
+        for (spelling, algo) in [
+            ("flowtime", Algo::FlowTime),
+            ("FlowTime", Algo::FlowTime),
+            ("flowtime-no-ds", Algo::FlowTimeNoDs),
+            ("FlowTime_no_ds", Algo::FlowTimeNoDs),
+            ("cora", Algo::Cora),
+            ("CORA", Algo::Cora),
+            ("edf", Algo::Edf),
+            ("EDF", Algo::Edf),
+            ("Fair", Algo::Fair),
+            ("FIFO", Algo::Fifo),
+            ("Morpheus", Algo::Morpheus),
         ] {
-            assert!(make_scheduler(name, &cluster, true).is_ok(), "{name}");
+            assert_eq!(parse_algo(spelling).unwrap(), algo, "{spelling}");
+            simulate(spelling).unwrap_or_else(|e| panic!("simulate {spelling}: {e}"));
+            sweep(spelling).unwrap_or_else(|e| panic!("sweep {spelling}: {e}"));
+            assert!(session(spelling).is_ok(), "Session::new {spelling}");
         }
-        assert!(make_scheduler("nope", &cluster, false).is_err());
+        for unknown in ["nope", "flowtime2", ""] {
+            assert!(parse_algo(unknown).is_err(), "{unknown:?}");
+            assert!(simulate(unknown).is_err(), "simulate {unknown:?}");
+            assert!(sweep(unknown).is_err(), "sweep {unknown:?}");
+            let err = session(unknown).err().expect("Session::new must refuse");
+            assert_eq!(err.code, flowtime_daemon::codes::BAD_REQUEST);
+        }
+        let _ = std::fs::remove_file("results/cli-registry-test.json");
+        let _ = std::fs::remove_dir("results");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //!
 //! The [`schedulers`] module packages the full FlowTime algorithm and the
 //! five baselines evaluated in the paper (EDF, FIFO, Fair, CORA-like,
-//! Morpheus-like) as [`flowtime_sim::Scheduler`] implementations.
+//! Morpheus-like) as [`flowtime_sim::Scheduler`] implementations; the
+//! [`registry`] resolves them by name ([`Algo`]) and [`run`](run::run) is
+//! the single path that executes a workload under one of them.
 //!
 //! # Quickstart
 //!
@@ -62,12 +64,16 @@ pub mod decompose;
 pub mod error;
 pub mod estimate;
 pub mod lp_sched;
+pub mod registry;
+pub mod run;
 pub mod schedulers;
 
 pub use decompose::{DecomposeConfig, Decomposer, Decomposition, JobWindow};
 pub use error::CoreError;
 pub use estimate::RunHistory;
 pub use lp_sched::{LevelingProblem, Plan, PlanJob, SolverBackend};
+pub use registry::Algo;
+pub use run::{run, RunOutput, RunSpec};
 pub use schedulers::{
     CoraScheduler, EdfScheduler, FairScheduler, FifoScheduler, FlowTimeConfig, FlowTimeScheduler,
     MorpheusScheduler,

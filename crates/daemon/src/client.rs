@@ -58,6 +58,9 @@ impl Client {
         stream
             .set_read_timeout(Some(Duration::from_secs(60)))
             .map_err(ClientError::Io)?;
+        // Strictly request/response with small lines: Nagle would only
+        // ever hold a request back waiting for the peer's delayed ACK.
+        stream.set_nodelay(true).map_err(ClientError::Io)?;
         Ok(Client {
             reader: BufReader::new(stream),
         })
@@ -69,10 +72,12 @@ impl Client {
     ///
     /// [`ClientError::Io`] on transport failure.
     pub fn request_line(&mut self, line: &str) -> Result<String, ClientError> {
-        let stream = self.reader.get_mut();
-        stream
-            .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
+        // One buffer, one write: a line split over two segments costs a
+        // delayed-ACK round (≈40 ms on loopback) before the daemon sees
+        // the newline.
+        self.reader
+            .get_mut()
+            .write_all(format!("{line}\n").as_bytes())
             .map_err(ClientError::Io)?;
         let mut response = String::new();
         let n = self
@@ -132,6 +137,46 @@ pub fn parse_response(line: &str) -> Result<Value, ClientError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{serve, Session, SessionConfig};
+    use flowtime_dag::ResourceVec;
+    use flowtime_sim::ClusterConfig;
+    use std::time::Instant;
+
+    /// Against a real `serve` thread over loopback TCP: the connection
+    /// runs with Nagle off, and sequential round trips cost what the
+    /// event loop costs (about a millisecond), not a delayed ACK each —
+    /// 50 of those would take over 2 s.
+    #[test]
+    fn connect_sets_nodelay_and_round_trips_stay_fast() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let server = std::thread::spawn(move || {
+            let session = Session::new(SessionConfig {
+                cluster: ClusterConfig::new(ResourceVec::new([8, 32_768]), 10.0),
+                scheduler: "fifo".to_string(),
+                max_slots: 100_000,
+                trace_capacity: 1 << 12,
+                snapshot_path: None,
+                pods: 0,
+                placer: None,
+            })
+            .expect("config");
+            serve(listener, session, None).expect("server runs");
+        });
+        let mut client = Client::connect(&addr).expect("connect");
+        assert!(client.reader.get_ref().nodelay().expect("nodelay"));
+        let t0 = Instant::now();
+        for _ in 0..50 {
+            client.request("{\"req\":\"status\"}").expect("status");
+        }
+        let elapsed = t0.elapsed();
+        client.request("{\"req\":\"shutdown\"}").expect("shutdown");
+        server.join().expect("server thread");
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "50 status round trips took {elapsed:?}"
+        );
+    }
 
     #[test]
     fn parse_response_splits_ok_and_err() {

@@ -38,10 +38,7 @@
 use crate::protocol::{codes, ProtocolError, Request};
 use crate::snapshot::{self, SnapshotBody};
 use crate::wal::{self, DiskFaultPlan, RecoveryReport, Wal, WalConfig, WalRecord};
-use flowtime::{
-    CoraScheduler, EdfScheduler, FairScheduler, FifoScheduler, FlowTimeConfig, FlowTimeScheduler,
-    MorpheusScheduler,
-};
+use flowtime::Algo;
 use flowtime_dag::JobId;
 use flowtime_sim::{
     pod_cluster, AdhocSubmission, ClusterConfig, DecisionTrace, LogEntry, OnlineEngine, Placer,
@@ -56,7 +53,7 @@ use std::collections::BTreeMap;
 pub struct SessionConfig {
     /// Cluster the engine simulates.
     pub cluster: ClusterConfig,
-    /// Scheduler name, resolved through the `Algo` registry
+    /// Scheduler name, resolved through the [`Algo`] registry
     /// (`flowtime`, `edf`, `fifo`, `fair`, `cora`, `morpheus`, ...).
     pub scheduler: String,
     /// Slot horizon for the underlying engine.
@@ -170,6 +167,15 @@ impl Session {
     /// without `pods > 1`.
     pub fn new(config: SessionConfig) -> Result<Self, ProtocolError> {
         let pod_count = config.pods.max(1) as usize;
+        // The same registry a batch comparison run resolves through: both
+        // must start from identical scheduler state for the differential
+        // byte-parity contract to hold.
+        let algo = Algo::parse(&config.scheduler).ok_or_else(|| {
+            ProtocolError::new(
+                codes::BAD_REQUEST,
+                format!("unknown scheduler `{}`", config.scheduler),
+            )
+        })?;
         let policy = match &config.placer {
             None => Placer::Demand,
             Some(name) if pod_count > 1 => Placer::parse(name).ok_or_else(|| {
@@ -188,7 +194,7 @@ impl Session {
         let mut pods = Vec::with_capacity(pod_count);
         for i in 0..pod_count {
             let pc = pod_cluster(&config.cluster, pod_count, i);
-            let scheduler = make_scheduler(&config.scheduler, &pc)?;
+            let scheduler = algo.make(&pc);
             let (online, trace) =
                 OnlineEngine::new(pc, config.max_slots).with_trace(config.trace_capacity as usize);
             pods.push(PodRuntime {
@@ -1039,45 +1045,6 @@ impl Session {
             .map_err(|e| ProtocolError::new(codes::SNAPSHOT_IO, e.to_string()))?;
         Ok(format!("{{\"path\":{path_json},\"bytes\":{bytes}}}"))
     }
-}
-
-/// Resolves a scheduler name, ignoring case and separators, constructing
-/// it exactly as the bench harness's `Algo::make` does — the daemon and
-/// a batch comparison run must start from identical scheduler state for
-/// the differential byte-parity contract to hold.
-fn make_scheduler(
-    name: &str,
-    cluster: &ClusterConfig,
-) -> Result<Box<dyn Scheduler>, ProtocolError> {
-    let norm: String = name
-        .chars()
-        .filter(char::is_ascii_alphanumeric)
-        .collect::<String>()
-        .to_ascii_lowercase();
-    Ok(match norm.as_str() {
-        "flowtime" => Box::new(FlowTimeScheduler::new(
-            cluster.clone(),
-            FlowTimeConfig::default(),
-        )),
-        "flowtimenods" => Box::new(FlowTimeScheduler::new(
-            cluster.clone(),
-            FlowTimeConfig {
-                slack_slots: 0,
-                ..Default::default()
-            },
-        )),
-        "cora" => Box::new(CoraScheduler::new(cluster.clone())),
-        "edf" => Box::new(EdfScheduler::new()),
-        "fair" => Box::new(FairScheduler::new()),
-        "fifo" => Box::new(FifoScheduler::new()),
-        "morpheus" => Box::new(MorpheusScheduler::new(cluster.clone())),
-        _ => {
-            return Err(ProtocolError::new(
-                codes::BAD_REQUEST,
-                format!("unknown scheduler `{name}`"),
-            ))
-        }
-    })
 }
 
 /// Maps an engine error into the protocol's typed form.

@@ -283,7 +283,7 @@ pub fn certify_log(
     certify_table(cluster, build_table_from_log(log), outcome, trace, None, 0)
 }
 
-/// Certifies a sharded run ([`crate::shard::run_sharded_traced`]): the
+/// Certifies a sharded run (a traced `flowtime::run` over any pod count): the
 /// cross-pod conservation checks below, then a full
 /// [`certify_with_recovery`] of every pod against its own capacity slice
 /// and sub-workload (violations prefixed `pod N:`).

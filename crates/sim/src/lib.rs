@@ -112,8 +112,8 @@ pub use oracle::OracleEngine;
 pub use placement::{NodePool, PackResult};
 pub use scheduler::{Allocation, Scheduler};
 pub use shard::{
-    place, place_log, pod_cluster, run_sharded, run_sharded_traced, split_capacity, PlacementLog,
-    Placer, PlacerState, PodAssignment, RebalanceEvent, ShardClass, ShardSpec, ShardedOutcome,
+    place, place_log, pod_cluster, split_capacity, PlacementLog, Placer, PlacerState,
+    PodAssignment, RebalanceEvent, ShardClass, ShardSpec, ShardedOutcome,
 };
 pub use state::{JobView, SimState, WorkflowView};
 pub use submission::{EffectiveSubmission, LogEntry, SubmissionLog};
@@ -125,9 +125,8 @@ pub use trace::{
     DEFAULT_TRACE_CAPACITY,
 };
 pub use whatif::{
-    certified_diff, certified_sharded_diff, diff_runs, run_policy, DiffRow, DiffSummary,
-    Divergence, JobFate, RunArtifacts, ShardedRunArtifacts, WhatIfDiff, WhatIfError,
-    WorkflowDiffRow,
+    certified_diff, certified_sharded_diff, diff_runs, DiffRow, DiffSummary, Divergence, JobFate,
+    RunArtifacts, ShardedRunArtifacts, WhatIfDiff, WhatIfError, WorkflowDiffRow,
 };
 
 /// Serde `skip_serializing_if` predicates shared by the outcome types:

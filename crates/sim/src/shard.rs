@@ -1,7 +1,8 @@
-//! Sharded pod-level scheduling: partition the cluster into K pods, place
-//! submissions onto pods with a cheap top-level bin-packer, and run one
-//! independent per-pod engine (and per-pod LP solver) per pod — in
-//! parallel on the work-stealing [`crate::run_cells`] runner.
+//! Sharded pod-level scheduling: partition the cluster into K pods and
+//! place submissions onto pods with a cheap top-level bin-packer. The run
+//! path above this crate (`flowtime::run`) then runs one independent
+//! engine (and per-pod LP solver) per pod on the work-stealing
+//! [`crate::run_cells`] runner.
 //!
 //! The paper solves one allocation LP over the whole cluster per replan;
 //! that cannot serve very large clusters. DAGPS-style systems show a
@@ -17,8 +18,9 @@
 //!   backlog exceeds `overload_factor ×` their cores — the same
 //!   backpressure signal the [`crate::faults::RecoveryPolicy`] admission
 //!   controller uses — and records every move in the [`PlacementLog`].
-//! * [`run_sharded`] runs the per-pod engines on up to `threads` workers
-//!   and returns a [`ShardedOutcome`].
+//! * [`PlacementLog::pod_workloads`] splits the workload into the per-pod
+//!   sub-workloads the engines run, and [`ShardedOutcome`] collects their
+//!   outcomes.
 //!
 //! # Determinism and the K=1 contract
 //!
@@ -33,14 +35,10 @@
 //! `tests/shard_props.rs` pins across all six schedulers.
 
 use crate::cluster::ClusterConfig;
-use crate::engine::{Engine, SimOutcome};
+use crate::engine::SimOutcome;
 use crate::error::SimError;
-use crate::faults::RecoverySetup;
 use crate::job::{AdhocSubmission, SimWorkload, WorkflowSubmission};
-use crate::scheduler::Scheduler;
 use crate::submission::{LogEntry, SubmissionLog};
-use crate::sweep::run_cells;
-use crate::trace::DecisionTrace;
 use flowtime_dag::{ResourceVec, NUM_RESOURCES};
 use serde::{Deserialize, Serialize};
 
@@ -201,50 +199,51 @@ impl PlacementLog {
     /// [`SimError::MalformedSubmission`] when an item is unassigned,
     /// assigned more than once, or assigned to a pod out of range.
     pub fn pod_workloads(&self, workload: &SimWorkload) -> Result<Vec<SimWorkload>, SimError> {
-        let mut seen_wf = vec![0usize; workload.workflows.len()];
-        let mut seen_ah = vec![0usize; workload.adhoc.len()];
+        // One pass over the log instead of a `final_pod` scan per item:
+        // the unsharded run path goes through here too, with every
+        // submission of the workload.
+        let mut pod_wf: Vec<Option<usize>> = vec![None; workload.workflows.len()];
+        let mut pod_ah: Vec<Option<usize>> = vec![None; workload.adhoc.len()];
         for a in &self.assignments {
-            let seen = match a.class {
-                ShardClass::Workflow => seen_wf.get_mut(a.index),
-                ShardClass::Adhoc => seen_ah.get_mut(a.index),
-            };
-            match seen {
-                Some(n) => *n += 1,
-                None => {
-                    return Err(SimError::MalformedSubmission {
-                        reason: "placement references a submission outside the workload",
-                    })
-                }
+            let slot = match a.class {
+                ShardClass::Workflow => pod_wf.get_mut(a.index),
+                ShardClass::Adhoc => pod_ah.get_mut(a.index),
+            }
+            .ok_or(SimError::MalformedSubmission {
+                reason: "placement references a submission outside the workload",
+            })?;
+            if slot.replace(a.pod).is_some() {
+                return Err(SimError::MalformedSubmission {
+                    reason: "a submission is placed on more than one pod",
+                });
             }
         }
-        if seen_wf.iter().chain(seen_ah.iter()).any(|&n| n > 1) {
-            return Err(SimError::MalformedSubmission {
-                reason: "a submission is placed on more than one pod",
-            });
-        }
-        if seen_wf.iter().chain(seen_ah.iter()).any(|&n| n == 0) {
+        if pod_wf.iter().chain(pod_ah.iter()).any(Option::is_none) {
             return Err(SimError::MalformedSubmission {
                 reason: "a submission is placed on no pod",
             });
         }
-        let mut out = vec![SimWorkload::default(); self.pods];
-        for (i, sub) in workload.workflows.iter().enumerate() {
-            let pod = self
-                .final_pod(ShardClass::Workflow, i)
-                .filter(|&p| p < self.pods)
-                .ok_or(SimError::MalformedSubmission {
-                    reason: "a submission is placed on a pod out of range",
-                })?;
-            out[pod].workflows.push(sub.clone());
+        for r in &self.rebalances {
+            let slot = match r.class {
+                ShardClass::Workflow => pod_wf.get_mut(r.index),
+                ShardClass::Adhoc => pod_ah.get_mut(r.index),
+            };
+            if let Some(slot) = slot {
+                *slot = Some(r.to_pod);
+            }
         }
-        for (i, sub) in workload.adhoc.iter().enumerate() {
-            let pod = self
-                .final_pod(ShardClass::Adhoc, i)
-                .filter(|&p| p < self.pods)
+        let in_range = |pod: Option<usize>| {
+            pod.filter(|&p| p < self.pods)
                 .ok_or(SimError::MalformedSubmission {
                     reason: "a submission is placed on a pod out of range",
-                })?;
-            out[pod].adhoc.push(sub.clone());
+                })
+        };
+        let mut out = vec![SimWorkload::default(); self.pods];
+        for (sub, &pod) in workload.workflows.iter().zip(&pod_wf) {
+            out[in_range(pod)?].workflows.push(sub.clone());
+        }
+        for (sub, &pod) in workload.adhoc.iter().zip(&pod_ah) {
+            out[in_range(pod)?].adhoc.push(sub.clone());
         }
         Ok(out)
     }
@@ -526,7 +525,7 @@ fn rebalance(
 /// dropped (they never materialize, so they are never placed).
 ///
 /// This is the batch replay contract of a **sharded daemon session**:
-/// running [`Engine::from_log`] over each returned sub-log reproduces
+/// running [`crate::Engine::from_log`] over each returned sub-log reproduces
 /// the session's per-pod outcomes byte-for-byte. No rebalance pass runs
 /// here — online placement is final.
 ///
@@ -627,151 +626,6 @@ impl ShardedOutcome {
     pub fn slots_elapsed(&self) -> u64 {
         self.pods.iter().map(|o| o.slots_elapsed).max().unwrap_or(0)
     }
-}
-
-/// Runs `workload` sharded across `spec.pods` pods on up to `threads`
-/// workers. `factory` builds the per-pod scheduler from the pod index
-/// and the pod's cluster slice — each pod gets its **own** scheduler
-/// instance (and therefore its own plan cache / warm-start state).
-/// `recovery`, when armed, applies to every pod with the same seed; its
-/// fault plan is derived per pod from the pod's sub-workload.
-///
-/// The returned outcome is byte-identical for any `threads` value.
-///
-/// # Errors
-///
-/// The first per-pod engine error, in pod order.
-pub fn run_sharded<F>(
-    cluster: &ClusterConfig,
-    workload: &SimWorkload,
-    spec: &ShardSpec,
-    max_slots: u64,
-    threads: usize,
-    recovery: Option<&RecoverySetup>,
-    factory: F,
-) -> Result<ShardedOutcome, SimError>
-where
-    F: Fn(usize, &ClusterConfig) -> Box<dyn Scheduler> + Sync,
-{
-    run_sharded_inner(
-        cluster, workload, spec, max_slots, threads, recovery, None, factory,
-    )
-    .map(|(outcome, _)| outcome)
-}
-
-/// [`run_sharded`] with one bounded [`DecisionTrace`] per pod, for
-/// auditing via [`crate::audit::certify_sharded`]. Recording is
-/// observation-only: the outcome bytes are identical to an untraced run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_traced<F>(
-    cluster: &ClusterConfig,
-    workload: &SimWorkload,
-    spec: &ShardSpec,
-    max_slots: u64,
-    threads: usize,
-    recovery: Option<&RecoverySetup>,
-    trace_capacity: usize,
-    factory: F,
-) -> Result<(ShardedOutcome, Vec<DecisionTrace>), SimError>
-where
-    F: Fn(usize, &ClusterConfig) -> Box<dyn Scheduler> + Sync,
-{
-    let (outcome, traces) = run_sharded_inner(
-        cluster,
-        workload,
-        spec,
-        max_slots,
-        threads,
-        recovery,
-        Some(trace_capacity),
-        factory,
-    )?;
-    Ok((outcome, traces.expect("traced run returns traces")))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_sharded_inner<F>(
-    cluster: &ClusterConfig,
-    workload: &SimWorkload,
-    spec: &ShardSpec,
-    max_slots: u64,
-    threads: usize,
-    recovery: Option<&RecoverySetup>,
-    trace_capacity: Option<usize>,
-    factory: F,
-) -> Result<(ShardedOutcome, Option<Vec<DecisionTrace>>), SimError>
-where
-    F: Fn(usize, &ClusterConfig) -> Box<dyn Scheduler> + Sync,
-{
-    let placement = place(cluster, workload, spec);
-    let workloads = placement.pod_workloads(workload)?;
-    let cells: Vec<(usize, SimWorkload)> = workloads.into_iter().enumerate().collect();
-    let results = run_cells(&cells, threads, |_, (pod, pod_workload)| {
-        run_pod(
-            cluster,
-            spec,
-            *pod,
-            pod_workload.clone(),
-            max_slots,
-            recovery,
-            trace_capacity,
-            &factory,
-        )
-    });
-    let mut pods = Vec::with_capacity(spec.pods);
-    let mut traces = trace_capacity.map(|_| Vec::with_capacity(spec.pods));
-    for result in results {
-        let (outcome, trace) = result?;
-        pods.push(outcome);
-        if let (Some(traces), Some(trace)) = (traces.as_mut(), trace) {
-            traces.push(trace);
-        }
-    }
-    Ok((ShardedOutcome { placement, pods }, traces))
-}
-
-/// Builds and runs one pod's engine, fully isolated from its siblings.
-#[allow(clippy::too_many_arguments)]
-fn run_pod<F>(
-    cluster: &ClusterConfig,
-    spec: &ShardSpec,
-    pod: usize,
-    pod_workload: SimWorkload,
-    max_slots: u64,
-    recovery: Option<&RecoverySetup>,
-    trace_capacity: Option<usize>,
-    factory: &F,
-) -> Result<(SimOutcome, Option<DecisionTrace>), SimError>
-where
-    F: Fn(usize, &ClusterConfig) -> Box<dyn Scheduler>,
-{
-    let pc = pod_cluster(cluster, spec.pods, pod);
-    let mut engine = Engine::new(pc.clone(), pod_workload, max_slots)?;
-    if let Some(setup) = recovery {
-        engine = engine.with_recovery(setup.clone());
-    }
-    let mut scheduler = factory(pod, &pc);
-    let (mut outcome, mut trace) = match trace_capacity {
-        Some(capacity) => {
-            let (engine, handle) = engine.with_trace(capacity);
-            let outcome = engine.run(scheduler.as_mut())?;
-            (outcome, Some(handle.take()))
-        }
-        None => (engine.run(scheduler.as_mut())?, None),
-    };
-    outcome.pod = pod as u64;
-    // Stamp pod provenance into the trace header so offline consumers
-    // (audit CLI, explain) can re-derive the shard spec from the trace
-    // alone. K = 1 stays unstamped: its bytes must remain identical to an
-    // unsharded run's.
-    if spec.pods > 1 {
-        if let Some(trace) = trace.as_mut() {
-            trace.header.pods = spec.pods as u64;
-            trace.header.pod = pod as u64;
-            trace.header.placer = spec.placer.name().to_string();
-        }
-    }
-    Ok((outcome, trace))
 }
 
 #[cfg(test)]

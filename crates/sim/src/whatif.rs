@@ -34,11 +34,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::audit::{certify_sharded, certify_with_recovery, AuditReport};
 use crate::cluster::ClusterConfig;
-use crate::engine::{Engine, SimOutcome};
-use crate::error::SimError;
+use crate::engine::SimOutcome;
 use crate::faults::RecoverySetup;
 use crate::job::SimWorkload;
-use crate::scheduler::Scheduler;
 use crate::shard::{ShardSpec, ShardedOutcome};
 use crate::trace::{DecisionTrace, TraceEvent};
 
@@ -62,28 +60,6 @@ pub struct ShardedRunArtifacts {
     pub outcome: ShardedOutcome,
     /// Per-pod decision traces, in pod order.
     pub traces: Vec<DecisionTrace>,
-}
-
-/// Replays `workload` under `scheduler`, recording a full trace: the
-/// standard way to produce one side of a what-if.
-pub fn run_policy(
-    cluster: &ClusterConfig,
-    workload: &SimWorkload,
-    max_slots: u64,
-    trace_capacity: usize,
-    recovery: Option<&RecoverySetup>,
-    scheduler: &mut dyn Scheduler,
-) -> Result<RunArtifacts, SimError> {
-    let mut engine = Engine::new(cluster.clone(), workload.clone(), max_slots)?;
-    if let Some(setup) = recovery {
-        engine = engine.with_recovery(setup.clone());
-    }
-    let (engine, handle) = engine.with_trace(trace_capacity);
-    let outcome = engine.run(scheduler)?;
-    Ok(RunArtifacts {
-        outcome,
-        trace: handle.take(),
-    })
 }
 
 /// How one job ended under one policy.
@@ -593,7 +569,8 @@ fn first_divergence_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::Allocation;
+    use crate::engine::Engine;
+    use crate::scheduler::{Allocation, Scheduler};
     use crate::state::SimState;
     use flowtime_dag::{JobSpec, ResourceVec, WorkflowBuilder};
 
@@ -660,11 +637,23 @@ mod tests {
         wl
     }
 
+    /// Records one side of a what-if under `scheduler`.
+    fn record(wl: &SimWorkload, scheduler: &mut dyn Scheduler) -> RunArtifacts {
+        let (engine, handle) = Engine::new(cluster(), wl.clone(), 300)
+            .unwrap()
+            .with_trace(4096);
+        let outcome = engine.run(scheduler).unwrap();
+        RunArtifacts {
+            outcome,
+            trace: handle.take(),
+        }
+    }
+
     #[test]
     fn identical_policy_is_a_no_op_diff() {
         let wl = workload();
-        let base = run_policy(&cluster(), &wl, 300, 4096, None, &mut Greedy).unwrap();
-        let alt = run_policy(&cluster(), &wl, 300, 4096, None, &mut Greedy).unwrap();
+        let base = record(&wl, &mut Greedy);
+        let alt = record(&wl, &mut Greedy);
         let diff = certified_diff(&cluster(), &wl, &base, None, &alt, None).unwrap();
         assert!(diff.identical, "identical policies must no-op: {diff:?}");
         assert!(diff.jobs.is_empty());
@@ -680,8 +669,8 @@ mod tests {
     #[test]
     fn cross_scheduler_diff_links_divergence() {
         let wl = workload();
-        let base = run_policy(&cluster(), &wl, 300, 4096, None, &mut Greedy).unwrap();
-        let alt = run_policy(&cluster(), &wl, 300, 4096, None, &mut Trickle).unwrap();
+        let base = record(&wl, &mut Greedy);
+        let alt = record(&wl, &mut Trickle);
         let diff = certified_diff(&cluster(), &wl, &base, None, &alt, None).unwrap();
         assert!(!diff.identical);
         assert_eq!(diff.base_policy, "greedy");
@@ -700,7 +689,7 @@ mod tests {
     #[test]
     fn corrupted_side_is_refused_but_pure_diff_flags_it() {
         let wl = workload();
-        let base = run_policy(&cluster(), &wl, 300, 4096, None, &mut Greedy).unwrap();
+        let base = record(&wl, &mut Greedy);
         let mut alt = base.clone();
         // Corrupt one Finish event in the replayed alt trace.
         let pos = alt
@@ -721,31 +710,5 @@ mod tests {
         let d = diff.first_divergence.expect("corruption must be flagged");
         assert_eq!(d.index, expected_index);
         assert_eq!(d.slot, slot);
-    }
-
-    #[test]
-    fn sharded_identical_spec_diff_is_empty() {
-        let wl = workload();
-        let spec = ShardSpec::new(2);
-        let run = |threads: usize| {
-            let (outcome, traces) = crate::shard::run_sharded_traced(
-                &cluster(),
-                &wl,
-                &spec,
-                300,
-                threads,
-                None,
-                4096,
-                |_, _| Box::new(Greedy),
-            )
-            .unwrap();
-            ShardedRunArtifacts { outcome, traces }
-        };
-        let base = run(1);
-        let alt = run(2);
-        let diff =
-            certified_sharded_diff(&cluster(), &wl, &base, &spec, None, &alt, &spec, None).unwrap();
-        assert!(diff.identical, "same spec, same scheduler: {diff:?}");
-        assert!(diff.first_divergence.is_none());
     }
 }

@@ -6,12 +6,11 @@
 //!
 //! `GOLDEN_REGEN=1 cargo test --test explain_golden`
 
-use flowtime_bench::experiments::{
-    run_outcome_traced_with, testbed_cluster, Algo, WorkflowExperiment,
-};
+use flowtime::RunSpec;
+use flowtime_bench::experiments::{testbed_cluster, Algo, WorkflowExperiment};
 use flowtime_sim::prelude::*;
 use flowtime_sim::{
-    certified_diff, explain, run_policy, ExplainReport, WhatIfDiff, DEFAULT_TRACE_CAPACITY,
+    certified_diff, explain, ExplainReport, RunArtifacts, WhatIfDiff, DEFAULT_TRACE_CAPACITY,
 };
 
 /// The fixed scenario behind both fixtures: a small testbed workload with
@@ -40,6 +39,23 @@ fn scenario() -> (ClusterConfig, SimWorkload, RecoverySetup) {
     (cluster, workload, setup)
 }
 
+/// The traced one-pod run of `algo` over the pinned scenario.
+fn record(algo: Algo) -> RunArtifacts {
+    let (cluster, workload, setup) = scenario();
+    let spec = RunSpec {
+        recovery: Some(setup),
+        trace_capacity: Some(DEFAULT_TRACE_CAPACITY),
+        ..RunSpec::new(algo)
+    };
+    let (outcome, trace) = flowtime::run(&spec, &cluster, &workload)
+        .expect("replay runs")
+        .into_single();
+    RunArtifacts {
+        outcome,
+        trace: trace.expect("traced run"),
+    }
+}
+
 fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{name}"))
 }
@@ -61,8 +77,7 @@ fn pin(name: &str, serialized: &str) {
 #[test]
 fn golden_explain_report_is_stable() {
     let (cluster, workload, setup) = scenario();
-    let (outcome, trace) =
-        run_outcome_traced_with(Algo::Edf, &cluster, workload.clone(), Some(&setup));
+    let RunArtifacts { outcome, trace } = record(Algo::Edf);
     let report = explain(&cluster, &workload, &outcome, &trace, Some(&setup))
         .expect("certified run explains");
     assert!(
@@ -84,18 +99,6 @@ fn golden_explain_report_is_stable() {
 #[test]
 fn golden_whatif_diff_is_stable() {
     let (cluster, workload, setup) = scenario();
-    let record = |algo: Algo| {
-        let mut scheduler = algo.make(&cluster);
-        run_policy(
-            &cluster,
-            &workload,
-            1_000_000,
-            DEFAULT_TRACE_CAPACITY,
-            Some(&setup),
-            scheduler.as_mut(),
-        )
-        .expect("replay runs")
-    };
     let base = record(Algo::Edf);
     let alt = record(Algo::FlowTime);
     let diff = certified_diff(&cluster, &workload, &base, Some(&setup), &alt, Some(&setup))

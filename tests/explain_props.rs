@@ -6,13 +6,28 @@
 //! recount, diagnostics must exist iff the run missed workflow deadlines,
 //! and the whole report must be byte-deterministic across re-runs.
 
-use flowtime_bench::experiments::{
-    run_outcome_traced_with, testbed_cluster, Algo, WorkflowExperiment,
-};
+use flowtime::RunSpec;
+use flowtime_bench::experiments::{run_checked, testbed_cluster, Algo, WorkflowExperiment};
 use flowtime_sim::explain::event_kind;
 use flowtime_sim::prelude::*;
 use flowtime_sim::{explain, TraceEvent};
 use proptest::prelude::*;
+
+/// The traced one-pod run of `algo` through the harness's checked runner.
+fn record(
+    algo: Algo,
+    cluster: &ClusterConfig,
+    workload: &SimWorkload,
+    setup: Option<&RecoverySetup>,
+) -> (SimOutcome, DecisionTrace) {
+    let spec = RunSpec {
+        recovery: setup.cloned(),
+        trace_capacity: Some(flowtime_sim::DEFAULT_TRACE_CAPACITY),
+        ..RunSpec::new(algo)
+    };
+    let (outcome, trace) = run_checked(&spec, cluster, workload).into_single();
+    (outcome, trace.expect("traced run"))
+}
 
 fn experiment() -> WorkflowExperiment {
     WorkflowExperiment {
@@ -82,8 +97,7 @@ proptest! {
         let cluster = testbed_cluster();
         let workload = experiment().build(&cluster);
         let algo = Algo::FIG4[algo_idx];
-        let (outcome, trace) =
-            run_outcome_traced_with(algo, &cluster, workload.clone(), Some(&setup));
+        let (outcome, trace) = record(algo, &cluster, &workload, Some(&setup));
         let report = explain(&cluster, &workload, &outcome, &trace, Some(&setup))
             .expect("certified runs must be explainable");
 
@@ -142,8 +156,7 @@ proptest! {
         let cluster = testbed_cluster();
         let workload = experiment().build(&cluster);
         let algo = Algo::FIG4[algo_idx];
-        let (outcome, trace) =
-            run_outcome_traced_with(algo, &cluster, workload.clone(), Some(&setup));
+        let (outcome, trace) = record(algo, &cluster, &workload, Some(&setup));
         let first = serde_json::to_string(
             &explain(&cluster, &workload, &outcome, &trace, Some(&setup)).unwrap(),
         )
@@ -153,8 +166,7 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(&first, &again);
-        let (outcome2, trace2) =
-            run_outcome_traced_with(algo, &cluster, workload.clone(), Some(&setup));
+        let (outcome2, trace2) = record(algo, &cluster, &workload, Some(&setup));
         let rerun = serde_json::to_string(
             &explain(&cluster, &workload, &outcome2, &trace2, Some(&setup)).unwrap(),
         )
@@ -179,7 +191,7 @@ fn clean_feasible_runs_yield_zero_diagnostics_for_all_six_schedulers() {
     }
     .build(&cluster);
     for algo in Algo::FIG4 {
-        let (outcome, trace) = run_outcome_traced_with(algo, &cluster, workload.clone(), None);
+        let (outcome, trace) = record(algo, &cluster, &workload, None);
         assert_eq!(
             outcome.metrics.workflow_deadline_misses(),
             0,

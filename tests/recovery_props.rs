@@ -4,12 +4,28 @@
 //! the recovery accounting must balance, and a chaos sweep must stay
 //! byte-identical for any worker-thread count.
 
-use flowtime_bench::experiments::{
-    run_outcome_traced_with, run_outcome_with, testbed_cluster, Algo, WorkflowExperiment,
-};
+use flowtime::RunSpec;
+use flowtime_bench::experiments::{run_checked, testbed_cluster, Algo, WorkflowExperiment};
 use flowtime_bench::sweep::{SweepScenario, SweepSpec};
 use flowtime_sim::prelude::*;
 use proptest::prelude::*;
+
+/// The one-pod run of `algo` with the recovery layer armed, optionally
+/// traced, through the harness's checked runner.
+fn run_recovery(
+    algo: Algo,
+    cluster: &ClusterConfig,
+    workload: &SimWorkload,
+    setup: &RecoverySetup,
+    traced: bool,
+) -> (SimOutcome, Option<DecisionTrace>) {
+    let spec = RunSpec {
+        recovery: Some(setup.clone()),
+        trace_capacity: traced.then_some(flowtime_sim::DEFAULT_TRACE_CAPACITY),
+        ..RunSpec::new(algo)
+    };
+    run_checked(&spec, cluster, workload).into_single()
+}
 
 fn experiment() -> WorkflowExperiment {
     WorkflowExperiment {
@@ -82,8 +98,8 @@ proptest! {
         let cluster = testbed_cluster();
         let workload = experiment().build(&cluster);
         let algo = Algo::FIG4[algo_idx];
-        let (outcome, trace) =
-            run_outcome_traced_with(algo, &cluster, workload.clone(), Some(&setup));
+        let (outcome, trace) = run_recovery(algo, &cluster, &workload, &setup, true);
+        let trace = trace.expect("traced run");
         let report = certify_with_recovery(&cluster, &workload, &outcome, &trace, Some(&setup));
         prop_assert!(
             report.is_certified(),
@@ -104,8 +120,7 @@ proptest! {
     ) {
         let cluster = testbed_cluster();
         let workload = experiment().build(&cluster);
-        let outcome =
-            run_outcome_with(Algo::FIG4[algo_idx], &cluster, workload, Some(&setup));
+        let (outcome, _) = run_recovery(Algo::FIG4[algo_idx], &cluster, &workload, &setup, false);
         let r = &outcome.recovery;
         prop_assert_eq!(r.retries, r.task_failures + r.crash_kills);
         prop_assert_eq!(r.shed_jobs as usize, outcome.shed.len());
@@ -122,8 +137,8 @@ proptest! {
     fn recovery_runs_are_deterministic(setup in setup()) {
         let cluster = testbed_cluster();
         let workload = experiment().build(&cluster);
-        let a = run_outcome_with(Algo::FlowTime, &cluster, workload.clone(), Some(&setup));
-        let b = run_outcome_with(Algo::FlowTime, &cluster, workload, Some(&setup));
+        let (a, _) = run_recovery(Algo::FlowTime, &cluster, &workload, &setup, false);
+        let (b, _) = run_recovery(Algo::FlowTime, &cluster, &workload, &setup, false);
         prop_assert_eq!(
             serde_json::to_string(&a).expect("outcome serializes"),
             serde_json::to_string(&b).expect("outcome serializes")
@@ -144,8 +159,7 @@ proptest! {
             faults,
             RecoveryPolicy::default().with_max_retries(0),
         );
-        let outcome =
-            run_outcome_with(Algo::FIG4[algo_idx], &cluster, workload, Some(&setup));
+        let (outcome, _) = run_recovery(Algo::FIG4[algo_idx], &cluster, &workload, &setup, false);
         let r = &outcome.recovery;
         prop_assert_eq!(r.task_failures, 0);
         prop_assert_eq!(r.crash_kills, 0);

@@ -1,9 +1,10 @@
 //! Sharded scheduling property suite: the cross-shard equivalence and
-//! determinism contracts of `flowtime_sim::run_sharded`.
+//! determinism contracts of the one run path (`flowtime::run`).
 //!
-//! * **K=1 identity** — a single-pod sharded run is byte-identical
-//!   (outcome *and* decision trace) to the plain engine, for all six
-//!   Fig. 4 schedulers, clean and faulted.
+//! * **K=1 identity** — the run path with no shard asked for is
+//!   byte-identical (outcome *and* decision trace) to an engine built by
+//!   hand through `Engine`'s builder API, for all six Fig. 4 schedulers,
+//!   clean, faulted, and under mid-run chaos.
 //! * **Thread blindness** — for any pod count, the worker thread count
 //!   changes no byte of the serialized outcome.
 //! * **Chaos certification** — random (seed, pods, placer, scheduler)
@@ -16,14 +17,16 @@
 //! * **Capacity split** — `split_capacity` conserves every resource
 //!   dimension exactly and spreads each within one unit.
 
+use flowtime::{RunOutput, RunSpec};
 use flowtime_bench::experiments::{
-    faulted_instance, run_outcome_traced_with, run_sharded_outcome_traced_with,
-    run_sharded_outcome_with, testbed_cluster, Algo, WorkflowExperiment,
+    faulted_instance, run_checked, testbed_cluster, Algo, WorkflowExperiment,
 };
+use flowtime_bench::sweep::RecoveryProfile;
 use flowtime_dag::{JobSpec, ResourceVec};
 use flowtime_sim::{
-    certify_sharded, split_capacity, AdhocSubmission, ClusterConfig, DecisionTrace, FaultConfig,
-    Placer, ShardClass, ShardSpec, SimWorkload,
+    certify_sharded, split_capacity, AdhocSubmission, ClusterConfig, DecisionTrace, Engine,
+    FaultConfig, Placer, RecoverySetup, ShardClass, ShardSpec, SimOutcome, SimWorkload,
+    DEFAULT_TRACE_CAPACITY,
 };
 use proptest::prelude::*;
 
@@ -52,37 +55,89 @@ fn job_count(workload: &SimWorkload) -> usize {
         + workload.adhoc.len()
 }
 
-/// K=1 identity, clean: `ShardSpec::new(1)` must reproduce the plain
-/// engine byte-for-byte — outcome and trace — for all six schedulers.
+/// The reference the run path is pinned against: an engine assembled by
+/// hand through `Engine`'s builder API, sharing nothing with
+/// `flowtime::run` but the scheduler registry — so the K=1 identity below
+/// can never degrade into comparing the run path with itself.
+fn direct_engine_run(
+    algo: Algo,
+    cluster: &ClusterConfig,
+    workload: &SimWorkload,
+    recovery: Option<&RecoverySetup>,
+) -> (SimOutcome, DecisionTrace) {
+    let mut scheduler = algo.make(cluster);
+    let mut engine =
+        Engine::new(cluster.clone(), workload.clone(), 1_000_000).expect("valid workload");
+    if let Some(setup) = recovery {
+        engine = engine.with_recovery(setup.clone());
+    }
+    let (engine, handle) = engine.with_trace(DEFAULT_TRACE_CAPACITY);
+    let outcome = engine.run(scheduler.as_mut()).expect("engine runs");
+    (outcome, handle.take())
+}
+
+/// `algo` through the one run path, sharded as `shard` says.
+fn run_pods(
+    algo: Algo,
+    cluster: &ClusterConfig,
+    workload: &SimWorkload,
+    shard: &ShardSpec,
+    threads: usize,
+    traced: bool,
+) -> RunOutput {
+    let spec = RunSpec {
+        shard: shard.clone(),
+        trace_capacity: traced.then_some(DEFAULT_TRACE_CAPACITY),
+        threads,
+        ..RunSpec::new(algo)
+    };
+    run_checked(&spec, cluster, workload)
+}
+
+/// K=1 identity: the run path with no shard asked for (`RunSpec::new`)
+/// must reproduce the hand-built engine byte-for-byte — outcome and trace
+/// — for all six schedulers, with and without a chaos recovery layer.
 #[test]
 fn single_pod_matches_unsharded_for_all_six_schedulers() {
     let cluster = testbed_cluster();
     let workload = experiment(0).build(&cluster);
+    let chaos = RecoveryProfile::chaos(0.3).setup(5);
     for algo in Algo::FIG4 {
-        let (plain, plain_trace) = run_outcome_traced_with(algo, &cluster, workload.clone(), None);
-        let spec = ShardSpec::new(1);
-        let (sharded, traces) =
-            run_sharded_outcome_traced_with(algo, &cluster, &workload, None, &spec, 1);
-        assert_eq!(sharded.pods.len(), 1);
-        assert_eq!(
-            serde_json::to_string(&sharded.pods[0]).expect("outcome serializes"),
-            serde_json::to_string(&plain).expect("outcome serializes"),
-            "{}: single-pod outcome diverges from the plain engine",
-            algo.name()
-        );
-        assert_eq!(
-            trace_jsonl(&traces[0]),
-            trace_jsonl(&plain_trace),
-            "{}: single-pod trace diverges from the plain engine",
-            algo.name()
-        );
-        let report = certify_sharded(&cluster, &workload, &spec, &sharded, &traces, None);
-        assert!(
-            report.is_certified(),
-            "{}: {}",
-            algo.name(),
-            report.summary()
-        );
+        for recovery in [None, Some(&chaos)] {
+            let tag = format!(
+                "{} ({})",
+                algo.name(),
+                if recovery.is_some() { "chaos" } else { "clean" }
+            );
+            let (plain, plain_trace) = direct_engine_run(algo, &cluster, &workload, recovery);
+            let spec = RunSpec {
+                recovery: recovery.cloned(),
+                trace_capacity: Some(DEFAULT_TRACE_CAPACITY),
+                ..RunSpec::new(algo)
+            };
+            assert_eq!(spec.shard, ShardSpec::new(1));
+            let RunOutput { outcome, traces } = run_checked(&spec, &cluster, &workload);
+            assert_eq!(outcome.pods.len(), 1);
+            assert_eq!(
+                serde_json::to_string(&outcome.pods[0]).expect("outcome serializes"),
+                serde_json::to_string(&plain).expect("outcome serializes"),
+                "{tag}: the run path's outcome diverges from the hand-built engine"
+            );
+            assert_eq!(
+                trace_jsonl(&traces[0]),
+                trace_jsonl(&plain_trace),
+                "{tag}: the run path's trace diverges from the hand-built engine"
+            );
+            let report = certify_sharded(
+                &cluster,
+                &workload,
+                &spec.shard,
+                &outcome,
+                &traces,
+                recovery,
+            );
+            assert!(report.is_certified(), "{tag}: {}", report.summary());
+        }
     }
 }
 
@@ -95,16 +150,11 @@ fn single_pod_identity_holds_under_faults() {
         let (workload, faulted) =
             faulted_instance(&experiment(seed), &cluster, FaultConfig::mixed(seed));
         for algo in [Algo::FlowTime, Algo::Edf] {
-            let (plain, plain_trace) =
-                run_outcome_traced_with(algo, &faulted, workload.clone(), None);
-            let (sharded, traces) = run_sharded_outcome_traced_with(
-                algo,
-                &faulted,
-                &workload,
-                None,
-                &ShardSpec::new(1),
-                1,
-            );
+            let (plain, plain_trace) = direct_engine_run(algo, &faulted, &workload, None);
+            let RunOutput {
+                outcome: sharded,
+                traces,
+            } = run_pods(algo, &faulted, &workload, &ShardSpec::new(1), 1, true);
             assert_eq!(
                 serde_json::to_string(&sharded.pods[0]).expect("outcome serializes"),
                 serde_json::to_string(&plain).expect("outcome serializes"),
@@ -130,20 +180,20 @@ fn thread_count_never_changes_a_byte_for_any_pod_count() {
     let workload = experiment(3).build(&cluster);
     for pods in [1usize, 2, 4, 8] {
         let spec = ShardSpec::new(pods);
-        let reference =
-            run_sharded_outcome_with(Algo::FlowTime, &cluster, &workload, None, &spec, 1);
+        let reference = run_pods(Algo::FlowTime, &cluster, &workload, &spec, 1, false).outcome;
         let reference_bytes = serde_json::to_string(&reference).expect("outcome serializes");
         for threads in [2usize, 8] {
-            let run =
-                run_sharded_outcome_with(Algo::FlowTime, &cluster, &workload, None, &spec, threads);
+            let run = run_pods(Algo::FlowTime, &cluster, &workload, &spec, threads, false).outcome;
             assert_eq!(
                 serde_json::to_string(&run).expect("outcome serializes"),
                 reference_bytes,
                 "pods={pods}: {threads} worker threads changed the outcome"
             );
         }
-        let (traced, traces) =
-            run_sharded_outcome_traced_with(Algo::FlowTime, &cluster, &workload, None, &spec, pods);
+        let RunOutput {
+            outcome: traced,
+            traces,
+        } = run_pods(Algo::FlowTime, &cluster, &workload, &spec, pods, true);
         assert_eq!(
             serde_json::to_string(&traced).expect("outcome serializes"),
             reference_bytes,
@@ -181,8 +231,8 @@ fn tampered_sharded_artifacts_are_rejected_with_the_right_codes() {
     let cluster = testbed_cluster();
     let workload = experiment(4).build(&cluster);
     let spec = ShardSpec::new(2);
-    let (outcome, traces) =
-        run_sharded_outcome_traced_with(Algo::FlowTime, &cluster, &workload, None, &spec, 2);
+    let RunOutput { outcome, traces } =
+        run_pods(Algo::FlowTime, &cluster, &workload, &spec, 2, true);
     let clean = certify_sharded(&cluster, &workload, &spec, &outcome, &traces, None);
     assert!(clean.is_certified(), "{}", clean.summary());
 
@@ -247,8 +297,7 @@ fn tampered_sharded_artifacts_are_rejected_with_the_right_codes() {
 #[test]
 fn dropped_rebalance_event_is_rejected() {
     let (cluster, workload, spec) = rebalance_scenario();
-    let (outcome, traces) =
-        run_sharded_outcome_traced_with(Algo::Edf, &cluster, &workload, None, &spec, 4);
+    let RunOutput { outcome, traces } = run_pods(Algo::Edf, &cluster, &workload, &spec, 4, true);
     assert!(
         !outcome.placement.rebalances.is_empty(),
         "scenario must actually rebalance for this test to bite"
@@ -285,8 +334,8 @@ proptest! {
         let placer = [Placer::FirstFit, Placer::WorstFit, Placer::Demand][placer_idx];
         let spec = ShardSpec::new(pods).with_placer(placer);
         let algo = Algo::FIG4[algo_idx];
-        let (outcome, traces) =
-            run_sharded_outcome_traced_with(algo, &faulted, &workload, None, &spec, pods);
+        let RunOutput { outcome, traces } =
+            run_pods(algo, &faulted, &workload, &spec, pods, true);
         let report = certify_sharded(&faulted, &workload, &spec, &outcome, &traces, None);
         prop_assert!(
             report.is_certified(),

@@ -5,11 +5,10 @@
 //! (corrupt a replayed trace or outcome) is flagged at the exact
 //! divergence slot by the pure diff kernel.
 
+use flowtime::RunSpec;
 use flowtime_bench::experiments::{testbed_cluster, Algo, WorkflowExperiment};
 use flowtime_sim::prelude::*;
-use flowtime_sim::{
-    certified_diff, diff_runs, run_cells, run_policy, RunArtifacts, TraceEvent, WhatIfError,
-};
+use flowtime_sim::{certified_diff, diff_runs, run_cells, RunArtifacts, TraceEvent, WhatIfError};
 use proptest::prelude::*;
 
 const TRACE_CAPACITY: usize = 1 << 18;
@@ -44,16 +43,18 @@ fn record(
     workload: &SimWorkload,
     setup: Option<&RecoverySetup>,
 ) -> RunArtifacts {
-    let mut scheduler = algo.make(cluster);
-    run_policy(
-        cluster,
-        workload,
-        1_000_000,
-        TRACE_CAPACITY,
-        setup,
-        scheduler.as_mut(),
-    )
-    .expect("replay runs")
+    let spec = RunSpec {
+        recovery: setup.cloned(),
+        trace_capacity: Some(TRACE_CAPACITY),
+        ..RunSpec::new(algo)
+    };
+    let (outcome, trace) = flowtime::run(&spec, cluster, workload)
+        .expect("replay runs")
+        .into_single();
+    RunArtifacts {
+        outcome,
+        trace: trace.expect("traced run"),
+    }
 }
 
 proptest! {
