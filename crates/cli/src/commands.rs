@@ -24,10 +24,8 @@ USAGE:
   flowtime-cli simulate  --trace <trace.jsonl> --scheduler <name>
                          [--out metrics.json] [--outcome-out outcome.json]
                          [--trace-out decisions.jsonl] [--gantt]
-                         [--no-plan-cache] [--lp-backend sparse|dense]
-                         [--pods K] [--placer P] [FAULTS]
-  flowtime-cli compare   --trace <trace.jsonl> [--no-plan-cache]
-                         [--lp-backend sparse|dense] [FAULTS]
+                         [--no-plan-cache] [--pods K] [--placer P] [FAULTS]
+  flowtime-cli compare   --trace <trace.jsonl> [--no-plan-cache] [FAULTS]
   flowtime-cli decompose --trace <trace.jsonl> [--index I] [--slack S]
   flowtime-cli audit     --trace <trace.jsonl> --decision-trace <d.jsonl>
                          --outcome <outcome.json> [FAULTS]
@@ -90,10 +88,6 @@ EXPLAIN / WHATIF (see DESIGN.md §16):
   The slack-factor axis is the scheduler choice itself (flowtime vs
   flowtime-no-ds). FAULTS/RECOVERY flags describe the recorded base run.
 
-LP BACKEND (any command that solves scheduling LPs):
-  --lp-backend B     simplex engine: sparse (revised simplex + LU, default)
-                     or dense (tableau oracle, for differential checking)
-
 FAULTS (deterministic injection, all derived from one seed):
   --fault-seed S     enable fault injection with seed S
   --misestimate X    log-normal sigma of actual/estimated runtime (default 0)
@@ -114,28 +108,14 @@ RECOVERY (mid-run failures + retry policy; also need --fault-seed):
   --overload-sustain S   slots of sustained overload before shedding
 ";
 
-/// Applies `--lp-backend`, selecting the process-wide simplex engine for
-/// every LP the subsequent command solves. A typo'd value must error, not
-/// silently run the default engine.
-fn apply_lp_backend(args: &Args) -> CliResult {
-    match args.get("lp-backend") {
-        None => Ok(()),
-        Some("sparse") => {
-            flowtime_lp::set_default_engine(flowtime_lp::SimplexEngine::Sparse);
-            Ok(())
-        }
-        Some("dense") => {
-            flowtime_lp::set_default_engine(flowtime_lp::SimplexEngine::Dense);
-            Ok(())
-        }
-        Some(other) => Err(format!("--lp-backend must be sparse or dense, got `{other}`").into()),
-    }
-}
-
 /// Dispatches a parsed command line.
 pub fn dispatch(argv: &[String]) -> CliResult {
     let args = Args::parse(argv);
-    apply_lp_backend(&args)?;
+    // Unknown flags are ignored, so a removed engine switch must refuse:
+    // a stale differential script would otherwise compare sparse to sparse.
+    if args.has("lp-backend") {
+        return Err("--lp-backend was removed: the dense oracle is test-only now".into());
+    }
     match args.positional.first().map(String::as_str) {
         Some("generate") => generate(&args),
         Some("simulate") => simulate(&args),

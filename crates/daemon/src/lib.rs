@@ -10,8 +10,10 @@
 //!
 //! * [`protocol`] — the wire grammar: requests, typed error codes,
 //!   response framing, the line-length cap.
-//! * [`session`] — the state machine: pending-queue submission
-//!   discipline, virtual-clock advancement, cancellation, drain.
+//! * [`session`] — the state machine: one typed lifecycle, one accept
+//!   path for every logged mutation, virtual-clock advancement, drain.
+//! * [`framing`] — the FNV-1a checksum and the two checksummed line
+//!   grammars (WAL record, snapshot document) all durable bytes use.
 //! * [`snapshot`] — checksummed crash-recovery snapshots; restore
 //!   replays the submission log deterministically.
 //! * [`wal`] — the crash-consistent write-ahead log: every accepted
@@ -34,6 +36,7 @@
 //! `daemon_props` suites enforce across every scheduler and fault seed.
 
 pub mod client;
+pub mod framing;
 pub mod protocol;
 pub mod server;
 pub mod session;

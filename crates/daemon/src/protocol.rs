@@ -295,7 +295,8 @@ pub fn ok_line(body: &str) -> String {
 /// Renders an error response line (no trailing newline). When the error
 /// carries `data`, it is embedded verbatim as a third field.
 pub fn err_line(err: &ProtocolError) -> String {
-    let detail = serde_json::to_string(&err.detail).expect("string serializes");
+    // A string always serializes; the fallback keeps this panic-free.
+    let detail = serde_json::to_string(&err.detail).unwrap_or_else(|_| "\"\"".to_string());
     match &err.data {
         Some(data) => format!(
             "{{\"err\":{{\"code\":\"{}\",\"detail\":{},\"data\":{}}}}}",

@@ -221,15 +221,16 @@ fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
 
 fn maybe_snapshot(session: &mut Session, handled: u64, snapshot_every: Option<u64>) {
     let Some(every) = snapshot_every else { return };
-    if every == 0 || !handled.is_multiple_of(every) || session.drained() {
+    // Nowhere to write (neither `--snapshot` nor `--wal-dir`) is the
+    // flagless default, not a failure: skip before any state is copied.
+    if every == 0
+        || !handled.is_multiple_of(every)
+        || session.drained()
+        || session.snapshot_target().is_none()
+    {
         return;
     }
     if let Err(e) = session.write_snapshot() {
-        // `snapshot-io` with no path configured is expected when the
-        // operator enabled periodic snapshots without a path; anything
-        // else is worth a warning.
-        if e.code != protocol::codes::SNAPSHOT_IO || !e.detail.contains("no snapshot path") {
-            eprintln!("flowtimed: periodic snapshot failed: {e}");
-        }
+        eprintln!("flowtimed: periodic snapshot failed: {e}");
     }
 }

@@ -18,6 +18,8 @@
 //! principles, with the checksum catching torn or tampered files before
 //! any replay work happens.
 
+use crate::framing;
+pub use crate::framing::fnv1a;
 use crate::session::SessionConfig;
 use flowtime_sim::serde_skip::zero_u64;
 use flowtime_sim::SubmissionLog;
@@ -25,16 +27,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Magic prefix of a valid snapshot header line.
 pub const MAGIC: &str = "flowtime-snapshot-v1";
-
-/// Skip-at-default predicate for the idempotency-key table.
-pub fn map_is_empty(m: &BTreeMap<String, u64>) -> bool {
-    m.is_empty()
-}
 
 /// Everything needed to rebuild a session deterministically.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -54,7 +51,7 @@ pub struct SnapshotBody {
     pub wal_segment: u64,
     /// Idempotency keys already seen → the sequence number each was
     /// assigned. Skipped when empty.
-    #[serde(default, skip_serializing_if = "map_is_empty")]
+    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
     pub request_ids: BTreeMap<String, u64>,
 }
 
@@ -88,30 +85,27 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a 64-bit over raw bytes — tiny, dependency-free, and stable.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Renders the complete two-line snapshot document (header + body) as
-/// the exact bytes [`save`] would write — the WAL's fault-injected
-/// writer goes through this so a snapshot written under a fault plan is
-/// framed identically to one written directly.
+/// Renders `body` as the two-line document and lands it at `path`
+/// atomically: `write` puts the bytes into a sibling temp file and makes
+/// them durable, then the temp file is renamed over `path`. The writer is
+/// the only difference between a legacy snapshot ([`save`]) and a WAL
+/// compaction point (which writes through its fault plan), so both are
+/// framed identically. Returns the document's byte length.
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Parse`] if the body fails to serialize.
-pub fn render(body: &SnapshotBody) -> Result<String, SnapshotError> {
-    let body_line = serde_json::to_string(body).map_err(|e| SnapshotError::Parse(e.to_string()))?;
-    Ok(format!(
-        "{MAGIC} fnv1a={:016x}\n{body_line}\n",
-        fnv1a(body_line.as_bytes())
-    ))
+/// [`SnapshotError::Io`] or [`SnapshotError::Parse`] (serialization).
+pub(crate) fn save_with(
+    path: &Path,
+    body: &SnapshotBody,
+    write: impl FnOnce(&Path, &[u8]) -> io::Result<()>,
+) -> Result<u64, SnapshotError> {
+    let json = serde_json::to_string(body).map_err(|e| SnapshotError::Parse(e.to_string()))?;
+    let contents = framing::frame_document(MAGIC, &json);
+    let tmp = path.with_extension("tmp");
+    write(&tmp, contents.as_bytes()).map_err(SnapshotError::Io)?;
+    fs::rename(&tmp, path).map_err(SnapshotError::Io)?;
+    Ok(contents.len() as u64)
 }
 
 /// Serializes `body` to `path` atomically (write temp file, then rename)
@@ -121,17 +115,11 @@ pub fn render(body: &SnapshotBody) -> Result<String, SnapshotError> {
 ///
 /// [`SnapshotError::Io`] or [`SnapshotError::Parse`] (serialization).
 pub fn save(path: impl AsRef<Path>, body: &SnapshotBody) -> Result<u64, SnapshotError> {
-    let path = path.as_ref();
-    let contents = render(body)?;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp).map_err(SnapshotError::Io)?;
-        f.write_all(contents.as_bytes())
-            .map_err(SnapshotError::Io)?;
-        f.sync_all().map_err(SnapshotError::Io)?;
-    }
-    fs::rename(&tmp, path).map_err(SnapshotError::Io)?;
-    Ok(contents.len() as u64)
+    save_with(path.as_ref(), body, |tmp, bytes| {
+        let mut f = fs::File::create(tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()
+    })
 }
 
 /// Loads and validates a snapshot file.
@@ -142,30 +130,7 @@ pub fn save(path: impl AsRef<Path>, body: &SnapshotBody) -> Result<u64, Snapshot
 /// never a panic or a silently-wrong session.
 pub fn load(path: impl AsRef<Path>) -> Result<SnapshotBody, SnapshotError> {
     let contents = fs::read_to_string(path.as_ref()).map_err(SnapshotError::Io)?;
-    let mut lines = contents.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| SnapshotError::Format("empty file".to_string()))?;
-    let body_line = lines
-        .next()
-        .ok_or_else(|| SnapshotError::Format("missing body line".to_string()))?;
-    if lines.next().is_some_and(|l| !l.is_empty()) {
-        return Err(SnapshotError::Format(
-            "trailing content after body".to_string(),
-        ));
-    }
-    let checksum_field = header
-        .strip_prefix(MAGIC)
-        .and_then(|rest| rest.trim().strip_prefix("fnv1a="))
-        .ok_or_else(|| {
-            SnapshotError::Format(format!("header is not a `{MAGIC} fnv1a=...` line"))
-        })?;
-    let expected = u64::from_str_radix(checksum_field, 16)
-        .map_err(|_| SnapshotError::Format("checksum is not 16 hex digits".to_string()))?;
-    let actual = fnv1a(body_line.as_bytes());
-    if expected != actual {
-        return Err(SnapshotError::Checksum { expected, actual });
-    }
+    let body_line = framing::unframe_document(MAGIC, &contents)?;
     let value = serde_json::parse(body_line).map_err(|e| SnapshotError::Parse(e.to_string()))?;
     serde_json::from_value(&value).map_err(|e| SnapshotError::Parse(e.to_string()))
 }

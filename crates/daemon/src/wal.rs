@@ -11,16 +11,11 @@
 //! flowtime-wal-v1 segment=000001
 //! ```
 //!
-//! followed by length-prefixed, checksummed NDJSON records:
-//!
-//! ```text
-//! <len> <fnv1a 16 hex> <json>\n
-//! ```
-//!
-//! where `len` is the byte length of `<json>` and the checksum is FNV-1a
-//! 64 over exactly those bytes. The framing is self-synchronizing from
-//! the front only — recovery reads records in order and stops at the
-//! first defect. In the **final** segment a defect is a *torn tail*
+//! followed by length-prefixed, checksummed NDJSON records in the
+//! [`crate::framing`] record grammar (`<len> <fnv1a 16 hex> <json>\n`),
+//! which is self-synchronizing from the front only — recovery reads
+//! records in order and stops at the first defect. In the **final**
+//! segment a defect is a *torn tail*
 //! (the crash window): the file is truncated back to the last
 //! checksum-valid record and recovery proceeds, reporting what was
 //! dropped. A defect in any earlier segment can only be real corruption
@@ -57,15 +52,15 @@
 //! mid-write crashes at deterministic byte offsets — the substrate of
 //! the `daemon_wal` crash corpus and the CI chaos matrix.
 
+use crate::framing;
 use crate::protocol::{codes, ProtocolError};
-use crate::snapshot::{self, fnv1a, SnapshotBody, SnapshotError};
+use crate::snapshot::{self, SnapshotBody, SnapshotError};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io::{self, ErrorKind, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Magic prefix of every segment header line.
 pub const MAGIC: &str = "flowtime-wal-v1";
@@ -167,20 +162,13 @@ impl std::str::FromStr for ChaosKill {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, String> {
-        let (n, b) = match s.split_once(':') {
-            Some((n, b)) => (n, Some(b)),
-            None => (s, None),
+        let number = |field: &str| {
+            let bad = |_| format!("chaos kill point must be N or N:BYTES, got `{s}`");
+            field.parse::<u64>().map_err(bad)
         };
-        let after_appends = n
-            .parse::<u64>()
-            .map_err(|_| format!("chaos kill point must be N or N:BYTES, got `{s}`"))?;
-        let torn_bytes = match b {
-            Some(b) => Some(
-                b.parse::<u64>()
-                    .map_err(|_| format!("chaos kill point must be N or N:BYTES, got `{s}`"))?,
-            ),
-            None => None,
-        };
+        let (n, bytes) = s.split_once(':').map_or((s, None), |(n, b)| (n, Some(b)));
+        let after_appends = number(n)?;
+        let torn_bytes = bytes.map(number).transpose()?;
         if after_appends == 0 {
             return Err("chaos kill append count is 1-based; 0 never fires".to_string());
         }
@@ -281,16 +269,19 @@ impl fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-impl WalError {
-    /// Maps onto the protocol's typed error catalogue.
-    pub fn to_protocol(&self) -> ProtocolError {
-        match self {
+/// Maps onto the protocol's typed error catalogue.
+impl From<WalError> for ProtocolError {
+    fn from(e: WalError) -> Self {
+        let code = match &e {
             WalError::Corrupt { .. } | WalError::Format(_) | WalError::Serde(_) => {
-                ProtocolError::new(codes::WAL_CORRUPT, self.to_string())
+                codes::WAL_CORRUPT
             }
-            WalError::Snapshot(e) => ProtocolError::new(codes::SNAPSHOT_CORRUPT, e.to_string()),
-            _ => ProtocolError::new(codes::WAL_IO, self.to_string()),
-        }
+            WalError::Snapshot(inner) => {
+                return ProtocolError::new(codes::SNAPSHOT_CORRUPT, inner.to_string())
+            }
+            WalError::Io(_) | WalError::Poisoned(_) => codes::WAL_IO,
+        };
+        ProtocolError::new(code, e.to_string())
     }
 }
 
@@ -381,7 +372,7 @@ impl DiskFaultPlan {
         DiskFaultPlan { faults }
     }
 
-    fn into_state(mut self) -> Arc<Mutex<FaultState>> {
+    fn into_state(mut self) -> SharedFaults {
         self.faults.sort_by_key(|f| f.at_byte);
         Arc::new(Mutex::new(FaultState {
             plan: self.faults,
@@ -412,10 +403,19 @@ struct FaultState {
     injected: Vec<String>,
 }
 
+/// The armed plan shared by every handle of one WAL.
+type SharedFaults = Arc<Mutex<FaultState>>;
+
+/// Locks the plan. It is plain counters, valid at every instruction
+/// boundary, so a lock poisoned by a panicking holder is still usable.
+fn lock(faults: &SharedFaults) -> MutexGuard<'_, FaultState> {
+    faults.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A writable file routed through the fault plan (when one is armed).
 struct FaultableFile {
     file: fs::File,
-    faults: Option<Arc<Mutex<FaultState>>>,
+    faults: Option<SharedFaults>,
     /// Bytes of this file known to be on stable storage (fsync'd).
     synced_len: u64,
     /// Bytes written to this file.
@@ -423,7 +423,7 @@ struct FaultableFile {
 }
 
 impl FaultableFile {
-    fn create(path: &Path, faults: Option<Arc<Mutex<FaultState>>>) -> io::Result<Self> {
+    fn create(path: &Path, faults: Option<SharedFaults>) -> io::Result<Self> {
         check_crashed(&faults)?;
         Ok(FaultableFile {
             file: fs::File::create(path)?,
@@ -433,39 +433,40 @@ impl FaultableFile {
         })
     }
 
+    /// Writes through to the file, counting what it accepted.
+    fn write_through(&mut self, st: Option<&mut FaultState>, buf: &[u8]) -> io::Result<usize> {
+        let n = self.file.write(buf)?;
+        self.written_len += n as u64;
+        if let Some(st) = st {
+            st.bytes_written += n as u64;
+        }
+        Ok(n)
+    }
+
     /// One write step: consults the fault plan, then writes. Returns
     /// the number of bytes accepted.
     fn write_step(&mut self, buf: &[u8]) -> io::Result<usize> {
+        check_crashed(&self.faults)?;
         let Some(faults) = self.faults.clone() else {
-            let n = self.file.write(buf)?;
-            self.written_len += n as u64;
-            return Ok(n);
+            return self.write_through(None, buf);
         };
-        let mut st = faults.lock().expect("fault plan lock");
-        if st.crashed {
-            return Err(io::Error::other("chaos: process is dead"));
-        }
+        let mut st = lock(&faults);
         // Sync-time faults are consumed by `sync`, not here.
-        let fires = st.plan.get(st.next).is_some_and(|f| {
-            !matches!(f.kind, FaultKind::FsyncFail)
-                && st.bytes_written + buf.len() as u64 > f.at_byte
-        });
-        if !fires {
-            let n = self.file.write(buf)?;
-            st.bytes_written += n as u64;
-            self.written_len += n as u64;
-            return Ok(n);
-        }
-        let fault = st.plan[st.next];
+        let fault = match st.plan.get(st.next) {
+            Some(f)
+                if !matches!(f.kind, FaultKind::FsyncFail)
+                    && st.bytes_written + buf.len() as u64 > f.at_byte =>
+            {
+                *f
+            }
+            _ => return self.write_through(Some(&mut st), buf),
+        };
         st.next += 1;
         match fault.kind {
             FaultKind::ShortWrite => {
                 let n = ((fault.at_byte - st.bytes_written) as usize).clamp(1, buf.len());
                 st.injected.push(format!("short-write@{}", fault.at_byte));
-                let n = self.file.write(&buf[..n])?;
-                st.bytes_written += n as u64;
-                self.written_len += n as u64;
-                Ok(n)
+                self.write_through(Some(&mut st), &buf[..n])
             }
             FaultKind::WouldBlock => {
                 st.injected.push(format!("would-block@{}", fault.at_byte));
@@ -489,16 +490,11 @@ impl FaultableFile {
                 self.written_len += corrupted.len() as u64;
                 Ok(buf.len())
             }
+            // Matched out above; listed so the match stays exhaustive.
+            FaultKind::FsyncFail => self.write_through(Some(&mut st), buf),
             FaultKind::DiskFull => {
                 st.injected.push(format!("disk-full@{}", fault.at_byte));
                 Err(io::Error::other("injected disk full (ENOSPC)"))
-            }
-            // Excluded from `fires`; if reached anyway, write through.
-            FaultKind::FsyncFail => {
-                let n = self.file.write(buf)?;
-                st.bytes_written += n as u64;
-                self.written_len += n as u64;
-                Ok(n)
             }
             FaultKind::Crash {
                 keep,
@@ -544,11 +540,9 @@ impl FaultableFile {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        if let Some(faults) = self.faults.clone() {
-            let mut st = faults.lock().expect("fault plan lock");
-            if st.crashed {
-                return Err(io::Error::other("chaos: process is dead"));
-            }
+        check_crashed(&self.faults)?;
+        if let Some(faults) = &self.faults {
+            let mut st = lock(faults);
             let fires = st.plan.get(st.next).is_some_and(|f| {
                 matches!(f.kind, FaultKind::FsyncFail) && st.bytes_written >= f.at_byte
             });
@@ -574,9 +568,9 @@ impl FaultableFile {
     }
 }
 
-fn check_crashed(faults: &Option<Arc<Mutex<FaultState>>>) -> io::Result<()> {
+fn check_crashed(faults: &Option<SharedFaults>) -> io::Result<()> {
     if let Some(f) = faults {
-        if f.lock().expect("fault plan lock").crashed {
+        if lock(f).crashed {
             return Err(io::Error::other("chaos: process is dead"));
         }
     }
@@ -620,7 +614,7 @@ pub struct RecoveryReport {
 /// back by [`recover_dir`] positioned on a new segment.
 pub struct Wal {
     config: WalConfig,
-    faults: Option<Arc<Mutex<FaultState>>>,
+    faults: Option<SharedFaults>,
     file: FaultableFile,
     segment: u64,
     segment_records: u64,
@@ -641,11 +635,6 @@ fn segment_header(segment: u64) -> String {
     format!("{MAGIC} segment={segment:06}\n")
 }
 
-/// Frames one record line: `<len> <fnv1a> <json>\n`.
-fn frame(json: &str) -> String {
-    format!("{} {:016x} {json}\n", json.len(), fnv1a(json.as_bytes()))
-}
-
 /// Creates a fresh WAL in an empty (or absent) directory, opening
 /// segment 1. Fails if segments or snapshots already exist — recovery
 /// of an existing directory must go through [`recover_dir`] so history
@@ -663,16 +652,26 @@ pub fn create(config: WalConfig, faults: Option<DiskFaultPlan>) -> Result<Wal, W
     open_segment(config, faults, 1)
 }
 
-fn open_segment(
-    config: WalConfig,
-    faults: Option<Arc<Mutex<FaultState>>>,
+/// Creates segment `segment`'s file with its header line synced.
+fn create_segment_file(
+    dir: &Path,
+    faults: &Option<SharedFaults>,
     segment: u64,
-) -> Result<Wal, WalError> {
-    let path = segment_path(&config.dir, segment);
-    let mut file = FaultableFile::create(&path, faults.clone()).map_err(WalError::Io)?;
+) -> Result<FaultableFile, WalError> {
+    let mut file =
+        FaultableFile::create(&segment_path(dir, segment), faults.clone()).map_err(WalError::Io)?;
     file.write_all_retry(segment_header(segment).as_bytes())
         .map_err(WalError::Io)?;
     file.sync().map_err(WalError::Io)?;
+    Ok(file)
+}
+
+fn open_segment(
+    config: WalConfig,
+    faults: Option<SharedFaults>,
+    segment: u64,
+) -> Result<Wal, WalError> {
+    let file = create_segment_file(&config.dir, &faults, segment)?;
     Ok(Wal {
         config,
         faults,
@@ -691,11 +690,6 @@ impl Wal {
         self.segment
     }
 
-    /// Total records appended through this handle.
-    pub fn appends(&self) -> u64 {
-        self.appends
-    }
-
     /// The directory this WAL lives in.
     pub fn dir(&self) -> &Path {
         &self.config.dir
@@ -705,7 +699,7 @@ impl Wal {
     /// plan).
     pub fn injected_faults(&self) -> Vec<String> {
         match &self.faults {
-            Some(f) => f.lock().expect("fault plan lock").injected.clone(),
+            Some(f) => lock(f).injected.clone(),
             None => Vec::new(),
         }
     }
@@ -729,7 +723,7 @@ impl Wal {
             return Err(WalError::Poisoned(why.clone()));
         }
         let json = serde_json::to_string(record).map_err(|e| WalError::Serde(e.to_string()))?;
-        let line = frame(&json);
+        let line = framing::frame_record(&json);
         self.appends += 1;
         if let Some(kill) = self.config.chaos_kill {
             if self.appends == kill.after_appends {
@@ -737,36 +731,31 @@ impl Wal {
             }
         }
         let start = self.file.written_len;
-        match self.file.write_all_retry(line.as_bytes()) {
-            Ok(()) => {
-                self.segment_records += 1;
-                self.unsynced += 1;
-                if let Err(e) = self.maybe_sync() {
-                    // The record's bytes are in the file but their
-                    // durability cannot be promised — `sync` has already
-                    // poisoned the WAL. Roll the record back so a
-                    // process-only crash does not replay a request the
-                    // client saw rejected; if the truncate fails too the
-                    // poison already refuses further appends.
-                    self.segment_records -= 1;
-                    self.unsynced -= 1;
-                    let _ = self.file.truncate(start);
-                    return Err(e);
-                }
-                if self.config.segment_max_records > 0
-                    && self.segment_records >= self.config.segment_max_records
-                {
-                    self.rotate()?;
-                }
-                Ok(())
+        if let Err(e) = self.file.write_all_retry(line.as_bytes()) {
+            if self.file.truncate(start).is_err() {
+                self.poisoned = Some(format!("append failed and rollback failed: {e}"));
             }
-            Err(e) => {
-                if self.file.truncate(start).is_err() {
-                    self.poisoned = Some(format!("append failed and rollback failed: {e}"));
-                }
-                Err(WalError::Io(e))
-            }
+            return Err(WalError::Io(e));
         }
+        self.segment_records += 1;
+        self.unsynced += 1;
+        if let Err(e) = self.maybe_sync() {
+            // The record's bytes are in the file but their durability
+            // cannot be promised — `sync` has already poisoned the WAL.
+            // Roll the record back so a process-only crash does not
+            // replay a request the client saw rejected; if the truncate
+            // fails too the poison already refuses further appends.
+            self.segment_records -= 1;
+            self.unsynced -= 1;
+            let _ = self.file.truncate(start);
+            return Err(e);
+        }
+        if self.config.segment_max_records > 0
+            && self.segment_records >= self.config.segment_max_records
+        {
+            self.rotate()?;
+        }
+        Ok(())
     }
 
     /// The deterministic kill-9 point: writes the torn prefix (if any),
@@ -808,28 +797,19 @@ impl Wal {
         if let Some(why) = &self.poisoned {
             return Err(WalError::Poisoned(why.clone()));
         }
-        match self.file.sync() {
-            Ok(()) => {
-                self.unsynced = 0;
-                Ok(())
-            }
-            Err(e) => {
-                self.poisoned = Some(format!("fsync failed: {e}"));
-                Err(WalError::Io(e))
-            }
+        if let Err(e) = self.file.sync() {
+            self.poisoned = Some(format!("fsync failed: {e}"));
+            return Err(WalError::Io(e));
         }
+        self.unsynced = 0;
+        Ok(())
     }
 
     /// Seals the current segment and opens the next one.
     fn rotate(&mut self) -> Result<(), WalError> {
         self.sync()?;
         let next = self.segment + 1;
-        let path = segment_path(&self.config.dir, next);
-        let mut file = FaultableFile::create(&path, self.faults.clone()).map_err(WalError::Io)?;
-        file.write_all_retry(segment_header(next).as_bytes())
-            .map_err(WalError::Io)?;
-        file.sync().map_err(WalError::Io)?;
-        self.file = file;
+        self.file = create_segment_file(&self.config.dir, &self.faults, next)?;
         self.segment = next;
         self.segment_records = 0;
         Ok(())
@@ -839,24 +819,29 @@ impl Wal {
     /// syncs the segment, writes `snap-<segment>.snap` atomically
     /// (through the fault plan), **self-checks it by re-loading**,
     /// appends a [`WalRecord::Seal`], rotates, and prunes old
-    /// generations. `body.wal_segment` must already name the segment the
-    /// tail will continue in (`self.segment() + 1`).
+    /// generations. Stamps `body.wal_segment` with the segment the tail
+    /// continues in, so the snapshot and its seal cannot disagree. Returns
+    /// the snapshot file and its byte length.
     ///
     /// # Errors
     ///
     /// Any [`WalError`]; on error no pruning has happened, so the
     /// previous snapshot and its tail remain a complete recovery line.
-    pub fn save_snapshot(&mut self, body: &SnapshotBody) -> Result<PathBuf, WalError> {
-        if body.wal_segment != self.segment + 1 {
-            return Err(WalError::Format(format!(
-                "snapshot names wal_segment {} but the seal opens segment {}",
-                body.wal_segment,
-                self.segment + 1
-            )));
-        }
+    pub fn save_snapshot(&mut self, mut body: SnapshotBody) -> Result<(PathBuf, u64), WalError> {
+        body.wal_segment = self.segment + 1;
         self.sync()?;
         let path = snapshot_file_path(&self.config.dir, self.segment);
-        self.write_snapshot_file(&path, body)?;
+        let faults = &self.faults;
+        let bytes = snapshot::save_with(&path, &body, |tmp, contents| {
+            let mut f = FaultableFile::create(tmp, faults.clone())?;
+            f.write_all_retry(contents)?;
+            f.sync()?;
+            check_crashed(faults)
+        })
+        .map_err(|e| match e {
+            SnapshotError::Io(e) => WalError::Io(e),
+            other => WalError::Snapshot(other),
+        })?;
         // Self-check: a snapshot that does not load back bit-exactly is
         // no compaction point. Only after this may history be pruned.
         snapshot::load(&path).map_err(WalError::Snapshot)?;
@@ -865,23 +850,7 @@ impl Wal {
         })?;
         self.rotate()?;
         self.prune()?;
-        Ok(path)
-    }
-
-    /// Writes the two-line snapshot document through the fault plan,
-    /// atomically (tmp + rename).
-    fn write_snapshot_file(&mut self, path: &Path, body: &SnapshotBody) -> Result<(), WalError> {
-        let contents = snapshot::render(body).map_err(WalError::Snapshot)?;
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = FaultableFile::create(&tmp, self.faults.clone()).map_err(WalError::Io)?;
-            f.write_all_retry(contents.as_bytes())
-                .map_err(WalError::Io)?;
-            f.sync().map_err(WalError::Io)?;
-        }
-        check_crashed(&self.faults).map_err(WalError::Io)?;
-        fs::rename(&tmp, path).map_err(WalError::Io)?;
-        Ok(())
+        Ok((path, bytes))
     }
 
     /// Removes snapshot generations beyond `keep_snapshots` and every
@@ -891,22 +860,23 @@ impl Wal {
     fn prune(&mut self) -> Result<(), WalError> {
         let (segments, snapshots) = scan_dir(&self.config.dir)?;
         let keep = self.config.keep_snapshots.max(1) as usize;
-        if snapshots.len() <= keep {
+        let (pruned, kept) = snapshots.split_at(snapshots.len().saturating_sub(keep));
+        let (Some(&oldest_kept), Some(&newest)) = (kept.first(), kept.last()) else {
+            return Ok(());
+        };
+        if pruned.is_empty() {
             return Ok(());
         }
-        // Newest first; re-validate the newest before touching anything.
-        let newest = *snapshots.last().expect("nonempty");
+        // Re-validate the newest before touching anything.
         if snapshot::load(snapshot_file_path(&self.config.dir, newest)).is_err() {
             return Err(WalError::Format(format!(
                 "newest snapshot snap-{newest:06} failed its self-check; refusing to prune"
             )));
         }
-        let kept = &snapshots[snapshots.len() - keep..];
-        let oldest_kept = kept[0];
         // The oldest retained snapshot covers segments < its wal_segment.
         let body = snapshot::load(snapshot_file_path(&self.config.dir, oldest_kept))
             .map_err(WalError::Snapshot)?;
-        for &snap in &snapshots[..snapshots.len() - keep] {
+        for &snap in pruned {
             fs::remove_file(snapshot_file_path(&self.config.dir, snap)).map_err(WalError::Io)?;
         }
         for &seg in &segments {
@@ -947,20 +917,14 @@ fn scan_dir(dir: &Path) -> Result<(Vec<u64>, Vec<u64>), WalError> {
         let entry = entry.map_err(WalError::Io)?;
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        if let Some(num) = name
-            .strip_prefix("wal-")
-            .and_then(|r| r.strip_suffix(".log"))
-        {
-            if let Ok(n) = num.parse::<u64>() {
-                segments.push(n);
-            }
-        } else if let Some(num) = name
-            .strip_prefix("snap-")
-            .and_then(|r| r.strip_suffix(".snap"))
-        {
-            if let Ok(n) = num.parse::<u64>() {
-                snapshots.push(n);
-            }
+        let numbered = |prefix: &str, suffix: &str| {
+            let num = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
+            num.parse::<u64>().ok()
+        };
+        if let Some(n) = numbered("wal-", ".log") {
+            segments.push(n);
+        } else if let Some(n) = numbered("snap-", ".snap") {
+            snapshots.push(n);
         }
     }
     segments.sort_unstable();
@@ -972,105 +936,44 @@ fn scan_dir(dir: &Path) -> Result<(Vec<u64>, Vec<u64>), WalError> {
 struct ScannedSegment {
     records: Vec<WalRecord>,
     valid_offset: u64,
-    total_len: u64,
     defect: Option<String>,
+}
+
+/// Parses the record at the head of `rest`: the framing grammar, then
+/// the JSON it carries. Returns the record and the bytes it occupied.
+fn parse_record(rest: &[u8]) -> Result<(WalRecord, usize), String> {
+    let (json, used) = framing::unframe_record(rest)?;
+    let record = serde_json::parse(json)
+        .and_then(|v| serde_json::from_value(&v))
+        .map_err(|e| format!("checksum-valid record failed to parse: {e}"))?;
+    Ok((record, used))
 }
 
 /// Scans one segment's bytes front to back, stopping at the first
 /// defect.
 fn scan_segment(bytes: &[u8], segment: u64) -> ScannedSegment {
     let header = segment_header(segment);
-    let mut records = Vec::new();
-    let total_len = bytes.len() as u64;
-    if bytes.len() < header.len() || &bytes[..header.len()] != header.as_bytes() {
-        return ScannedSegment {
-            records,
-            valid_offset: 0,
-            total_len,
-            defect: Some("bad or torn segment header".to_string()),
-        };
+    let mut scanned = ScannedSegment {
+        records: Vec::new(),
+        valid_offset: 0,
+        defect: None,
+    };
+    if !bytes.starts_with(header.as_bytes()) {
+        scanned.defect = Some("bad or torn segment header".to_string());
+        return scanned;
     }
     let mut pos = header.len();
-    loop {
-        if pos == bytes.len() {
-            return ScannedSegment {
-                records,
-                valid_offset: pos as u64,
-                total_len,
-                defect: None,
-            };
-        }
-        let defect = |d: &str| ScannedSegment {
-            records: Vec::new(),
-            valid_offset: pos as u64,
-            total_len,
-            defect: Some(d.to_string()),
-        };
-        // `<len> <16-hex> <json>\n`
-        let rest = &bytes[pos..];
-        let Some(sp1) = rest.iter().take(21).position(|&b| b == b' ') else {
-            let mut s = defect("torn length prefix");
-            s.records = records;
-            return s;
-        };
-        let Ok(len) = std::str::from_utf8(&rest[..sp1])
-            .map_err(|_| ())
-            .and_then(|s| s.parse::<usize>().map_err(|_| ()))
-        else {
-            let mut s = defect("unparseable length prefix");
-            s.records = records;
-            return s;
-        };
-        let body_start = sp1 + 1 + 16 + 1;
-        if rest.len() < body_start || rest.get(sp1 + 1 + 16) != Some(&b' ') {
-            let mut s = defect("torn checksum field");
-            s.records = records;
-            return s;
-        }
-        let Ok(expected) = std::str::from_utf8(&rest[sp1 + 1..sp1 + 1 + 16])
-            .map_err(|_| ())
-            .and_then(|s| u64::from_str_radix(s, 16).map_err(|_| ()))
-        else {
-            let mut s = defect("unparseable checksum");
-            s.records = records;
-            return s;
-        };
-        if rest.len() < body_start + len + 1 {
-            let mut s = defect("torn record body");
-            s.records = records;
-            return s;
-        }
-        let body = &rest[body_start..body_start + len];
-        if rest[body_start + len] != b'\n' {
-            let mut s = defect("missing record terminator");
-            s.records = records;
-            return s;
-        }
-        let actual = fnv1a(body);
-        if actual != expected {
-            let mut s = defect(&format!(
-                "checksum mismatch (header {expected:016x}, body {actual:016x})"
-            ));
-            s.records = records;
-            return s;
-        }
-        let Ok(json) = std::str::from_utf8(body) else {
-            let mut s = defect("record body is not utf-8");
-            s.records = records;
-            return s;
-        };
-        let record: Result<WalRecord, _> =
-            serde_json::parse(json).and_then(|v| serde_json::from_value(&v));
-        match record {
-            Ok(r) => records.push(r),
-            Err(e) => {
-                let mut s = defect(&format!("checksum-valid record failed to parse: {e}"));
-                s.records = records;
-                return s;
+    while pos < bytes.len() && scanned.defect.is_none() {
+        match parse_record(&bytes[pos..]) {
+            Ok((record, used)) => {
+                scanned.records.push(record);
+                pos += used;
             }
+            Err(defect) => scanned.defect = Some(defect),
         }
-        pos += body_start + len + 1;
     }
+    scanned.valid_offset = pos as u64;
+    scanned
 }
 
 /// Recovers a WAL directory: picks the newest snapshot that validates
@@ -1091,23 +994,16 @@ pub fn recover_dir(
     fs::create_dir_all(&config.dir).map_err(WalError::Io)?;
     let (segments, snapshots) = scan_dir(&config.dir)?;
     let fault_state = faults.map(DiskFaultPlan::into_state);
-    if segments.is_empty() && snapshots.is_empty() {
-        let wal = open_segment(config.clone(), fault_state, 1)?;
-        return Ok(WalRecovered {
-            snapshot: None,
-            tail: Vec::new(),
-            report: RecoveryReport {
-                fresh: true,
-                ..Default::default()
-            },
-            wal,
-        });
-    }
     let max_segment = segments.last().copied().unwrap_or(0);
+    // An empty directory needs no special case: nothing is chosen,
+    // nothing is replayed, and segment 1 is opened below.
+    let mut report = RecoveryReport {
+        fresh: segments.is_empty() && snapshots.is_empty(),
+        ..Default::default()
+    };
 
     // Choose a snapshot: newest valid one whose tail is fully on disk.
-    let mut report = RecoveryReport::default();
-    let mut chosen: Option<(u64, SnapshotBody)> = None;
+    let mut chosen: Option<SnapshotBody> = None;
     for &snap in snapshots.iter().rev() {
         let path = snapshot_file_path(&config.dir, snap);
         match snapshot::load(&path) {
@@ -1119,7 +1015,7 @@ pub fn recover_dir(
                     (body.wal_segment..=max_segment).all(|s| segments.binary_search(&s).is_ok());
                 if complete {
                     report.snapshot = Some(path.display().to_string());
-                    chosen = Some((snap, body));
+                    chosen = Some(body);
                     break;
                 }
                 report
@@ -1133,7 +1029,7 @@ pub fn recover_dir(
     }
 
     let replay_from = match &chosen {
-        Some((_, body)) => body.wal_segment,
+        Some(body) => body.wal_segment,
         None => {
             if !snapshots.is_empty() && segments.binary_search(&1).is_err() {
                 return Err(WalError::Format(
@@ -1178,6 +1074,12 @@ pub fn recover_dir(
                     detail: defect,
                 });
             }
+            report.tail = Some(TailTruncation {
+                segment: seg,
+                offset: scanned.valid_offset,
+                dropped_bytes: bytes.len() as u64 - scanned.valid_offset,
+                defect,
+            });
             if scanned.valid_offset == 0 {
                 // The crash hit `open_segment`'s header write: nothing
                 // in the file was ever valid. Truncating it to empty
@@ -1185,12 +1087,6 @@ pub fn recover_dir(
                 // as sealed-history corruption — delete it and reuse
                 // its number instead.
                 fs::remove_file(&path).map_err(WalError::Io)?;
-                report.tail = Some(TailTruncation {
-                    segment: seg,
-                    offset: 0,
-                    dropped_bytes: scanned.total_len,
-                    defect,
-                });
                 open_at = seg;
                 // A torn header on the only segment, with no snapshots,
                 // means nothing valid (not even a genesis) was ever
@@ -1206,12 +1102,6 @@ pub fn recover_dir(
                 .open(&path)
                 .and_then(|f| f.set_len(scanned.valid_offset))
                 .map_err(WalError::Io)?;
-            report.tail = Some(TailTruncation {
-                segment: seg,
-                offset: scanned.valid_offset,
-                dropped_bytes: scanned.total_len - scanned.valid_offset,
-                defect,
-            });
         }
         report.records_replayed += scanned.records.len() as u64;
         report.segments_replayed.push(seg);
@@ -1220,16 +1110,12 @@ pub fn recover_dir(
 
     let wal = open_segment(config.clone(), fault_state, open_at)?;
     Ok(WalRecovered {
-        snapshot: chosen.map(|(_, body)| body),
+        snapshot: chosen,
         tail,
         report,
         wal,
     })
 }
-
-/// The dedup table type shared by sessions and snapshots: idempotency
-/// key → the sequence number originally assigned.
-pub type RequestIds = BTreeMap<String, u64>;
 
 #[cfg(test)]
 mod tests {
@@ -1311,6 +1197,64 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The nine ways a record can be defective, each behind one valid
+    /// record: the scan must stop at the same offset (the end of the
+    /// valid record) with the same defect text for every one of them.
+    #[test]
+    fn every_framing_defect_truncates_at_the_last_valid_record() {
+        let hello = format!("{:016x}", framing::fnv1a(b"hello"));
+        let mut not_utf8 = format!("2 {:016x} ", framing::fnv1a(&[0xff, 0xfe])).into_bytes();
+        not_utf8.extend_from_slice(&[0xff, 0xfe, b'\n']);
+        let table: Vec<(Vec<u8>, String)> = vec![
+            (b"12".to_vec(), "torn length prefix".into()),
+            (b"x1 ".to_vec(), "unparseable length prefix".into()),
+            (b"5 0123".to_vec(), "torn checksum field".into()),
+            (
+                b"5 zzzzzzzzzzzzzzzz hello\n".to_vec(),
+                "unparseable checksum".into(),
+            ),
+            (
+                format!("5 {hello} hel").into_bytes(),
+                "torn record body".into(),
+            ),
+            (
+                format!("5 {hello} helloX").into_bytes(),
+                "missing record terminator".into(),
+            ),
+            (
+                format!("5 {:016x} hello\n", 1).into_bytes(),
+                format!("checksum mismatch (header {:016x}, body {hello})", 1),
+            ),
+            (not_utf8, "record body is not utf-8".into()),
+            (
+                framing::frame_record("{\"Nope\":1}").into_bytes(),
+                "checksum-valid record failed to parse: ".into(),
+            ),
+        ];
+        let mut valid = segment_header(3).into_bytes();
+        valid.extend_from_slice(framing::frame_record("{\"Tick\":{\"to\":1}}").as_bytes());
+        for (tail, defect) in table {
+            let mut bytes = valid.clone();
+            bytes.extend_from_slice(&tail);
+            let scanned = scan_segment(&bytes, 3);
+            assert_eq!(scanned.records, vec![WalRecord::Tick { to: 1 }], "{defect}");
+            assert_eq!(scanned.valid_offset, valid.len() as u64, "{defect}");
+            let got = scanned.defect.expect("defect reported");
+            // Only the parse failure carries a serde message after its text.
+            let same = if defect.ends_with(": ") {
+                got.starts_with(&defect)
+            } else {
+                got == defect
+            };
+            assert!(same, "want `{defect}`, got `{got}`");
+        }
+        let clean = scan_segment(&valid, 3);
+        assert_eq!(
+            (clean.valid_offset, clean.defect),
+            (valid.len() as u64, None)
+        );
+    }
+
     #[test]
     fn create_refuses_existing_artifacts() {
         let dir = temp_dir("norecreate");
@@ -1360,7 +1304,10 @@ mod tests {
             .expect_err("fsync failure must surface");
         assert!(matches!(err, WalError::Io(_)));
         // The written-but-unsynced record was rolled back...
-        assert_eq!(fs::metadata(segment_path(&dir, 1)).unwrap().len(), header_len);
+        assert_eq!(
+            fs::metadata(segment_path(&dir, 1)).unwrap().len(),
+            header_len
+        );
         // ...and the WAL is poisoned against further appends.
         assert!(matches!(
             wal.append(&WalRecord::Tick { to: 2 }),

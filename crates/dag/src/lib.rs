@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod critical_path;
-pub mod dot;
 pub mod error;
 pub mod graph;
 pub mod ids;

@@ -2,7 +2,7 @@
 //!
 //! Level-graph BFS phases with blocking-flow DFS and the current-arc
 //! optimisation. Runs in `O(V²E)` generally and `O(E√V)` on the unit-ish
-//! bipartite networks produced by [`crate::transportation`], far below the
+//! bipartite networks produced by [`crate::leveling`], far below the
 //! millisecond budget of a scheduler invocation at paper scale
 //! (hundreds of jobs × hundreds of slots).
 

@@ -9,8 +9,6 @@
 //!
 //! * [`graph::FlowNetwork`] + [`dinic::Dinic`] — Dinic's max-flow algorithm
 //!   on integer capacities.
-//! * [`transportation`] — feasibility and allocation extraction for
-//!   jobs-with-windows vs. slot-capacity instances.
 //! * [`leveling`] — the scheduler's actual question: the **lexicographic
 //!   min-max load profile** (paper Eq. (1)), found by parametric binary
 //!   search over the peak ratio with min-cut-guided slot fixing.
@@ -48,7 +46,6 @@ pub mod error;
 pub mod graph;
 pub mod leveling;
 pub mod min_cost;
-pub mod transportation;
 
 pub use dinic::Dinic;
 pub use error::FlowError;

@@ -6,11 +6,17 @@
 
 mod daemon_util;
 
-use daemon_util::{adhoc_line, drain, loopback_with_snapshot, ok, trace_bytes, workflow_line};
+use daemon_util::{
+    adhoc_line, drain, err_code, loopback, loopback_wal, loopback_with_snapshot, ok,
+    session_config, trace_bytes, wal_config, wal_dir, workflow_line,
+};
 use flowtime_bench::experiments::{faulted_instance, testbed_cluster, WorkflowExperiment};
-use flowtime_daemon::{snapshot, Loopback, Session, SnapshotError};
-use flowtime_sim::FaultConfig;
+use flowtime_daemon::{
+    codes, snapshot, wal, FsyncPolicy, Loopback, Session, SnapshotError, WalRecord,
+};
+use flowtime_sim::{FaultConfig, LogEntry};
 use std::fs;
+use std::path::Path;
 
 fn scripted_requests() -> (flowtime_sim::ClusterConfig, Vec<String>) {
     let cluster = testbed_cluster();
@@ -159,4 +165,124 @@ fn corrupted_snapshots_are_typed_errors() {
     assert!(Session::restore(body).is_err());
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The restore point swept over the whole script: after *every* request
+/// boundary (cancels and the tick included), snapshot → restore → the
+/// remaining lines must answer with the same reply bytes and drain to the
+/// same outcome bytes as the session that was never interrupted.
+#[test]
+fn restore_at_every_request_boundary_is_byte_identical() {
+    let dir = std::env::temp_dir().join("flowtime-daemon-snap-sweep");
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sweep.snap").to_string_lossy().into_owned();
+    let (cluster, lines) = scripted_requests();
+    assert!(lines.iter().any(|l| l.contains("\"cancel\"")));
+
+    let mut uninterrupted = loopback_with_snapshot(cluster.clone(), "flowtime", Some(path.clone()));
+    let replies: Vec<String> = lines
+        .iter()
+        .map(|l| uninterrupted.request_line(l))
+        .collect();
+    let (expect_bytes, _, _) = drain(uninterrupted);
+
+    for cut in 0..=lines.len() {
+        let mut killed = loopback_with_snapshot(cluster.clone(), "flowtime", Some(path.clone()));
+        for line in &lines[..cut] {
+            killed.request_line(line);
+        }
+        ok(&mut killed, "{\"req\":\"snapshot\"}");
+        drop(killed);
+        let body = snapshot::load(&path).expect("snapshot loads");
+        let mut resumed = Loopback::new(Session::restore(body).expect("snapshot restores"));
+        for (line, expect) in lines[cut..].iter().zip(&replies[cut..]) {
+            assert_eq!(&resumed.request_line(line), expect, "cut {cut}: `{line}`");
+        }
+        let (got_bytes, _, _) = drain(resumed);
+        assert_eq!(
+            got_bytes, expect_bytes,
+            "cut {cut}: drained outcome differs"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// One entry, two codes: a log that cancels a submission which is not
+/// pending is `snapshot-corrupt` when a snapshot carries it and
+/// `wal-corrupt` when a WAL record does — the same `apply_entry` refusal,
+/// reported under the artifact that was damaged.
+#[test]
+fn cancel_of_a_non_pending_submission_is_typed_per_artifact() {
+    let dir = std::env::temp_dir().join("flowtime-daemon-snap-badcancel");
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("s.snap").to_string_lossy().into_owned();
+    let (cluster, lines) = scripted_requests();
+    let bad_cancel = |seq| LogEntry::Cancel {
+        seq,
+        at: 0,
+        target: 999,
+    };
+
+    let mut lb = loopback_with_snapshot(cluster.clone(), "edf", Some(path.clone()));
+    for line in &lines[..3] {
+        ok(&mut lb, line);
+    }
+    ok(&mut lb, "{\"req\":\"snapshot\"}");
+    let mut body = snapshot::load(&path).expect("good snapshot loads");
+    body.log.entries.push(bad_cancel(body.next_seq));
+    body.next_seq += 1;
+    let err = Session::restore(body).err().expect("restore must refuse");
+    assert_eq!(err.code, codes::SNAPSHOT_CORRUPT, "{err}");
+    assert!(err.detail.contains("cancel of non-pending submission 999"));
+
+    let wdir = wal_dir("badcancel");
+    let config = session_config(cluster, "edf", 0);
+    let mut log = wal::create(wal_config(&wdir, FsyncPolicy::None), None).unwrap();
+    log.append(&WalRecord::Genesis {
+        config: config.clone(),
+    })
+    .unwrap();
+    log.append(&WalRecord::Entry {
+        entry: bad_cancel(0),
+        request_id: None,
+    })
+    .unwrap();
+    drop(log);
+    let err = Session::recover(config, wal_config(&wdir, FsyncPolicy::None), None)
+        .err()
+        .expect("recovery must refuse");
+    assert_eq!(err.code, codes::WAL_CORRUPT, "{err}");
+    assert!(err.detail.contains("cancel of non-pending submission 999"));
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&wdir);
+}
+
+/// A session with nowhere to write a snapshot says so up front: the
+/// destination is resolved before the log is copied into a body (the
+/// flagless daemon used to deep-copy its whole log every 256 requests and
+/// then discover there was no path).
+#[test]
+fn snapshot_without_a_destination_is_refused_before_any_copy() {
+    let (cluster, lines) = scripted_requests();
+    let mut lb = loopback(cluster.clone(), "edf");
+    for line in &lines[..3] {
+        ok(&mut lb, line);
+    }
+    assert_eq!(lb.session().snapshot_target(), None);
+    err_code(&mut lb, "{\"req\":\"snapshot\"}", codes::SNAPSHOT_IO);
+    assert_eq!(
+        lb.session().log().len(),
+        3,
+        "a refused snapshot changes nothing"
+    );
+
+    let with_path = loopback_with_snapshot(cluster.clone(), "edf", Some("/tmp/x.snap".into()));
+    assert_eq!(
+        with_path.session().snapshot_target(),
+        Some(Path::new("/tmp/x.snap"))
+    );
+    let wdir = wal_dir("snaptarget");
+    let with_wal = loopback_wal(cluster, "edf", 0, &wdir, FsyncPolicy::None, None);
+    assert_eq!(with_wal.session().snapshot_target(), Some(wdir.as_path()));
+    let _ = fs::remove_dir_all(&wdir);
 }

@@ -12,8 +12,10 @@
 //!    consumes) must be identical across engines, step by step.
 //! 3. **Simulations** — the golden-scenario triple and the fault-seed
 //!    corpus from `tests/differential.rs`, where every scheduler's
-//!    serialized [`SimOutcome`] must be byte-identical under
-//!    `--lp-backend sparse` vs `dense`.
+//!    serialized [`SimOutcome`] must be byte-identical with
+//!    [`set_default_engine`] at `Sparse` vs `Dense` (the dense tableau is
+//!    compiled only here, via the root dev-dependency's `oracle` feature,
+//!    and in `fig_scaling` — no shipped binary offers it as a switch).
 //!
 //! Tests that flip the process-wide default engine serialize on a mutex
 //! and restore the sparse default before releasing it; everything else
