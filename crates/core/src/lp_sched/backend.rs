@@ -7,8 +7,10 @@ use flowtime_dag::{ResourceVec, NUM_RESOURCES};
 use flowtime_flow::leveling::{LevelingInstance, LevelingJob};
 use std::collections::HashMap;
 
-/// Lexicographic refinement budget for the flow backend (rounds beyond the
-/// exact min-max first round).
+/// Lexicographic round budget for the flow backend: rounds run **in
+/// total**, the exact min-max first round included — so one refinement
+/// round follows it. (The heterogeneous-shape simplex fallback below runs
+/// `1 + FLOW_LEX_ROUNDS`.) Changing the value changes every golden.
 const FLOW_LEX_ROUNDS: usize = 2;
 
 /// Solves `leveling` with `backend`, returning an integral plan.
@@ -64,17 +66,17 @@ pub fn solve_with(
         }
     }
     let plan = match backend {
-        SolverBackend::ParametricFlow if uniform_shape(leveling).is_some() => {
-            stats.flow_solves += 1;
-            solve_flow(leveling, uniform_shape(leveling).expect("checked"))
-        }
-        SolverBackend::ParametricFlow => {
+        SolverBackend::ParametricFlow => match uniform_shape(leveling) {
+            Some(shape) => {
+                stats.flow_solves += 1;
+                solve_flow(leveling, shape)
+            }
             // Heterogeneous shapes: the transportation reduction does not
-            // apply; fall back to the LP with the same bounded refinement
-            // budget (full lexicographic depth on long horizons would cost
+            // apply; fall back to the LP with a bounded refinement budget
+            // (full lexicographic depth on long horizons would cost
             // hundreds of LP solves per re-plan).
-            solve_simplex(leveling, 1 + FLOW_LEX_ROUNDS, stats)
-        }
+            None => solve_simplex(leveling, 1 + FLOW_LEX_ROUNDS, stats),
+        },
         SolverBackend::Simplex { lex_rounds } => solve_simplex(leveling, lex_rounds, stats),
     }?;
     if let Some(cache) = cache {

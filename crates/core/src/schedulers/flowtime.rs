@@ -250,13 +250,7 @@ impl FlowTimeScheduler {
                 }
             }
         }
-        let completions = state
-            .workflows()
-            .iter()
-            .flat_map(|w| w.completed.clone())
-            .filter(|&c| c)
-            .count();
-        if completions != self.planned_completions
+        if completed_jobs(state) != self.planned_completions
             && state.now() >= self.last_replan_slot + self.config.replan_interval
         {
             return true;
@@ -386,13 +380,18 @@ impl FlowTimeScheduler {
             .iter()
             .filter_map(|j| self.windows.get(&j.id).map(|w| (j.id, w.deadline)))
             .collect();
-        self.planned_completions = state
-            .workflows()
-            .iter()
-            .flat_map(|w| w.completed.clone())
-            .filter(|&c| c)
-            .count();
+        self.planned_completions = completed_jobs(state);
     }
+}
+
+/// Completed workflow jobs across every arrived workflow — the progress
+/// counter a plan is stamped with and `needs_replan` compares against.
+fn completed_jobs(state: &SimState) -> usize {
+    state
+        .workflows()
+        .iter()
+        .map(|w| w.completed.iter().filter(|&&c| c).count())
+        .sum()
 }
 
 impl Scheduler for FlowTimeScheduler {

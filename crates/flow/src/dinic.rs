@@ -32,14 +32,15 @@ impl<'a> Dinic<'a> {
     }
 
     /// Computes the maximum `source → sink` flow, mutating the bound
-    /// network's residual capacities.
+    /// network's residual capacities. Augmentation starts from the flow
+    /// the network already carries (none on a fresh or
+    /// [`FlowNetwork::reset`] network) and the return value is the amount
+    /// added to it.
     ///
-    /// # Panics
-    ///
-    /// Panics if `source` or `sink` is out of range.
+    /// A `source` or `sink` that is not a node of the network has no arcs,
+    /// so — like `source == sink` — the answer is 0, not a panic.
     pub fn max_flow(&mut self, source: NodeId, sink: NodeId) -> u64 {
-        assert!(source < self.net.len() && sink < self.net.len());
-        if source == sink {
+        if source == sink || source.max(sink) >= self.net.len() {
             return 0;
         }
         let mut flow = 0u64;
@@ -148,6 +149,25 @@ mod tests {
     fn source_equals_sink() {
         let mut net = FlowNetwork::new(1);
         assert_eq!(Dinic::new(&mut net).max_flow(0, 0), 0);
+    }
+
+    #[test]
+    fn endpoint_outside_the_network_carries_nothing() {
+        let mut net = FlowNetwork::new(2);
+        net.add_edge(0, 1, 9).unwrap();
+        assert_eq!(Dinic::new(&mut net).max_flow(0, 2), 0);
+        assert_eq!(Dinic::new(&mut net).max_flow(7, 1), 0);
+    }
+
+    #[test]
+    fn second_run_augments_the_flow_already_there() {
+        let mut net = FlowNetwork::new(3);
+        net.add_edge(0, 1, 5).unwrap();
+        let out = net.add_edge(1, 2, 3).unwrap();
+        assert_eq!(Dinic::new(&mut net).max_flow(0, 2), 3);
+        net.set_capacity(out, 4);
+        assert_eq!(Dinic::new(&mut net).max_flow(0, 2), 1);
+        assert_eq!(net.flow(out), 4);
     }
 
     #[test]

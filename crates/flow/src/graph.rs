@@ -140,6 +140,47 @@ impl FlowNetwork {
             }
         }
     }
+
+    /// Changes `edge`'s capacity in place, keeping the flow it carries.
+    /// The caller first takes back any flow above the new capacity
+    /// ([`FlowNetwork::cancel`]).
+    pub(crate) fn set_capacity(&mut self, edge: EdgeId, cap: u64) {
+        let (node, idx) = self.edges[edge.0];
+        let arc = &mut self.adj[node][idx];
+        let flow = arc.orig_cap - arc.cap;
+        debug_assert!(flow <= cap, "flow above the new capacity");
+        arc.orig_cap = cap;
+        arc.cap = cap - flow;
+    }
+
+    /// Takes `amount` units of flow back off `edge`. Conservation at the
+    /// edge's endpoints is the caller's to restore.
+    pub(crate) fn cancel(&mut self, edge: EdgeId, amount: u64) {
+        let (node, idx) = self.edges[edge.0];
+        let arc = &mut self.adj[node][idx];
+        arc.cap += amount;
+        let (to, rev) = (arc.to, arc.rev);
+        self.adj[to][rev].cap -= amount;
+    }
+
+    /// Nodes with a residual path to `target`. An arc `u → v` has residual
+    /// capacity exactly when `v`'s twin of it says so, so the backward
+    /// search reads each visited node's own arc list and needs no reverse
+    /// adjacency.
+    pub(crate) fn reaches(&self, target: NodeId) -> Vec<bool> {
+        let mut seen = vec![false; self.adj.len()];
+        let mut stack = vec![target];
+        seen[target] = true;
+        while let Some(v) = stack.pop() {
+            for arc in &self.adj[v] {
+                if !seen[arc.to] && self.adj[arc.to][arc.rev].cap > 0 {
+                    seen[arc.to] = true;
+                    stack.push(arc.to);
+                }
+            }
+        }
+        seen
+    }
 }
 
 #[cfg(test)]

@@ -19,14 +19,21 @@
 //!    *peak-critical*; their caps are frozen and the search repeats over the
 //!    remaining slots.
 //!
+//! One solve builds **one** network ([`LevelNet`]); only its slot → sink
+//! capacities change afterwards. A feasibility probe is a boolean — the
+//! max-flow *value* is unique — so probes run warm, augmenting whatever
+//! flow the previous probe left. A round's allocation is the one place the
+//! flow itself is read, so it restarts Dinic from zero flow: its result
+//! depends on nothing but the arc order and the caps, which keeps every
+//! plan independent of the probe sequence that found the caps.
+//!
 //! Total unimodularity of the underlying polytope means the returned
 //! allocation is integral — the combinatorial counterpart of the paper's
 //! Lemma 2 argument for the LP.
 
 use crate::dinic::Dinic;
 use crate::error::FlowError;
-use crate::graph::{EdgeId, FlowNetwork};
-use crate::min_cost::CostFlowNetwork;
+use crate::graph::{EdgeId, FlowNetwork, NodeId};
 
 /// One deadline-aware job for the leveler.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,10 +93,7 @@ impl LevelingInstance {
     /// * [`FlowError::Infeasible`] if demand does not fit even at full
     ///   capacity.
     pub fn solve_minmax(&self) -> Result<LevelingSolution, FlowError> {
-        self.validate()?;
-        let fixed = vec![None; self.horizon()];
-        let (_, solution, _) = self.minmax_round(&fixed, None)?;
-        Ok(solution)
+        self.solve_lexmin_rounds(1)
     }
 
     /// Computes the full lexicographic min-max allocation.
@@ -103,11 +107,11 @@ impl LevelingInstance {
         self.solve_lexmin_rounds(self.horizon() + 1)
     }
 
-    /// Like [`LevelingInstance::solve_lexmin`] but with a bounded number of
-    /// refinement rounds — the first round is always the exact min-max;
-    /// further rounds refine lexicographically until the budget runs out.
-    /// Schedulers use this to keep re-planning latency bounded on long
-    /// horizons.
+    /// Like [`LevelingInstance::solve_lexmin`] but with at most
+    /// `max_rounds` rounds in total (at least one) — the first round is
+    /// always the exact min-max; further rounds refine lexicographically
+    /// until the budget runs out. Schedulers use this to keep re-planning
+    /// latency bounded on long horizons.
     ///
     /// # Errors
     ///
@@ -115,21 +119,26 @@ impl LevelingInstance {
     pub fn solve_lexmin_rounds(&self, max_rounds: usize) -> Result<LevelingSolution, FlowError> {
         self.validate()?;
         let horizon = self.horizon();
+        let mut net = LevelNet::build(self)?;
+        // Feasibility requires the full-capacity instance to fit. Later
+        // rounds need not ask again: freezing slots at the caps in use
+        // keeps the previous round's allocation feasible.
+        if !net.feasible(&self.slot_caps) {
+            return Err(FlowError::Infeasible);
+        }
         let mut fixed: Vec<Option<u64>> = vec![None; horizon];
-        let mut last = None;
-        // Warm peak bound: freezing critical slots at their caps keeps the
-        // previous round's allocation feasible, so the previous round's
-        // per-slot peak bound upper-bounds the next round's optimum — each
-        // refinement round searches a strictly smaller range.
+        // For the same reason the previous round's per-slot peak bound
+        // upper-bounds the next round's optimum — each refinement round
+        // searches a strictly smaller range.
         let mut peak_hint = None;
-        for _ in 0..max_rounds.max(1) {
-            let (caps, solution, bound) = self.minmax_round(&fixed, peak_hint)?;
+        for round in 1.. {
+            let (caps, bound) = net.minmax_caps(&fixed, peak_hint);
+            net.allocate(&caps)?;
             peak_hint = bound;
-            let critical = self.critical_slots(&caps, &fixed);
-            last = Some(solution);
+            let critical = net.critical_slots(&caps, &fixed);
             let mut fixed_any = false;
             for t in 0..horizon {
-                if fixed[t].is_none() && critical[t] {
+                if critical[t] {
                     fixed[t] = Some(caps[t]);
                     fixed_any = true;
                 }
@@ -139,10 +148,9 @@ impl LevelingInstance {
                 // is already lexicographically settled by the caps in use.
                 // Freeze all saturated free slots to make progress; if none
                 // are saturated we are done.
-                let loads = &last.as_ref().expect("just set").slot_loads;
                 let mut saturated_any = false;
                 for t in 0..horizon {
-                    if fixed[t].is_none() && caps[t] > 0 && loads[t] == caps[t] {
+                    if fixed[t].is_none() && caps[t] > 0 && net.slot_load(t) == caps[t] {
                         fixed[t] = Some(caps[t]);
                         saturated_any = true;
                     }
@@ -151,252 +159,238 @@ impl LevelingInstance {
                     break;
                 }
             }
-            if fixed.iter().all(Option::is_some) {
+            if round >= max_rounds || fixed.iter().all(Option::is_some) {
                 break;
             }
         }
-        Ok(last.expect("at least one round runs"))
+        Ok(net.solution())
     }
 
-    /// Places all demand within per-slot caps `caps`, choosing — among all
-    /// feasible placements — one that *front-loads* work: each unit in
-    /// slot `t` costs `t` in a min-cost max-flow, so jobs finish as early
-    /// as the caps allow. An alternative secondary objective to the
-    /// lexicographic refinement (work-conserving rather than flat).
-    ///
-    /// # Errors
-    ///
-    /// * [`FlowError::InvalidWindow`] for malformed jobs.
-    /// * [`FlowError::Infeasible`] if demand does not fit under `caps`.
-    pub fn solve_earliest_within(&self, caps: &[u64]) -> Result<LevelingSolution, FlowError> {
-        self.validate()?;
-        let n_jobs = self.jobs.len();
-        let horizon = self.horizon();
-        let caps_len = caps.len().min(horizon);
-        let source = 0usize;
-        let job_base = 1usize;
+    /// The slot caps of a probe: frozen slots at their `fixed` value, every
+    /// free slot's capacity `c` cut to `free(c)`.
+    fn caps(&self, fixed: &[Option<u64>], free: impl Fn(u64) -> u64) -> Vec<u64> {
+        let slots = self.slot_caps.iter().zip(fixed);
+        slots.map(|(&c, f)| f.unwrap_or_else(|| free(c))).collect()
+    }
+}
+
+const SOURCE: NodeId = 0;
+
+/// The one flow network of a solve — `source → job → slot → sink`, built
+/// once by [`LevelNet::build`] — and the value of the flow it carries now.
+struct LevelNet<'a> {
+    inst: &'a LevelingInstance,
+    net: FlowNetwork,
+    /// `source → job j`. The job's slot arcs are the `end - start` edges
+    /// added right after it, in slot order.
+    source_edges: Vec<EdgeId>,
+    /// `slot t → sink`: the only arcs whose capacity ever changes.
+    sink_edges: Vec<EdgeId>,
+    /// Σ demand — the flow value that places every job.
+    total: u64,
+    flow: u64,
+}
+
+impl<'a> LevelNet<'a> {
+    /// Builds the topology with every slot at full capacity. Dinic's walk,
+    /// hence every allocation, depends on the per-node arc order fixed
+    /// here: jobs in instance order, each job's slots ascending, then the
+    /// slot → sink arcs.
+    fn build(inst: &'a LevelingInstance) -> Result<Self, FlowError> {
+        let n_jobs = inst.jobs.len();
         let slot_base = 1 + n_jobs;
-        let sink = 1 + n_jobs + horizon;
-        let mut net = CostFlowNetwork::new(sink + 1);
-        let mut placements = Vec::new();
-        for (j, job) in self.jobs.iter().enumerate() {
-            net.add_edge(source, job_base + j, job.demand, 0)?;
+        let sink = slot_base + inst.horizon();
+        let mut net = FlowNetwork::new(sink + 1);
+        let mut source_edges = Vec::with_capacity(n_jobs);
+        for (j, job) in inst.jobs.iter().enumerate() {
+            source_edges.push(net.add_edge(SOURCE, 1 + j, job.demand)?);
             let per_slot = job.per_slot_cap.unwrap_or(job.demand).min(job.demand);
             for t in job.start..job.end {
-                let e = net.add_edge(job_base + j, slot_base + t, per_slot, t as i64)?;
-                placements.push((j, t, e));
+                net.add_edge(1 + j, slot_base + t, per_slot)?;
             }
         }
-        for (t, &cap) in caps.iter().enumerate().take(caps_len) {
-            net.add_edge(slot_base + t, sink, cap.min(self.slot_caps[t]), 0)?;
+        let mut sink_edges = Vec::with_capacity(inst.horizon());
+        for (t, &cap) in inst.slot_caps.iter().enumerate() {
+            sink_edges.push(net.add_edge(slot_base + t, sink, cap)?);
         }
-        let total: u64 = self.jobs.iter().map(|j| j.demand).sum();
-        let (flow, _cost) = net.min_cost_max_flow(source, sink);
-        if flow < total {
-            return Err(FlowError::Infeasible);
-        }
-        let mut allocation = vec![vec![0u64; horizon]; n_jobs];
-        let mut slot_loads = vec![0u64; horizon];
-        for (j, t, e) in placements {
-            let f = net.flow(e);
-            allocation[j][t] = f;
-            slot_loads[t] += f;
-        }
-        let peak_ratio = slot_loads
-            .iter()
-            .zip(self.slot_caps.iter())
-            .filter(|&(_, &c)| c > 0)
-            .map(|(&z, &c)| z as f64 / c as f64)
-            .fold(0.0f64, f64::max);
-        Ok(LevelingSolution {
-            allocation,
-            slot_loads,
-            peak_ratio,
+        Ok(LevelNet {
+            inst,
+            net,
+            source_edges,
+            sink_edges,
+            total: inst.jobs.iter().map(|j| j.demand).sum(),
+            flow: 0,
         })
     }
 
-    /// One parametric round: minimal peak over free slots given `fixed`
-    /// caps. Returns the caps in effect, the allocation found, and — on
-    /// the uniform integer-search path — the minimal per-slot bound, which
-    /// the caller may feed back as `peak_hint` to shrink the next round's
-    /// search range (the hint is verified feasible before it is trusted).
-    fn minmax_round(
-        &self,
+    fn slot_node(&self, t: usize) -> NodeId {
+        1 + self.inst.jobs.len() + t
+    }
+
+    fn sink(&self) -> NodeId {
+        self.slot_node(self.inst.horizon())
+    }
+
+    /// `job j → slot t`, for `t` inside the job's window.
+    fn slot_edge(&self, j: usize, t: usize) -> EdgeId {
+        EdgeId(self.source_edges[j].0 + 1 + t - self.inst.jobs[j].start)
+    }
+
+    fn slot_load(&self, t: usize) -> u64 {
+        self.net.flow(self.sink_edges[t])
+    }
+
+    /// Whether all demand fits under `caps` — a **warm** probe: the flow
+    /// already on the network is cut back where a cap shrank and augmented
+    /// from there. Only the boolean is meaningful; which maximum flow the
+    /// network ends up holding depends on the probes before this one.
+    fn feasible(&mut self, caps: &[u64]) -> bool {
+        for (t, &cap) in caps.iter().enumerate() {
+            let excess = self.slot_load(t).saturating_sub(cap);
+            if excess > 0 {
+                self.cancel_through_slot(t, excess);
+            }
+            self.net.set_capacity(self.sink_edges[t], cap);
+        }
+        self.augment()
+    }
+
+    /// Takes `excess` units of flow off slot `t`. Every path is
+    /// `source → job → slot → sink`, so cancelling a unit is one update on
+    /// each of its three arcs and leaves a valid (smaller) flow.
+    fn cancel_through_slot(&mut self, t: usize, excess: u64) {
+        let (slot, sink) = (self.slot_node(t), self.sink());
+        let mut left = excess;
+        for i in 0..self.net.adj[slot].len() {
+            // Besides its sink arc a slot has only the twins of its
+            // job → slot arcs; a twin's residual is the flow that job
+            // sends here.
+            let twin = &self.net.adj[slot][i];
+            if twin.to == sink || twin.cap == 0 {
+                continue;
+            }
+            let (j, back) = (twin.to - 1, twin.cap.min(left));
+            self.net.cancel(self.slot_edge(j, t), back);
+            self.net.cancel(self.source_edges[j], back);
+            left -= back;
+            if left == 0 {
+                break;
+            }
+        }
+        self.net.cancel(self.sink_edges[t], excess);
+        self.flow -= excess;
+    }
+
+    /// Augments the current flow to a maximum one; true if it places all
+    /// demand.
+    fn augment(&mut self) -> bool {
+        let sink = self.sink();
+        self.flow += Dinic::new(&mut self.net).max_flow(SOURCE, sink);
+        self.flow == self.total
+    }
+
+    /// The round's allocation under `caps`: Dinic **from zero flow**, so
+    /// the flow found is the one a freshly built network would give.
+    fn allocate(&mut self, caps: &[u64]) -> Result<(), FlowError> {
+        self.net.reset();
+        self.flow = 0;
+        for (&edge, &cap) in self.sink_edges.iter().zip(caps) {
+            self.net.set_capacity(edge, cap);
+        }
+        if self.augment() {
+            Ok(())
+        } else {
+            Err(FlowError::Infeasible)
+        }
+    }
+
+    /// One parametric round: the caps with the minimal peak over free
+    /// slots given `fixed` caps, and — on the uniform integer-search path —
+    /// the minimal per-slot bound, which the caller feeds back as
+    /// `peak_hint` to shrink the next round's search range. The caller
+    /// vouches that full capacity (and the hint) is feasible under `fixed`.
+    fn minmax_caps(
+        &mut self,
         fixed: &[Option<u64>],
         peak_hint: Option<u64>,
-    ) -> Result<(Vec<u64>, LevelingSolution, Option<u64>), FlowError> {
-        // Feasibility requires the full-capacity instance to fit.
-        if !self.feasible(&self.caps_at(1.0, fixed))? {
-            return Err(FlowError::Infeasible);
-        }
-        let free_caps: Vec<u64> = (0..self.horizon())
+    ) -> (Vec<u64>, Option<u64>) {
+        let inst = self.inst;
+        let mut free_caps = (0..inst.horizon())
             .filter(|&t| fixed[t].is_none())
-            .map(|t| self.slot_caps[t])
-            .collect();
-        let uniform = free_caps.windows(2).all(|w| w[0] == w[1]);
-        let mut found_bound = None;
-        let caps = if let (true, Some(&c)) = (uniform, free_caps.first()) {
+            .map(|t| inst.slot_caps[t]);
+        let first = free_caps.next();
+        let uniform = free_caps.all(|c| Some(c) == first);
+        if let (true, Some(c)) = (uniform, first) {
             // Exact integer search over the per-slot load bound `m`,
             // top-seeded by the previous round's bound when available.
-            let mut hi = c;
-            if let Some(h) = peak_hint {
-                let h = h.min(c);
-                if h < hi && self.feasible(&self.caps_with_free_bound(h, fixed))? {
-                    hi = h;
-                }
-            }
+            let bounded = |m: u64| inst.caps(fixed, |c| m.min(c));
+            let mut hi = peak_hint.map_or(c, |h| h.min(c));
             let mut lo = 0u64;
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
-                let caps = self.caps_with_free_bound(mid, fixed);
-                if self.feasible(&caps)? {
+                if self.feasible(&bounded(mid)) {
                     hi = mid;
                 } else {
                     lo = mid + 1;
                 }
             }
-            found_bound = Some(lo);
-            self.caps_with_free_bound(lo, fixed)
+            (bounded(lo), Some(lo))
         } else {
             // Bisection on the real ratio λ; integer caps change only at
             // breakpoints k/C_t, so 60 iterations pin the minimal one for
             // any realistic capacity magnitude.
+            let at =
+                |lambda: f64| inst.caps(fixed, |c| ((lambda * c as f64) + 1e-9).floor() as u64);
             let (mut lo, mut hi) = (0.0f64, 1.0f64);
             for _ in 0..60 {
                 let mid = 0.5 * (lo + hi);
-                if self.feasible(&self.caps_at(mid, fixed))? {
+                if self.feasible(&at(mid)) {
                     hi = mid;
                 } else {
                     lo = mid;
                 }
             }
-            self.caps_at(hi, fixed)
-        };
-        let solution = self.allocate(&caps)?;
-        Ok((caps, solution, found_bound))
+            (at(hi), None)
+        }
     }
 
-    fn caps_at(&self, lambda: f64, fixed: &[Option<u64>]) -> Vec<u64> {
-        self.slot_caps
-            .iter()
-            .enumerate()
-            .map(|(t, &c)| match fixed[t] {
-                Some(f) => f,
-                None => ((lambda * c as f64) + 1e-9).floor() as u64,
-            })
+    /// Free slots that cannot shed load at the caps just allocated: the
+    /// slot node cannot reach the sink in the residual graph, so no
+    /// rerouting exists. The set of nodes that reach the sink is the same
+    /// for every maximum flow (the sink side of the maximal minimum cut),
+    /// so these slots are pinned in every feasible allocation at `caps`.
+    fn critical_slots(&self, caps: &[u64], fixed: &[Option<u64>]) -> Vec<bool> {
+        let reaches_sink = self.net.reaches(self.sink());
+        (0..self.inst.horizon())
+            .map(|t| fixed[t].is_none() && caps[t] > 0 && !reaches_sink[self.slot_node(t)])
             .collect()
     }
 
-    fn caps_with_free_bound(&self, bound: u64, fixed: &[Option<u64>]) -> Vec<u64> {
-        self.slot_caps
-            .iter()
-            .enumerate()
-            .map(|(t, &c)| match fixed[t] {
-                Some(f) => f,
-                None => bound.min(c),
+    /// Reads the allocation the network holds (call after
+    /// [`LevelNet::allocate`]).
+    fn solution(&self) -> LevelingSolution {
+        let horizon = self.inst.horizon();
+        let allocation = (self.inst.jobs.iter().enumerate())
+            .map(|(j, job)| {
+                let mut row = vec![0u64; horizon];
+                for (t, placed) in (job.start..).zip(&mut row[job.start..job.end]) {
+                    *placed = self.net.flow(self.slot_edge(j, t));
+                }
+                row
             })
-            .collect()
-    }
-
-    fn build_network(
-        &self,
-        caps: &[u64],
-    ) -> (FlowNetwork, Vec<(usize, usize, EdgeId)>, usize, usize) {
-        let n_jobs = self.jobs.len();
-        let n_slots = self.horizon();
-        let source = 0usize;
-        let job_base = 1usize;
-        let slot_base = 1 + n_jobs;
-        let sink = 1 + n_jobs + n_slots;
-        let mut net = FlowNetwork::new(sink + 1);
-        let mut placements = Vec::new();
-        for (j, job) in self.jobs.iter().enumerate() {
-            net.add_edge(source, job_base + j, job.demand)
-                .expect("valid node");
-            let per_slot = job.per_slot_cap.unwrap_or(job.demand).min(job.demand);
-            for t in job.start..job.end {
-                let e = net
-                    .add_edge(job_base + j, slot_base + t, per_slot)
-                    .expect("valid node");
-                placements.push((j, t, e));
-            }
-        }
-        for (t, &cap) in caps.iter().enumerate() {
-            net.add_edge(slot_base + t, sink, cap).expect("valid node");
-        }
-        (net, placements, source, sink)
-    }
-
-    fn feasible(&self, caps: &[u64]) -> Result<bool, FlowError> {
-        let total: u64 = self.jobs.iter().map(|j| j.demand).sum();
-        let (mut net, _, source, sink) = self.build_network(caps);
-        let flow = Dinic::new(&mut net).max_flow(source, sink);
-        Ok(flow == total)
-    }
-
-    fn allocate(&self, caps: &[u64]) -> Result<LevelingSolution, FlowError> {
-        let total: u64 = self.jobs.iter().map(|j| j.demand).sum();
-        let (mut net, placements, source, sink) = self.build_network(caps);
-        let flow = Dinic::new(&mut net).max_flow(source, sink);
-        if flow < total {
-            return Err(FlowError::Infeasible);
-        }
-        let horizon = self.horizon();
-        let mut allocation = vec![vec![0u64; horizon]; self.jobs.len()];
-        let mut slot_loads = vec![0u64; horizon];
-        for (j, t, e) in placements {
-            let f = net.flow(e);
-            allocation[j][t] = f;
-            slot_loads[t] += f;
-        }
+            .collect();
+        let slot_loads: Vec<u64> = (0..horizon).map(|t| self.slot_load(t)).collect();
         let peak_ratio = slot_loads
             .iter()
-            .zip(self.slot_caps.iter())
+            .zip(self.inst.slot_caps.iter())
             .filter(|&(_, &c)| c > 0)
             .map(|(&z, &c)| z as f64 / c as f64)
             .fold(0.0f64, f64::max);
-        Ok(LevelingSolution {
+        LevelingSolution {
             allocation,
             slot_loads,
             peak_ratio,
-        })
-    }
-
-    /// Free slots that cannot shed load at the given caps: the capacity arc
-    /// is saturated and the slot node cannot reach the sink in the residual
-    /// graph (so no rerouting exists). These are pinned in every feasible
-    /// allocation at these caps.
-    fn critical_slots(&self, caps: &[u64], fixed: &[Option<u64>]) -> Vec<bool> {
-        let n_jobs = self.jobs.len();
-        let n_slots = self.horizon();
-        let slot_base = 1 + n_jobs;
-        let sink = 1 + n_jobs + n_slots;
-        let (mut net, _, source, _) = self.build_network(caps);
-        Dinic::new(&mut net).max_flow(source, sink);
-        // Reverse reachability to the sink over residual arcs.
-        let n = net.len();
-        let mut radj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (v, arcs) in net.adj.iter().enumerate() {
-            for arc in arcs {
-                if arc.cap > 0 {
-                    radj[arc.to].push(v);
-                }
-            }
         }
-        let mut can_reach_sink = vec![false; n];
-        let mut stack = vec![sink];
-        can_reach_sink[sink] = true;
-        while let Some(v) = stack.pop() {
-            for &p in &radj[v] {
-                if !can_reach_sink[p] {
-                    can_reach_sink[p] = true;
-                    stack.push(p);
-                }
-            }
-        }
-        (0..n_slots)
-            .map(|t| fixed[t].is_none() && caps[t] > 0 && !can_reach_sink[slot_base + t])
-            .collect()
     }
 }
 
@@ -443,52 +437,71 @@ mod tests {
         assert!((sol.peak_ratio - 0.5).abs() < 1e-9);
     }
 
+    /// Splitmix64: the fixed-seed stream of the instance generators here.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn random_instance(rng: &mut u64) -> LevelingInstance {
+        let horizon = 1 + (next(rng) % 16) as usize;
+        let uniform = next(rng).is_multiple_of(2);
+        let cap = 1 + next(rng) % 12;
+        let slot_caps = (0..horizon)
+            .map(|_| if uniform { cap } else { next(rng) % 13 })
+            .collect();
+        let jobs = (0..next(rng) % 9)
+            .map(|_| {
+                let start = (next(rng) % horizon as u64) as usize;
+                LevelingJob {
+                    start,
+                    end: start + 1 + (next(rng) % (horizon - start) as u64) as usize,
+                    demand: next(rng) % 30,
+                    per_slot_cap: next(rng).is_multiple_of(3).then(|| 1 + next(rng) % 6),
+                }
+            })
+            .collect();
+        LevelingInstance { slot_caps, jobs }
+    }
+
     #[test]
-    fn peak_hint_seeding_matches_unseeded_refinement() {
-        // Replicates the refinement loop with no peak hint, round by
-        // round, and checks the seeded public path lands on the identical
-        // allocation — the hint only prunes the search range, never the
-        // answer.
-        let inst = LevelingInstance {
-            slot_caps: vec![10; 8],
-            jobs: vec![job(0, 2, 14), job(1, 5, 6), job(2, 8, 12)],
-        };
-        let seeded = inst.solve_lexmin().unwrap();
-        check_valid(&inst, &seeded);
-        let horizon = inst.horizon();
-        let mut fixed: Vec<Option<u64>> = vec![None; horizon];
-        let mut last = None;
-        for _ in 0..=horizon {
-            let (caps, solution, _) = inst.minmax_round(&fixed, None).unwrap();
-            let critical = inst.critical_slots(&caps, &fixed);
-            last = Some(solution);
-            let mut fixed_any = false;
-            for t in 0..horizon {
-                if fixed[t].is_none() && critical[t] {
-                    fixed[t] = Some(caps[t]);
-                    fixed_any = true;
-                }
+    fn warm_probes_answer_like_cold_ones_in_any_order() {
+        // The metamorphic check on flow cancellation: a probe's boolean
+        // must not depend on what the network was asked before. Bounds go
+        // up (caps only grow), down (every probe cancels flow) and
+        // shuffled; the cold answer comes from a network built for that one
+        // probe.
+        let mut rng = 0x5eed_u64;
+        for _ in 0..400 {
+            let inst = random_instance(&mut rng);
+            let top = inst.slot_caps.iter().copied().max().unwrap_or(0);
+            let fixed: Vec<Option<u64>> = (inst.slot_caps.iter())
+                .map(|&c| {
+                    next(&mut rng)
+                        .is_multiple_of(4)
+                        .then(|| next(&mut rng) % (c + 1))
+                })
+                .collect();
+            let ascending: Vec<u64> = (0..=top).collect();
+            let descending: Vec<u64> = (0..=top).rev().collect();
+            let mut shuffled = ascending.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, (next(&mut rng) % (i as u64 + 1)) as usize);
             }
-            if !fixed_any {
-                let loads = &last.as_ref().unwrap().slot_loads;
-                let mut saturated_any = false;
-                for t in 0..horizon {
-                    if fixed[t].is_none() && caps[t] > 0 && loads[t] == caps[t] {
-                        fixed[t] = Some(caps[t]);
-                        saturated_any = true;
-                    }
+            for order in [ascending, descending, shuffled] {
+                let mut warm = LevelNet::build(&inst).unwrap();
+                for bound in order {
+                    let caps = inst.caps(&fixed, |c| bound.min(c));
+                    let cold = LevelNet::build(&inst).unwrap().feasible(&caps);
+                    assert_eq!(warm.feasible(&caps), cold, "{inst:?} bound {bound}");
+                    let carried: u64 = (0..inst.horizon()).map(|t| warm.slot_load(t)).sum();
+                    assert_eq!(carried, warm.flow, "flow value out of step");
                 }
-                if !saturated_any {
-                    break;
-                }
-            }
-            if fixed.iter().all(Option::is_some) {
-                break;
             }
         }
-        let unseeded = last.unwrap();
-        assert_eq!(seeded.allocation, unseeded.allocation);
-        assert_eq!(seeded.slot_loads, unseeded.slot_loads);
     }
 
     #[test]
@@ -608,46 +621,6 @@ mod tests {
         // for ad-hoc jobs at all times.
         assert!(sol.slot_loads.iter().all(|&l| l == 1));
         assert!((sol.peak_ratio - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn earliest_within_caps_front_loads() {
-        // 12 units over 6 slots with a per-slot cap of 3: the earliest
-        // placement fills slots 0..4 at the cap rather than leveling at 2.
-        let inst = LevelingInstance {
-            slot_caps: vec![10; 6],
-            jobs: vec![job(0, 6, 12)],
-        };
-        let early = inst.solve_earliest_within(&[3, 3, 3, 3, 3, 3]).unwrap();
-        assert_eq!(early.slot_loads, vec![3, 3, 3, 3, 0, 0]);
-        // The lexmin solution levels instead.
-        let level = inst.solve_lexmin().unwrap();
-        assert_eq!(level.slot_loads, vec![2, 2, 2, 2, 2, 2]);
-    }
-
-    #[test]
-    fn earliest_within_caps_respects_windows_and_demand() {
-        let inst = LevelingInstance {
-            slot_caps: vec![10; 4],
-            jobs: vec![job(1, 4, 6), job(0, 2, 4)],
-        };
-        let sol = inst.solve_earliest_within(&[5, 5, 5, 5]).unwrap();
-        check_valid(&inst, &sol);
-        // Job 1 (window 0..2) grabs slot 0 first; job 0 starts at slot 1.
-        assert!(sol.allocation[1][0] > 0);
-        assert_eq!(sol.allocation[0][0], 0);
-    }
-
-    #[test]
-    fn earliest_within_caps_detects_infeasible_caps() {
-        let inst = LevelingInstance {
-            slot_caps: vec![10; 2],
-            jobs: vec![job(0, 2, 10)],
-        };
-        assert_eq!(
-            inst.solve_earliest_within(&[2, 2]).unwrap_err(),
-            FlowError::Infeasible
-        );
     }
 
     #[test]

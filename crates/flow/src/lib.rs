@@ -45,10 +45,8 @@ pub mod dinic;
 pub mod error;
 pub mod graph;
 pub mod leveling;
-pub mod min_cost;
 
 pub use dinic::Dinic;
 pub use error::FlowError;
 pub use graph::{EdgeId, FlowNetwork, NodeId};
 pub use leveling::{LevelingInstance, LevelingJob, LevelingSolution};
-pub use min_cost::CostFlowNetwork;
