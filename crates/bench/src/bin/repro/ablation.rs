@@ -10,11 +10,11 @@
 //! 3. **Solver backend**: parametric flow vs. simplex LP, same plans,
 //!    different cost.
 //!
-//! Usage: `ablation [seed]`
+//! Usage: `repro ablation [seed]`
 
 use flowtime::decompose::Decomposer;
 use flowtime::lp_sched::SolverBackend;
-use flowtime::{FlowTimeConfig, FlowTimeScheduler};
+use flowtime::{Args, FlowTimeConfig, FlowTimeScheduler};
 use flowtime_bench::experiments::{summarize, testbed_cluster, Algo, WorkflowExperiment};
 use flowtime_bench::report;
 use flowtime_sim::Engine;
@@ -27,25 +27,17 @@ fn run_config(
     let cluster = testbed_cluster();
     let workload = exp.build(&cluster);
     let mut scheduler = FlowTimeScheduler::new(cluster.clone(), config);
-    let t0 = std::time::Instant::now();
     let metrics = Engine::new(cluster, workload, 1_000_000)
         .expect("valid workload")
         .run(&mut scheduler)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut row = summarize(Algo::FlowTime, &metrics.metrics);
-    row.algo = format!(
-        "{name} ({} solves, {:.2}s)",
-        scheduler.solves(),
-        t0.elapsed().as_secs_f64()
-    );
+    row.algo = format!("{name} ({} solves)", scheduler.solves());
     row
 }
 
-fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(20180702);
+pub fn run(args: &Args) -> Result<(), String> {
+    let seed = args.positional(0, "seed", 20180702u64)?;
 
     // --- 1. decomposer ablation (exact estimates) ------------------------
     let exp = WorkflowExperiment {
@@ -137,4 +129,5 @@ fn main() {
         report::render_table("Ablation 3 — solver backend", &rows)
     );
     report::persist("ablation_backend", &rows);
+    Ok(())
 }

@@ -7,7 +7,7 @@
 //! at half width and achieves 100 = (100 + 100) / 2 while still meeting the
 //! deadline.
 
-use flowtime::{EdfScheduler, FlowTimeConfig, FlowTimeScheduler};
+use flowtime::{Args, EdfScheduler, FlowTimeConfig, FlowTimeScheduler};
 use flowtime_dag::{JobSpec, ResourceVec, WorkflowBuilder, WorkflowId};
 use flowtime_sim::prelude::*;
 use flowtime_sim::Scheduler;
@@ -27,7 +27,7 @@ fn workload() -> SimWorkload {
     wl
 }
 
-fn run(name: &str, scheduler: &mut dyn Scheduler) -> (f64, usize) {
+fn simulate(name: &str, scheduler: &mut dyn Scheduler) -> (f64, usize) {
     let cluster = ClusterConfig::new(ResourceVec::new([4, 4096]), 10.0);
     let out = Engine::new(cluster, workload(), 10_000)
         .expect("valid workload")
@@ -41,11 +41,11 @@ fn run(name: &str, scheduler: &mut dyn Scheduler) -> (f64, usize) {
     )
 }
 
-fn main() {
+pub fn run(_args: &Args) -> Result<(), String> {
     println!("Fig. 1 — motivating example (1 slot = 10 time units of the figure)\n");
     let cluster = ClusterConfig::new(ResourceVec::new([4, 4096]), 10.0);
     let mut edf = EdfScheduler::new();
-    let (edf_tat, edf_miss) = run("EDF", &mut edf);
+    let (edf_tat, edf_miss) = simulate("EDF", &mut edf);
     let mut ft = FlowTimeScheduler::new(
         cluster,
         FlowTimeConfig {
@@ -53,7 +53,7 @@ fn main() {
             ..Default::default()
         },
     );
-    let (ft_tat, ft_miss) = run("FlowTime", &mut ft);
+    let (ft_tat, ft_miss) = simulate("FlowTime", &mut ft);
     println!(
         "  EDF     : avg ad-hoc turnaround {edf_tat:6.1} time units, workflow misses {edf_miss}"
     );
@@ -61,9 +61,12 @@ fn main() {
         "  FlowTime: avg ad-hoc turnaround {ft_tat:6.1} time units, workflow misses {ft_miss}"
     );
     println!("\npaper: EDF 150, our approach 100 (both meeting the deadline)");
-    assert_eq!(edf_miss, 0);
-    assert_eq!(ft_miss, 0);
-    assert!((edf_tat - 150.0).abs() < 1e-9, "EDF should average 150");
-    assert!((ft_tat - 100.0).abs() < 1e-9, "FlowTime should average 100");
+    if (edf_miss, ft_miss) != (0, 0) {
+        return Err("a scheduler missed W1's deadline".into());
+    }
+    if (edf_tat - 150.0).abs() >= 1e-9 || (ft_tat - 100.0).abs() >= 1e-9 {
+        return Err("EDF should average 150 and FlowTime 100".into());
+    }
     println!("reproduced exactly.");
+    Ok(())
 }

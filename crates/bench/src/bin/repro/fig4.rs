@@ -6,21 +6,17 @@
 //! for FlowTime, CORA, EDF, Fair, FIFO (plus the Morpheus baseline named
 //! in Section VII-A).
 //!
-//! Usage: `fig4 [seed] [--quick]`
+//! Usage: `repro fig4 [seed] [--quick]`
 
-use flowtime::RunSpec;
+use flowtime::{Args, RunSpec};
 use flowtime_bench::experiments::{
     run_checked, summarize, testbed_cluster, Algo, WorkflowExperiment,
 };
 use flowtime_bench::report;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let seed = args
-        .iter()
-        .find_map(|a| a.parse::<u64>().ok())
-        .unwrap_or(20180702);
+pub fn run(args: &Args) -> Result<(), String> {
+    let quick = args.has("quick");
+    let seed = args.positional(0, "seed", 20180702u64)?;
 
     let cluster = testbed_cluster();
     let exp = if quick {
@@ -45,17 +41,8 @@ fn main() {
     let mut rows = Vec::new();
     for algo in Algo::FIG4 {
         let workload = exp.build(&cluster);
-        let t0 = std::time::Instant::now();
         let (outcome, _) = run_checked(&RunSpec::new(algo), &cluster, &workload).into_single();
-        let metrics = outcome.metrics;
-        let row = summarize(algo, &metrics);
-        println!(
-            "  {:<12} done in {:>6.1}s wall ({} jobs)",
-            algo.name(),
-            t0.elapsed().as_secs_f64(),
-            metrics.completed_jobs()
-        );
-        rows.push(row);
+        rows.push(summarize(algo, &outcome.metrics));
     }
     println!();
     print!(
@@ -63,4 +50,5 @@ fn main() {
         report::render_table("Fig. 4 — deadlines and ad-hoc turnaround", &rows)
     );
     report::persist("fig4", &rows);
+    Ok(())
 }

@@ -6,26 +6,17 @@
 //! missing deadlines without slack versus 0 with it, at essentially equal
 //! ad-hoc turnaround (522.5 s vs 531.5 s).
 //!
-//! Usage: `fig5 [seed] [--overrun 0.2]`
+//! Usage: `repro fig5 [seed] [--overrun 0.2]`
 
-use flowtime::RunSpec;
+use flowtime::{Args, RunSpec};
 use flowtime_bench::experiments::{
     run_checked, summarize, testbed_cluster, Algo, WorkflowExperiment,
 };
 use flowtime_bench::report;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = args
-        .iter()
-        .find_map(|a| a.parse::<u64>().ok())
-        .unwrap_or(20180702);
-    let overrun = args
-        .iter()
-        .position(|a| a == "--overrun")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.2);
+pub fn run(args: &Args) -> Result<(), String> {
+    let seed = args.positional(0, "seed", 20180702u64)?;
+    let overrun = args.get_parsed("overrun", 0.2f64)?;
 
     let cluster = testbed_cluster();
     let exp = WorkflowExperiment {
@@ -50,4 +41,5 @@ fn main() {
         report::render_table("Fig. 5 — effect of deadline slack", &rows)
     );
     report::persist("fig5", &rows);
+    Ok(())
 }

@@ -7,9 +7,14 @@
 //! paper's laptop returns 200-node / 6000-edge decompositions within 3 s;
 //! the *shape* to reproduce is slow growth in both nodes and edges.
 //!
-//! Usage: `fig6 [--runs 1000] [--warmup 100]`
+//! This is one of the two stopwatches outside `benchmark/`: decomposition
+//! runtime against DAG size *is* the paper's Fig. 6, on the paper's
+//! methodology, and no benchmark workload sweeps DAG size.
+//!
+//! Usage: `repro fig6 [--runs 1000] [--warmup 100]`
 
 use flowtime::decompose::{decompose, DecomposeConfig};
+use flowtime::Args;
 use flowtime_dag::{JobSpec, ResourceVec, WorkflowBuilder, WorkflowId};
 use flowtime_workload::shapes;
 use serde::Serialize;
@@ -40,17 +45,9 @@ fn build_workflow(nodes: usize, target_edges: usize, seed: u64) -> flowtime_dag:
     b.window(0, 100_000).build().expect("valid workflow")
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str, default: usize| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let runs = get("--runs", 1000);
-    let warmup = get("--warmup", 100);
+pub fn run(args: &Args) -> Result<(), String> {
+    let runs = args.get_parsed("runs", 1000usize)?;
+    let warmup = args.get_parsed("warmup", 100usize)?;
     let config = DecomposeConfig::new(ResourceVec::new([500, 1_048_576]));
 
     println!("fig6: decomposition runtime, {runs} runs after {warmup} warmups");
@@ -85,4 +82,5 @@ fn main() {
         worst / 1e3
     );
     flowtime_bench::report::persist("fig6", &points);
+    Ok(())
 }

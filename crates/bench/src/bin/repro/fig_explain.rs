@@ -8,12 +8,12 @@
 //! a *complete* causal chain (every culprit node explained down to E00x
 //! evidence), plus the E00x code histogram. A cell whose run the auditor
 //! rejects — or whose slack accounting fails to balance against the
-//! `MissAttribution` recount — aborts the bin: coverage numbers over
+//! `MissAttribution` recount — aborts the experiment: coverage numbers over
 //! uncertified runs would be meaningless.
 //!
-//! Usage: `fig_explain [--threads N] [--seeds N] [--rates 0.1,0.3,0.5]`
+//! Usage: `repro fig_explain [--threads N] [--seeds N] [--rates 0.1,0.3,0.5]`
 
-use flowtime::RunSpec;
+use flowtime::{Args, RunSpec};
 use flowtime_bench::experiments::{run_checked, testbed_cluster, Algo, WorkflowExperiment};
 use flowtime_bench::report;
 use flowtime_bench::sweep::RecoveryProfile;
@@ -55,38 +55,16 @@ struct ExplainFigure {
     rates: Vec<f64>,
     fault_seeds: Vec<u64>,
     threads: usize,
-    host: report::HostMeta,
     rows: Vec<CellRow>,
     totals: Totals,
 }
 
-fn main() {
-    if let Err(e) = run_cli() {
-        eprintln!("fig_explain: error: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn run_cli() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let threads: usize = get("--threads").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let seeds: u64 = get("--seeds").and_then(|v| v.parse().ok()).unwrap_or(3);
-    let rates: Vec<f64> = match get("--rates") {
-        Some(list) => list
-            .split(',')
-            .map(|r| {
-                r.trim()
-                    .parse()
-                    .map_err(|_| format!("bad rate {r:?} in --rates"))
-            })
-            .collect::<Result<_, _>>()?,
-        None => vec![0.1, 0.3, 0.5],
-    };
+pub fn run(args: &Args) -> Result<(), String> {
+    let threads = args.get_parsed("threads", 4usize)?;
+    let seeds = args.get_parsed("seeds", 3u64)?;
+    let rates = args
+        .list::<f64>("rates")?
+        .unwrap_or_else(|| vec![0.1, 0.3, 0.5]);
     let fault_seeds: Vec<u64> = (0..seeds).map(|i| 11 + 31 * i).collect();
 
     let cluster = testbed_cluster();
@@ -187,7 +165,6 @@ fn run_cli() -> Result<(), Box<dyn std::error::Error>> {
         rates,
         fault_seeds,
         threads,
-        host: report::host_meta(),
         rows,
         totals,
     };

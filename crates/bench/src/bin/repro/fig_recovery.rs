@@ -10,18 +10,17 @@
 //! discrepancy. The persisted `results/fig_recovery.json` report is a pure
 //! function of the spec — byte-identical for any thread count.
 //!
-//! Usage: `fig_recovery [seed] [fault-seeds] [threads]`
+//! Usage: `repro fig_recovery [seed] [fault-seeds] [threads]`
 
+use flowtime::Args;
 use flowtime_bench::experiments::{testbed_cluster, Algo, WorkflowExperiment};
-use flowtime_bench::report;
 use flowtime_bench::sweep::{RecoveryProfile, SweepScenario, SweepSpec};
 use flowtime_sim::ShedPolicy;
 
-fn main() {
-    let arg = |n: usize| std::env::args().nth(n).and_then(|a| a.parse::<u64>().ok());
-    let seed = arg(1).unwrap_or(20180702);
-    let fault_seeds = arg(2).unwrap_or(2);
-    let threads = arg(3).unwrap_or(1).max(1) as usize;
+pub fn run(args: &Args) -> Result<(), String> {
+    let seed = args.positional(0, "seed", 20180702u64)?;
+    let fault_seeds = args.positional(1, "fault-seeds", 2u64)?;
+    let threads = args.positional(2, "threads", 1usize)?.max(1);
 
     // The failure-rate axis; rate 0 shows the crash+straggler background
     // alone, so the marginal cost of task failures reads off the column.
@@ -60,12 +59,12 @@ fn main() {
          {} audited cells on {threads} thread(s)\n",
         spec.cell_count()
     );
-    let run = spec.run(threads);
+    let report = spec.run(threads);
     println!(
         "{:>14} {:>18} {:>10} {:>8} {:>8} {:>8} {:>6} {:>12}",
         "scenario", "algorithm", "miss-rate", "fails", "kills", "retries", "shed", "adhoc p90 (s)"
     );
-    for r in &run.report.rollups {
+    for r in &report.rollups {
         println!(
             "{:>14} {:>18} {:>10.3} {:>8} {:>8} {:>8} {:>6} {:>12.0}",
             r.scenario,
@@ -78,10 +77,11 @@ fn main() {
             r.adhoc_p90_s,
         );
     }
-    report::persist("fig_recovery", &run.report);
+    flowtime_bench::report::persist("fig_recovery", &report);
     println!(
-        "\n{} cells certified by the offline auditor in {:.0} ms; \
+        "\n{} cells certified by the offline auditor; \
          report written to results/fig_recovery.json",
-        run.cells, run.wall_ms
+        report.cells.len()
     );
+    Ok(())
 }

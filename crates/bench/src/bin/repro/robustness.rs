@@ -8,14 +8,14 @@
 //! work-stealing sweep runner; results are deterministic for any thread
 //! count.
 //!
-//! Usage: `robustness [seed] [fault-seeds] [threads]`
+//! Usage: `repro robustness [seed] [fault-seeds] [threads]`
 
-use flowtime::RunSpec;
+use flowtime::{Args, RunSpec};
 use flowtime_bench::experiments::{
     run_checked, summarize, testbed_cluster, Algo, WorkflowExperiment,
 };
 use flowtime_bench::report;
-use flowtime_bench::sweep::{SweepBenchPoint, SweepSpec};
+use flowtime_bench::sweep::SweepSpec;
 use flowtime_sim::run_cells;
 use serde::Serialize;
 
@@ -28,11 +28,10 @@ struct Point {
     adhoc_turnaround_s: f64,
 }
 
-fn main() {
-    let arg = |n: usize| std::env::args().nth(n).and_then(|a| a.parse::<u64>().ok());
-    let seed = arg(1).unwrap_or(20180702);
-    let fault_seeds = arg(2).unwrap_or(5);
-    let threads = arg(3).unwrap_or(1).max(1) as usize;
+pub fn run(args: &Args) -> Result<(), String> {
+    let seed = args.positional(0, "seed", 20180702u64)?;
+    let fault_seeds = args.positional(1, "fault-seeds", 5usize)?;
+    let threads = args.positional(2, "threads", 1usize)?.max(1);
     let cluster = testbed_cluster();
     println!("robustness: misses vs. runtime under-estimation, seed {seed}\n");
     println!(
@@ -76,13 +75,12 @@ fn main() {
         "\nrobustness: all algorithms under mixed fault injection \
          (misestimation σ=0.25, 20% churn, bursts), {fault_seeds} seeds, {threads} thread(s)\n"
     );
-    let spec = SweepSpec::robustness(seed, fault_seeds as usize);
-    let sweep = spec.run(threads);
+    let sweep = SweepSpec::robustness(seed, fault_seeds).run(threads);
     println!(
         "{:>10} {:>18} {:>8} {:>9} {:>10} {:>14}",
         "fault-seed", "algorithm", "misses", "wf-miss", "completed", "adhoc tat (s)"
     );
-    for c in &sweep.report.cells {
+    for c in &sweep.cells {
         println!(
             "{:>10} {:>18} {:>8} {:>9} {:>10} {:>14.1}",
             c.fault_seed,
@@ -94,26 +92,16 @@ fn main() {
         );
     }
     println!("\nper-algorithm rollups over all {fault_seeds} fault seeds:");
-    for r in &sweep.report.rollups {
+    for r in &sweep.rollups {
         println!(
             "{:>18}  miss-rate {:>6.3}  adhoc p50/p90/p99 {:>6.0}/{:>6.0}/{:>6.0}s",
             r.algo, r.deadline_miss_rate, r.adhoc_p50_s, r.adhoc_p90_s, r.adhoc_p99_s
         );
     }
-    report::persist("robustness_faults", &sweep.report);
-    report::persist(
-        "robustness_faults_bench",
-        &[SweepBenchPoint {
-            sweep: "robustness_faults".into(),
-            threads: sweep.threads,
-            host_parallelism: report::host_parallelism(),
-            pods: 0,
-            cells: sweep.cells,
-            wall_ms: sweep.wall_ms,
-        }],
-    );
+    report::persist("robustness_faults", &sweep);
     println!(
-        "\n{} cells in {:.0} ms; every run above passed the engine's per-slot invariant checker.",
-        sweep.cells, sweep.wall_ms
+        "\n{} cells; every run above passed the engine's per-slot invariant checker.",
+        sweep.cells.len()
     );
+    Ok(())
 }

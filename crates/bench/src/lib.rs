@@ -1,11 +1,11 @@
 //! Experiment harness regenerating every table and figure of the FlowTime
 //! paper's evaluation (Section VII).
 //!
-//! Each paper figure has a binary in `src/bin/` (`fig1`, `fig4`, `fig5`,
-//! `fig6`, `fig7`, `trace_sim`) plus a `repro_all` driver; timing lives in
-//! the standalone `benchmark/` crate. This library holds the shared
-//! machinery: workload construction, the checked runner over
-//! [`flowtime::run`], metric summarization, and table rendering.
+//! Every experiment is a module of the one `repro` binary (`src/bin/repro`:
+//! `repro fig1|fig4|...|all`); timing lives in the standalone `benchmark/`
+//! crate. This library holds the shared machinery: workload construction,
+//! the checked runner over [`flowtime::run`], metric summarization, the
+//! sweep grid, and table rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

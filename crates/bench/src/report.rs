@@ -5,29 +5,6 @@ use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Host execution context embedded in persisted benchmark artifacts, so a
-/// flat scaling curve recorded on a 1-core dev box is self-explaining
-/// instead of looking like a parallelism bug. Never part of deterministic
-/// report bytes — only of wall-clock BENCH records.
-#[derive(Debug, Clone, Serialize)]
-pub struct HostMeta {
-    /// Logical cores available to this process
-    /// (`std::thread::available_parallelism()`, 1 when unknown).
-    pub available_parallelism: usize,
-}
-
-/// The current host's [`HostMeta`].
-pub fn host_meta() -> HostMeta {
-    HostMeta {
-        available_parallelism: host_parallelism(),
-    }
-}
-
-/// Logical cores available to this process, 1 when the query fails.
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Renders Fig. 4/5-style rows as an aligned text table.
 pub fn render_table(title: &str, rows: &[SummaryRow]) -> String {
     let mut out = String::new();
@@ -101,20 +78,5 @@ mod tests {
         assert!(t.contains("FlowTime"));
         assert!(t.contains("522.5"));
         assert!(t.lines().count() >= 3);
-    }
-
-    #[test]
-    fn host_meta_serializes_actual_parallelism() {
-        let meta = host_meta();
-        assert!(meta.available_parallelism >= 1);
-        assert_eq!(meta.available_parallelism, host_parallelism());
-        let json = serde_json::to_string(&meta).unwrap();
-        assert!(
-            json.contains(&format!(
-                "\"available_parallelism\":{}",
-                meta.available_parallelism
-            )),
-            "host metadata missing from serialized form: {json}"
-        );
     }
 }

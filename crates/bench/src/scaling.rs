@@ -8,8 +8,8 @@
 //! exactly the regime the sparse revised simplex exploits.
 //!
 //! This module generates that family at any job count, deterministically
-//! from a seed, for the `fig_scaling` benchmark and the scale-stratified
-//! property tests:
+//! from a seed, for the differential and scale-stratified property tests
+//! (`tests/lp_differential.rs`, `tests/solver_props.rs`):
 //!
 //! * `min z  s.t.  Σ_t a_{j,t} = D_j` (one equality per job),
 //!   `Σ_j a_{j,t} − z ≤ 0` (one row per slot), `0 ≤ a_{j,t} ≤ cap`.
@@ -145,28 +145,6 @@ fn assemble(horizon: usize, shape: &[(usize, usize, u64)]) -> ScalingInstance {
     }
 }
 
-/// Analytic peak-memory estimate for the dense tableau engine on this
-/// instance, in bytes: the tableau is `rows × width` of f64 where `width`
-/// counts structurals, slacks (one per ≤ row), artificials (one per row),
-/// and the RHS column. This is computed *without allocating*, so the
-/// benchmark can record a dense DNF at scales whose tableau would not fit.
-pub fn dense_tableau_bytes(inst: &ScalingInstance) -> u64 {
-    let width = inst.cols + inst.horizon + inst.rows + 1;
-    (inst.rows as u64) * (width as u64) * 8
-}
-
-/// Analytic peak-memory estimate for the sparse revised engine, in bytes:
-/// the CSC matrix (nonzeros + column pointers), the LU factors (bounded by
-/// a small fill multiple of the basis nonzeros on this near-banded
-/// family), the eta file between refactorizations, and the dense
-/// work vectors.
-pub fn sparse_bytes_estimate(inst: &ScalingInstance) -> u64 {
-    let csc = (inst.nnz + inst.horizon + inst.rows) as u64 * 12 + (inst.cols as u64 + 1) * 8;
-    let lu_fill = 3 * (inst.nnz as u64) * 16;
-    let vectors = 8 * (inst.rows as u64) * 8;
-    csc + lu_fill + vectors
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,17 +191,5 @@ mod tests {
             .solve_warm(&opts, Some(&first.basis))
             .unwrap();
         assert!(warm.warm_used, "replan should accept the previous basis");
-    }
-
-    #[test]
-    fn memory_estimates_scale_apart() {
-        let small = interval_instance(100, 1);
-        let big = interval_instance(1000, 1);
-        // Dense grows quadratically (rows × width), sparse linearly.
-        let dense_ratio = dense_tableau_bytes(&big) as f64 / dense_tableau_bytes(&small) as f64;
-        let sparse_ratio =
-            sparse_bytes_estimate(&big) as f64 / sparse_bytes_estimate(&small) as f64;
-        assert!(dense_ratio > 50.0, "dense ratio {dense_ratio}");
-        assert!(sparse_ratio < 25.0, "sparse ratio {sparse_ratio}");
     }
 }

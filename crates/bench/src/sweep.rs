@@ -10,20 +10,14 @@
 //! reduced back in cell order. Together with the engine's own determinism
 //! this makes the serialized [`SweepReport`] byte-identical for any thread
 //! count — the property `tests/sweep_props.rs` pins.
-//!
-//! Wall-clock time is reported next to the run ([`SweepRun::wall_ms`]) but
-//! never inside the report, mirroring how [`flowtime_sim::telemetry`]
-//! excludes wall time from serialization.
 
 use crate::experiments::{faulted_instance, run_checked, Algo, WorkflowExperiment};
-use crate::report;
 use flowtime::RunSpec;
 use flowtime_sim::{
     run_cells, ClusterConfig, EngineTelemetry, FaultConfig, RecoveryPolicy, RecoverySetup,
     RecoveryStats, RuntimeFaultConfig, ShardSpec, ShedPolicy, SimOutcome, SolverTelemetry,
 };
 use serde::Serialize;
-use std::time::Instant;
 
 /// How a scenario derives each cell's [`FaultConfig`] from its fault seed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -328,40 +322,6 @@ pub struct SweepReport {
     pub rollups: Vec<SweepRollup>,
 }
 
-/// A finished sweep: the deterministic report plus how it was executed.
-#[derive(Debug)]
-pub struct SweepRun {
-    /// The deterministic report (thread-count independent).
-    pub report: SweepReport,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Cells executed.
-    pub cells: usize,
-    /// Wall-clock time of the whole sweep in milliseconds. Not part of the
-    /// report; record it via [`SweepBenchPoint`] when benchmarking.
-    pub wall_ms: f64,
-}
-
-/// One wall-clock datapoint for `results/` (the BENCH record of a sweep's
-/// cost at a given thread count).
-#[derive(Debug, Clone, Serialize)]
-pub struct SweepBenchPoint {
-    /// Which sweep this measures (e.g. `robustness`).
-    pub sweep: String,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Logical cores the host offers (`available_parallelism()`), so a
-    /// flat scaling curve recorded on a 1-core box is self-explaining.
-    pub host_parallelism: usize,
-    /// Pods each cell was sharded across (0 = unsharded).
-    #[serde(skip_serializing_if = "is_zero_usize")]
-    pub pods: usize,
-    /// Cells executed.
-    pub cells: usize,
-    /// Wall-clock milliseconds for the whole sweep.
-    pub wall_ms: f64,
-}
-
 /// True for zero (skip the field in serialization).
 fn is_zero_usize(v: &usize) -> bool {
     *v == 0
@@ -451,15 +411,11 @@ impl SweepSpec {
         cell_outcome(scenario, cell, &run.outcome.pods, pods)
     }
 
-    /// Executes the sweep on up to `threads` workers.
-    ///
-    /// The returned [`SweepRun::report`] is byte-identical for any
-    /// `threads` value; only [`SweepRun::wall_ms`] may differ.
-    pub fn run(&self, threads: usize) -> SweepRun {
+    /// Executes the sweep on up to `threads` workers. The returned report
+    /// is byte-identical for any `threads` value.
+    pub fn run(&self, threads: usize) -> SweepReport {
         let cells = self.cells();
-        let t0 = Instant::now();
         let outcomes = run_cells(&cells, threads, |_, cell| self.run_cell(cell));
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let slot_seconds = self.cluster.slot_seconds();
 
         let mut rollups = Vec::with_capacity(self.scenarios.len() * self.schedulers.len());
@@ -474,7 +430,7 @@ impl SweepSpec {
                 rollups.push(rollup(scenario, algo, &group, slot_seconds));
             }
         }
-        let report = SweepReport {
+        SweepReport {
             experiment: SweepExperimentInfo {
                 workflows: self.base.workflows,
                 jobs_per_workflow: self.base.jobs_per_workflow,
@@ -487,49 +443,7 @@ impl SweepSpec {
             shard: self.shard.clone(),
             cells: outcomes.iter().map(|o| o.row.clone()).collect(),
             rollups,
-        };
-        SweepRun {
-            report,
-            threads,
-            cells: cells.len(),
-            wall_ms,
         }
-    }
-
-    /// Runs the sweep at each thread count, checks every report serializes
-    /// to the same bytes as the first, and persists one
-    /// [`SweepBenchPoint`] per count under `results/<name>_bench.json`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending thread count if any report's bytes diverge
-    /// from the `thread_counts[0]` reference (a determinism bug).
-    pub fn bench(
-        &self,
-        name: &str,
-        thread_counts: &[usize],
-    ) -> Result<Vec<SweepBenchPoint>, usize> {
-        let mut reference: Option<String> = None;
-        let mut points = Vec::new();
-        for &threads in thread_counts {
-            let run = self.run(threads.max(1));
-            let bytes = serde_json::to_string_pretty(&run.report).expect("report serializes");
-            match &reference {
-                None => reference = Some(bytes),
-                Some(expect) if *expect != bytes => return Err(threads),
-                Some(_) => {}
-            }
-            points.push(SweepBenchPoint {
-                sweep: name.to_string(),
-                threads: run.threads,
-                host_parallelism: report::host_parallelism(),
-                pods: self.shard.as_ref().map_or(0, |s| s.pods),
-                cells: run.cells,
-                wall_ms: run.wall_ms,
-            });
-        }
-        report::persist(&format!("{name}_bench"), &points);
-        Ok(points)
     }
 }
 
@@ -722,15 +636,15 @@ mod tests {
     #[test]
     fn parallel_sweep_is_byte_identical_to_sequential() {
         let spec = tiny_spec();
-        let sequential = serde_json::to_string_pretty(&spec.run(1).report).unwrap();
-        let parallel = serde_json::to_string_pretty(&spec.run(4).report).unwrap();
+        let sequential = serde_json::to_string_pretty(&spec.run(1)).unwrap();
+        let parallel = serde_json::to_string_pretty(&spec.run(4)).unwrap();
         assert_eq!(sequential, parallel);
     }
 
     #[test]
     fn rollups_aggregate_their_group() {
         let spec = tiny_spec();
-        let report = spec.run(2).report;
+        let report = spec.run(2);
         assert_eq!(report.cells.len(), 8);
         assert_eq!(report.rollups.len(), 4);
         for r in &report.rollups {
@@ -751,13 +665,13 @@ mod tests {
     #[test]
     fn audited_sweep_certifies_and_leaves_report_bytes_unchanged() {
         let spec = tiny_spec();
-        let plain = serde_json::to_string_pretty(&spec.run(1).report).unwrap();
+        let plain = serde_json::to_string_pretty(&spec.run(1)).unwrap();
         let audited_spec = SweepSpec {
             audit: true,
             ..spec
         };
         // run() panics inside a cell if the auditor rejects it.
-        let audited = serde_json::to_string_pretty(&audited_spec.run(2).report).unwrap();
+        let audited = serde_json::to_string_pretty(&audited_spec.run(2)).unwrap();
         assert_eq!(plain, audited);
     }
 
@@ -770,27 +684,26 @@ mod tests {
         };
         let run = spec.run(1);
         let fired: u64 = run
-            .report
             .cells
             .iter()
             .map(|c| c.recovery.task_failures + c.recovery.crash_kills)
             .sum();
         assert!(fired > 0, "chaos scenario injected nothing");
-        for r in &run.report.rollups {
+        for r in &run.rollups {
             assert_eq!(
                 r.recovery.retries,
                 r.recovery.task_failures + r.recovery.crash_kills
             );
         }
-        let sequential = serde_json::to_string_pretty(&run.report).unwrap();
-        let parallel = serde_json::to_string_pretty(&spec.run(4).report).unwrap();
+        let sequential = serde_json::to_string_pretty(&run).unwrap();
+        let parallel = serde_json::to_string_pretty(&spec.run(4)).unwrap();
         assert_eq!(sequential, parallel);
     }
 
     #[test]
     fn recovery_free_scenarios_serialize_without_recovery_fields() {
         let spec = tiny_spec();
-        let bytes = serde_json::to_string_pretty(&spec.run(1).report).unwrap();
+        let bytes = serde_json::to_string_pretty(&spec.run(1)).unwrap();
         assert!(!bytes.contains("\"recovery\""), "inert counters leaked");
     }
 
@@ -802,25 +715,24 @@ mod tests {
             ..tiny_spec()
         };
         let run = spec.run(1);
-        for row in &run.report.cells {
+        for row in &run.cells {
             assert_eq!(row.pods, 2);
         }
-        assert_eq!(run.report.shard.as_ref().map(|s| s.pods), Some(2));
-        let sequential = serde_json::to_string_pretty(&run.report).unwrap();
-        let parallel = serde_json::to_string_pretty(&spec.run(4).report).unwrap();
+        assert_eq!(run.shard.as_ref().map(|s| s.pods), Some(2));
+        let sequential = serde_json::to_string_pretty(&run).unwrap();
+        let parallel = serde_json::to_string_pretty(&spec.run(4)).unwrap();
         assert_eq!(sequential, parallel);
     }
 
     #[test]
     fn single_pod_sharded_rows_match_unsharded_rows() {
         let spec = tiny_spec();
-        let unsharded = spec.run(1).report;
+        let unsharded = spec.run(1);
         let sharded = SweepSpec {
             shard: Some(ShardSpec::new(1)),
             ..spec
         }
-        .run(1)
-        .report;
+        .run(1);
         assert_eq!(unsharded.cells.len(), sharded.cells.len());
         for (u, s) in unsharded.cells.iter().zip(&sharded.cells) {
             assert_eq!(s.pods, 1);
@@ -836,7 +748,7 @@ mod tests {
     #[test]
     fn unsharded_reports_serialize_without_shard_fields() {
         let spec = tiny_spec();
-        let bytes = serde_json::to_string_pretty(&spec.run(1).report).unwrap();
+        let bytes = serde_json::to_string_pretty(&spec.run(1)).unwrap();
         assert!(!bytes.contains("\"shard\""), "shard config leaked");
         assert!(!bytes.contains("\"pods\""), "pod count leaked");
     }

@@ -1,8 +1,7 @@
 //! CLI subcommands.
 
-use crate::args::Args;
 use flowtime::decompose::{decompose, slack::slacked_windows, DecomposeConfig};
-use flowtime::{Algo, FlowTimeConfig, RunOutput, RunSpec};
+use flowtime::{Algo, Args, FlowTimeConfig, RunOutput, RunSpec};
 use flowtime_dag::ResourceVec;
 use flowtime_sim::{
     ClusterConfig, FaultConfig, FaultPlan, Metrics, RecoveryPolicy, RecoverySetup,
@@ -40,7 +39,7 @@ USAGE:
                          [--scenarios clean,mixed-faults,chaos:0.2]
                          [--jobs N] [--adhoc-horizon S] [--seed S]
                          [--workflows N] [--pods K] [--placer P]
-                         [--out NAME] [--bench-threads 1,2,..] [--audit]
+                         [--out NAME] [--audit]
   flowtime-cli submit    --connect HOST:PORT
                          (--adhoc TASKS,DUR[,CORES,MB] [--arrival N]
                           | --workflow-json FILE)
@@ -108,31 +107,35 @@ RECOVERY (mid-run failures + retry policy; also need --fault-seed):
   --overload-sustain S   slots of sustained overload before shedding
 ";
 
-/// Dispatches a parsed command line.
+/// The flags of [`USAGE`] that take no value.
+const SWITCHES: &[&str] = &["gantt", "no-plan-cache", "audit"];
+
+/// Dispatches a command line: the subcommand comes first; its flags must
+/// be ones [`USAGE`] names ([`Args::parse`] refuses the rest before any
+/// subcommand runs).
 pub fn dispatch(argv: &[String]) -> CliResult {
-    let args = Args::parse(argv);
-    // Unknown flags are ignored, so a removed engine switch must refuse:
-    // a stale differential script would otherwise compare sparse to sparse.
-    if args.has("lp-backend") {
-        return Err("--lp-backend was removed: the dense oracle is test-only now".into());
-    }
-    match args.positional.first().map(String::as_str) {
-        Some("generate") => generate(&args),
-        Some("simulate") => simulate(&args),
-        Some("compare") => compare(&args),
-        Some("decompose") => decompose_cmd(&args),
-        Some("audit") => audit_cmd(&args),
-        Some("explain") => explain_cmd(&args),
-        Some("whatif") => whatif_cmd(&args),
-        Some("sweep") => sweep_cmd(&args),
-        Some("submit") => daemon_submit(&args),
-        Some("status") => daemon_status(&args),
-        Some("drain") => daemon_drain(&args),
-        Some("help") | None => {
+    let Some((command, rest)) = argv.split_first() else {
+        print!("{USAGE}");
+        return Ok(());
+    };
+    let args = Args::parse(rest, USAGE, SWITCHES, 0)?;
+    match command.as_str() {
+        "generate" => generate(&args),
+        "simulate" => simulate(&args),
+        "compare" => compare(&args),
+        "decompose" => decompose_cmd(&args),
+        "audit" => audit_cmd(&args),
+        "explain" => explain_cmd(&args),
+        "whatif" => whatif_cmd(&args),
+        "sweep" => sweep_cmd(&args),
+        "submit" => daemon_submit(&args),
+        "status" => daemon_status(&args),
+        "drain" => daemon_drain(&args),
+        "help" | "--help" | "-h" => {
             print!("{USAGE}");
             Ok(())
         }
-        Some(other) => Err(format!("unknown command `{other}`\n\n{USAGE}").into()),
+        other => Err(format!("unknown command `{other}`\n\n{USAGE}").into()),
     }
 }
 
@@ -252,32 +255,6 @@ fn recovery_setup(args: &Args) -> Result<Option<RecoverySetup>, Box<dyn Error>> 
     Ok(Some(RecoverySetup::new(faults, policy)))
 }
 
-/// Builds a pod-sharding spec from a `--pods` / `--placer` flag pair
-/// (`whatif` reads its alt side from `--alt-pods` / `--alt-placer`). An
-/// absent pod count is the one-pod spec, i.e. the unsharded run; `0`, a
-/// bare flag, an unknown placer, or a placer without a pod count are
-/// errors, never silent fallbacks.
-fn shard_spec(args: &Args, pods_key: &str, placer_key: &str) -> Result<ShardSpec, Box<dyn Error>> {
-    if !args.has(pods_key) {
-        if args.has(placer_key) {
-            return Err(format!("--{placer_key} requires --{pods_key} <K>").into());
-        }
-        return Ok(ShardSpec::new(1));
-    }
-    let pods: usize = args.get_parsed(pods_key, 1usize)?;
-    if pods == 0 {
-        return Err(format!("--{pods_key} must be at least 1").into());
-    }
-    let mut spec = ShardSpec::new(pods);
-    if let Some(raw) = args.get(placer_key) {
-        let placer = flowtime_sim::Placer::parse(raw).ok_or_else(|| {
-            format!("unknown placer `{raw}` (expected firstfit, worstfit, or demand)")
-        })?;
-        spec = spec.with_placer(placer);
-    }
-    Ok(spec)
-}
-
 /// Slot horizon of every CLI run.
 const MAX_SLOTS: u64 = 10_000_000;
 
@@ -289,7 +266,7 @@ const MAX_SLOTS: u64 = 10_000_000;
 /// alt side). Pods run on one worker thread each.
 fn run_spec(args: &Args, default_scheduler: &str) -> Result<RunSpec, Box<dyn Error>> {
     let algo = parse_algo(args.get("scheduler").unwrap_or(default_scheduler))?;
-    let shard = shard_spec(args, "pods", "placer")?;
+    let shard = args.shard_spec("pods", "placer")?;
     Ok(RunSpec {
         flowtime: FlowTimeConfig {
             plan_cache: !args.has("no-plan-cache"),
@@ -782,7 +759,7 @@ fn whatif_cmd(args: &Args) -> CliResult {
     // RECOVERY flags describe the recorded base run.
     let stated = run_spec(args, &decisions.header.scheduler)?;
     let base_recovery = stated.recovery.clone();
-    let alt_shard = shard_spec(args, "alt-pods", "alt-placer")?;
+    let alt_shard = args.shard_spec("alt-pods", "alt-placer")?;
     let alt_spec = RunSpec {
         recovery: alt_recovery_setup(args, base_recovery.as_ref())?,
         threads: alt_shard.pods,
@@ -963,18 +940,18 @@ fn sweep_cmd(args: &Args) -> CliResult {
     let threads = args.get_parsed("threads", 1usize)?.max(1);
     let shard = run_spec(args, "flowtime")?.shard;
     let fault_seeds = parse_seed_range(args.get("seeds").unwrap_or("0..4"))?;
-    let schedulers = match args.get("schedulers") {
+    let schedulers = match args.list::<String>("schedulers")? {
         None => Algo::FIG4.to_vec(),
-        Some(raw) => raw
-            .split(',')
-            .map(parse_algo)
+        Some(names) => names
+            .iter()
+            .map(|name| parse_algo(name))
             .collect::<Result<Vec<_>, Box<dyn Error>>>()?,
     };
-    let scenarios = match args.get("scenarios") {
+    let scenarios = match args.list::<String>("scenarios")? {
         None => vec![SweepScenario::mixed_faults()],
-        Some(raw) => raw
-            .split(',')
-            .map(|name| match name.trim() {
+        Some(names) => names
+            .iter()
+            .map(|name| match name.as_str() {
                 "clean" => Ok(SweepScenario::clean()),
                 "mixed" | "mixed-faults" => Ok(SweepScenario::mixed_faults()),
                 // `chaos:R` = mid-run task failures at rate R (plus crashes
@@ -1015,27 +992,10 @@ fn sweep_cmd(args: &Args) -> CliResult {
         // Only a sweep that asked for pods records shard keys in its report.
         shard: args.has("pods").then_some(shard),
     };
-    // Validate the bench axis up front, before spending minutes on the
-    // sweep itself.
-    let bench_threads = args
-        .get("bench-threads")
-        .map(|raw| {
-            raw.split(',')
-                .map(|t| {
-                    t.trim()
-                        .parse::<usize>()
-                        .map_err(|_| format!("--bench-threads wants numbers, got `{t}`").into())
-                })
-                .collect::<Result<Vec<_>, Box<dyn Error>>>()
-        })
-        .transpose()?;
 
-    let run = spec.run(threads);
-    println!(
-        "sweep: {} cells on {} thread(s) in {:.0} ms",
-        run.cells, run.threads, run.wall_ms
-    );
-    for r in &run.report.rollups {
+    let report = spec.run(threads);
+    println!("sweep: {} cells on {threads} thread(s)", report.cells.len());
+    for r in &report.rollups {
         println!(
             "{:<14} {:<16} miss-rate {:>6.3} ({:>3}/{:<3})  wf-misses {:>3}  adhoc p50/p90/p99 {:>7.0}/{:>7.0}/{:>7.0}s",
             r.scenario,
@@ -1050,21 +1010,8 @@ fn sweep_cmd(args: &Args) -> CliResult {
         );
     }
     let name = args.get("out").unwrap_or("sweep");
-    flowtime_bench::report::persist(name, &run.report);
+    flowtime_bench::report::persist(name, &report);
     println!("report written to results/{name}.json");
-
-    if let Some(counts) = bench_threads {
-        let points = spec
-            .bench(name, &counts)
-            .map_err(|t| format!("report at {t} threads diverged from {} threads", counts[0]))?;
-        for p in &points {
-            println!(
-                "bench: {:>2} thread(s)  {:>4} cells  {:>8.0} ms",
-                p.threads, p.cells, p.wall_ms
-            );
-        }
-        println!("bench points written to results/{name}_bench.json");
-    }
     Ok(())
 }
 
@@ -1116,6 +1063,9 @@ fn daemon_connect(args: &Args) -> Result<flowtime_daemon::Client, Box<dyn Error>
     let addr = args
         .get("connect")
         .ok_or("--connect <host:port> is required")?;
+    if !addr.contains(':') {
+        return Err(format!("--connect requires HOST:PORT, got `{addr}`").into());
+    }
     Ok(flowtime_daemon::Client::connect(addr)?)
 }
 

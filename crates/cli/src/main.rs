@@ -8,7 +8,6 @@
 //! flowtime-cli decompose --trace trace.jsonl [--index 0] [--slack 6]
 //! ```
 
-mod args;
 mod commands;
 
 use std::process::ExitCode;

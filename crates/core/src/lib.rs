@@ -23,8 +23,9 @@
 //! The [`schedulers`] module packages the full FlowTime algorithm and the
 //! five baselines evaluated in the paper (EDF, FIFO, Fair, CORA-like,
 //! Morpheus-like) as [`flowtime_sim::Scheduler`] implementations; the
-//! [`registry`] resolves them by name ([`Algo`]) and [`run`](run::run) is
-//! the single path that executes a workload under one of them.
+//! [`registry`] resolves them by name ([`Algo`]), [`run`](run::run) is
+//! the single path that executes a workload under one of them, and
+//! [`args`] is the single flag parser of every binary that does.
 //!
 //! # Quickstart
 //!
@@ -60,6 +61,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod decompose;
 pub mod error;
 pub mod estimate;
@@ -68,6 +70,7 @@ pub mod registry;
 pub mod run;
 pub mod schedulers;
 
+pub use args::Args;
 pub use decompose::{DecomposeConfig, Decomposer, Decomposition, JobWindow};
 pub use error::CoreError;
 pub use estimate::RunHistory;

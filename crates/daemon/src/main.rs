@@ -27,127 +27,68 @@
 //! requests and on explicit `snapshot` requests. All argument errors are
 //! typed and exit nonzero; nothing defaults silently on malformed input.
 
+use flowtime::Args;
 use flowtime_daemon::{serve, snapshot, FsyncPolicy, Session, SessionConfig, WalConfig};
 use flowtime_dag::ResourceVec;
 use flowtime_sim::ClusterConfig;
-use std::collections::HashMap;
 use std::net::TcpListener;
 use std::process::ExitCode;
 
-/// `--key value` pairs; a bare `--key` holds an empty value.
-fn parse_flags(argv: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < argv.len() {
-        let Some(key) = argv[i].strip_prefix("--") else {
-            return Err(format!("unexpected positional argument `{}`", argv[i]));
-        };
-        let value = argv.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
-        if value.is_some() {
-            i += 1;
-        }
-        flags.insert(key.to_string(), value.unwrap_or_default());
-        i += 1;
-    }
-    Ok(flags)
-}
-
-/// Absent flags yield `default`; present flags must parse — a typo'd
-/// value is an error, never a silent fallback.
-fn get_parsed<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("--{key} requires a valid value, got `{raw}`")),
-    }
-}
+/// The `--help` text, and through it the flags `flowtimed` knows
+/// ([`Args::parse`]); all take a value.
+const USAGE: &str = "flowtimed: FlowTime online-submission daemon\n\n\
+     Options:\n  \
+     --listen ADDR        listen address (default 127.0.0.1:7171)\n  \
+     --scheduler NAME     flowtime|cora|edf|fair|fifo|morpheus (default flowtime)\n  \
+     --cores N            cluster cores (default 64)\n  \
+     --mem-mb N           cluster memory in MB (default 262144)\n  \
+     --slot-seconds F     seconds per scheduling slot (default 10)\n  \
+     --max-slots N        virtual-time horizon (default 100000)\n  \
+     --trace-capacity N   decision-trace ring size (default 4096)\n  \
+     --pods K             shard the cluster into K pods (default 1)\n  \
+     --placer NAME        firstfit|worstfit|demand pod placement (needs --pods > 1)\n  \
+     --snapshot PATH      snapshot file; restored at startup if present\n  \
+     --snapshot-every N   snapshot every N requests (default 256, 0 disables)\n  \
+     --wal-dir DIR        write-ahead log directory (crash-consistent mode)\n  \
+     --fsync POLICY       always|batch:N|none (default always; needs --wal-dir)\n  \
+     --keep-snapshots N   WAL snapshot generations to retain (default 2)\n  \
+     --chaos-kill-after N[:BYTES]  abort during the Nth WAL append (chaos harness)";
 
 fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "flowtimed: FlowTime online-submission daemon\n\n\
-             Options:\n  \
-             --listen ADDR        listen address (default 127.0.0.1:7171)\n  \
-             --scheduler NAME     flowtime|cora|edf|fair|fifo|morpheus (default flowtime)\n  \
-             --cores N            cluster cores (default 64)\n  \
-             --mem-mb N           cluster memory in MB (default 262144)\n  \
-             --slot-seconds F     seconds per scheduling slot (default 10)\n  \
-             --max-slots N        virtual-time horizon (default 100000)\n  \
-             --trace-capacity N   decision-trace ring size (default 4096)\n  \
-             --pods K             shard the cluster into K pods (default 1)\n  \
-             --placer NAME        firstfit|worstfit|demand pod placement (needs --pods > 1)\n  \
-             --snapshot PATH      snapshot file; restored at startup if present\n  \
-             --snapshot-every N   snapshot every N requests (default 256, 0 disables)\n  \
-             --wal-dir DIR        write-ahead log directory (crash-consistent mode)\n  \
-             --fsync POLICY       always|batch:N|none (default always; needs --wal-dir)\n  \
-             --keep-snapshots N   WAL snapshot generations to retain (default 2)\n  \
-             --chaos-kill-after N[:BYTES]  abort during the Nth WAL append (chaos harness)"
-        );
+        println!("{USAGE}");
         return Ok(());
     }
-    let flags = parse_flags(&argv)?;
-    for key in flags.keys() {
-        if !matches!(
-            key.as_str(),
-            "listen"
-                | "scheduler"
-                | "cores"
-                | "mem-mb"
-                | "slot-seconds"
-                | "max-slots"
-                | "trace-capacity"
-                | "pods"
-                | "placer"
-                | "snapshot"
-                | "snapshot-every"
-                | "wal-dir"
-                | "fsync"
-                | "keep-snapshots"
-                | "chaos-kill-after"
-        ) {
-            return Err(format!("unknown flag --{key}"));
-        }
-    }
+    let args = Args::parse(&argv, USAGE, &[], 0)?;
 
-    let listen = flags
-        .get("listen")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7171".to_string());
+    let listen = args.get("listen").unwrap_or("127.0.0.1:7171");
     let config = SessionConfig {
         cluster: ClusterConfig::new(
             ResourceVec::new([
-                get_parsed(&flags, "cores", 64u64)?,
-                get_parsed(&flags, "mem-mb", 262_144u64)?,
+                args.get_parsed("cores", 64u64)?,
+                args.get_parsed("mem-mb", 262_144u64)?,
             ]),
-            get_parsed(&flags, "slot-seconds", 10.0f64)?,
+            args.get_parsed("slot-seconds", 10.0f64)?,
         ),
-        scheduler: flags
-            .get("scheduler")
-            .cloned()
-            .unwrap_or_else(|| "flowtime".to_string()),
-        max_slots: get_parsed(&flags, "max-slots", 100_000u64)?,
-        trace_capacity: get_parsed(&flags, "trace-capacity", 4096u64)?,
-        snapshot_path: flags.get("snapshot").cloned(),
-        pods: get_parsed(&flags, "pods", 0u64)?,
-        placer: flags.get("placer").cloned(),
+        scheduler: args.get("scheduler").unwrap_or("flowtime").to_string(),
+        max_slots: args.get_parsed("max-slots", 100_000u64)?,
+        trace_capacity: args.get_parsed("trace-capacity", 4096u64)?,
+        snapshot_path: args.get("snapshot").map(str::to_string),
+        pods: args.get_parsed("pods", 0u64)?,
+        placer: args.get("placer").map(str::to_string),
     };
-    let snapshot_every = match get_parsed(&flags, "snapshot-every", 256u64)? {
+    let snapshot_every = match args.get_parsed("snapshot-every", 256u64)? {
         0 => None,
         n => Some(n),
     };
 
-    let fsync: FsyncPolicy = get_parsed(&flags, "fsync", FsyncPolicy::Always)?;
-    let keep_snapshots = get_parsed(&flags, "keep-snapshots", 2u64)?;
+    let fsync: FsyncPolicy = args.get_parsed("fsync", FsyncPolicy::Always)?;
+    let keep_snapshots = args.get_parsed("keep-snapshots", 2u64)?;
     if keep_snapshots == 0 {
         return Err("--keep-snapshots must be at least 1".to_string());
     }
-    let chaos_kill = match flags.get("chaos-kill-after") {
+    let chaos_kill = match args.get("chaos-kill-after") {
         None => None,
         Some(raw) => Some(
             raw.parse()
@@ -155,12 +96,12 @@ fn run() -> Result<(), String> {
         ),
     };
     for dependent in ["fsync", "keep-snapshots", "chaos-kill-after"] {
-        if flags.contains_key(dependent) && !flags.contains_key("wal-dir") {
+        if args.has(dependent) && !args.has("wal-dir") {
             return Err(format!("--{dependent} requires --wal-dir"));
         }
     }
 
-    let session = match flags.get("wal-dir") {
+    let session = match args.get("wal-dir") {
         Some(dir) => {
             let mut wal_config = WalConfig::new(dir);
             wal_config.fsync = fsync;
@@ -204,7 +145,7 @@ fn run() -> Result<(), String> {
         },
     };
 
-    let listener = TcpListener::bind(&listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
+    let listener = TcpListener::bind(listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;
     eprintln!(
         "flowtimed: listening on {}",
         listener.local_addr().map_err(|e| e.to_string())?

@@ -343,6 +343,27 @@ fn tcp_survives_mid_request_disconnects_and_oversized_streams() {
     assert!(drained);
 }
 
+/// A line of 100 000 `[` (or `{"a":`) is a tenth of the line cap and
+/// nests deeper than any stack: the parser must refuse it at its depth
+/// limit with a typed reply, and the same connection keeps being served.
+#[test]
+fn tcp_answers_deeply_nested_lines_typed_and_keeps_serving() {
+    let (addr, handle) = spawn_tcp("fifo");
+    let mut s = TcpStream::connect(addr).expect("connect");
+    for opener in ["[", "{\"a\":"] {
+        let r = request(&mut s, &opener.repeat(100_000));
+        assert!(
+            r.contains(codes::MALFORMED_JSON) && r.contains("recursion limit"),
+            "expected a typed refusal of {opener} x 100000, got: {r}"
+        );
+        let r = request(&mut s, "{\"req\":\"status\"}");
+        assert!(r.starts_with("{\"ok\":"), "next request failed: {r}");
+    }
+    let r = request(&mut s, "{\"req\":\"shutdown\"}");
+    assert!(r.starts_with("{\"ok\":"), "shutdown failed: {r}");
+    handle.join().expect("server thread");
+}
+
 #[test]
 fn tcp_interleaves_multiple_clients_in_arrival_order() {
     let (addr, handle) = spawn_tcp("edf");

@@ -593,7 +593,8 @@ fn snapshot_crash_before_rotate_never_leaves_a_segment_hole() {
         assert!(r.starts_with("{\"ok\":"), "{r}");
     }
     ok(&mut lb, "{\"req\":\"snapshot\"}");
-    drop(lb); // kill -9
+    // kill -9
+    drop(lb);
     // Reconstruct the crash window: snap-000001 says wal_segment=2,
     // but segment 2 was never created.
     let (_, snaps) = list_dir(&dir);
@@ -644,7 +645,8 @@ fn torn_segment_header_survives_two_restarts() {
         let r = lb.request_line(line);
         assert!(r.starts_with("{\"ok\":"), "{r}");
     }
-    drop(lb); // kill -9
+    // kill -9
+    drop(lb);
     // A rotation crashed mid-header-write.
     fs::write(dir.join("wal-000002.log"), b"flowtime-w").unwrap();
 
@@ -669,7 +671,10 @@ fn torn_segment_header_survives_two_restarts() {
         None,
     )
     .expect("second recovery succeeds — the remnant is not sealed corruption");
-    assert!(report.tail.is_none(), "clean shutdownless restart, no defect");
+    assert!(
+        report.tail.is_none(),
+        "clean shutdownless restart, no defect"
+    );
     let (bytes, _, trace) = drain(Loopback::new(session));
     assert_eq!(bytes, expect_bytes);
     assert_eq!(trace_bytes(&trace), expect_trace);

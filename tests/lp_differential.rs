@@ -14,8 +14,8 @@
 //!    corpus from `tests/differential.rs`, where every scheduler's
 //!    serialized [`SimOutcome`] must be byte-identical with
 //!    [`set_default_engine`] at `Sparse` vs `Dense` (the dense tableau is
-//!    compiled only here, via the root dev-dependency's `oracle` feature,
-//!    and in `fig_scaling` — no shipped binary offers it as a switch).
+//!    compiled only into tests, via the root dev-dependency's `oracle`
+//!    feature — no release binary contains it).
 //!
 //! Tests that flip the process-wide default engine serialize on a mutex
 //! and restore the sparse default before releasing it; everything else

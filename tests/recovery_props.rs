@@ -185,14 +185,13 @@ fn chaos_sweep_is_byte_identical_across_thread_counts() {
         audit: true,
         shard: None,
     };
-    let sequential = serde_json::to_string_pretty(&spec.run(1).report).expect("report serializes");
+    let sequential = serde_json::to_string_pretty(&spec.run(1)).expect("report serializes");
     assert!(
         sequential.contains("\"recovery\""),
         "chaos sweep must record recovery counters"
     );
     for threads in [2usize, 8] {
-        let parallel =
-            serde_json::to_string_pretty(&spec.run(threads).report).expect("report serializes");
+        let parallel = serde_json::to_string_pretty(&spec.run(threads)).expect("report serializes");
         assert_eq!(
             parallel, sequential,
             "chaos sweep diverged at {threads} threads"

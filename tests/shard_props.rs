@@ -398,7 +398,7 @@ fn golden_sharded_spec() -> flowtime_bench::sweep::SweepSpec {
 /// `GOLDEN_REGEN=1 cargo test --test shard_props golden`
 #[test]
 fn golden_shard_report_is_stable() {
-    let report = golden_sharded_spec().run(2).report;
+    let report = golden_sharded_spec().run(2);
     let serialized = serde_json::to_string_pretty(&report).expect("report serializes");
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/shard_report.json");

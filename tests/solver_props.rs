@@ -281,7 +281,7 @@ fn sparse_warm_resolve_work_is_subquadratic_in_n() {
 /// than the dense tableau: the dense engine touches m×width cells every
 /// pivot, the sparse engine only nonzeros. Asserted at n = 100 (the dense
 /// engine is too slow to run at 1000 in a unit test — that datapoint
-/// lives in `results/fig_scaling.json`).
+/// lives in EXPERIMENTS.md's solver scaling table, recorded at PR 6).
 #[test]
 fn sparse_cold_work_beats_dense_at_scale() {
     use flowtime_lp::SimplexEngine;

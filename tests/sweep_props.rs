@@ -33,7 +33,7 @@ fn spec(schedulers: Vec<Algo>, fault_seeds: Vec<u64>, scenarios: Vec<SweepScenar
 }
 
 fn report_bytes(spec: &SweepSpec, threads: usize) -> String {
-    serde_json::to_string_pretty(&spec.run(threads).report).expect("report serializes")
+    serde_json::to_string_pretty(&spec.run(threads)).expect("report serializes")
 }
 
 /// The headline property, on the full scheduler axis: all six algorithms ×
@@ -69,10 +69,10 @@ fn multi_scenario_sweep_is_thread_count_invariant() {
     let sequential = report_bytes(&spec, 1);
     assert_eq!(report_bytes(&spec, 8), sequential);
     // Cells arrive scenario-major: first all clean rows, then all mixed.
-    let run = spec.run(4);
-    assert_eq!(run.cells, 12);
-    assert!(run.report.cells[..6].iter().all(|c| c.scenario == "clean"));
-    assert!(run.report.cells[6..]
+    let report = spec.run(4);
+    assert_eq!(report.cells.len(), 12);
+    assert!(report.cells[..6].iter().all(|c| c.scenario == "clean"));
+    assert!(report.cells[6..]
         .iter()
         .all(|c| c.scenario == "mixed-faults"));
 }
