@@ -3,8 +3,8 @@
 //!
 //! Runs the same clean workload sharded across pods ∈ `--pods` (default
 //! 1,2,4,8), each pod an independent FlowTime engine with its own plan
-//! cache, and records per pod count the replans, rebalance moves and
-//! deadline misses summed over the pods. Every cell is run on 1 worker and
+//! cache, and records per pod count the replans and deadline misses
+//! summed over the pods. Every cell is run on 1 worker and
 //! on K workers and the outcomes byte-compared (determinism), then rerun
 //! traced and certified by the sharded auditor
 //! ([`flowtime_sim::certify_sharded`]), including the cross-pod
@@ -13,13 +13,13 @@
 //! sharding has no wall-clock reading until `benchmark/` grows a sharded
 //! workload.
 //!
-//! Usage: `repro fig_shard [--pods 1,2,4,8] [--placer demand]
-//! [--workflows 8] [--jobs 12] [--adhoc-horizon 400]`
+//! Usage: `repro fig_shard [--pods 1,2,4,8] [--workflows 8] [--jobs 12]
+//! [--adhoc-horizon 400]`
 
 use flowtime::{Args, RunSpec};
 use flowtime_bench::experiments::{run_checked, testbed_cluster, Algo, WorkflowExperiment};
 use flowtime_bench::report;
-use flowtime_sim::{certify_sharded, Placer, ShardSpec, ShardedOutcome, DEFAULT_TRACE_CAPACITY};
+use flowtime_sim::{certify_sharded, ShardedOutcome, DEFAULT_TRACE_CAPACITY};
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -33,8 +33,6 @@ struct ShardRow {
     workflow_misses: usize,
     /// Slowest pod's makespan in slots.
     slots_elapsed: u64,
-    /// Cross-pod rebalance moves recorded in the placement.
-    rebalances: usize,
     /// Total solver replans (LP/flow re-solves and cache hits) across all
     /// pods' telemetry.
     replans: u64,
@@ -46,7 +44,6 @@ struct ShardRow {
 #[derive(Debug, Serialize)]
 struct ShardReport {
     scheduler: String,
-    placer: &'static str,
     workflows: usize,
     jobs_per_workflow: usize,
     adhoc_horizon: u64,
@@ -58,7 +55,6 @@ pub fn run(args: &Args) -> Result<(), String> {
     let pods = args
         .list::<usize>("pods")?
         .unwrap_or_else(|| vec![1, 2, 4, 8]);
-    let placer = args.placer("placer")?.unwrap_or(Placer::Demand);
     let workflows = args.get_parsed("workflows", 8usize)?;
     let jobs = args.get_parsed("jobs", 12usize)?;
     let adhoc_horizon = args.get_parsed("adhoc-horizon", 400u64)?;
@@ -71,21 +67,14 @@ pub fn run(args: &Args) -> Result<(), String> {
     };
     let cluster = testbed_cluster();
     let workload = exp.build(&cluster);
-    println!(
-        "fig_shard: FlowTime on {workflows}x{jobs} workflows + ad-hoc stream, placer {}",
-        placer.name()
-    );
-    println!(
-        "{:>5} {:>7} {:>7} {:>10}",
-        "pods", "misses", "rebal", "replans"
-    );
+    println!("fig_shard: FlowTime on {workflows}x{jobs} workflows + ad-hoc stream");
+    println!("{:>5} {:>7} {:>10}", "pods", "misses", "replans");
 
     let mut rows: Vec<ShardRow> = Vec::new();
     for &k in &pods {
-        let spec = ShardSpec::new(k).with_placer(placer);
         let run = |threads: usize, trace_capacity: Option<usize>| {
             let spec = RunSpec {
-                shard: spec.clone(),
+                pods: k,
                 trace_capacity,
                 threads,
                 ..RunSpec::new(Algo::FlowTime)
@@ -112,7 +101,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         let audit = certify_sharded(
             &cluster,
             &workload,
-            &spec,
+            k,
             &traced.outcome,
             &traced.traces,
             None,
@@ -130,7 +119,6 @@ pub fn run(args: &Args) -> Result<(), String> {
             job_misses: serial.job_deadline_misses(),
             workflow_misses: serial.workflow_deadline_misses(),
             slots_elapsed: serial.slots_elapsed(),
-            rebalances: serial.placement.rebalances.len(),
             replans: serial
                 .pods
                 .iter()
@@ -140,10 +128,9 @@ pub fn run(args: &Args) -> Result<(), String> {
             certified: true,
         };
         println!(
-            "{:>5} {:>7} {:>7} {:>10}",
+            "{:>5} {:>7} {:>10}",
             k,
             row.job_misses + row.workflow_misses,
-            row.rebalances,
             row.replans
         );
         rows.push(row);
@@ -153,7 +140,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         "fig_shard",
         &ShardReport {
             scheduler: Algo::FlowTime.name().to_string(),
-            placer: placer.name(),
             workflows,
             jobs_per_workflow: jobs,
             adhoc_horizon,

@@ -74,8 +74,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "trace_sim",
         run: trace_sim::run,
-        usage: "[seed] [--workflows 10] [--save trace.jsonl] [--load trace.jsonl] \
-                [--pods K] [--placer firstfit|worstfit|demand]",
+        usage: "[seed] [--workflows 10] [--save trace.jsonl] [--load trace.jsonl] [--pods K]",
         positionals: 1,
     },
     Experiment {
@@ -99,8 +98,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "fig_shard",
         run: fig_shard::run,
-        usage: "[--pods 1,2,4,8] [--placer demand] [--workflows 8] [--jobs 12] \
-                [--adhoc-horizon 400]",
+        usage: "[--pods 1,2,4,8] [--workflows 8] [--jobs 12] [--adhoc-horizon 400]",
         positionals: 0,
     },
     Experiment {

@@ -15,7 +15,7 @@ use crate::experiments::{faulted_instance, run_checked, Algo, WorkflowExperiment
 use flowtime::RunSpec;
 use flowtime_sim::{
     run_cells, ClusterConfig, EngineTelemetry, FaultConfig, RecoveryPolicy, RecoverySetup,
-    RecoveryStats, RuntimeFaultConfig, ShardSpec, ShedPolicy, SimOutcome, SolverTelemetry,
+    RecoveryStats, RuntimeFaultConfig, ShedPolicy, SimOutcome, SolverTelemetry,
 };
 use serde::Serialize;
 
@@ -184,11 +184,11 @@ pub struct SweepSpec {
     /// verifies.
     pub audit: bool,
     /// Pod-level sharding ([`flowtime_sim::shard`]) applied to every cell.
-    /// `None` is the one-pod run with no shard keys in the report; `Some`
-    /// runs each cell as `shard.pods` per-pod engines (sequentially inside
-    /// the cell — the sweep grid already saturates the workers) and
-    /// aggregates per-pod outcomes into the cell row.
-    pub shard: Option<ShardSpec>,
+    /// `None` is the one-pod run with no pod keys in the report; `Some(k)`
+    /// runs each cell as `k` per-pod engines (sequentially inside the cell
+    /// — the sweep grid already saturates the workers) and aggregates
+    /// per-pod outcomes into the cell row.
+    pub pods: Option<usize>,
 }
 
 /// One cell of the expanded grid.
@@ -312,10 +312,10 @@ pub struct SweepReport {
     pub schedulers: Vec<String>,
     /// The fault-seed axis.
     pub fault_seeds: Vec<u64>,
-    /// The shard configuration every cell ran under; omitted — keeping
-    /// pre-shard report bytes — for unsharded sweeps.
+    /// The pod count every cell ran under; omitted — keeping pre-shard
+    /// report bytes — for unsharded sweeps.
     #[serde(skip_serializing_if = "Option::is_none")]
-    pub shard: Option<ShardSpec>,
+    pub pods: Option<usize>,
     /// Per-cell rows in canonical (scenario, scheduler, seed) order.
     pub cells: Vec<SweepCellRow>,
     /// Per-`(scenario, scheduler)` aggregates, same order as the axes.
@@ -341,7 +341,7 @@ impl SweepSpec {
             schedulers: Algo::FIG4.to_vec(),
             fault_seeds: (0..fault_seeds as u64).collect(),
             audit: false,
-            shard: None,
+            pods: None,
         }
     }
 
@@ -382,7 +382,7 @@ impl SweepSpec {
         // parallelism would oversubscribe them.
         let spec = RunSpec {
             recovery: scenario.recovery.as_ref().map(|p| p.setup(cell.fault_seed)),
-            shard: self.shard.clone().unwrap_or_else(|| ShardSpec::new(1)),
+            pods: self.pods.unwrap_or(1),
             trace_capacity: self.audit.then_some(flowtime_sim::DEFAULT_TRACE_CAPACITY),
             ..RunSpec::new(cell.algo)
         };
@@ -391,7 +391,7 @@ impl SweepSpec {
             let report = flowtime_sim::certify_sharded(
                 &cluster,
                 &workload,
-                &spec.shard,
+                spec.pods,
                 &run.outcome,
                 &run.traces,
                 spec.recovery.as_ref(),
@@ -406,9 +406,8 @@ impl SweepSpec {
             );
         }
         // `pods` is recorded only for sweeps that asked for sharding, so
-        // unsharded report bytes carry no shard keys.
-        let pods = self.shard.as_ref().map_or(0, |s| s.pods);
-        cell_outcome(scenario, cell, &run.outcome.pods, pods)
+        // unsharded report bytes carry no pod keys.
+        cell_outcome(scenario, cell, &run.outcome.pods, self.pods.unwrap_or(0))
     }
 
     /// Executes the sweep on up to `threads` workers. The returned report
@@ -440,7 +439,7 @@ impl SweepSpec {
             scenarios: self.scenarios.clone(),
             schedulers: self.schedulers.iter().map(|a| a.name().into()).collect(),
             fault_seeds: self.fault_seeds.clone(),
-            shard: self.shard.clone(),
+            pods: self.pods,
             cells: outcomes.iter().map(|o| o.row.clone()).collect(),
             rollups,
         }
@@ -613,7 +612,7 @@ mod tests {
             schedulers: vec![Algo::Edf, Algo::Fifo],
             fault_seeds: vec![0, 1],
             audit: false,
-            shard: None,
+            pods: None,
         }
     }
 
@@ -711,14 +710,14 @@ mod tests {
     fn sharded_sweep_audits_and_stays_thread_deterministic() {
         let spec = SweepSpec {
             audit: true,
-            shard: Some(ShardSpec::new(2)),
+            pods: Some(2),
             ..tiny_spec()
         };
         let run = spec.run(1);
         for row in &run.cells {
             assert_eq!(row.pods, 2);
         }
-        assert_eq!(run.shard.as_ref().map(|s| s.pods), Some(2));
+        assert_eq!(run.pods, Some(2));
         let sequential = serde_json::to_string_pretty(&run).unwrap();
         let parallel = serde_json::to_string_pretty(&spec.run(4)).unwrap();
         assert_eq!(sequential, parallel);
@@ -729,7 +728,7 @@ mod tests {
         let spec = tiny_spec();
         let unsharded = spec.run(1);
         let sharded = SweepSpec {
-            shard: Some(ShardSpec::new(1)),
+            pods: Some(1),
             ..spec
         }
         .run(1);
@@ -749,7 +748,6 @@ mod tests {
     fn unsharded_reports_serialize_without_shard_fields() {
         let spec = tiny_spec();
         let bytes = serde_json::to_string_pretty(&spec.run(1)).unwrap();
-        assert!(!bytes.contains("\"shard\""), "shard config leaked");
         assert!(!bytes.contains("\"pods\""), "pod count leaked");
     }
 

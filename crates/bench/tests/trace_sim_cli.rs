@@ -74,7 +74,7 @@ fn unwritable_save_path_errors_cleanly() {
 fn every_experiment_refuses_bad_flags_before_any_work() {
     let dir = std::env::temp_dir().join(format!("repro_bad_flags_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let malformed: [(&str, &[&str], &str); 12] = [
+    let malformed: [(&str, &[&str], &str); 14] = [
         ("fig1", &["7"], "`7`"),
         ("fig4", &["banana"], "[seed]"),
         ("fig5", &["--overrun", "lots"], "--overrun"),
@@ -85,6 +85,17 @@ fn every_experiment_refuses_bad_flags_before_any_work() {
         ("robustness", &["1", "x"], "[fault-seeds]"),
         ("fig_recovery", &["1", "1", "x"], "[threads]"),
         ("fig_shard", &["--pods", "1,x"], "--pods"),
+        // The placement policy is not a choice (DESIGN.md §22).
+        (
+            "fig_shard",
+            &["--pods", "2", "--placer", "demand"],
+            "unknown flag --placer",
+        ),
+        (
+            "trace_sim",
+            &["--pods", "2", "--placer", "demand"],
+            "unknown flag --placer",
+        ),
         ("fig_explain", &["--rates", "0.1,x"], "--rates"),
         ("all", &["--quick", "7"], "`7`"),
     ];

@@ -5,7 +5,7 @@ use flowtime::{Algo, Args, FlowTimeConfig, RunOutput, RunSpec};
 use flowtime_dag::ResourceVec;
 use flowtime_sim::{
     ClusterConfig, FaultConfig, FaultPlan, Metrics, RecoveryPolicy, RecoverySetup,
-    RuntimeFaultConfig, ShardSpec, ShedPolicy, DEFAULT_TRACE_CAPACITY,
+    RuntimeFaultConfig, ShedPolicy, DEFAULT_TRACE_CAPACITY,
 };
 use flowtime_workload::trace::{ProductionTraceConfig, Trace};
 use std::error::Error;
@@ -23,7 +23,7 @@ USAGE:
   flowtime-cli simulate  --trace <trace.jsonl> --scheduler <name>
                          [--out metrics.json] [--outcome-out outcome.json]
                          [--trace-out decisions.jsonl] [--gantt]
-                         [--no-plan-cache] [--pods K] [--placer P] [FAULTS]
+                         [--no-plan-cache] [--pods K] [FAULTS]
   flowtime-cli compare   --trace <trace.jsonl> [--no-plan-cache] [FAULTS]
   flowtime-cli decompose --trace <trace.jsonl> [--index I] [--slack S]
   flowtime-cli audit     --trace <trace.jsonl> --decision-trace <d.jsonl>
@@ -33,12 +33,12 @@ USAGE:
   flowtime-cli whatif    --trace <trace.jsonl> --decision-trace <d.jsonl>
                          --outcome <outcome.json> [--scheduler ALT]
                          [--alt-max-retries N] [--alt-retry-backoff B]
-                         [--alt-shed-policy P] [--alt-pods K] [--alt-placer P]
+                         [--alt-shed-policy P] [--alt-pods K]
                          [--out diff.json] [FAULTS]
   flowtime-cli sweep     [--threads N] [--seeds A..B] [--schedulers a,b,..]
                          [--scenarios clean,mixed-faults,chaos:0.2]
                          [--jobs N] [--adhoc-horizon S] [--seed S]
-                         [--workflows N] [--pods K] [--placer P]
+                         [--workflows N] [--pods K]
                          [--out NAME] [--audit]
   flowtime-cli submit    --connect HOST:PORT
                          (--adhoc TASKS,DUR[,CORES,MB] [--arrival N]
@@ -63,14 +63,14 @@ DAEMON CLIENT (submit/status/drain talk to a running `flowtimed`):
 
 SHARDING (simulate and sweep; see DESIGN.md §15):
   --pods K           partition the cluster into K pods, each running its own
-                     engine + scheduler over its slice of the workload; K=1
-                     is byte-identical to the unsharded engine
-  --placer P         pod placement policy: firstfit, worstfit, or demand
-                     (default demand); requires --pods
+                     engine + scheduler over its slice of the workload; a
+                     submission goes to the pod whose peak demand stays
+                     lowest with it. K=1 is byte-identical to the unsharded
+                     engine
   With --pods K>1, `simulate --trace-out d.jsonl` writes one trace per pod
   (d.jsonl.pod0, d.jsonl.pod1, ...). `audit` and `explain` read the pod
-  provenance stamped in a sharded trace header, so --pods/--placer need not
-  be re-stated (if given, they must agree with the header).
+  provenance stamped in a sharded trace header, so --pods need not be
+  re-stated (if given, it must agree with the header).
 
 EXPLAIN / WHATIF (see DESIGN.md §16):
   `explain` diagnoses every missed workflow of a certified run: a typed
@@ -83,7 +83,6 @@ EXPLAIN / WHATIF (see DESIGN.md §16):
   --alt-retry-backoff B  alt-side backoff base override
   --alt-shed-policy P    alt-side admission policy: none | shed | delay:N
   --alt-pods K           run the alt side sharded into K pods
-  --alt-placer P         alt-side placement policy (requires --alt-pods)
   The slack-factor axis is the scheduler choice itself (flowtime vs
   flowtime-no-ds). FAULTS/RECOVERY flags describe the recorded base run.
 
@@ -181,7 +180,7 @@ fn apply_faults(args: &Args, trace: &mut Trace) -> CliResult {
     }
     let config = FaultConfig::none(args.get_parsed("fault-seed", 0u64)?)
         .with_misestimate(args.get_parsed("misestimate", 0.0f64)?)
-        .with_churn(args.get_parsed("churn", 0.0f64)?)
+        .with_static_churn(args.get_parsed("churn", 0.0f64)?)
         .with_bursts(args.get_parsed("bursts", 0usize)?)
         .with_submit_delay(args.get_parsed("submit-delay", 0u64)?);
     // Bound churn/bursts by the busy part of the trace, not the engine's
@@ -260,13 +259,13 @@ const MAX_SLOTS: u64 = 10_000_000;
 
 /// Parses the flags that describe a run — `--scheduler` (falling back to
 /// `default_scheduler`), `--no-plan-cache`, the RECOVERY family and
-/// `--pods` / `--placer` — into the [`RunSpec`] every simulating
+/// `--pods` — into the [`RunSpec`] every simulating
 /// subcommand hands to [`flowtime::run`]. Parsed once per invocation;
 /// subcommands adjust the fields they own (tracing, timeline, the what-if
 /// alt side). Pods run on one worker thread each.
 fn run_spec(args: &Args, default_scheduler: &str) -> Result<RunSpec, Box<dyn Error>> {
     let algo = parse_algo(args.get("scheduler").unwrap_or(default_scheduler))?;
-    let shard = args.shard_spec("pods", "placer")?;
+    let pods = args.pods("pods")?;
     Ok(RunSpec {
         flowtime: FlowTimeConfig {
             plan_cache: !args.has("no-plan-cache"),
@@ -274,8 +273,8 @@ fn run_spec(args: &Args, default_scheduler: &str) -> Result<RunSpec, Box<dyn Err
         },
         max_slots: MAX_SLOTS,
         recovery: recovery_setup(args)?,
-        threads: shard.pods,
-        shard,
+        threads: pods,
+        pods,
         ..RunSpec::new(algo)
     })
 }
@@ -394,7 +393,7 @@ fn simulate(args: &Args) -> CliResult {
             "--gantt is not supported with --pods (per-pod timelines are not merged)".into(),
         );
     }
-    if spec.shard.pods > 1 && args.has("out") {
+    if spec.pods > 1 && args.has("out") {
         return Err(
             "--out (metrics) needs --pods 1; use --outcome-out for the full sharded outcome".into(),
         );
@@ -405,13 +404,7 @@ fn simulate(args: &Args) -> CliResult {
     }
     let RunOutput { outcome, traces } = flowtime::run(&spec, &trace.cluster, &trace.workload)?;
     if sharded {
-        println!(
-            "{:<16} {} pod(s), placer {}, {} rebalance move(s)",
-            "shard",
-            outcome.placement.pods,
-            outcome.placement.placer.name(),
-            outcome.placement.rebalances.len()
-        );
+        println!("{:<16} {} pod(s)", "shard", outcome.placement.pods);
     }
     if let Some(trace_out) = args.get("trace-out") {
         match traces.as_slice() {
@@ -428,7 +421,7 @@ fn simulate(args: &Args) -> CliResult {
         let report = flowtime_sim::certify_sharded(
             &trace.cluster,
             &trace.workload,
-            &spec.shard,
+            spec.pods,
             &outcome,
             &traces,
             spec.recovery.as_ref(),
@@ -502,8 +495,8 @@ fn load_decisions(args: &Args) -> Result<flowtime_sim::DecisionTrace, Box<dyn Er
 /// The scenario slice a recorded trace must be verified against: the whole
 /// cluster/workload for an unsharded (or K=1) trace, or the trace's own
 /// pod slice when its header carries a shard provenance stamp. The stamp
-/// makes `--pods`/`--placer` redundant on `audit`/`explain`; if given
-/// anyway they must agree with the header.
+/// makes `--pods` redundant on `audit`/`explain`; if given anyway it must
+/// agree with the header.
 struct AuditScope {
     cluster: ClusterConfig,
     workload: flowtime_sim::SimWorkload,
@@ -512,16 +505,15 @@ struct AuditScope {
 
 fn audit_scope(
     args: &Args,
-    given: &ShardSpec,
+    given: usize,
     trace: &Trace,
     decisions: &flowtime_sim::DecisionTrace,
 ) -> Result<AuditScope, Box<dyn Error>> {
     let header = &decisions.header;
     if header.pods <= 1 {
-        if given.pods > 1 {
+        if given > 1 {
             return Err(format!(
-                "--pods {} given, but the decision trace is from an unsharded (or K=1) run",
-                given.pods
+                "--pods {given} given, but the decision trace is from an unsharded (or K=1) run"
             )
             .into());
         }
@@ -533,20 +525,10 @@ fn audit_scope(
     }
     let pods = header.pods as usize;
     let pod = header.pod as usize;
-    let placer = flowtime_sim::Placer::parse(&header.placer)
-        .ok_or_else(|| format!("decision trace records unknown placer `{}`", header.placer))?;
-    if args.has("pods") && (given.pods != pods || given.placer != placer) {
-        return Err(format!(
-            "--pods {} --placer {} disagree with the trace header (pods={} placer={})",
-            given.pods,
-            given.placer.name(),
-            pods,
-            placer.name()
-        )
-        .into());
+    if args.has("pods") && given != pods {
+        return Err(format!("--pods {given} disagrees with the trace header (pods={pods})").into());
     }
-    let spec = ShardSpec::new(pods).with_placer(placer);
-    let placement = flowtime_sim::place(&trace.cluster, &trace.workload, &spec);
+    let placement = flowtime_sim::place(&trace.cluster, &trace.workload, pods);
     let mut workloads = placement.pod_workloads(&trace.workload)?;
     if pod >= workloads.len() {
         return Err(format!("trace header claims pod {pod} of {pods}, placement disagrees").into());
@@ -568,15 +550,15 @@ fn load_outcome(
 ) -> Result<flowtime_sim::SimOutcome, Box<dyn Error>> {
     let opath = args.get("outcome").ok_or("--outcome <file> is required")?;
     let raw = std::fs::read_to_string(opath).map_err(|e| format!("cannot open {opath}: {e}"))?;
-    if decisions.header.pods > 1 {
-        if let Ok(sharded) = serde_json::from_str::<flowtime_sim::ShardedOutcome>(&raw) {
-            let pod = decisions.header.pod as usize;
-            return sharded.pods.into_iter().nth(pod).ok_or_else(|| {
-                format!("{opath} holds a sharded outcome without pod {pod}").into()
-            });
-        }
+    let value = serde_json::parse(&raw).map_err(|e| format!("malformed outcome {opath}: {e}"))?;
+    if decisions.header.pods > 1 && value.get("placement").is_some() {
+        let sharded: flowtime_sim::ShardedOutcome = serde_json::from_value(&value)
+            .map_err(|e| format!("malformed sharded outcome {opath}: {e}"))?;
+        let pod = decisions.header.pod as usize;
+        return (sharded.pods.into_iter().nth(pod))
+            .ok_or_else(|| format!("{opath} holds a sharded outcome without pod {pod}").into());
     }
-    Ok(serde_json::from_str::<flowtime_sim::SimOutcome>(&raw)
+    Ok(serde_json::from_value::<flowtime_sim::SimOutcome>(&value)
         .map_err(|e| format!("malformed outcome {opath}: {e}"))?)
 }
 
@@ -592,7 +574,7 @@ fn audit_cmd(args: &Args) -> CliResult {
     apply_faults(args, &mut trace)?;
     let decisions = load_decisions(args)?;
     let spec = run_spec(args, "flowtime")?;
-    let scope = audit_scope(args, &spec.shard, &trace, &decisions)?;
+    let scope = audit_scope(args, spec.pods, &trace, &decisions)?;
     let outcome = load_outcome(args, &decisions)?;
     if let Some((pod, pods)) = scope.pod {
         println!(
@@ -640,7 +622,7 @@ fn explain_cmd(args: &Args) -> CliResult {
     apply_faults(args, &mut trace)?;
     let decisions = load_decisions(args)?;
     let spec = run_spec(args, "flowtime")?;
-    let scope = audit_scope(args, &spec.shard, &trace, &decisions)?;
+    let scope = audit_scope(args, spec.pods, &trace, &decisions)?;
     let outcome = load_outcome(args, &decisions)?;
     let report = flowtime_sim::explain(
         &scope.cluster,
@@ -759,23 +741,22 @@ fn whatif_cmd(args: &Args) -> CliResult {
     // RECOVERY flags describe the recorded base run.
     let stated = run_spec(args, &decisions.header.scheduler)?;
     let base_recovery = stated.recovery.clone();
-    let alt_shard = args.shard_spec("alt-pods", "alt-placer")?;
+    let alt_pods = args.pods("alt-pods")?;
     let alt_spec = RunSpec {
         recovery: alt_recovery_setup(args, base_recovery.as_ref())?,
-        threads: alt_shard.pods,
-        shard: alt_shard,
+        threads: alt_pods,
+        pods: alt_pods,
         trace_capacity: Some(DEFAULT_TRACE_CAPACITY),
         ..stated
     };
-    let alt = flowtime::run(&alt_spec, &trace.cluster, &trace.workload)?;
+    let mut alt = flowtime::run(&alt_spec, &trace.cluster, &trace.workload)?;
     let diff = if args.has("alt-pods") {
         // Sharded alternatives diff at workflow granularity. The recorded
         // unsharded base is the one-pod case of the same run path, so it
         // slots into the sharded differ as a one-pod side.
-        let base_shard = ShardSpec::new(1);
         let base = flowtime_sim::ShardedRunArtifacts {
             outcome: flowtime_sim::ShardedOutcome {
-                placement: flowtime_sim::place(&trace.cluster, &trace.workload, &base_shard),
+                placement: flowtime_sim::place(&trace.cluster, &trace.workload, 1),
                 pods: vec![outcome],
             },
             traces: vec![decisions],
@@ -784,17 +765,20 @@ fn whatif_cmd(args: &Args) -> CliResult {
             &trace.cluster,
             &trace.workload,
             &base,
-            &base_shard,
+            1,
             base_recovery.as_ref(),
             &flowtime_sim::ShardedRunArtifacts {
                 outcome: alt.outcome,
                 traces: alt.traces,
             },
-            &alt_spec.shard,
+            alt_pods,
             alt_spec.recovery.as_ref(),
         )
     } else {
-        let (alt_outcome, alt_trace) = alt.into_single();
+        let (Some(alt_outcome), Some(alt_trace)) = (alt.outcome.pods.pop(), alt.traces.pop())
+        else {
+            return Err("the traced one-pod alt run returned no outcome or no trace".into());
+        };
         flowtime_sim::certified_diff(
             &trace.cluster,
             &trace.workload,
@@ -805,7 +789,7 @@ fn whatif_cmd(args: &Args) -> CliResult {
             base_recovery.as_ref(),
             &flowtime_sim::RunArtifacts {
                 outcome: alt_outcome,
-                trace: alt_trace.expect("the alt side was run traced"),
+                trace: alt_trace,
             },
             alt_spec.recovery.as_ref(),
         )
@@ -938,7 +922,7 @@ fn sweep_cmd(args: &Args) -> CliResult {
     use flowtime_bench::sweep::{SweepScenario, SweepSpec};
 
     let threads = args.get_parsed("threads", 1usize)?.max(1);
-    let shard = run_spec(args, "flowtime")?.shard;
+    let pods = args.pods("pods")?;
     let fault_seeds = parse_seed_range(args.get("seeds").unwrap_or("0..4"))?;
     let schedulers = match args.list::<String>("schedulers")? {
         None => Algo::FIG4.to_vec(),
@@ -989,8 +973,8 @@ fn sweep_cmd(args: &Args) -> CliResult {
         schedulers,
         fault_seeds,
         audit: args.has("audit"),
-        // Only a sweep that asked for pods records shard keys in its report.
-        shard: args.has("pods").then_some(shard),
+        // Only a sweep that asked for pods records pod keys in its report.
+        pods: args.has("pods").then_some(pods),
     };
 
     let report = spec.run(threads);
@@ -1576,7 +1560,7 @@ mod tests {
         ]))
         .unwrap();
         // One trace per pod, each self-describing: the audit needs no
-        // --pods/--placer because the header records the shard provenance.
+        // --pods because the header records the shard provenance.
         for pod in 0..2 {
             let pod_trace = format!("{}.pod{pod}", decisions_path.to_str().unwrap());
             assert!(std::path::Path::new(&pod_trace).exists());
@@ -1785,8 +1769,6 @@ mod tests {
         for bad in [
             vec!["--scheduler", "nonsense"],
             vec!["--alt-pods", "0"],
-            vec!["--alt-placer", "demand"],
-            vec!["--alt-pods", "2", "--alt-placer", "roundrobin"],
             vec!["--alt-shed-policy", "nonsense"],
         ] {
             let mut a = vec![
@@ -1959,8 +1941,6 @@ mod tests {
             "edf",
             "--pods",
             "2",
-            "--placer",
-            "first-fit",
             "--outcome-out",
             outcome_path.to_str().unwrap(),
         ]))
@@ -1969,7 +1949,6 @@ mod tests {
         let outcome: flowtime_sim::ShardedOutcome = serde_json::from_str(&raw).unwrap();
         assert_eq!(outcome.pods.len(), 2);
         assert_eq!(outcome.placement.pods, 2);
-        assert_eq!(outcome.placement.placer, flowtime_sim::Placer::FirstFit);
         assert!(outcome.is_complete());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1995,8 +1974,6 @@ mod tests {
             vec!["--pods", "0"],
             vec!["--pods"],
             vec!["--pods", "two"],
-            vec!["--placer", "demand"],
-            vec!["--pods", "2", "--placer", "roundrobin"],
             vec!["--pods", "2", "--gantt"],
             vec!["--pods", "2", "--out", "/tmp/m.json"],
         ] {
@@ -2008,7 +1985,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sweep_records_the_shard_spec() {
+    fn sharded_sweep_records_the_pod_count() {
         dispatch(&argv(&[
             "sweep",
             "--workflows",
@@ -2032,7 +2009,6 @@ mod tests {
         .unwrap();
         let path = std::path::Path::new("results/cli-shard-sweep-test.json");
         let written = std::fs::read_to_string(path).unwrap();
-        assert!(written.contains("\"shard\""));
         assert!(written.contains("\"pods\":2") || written.contains("\"pods\": 2"));
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_dir("results");

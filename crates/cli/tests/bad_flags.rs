@@ -32,7 +32,7 @@ fn every_subcommand_refuses_bad_flags() {
     assert!(generated.status.success());
     let files_before = std::fs::read_dir(&dir).unwrap().count();
 
-    let malformed: [(&str, &[&str], &str); 13] = [
+    let malformed: [(&str, &[&str], &str); 15] = [
         (
             "generate",
             &["--out", "g.jsonl", "--workflows", "banana"],
@@ -41,7 +41,33 @@ fn every_subcommand_refuses_bad_flags() {
         ("simulate", &["--pods", "two", "--out", "m.json"], "--pods"),
         ("simulate", &["--lp-backend", "dense"], "--lp-backend"),
         ("simulate", &["--schedular", "edf"], "--schedular"),
-        ("compare", &["--placer", "demand"], "--placer"),
+        // The placement policy is not a choice (DESIGN.md §22): both of its
+        // flags are unknown, even spelled the way that used to be valid.
+        ("compare", &["--placer", "demand"], "unknown flag --placer"),
+        (
+            "simulate",
+            &[
+                "--pods",
+                "2",
+                "--placer",
+                "demand",
+                "--outcome-out",
+                "o.json",
+            ],
+            "unknown flag --placer",
+        ),
+        (
+            "whatif",
+            &[
+                "--alt-pods",
+                "2",
+                "--alt-placer",
+                "demand",
+                "--out",
+                "w.json",
+            ],
+            "unknown flag --alt-placer",
+        ),
         ("decompose", &["--index", "x"], "--index"),
         ("audit", &["--fault-seed", "abc"], "--fault-seed"),
         (

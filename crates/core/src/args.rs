@@ -13,7 +13,6 @@
 //! default; a flag's value is never read as a positional and a switch
 //! never swallows one.
 
-use flowtime_sim::{Placer, ShardSpec};
 use std::collections::HashMap;
 use std::str::FromStr;
 
@@ -114,41 +113,14 @@ impl Args {
         parsed(raw, &format!("[{name}]"), default)
     }
 
-    /// The placement policy a `--placer`-style flag names, `None` when the
-    /// flag is absent.
-    pub fn placer(&self, key: &str) -> Result<Option<Placer>, String> {
-        self.get(key)
-            .map(|raw| {
-                Placer::parse(raw).ok_or_else(|| {
-                    format!(
-                        "--{key}: unknown placer `{raw}` (expected firstfit, worstfit, or demand)"
-                    )
-                })
-            })
-            .transpose()
-    }
-
-    /// The pod-sharding spec of a `--pods` / `--placer` flag pair (`whatif`
-    /// reads its alt side from `--alt-pods` / `--alt-placer`). An absent
-    /// pod count is the one-pod spec, i.e. the unsharded run; `0`, a bare
-    /// flag, an unknown placer, or a placer without a pod count are
-    /// errors.
-    pub fn shard_spec(&self, pods_key: &str, placer_key: &str) -> Result<ShardSpec, String> {
-        if !self.has(pods_key) {
-            if self.has(placer_key) {
-                return Err(format!("--{placer_key} requires --{pods_key} <K>"));
-            }
-            return Ok(ShardSpec::new(1));
+    /// The pod count of a `--pods`-style flag (`whatif` reads its alt side
+    /// from `--alt-pods`). An absent flag is one pod, i.e. the unsharded
+    /// run; `0` and a bare flag are errors.
+    pub fn pods(&self, key: &str) -> Result<usize, String> {
+        match self.get_parsed(key, 1)? {
+            0 => Err(format!("--{key} must be at least 1")),
+            pods => Ok(pods),
         }
-        let pods: usize = self.get_parsed(pods_key, 1)?;
-        if pods == 0 {
-            return Err(format!("--{pods_key} must be at least 1"));
-        }
-        let mut spec = ShardSpec::new(pods);
-        if let Some(placer) = self.placer(placer_key)? {
-            spec.placer = placer;
-        }
-        Ok(spec)
     }
 }
 
@@ -168,7 +140,7 @@ mod tests {
 
     fn parse(s: &[&str]) -> Result<Args, String> {
         let argv: Vec<String> = s.iter().map(|x| x.to_string()).collect();
-        let usage = "[seed] --trace <file> [--n N] [--quiet]\n  --pods/--placer, [--rates a,b]";
+        let usage = "[seed] --trace <file> [--n N] [--quiet]\n  --pods/--alt-pods, [--rates a,b]";
         Args::parse(&argv, usage, &["quiet"], 1)
     }
 
@@ -220,19 +192,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_spec_validates_the_pair() {
-        let spec = |s: &[&str]| parse(s).unwrap().shard_spec("pods", "placer");
-        assert_eq!(spec(&[]).unwrap().pods, 1);
-        let two = spec(&["--pods", "2", "--placer", "firstfit"]).unwrap();
-        assert_eq!((two.pods, two.placer), (2, Placer::FirstFit));
-        for bad in [
-            &["--pods", "0"][..],
-            &["--pods"],
-            &["--pods", "two"],
-            &["--placer", "demand"],
-            &["--pods", "2", "--placer", "roundrobin"],
-        ] {
-            assert!(spec(bad).is_err(), "{bad:?} should be rejected");
+    fn pods_is_at_least_one_or_an_error() {
+        let pods = |s: &[&str]| parse(s).unwrap().pods("pods");
+        assert_eq!(pods(&[]), Ok(1));
+        assert_eq!(pods(&["--pods", "2"]), Ok(2));
+        assert_eq!(parse(&["--alt-pods", "3"]).unwrap().pods("alt-pods"), Ok(3));
+        for bad in [&["--pods", "0"][..], &["--pods"], &["--pods", "two"]] {
+            assert!(pods(bad).is_err(), "{bad:?} should be rejected");
         }
     }
 }

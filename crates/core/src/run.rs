@@ -17,7 +17,7 @@
 use crate::registry::Algo;
 use crate::schedulers::FlowTimeConfig;
 use flowtime_sim::{
-    place, pod_cluster, run_cells, ClusterConfig, DecisionTrace, Engine, RecoverySetup, ShardSpec,
+    place, pod_cluster, run_cells, ClusterConfig, DecisionTrace, Engine, RecoverySetup,
     ShardedOutcome, SimError, SimOutcome, SimWorkload,
 };
 
@@ -34,8 +34,8 @@ pub struct RunSpec {
     /// Mid-run failure/recovery layer, armed on every pod with the same
     /// seed; `None` attaches no layer at all.
     pub recovery: Option<RecoverySetup>,
-    /// Pod partitioning; `ShardSpec::new(1)` is the unsharded run.
-    pub shard: ShardSpec,
+    /// Pods the cluster is partitioned into; `1` is the unsharded run.
+    pub pods: usize,
     /// Ring bound of the per-pod decision trace; `None` records nothing.
     /// Recording only observes: outcome bytes are the same either way.
     pub trace_capacity: Option<usize>,
@@ -54,7 +54,7 @@ impl RunSpec {
             flowtime: FlowTimeConfig::default(),
             max_slots: 1_000_000,
             recovery: None,
-            shard: ShardSpec::new(1),
+            pods: 1,
             trace_capacity: None,
             timeline: false,
             threads: 1,
@@ -101,7 +101,7 @@ pub fn run(
     cluster: &ClusterConfig,
     workload: &SimWorkload,
 ) -> Result<RunOutput, SimError> {
-    let placement = place(cluster, workload, &spec.shard);
+    let placement = place(cluster, workload, spec.pods);
     let pod_workloads = placement.pod_workloads(workload)?;
     let results = run_cells(&pod_workloads, spec.threads, |pod, pod_workload| {
         run_pod(spec, cluster, pod, pod_workload.clone())
@@ -126,7 +126,7 @@ fn run_pod(
     pod: usize,
     pod_workload: SimWorkload,
 ) -> Result<(SimOutcome, Option<DecisionTrace>), SimError> {
-    let pods = spec.shard.pods;
+    let pods = spec.pods;
     let pc = pod_cluster(cluster, pods, pod);
     let mut scheduler = spec.algo.make_with(&pc, &spec.flowtime);
     let mut engine = Engine::new(pc, pod_workload, spec.max_slots)?;
@@ -153,7 +153,6 @@ fn run_pod(
         if let Some(trace) = trace.as_mut() {
             trace.header.pods = pods as u64;
             trace.header.pod = pod as u64;
-            trace.header.placer = spec.shard.placer.name().to_string();
         }
     }
     Ok((outcome, trace))
@@ -197,7 +196,7 @@ mod tests {
         let wl = workload();
         for pods in [1usize, 2, 3] {
             let plain = RunSpec {
-                shard: ShardSpec::new(pods),
+                pods,
                 ..RunSpec::new(Algo::FlowTime)
             };
             let reference = run(&plain, &cluster(), &wl).unwrap();
@@ -212,14 +211,7 @@ mod tests {
             let out = run(&traced, &cluster(), &wl).unwrap();
             assert_eq!(out.outcome, reference.outcome, "pods={pods}");
             assert_eq!(out.traces.len(), pods);
-            let report = certify_sharded(
-                &cluster(),
-                &wl,
-                &traced.shard,
-                &out.outcome,
-                &out.traces,
-                None,
-            );
+            let report = certify_sharded(&cluster(), &wl, pods, &out.outcome, &out.traces, None);
             assert!(report.is_certified(), "pods={pods}: {}", report.summary());
         }
     }
@@ -243,7 +235,7 @@ mod tests {
         let wl = workload();
         let record = |threads: usize| {
             let spec = RunSpec {
-                shard: ShardSpec::new(2),
+                pods: 2,
                 trace_capacity: Some(4096),
                 threads,
                 ..RunSpec::new(Algo::Fifo)
@@ -255,9 +247,7 @@ mod tests {
             }
         };
         let (base, alt) = (record(1), record(2));
-        let spec = ShardSpec::new(2);
-        let diff =
-            certified_sharded_diff(&cluster(), &wl, &base, &spec, None, &alt, &spec, None).unwrap();
+        let diff = certified_sharded_diff(&cluster(), &wl, &base, 2, None, &alt, 2, None).unwrap();
         assert!(diff.identical, "same spec, same scheduler: {diff:?}");
         assert!(diff.first_divergence.is_none());
     }

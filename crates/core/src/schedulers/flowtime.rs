@@ -22,15 +22,14 @@ pub struct FlowTimeConfig {
     /// default; critical-path for the ablation).
     pub decomposer: Decomposer,
     /// Re-solve the placement LP every slot instead of only on
-    /// arrival/completion events. Slower, occasionally tighter plans.
+    /// arrival/completion events. Slower, occasionally tighter plans. Set
+    /// by `plan_cache_toggle_is_invisible_across_20_fault_seeds`
+    /// (`tests/differential.rs`), where quiet slots then replan as pure
+    /// time shifts — the plan cache's hit case.
     pub replan_every_slot: bool,
-    /// Minimum slots between completion-triggered re-plans (arrivals and
-    /// plan exhaustion always re-plan immediately). Batching completion
-    /// events bounds scheduling overhead on long horizons; stale plans are
-    /// conservative, because completed jobs' leftover planned capacity is
-    /// simply released to ad-hoc jobs and top-ups.
-    pub replan_interval: u64,
-    /// Hard cap on the planning horizon, in slots.
+    /// Hard cap on the planning horizon, in slots. Set by
+    /// `six_schedulers_bit_identical_outcomes_across_engines`
+    /// (`tests/lp_differential.rs`) to keep the dense oracle's LPs small.
     pub max_horizon: usize,
     /// Reuse the previous plan when the leveling problem is unchanged or a
     /// pure elapsed-time relabel of it (see [`crate::lp_sched::cache`]).
@@ -46,12 +45,18 @@ impl Default for FlowTimeConfig {
             backend: SolverBackend::default(),
             decomposer: Decomposer::ResourceDemand,
             replan_every_slot: false,
-            replan_interval: 8,
             max_horizon: 4096,
             plan_cache: true,
         }
     }
 }
+
+/// Minimum slots between completion-triggered re-plans (arrivals and plan
+/// exhaustion always re-plan immediately). Batching completion events
+/// bounds scheduling overhead on long horizons; stale plans are
+/// conservative, because completed jobs' leftover planned capacity is
+/// simply released to ad-hoc jobs and top-ups.
+const REPLAN_INTERVAL: u64 = 8;
 
 /// FlowTime: decompose workflow deadlines into per-job windows (Section
 /// IV), then place all pending deadline jobs over the horizon by
@@ -251,7 +256,7 @@ impl FlowTimeScheduler {
             }
         }
         if completed_jobs(state) != self.planned_completions
-            && state.now() >= self.last_replan_slot + self.config.replan_interval
+            && state.now() >= self.last_replan_slot + REPLAN_INTERVAL
         {
             return true;
         }
@@ -680,8 +685,8 @@ mod tests {
         // arrival, so the stale plan kept pacing j1 against the old window
         // and started j2 too late to finish by slot 30. The saturating
         // ad-hoc job keeps work-conservation top-ups from hiding the stale
-        // start; the long replan interval models the event-driven default
-        // where no completion batch happens to rescue the plan in time.
+        // start, and nothing completes before j1 does, so no completion
+        // batch rescues the plan in time.
         let mut b = WorkflowBuilder::new(WorkflowId::new(1), "w");
         let j1 = b.add_job(spec(24, 1));
         let j2 = b.add_job(spec(10, 1).with_max_parallel(1));
@@ -694,7 +699,6 @@ mod tests {
         let churned = cluster(4).with_capacity_window(0, 12, ResourceVec::new([2, 2 * 1024]));
         let cfg = FlowTimeConfig {
             slack_slots: 0,
-            replan_interval: 64,
             ..Default::default()
         };
         let mut ft = FlowTimeScheduler::new(churned.clone(), cfg);

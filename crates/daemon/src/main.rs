@@ -3,7 +3,7 @@
 //! ```text
 //! flowtimed [--listen ADDR] [--scheduler NAME] [--cores N] [--mem-mb N]
 //!           [--slot-seconds F] [--max-slots N] [--trace-capacity N]
-//!           [--pods K] [--placer NAME]
+//!           [--pods K]
 //!           [--snapshot PATH] [--snapshot-every N]
 //!           [--wal-dir DIR] [--fsync always|batch:N|none]
 //!           [--keep-snapshots N] [--chaos-kill-after N[:BYTES]]
@@ -46,7 +46,6 @@ const USAGE: &str = "flowtimed: FlowTime online-submission daemon\n\n\
      --max-slots N        virtual-time horizon (default 100000)\n  \
      --trace-capacity N   decision-trace ring size (default 4096)\n  \
      --pods K             shard the cluster into K pods (default 1)\n  \
-     --placer NAME        firstfit|worstfit|demand pod placement (needs --pods > 1)\n  \
      --snapshot PATH      snapshot file; restored at startup if present\n  \
      --snapshot-every N   snapshot every N requests (default 256, 0 disables)\n  \
      --wal-dir DIR        write-ahead log directory (crash-consistent mode)\n  \
@@ -76,7 +75,7 @@ fn run() -> Result<(), String> {
         trace_capacity: args.get_parsed("trace-capacity", 4096u64)?,
         snapshot_path: args.get("snapshot").map(str::to_string),
         pods: args.get_parsed("pods", 0u64)?,
-        placer: args.get("placer").map(str::to_string),
+        placer: None,
     };
     let snapshot_every = match args.get_parsed("snapshot-every", 256u64)? {
         0 => None,

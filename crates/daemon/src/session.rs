@@ -18,14 +18,14 @@
 //! With [`SessionConfig::pods`] > 1 the session runs one engine per pod
 //! over the pod's capacity slice ([`flowtime_sim::pod_cluster`]), each with
 //! its own scheduler instance (and plan cache). Submissions are placed at
-//! injection time through the same [`PlacerState`] policy the batch layer
+//! injection time through the same [`PlacerState`] rule the batch layer
 //! uses, in `(arrival, seq)` order — exactly the order
 //! [`flowtime_sim::place_log`] replays — so a batch run over each per-pod
 //! sub-log reproduces the per-pod outcomes byte-for-byte. A pod with no
 //! work parks (its local clock lags the session clock) and resumes when a
 //! placement lands on it; its local timeline therefore matches the batch
 //! engine's, which also simulates idle gaps only up to its own last
-//! completion. One pod is `ShardSpec::new(1)` of the same code; the three
+//! completion. One pod is `pods = 1` of the same code; the three
 //! places where K=1 differs on the wire (`status` body, `outcome` body,
 //! gap-burn rule) are each one commented `pods.len() == 1`, and its
 //! responses are byte-identical to the pre-sharding daemon's.
@@ -46,8 +46,8 @@ use crate::wal::{self, DiskFaultPlan, RecoveryReport, Wal, WalConfig, WalRecord}
 use flowtime::Algo;
 use flowtime_dag::JobId;
 use flowtime_sim::{
-    pod_cluster, ClusterConfig, DecisionTrace, LogEntry, OnlineEngine, Placer, PlacerState,
-    Scheduler, ShardSpec, SimError, SimOutcome, SolverTelemetry, StepOutcome, SubmissionLog,
+    pod_cluster, require_demand_placer, ClusterConfig, DecisionTrace, LogEntry, OnlineEngine,
+    PlacerState, Scheduler, SimError, SimOutcome, SolverTelemetry, StepOutcome, SubmissionLog,
     TraceHandle,
 };
 use serde::{Deserialize, Serialize};
@@ -75,8 +75,10 @@ pub struct SessionConfig {
     /// snapshots keep their pre-sharding bytes.
     #[serde(default, skip_serializing_if = "flowtime_sim::serde_skip::zero_u64")]
     pub pods: u64,
-    /// Placement policy name (`firstfit`, `worstfit`, `demand`); only
-    /// meaningful — and only accepted — with `pods > 1`.
+    /// The placement policy name sessions could choose before DESIGN.md
+    /// §22. Kept so that recorded configs still parse (and `benchmark/`,
+    /// which builds this struct by literal, still compiles); only `None`
+    /// and `demand` — the one rule left — are accepted.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub placer: Option<String>,
 }
@@ -196,8 +198,10 @@ impl Session {
     /// # Errors
     ///
     /// [`ProtocolError`] with [`codes::BAD_REQUEST`] for an unknown
-    /// scheduler name, an unknown placer name, or a placer configured
-    /// without `pods > 1`.
+    /// scheduler name or a placer other than `demand` — also when the
+    /// config comes out of a snapshot or a WAL genesis record, so a
+    /// session recorded under `firstfit` is refused rather than replayed
+    /// onto different pods.
     pub fn new(config: SessionConfig) -> Result<Self, ProtocolError> {
         let pod_count = config.pods.max(1) as usize;
         let bad = |detail: String| ProtocolError::new(codes::BAD_REQUEST, detail);
@@ -206,15 +210,9 @@ impl Session {
         // byte-parity contract to hold.
         let algo = Algo::parse(&config.scheduler)
             .ok_or_else(|| bad(format!("unknown scheduler `{}`", config.scheduler)))?;
-        let policy = match &config.placer {
-            None => Placer::Demand,
-            Some(name) if pod_count > 1 => Placer::parse(name).ok_or_else(|| {
-                bad(format!(
-                    "unknown placer `{name}` (firstfit, worstfit, demand)"
-                ))
-            })?,
-            Some(_) => return Err(bad("a placer only makes sense with pods > 1".to_string())),
-        };
+        if let Some(name) = &config.placer {
+            require_demand_placer("config.placer", name).map_err(bad)?;
+        }
         let pods = (0..pod_count)
             .map(|i| {
                 let pc = pod_cluster(&config.cluster, pod_count, i);
@@ -228,10 +226,7 @@ impl Session {
                 }
             })
             .collect();
-        let placer = PlacerState::for_cluster(
-            &ShardSpec::new(pod_count).with_placer(policy),
-            &config.cluster,
-        );
+        let placer = PlacerState::new(&config.cluster, pod_count);
         Ok(Session {
             config,
             phase: Phase::Accepting { pods, placer },

@@ -53,9 +53,6 @@ pub enum LpError {
         /// The residual that tripped the check.
         residual: f64,
     },
-    /// The requested solver engine is not compiled into this build (the
-    /// dense oracle requires the `oracle` feature outside of tests).
-    EngineUnavailable,
 }
 
 impl fmt::Display for LpError {
@@ -86,9 +83,6 @@ impl fmt::Display for LpError {
                     "factorization residual {residual:e} exceeds tolerance; results withheld"
                 )
             }
-            LpError::EngineUnavailable => {
-                f.write_str("requested LP engine is not compiled into this build")
-            }
         }
     }
 }
@@ -114,7 +108,6 @@ mod tests {
             LpError::Cycling { iterations: 7 },
             LpError::SingularBasis,
             LpError::NumericalInstability { residual: 1e-3 },
-            LpError::EngineUnavailable,
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -19,7 +19,8 @@
 //!
 //! Two engines implement the identical pivot policy and are selected with
 //! [`SimplexEngine`] (per solve via [`SimplexOptions::engine`], or
-//! process-wide via [`set_default_engine`]):
+//! process-wide via `set_default_engine`, which like the dense engine
+//! exists only in test builds and under the `oracle` feature):
 //!
 //! * **Sparse revised simplex** (default) — the basis is held as a sparse
 //!   LU factorization (Gilbert–Peierls left-looking factorization with
@@ -73,8 +74,6 @@ mod sparse;
 pub use error::LpError;
 pub use problem::{Problem, Relation, VarId};
 #[cfg(any(test, feature = "oracle"))]
-pub use simplex::DenseOracle;
-pub use simplex::{
-    default_engine, set_default_engine, Basis, SimplexEngine, SimplexOptions, WarmSolveResult,
-};
+pub use simplex::{default_engine, set_default_engine, DenseOracle};
+pub use simplex::{Basis, SimplexEngine, SimplexOptions, WarmSolveResult};
 pub use solution::{Solution, Status};

@@ -32,6 +32,7 @@ use crate::solution::Solution;
 #[cfg(any(test, feature = "oracle"))]
 use crate::solution::Status;
 use std::collections::HashSet;
+#[cfg(any(test, feature = "oracle"))]
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Tuning knobs for [`solve`].
@@ -46,8 +47,9 @@ pub struct SimplexOptions {
     /// Bland's rule. `usize::MAX` disables the Bland rescue, in which case
     /// a detected basis repeat reports [`LpError::Cycling`].
     pub stall_limit: usize,
-    /// Engine override for this solve; `None` uses the process-wide
-    /// default from [`default_engine`].
+    /// Engine override for this solve; `None` uses the sparse engine
+    /// (or, in a build that has the dense oracle, whatever
+    /// `set_default_engine` selected last).
     pub engine: Option<SimplexEngine>,
 }
 
@@ -71,18 +73,22 @@ impl Default for SimplexOptions {
 pub enum SimplexEngine {
     /// Sparse revised simplex with LU basis factorization (the default).
     Sparse,
-    /// Dense tableau oracle. Outside this crate's own tests it requires
-    /// the `oracle` cargo feature; without it, selecting `Dense` yields
-    /// [`LpError::EngineUnavailable`].
+    /// Dense tableau oracle. Exists only in this crate's own tests and
+    /// under the `oracle` cargo feature, like the engine it names.
+    #[cfg(any(test, feature = "oracle"))]
     Dense,
 }
 
-/// Process-wide default engine, settable without threading options through
-/// every call site (e.g. from a CLI flag). 0 = Sparse, 1 = Dense.
+/// Process-wide default engine, so that a differential suite can run code
+/// that never takes [`SimplexOptions`] (a whole scheduler) on either
+/// engine. 0 = Sparse, 1 = Dense. A build without the dense oracle has one
+/// engine and no switch.
+#[cfg(any(test, feature = "oracle"))]
 static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(0);
 
 /// Sets the process-wide default [`SimplexEngine`] used when
 /// [`SimplexOptions::engine`] is `None`.
+#[cfg(any(test, feature = "oracle"))]
 pub fn set_default_engine(engine: SimplexEngine) {
     let v = match engine {
         SimplexEngine::Sparse => 0,
@@ -92,11 +98,21 @@ pub fn set_default_engine(engine: SimplexEngine) {
 }
 
 /// The current process-wide default [`SimplexEngine`].
+#[cfg(any(test, feature = "oracle"))]
 pub fn default_engine() -> SimplexEngine {
     match DEFAULT_ENGINE.load(Ordering::SeqCst) {
         0 => SimplexEngine::Sparse,
         _ => SimplexEngine::Dense,
     }
+}
+
+/// The engine a solve under `options` runs on.
+fn engine_for(options: &SimplexOptions) -> SimplexEngine {
+    #[cfg(any(test, feature = "oracle"))]
+    let fallback = default_engine();
+    #[cfg(not(any(test, feature = "oracle")))]
+    let fallback = SimplexEngine::Sparse;
+    options.engine.unwrap_or(fallback)
 }
 
 /// The engine backend contract: a cold two-phase solve and a warm-start
@@ -117,13 +133,11 @@ pub(crate) trait SolverCore {
     ) -> Option<(Solution, Basis)>;
 }
 
-fn core_for(engine: SimplexEngine) -> Result<&'static dyn SolverCore, LpError> {
+fn core_for(engine: SimplexEngine) -> &'static dyn SolverCore {
     match engine {
-        SimplexEngine::Sparse => Ok(&crate::revised::SparseRevised),
+        SimplexEngine::Sparse => &crate::revised::SparseRevised,
         #[cfg(any(test, feature = "oracle"))]
-        SimplexEngine::Dense => Ok(&DenseOracle),
-        #[cfg(not(any(test, feature = "oracle")))]
-        SimplexEngine::Dense => Err(LpError::EngineUnavailable),
+        SimplexEngine::Dense => &DenseOracle,
     }
 }
 
@@ -592,13 +606,10 @@ fn export_basis(tab: &Tableau, n_struct: usize) -> Basis {
 /// * [`LpError::InvalidBounds`] if some variable has an empty domain.
 /// * [`LpError::Cycling`] if a basis repeat is detected with the Bland
 ///   rescue disabled (`stall_limit == usize::MAX`) or under Bland itself.
-/// * [`LpError::EngineUnavailable`] if [`SimplexEngine::Dense`] is
-///   selected without the `oracle` feature.
 /// * [`LpError::NumericalInstability`] if the sparse engine's residual
 ///   self-check fails.
 pub fn solve(problem: &Problem, options: &SimplexOptions) -> Result<Solution, LpError> {
-    let engine = options.engine.unwrap_or_else(default_engine);
-    core_for(engine)?
+    core_for(engine_for(options))
         .solve_cold(problem, options)
         .map(|(solution, _)| solution)
 }
@@ -706,8 +717,7 @@ pub fn solve_with_warm_start(
     options: &SimplexOptions,
     warm: Option<&Basis>,
 ) -> Result<WarmSolveResult, LpError> {
-    let engine = options.engine.unwrap_or_else(default_engine);
-    let core = core_for(engine)?;
+    let core = core_for(engine_for(options));
     if let Some(start) = warm {
         if let Some((solution, basis)) = core.try_warm(problem, options, start) {
             return Ok(WarmSolveResult {

@@ -47,9 +47,7 @@
 //! | `straggler-mismatch` | straggler inflation disagrees with the seeded expectation |
 //! | `shard-pod-count` | sharded artifacts disagree on the pod count, or a pod stamp is wrong |
 //! | `shard-capacity-sum` | per-pod capacity slices do not sum to the cluster capacity |
-//! | `shard-double-place` | a submission is placed on more than one pod |
-//! | `shard-unplaced-job` | a submission is placed on no pod |
-//! | `shard-placement-mismatch` | the recorded placement does not recompute from the scenario (e.g. a dropped rebalance event) |
+//! | `shard-placement-mismatch` | the recorded placement does not recompute from the scenario (an edited, dropped or added pod assignment) |
 //!
 //! Runs recorded with the mid-run failure/recovery subsystem armed
 //! ([`crate::Engine::with_recovery`]) are certified via
@@ -67,7 +65,7 @@ use crate::faults::{
 };
 use crate::job::{AdhocSubmission, JobClass, SimWorkload, WorkflowSubmission};
 use crate::metrics::{MissAttribution, NodeSlackUse, RecoveryStats};
-use crate::shard::{place, pod_cluster, ShardClass, ShardSpec, ShardedOutcome};
+use crate::shard::{place, pod_cluster, PlacementLog, ShardedOutcome};
 use crate::submission::{EffectiveSubmission, SubmissionLog};
 use crate::trace::{DecisionTrace, TraceEvent};
 use flowtime_dag::{JobId, ResourceVec};
@@ -291,21 +289,20 @@ pub fn certify_log(
 /// Cross-pod checks, all recomputed from the scenario alone:
 ///
 /// * **pod count** — placement, outcomes, traces, and pod stamps must
-///   all agree with `spec.pods` (`shard-pod-count`);
+///   all agree with `pods` (`shard-pod-count`);
 /// * **capacity conservation** — the per-pod capacities the traces were
 ///   recorded against must sum exactly to the cluster capacity
 ///   (`shard-capacity-sum`);
-/// * **exactly-once placement** — no submission on two pods
-///   (`shard-double-place`) or on none (`shard-unplaced-job`);
 /// * **placement replay** — recomputing [`place`] from
-///   `(cluster, workload, spec)` must reproduce the recorded
-///   [`crate::shard::PlacementLog`] byte-for-byte, so a tampered
-///   assignment or a dropped rebalance event is caught
-///   (`shard-placement-mismatch`).
+///   `(cluster, workload, pods)` must reproduce the recorded
+///   [`PlacementLog`] exactly, so an edited, dropped or
+///   added assignment is caught (`shard-placement-mismatch`). That every
+///   submission sits on exactly one pod needs no check: the log holds one
+///   pod per submission and nothing else.
 pub fn certify_sharded(
     cluster: &ClusterConfig,
     workload: &SimWorkload,
-    spec: &ShardSpec,
+    pods: usize,
     outcome: &ShardedOutcome,
     traces: &[DecisionTrace],
     recovery: Option<&RecoverySetup>,
@@ -330,11 +327,11 @@ pub fn certify_sharded(
         ("outcome", outcome.pods.len()),
         ("trace set", traces.len()),
     ] {
-        if got != spec.pods {
+        if got != pods {
             push(
                 &mut report,
                 "shard-pod-count",
-                format!("{what} covers {got} pod(s), spec says {}", spec.pods),
+                format!("{what} covers {got} pod(s), the run was asked for {pods}"),
             );
         }
     }
@@ -347,27 +344,23 @@ pub fn certify_sharded(
             );
         }
     }
-    // Trace headers carry the same provenance stamp (pods/pod/placer) for
-    // K > 1 runs — and must stay unstamped for K = 1, whose bytes are
-    // pinned to the unsharded engine's.
+    // Trace headers carry the same provenance stamp (pods/pod) for K > 1
+    // runs — and must stay unstamped for K = 1, whose bytes are pinned to
+    // the unsharded engine's.
     for (i, t) in traces.iter().enumerate() {
         let h = &t.header;
-        let expect_stamp = spec.pods > 1;
-        let stamped =
-            (h.pods, h.pod, h.placer.as_str()) == (spec.pods as u64, i as u64, spec.placer.name());
-        let unstamped = h.pods == 0 && h.pod == 0 && h.placer.is_empty();
-        if (expect_stamp && !stamped) || (!expect_stamp && !unstamped) {
+        let expected = if pods > 1 {
+            (pods as u64, i as u64)
+        } else {
+            (0, 0)
+        };
+        if (h.pods, h.pod) != expected {
             push(
                 &mut report,
                 "shard-pod-count",
                 format!(
-                    "trace at position {i} records pods={} pod={} placer=`{}`, \
-                     spec is pods={} placer=`{}`",
-                    h.pods,
-                    h.pod,
-                    h.placer,
-                    spec.pods,
-                    spec.placer.name()
+                    "trace at position {i} records pods={} pod={}, the run was asked for {pods}",
+                    h.pods, h.pod
                 ),
             );
         }
@@ -375,7 +368,7 @@ pub fn certify_sharded(
 
     // ---- Capacity conservation: trace headers record the capacity each
     // pod actually ran against; their sum must be the whole cluster.
-    if traces.len() == spec.pods {
+    if traces.len() == pods {
         let mut sum = ResourceVec::zero();
         for t in traces {
             sum += t.header.capacity;
@@ -392,67 +385,27 @@ pub fn certify_sharded(
         }
     }
 
-    // ---- Exactly-once placement over the recorded assignments. ----------
-    let mut seen_wf = vec![0usize; workload.workflows.len()];
-    let mut seen_ah = vec![0usize; workload.adhoc.len()];
-    for a in &outcome.placement.assignments {
-        let seen = match a.class {
-            ShardClass::Workflow => seen_wf.get_mut(a.index),
-            ShardClass::Adhoc => seen_ah.get_mut(a.index),
-        };
-        match seen {
-            Some(n) => *n += 1,
-            None => push(
-                &mut report,
-                "shard-unplaced-job",
-                format!(
-                    "assignment references {:?} submission {} outside the workload",
-                    a.class, a.index
-                ),
-            ),
-        }
-    }
-    for (class, seen) in [
-        (ShardClass::Workflow, &seen_wf),
-        (ShardClass::Adhoc, &seen_ah),
-    ] {
-        for (i, &n) in seen.iter().enumerate() {
-            if n > 1 {
-                push(
-                    &mut report,
-                    "shard-double-place",
-                    format!("{class:?} submission {i} is placed {n} times"),
-                );
-            } else if n == 0 {
-                push(
-                    &mut report,
-                    "shard-unplaced-job",
-                    format!("{class:?} submission {i} is placed on no pod"),
-                );
-            }
-        }
-    }
-
     // ---- Placement replay: the log is a pure function of the scenario.
-    let expected = place(cluster, workload, spec);
+    let expected = place(cluster, workload, pods);
     if expected != outcome.placement {
+        let placed = |log: &PlacementLog| log.workflows.len() + log.adhoc.len();
         push(
             &mut report,
             "shard-placement-mismatch",
             format!(
-                "recorded placement ({} assignment(s), {} rebalance(s)) does not \
-                 recompute from the scenario ({} assignment(s), {} rebalance(s))",
-                outcome.placement.assignments.len(),
-                outcome.placement.rebalances.len(),
-                expected.assignments.len(),
-                expected.rebalances.len(),
+                "recorded placement ({} submission(s) on {} pod(s)) does not recompute \
+                 from the scenario ({} submission(s) on {} pod(s))",
+                placed(&outcome.placement),
+                outcome.placement.pods,
+                placed(&expected),
+                expected.pods,
             ),
         );
     }
 
     // ---- Per-pod certification against each pod's own slice. ------------
-    // Only meaningful when the placement splits cleanly; the structural
-    // violations above already reject corrupt placements.
+    // Only meaningful when the placement splits cleanly; the replay check
+    // above already rejects a placement that does not.
     if let Ok(workloads) = outcome.placement.pod_workloads(workload) {
         if workloads.len() == outcome.pods.len() && workloads.len() == traces.len() {
             for (i, (pod_workload, (pod_outcome, trace))) in workloads
@@ -460,7 +413,7 @@ pub fn certify_sharded(
                 .zip(outcome.pods.iter().zip(traces.iter()))
                 .enumerate()
             {
-                let pc = pod_cluster(cluster, spec.pods, i);
+                let pc = pod_cluster(cluster, pods, i);
                 let sub = certify_with_recovery(&pc, pod_workload, pod_outcome, trace, recovery);
                 report
                     .violations

@@ -393,7 +393,7 @@ impl Engine {
             timeline: None,
             nodes: None,
             placement_shortfalls: Vec::new(),
-            checker: InvariantChecker::new(true),
+            checker: InvariantChecker::new(),
             telemetry,
             trace: None,
             events,
@@ -401,16 +401,6 @@ impl Engine {
             pending_preds,
             recovery: None,
         }
-    }
-
-    /// Enables or disables the extended accounting invariants (see
-    /// [`crate::invariants`]). On by default; the scheduler-misbehaviour
-    /// checks (capacity, readiness, parallelism) are always enforced
-    /// regardless of this flag.
-    #[must_use]
-    pub fn with_invariants(mut self, extended: bool) -> Self {
-        self.checker = InvariantChecker::new(extended);
-        self
     }
 
     /// Read access to the engine's world state (for in-crate tests).
@@ -516,8 +506,8 @@ impl Engine {
     ///
     /// Scheduler-misbehaviour errors ([`SimError::CapacityExceeded`],
     /// [`SimError::UnknownJob`], [`SimError::JobNotRunnable`],
-    /// [`SimError::ParallelismExceeded`]) and, when extended invariants
-    /// are on, [`SimError::InvariantViolation`].
+    /// [`SimError::ParallelismExceeded`]) and, for the engine's own
+    /// bookkeeping, [`SimError::InvariantViolation`].
     pub fn run(mut self, scheduler: &mut dyn Scheduler) -> Result<SimOutcome, SimError> {
         let t0 = Instant::now();
         self.begin_trace(scheduler.name());

@@ -24,7 +24,7 @@
 //! | `E006` | node | **dependency-wait** — the node became ready *after* its own milestone: upstream overruns doomed it before it could run. |
 //! | `E007` | node | **preemption** — the node was left unallocated while incomplete after having run. |
 //! | `E008` | workflow | **fault-injection** — pre-run fault injection rewrote the scenario (submit delays, misestimates, capacity churn, bursts). |
-//! | `E009` | workflow | **placement** — the workflow ran inside a pod of a sharded cluster; the pod/placer stamp from the trace header is quoted. |
+//! | `E009` | workflow | **placement** — the workflow ran inside a pod of a sharded cluster; the pod stamp from the trace header is quoted. |
 //! | `E010` | workflow | **admission-interference** — admission control shed or deferred ad-hoc arrivals before the workflow completed, changing the contention it faced. |
 //!
 //! Within one workflow the chain order is deterministic: workflow-level
@@ -328,7 +328,7 @@ fn build_report(
                 evidence: Vec::new(),
             });
         }
-        // Placement context (E009): the pod/placer stamp from a sharded run.
+        // Placement context (E009): the pod stamp from a sharded run.
         if trace.header.pods > 1 {
             chain.push(Diagnostic {
                 code: "E009".into(),
@@ -337,8 +337,8 @@ fn build_report(
                 slot: 0,
                 slack_slots: 0,
                 detail: format!(
-                    "workflow ran on pod {} of {} (placer `{}`): its contention set was fixed by placement, not scheduling",
-                    trace.header.pod, trace.header.pods, trace.header.placer
+                    "workflow ran on pod {} of {}: its contention set was fixed by placement, not scheduling",
+                    trace.header.pod, trace.header.pods
                 ),
                 evidence: Vec::new(),
             });

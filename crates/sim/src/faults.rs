@@ -122,15 +122,6 @@ impl FaultConfig {
         self
     }
 
-    /// Deprecated-in-spirit alias for [`Self::with_static_churn`], kept so
-    /// existing configs and goldens stay byte-identical. The name predates
-    /// the mid-run [`RuntimeFaultPlan`] crash windows; "churn" here means
-    /// the static, pre-run variant.
-    #[must_use]
-    pub fn with_churn(self, severity: f64) -> Self {
-        self.with_static_churn(severity)
-    }
-
     /// Sets the number of injected burst jobs.
     #[must_use]
     pub fn with_bursts(mut self, jobs: usize) -> Self {
@@ -781,7 +772,7 @@ mod tests {
     fn churn_adds_degraded_windows() {
         let mut wl = workload();
         let mut cl = cluster();
-        FaultPlan::new(FaultConfig::none(3).with_churn(0.5)).apply(&mut wl, &mut cl, 1_000);
+        FaultPlan::new(FaultConfig::none(3).with_static_churn(0.5)).apply(&mut wl, &mut cl, 1_000);
         assert!(cl.has_capacity_windows());
         let base = cluster().capacity();
         let mut saw_degraded = false;
@@ -833,13 +824,6 @@ mod tests {
             500,
         );
         assert!(none.is_empty());
-    }
-
-    #[test]
-    fn static_churn_alias_matches_with_churn() {
-        let a = FaultConfig::none(3).with_churn(0.5);
-        let b = FaultConfig::none(3).with_static_churn(0.5);
-        assert_eq!(a, b);
     }
 
     #[test]

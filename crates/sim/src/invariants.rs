@@ -15,10 +15,9 @@
 //! * the slot's total usage fits the capacity in force *this* slot,
 //!   including time-varying windows ([`SimError::CapacityExceeded`]).
 //!
-//! **Accounting rules** (enabled by default, disabled via
-//! [`crate::Engine::with_invariants`] — these guard the *engine's* own
-//! bookkeeping and fail as [`SimError::InvariantViolation`] naming the
-//! slot, job, and rule):
+//! **Accounting rules** (always enforced too — these guard the
+//! *engine's* own bookkeeping and fail as [`SimError::InvariantViolation`]
+//! naming the slot, job, and rule):
 //!
 //! * `work-conservation` — no job's completed work ever exceeds its
 //!   ground-truth demand, and at the end of the run they are exactly equal;
@@ -40,10 +39,8 @@ use flowtime_dag::JobId;
 
 /// Stateful checker driven by [`crate::Engine`] once per slot plus once at
 /// the end of the run. See the [module docs](self) for the rule catalogue.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct InvariantChecker {
-    /// When false, only the scheduler rules run (legacy behaviour).
-    extended: bool,
     /// Completed-job count observed at the previous check.
     completed_prev: usize,
     /// Total done work observed at the previous check.
@@ -53,19 +50,9 @@ pub struct InvariantChecker {
 }
 
 impl InvariantChecker {
-    /// Creates a checker; `extended` enables the accounting rules.
-    pub fn new(extended: bool) -> Self {
-        InvariantChecker {
-            extended,
-            completed_prev: 0,
-            done_prev: 0,
-            static_checked: false,
-        }
-    }
-
-    /// True if the accounting rules are enabled.
-    pub fn is_extended(&self) -> bool {
-        self.extended
+    /// Creates a checker that has seen no slot yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn violation(slot: u64, job: Option<JobId>, rule: &'static str) -> SimError {
@@ -107,10 +94,6 @@ impl InvariantChecker {
         let used = state.allocation_usage(pairs);
         if !used.fits_within(&state.capacity_now()) {
             return Err(SimError::CapacityExceeded { slot: now });
-        }
-
-        if !self.extended {
-            return Ok(());
         }
 
         // One-time static rules.
@@ -183,9 +166,6 @@ impl InvariantChecker {
     ///
     /// [`SimError::InvariantViolation`] naming the offending job and rule.
     pub fn check_final(&self, state: &SimState) -> Result<(), SimError> {
-        if !self.extended {
-            return Ok(());
-        }
         let now = state.now();
         for job in &state.jobs {
             // Shed jobs never ran and never complete; they are reported in
@@ -233,7 +213,7 @@ mod tests {
     #[test]
     fn clean_state_passes() {
         let engine = engine_with_adhoc();
-        let mut checker = InvariantChecker::new(true);
+        let mut checker = InvariantChecker::new();
         let id = engine.state().jobs[0].id;
         checker.check_slot(engine.state(), &[(id, 2)]).unwrap();
         checker.check_slot(engine.state(), &[]).unwrap();
@@ -242,7 +222,7 @@ mod tests {
     #[test]
     fn oversubscription_is_detected() {
         let engine = engine_with_adhoc();
-        let mut checker = InvariantChecker::new(true);
+        let mut checker = InvariantChecker::new();
         let id = engine.state().jobs[0].id;
         // 9 one-core tasks on an 8-core cluster — but the parallelism cap
         // (4 tasks) fires first; widen via a second fake pair instead.
@@ -257,7 +237,7 @@ mod tests {
         let cl = cluster().with_capacity_window(0, 5, ResourceVec::new([2, 8192]));
         let engine = Engine::new(cl, wl, 100).unwrap();
         let id = engine.state().jobs[0].id;
-        let mut checker = InvariantChecker::new(true);
+        let mut checker = InvariantChecker::new();
         // 4 tasks fit the base capacity but not the degraded window.
         let err = checker.check_slot(engine.state(), &[(id, 4)]).unwrap_err();
         assert_eq!(err, SimError::CapacityExceeded { slot: 0 });
@@ -267,7 +247,7 @@ mod tests {
     fn corrupted_done_work_fails_conservation() {
         let mut engine = engine_with_adhoc();
         engine.state_mut().jobs[0].done_work = 1_000;
-        let mut checker = InvariantChecker::new(true);
+        let mut checker = InvariantChecker::new();
         let err = checker.check_slot(engine.state(), &[]).unwrap_err();
         assert_eq!(
             err,
@@ -277,9 +257,6 @@ mod tests {
                 rule: "work-conservation",
             }
         );
-        // The same corruption passes a non-extended checker.
-        let mut legacy = InvariantChecker::new(false);
-        legacy.check_slot(engine.state(), &[]).unwrap();
     }
 
     #[test]
@@ -287,7 +264,7 @@ mod tests {
         let mut engine = engine_with_adhoc();
         let actual = engine.state().jobs[0].actual_work;
         engine.state_mut().jobs[0].done_work = actual; // done but not marked
-        let mut checker = InvariantChecker::new(true);
+        let mut checker = InvariantChecker::new();
         let err = checker.check_slot(engine.state(), &[]).unwrap_err();
         assert!(matches!(
             err,
@@ -302,7 +279,7 @@ mod tests {
     fn regressing_completion_count_fails_monotonicity() {
         let mut engine = engine_with_adhoc();
         let actual = engine.state().jobs[0].actual_work;
-        let mut checker = InvariantChecker::new(true);
+        let mut checker = InvariantChecker::new();
         engine.state_mut().jobs[0].done_work = actual;
         engine.state_mut().jobs[0].completion_slot = Some(1);
         checker.check_slot(engine.state(), &[]).unwrap();
@@ -331,7 +308,7 @@ mod tests {
         wl.workflows
             .push(WorkflowSubmission::new(wf).with_job_deadlines(vec![40, 10]));
         let engine = Engine::new(cluster(), wl, 100).unwrap();
-        let mut checker = InvariantChecker::new(true);
+        let mut checker = InvariantChecker::new();
         let err = checker.check_slot(engine.state(), &[]).unwrap_err();
         assert!(matches!(
             err,
@@ -345,7 +322,7 @@ mod tests {
     #[test]
     fn final_check_requires_exact_conservation() {
         let mut engine = engine_with_adhoc();
-        let checker = InvariantChecker::new(true);
+        let checker = InvariantChecker::new();
         // Jobs incomplete at the end of the run: done < actual.
         let err = checker.check_final(engine.state()).unwrap_err();
         assert!(matches!(

@@ -112,8 +112,8 @@ pub use oracle::OracleEngine;
 pub use placement::{NodePool, PackResult};
 pub use scheduler::{Allocation, Scheduler};
 pub use shard::{
-    place, place_log, pod_cluster, split_capacity, PlacementLog, Placer, PlacerState,
-    PodAssignment, RebalanceEvent, ShardClass, ShardSpec, ShardedOutcome,
+    place, place_log, pod_cluster, require_demand_placer, split_capacity, PlacementLog,
+    PlacerState, ShardedOutcome,
 };
 pub use state::{JobView, SimState, WorkflowView};
 pub use submission::{EffectiveSubmission, LogEntry, SubmissionLog};

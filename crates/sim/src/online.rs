@@ -37,7 +37,7 @@
 use crate::cluster::ClusterConfig;
 use crate::engine::{Engine, StepOutcome, TableBuilder, EV_ARRIVAL, EV_READY};
 use crate::error::SimError;
-use crate::job::{AdhocSubmission, SimWorkload, WorkflowSubmission};
+use crate::job::{AdhocSubmission, WorkflowSubmission};
 use crate::scheduler::Scheduler;
 use crate::telemetry::EngineTelemetry;
 use crate::trace::TraceHandle;
@@ -91,10 +91,8 @@ pub struct OnlineEngine {
 impl OnlineEngine {
     /// An online engine over an initially-empty workload.
     pub fn new(cluster: ClusterConfig, max_slots: u64) -> Self {
-        let engine = Engine::new(cluster, SimWorkload::default(), max_slots)
-            .expect("empty workload is always well-formed");
         OnlineEngine {
-            engine,
+            engine: Engine::assemble(cluster, TableBuilder::new(), max_slots),
             begun: false,
         }
     }

@@ -45,13 +45,6 @@ impl OracleEngine {
         })
     }
 
-    /// See [`Engine::with_invariants`].
-    #[must_use]
-    pub fn with_invariants(mut self, extended: bool) -> Self {
-        self.inner = self.inner.with_invariants(extended);
-        self
-    }
-
     /// See [`Engine::with_timeline`].
     #[must_use]
     pub fn with_timeline(mut self) -> Self {

@@ -1,30 +1,32 @@
 //! Sharded pod-level scheduling: partition the cluster into K pods and
-//! place submissions onto pods with a cheap top-level bin-packer. The run
-//! path above this crate (`flowtime::run`) then runs one independent
-//! engine (and per-pod LP solver) per pod on the work-stealing
-//! [`crate::run_cells`] runner.
+//! place every submission onto one of them. The run path above this crate
+//! (`flowtime::run`) then runs one independent engine (and per-pod LP
+//! solver) per pod on the work-stealing [`crate::run_cells`] runner.
 //!
 //! The paper solves one allocation LP over the whole cluster per replan;
 //! that cannot serve very large clusters. DAGPS-style systems show a
 //! lightweight global placer above locally-packed partitions captures
-//! most of the monolithic optimum. This module is that two-level shape:
+//! most of the monolithic optimum. This module is that two-level shape,
+//! and a pod count is all there is to configure:
 //!
 //! * [`split_capacity`] slices cluster capacity into K pod slices that
 //!   sum **exactly** to the cluster capacity (remainders go to the first
 //!   pods), including every [`crate::cluster::CapacityWindow`].
-//! * A [`Placer`] assigns each workflow / ad-hoc submission to a pod by
-//!   bin-packing its decomposed demand rate ([`PlacerState`]).
-//! * A bounded rebalance pass moves ad-hoc load off pods whose projected
-//!   backlog exceeds `overload_factor ×` their cores — the same
-//!   backpressure signal the [`crate::faults::RecoveryPolicy`] admission
-//!   controller uses — and records every move in the [`PlacementLog`].
-//! * [`PlacementLog::pod_workloads`] splits the workload into the per-pod
-//!   sub-workloads the engines run, and [`ShardedOutcome`] collects their
+//! * [`PlacerState`] assigns each workflow / ad-hoc submission to the pod
+//!   whose peak normalized demand stays lowest with the submission on it.
+//!   It is the only placement rule, and placement is final: the first-fit
+//!   and worst-fit policies and the rebalance pass were cut when the one
+//!   workload that measures sharding (`repro fig_shard`) could not tell
+//!   them apart (DESIGN.md §22).
+//! * [`PlacementLog`] holds the pod of each submission — "on two pods" and
+//!   "on no pod" cannot be written down — and
+//!   [`PlacementLog::pod_workloads`] splits the workload into the per-pod
+//!   sub-workloads the engines run; [`ShardedOutcome`] collects their
 //!   outcomes.
 //!
 //! # Determinism and the K=1 contract
 //!
-//! The placement is a **pure function** of `(cluster, workload, spec)`:
+//! The placement is a **pure function** of `(cluster, workload, pods)`:
 //! the auditor ([`crate::audit::certify_sharded`]) recomputes it from
 //! scratch and rejects any divergence. Each pod is a self-contained
 //! deterministic simulation, and reduction happens in pod order, so a
@@ -40,210 +42,142 @@ use crate::error::SimError;
 use crate::job::{AdhocSubmission, SimWorkload, WorkflowSubmission};
 use crate::submission::{LogEntry, SubmissionLog};
 use flowtime_dag::{ResourceVec, NUM_RESOURCES};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
-/// Top-level placement policy: how a submission picks its pod.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Placer {
-    /// First pod whose projected load stays within its slice; falls back
-    /// to the least-loaded pod when none fits.
-    FirstFit,
-    /// Pod with the most headroom *before* placement (classic worst-fit).
-    WorstFit,
-    /// Pod minimizing the *post-placement* peak normalized demand across
-    /// resource dimensions (the default: demand-aware worst-fit).
-    Demand,
-}
-
-impl Placer {
-    /// Canonical CLI name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Placer::FirstFit => "firstfit",
-            Placer::WorstFit => "worstfit",
-            Placer::Demand => "demand",
-        }
+/// Checks the placement policy `name` a recorded artifact carries in
+/// `field`. Trees before DESIGN.md §22 let a run choose `firstfit`,
+/// `worstfit` or `demand` and wrote the choice into K > 1 trace headers,
+/// sharded outcomes and daemon session configs. Only `demand` survives as
+/// the rule, so only a `demand` recording can be replayed onto the pods
+/// it ran on; case and separators are ignored, as they were when the name
+/// was a flag.
+///
+/// # Errors
+///
+/// A one-line refusal of any other name, naming the field.
+pub fn require_demand_placer(field: &str, name: &str) -> Result<(), String> {
+    let plain = name.chars().filter(char::is_ascii_alphanumeric);
+    if plain.map(|c| c.to_ascii_lowercase()).eq("demand".chars()) {
+        return Ok(());
     }
-
-    /// Parses a CLI name, ignoring case and separators (`first-fit`,
-    /// `FirstFit`, and `firstfit` all resolve).
-    pub fn parse(name: &str) -> Option<Placer> {
-        let norm: String = name
-            .chars()
-            .filter(char::is_ascii_alphanumeric)
-            .collect::<String>()
-            .to_ascii_lowercase();
-        match norm.as_str() {
-            "firstfit" => Some(Placer::FirstFit),
-            "worstfit" => Some(Placer::WorstFit),
-            "demand" => Some(Placer::Demand),
-            _ => None,
-        }
-    }
+    Err(format!(
+        "{field}: placer `{name}` is retired: submissions are placed by the `demand` rule \
+         only, so this recording cannot be replayed onto the pods it ran on"
+    ))
 }
 
-/// The shard configuration: how many pods and how to place onto them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardSpec {
-    /// Number of pods (≥ 1). `1` degenerates to the unsharded engine.
-    pub pods: usize,
-    /// Placement policy.
-    pub placer: Placer,
-    /// Rebalance threshold: a pod whose projected ad-hoc backlog exceeds
-    /// `overload_factor ×` its core slice sheds load to the least-loaded
-    /// pod. Mirrors [`crate::faults::RecoveryPolicy::overload_factor`].
-    pub overload_factor: f64,
+/// The required field `key` of the JSON object `v`.
+fn required<'a>(v: &'a Value, key: &str) -> Result<&'a Value, DeError> {
+    v.get(key)
+        .ok_or_else(|| DeError::custom(format!("missing field `{key}`")))
 }
 
-impl ShardSpec {
-    /// `pods` pods with the default demand placer and the default
-    /// overload threshold (matching [`crate::faults::RecoveryPolicy`]).
-    pub fn new(pods: usize) -> Self {
-        ShardSpec {
-            pods: pods.max(1),
-            placer: Placer::Demand,
-            overload_factor: 4.0,
-        }
-    }
-
-    /// Replaces the placement policy.
-    #[must_use]
-    pub fn with_placer(mut self, placer: Placer) -> Self {
-        self.placer = placer;
-        self
-    }
-
-    /// Replaces the rebalance threshold.
-    #[must_use]
-    pub fn with_overload_factor(mut self, factor: f64) -> Self {
-        self.overload_factor = factor.max(0.0);
-        self
-    }
-}
-
-/// Which workload class a placement entry refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShardClass {
-    /// `index` is into [`SimWorkload::workflows`].
-    Workflow,
-    /// `index` is into [`SimWorkload::adhoc`].
-    Adhoc,
-}
-
-/// One initial placement decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PodAssignment {
-    /// Workload class of the placed submission.
-    pub class: ShardClass,
-    /// Index within its class's submission vector.
-    pub index: usize,
-    /// The pod it was assigned to.
-    pub pod: usize,
-}
-
-/// One cross-pod rebalance move (applied after the initial placement, in
-/// order; the last move for an item wins).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RebalanceEvent {
-    /// Workload class of the moved submission.
-    pub class: ShardClass,
-    /// Index within its class's submission vector.
-    pub index: usize,
-    /// Pod the item was on before the move.
-    pub from_pod: usize,
-    /// Pod the item moved to.
-    pub to_pod: usize,
-}
-
-/// The complete, replayable record of a placement: initial assignments
-/// plus every rebalance move. A pure function of
-/// `(cluster, workload, spec)` — the auditor recomputes it and flags any
-/// divergence (including a *dropped* rebalance event).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The complete, replayable record of a placement: the pod of every
+/// submission. A pure function of `(cluster, workload, pods)` — the
+/// auditor recomputes it and flags any divergence.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PlacementLog {
     /// Number of pods placed onto.
     pub pods: usize,
-    /// The policy that produced the assignments.
-    pub placer: Placer,
-    /// Initial placements, workflows first (in submission order), then
-    /// ad-hoc jobs (in submission order).
-    pub assignments: Vec<PodAssignment>,
-    /// Rebalance moves, in the order they were applied.
-    #[serde(default, skip_serializing_if = "crate::serde_skip::empty_vec")]
-    pub rebalances: Vec<RebalanceEvent>,
+    /// Pod of each workflow, by index into [`SimWorkload::workflows`].
+    pub workflows: Vec<usize>,
+    /// Pod of each ad-hoc job, by index into [`SimWorkload::adhoc`].
+    pub adhoc: Vec<usize>,
+}
+
+impl Deserialize for PlacementLog {
+    /// Reads what this tree writes, or the `assignments` list earlier
+    /// trees wrote, and refuses a pod index at or past `pods` either way.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let pods = usize::from_value(required(v, "pods")?)?;
+        let (workflows, adhoc): (Vec<usize>, Vec<usize>) = match v.get("assignments") {
+            Some(assignments) => legacy_assignments(v, assignments)?,
+            None => (
+                Deserialize::from_value(required(v, "workflows")?)?,
+                Deserialize::from_value(required(v, "adhoc")?)?,
+            ),
+        };
+        if let Some(pod) = workflows.iter().chain(&adhoc).find(|&&pod| pod >= pods) {
+            return Err(DeError::custom(format!(
+                "placement names pod {pod}, past its {pods} pod(s)"
+            )));
+        }
+        Ok(PlacementLog {
+            pods,
+            workflows,
+            adhoc,
+        })
+    }
+}
+
+/// The placement record trees before DESIGN.md §22 wrote: a `placer`
+/// name, one `{class, index, pod}` entry per submission (workflows first,
+/// each class in index order) and the rebalance moves applied on top.
+/// Loads when it says what the one rule would have said — `demand`, no
+/// moves, every submission once.
+fn legacy_assignments(v: &Value, assignments: &Value) -> Result<(Vec<usize>, Vec<usize>), DeError> {
+    if let Some(name) = v.get("placer").and_then(Value::as_str) {
+        require_demand_placer("placement.placer", name).map_err(DeError::custom)?;
+    }
+    if v.get("rebalances")
+        .and_then(Value::as_seq)
+        .is_some_and(|moves| !moves.is_empty())
+    {
+        return Err(DeError::custom(
+            "placement.rebalances: the rebalance pass is retired, so this recording \
+             cannot be replayed onto the pods it ran on",
+        ));
+    }
+    let (mut workflows, mut adhoc) = (Vec::new(), Vec::new());
+    let entries = assignments
+        .as_seq()
+        .ok_or_else(|| DeError::expected("array", assignments))?;
+    for entry in entries {
+        let class = required(entry, "class")?;
+        let placed = match class.as_str() {
+            Some("Workflow") => &mut workflows,
+            Some("Adhoc") => &mut adhoc,
+            _ => return Err(DeError::expected("`Workflow` or `Adhoc`", class)),
+        };
+        let index = usize::from_value(required(entry, "index")?)?;
+        if index != placed.len() {
+            return Err(DeError::custom(format!(
+                "placement.assignments: submission {index} is placed twice, \
+                 not at all, or out of order"
+            )));
+        }
+        placed.push(usize::from_value(required(entry, "pod")?)?);
+    }
+    Ok((workflows, adhoc))
 }
 
 impl PlacementLog {
-    /// The final pod of an item after all rebalances, or `None` when the
-    /// item was never assigned.
-    pub fn final_pod(&self, class: ShardClass, index: usize) -> Option<usize> {
-        let mut pod = None;
-        for a in &self.assignments {
-            if a.class == class && a.index == index {
-                pod = Some(a.pod);
-            }
-        }
-        for r in &self.rebalances {
-            if r.class == class && r.index == index {
-                pod = Some(r.to_pod);
-            }
-        }
-        pod
-    }
-
-    /// Splits `workload` into one per-pod workload according to the final
-    /// placement, preserving submission order within each pod.
+    /// Splits `workload` into one per-pod workload, preserving submission
+    /// order within each pod.
     ///
     /// # Errors
     ///
-    /// [`SimError::MalformedSubmission`] when an item is unassigned,
-    /// assigned more than once, or assigned to a pod out of range.
+    /// [`SimError::MalformedSubmission`] when the log does not cover the
+    /// workload's submissions one for one, or names a pod out of range.
     pub fn pod_workloads(&self, workload: &SimWorkload) -> Result<Vec<SimWorkload>, SimError> {
-        // One pass over the log instead of a `final_pod` scan per item:
-        // the unsharded run path goes through here too, with every
-        // submission of the workload.
-        let mut pod_wf: Vec<Option<usize>> = vec![None; workload.workflows.len()];
-        let mut pod_ah: Vec<Option<usize>> = vec![None; workload.adhoc.len()];
-        for a in &self.assignments {
-            let slot = match a.class {
-                ShardClass::Workflow => pod_wf.get_mut(a.index),
-                ShardClass::Adhoc => pod_ah.get_mut(a.index),
-            }
-            .ok_or(SimError::MalformedSubmission {
-                reason: "placement references a submission outside the workload",
-            })?;
-            if slot.replace(a.pod).is_some() {
-                return Err(SimError::MalformedSubmission {
-                    reason: "a submission is placed on more than one pod",
-                });
-            }
-        }
-        if pod_wf.iter().chain(pod_ah.iter()).any(Option::is_none) {
+        if (self.workflows.len(), self.adhoc.len())
+            != (workload.workflows.len(), workload.adhoc.len())
+        {
             return Err(SimError::MalformedSubmission {
-                reason: "a submission is placed on no pod",
+                reason: "placement does not cover the workload's submissions one for one",
             });
         }
-        for r in &self.rebalances {
-            let slot = match r.class {
-                ShardClass::Workflow => pod_wf.get_mut(r.index),
-                ShardClass::Adhoc => pod_ah.get_mut(r.index),
-            };
-            if let Some(slot) = slot {
-                *slot = Some(r.to_pod);
-            }
-        }
-        let in_range = |pod: Option<usize>| {
-            pod.filter(|&p| p < self.pods)
-                .ok_or(SimError::MalformedSubmission {
-                    reason: "a submission is placed on a pod out of range",
-                })
+        const OUT_OF_RANGE: SimError = SimError::MalformedSubmission {
+            reason: "a submission is placed on a pod out of range",
         };
         let mut out = vec![SimWorkload::default(); self.pods];
-        for (sub, &pod) in workload.workflows.iter().zip(&pod_wf) {
-            out[in_range(pod)?].workflows.push(sub.clone());
+        for (sub, &pod) in workload.workflows.iter().zip(&self.workflows) {
+            let pod = out.get_mut(pod).ok_or(OUT_OF_RANGE)?;
+            pod.workflows.push(sub.clone());
         }
-        for (sub, &pod) in workload.adhoc.iter().zip(&pod_ah) {
-            out[in_range(pod)?].adhoc.push(sub.clone());
+        for (sub, &pod) in workload.adhoc.iter().zip(&self.adhoc) {
+            let pod = out.get_mut(pod).ok_or(OUT_OF_RANGE)?;
+            pod.adhoc.push(sub.clone());
         }
         Ok(out)
     }
@@ -288,7 +222,8 @@ pub fn pod_cluster(cluster: &ClusterConfig, pods: usize, pod: usize) -> ClusterC
 }
 
 /// The incremental placement engine: tracks each pod's projected demand
-/// rate and scores candidate pods for the configured [`Placer`].
+/// rate and puts a submission on the pod whose peak normalized demand
+/// across resource dimensions stays lowest with the submission on it.
 ///
 /// Demand model (per resource dimension `r`):
 /// * a workflow contributes its total demand spread over its deadline
@@ -303,47 +238,28 @@ pub fn pod_cluster(cluster: &ClusterConfig, pods: usize, pod: usize) -> ClusterC
 /// path rely on.
 #[derive(Debug, Clone)]
 pub struct PlacerState {
-    placer: Placer,
     caps: Vec<ResourceVec>,
     load: Vec<[f64; NUM_RESOURCES]>,
 }
 
 impl PlacerState {
-    /// A fresh state over the given per-pod capacity slices.
-    pub fn new(placer: Placer, caps: Vec<ResourceVec>) -> Self {
-        let pods = caps.len().max(1);
+    /// A fresh state over the canonical capacity split of `cluster` into
+    /// `pods` pods (`0` is read as `1`).
+    pub fn new(cluster: &ClusterConfig, pods: usize) -> Self {
+        let caps = split_capacity(cluster.capacity(), pods);
         PlacerState {
-            placer,
+            load: vec![[0.0; NUM_RESOURCES]; caps.len()],
             caps,
-            load: vec![[0.0; NUM_RESOURCES]; pods],
         }
     }
 
-    /// Convenience: state over the canonical capacity split of `cluster`.
-    pub fn for_cluster(spec: &ShardSpec, cluster: &ClusterConfig) -> Self {
-        PlacerState::new(spec.placer, split_capacity(cluster.capacity(), spec.pods))
-    }
-
-    /// Number of pods.
-    pub fn pods(&self) -> usize {
-        self.caps.len()
-    }
-
-    /// Peak normalized load of `pod`, optionally with `extra` added.
-    fn score(&self, pod: usize, extra: Option<&[f64; NUM_RESOURCES]>) -> f64 {
+    /// Peak normalized load of `pod` with `extra` added.
+    fn score(&self, pod: usize, extra: &[f64; NUM_RESOURCES]) -> f64 {
         let mut worst = 0.0f64;
-        for r in 0..NUM_RESOURCES {
+        for (r, extra) in extra.iter().enumerate() {
             let cap = self.caps[pod].dim(r) as f64;
-            if cap <= 0.0 {
-                continue;
-            }
-            let mut load = self.load[pod][r];
-            if let Some(e) = extra {
-                load += e[r];
-            }
-            let norm = load / cap;
-            if norm > worst {
-                worst = norm;
+            if cap > 0.0 {
+                worst = worst.max((self.load[pod][r] + extra) / cap);
             }
         }
         worst
@@ -351,15 +267,15 @@ impl PlacerState {
 
     /// Places a raw demand rate, committing it to the chosen pod. Ties
     /// resolve to the lowest pod index, so placement is deterministic.
-    pub fn place_rate(&mut self, rate: [f64; NUM_RESOURCES]) -> usize {
-        let pods = self.pods();
-        let chosen = match self.placer {
-            Placer::FirstFit => (0..pods)
-                .find(|&p| self.score(p, Some(&rate)) <= 1.0)
-                .unwrap_or_else(|| argmin(pods, |p| self.score(p, Some(&rate)))),
-            Placer::WorstFit => argmin(pods, |p| self.score(p, None)),
-            Placer::Demand => argmin(pods, |p| self.score(p, Some(&rate))),
-        };
+    fn place_rate(&mut self, rate: [f64; NUM_RESOURCES]) -> usize {
+        let mut chosen = 0;
+        let mut lowest = f64::INFINITY;
+        for pod in 0..self.caps.len() {
+            let score = self.score(pod, &rate);
+            if score < lowest {
+                (chosen, lowest) = (pod, score);
+            }
+        }
         for (load, add) in self.load[chosen].iter_mut().zip(rate) {
             *load += add;
         }
@@ -375,20 +291,6 @@ impl PlacerState {
     pub fn place_adhoc(&mut self, sub: &AdhocSubmission) -> usize {
         self.place_rate(adhoc_rate(sub))
     }
-}
-
-/// Index of the minimum of `f` over `0..n`, first minimum on ties.
-fn argmin<F: Fn(usize) -> f64>(n: usize, f: F) -> usize {
-    let mut best = 0usize;
-    let mut best_v = f64::INFINITY;
-    for i in 0..n {
-        let v = f(i);
-        if v < best_v {
-            best_v = v;
-            best = i;
-        }
-    }
-    best
 }
 
 /// Sustained demand rate of a workflow: total demand over its window.
@@ -413,108 +315,19 @@ fn adhoc_rate(sub: &AdhocSubmission) -> [f64; NUM_RESOURCES] {
     rate
 }
 
-/// Core-slot backlog an ad-hoc job projects onto its pod (ground-truth
-/// work × per-task cores) — the static analogue of the admission
-/// controller's runtime backlog signal.
-fn adhoc_backlog_cores(sub: &AdhocSubmission) -> f64 {
-    (sub.spec.work() * sub.spec.per_task().dim(0)) as f64
-}
-
 /// Computes the full batch placement: workflows first (in submission
-/// order), then ad-hoc jobs (in submission order), each through the
-/// spec's [`Placer`]; then bounded rebalance passes move the most
-/// recently placed ad-hoc jobs off overloaded pods (projected ad-hoc
-/// backlog `> overload_factor ×` core slice) onto the least-loaded pod.
-/// Every decision is recorded in the returned [`PlacementLog`].
-pub fn place(cluster: &ClusterConfig, workload: &SimWorkload, spec: &ShardSpec) -> PlacementLog {
-    let mut st = PlacerState::for_cluster(spec, cluster);
-    let mut log = PlacementLog {
-        pods: spec.pods,
-        placer: spec.placer,
-        assignments: Vec::with_capacity(workload.workflows.len() + workload.adhoc.len()),
-        rebalances: Vec::new(),
-    };
-    for (i, sub) in workload.workflows.iter().enumerate() {
-        log.assignments.push(PodAssignment {
-            class: ShardClass::Workflow,
-            index: i,
-            pod: st.place_workflow(sub),
-        });
-    }
-    for (i, sub) in workload.adhoc.iter().enumerate() {
-        log.assignments.push(PodAssignment {
-            class: ShardClass::Adhoc,
-            index: i,
-            pod: st.place_adhoc(sub),
-        });
-    }
-    if spec.pods > 1 {
-        rebalance(cluster, workload, spec, &mut log);
-    }
-    log
-}
-
-/// The bounded rebalance pass. Moves at most one ad-hoc item per
-/// iteration (most recently placed on the most overloaded pod → least
-/// loaded pod) and stops when no pod is overloaded, a move would not
-/// strictly improve, or every ad-hoc item has moved once.
-fn rebalance(
-    cluster: &ClusterConfig,
-    workload: &SimWorkload,
-    spec: &ShardSpec,
-    log: &mut PlacementLog,
-) {
-    let caps = split_capacity(cluster.capacity(), spec.pods);
-    let cores: Vec<f64> = caps.iter().map(|c| c.dim(0).max(1) as f64).collect();
-    // Final pod of each ad-hoc item so far (rebalances has only our own
-    // entries, applied in order).
-    let mut pod_of: Vec<usize> = (0..workload.adhoc.len())
-        .map(|i| log.final_pod(ShardClass::Adhoc, i).unwrap_or(0))
-        .collect();
-    let mut backlog: Vec<f64> = vec![0.0; spec.pods];
-    for (i, sub) in workload.adhoc.iter().enumerate() {
-        backlog[pod_of[i]] += adhoc_backlog_cores(sub);
-    }
-    let mut moved = vec![false; workload.adhoc.len()];
-    for _ in 0..workload.adhoc.len() {
-        // Most overloaded source by backlog-per-core, first on ties.
-        let mut src = None;
-        let mut src_ratio = 0.0;
-        for p in 0..spec.pods {
-            let ratio = backlog[p] / cores[p];
-            if ratio > spec.overload_factor && ratio > src_ratio {
-                src_ratio = ratio;
-                src = Some(p);
-            }
-        }
-        let Some(src) = src else { break };
-        let dst = argmin(spec.pods, |p| backlog[p] / cores[p]);
-        if dst == src {
-            break;
-        }
-        // Most recently placed movable item on the source pod.
-        let Some(item) = (0..workload.adhoc.len())
-            .rev()
-            .find(|&i| pod_of[i] == src && !moved[i])
-        else {
-            break;
-        };
-        let weight = adhoc_backlog_cores(&workload.adhoc[item]);
-        // Only move if the destination stays strictly below the source's
-        // pre-move pressure; otherwise the pass would oscillate.
-        if (backlog[dst] + weight) / cores[dst] >= src_ratio {
-            break;
-        }
-        backlog[src] -= weight;
-        backlog[dst] += weight;
-        pod_of[item] = dst;
-        moved[item] = true;
-        log.rebalances.push(RebalanceEvent {
-            class: ShardClass::Adhoc,
-            index: item,
-            from_pod: src,
-            to_pod: dst,
-        });
+/// order), then ad-hoc jobs (in submission order), each through one
+/// [`PlacerState`].
+pub fn place(cluster: &ClusterConfig, workload: &SimWorkload, pods: usize) -> PlacementLog {
+    let mut st = PlacerState::new(cluster, pods);
+    PlacementLog {
+        pods: st.caps.len(),
+        workflows: (workload.workflows.iter())
+            .map(|sub| st.place_workflow(sub))
+            .collect(),
+        adhoc: (workload.adhoc.iter())
+            .map(|sub| st.place_adhoc(sub))
+            .collect(),
     }
 }
 
@@ -526,8 +339,7 @@ fn rebalance(
 ///
 /// This is the batch replay contract of a **sharded daemon session**:
 /// running [`crate::Engine::from_log`] over each returned sub-log reproduces
-/// the session's per-pod outcomes byte-for-byte. No rebalance pass runs
-/// here — online placement is final.
+/// the session's per-pod outcomes byte-for-byte.
 ///
 /// # Errors
 ///
@@ -536,7 +348,7 @@ fn rebalance(
 pub fn place_log(
     cluster: &ClusterConfig,
     log: &SubmissionLog,
-    spec: &ShardSpec,
+    pods: usize,
 ) -> Result<Vec<SubmissionLog>, SimError> {
     // Surface malformed cancellations with the same error `from_log` would.
     log.effective()?;
@@ -546,37 +358,34 @@ pub fn place_log(
             cancelled.push(*target);
         }
     }
-    // (arrival, seq) over surviving submissions = injection order.
-    let mut keyed: Vec<(u64, u64, usize)> = Vec::new();
+    // (arrival, seq) over surviving submissions = injection order; each
+    // carries its entry index and the demand rate it is placed by.
+    let mut keyed: Vec<(u64, u64, usize, [f64; NUM_RESOURCES])> = Vec::new();
     for (idx, entry) in log.entries.iter().enumerate() {
         match entry {
             LogEntry::Workflow {
                 seq, submission, ..
             } if !cancelled.contains(seq) => {
-                keyed.push((submission.workflow.submit_slot(), *seq, idx));
+                let arrival = submission.workflow.submit_slot();
+                keyed.push((arrival, *seq, idx, workflow_rate(submission)));
             }
             LogEntry::Adhoc {
                 seq, submission, ..
             } if !cancelled.contains(seq) => {
-                keyed.push((submission.arrival_slot, *seq, idx));
+                keyed.push((submission.arrival_slot, *seq, idx, adhoc_rate(submission)));
             }
             _ => {}
         }
     }
-    keyed.sort_by_key(|&(arrival, seq, _)| (arrival, seq));
-    let mut st = PlacerState::for_cluster(spec, cluster);
+    keyed.sort_by_key(|&(arrival, seq, ..)| (arrival, seq));
+    let mut st = PlacerState::new(cluster, pods);
     let mut pod_of_entry: Vec<Option<usize>> = vec![None; log.entries.len()];
-    for &(_, _, idx) in &keyed {
-        let pod = match &log.entries[idx] {
-            LogEntry::Workflow { submission, .. } => st.place_workflow(submission),
-            LogEntry::Adhoc { submission, .. } => st.place_adhoc(submission),
-            LogEntry::Cancel { .. } => unreachable!("cancels are never keyed"),
-        };
-        pod_of_entry[idx] = Some(pod);
+    for (_, _, idx, rate) in keyed {
+        pod_of_entry[idx] = Some(st.place_rate(rate));
     }
-    let mut out = vec![SubmissionLog::new(); spec.pods];
-    for (idx, entry) in log.entries.iter().enumerate() {
-        if let Some(pod) = pod_of_entry[idx] {
+    let mut out = vec![SubmissionLog::new(); st.caps.len()];
+    for (entry, pod) in log.entries.iter().zip(pod_of_entry) {
+        if let Some(pod) = pod {
             out[pod].entries.push(entry.clone());
         }
     }
@@ -705,22 +514,11 @@ mod tests {
     }
 
     #[test]
-    fn placer_parse_round_trips_and_rejects_garbage() {
-        for p in [Placer::FirstFit, Placer::WorstFit, Placer::Demand] {
-            assert_eq!(Placer::parse(p.name()), Some(p));
-        }
-        assert_eq!(Placer::parse("First-Fit"), Some(Placer::FirstFit));
-        assert_eq!(Placer::parse("WORSTFIT"), Some(Placer::WorstFit));
-        assert_eq!(Placer::parse("banana"), None);
-    }
-
-    #[test]
     fn single_pod_placement_is_identity() {
         let cluster = ClusterConfig::new(ResourceVec::new([8, 8192]), 10.0);
         let w = workload(2, 3);
-        let log = place(&cluster, &w, &ShardSpec::new(1));
-        assert!(log.rebalances.is_empty());
-        assert!(log.assignments.iter().all(|a| a.pod == 0));
+        let log = place(&cluster, &w, 1);
+        assert!(log.workflows.iter().chain(&log.adhoc).all(|&pod| pod == 0));
         let pods = log.pod_workloads(&w).unwrap();
         assert_eq!(pods.len(), 1);
         assert_eq!(pods[0], w);
@@ -730,84 +528,91 @@ mod tests {
     fn placement_covers_every_submission_exactly_once() {
         let cluster = ClusterConfig::new(ResourceVec::new([16, 16384]), 10.0);
         let w = workload(5, 11);
-        for placer in [Placer::FirstFit, Placer::WorstFit, Placer::Demand] {
-            let spec = ShardSpec::new(4).with_placer(placer);
-            let log = place(&cluster, &w, &spec);
-            let pods = log.pod_workloads(&w).unwrap();
-            assert_eq!(pods.iter().map(|p| p.workflows.len()).sum::<usize>(), 5);
-            assert_eq!(pods.iter().map(|p| p.adhoc.len()).sum::<usize>(), 11);
-            // Deterministic: recomputation is identical.
-            assert_eq!(place(&cluster, &w, &spec), log);
-        }
+        let log = place(&cluster, &w, 4);
+        let pods = log.pod_workloads(&w).unwrap();
+        assert_eq!(pods.iter().map(|p| p.workflows.len()).sum::<usize>(), 5);
+        assert_eq!(pods.iter().map(|p| p.adhoc.len()).sum::<usize>(), 11);
+        // Deterministic: recomputation is identical.
+        assert_eq!(place(&cluster, &w, 4), log);
     }
 
     #[test]
     fn demand_placer_spreads_load_across_pods() {
         let cluster = ClusterConfig::new(ResourceVec::new([16, 16384]), 10.0);
         let w = workload(4, 8);
-        let log = place(&cluster, &w, &ShardSpec::new(4));
+        let log = place(&cluster, &w, 4);
         let used: std::collections::BTreeSet<usize> =
-            log.assignments.iter().map(|a| a.pod).collect();
+            log.workflows.iter().chain(&log.adhoc).copied().collect();
         assert!(used.len() > 1, "demand placer left all load on one pod");
-    }
-
-    #[test]
-    fn rebalance_fires_under_projected_overload_and_is_recorded() {
-        let cluster = ClusterConfig::new(ResourceVec::new([8, 8192]), 10.0);
-        // Eight jobs with the identical 1-wide footprint: first-fit packs
-        // two per 2-core pod slice, blind to work. The first two — which
-        // land together on pod 0 — carry enormous backlogs, so pod 0's
-        // projected backlog blows past the threshold and the rebalancer
-        // must shed from it.
-        let mut w = SimWorkload::default();
-        for i in 0..8u64 {
-            let tasks = if i < 2 { 128 } else { 1 };
-            w.adhoc.push(AdhocSubmission::new(
-                JobSpec::new("a", tasks, 1, ResourceVec::new([1, 512])).with_max_parallel(1),
-                i,
-            ));
-        }
-        let spec = ShardSpec::new(4)
-            .with_placer(Placer::FirstFit)
-            .with_overload_factor(2.0);
-        let log = place(&cluster, &w, &spec);
-        assert!(
-            !log.rebalances.is_empty(),
-            "overloaded first-fit placement should rebalance"
-        );
-        // Moves are honored by the final split.
-        let pods = log.pod_workloads(&w).unwrap();
-        assert_eq!(pods.iter().map(|p| p.adhoc.len()).sum::<usize>(), 8);
-        for ev in &log.rebalances {
-            assert_ne!(ev.from_pod, ev.to_pod);
-        }
     }
 
     #[test]
     fn pod_workloads_rejects_corrupt_placements() {
         let cluster = ClusterConfig::new(ResourceVec::new([8, 8192]), 10.0);
         let w = workload(2, 2);
-        let good = place(&cluster, &w, &ShardSpec::new(2));
+        let good = place(&cluster, &w, 2);
 
-        let mut double = good.clone();
-        double.assignments.push(double.assignments[0].clone());
-        assert!(double.pod_workloads(&w).is_err());
+        let mut extra = good.clone();
+        extra.adhoc.push(0);
+        assert!(extra.pod_workloads(&w).is_err());
 
         let mut missing = good.clone();
-        missing.assignments.remove(0);
+        missing.workflows.remove(0);
         assert!(missing.pod_workloads(&w).is_err());
 
-        let mut out_of_range = good.clone();
-        out_of_range.assignments[0].pod = 7;
+        let mut out_of_range = good;
+        out_of_range.workflows[0] = 7;
         assert!(out_of_range.pod_workloads(&w).is_err());
+    }
 
-        let mut alien = good;
-        alien.assignments.push(PodAssignment {
-            class: ShardClass::Adhoc,
-            index: 99,
-            pod: 0,
-        });
-        assert!(alien.pod_workloads(&w).is_err());
+    /// What a tree before DESIGN.md §22 wrote still loads when the one
+    /// rule would have written the same thing, and every state the old
+    /// shape could hold and the new one cannot is a typed refusal.
+    #[test]
+    fn legacy_placement_records_load_or_are_refused_by_field() {
+        let entry = |class: &str, index: usize, pod: usize| {
+            format!("{{\"class\":\"{class}\",\"index\":{index},\"pod\":{pod}}}")
+        };
+        let record = |placer: &str, entries: &[String], rebalances: &str| {
+            format!(
+                "{{\"pods\":2,\"placer\":\"{placer}\",\"assignments\":[{}]{rebalances}}}",
+                entries.join(",")
+            )
+        };
+        let good = [
+            entry("Workflow", 0, 1),
+            entry("Adhoc", 0, 0),
+            entry("Adhoc", 1, 1),
+        ];
+        let log: PlacementLog = serde_json::from_str(&record("Demand", &good, "")).unwrap();
+        assert_eq!(
+            (log.pods, &log.workflows, &log.adhoc),
+            (2, &vec![1], &vec![0, 1])
+        );
+        // What this tree writes round-trips through the same reader.
+        let bytes = serde_json::to_string(&log).unwrap();
+        assert_eq!(bytes, "{\"pods\":2,\"workflows\":[1],\"adhoc\":[0,1]}");
+        assert_eq!(serde_json::from_str::<PlacementLog>(&bytes).unwrap(), log);
+
+        let a_move =
+            ",\"rebalances\":[{\"class\":\"Adhoc\",\"index\":0,\"from_pod\":0,\"to_pod\":1}]";
+        let doubled = [good[0].clone(), good[1].clone(), good[1].clone()];
+        let skipped = [good[0].clone(), good[2].clone()];
+        let off_the_end = [entry("Workflow", 0, 2)];
+        for (bytes, names) in [
+            (record("FirstFit", &good, ""), "placement.placer"),
+            (record("Demand", &good, a_move), "placement.rebalances"),
+            (record("Demand", &doubled, ""), "placement.assignments"),
+            (record("Demand", &skipped, ""), "placement.assignments"),
+            (record("Demand", &off_the_end, ""), "past its 2 pod(s)"),
+            (
+                "{\"pods\":2,\"workflows\":[2],\"adhoc\":[]}".to_string(),
+                "past its 2 pod(s)",
+            ),
+        ] {
+            let err = serde_json::from_str::<PlacementLog>(&bytes).unwrap_err();
+            assert!(err.to_string().contains(names), "{bytes}: {err}");
+        }
     }
 
     #[test]
@@ -834,13 +639,12 @@ mod tests {
             at: 0,
             target: 2,
         });
-        let spec = ShardSpec::new(2);
-        let sublogs = place_log(&cluster, &log, &spec).unwrap();
+        let sublogs = place_log(&cluster, &log, 2).unwrap();
         assert_eq!(sublogs.len(), 2);
         let total: usize = sublogs.iter().map(|l| l.len()).sum();
         assert_eq!(total, 2, "cancelled submission and cancel entry dropped");
         // Deterministic.
-        let again = place_log(&cluster, &log, &spec).unwrap();
+        let again = place_log(&cluster, &log, 2).unwrap();
         assert_eq!(again, sublogs);
     }
 }

@@ -94,13 +94,9 @@ pub struct TraceHeader {
     pub pods: u64,
     /// Pod index this trace was recorded on; only meaningful when
     /// `pods > 1` (pod 0 serializes identically to an unsharded trace
-    /// apart from `pods` and `placer`).
+    /// apart from `pods`).
     #[serde(default, skip_serializing_if = "crate::serde_skip::zero_u64")]
     pub pod: u64,
-    /// Placement policy ([`crate::Placer`]) of the sharded run, by its
-    /// canonical name; empty — and omitted — when unsharded.
-    #[serde(default, skip_serializing_if = "String::is_empty")]
-    pub placer: String,
 }
 
 /// One scenario rewrite performed by fault injection before the run.
@@ -403,11 +399,18 @@ impl DecisionTrace {
             if line.trim().is_empty() {
                 continue;
             }
-            let record: TraceRecord =
-                serde_json::from_str(&line).map_err(|e| TraceError::Parse {
-                    line: idx + 1,
-                    message: e.to_string(),
-                })?;
+            let parse_error = |message: String| TraceError::Parse {
+                line: idx + 1,
+                message,
+            };
+            let value = serde_json::parse(&line).map_err(|e| parse_error(e.to_string()))?;
+            // A K > 1 header written before DESIGN.md §22 names the
+            // placement policy its run chose.
+            let placer = value.get("Header").and_then(|h| h.get("placer"));
+            if let Some(name) = placer.and_then(serde_json::Value::as_str) {
+                crate::shard::require_demand_placer("header.placer", name).map_err(parse_error)?;
+            }
+            let record = TraceRecord::from_value(&value).map_err(|e| parse_error(e.to_string()))?;
             match record {
                 TraceRecord::Header(h) => header = Some(*h),
                 TraceRecord::Fault(f) => faults.push(f),
@@ -686,6 +689,35 @@ mod tests {
     fn malformed_line_reports_position() {
         match DecisionTrace::read_jsonl(std::io::BufReader::new(&b"not json\n"[..])) {
             Err(TraceError::Parse { line, .. }) => assert_eq!(line, 1),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// A K > 1 header written before DESIGN.md §22 names the placement
+    /// policy: `demand` is the rule that is left and loads; any other
+    /// name is refused at the header's line, naming the field.
+    #[test]
+    fn recorded_placer_must_be_the_one_rule() {
+        let mut t = DecisionTrace::new(4);
+        t.header.pods = 2;
+        t.header.pod = 1;
+        let mut buf = Vec::new();
+        t.write_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("\"pods\":2,\"pod\":1}"), "{text}");
+        let recorded_under = |placer: &str| {
+            text.replace(
+                "\"pod\":1}",
+                &format!("\"pod\":1,\"placer\":\"{placer}\"}}"),
+            )
+        };
+        let read =
+            |text: String| DecisionTrace::read_jsonl(std::io::BufReader::new(text.as_bytes()));
+        assert_eq!(read(recorded_under("demand")).unwrap(), t);
+        match read(recorded_under("firstfit")) {
+            Err(TraceError::Parse { line: 1, message }) => {
+                assert!(message.starts_with("header.placer: "), "{message}")
+            }
             other => panic!("unexpected {other:?}"),
         }
     }

@@ -4,7 +4,7 @@
 //! The decision trace and the offline auditor make runs *replayable*; this
 //! module makes them *comparable*. A what-if replays the same scenario
 //! under a modified policy (scheduler, shed/retry policy, fault seed, pod
-//! count/placer) and produces a two-sided diff in which
+//! count) and produces a two-sided diff in which
 //!
 //! * **both sides are certified** — [`certified_diff`] refuses to compare
 //!   runs the auditor rejects, so a diff row can never be an artifact of a
@@ -25,7 +25,7 @@
 //! granularity: workflow ids are global and survive re-placement, while
 //! per-pod job ids are pod-local dense indices that do not correspond
 //! across different pod counts. Event divergence is only computed when
-//! both sides used the same shard spec (pods then align pairwise).
+//! both sides used the same pod count (pods then align pairwise).
 
 use std::collections::BTreeMap;
 
@@ -37,7 +37,7 @@ use crate::cluster::ClusterConfig;
 use crate::engine::SimOutcome;
 use crate::faults::RecoverySetup;
 use crate::job::SimWorkload;
-use crate::shard::{ShardSpec, ShardedOutcome};
+use crate::shard::ShardedOutcome;
 use crate::trace::{DecisionTrace, TraceEvent};
 
 /// The artifacts of one policy run: the certified outcome plus the full
@@ -178,7 +178,7 @@ pub struct DiffSummary {
 /// A certified two-sided policy diff.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WhatIfDiff {
-    /// Base-side policy label (scheduler name, plus the shard spec for
+    /// Base-side policy label (scheduler name, plus the pod count for
     /// sharded diffs).
     pub base_policy: String,
     /// Alt-side policy label.
@@ -324,16 +324,16 @@ pub fn certified_sharded_diff(
     cluster: &ClusterConfig,
     workload: &SimWorkload,
     base: &ShardedRunArtifacts,
-    base_spec: &ShardSpec,
+    base_pods: usize,
     base_recovery: Option<&RecoverySetup>,
     alt: &ShardedRunArtifacts,
-    alt_spec: &ShardSpec,
+    alt_pods: usize,
     alt_recovery: Option<&RecoverySetup>,
 ) -> Result<WhatIfDiff, WhatIfError> {
     let base_report = certify_sharded(
         cluster,
         workload,
-        base_spec,
+        base_pods,
         &base.outcome,
         &base.traces,
         base_recovery,
@@ -342,7 +342,7 @@ pub fn certified_sharded_diff(
     let alt_report = certify_sharded(
         cluster,
         workload,
-        alt_spec,
+        alt_pods,
         &alt.outcome,
         &alt.traces,
         alt_recovery,
@@ -353,9 +353,9 @@ pub fn certified_sharded_diff(
         &workflow_fates(&base.outcome.pods),
         &workflow_fates(&alt.outcome.pods),
     );
-    // Pods only align pairwise when both sides used the same spec; with
-    // different pod counts or placers the event streams are incomparable.
-    let first_divergence = if base_spec == alt_spec {
+    // Pods only align pairwise when both sides used the same pod count;
+    // otherwise the event streams are incomparable.
+    let first_divergence = if base_pods == alt_pods {
         base.traces
             .iter()
             .zip(alt.traces.iter())
@@ -380,20 +380,16 @@ pub fn certified_sharded_diff(
         && summary.base_job_misses == summary.alt_job_misses
         && summary.base_slots_elapsed == summary.alt_slots_elapsed
         && summary.base_overrun_slots == summary.alt_overrun_slots;
-    let label = |spec: &ShardSpec, traces: &[DecisionTrace]| {
+    let label = |pods: usize, traces: &[DecisionTrace]| {
         let scheduler = traces
             .first()
             .map(|t| t.header.scheduler.as_str())
             .unwrap_or("?");
-        format!(
-            "{scheduler} [pods={} placer={}]",
-            spec.pods,
-            spec.placer.name()
-        )
+        format!("{scheduler} [pods={pods}]")
     };
     Ok(WhatIfDiff {
-        base_policy: label(base_spec, &base.traces),
-        alt_policy: label(alt_spec, &alt.traces),
+        base_policy: label(base_pods, &base.traces),
+        alt_policy: label(alt_pods, &alt.traces),
         identical,
         first_divergence,
         jobs: Vec::new(),

@@ -349,9 +349,16 @@ impl<'a> Parser<'a> {
                 return Ok(Value::U64(x));
             }
         }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| self.err("invalid number"))
+        let x = text
+            .parse::<f64>()
+            .map_err(|_| self.err("invalid number"))?;
+        // `1e999` parses to an infinity, which has no JSON spelling: it
+        // would come back out as `null`.
+        if !x.is_finite() {
+            self.pos = start;
+            return Err(self.err("number out of range"));
+        }
+        Ok(Value::F64(x))
     }
 
     fn seq(&mut self) -> Result<Value> {

@@ -1,6 +1,6 @@
 //! Sharded daemon differential: a `flowtimed` session with `pods = K`
 //! runs one engine per pod behind the same wire protocol, placing each
-//! submission at injection time with the batch layer's placer. The
+//! submission at injection time with the batch layer's placement rule. The
 //! contract mirrors the unsharded differential: splitting the session's
 //! recorded log with [`flowtime_sim::place_log`] and replaying each
 //! per-pod sub-log through a batch [`Engine::from_log`] over that pod's
@@ -16,10 +16,9 @@ use daemon_util::{
     session_config, trace_bytes, wal_config, wal_dir, workflow_line, TRACE_CAPACITY,
 };
 use flowtime_bench::experiments::{testbed_cluster, Algo, WorkflowExperiment};
-use flowtime_daemon::{codes, FsyncPolicy, Loopback, Session, SessionConfig};
+use flowtime_daemon::{codes, FsyncPolicy, Loopback, Session, SessionConfig, WalRecord};
 use flowtime_sim::{
-    place_log, pod_cluster, DecisionTrace, Engine, ShardSpec, SimOutcome, SimWorkload,
-    SubmissionLog,
+    place_log, pod_cluster, DecisionTrace, Engine, SimOutcome, SimWorkload, SubmissionLog,
 };
 
 fn experiment(seed: u64) -> WorkflowExperiment {
@@ -75,8 +74,7 @@ fn assert_batch_parity(
     outcomes: &[SimOutcome],
     traces: &[DecisionTrace],
 ) {
-    let spec = ShardSpec::new(pods);
-    let sub_logs = place_log(cluster, log, &spec).expect("log places");
+    let sub_logs = place_log(cluster, log, pods).expect("log places");
     assert_eq!(sub_logs.len(), pods);
     assert_eq!(outcomes.len(), pods);
     for (pod, sub_log) in sub_logs.iter().enumerate() {
@@ -224,7 +222,7 @@ fn sharded_snapshot_restores_byte_identically() {
         cluster.clone(),
         "flowtime",
         2,
-        Some("firstfit".to_string()),
+        Some("demand".to_string()),
         Some(path.to_string_lossy().into_owned()),
     );
     for sub in &workload.workflows {
@@ -238,7 +236,7 @@ fn sharded_snapshot_restores_byte_identically() {
 
     let body = flowtime_daemon::snapshot::load(&path).expect("snapshot loads");
     assert_eq!(body.config.pods, 2, "pod count must survive the snapshot");
-    assert_eq!(body.config.placer.as_deref(), Some("firstfit"));
+    assert_eq!(body.config.placer.as_deref(), Some("demand"));
     let mut restored = Loopback::new(Session::restore(body).expect("snapshot restores"));
 
     ok(&mut lb, "{\"req\":\"drain\"}");
@@ -253,7 +251,10 @@ fn sharded_snapshot_restores_byte_identically() {
 
 /// Sharding config errors are typed `bad-request`s at construction, and
 /// unsharded configs keep their pre-sharding serialized form (no `pods` /
-/// `placer` keys), so existing snapshots parse unchanged.
+/// `placer` keys), so existing snapshots parse unchanged. `placer` names
+/// the one rule or nothing: a session recorded under a retired policy is
+/// refused wherever its config comes from — the caller, a snapshot, or a
+/// WAL directory's genesis record — never replayed onto different pods.
 #[test]
 fn sharding_config_validation_and_serde_compat() {
     let base = SessionConfig {
@@ -265,29 +266,65 @@ fn sharding_config_validation_and_serde_compat() {
         pods: 0,
         placer: None,
     };
-
-    // A placer without pods > 1 and an unknown placer are both rejected.
-    for (pods, placer) in [
-        (0u64, Some("demand".to_string())),
-        (1, Some("demand".to_string())),
-        (2, Some("round-robin".to_string())),
-    ] {
-        let err = Session::new(SessionConfig {
-            pods,
-            placer,
-            ..base.clone()
-        })
-        .err()
-        .expect("invalid sharding config must be rejected");
-        assert_eq!(err.code, codes::BAD_REQUEST);
-    }
-    // Separator-insensitive placer names are accepted, like the CLI's.
-    Session::new(SessionConfig {
+    let config_naming = |placer: &str| SessionConfig {
         pods: 2,
-        placer: Some("First-Fit".to_string()),
+        placer: Some(placer.to_string()),
         ..base.clone()
-    })
-    .expect("separator-insensitive placer name");
+    };
+    let refused = |result: Result<Session, flowtime_daemon::ProtocolError>, what: &str| {
+        let err = result
+            .err()
+            .unwrap_or_else(|| panic!("{what} must be refused"));
+        assert_eq!(err.code, codes::BAD_REQUEST, "{what}: {}", err.detail);
+        assert!(
+            err.detail.contains("config.placer"),
+            "{what}: {}",
+            err.detail
+        );
+    };
+
+    for placer in ["firstfit", "Worst-Fit", "round-robin"] {
+        refused(Session::new(config_naming(placer)), placer);
+    }
+    // The surviving rule's name is accepted the way the flag spelled it.
+    for placer in ["demand", "Demand"] {
+        Session::new(config_naming(placer)).expect("the one rule, by name");
+    }
+
+    // A snapshot recorded under first-fit: it loads, and is refused.
+    let dir = wal_dir("retired-placer");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let snap = dir.join("firstfit.snap");
+    let body = flowtime_daemon::SnapshotBody {
+        config: config_naming("firstfit"),
+        log: SubmissionLog::new(),
+        now: 0,
+        next_seq: 0,
+        wal_segment: 0,
+        request_ids: Default::default(),
+    };
+    flowtime_daemon::snapshot::save(&snap, &body).expect("snapshot saves");
+    let body = flowtime_daemon::snapshot::load(&snap).expect("snapshot loads");
+    refused(Session::restore(body), "a first-fit snapshot");
+
+    // A WAL directory whose genesis record says first-fit: same refusal,
+    // whatever the restarting daemon's own flags say.
+    let wal_root = dir.join("wal");
+    let mut wal = flowtime_daemon::wal::create(wal_config(&wal_root, FsyncPolicy::None), None)
+        .expect("wal opens");
+    let config = config_naming("firstfit");
+    wal.append(&WalRecord::Genesis { config }).expect("append");
+    drop(wal);
+    let recovered = Session::recover(
+        config_naming("demand"),
+        wal_config(&wal_root, FsyncPolicy::None),
+        None,
+    );
+    refused(
+        recovered.map(|(session, _)| session),
+        "a first-fit WAL directory",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 
     // Unsharded configs serialize without the sharding keys.
     let json = serde_json::to_string(&base).expect("config serializes");

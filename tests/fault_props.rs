@@ -26,7 +26,7 @@ fn fault_config() -> impl Strategy<Value = FaultConfig> {
         .prop_map(|(seed, sigma, churn, bursts, delay)| {
             FaultConfig::none(seed)
                 .with_misestimate(sigma)
-                .with_churn(churn)
+                .with_static_churn(churn)
                 .with_bursts(bursts)
                 .with_submit_delay(delay)
         })

@@ -155,6 +155,33 @@ fn nesting_is_capped_at_128_levels() {
     assert!(serde_json::parse(&format!("[{}[]]", "[],".repeat(10_000))).is_ok());
 }
 
+/// A number no `f64` can hold is refused at the byte it starts on. It
+/// used to decode to an infinity, which has no JSON spelling and was
+/// re-emitted as `null` — the one silent value change the mutation loop
+/// above turned up.
+#[test]
+fn numbers_past_f64_are_refused_not_nulled() {
+    let digits = "9".repeat(400);
+    for (doc, at) in [
+        ("1e999".to_string(), 0),
+        ("[0, -1e999]".to_string(), 4),
+        (format!("{{\"a\":{digits}}}"), 5),
+    ] {
+        let e = serde_json::parse(&doc).expect_err("out of range");
+        assert_eq!(
+            e.to_string(),
+            format!("number out of range at byte {at}"),
+            "{doc}"
+        );
+    }
+    // The edges of the range still parse: the largest finite double, an
+    // integer one past `u64::MAX`, and an underflow to zero.
+    for doc in ["1.7976931348623157e308", "18446744073709551616", "1e-999"] {
+        let value = serde_json::parse(doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        assert!(matches!(value, serde_json::Value::F64(x) if x.is_finite()));
+    }
+}
+
 #[test]
 fn goldens_round_trip_byte_identically() {
     for name in [

@@ -183,7 +183,7 @@ fn chaos_sweep_is_byte_identical_across_thread_counts() {
         schedulers: Algo::FIG4.to_vec(),
         fault_seeds: vec![0, 1],
         audit: true,
-        shard: None,
+        pods: None,
     };
     let sequential = serde_json::to_string_pretty(&spec.run(1)).expect("report serializes");
     assert!(

@@ -7,13 +7,17 @@
 //!   clean, faulted, and under mid-run chaos.
 //! * **Thread blindness** — for any pod count, the worker thread count
 //!   changes no byte of the serialized outcome.
-//! * **Chaos certification** — random (seed, pods, placer, scheduler)
-//!   scenarios over faulted clusters are always certified by the sharded
-//!   auditor, and every job lands in exactly one pod.
-//! * **Mutation negatives** — each cross-pod violation code actually
-//!   fires: a doubled placement, a dropped assignment, a tampered trace
-//!   capacity, a dropped rebalance event, and a dropped pod are all
-//!   caught, so the auditor's certification is evidence, not vacuous.
+//! * **Chaos certification** — random (seed, pods, scheduler) scenarios
+//!   over faulted clusters are always certified by the sharded auditor,
+//!   and every job lands in exactly one pod.
+//! * **Mutation negatives** — a doubled placement, a dropped assignment,
+//!   a tampered trace capacity, a rewritten assignment and a dropped pod
+//!   are all rejected — by a cross-pod violation code or, where the
+//!   placement record can no longer hold the tamper, by a typed
+//!   deserialization error — so certification is evidence, not vacuous.
+//! * **One placement rule** — `place` on the `fig_shard` workload is
+//!   pinned to the assignments the `demand` placer made before the other
+//!   two policies and the rebalance pass were cut (DESIGN.md §22).
 //! * **Capacity split** — `split_capacity` conserves every resource
 //!   dimension exactly and spreads each within one unit.
 
@@ -22,11 +26,10 @@ use flowtime_bench::experiments::{
     faulted_instance, run_checked, testbed_cluster, Algo, WorkflowExperiment,
 };
 use flowtime_bench::sweep::RecoveryProfile;
-use flowtime_dag::{JobSpec, ResourceVec};
+use flowtime_dag::ResourceVec;
 use flowtime_sim::{
-    certify_sharded, split_capacity, AdhocSubmission, ClusterConfig, DecisionTrace, Engine,
-    FaultConfig, Placer, RecoverySetup, ShardClass, ShardSpec, SimOutcome, SimWorkload,
-    DEFAULT_TRACE_CAPACITY,
+    certify_sharded, place, split_capacity, ClusterConfig, DecisionTrace, Engine, FaultConfig,
+    PlacementLog, RecoverySetup, ShardedOutcome, SimOutcome, SimWorkload, DEFAULT_TRACE_CAPACITY,
 };
 use proptest::prelude::*;
 
@@ -76,17 +79,17 @@ fn direct_engine_run(
     (outcome, handle.take())
 }
 
-/// `algo` through the one run path, sharded as `shard` says.
+/// `algo` through the one run path, sharded across `pods` pods.
 fn run_pods(
     algo: Algo,
     cluster: &ClusterConfig,
     workload: &SimWorkload,
-    shard: &ShardSpec,
+    pods: usize,
     threads: usize,
     traced: bool,
 ) -> RunOutput {
     let spec = RunSpec {
-        shard: shard.clone(),
+        pods,
         trace_capacity: traced.then_some(DEFAULT_TRACE_CAPACITY),
         threads,
         ..RunSpec::new(algo)
@@ -115,7 +118,7 @@ fn single_pod_matches_unsharded_for_all_six_schedulers() {
                 trace_capacity: Some(DEFAULT_TRACE_CAPACITY),
                 ..RunSpec::new(algo)
             };
-            assert_eq!(spec.shard, ShardSpec::new(1));
+            assert_eq!(spec.pods, 1);
             let RunOutput { outcome, traces } = run_checked(&spec, &cluster, &workload);
             assert_eq!(outcome.pods.len(), 1);
             assert_eq!(
@@ -128,14 +131,7 @@ fn single_pod_matches_unsharded_for_all_six_schedulers() {
                 trace_jsonl(&plain_trace),
                 "{tag}: the run path's trace diverges from the hand-built engine"
             );
-            let report = certify_sharded(
-                &cluster,
-                &workload,
-                &spec.shard,
-                &outcome,
-                &traces,
-                recovery,
-            );
+            let report = certify_sharded(&cluster, &workload, 1, &outcome, &traces, recovery);
             assert!(report.is_certified(), "{tag}: {}", report.summary());
         }
     }
@@ -154,7 +150,7 @@ fn single_pod_identity_holds_under_faults() {
             let RunOutput {
                 outcome: sharded,
                 traces,
-            } = run_pods(algo, &faulted, &workload, &ShardSpec::new(1), 1, true);
+            } = run_pods(algo, &faulted, &workload, 1, 1, true);
             assert_eq!(
                 serde_json::to_string(&sharded.pods[0]).expect("outcome serializes"),
                 serde_json::to_string(&plain).expect("outcome serializes"),
@@ -179,11 +175,10 @@ fn thread_count_never_changes_a_byte_for_any_pod_count() {
     let cluster = testbed_cluster();
     let workload = experiment(3).build(&cluster);
     for pods in [1usize, 2, 4, 8] {
-        let spec = ShardSpec::new(pods);
-        let reference = run_pods(Algo::FlowTime, &cluster, &workload, &spec, 1, false).outcome;
+        let reference = run_pods(Algo::FlowTime, &cluster, &workload, pods, 1, false).outcome;
         let reference_bytes = serde_json::to_string(&reference).expect("outcome serializes");
         for threads in [2usize, 8] {
-            let run = run_pods(Algo::FlowTime, &cluster, &workload, &spec, threads, false).outcome;
+            let run = run_pods(Algo::FlowTime, &cluster, &workload, pods, threads, false).outcome;
             assert_eq!(
                 serde_json::to_string(&run).expect("outcome serializes"),
                 reference_bytes,
@@ -193,86 +188,130 @@ fn thread_count_never_changes_a_byte_for_any_pod_count() {
         let RunOutput {
             outcome: traced,
             traces,
-        } = run_pods(Algo::FlowTime, &cluster, &workload, &spec, pods, true);
+        } = run_pods(Algo::FlowTime, &cluster, &workload, pods, pods, true);
         assert_eq!(
             serde_json::to_string(&traced).expect("outcome serializes"),
             reference_bytes,
             "pods={pods}: tracing changed the outcome"
         );
-        let report = certify_sharded(&cluster, &workload, &spec, &traced, &traces, None);
+        let report = certify_sharded(&cluster, &workload, pods, &traced, &traces, None);
         assert!(report.is_certified(), "pods={pods}: {}", report.summary());
     }
 }
 
-/// A rebalance-heavy scenario (first-fit packs two enormous ad-hoc
-/// backlogs onto pod 0, forcing the rebalancer to shed) used by the
-/// mutation-negative tests that need a non-empty `rebalances` record.
-fn rebalance_scenario() -> (ClusterConfig, SimWorkload, ShardSpec) {
-    let cluster = ClusterConfig::new(ResourceVec::new([8, 8192]), 10.0);
-    let mut w = SimWorkload::default();
-    for i in 0..8u64 {
-        let tasks = if i < 2 { 128 } else { 1 };
-        w.adhoc.push(AdhocSubmission::new(
-            JobSpec::new("a", tasks, 1, ResourceVec::new([1, 512])).with_max_parallel(1),
-            i,
-        ));
-    }
-    let spec = ShardSpec::new(4)
-        .with_placer(Placer::FirstFit)
-        .with_overload_factor(2.0);
-    (cluster, w, spec)
+/// The `{class, index, pod}` entries trees before DESIGN.md §22 wrote for
+/// `placement`, one per submission — a list in which the same submission
+/// can appear twice or not at all.
+fn parent_entries(placement: &PlacementLog) -> Vec<String> {
+    let entry = |class: &str, (index, pod): (usize, &usize)| {
+        format!("{{\"class\":\"{class}\",\"index\":{index},\"pod\":{pod}}}")
+    };
+    let workflows = placement.workflows.iter().enumerate();
+    let adhoc = placement.adhoc.iter().enumerate();
+    (workflows.map(|a| entry("Workflow", a)))
+        .chain(adhoc.map(|a| entry("Adhoc", a)))
+        .collect()
 }
 
-/// Mutation negatives: every cross-pod violation code fires on the
-/// tampered artifact it was designed to catch. Each mutation starts from
-/// a certified run, so the violation is attributable to the mutation.
+/// `outcome` as those trees serialized it: its placement record swapped
+/// for one naming `placer` and listing `entries`.
+fn parent_shaped(outcome: &ShardedOutcome, placer: &str, entries: &[String]) -> String {
+    let own = serde_json::to_string(&outcome.placement).expect("serializes");
+    let theirs = format!(
+        "{{\"pods\":{},\"placer\":\"{placer}\",\"assignments\":[{}]}}",
+        outcome.placement.pods,
+        entries.join(",")
+    );
+    let bytes = serde_json::to_string(outcome).expect("serializes");
+    assert!(bytes.contains(&own));
+    bytes.replace(&own, &theirs)
+}
+
+/// Mutation negatives: every tamper the cross-pod checks were built to
+/// catch is still rejected. Each mutation starts from a certified run, so
+/// the rejection is attributable to the mutation. A placement holds one
+/// pod per submission, so "on two pods" and "on no pod" can only be
+/// written as a record of the wrong length (caught by the placement
+/// replay) or, in the shape earlier trees serialized, as a duplicated or
+/// skipped entry (refused when the file is read).
 #[test]
 fn tampered_sharded_artifacts_are_rejected_with_the_right_codes() {
     let cluster = testbed_cluster();
     let workload = experiment(4).build(&cluster);
-    let spec = ShardSpec::new(2);
-    let RunOutput { outcome, traces } =
-        run_pods(Algo::FlowTime, &cluster, &workload, &spec, 2, true);
-    let clean = certify_sharded(&cluster, &workload, &spec, &outcome, &traces, None);
+    let RunOutput { outcome, traces } = run_pods(Algo::FlowTime, &cluster, &workload, 2, 2, true);
+    let certify = |outcome: &ShardedOutcome, traces| {
+        certify_sharded(&cluster, &workload, 2, outcome, traces, None)
+    };
+    let clean = certify(&outcome, &traces);
     assert!(clean.is_certified(), "{}", clean.summary());
 
-    // Double placement: the same submission recorded on both pods.
+    // Double placement: one submission recorded once more, on the other pod.
     let mut doubled = outcome.clone();
-    let mut dup = doubled.placement.assignments[0].clone();
-    dup.pod = (dup.pod + 1) % 2;
-    doubled.placement.assignments.push(dup);
-    let report = certify_sharded(&cluster, &workload, &spec, &doubled, &traces, None);
+    doubled
+        .placement
+        .adhoc
+        .push((outcome.placement.adhoc[0] + 1) % 2);
+    let report = certify(&doubled, &traces);
     assert!(
-        report.has("shard-double-place"),
+        report.has("shard-placement-mismatch"),
         "doubled assignment not caught: {}",
         report.summary()
     );
 
     // Dropped assignment: a submission placed on no pod.
     let mut unplaced = outcome.clone();
-    unplaced.placement.assignments.pop();
-    let report = certify_sharded(&cluster, &workload, &spec, &unplaced, &traces, None);
+    unplaced.placement.adhoc.pop();
+    let report = certify(&unplaced, &traces);
     assert!(
-        report.has("shard-unplaced-job"),
+        report.has("shard-placement-mismatch"),
         "dropped assignment not caught: {}",
         report.summary()
     );
+
+    // The same two tampers, and a policy this tree cannot replay, written
+    // into the record shape earlier trees serialized: typed refusals
+    // naming the field, where the untampered record loads and certifies.
+    let entries = parent_entries(&outcome.placement);
+    let loaded: ShardedOutcome =
+        serde_json::from_str(&parent_shaped(&outcome, "Demand", &entries)).expect("demand loads");
+    assert_eq!(loaded, outcome);
+    let doubled = [&entries[..], &entries[..1]].concat();
+    for (what, bytes, names) in [
+        (
+            "doubled entry",
+            parent_shaped(&outcome, "Demand", &doubled),
+            "placement.assignments",
+        ),
+        (
+            "skipped entry",
+            parent_shaped(&outcome, "Demand", &entries[1..]),
+            "placement.assignments",
+        ),
+        (
+            "first-fit recording",
+            parent_shaped(&outcome, "FirstFit", &entries),
+            "placement.placer",
+        ),
+    ] {
+        let err = serde_json::from_str::<ShardedOutcome>(&bytes).expect_err(what);
+        assert!(err.to_string().contains(names), "{what}: {err}");
+    }
 
     // Tampered capacity slice: the pod traces no longer sum to the
     // cluster's capacity.
     let mut fat_traces = traces.clone();
     fat_traces[0].header.capacity += ResourceVec::new([1, 0]);
-    let report = certify_sharded(&cluster, &workload, &spec, &outcome, &fat_traces, None);
+    let report = certify(&outcome, &fat_traces);
     assert!(
         report.has("shard-capacity-sum"),
         "inflated capacity slice not caught: {}",
         report.summary()
     );
 
-    // Dropped pod: artifact pod counts disagree with the spec.
+    // Dropped pod: artifact pod counts disagree with the pod count asked for.
     let mut short = outcome.clone();
     short.pods.pop();
-    let report = certify_sharded(&cluster, &workload, &spec, &short, &traces, None);
+    let report = certify(&short, &traces);
     assert!(
         report.has("shard-pod-count"),
         "dropped pod not caught: {}",
@@ -280,11 +319,10 @@ fn tampered_sharded_artifacts_are_rejected_with_the_right_codes() {
     );
 
     // Rewritten placement: moving one assignment to the other pod keeps
-    // exactly-once placement intact, so only the placement replay check
-    // can catch it.
+    // the record well-formed, so only the placement replay can catch it.
     let mut moved = outcome.clone();
-    moved.placement.assignments[0].pod = (moved.placement.assignments[0].pod + 1) % 2;
-    let report = certify_sharded(&cluster, &workload, &spec, &moved, &traces, None);
+    moved.placement.workflows[0] = (moved.placement.workflows[0] + 1) % 2;
+    let report = certify(&moved, &traces);
     assert!(
         report.has("shard-placement-mismatch"),
         "rewritten assignment not caught: {}",
@@ -292,63 +330,65 @@ fn tampered_sharded_artifacts_are_rejected_with_the_right_codes() {
     );
 }
 
-/// A dropped rebalance event is caught by the placement replay check —
-/// the recorded log no longer recomputes from the scenario.
+/// The one placement rule is the `demand` placer of the three there were:
+/// on the `fig_shard` workload (8 workflows x 12 jobs, ad-hoc horizon 400,
+/// testbed cluster) at K = 2, 4, 8, `place` returns the pods that placer
+/// assigned *before* its rebalance pass ran — one digit per submission,
+/// workflows first, recorded from the last tree that had the choice.
 #[test]
-fn dropped_rebalance_event_is_rejected() {
-    let (cluster, workload, spec) = rebalance_scenario();
-    let RunOutput { outcome, traces } = run_pods(Algo::Edf, &cluster, &workload, &spec, 4, true);
-    assert!(
-        !outcome.placement.rebalances.is_empty(),
-        "scenario must actually rebalance for this test to bite"
-    );
-    let clean = certify_sharded(&cluster, &workload, &spec, &outcome, &traces, None);
-    assert!(clean.is_certified(), "{}", clean.summary());
-
-    let mut dropped = outcome.clone();
-    dropped.placement.rebalances.pop();
-    let report = certify_sharded(&cluster, &workload, &spec, &dropped, &traces, None);
-    assert!(
-        report.has("shard-placement-mismatch"),
-        "dropped rebalance event not caught: {}",
-        report.summary()
-    );
+fn placement_matches_the_demand_placer_it_replaced() {
+    const RECORDED: [(usize, &str); 3] = [
+        (2, "01010101010101010101010101010101010101001011010101010101010101010100101010101011010101010101010100101010101010101101010010101010101011010101000101101010101001010101010010101001101010101010101010101010101"),
+        (4, "01232031230123010231023102310231023102310321023120312031203120312033120312031203102310213021302130231203120312031203120301230123012301023102331023103210321030213023102312031220130213021302130213023102310"),
+        (8, "01234567203617454203617542036175420361756742031456732014567320145673720145637420156237401563274015613274056132740561034274561032745610327145660327145670321454670321540670321546570312645703126457031264570"),
+    ];
+    let cluster = testbed_cluster();
+    let workload = WorkflowExperiment {
+        workflows: 8,
+        jobs_per_workflow: 12,
+        adhoc_horizon: 400,
+        ..Default::default()
+    }
+    .build(&cluster);
+    for (pods, recorded) in RECORDED {
+        let log = place(&cluster, &workload, pods);
+        let placed: String = (log.workflows.iter().chain(&log.adhoc))
+            .map(|&pod| char::from_digit(pod as u32, 10).expect("K <= 8"))
+            .collect();
+        assert_eq!(log.workflows.len(), workload.workflows.len());
+        assert_eq!(placed, recorded, "pods={pods}");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Chaos corpus: any (fault seed, pod count, placer, scheduler) cell
-    /// is certified by the sharded auditor, places every job exactly
-    /// once, and keeps ad-hoc placements within the pod range.
+    /// Chaos corpus: any (fault seed, pod count, scheduler) cell is
+    /// certified by the sharded auditor, places every job exactly once,
+    /// and keeps placements within the pod range.
     #[test]
     fn random_sharded_scenarios_are_certified(
         seed in 0u64..32,
         pods in 1usize..5,
-        placer_idx in 0usize..3,
         algo_idx in 0usize..Algo::FIG4.len(),
     ) {
         let cluster = testbed_cluster();
         let (workload, faulted) =
             faulted_instance(&experiment(seed), &cluster, FaultConfig::mixed(seed));
-        let placer = [Placer::FirstFit, Placer::WorstFit, Placer::Demand][placer_idx];
-        let spec = ShardSpec::new(pods).with_placer(placer);
         let algo = Algo::FIG4[algo_idx];
         let RunOutput { outcome, traces } =
-            run_pods(algo, &faulted, &workload, &spec, pods, true);
-        let report = certify_sharded(&faulted, &workload, &spec, &outcome, &traces, None);
+            run_pods(algo, &faulted, &workload, pods, pods, true);
+        let report = certify_sharded(&faulted, &workload, pods, &outcome, &traces, None);
         prop_assert!(
             report.is_certified(),
-            "{} pods={pods} {placer:?} seed={seed}: {}",
+            "{} pods={pods} seed={seed}: {}",
             algo.name(),
             report.summary()
         );
         let total: usize = outcome.pods.iter().map(|o| o.metrics.jobs.len()).sum();
         prop_assert_eq!(total, job_count(&workload));
-        for a in &outcome.placement.assignments {
-            prop_assert!(a.pod < pods);
-            prop_assert!(matches!(a.class, ShardClass::Workflow | ShardClass::Adhoc));
-        }
+        let placement = &outcome.placement;
+        prop_assert!(placement.workflows.iter().chain(&placement.adhoc).all(|&pod| pod < pods));
     }
 
     /// `split_capacity` conserves every resource dimension exactly and
@@ -377,7 +417,7 @@ proptest! {
 
 /// The fixed sharded sweep behind `tests/golden/shard_report.json`: two
 /// schedulers × two fault seeds × mixed faults, every cell run across
-/// two pods with the demand placer and certified by the sharded auditor.
+/// two pods and certified by the sharded auditor.
 fn golden_sharded_spec() -> flowtime_bench::sweep::SweepSpec {
     flowtime_bench::sweep::SweepSpec {
         base: experiment(0),
@@ -386,7 +426,7 @@ fn golden_sharded_spec() -> flowtime_bench::sweep::SweepSpec {
         schedulers: vec![Algo::FlowTime, Algo::Edf],
         fault_seeds: vec![0, 1],
         audit: true,
-        shard: Some(ShardSpec::new(2)),
+        pods: Some(2),
     }
 }
 
@@ -415,8 +455,8 @@ fn golden_shard_report_is_stable() {
     );
 }
 
-/// Schema stability of the sharded report: the shard spec is embedded,
-/// every cell carries its pod count, and — the flip side of the
+/// Schema stability of the sharded report: the pod count is embedded,
+/// every cell carries it too, and — the flip side of the
 /// skip-at-default contract — the *unsharded* golden sweep report
 /// contains no shard keys at all, so pre-sharding bytes never moved.
 #[test]
@@ -425,10 +465,9 @@ fn golden_shard_report_schema_is_stable() {
     let golden = std::fs::read_to_string(root.join("tests/golden/shard_report.json"))
         .expect("golden file missing — regenerate with GOLDEN_REGEN=1");
     let v: serde_json::Value = serde_json::from_str(&golden).expect("golden parses as JSON");
-    let shard = v.get("shard").expect("sharded report embeds its spec");
     assert!(
-        matches!(shard.get("pods"), Some(serde_json::Value::U64(2))),
-        "shard spec must record pods = 2"
+        matches!(v.get("pods"), Some(serde_json::Value::U64(2))),
+        "a sharded report must record pods = 2"
     );
     for cell in v.get("cells").unwrap().as_seq().unwrap() {
         assert!(
@@ -439,7 +478,7 @@ fn golden_shard_report_schema_is_stable() {
     let unsharded = std::fs::read_to_string(root.join("tests/golden/sweep_report.json"))
         .expect("unsharded golden present");
     assert!(
-        !unsharded.contains("\"shard\"") && !unsharded.contains("\"pods\""),
+        !unsharded.contains("\"pods\""),
         "unsharded golden must stay free of shard keys"
     );
 }

@@ -28,7 +28,7 @@ fn spec(schedulers: Vec<Algo>, fault_seeds: Vec<u64>, scenarios: Vec<SweepScenar
         schedulers,
         fault_seeds,
         audit: false,
-        shard: None,
+        pods: None,
     }
 }
 
