@@ -10,8 +10,9 @@
 //!
 //! * [`protocol`] — the wire grammar: requests, typed error codes,
 //!   response framing, the line-length cap.
-//! * [`session`] — the state machine: one typed lifecycle, one accept
-//!   path for every logged mutation, virtual-clock advancement, drain.
+//! * [`session`] — the state machine: one typed lifecycle, one commit
+//!   path for every logged mutation (the submits of one wake are one
+//!   *run*: one WAL write, one sync), virtual-clock advancement, drain.
 //! * [`framing`] — the FNV-1a checksum and the two checksummed line
 //!   grammars (WAL record, snapshot document) all durable bytes use.
 //! * [`snapshot`] — checksummed crash-recovery snapshots; restore
@@ -21,8 +22,11 @@
 //!   its reply is written; snapshots become compaction points; seeded
 //!   I/O fault injection drives the kill-9 chaos suites.
 //! * [`server`] — transports: the in-process [`server::Loopback`] used
-//!   by the deterministic test harness, and the single-threaded
-//!   non-blocking TCP loop behind the `flowtimed` binary.
+//!   by the deterministic test harness, and the single-threaded TCP
+//!   readiness loop behind the `flowtimed` binary — it blocks in
+//!   `poll(2)`, never sleeps, never blocks on a write.
+//! * `readiness` — that `poll(2)`, hand-declared: the one module allowed
+//!   `unsafe` (the crate denies it everywhere else).
 //! * [`client`] — the blocking client used by `flowtime-cli
 //!   submit|status|drain`.
 //!
@@ -35,9 +39,13 @@
 //! both sides — the property the `daemon_differential` and
 //! `daemon_props` suites enforce across every scheduler and fault seed.
 
+#![deny(unsafe_code)]
+
 pub mod client;
 pub mod framing;
 pub mod protocol;
+#[allow(unsafe_code)]
+mod readiness;
 pub mod server;
 pub mod session;
 pub mod snapshot;

@@ -43,7 +43,10 @@
 //! yet synced — a window the operator opted into). If the append fails,
 //! the request is rejected with [`codes::WAL_IO`] and the session state
 //! is untouched — a rejected request never leaves a partial record
-//! durable. Without `--wal-dir` the daemon runs in the legacy
+//! durable. Consecutive submissions that reach the daemon together are
+//! appended and synced as one *run* and acknowledged together: the
+//! contract holds with *run* for *request*, and a run the WAL refuses is
+//! rejected whole. Without `--wal-dir` the daemon runs in the legacy
 //! `durability=none` mode: replies promise nothing beyond process
 //! lifetime, exactly as before.
 //!
@@ -214,6 +217,25 @@ fn request_id_field(v: &Value) -> Result<Option<String>, ProtocolError> {
         Some(other) => Err(ProtocolError::new(
             codes::BAD_REQUEST,
             format!("field `request_id` must be a string, got {}", other.kind()),
+        )),
+    }
+}
+
+/// Decodes the bytes between two newlines into a request line: strict
+/// UTF-8, borrowed, with a trailing `\r` (a CRLF client) dropped. Bytes
+/// that are not UTF-8 are refused, never repaired — a repaired line would
+/// be acknowledged, logged and replayed as something the client did not
+/// send.
+///
+/// # Errors
+///
+/// [`codes::MALFORMED_JSON`] naming the offset of the first bad byte.
+pub fn decode_line(bytes: &[u8]) -> Result<&str, ProtocolError> {
+    match std::str::from_utf8(bytes) {
+        Ok(line) => Ok(line.trim_end_matches('\r')),
+        Err(e) => Err(ProtocolError::new(
+            codes::MALFORMED_JSON,
+            format!("request line is not UTF-8 at byte {}", e.valid_up_to()),
         )),
     }
 }

@@ -37,10 +37,11 @@
 //! (read-only: `status` / `trace` / `outcome` still served; mutations are
 //! typed errors). Engines exist only in the first phase, frozen artifacts
 //! only in the second. Every change to the submission log — live request
-//! (`Session::accept`), recovered WAL record, snapshot log — goes through
-//! `Session::apply_entry`, so replay cannot diverge from live.
+//! (`Session::step` into a run, `Session::commit`), recovered WAL
+//! record, snapshot log — goes through `Session::apply_entry`, so replay
+//! cannot diverge from live.
 
-use crate::protocol::{codes, ProtocolError, Request};
+use crate::protocol::{self, codes, ProtocolError, Request};
 use crate::snapshot::{self, SnapshotBody};
 use crate::wal::{self, DiskFaultPlan, RecoveryReport, Wal, WalConfig, WalRecord};
 use flowtime::Algo;
@@ -385,30 +386,110 @@ impl Session {
         &self.log
     }
 
-    /// Dispatches one parsed request, returning the `ok`-body JSON.
-    /// `Shutdown` is acknowledged here; closing the transport is the
-    /// server loop's job. The three log-changing requests only build the
-    /// [`LogEntry`] they ask for; [`Session::accept`] does the rest.
+    /// Dispatches one parsed request — a run of one — returning the
+    /// `ok`-body JSON. `Shutdown` is acknowledged here; closing the
+    /// transport is the server loop's job.
     ///
     /// # Errors
     ///
-    /// A typed [`ProtocolError`] for every failure mode; the session
-    /// never panics on bad input.
+    /// A typed [`ProtocolError`] for every failure mode; never a panic.
     pub fn handle(&mut self, request: Request) -> Result<String, ProtocolError> {
-        let (seq, at) = (self.next_seq, self.now());
-        match request {
-            Request::SubmitWorkflow(submission, rid) => {
-                let submission = *submission;
-                self.accept(
-                    LogEntry::Workflow {
-                        seq,
-                        at,
-                        submission,
-                    },
-                    rid,
-                )
+        let mut run = Vec::new();
+        let reply = self.step(request, &mut run)?;
+        self.commit(&mut run)?;
+        Ok(reply)
+    }
+
+    /// Answers request lines in order, one reply line each; `true` once a
+    /// line was `shutdown` (the lines after it are not answered).
+    ///
+    /// A *run* — consecutive `submit_workflow` / `submit_adhoc` lines — is
+    /// admitted line by line against the state plus the run so far, then
+    /// committed as one ([`Session::commit`]: one WAL write, one sync) and
+    /// only then acknowledged; a run the WAL refuses is rejected whole. It
+    /// ends before a line repeating one of its `request_id`s (answered
+    /// `duplicate` once the run is applied), before any other request, and
+    /// at [`Wal::room`]; a line that fails to parse or to be admitted is
+    /// answered in place and ends nothing. So replies, log and WAL bytes
+    /// do not depend on how lines are grouped into calls.
+    pub fn handle_lines(&mut self, lines: &[&str]) -> (Vec<String>, bool) {
+        let mut replies = Vec::with_capacity(lines.len());
+        // The run, and for each of its records the reply it waits in.
+        let (mut run, mut slots) = (Vec::new(), Vec::new());
+        for line in lines {
+            let request = match protocol::parse_request(line) {
+                Ok(request) => request,
+                Err(e) => {
+                    replies.push(protocol::err_line(&e));
+                    continue;
+                }
+            };
+            let joins = match &request {
+                Request::SubmitWorkflow(_, rid) | Request::SubmitAdhoc(_, rid) => {
+                    let repeats = |r: &WalRecord| matches!(r, WalRecord::Entry { request_id, .. } if request_id == rid);
+                    run.len() < self.wal.as_ref().map_or(usize::MAX, Wal::room)
+                        && !(rid.is_some() && run.iter().any(repeats))
+                }
+                _ => false,
+            };
+            if !joins {
+                self.commit_run(&mut run, &mut slots, &mut replies);
             }
-            Request::SubmitAdhoc(submission, rid) => self.accept(
+            let shutdown = matches!(request, Request::Shutdown);
+            let reply = self.step(request, &mut run);
+            if slots.len() < run.len() {
+                slots.push(replies.len());
+            }
+            replies.push(match reply {
+                Ok(body) => protocol::ok_line(&body),
+                Err(e) => protocol::err_line(&e),
+            });
+            if shutdown {
+                return (replies, true);
+            }
+        }
+        self.commit_run(&mut run, &mut slots, &mut replies);
+        (replies, false)
+    }
+
+    /// Commits the run; if the WAL refuses it, every acknowledgement
+    /// waiting in `slots` becomes the refusal.
+    fn commit_run(
+        &mut self,
+        run: &mut Vec<WalRecord>,
+        slots: &mut Vec<usize>,
+        replies: &mut [String],
+    ) {
+        if let Err(e) = self.commit(run) {
+            for &slot in slots.iter() {
+                replies[slot] = protocol::err_line(&e);
+            }
+        }
+        slots.clear();
+    }
+
+    /// One request against the state plus `run`. The three log-changing
+    /// requests only build their [`LogEntry`] and are admitted — lifecycle
+    /// → idempotency → [`Session::check`] — into `run`: a submission's
+    /// reply stands once its run commits, a `cancel` commits here as a run
+    /// of its own. Every other request expects `run` empty.
+    fn step(
+        &mut self,
+        request: Request,
+        run: &mut Vec<WalRecord>,
+    ) -> Result<String, ProtocolError> {
+        let (seq, at) = (self.next_seq + run.len() as u64, self.now());
+        let alone = matches!(request, Request::Cancel(_));
+        let (entry, request_id) = match request {
+            Request::SubmitWorkflow(s, rid) => (
+                LogEntry::Workflow {
+                    seq,
+                    at,
+                    submission: *s,
+                },
+                rid,
+            ),
+            Request::SubmitAdhoc(submission, rid) => (
                 LogEntry::Adhoc {
                     seq,
                     at,
@@ -416,17 +497,25 @@ impl Session {
                 },
                 rid,
             ),
-            Request::Cancel(target) => self.accept(LogEntry::Cancel { seq, at, target }, None),
-            Request::Tick(to) => self.tick(to),
-            Request::Status => self.status(),
-            Request::Query(seq) => self.query(seq),
-            Request::Trace(limit) => self.trace_tail(limit),
-            Request::Drain => self.drain(),
-            Request::Outcome => self.outcome(),
-            Request::Explain => self.explain_report(),
-            Request::Snapshot => self.write_snapshot(),
-            Request::Shutdown => Ok("{\"shutdown\":true}".to_string()),
+            Request::Cancel(target) => (LogEntry::Cancel { seq, at, target }, None),
+            Request::Tick(to) => return self.tick(to),
+            Request::Status => return self.status(),
+            Request::Query(seq) => return self.query(seq),
+            Request::Trace(limit) => return self.trace_tail(limit),
+            Request::Drain => return self.drain(),
+            Request::Outcome => return self.outcome(),
+            Request::Explain => return self.explain_report(),
+            Request::Snapshot => return self.write_snapshot(),
+            Request::Shutdown => return Ok("{\"shutdown\":true}".to_string()),
+        };
+        self.running()?;
+        self.check_duplicate(request_id.as_ref())?;
+        let reply = self.check(&entry)?;
+        run.push(WalRecord::Entry { entry, request_id });
+        if alone {
+            self.commit(run)?;
         }
+        Ok(reply)
     }
 
     fn check_arrival(&self, arrival: u64) -> Result<(), ProtocolError> {
@@ -456,40 +545,33 @@ impl Session {
         Ok(())
     }
 
-    /// Makes an accepted influence durable. Without a WAL this is a
-    /// no-op (legacy `durability=none` mode) and the record is never
-    /// built; with one, an append failure rejects the request before any
-    /// state has changed.
-    fn persist(&mut self, record: impl FnOnce() -> WalRecord) -> Result<(), ProtocolError> {
-        match &mut self.wal {
-            Some(wal) => Ok(wal.append(&record())?),
-            None => Ok(()),
+    /// Durable before any state change, durable before the reply: `run`
+    /// goes to the WAL (if there is one) as one append — whole, or the
+    /// session is untouched — and only then are its entries applied
+    /// ([`Session::apply_entry`]; a `Tick` or `Drain` record is applied by
+    /// its caller). Leaves `run` empty either way.
+    fn commit(&mut self, run: &mut Vec<WalRecord>) -> Result<(), ProtocolError> {
+        if run.is_empty() {
+            return Ok(());
         }
-    }
-
-    /// The one way a live request changes the submission log: lifecycle
-    /// → idempotency → [`Session::admit`] → durable → applied → reply.
-    fn accept(
-        &mut self,
-        entry: LogEntry,
-        request_id: Option<String>,
-    ) -> Result<String, ProtocolError> {
-        self.running()?;
-        self.check_duplicate(request_id.as_ref())?;
-        let reply = self.admit(&entry)?;
-        // Durable before any state change, durable before the reply.
-        self.persist(|| WalRecord::Entry {
-            entry: entry.clone(),
-            request_id: request_id.clone(),
-        })?;
-        self.apply_entry(entry, request_id)?;
-        Ok(reply)
+        if let Some(wal) = &mut self.wal {
+            if let Err(e) = wal.append_all(run) {
+                run.clear();
+                return Err(e.into());
+            }
+        }
+        for record in run.drain(..) {
+            if let WalRecord::Entry { entry, request_id } = record {
+                self.apply_entry(entry, request_id)?;
+            }
+        }
+        Ok(())
     }
 
     /// The checks only a live request needs — a logged entry passed them
     /// when it was accepted, so replay skips them — and the reply the
     /// request gets once it is durable and applied.
-    fn admit(&self, entry: &LogEntry) -> Result<String, ProtocolError> {
+    fn check(&self, entry: &LogEntry) -> Result<String, ProtocolError> {
         let (seq, arrival, jobs) = match entry {
             LogEntry::Workflow {
                 seq, submission, ..
@@ -693,7 +775,7 @@ impl Session {
         // The clock advance is durable before it happens: a failing
         // advance (horizon exhaustion) is deterministic, so replaying
         // the record reproduces the same partial state and same error.
-        self.persist(|| WalRecord::Tick { to })?;
+        self.commit(&mut vec![WalRecord::Tick { to }])?;
         self.run_to(to, false)?;
         Ok(format!(
             "{{\"now\":{},\"incomplete\":{},\"pending\":{}}}",
@@ -710,13 +792,13 @@ impl Session {
     fn drain(&mut self) -> Result<String, ProtocolError> {
         if !self.drained() {
             let at = self.clock;
-            self.persist(|| WalRecord::Drain { at })?;
+            self.commit(&mut vec![WalRecord::Drain { at }])?;
         }
         self.drain_inner()
     }
 
-    /// The WAL-free drain body, shared by the live path (which persists
-    /// first) and recovery replay (which must not re-persist).
+    /// The WAL-free drain body, shared by the live path (which logs
+    /// first) and recovery replay (which must not log again).
     fn drain_inner(&mut self) -> Result<String, ProtocolError> {
         let stop = loop {
             match self.step_slot(false)? {
@@ -793,8 +875,14 @@ impl Session {
                 pod_statuses.join(",")
             )
         };
+        // Only a session with a WAL reports one, so WAL-less replies keep
+        // their bytes (and the golden transcript its own).
+        let wal = self
+            .wal
+            .as_ref()
+            .map_or_else(String::new, |wal| format!(",\"wal\":{}", wal.status_json()));
         Ok(format!(
-            "{{\"phase\":\"accepting\",\"engine\":{engine},\"solver\":{},\"pending\":{},\"logged\":{}}}",
+            "{{\"phase\":\"accepting\",\"engine\":{engine},\"solver\":{},\"pending\":{},\"logged\":{}{wal}}}",
             json(&solver)?,
             self.pending.len(),
             self.log.len()

@@ -621,6 +621,10 @@ pub struct Wal {
     appends: u64,
     unsynced: u64,
     poisoned: Option<String>,
+    /// Appended and synced through this handle: what `status` reports.
+    records: u64,
+    bytes: u64,
+    syncs: u64,
 }
 
 fn segment_path(dir: &Path, segment: u64) -> PathBuf {
@@ -681,6 +685,9 @@ fn open_segment(
         appends: 0,
         unsynced: 0,
         poisoned: None,
+        records: 0,
+        bytes: 0,
+        syncs: 0,
     })
 }
 
@@ -695,6 +702,16 @@ impl Wal {
         &self.config.dir
     }
 
+    /// The `wal` object of a `status` reply: the segment appended to, and
+    /// the records, `fsync`s and record bytes this process has put in the
+    /// log. `syncs` against `records` is the group-commit ratio.
+    pub fn status_json(&self) -> String {
+        format!(
+            "{{\"segment\":{},\"records\":{},\"syncs\":{},\"bytes\":{}}}",
+            self.segment, self.records, self.syncs, self.bytes
+        )
+    }
+
     /// Human-readable log of injected faults so far (empty without a
     /// plan).
     pub fn injected_faults(&self) -> Vec<String> {
@@ -704,55 +721,77 @@ impl Wal {
         }
     }
 
-    /// Appends one record, making it durable per the fsync policy.
-    /// On a write failure the partial tail is rolled back (truncated)
-    /// so the next append starts on a clean boundary; if even the
-    /// rollback fails the WAL poisons itself rather than ever append
-    /// after a torn record. On a *sync* failure the fully written
-    /// record is likewise rolled back (best effort) before the poison
-    /// takes effect, so a request the client saw rejected is not
-    /// replayed after a process-only crash.
+    /// Appends one record: [`Wal::append_all`] of a run of one.
+    pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
+        self.append_all(std::slice::from_ref(record))
+    }
+
+    /// Records the segment takes before it rotates. A caller that keeps
+    /// its runs within this gets segment files that do not depend on how
+    /// it grouped its records (a longer run overfills the segment).
+    pub fn room(&self) -> usize {
+        match self.config.segment_max_records {
+            0 => usize::MAX,
+            max => usize::try_from(max.saturating_sub(self.segment_records)).unwrap_or(usize::MAX),
+        }
+    }
+
+    /// Appends a run of records — one `write`, one sync per the fsync
+    /// policy — whole or not at all. On a write failure the partial tail
+    /// is rolled back (truncated) so the next append starts on a clean
+    /// boundary; if even the rollback fails the WAL poisons itself rather
+    /// than ever append after a torn record. On a *sync* failure the fully
+    /// written run is likewise rolled back (best effort) before the poison
+    /// takes effect, so a request the client saw rejected is not replayed
+    /// after a process-only crash.
     ///
     /// # Errors
     ///
     /// [`WalError::Io`] / [`WalError::Poisoned`]. The caller must treat
-    /// any error as "not durable": the request must be rejected, not
-    /// acknowledged.
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
+    /// any error as "not durable": every request of the run must be
+    /// rejected, not acknowledged.
+    pub fn append_all(&mut self, records: &[WalRecord]) -> Result<(), WalError> {
         if let Some(why) = &self.poisoned {
             return Err(WalError::Poisoned(why.clone()));
         }
-        let json = serde_json::to_string(record).map_err(|e| WalError::Serde(e.to_string()))?;
-        let line = framing::frame_record(&json);
-        self.appends += 1;
-        if let Some(kill) = self.config.chaos_kill {
-            if self.appends == kill.after_appends {
-                self.chaos_abort(&line, kill.torn_bytes);
+        let mut lines = String::new();
+        for record in records {
+            let json = serde_json::to_string(record).map_err(|e| WalError::Serde(e.to_string()))?;
+            let line = framing::frame_record(&json);
+            self.appends += 1;
+            if let Some(kill) = self.config.chaos_kill {
+                if self.appends == kill.after_appends {
+                    // The run's earlier records are on disk, as if alone.
+                    let _ = self.file.write_all_retry(lines.as_bytes());
+                    self.chaos_abort(&line, kill.torn_bytes);
+                }
             }
+            lines.push_str(&line);
         }
         let start = self.file.written_len;
-        if let Err(e) = self.file.write_all_retry(line.as_bytes()) {
+        if let Err(e) = self.file.write_all_retry(lines.as_bytes()) {
             if self.file.truncate(start).is_err() {
                 self.poisoned = Some(format!("append failed and rollback failed: {e}"));
             }
             return Err(WalError::Io(e));
         }
-        self.segment_records += 1;
-        self.unsynced += 1;
+        let run = records.len() as u64;
+        self.segment_records += run;
+        self.unsynced += run;
         if let Err(e) = self.maybe_sync() {
-            // The record's bytes are in the file but their durability
+            // The run's bytes are in the file but their durability
             // cannot be promised — `sync` has already poisoned the WAL.
-            // Roll the record back so a process-only crash does not
-            // replay a request the client saw rejected; if the truncate
-            // fails too the poison already refuses further appends.
-            self.segment_records -= 1;
-            self.unsynced -= 1;
+            // Roll the run back so a process-only crash does not replay
+            // requests the clients saw rejected; if the truncate fails
+            // too the poison already refuses further appends.
+            self.segment_records -= run;
+            self.unsynced -= run;
             let _ = self.file.truncate(start);
             return Err(e);
         }
-        if self.config.segment_max_records > 0
-            && self.segment_records >= self.config.segment_max_records
-        {
+        self.records += run;
+        self.bytes += lines.len() as u64;
+        if self.room() == 0 {
             self.rotate()?;
         }
         Ok(())
@@ -802,6 +841,7 @@ impl Wal {
             return Err(WalError::Io(e));
         }
         self.unsynced = 0;
+        self.syncs += 1;
         Ok(())
     }
 

@@ -3,12 +3,19 @@
 //! session in a state whose drained outcome (a) is certified by the
 //! offline auditor against the recorded submission log and (b) replays
 //! byte-identically — outcome and decision trace — through a batch
-//! `Engine::from_log` run.
+//! `Engine::from_log` run. And the grouping property the server loop
+//! rests on: a script answered one line at a time and the same script
+//! answered through `Session::handle_lines` in arbitrary chunks yield the
+//! same replies, the same WAL bytes and the same drained session.
 
 mod daemon_util;
 
-use daemon_util::{adhoc_line, drain, loopback, trace_bytes, workflow_line, TRACE_CAPACITY};
+use daemon_util::{
+    adhoc_line, drain, loopback, session_config, trace_bytes, wal_dir, with_request_id,
+    workflow_line, TRACE_CAPACITY,
+};
 use flowtime_bench::experiments::Algo;
+use flowtime_daemon::{FsyncPolicy, Loopback, Session, WalConfig};
 use flowtime_dag::{JobSpec, ResourceVec, WorkflowBuilder, WorkflowId};
 use flowtime_sim::{certify_log, AdhocSubmission, ClusterConfig, Engine, WorkflowSubmission};
 use proptest::prelude::*;
@@ -150,5 +157,182 @@ proptest! {
             report.is_certified(),
             "daemon outcome not certified for {}: {:?}", algo.name(), report.violations
         );
+    }
+}
+
+/// One line of a grouping script. Unlike [`Op`] it is rendered without
+/// looking at any reply, so the same bytes can be fed under any chunking;
+/// arrivals are offsets from the slot the ticks so far have asked for.
+#[derive(Debug, Clone)]
+enum Line {
+    /// `key`: one of a few idempotency keys, so repeats land both inside
+    /// what becomes one run and across runs.
+    Adhoc {
+        offset: u64,
+        key: Option<u64>,
+    },
+    Workflow {
+        offset: u64,
+        key: Option<u64>,
+    },
+    Cancel {
+        nth: u64,
+    },
+    Query {
+        nth: u64,
+    },
+    Tick {
+        delta: u64,
+    },
+    Malformed {
+        which: usize,
+    },
+}
+
+fn line_strategy() -> impl Strategy<Value = Line> {
+    let key = proptest::option::of(0u64..5);
+    (0u64..16, 0u64..12, key, 0u64..30, 1u64..6, 0usize..4).prop_map(
+        |(sel, offset, key, nth, delta, which)| match sel {
+            0..=7 => Line::Adhoc { offset, key },
+            8..=9 => Line::Workflow { offset, key },
+            10..=11 => Line::Cancel { nth },
+            12 => Line::Query { nth },
+            13 => Line::Tick { delta },
+            _ => Line::Malformed { which },
+        },
+    )
+}
+
+fn with_key(line: String, key: Option<u64>) -> String {
+    match key {
+        Some(k) => with_request_id(&line, &format!("k{k}")),
+        None => line,
+    }
+}
+
+fn render(script: &[Line]) -> Vec<String> {
+    let (mut asked, mut wf_id) = (0u64, 0u64);
+    let mut lines: Vec<String> = script
+        .iter()
+        .map(|line| match line {
+            Line::Adhoc { offset, key } => {
+                let spec = JobSpec::new(
+                    "a",
+                    1 + offset % 3,
+                    1 + offset % 2,
+                    ResourceVec::new([1, 1024]),
+                );
+                with_key(
+                    adhoc_line(&AdhocSubmission::new(spec, asked + offset)),
+                    *key,
+                )
+            }
+            Line::Workflow { offset, key } => {
+                wf_id += 1;
+                with_key(workflow_line(&chain(wf_id, asked + offset, 4)), *key)
+            }
+            Line::Cancel { nth } => format!("{{\"req\":\"cancel\",\"sub\":{nth}}}"),
+            Line::Query { nth } => format!("{{\"req\":\"query\",\"sub\":{nth}}}"),
+            Line::Tick { delta } => {
+                asked += delta;
+                format!("{{\"req\":\"tick\",\"to\":{asked}}}")
+            }
+            Line::Malformed { which } => [
+                "{oops",
+                "",
+                "{\"req\":\"submit_adhoc\",\"submission\":{\"bogus\":1}}",
+                "{\"req\":\"submit_adhoc\",\"request_id\":\"\",\"submission\":{}}",
+            ][*which]
+                .to_string(),
+        })
+        .collect();
+    lines.push("{\"req\":\"drain\"}".to_string());
+    lines.push("{\"req\":\"outcome\"}".to_string());
+    lines
+}
+
+/// `(file name, bytes)` of every WAL segment in `dir`, in name order.
+fn segments(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("wal dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "log"))
+        .map(|p| {
+            let name = p.file_name().expect("name").to_string_lossy().into_owned();
+            (name, std::fs::read(&p).expect("segment reads"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Outcome and pod-0 trace bytes of a drained session.
+fn drained_bytes(session: &Session) -> (String, String) {
+    let outcome = session.outcome_json().expect("drained").to_string();
+    (
+        outcome,
+        trace_bytes(session.final_trace().expect("drained")),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn grouping_lines_changes_no_reply_no_wal_byte_and_no_outcome(
+        script in proptest::collection::vec(line_strategy(), 1..60),
+        cuts in proptest::collection::vec(1usize..9, 1..12),
+        small_segments in 0u64..2,
+        fsync_idx in 0usize..3,
+    ) {
+        let lines = render(&script);
+        let fsync = [FsyncPolicy::Always, FsyncPolicy::Batch(3), FsyncPolicy::None][fsync_idx];
+        let segment_max_records = if small_segments == 1 { 4 } else { 65_536 };
+        let open = |tag: &str| {
+            let dir = wal_dir(&format!("props-{tag}"));
+            let config = WalConfig { segment_max_records, ..daemon_util::wal_config(&dir, fsync) };
+            let (session, _) = Session::recover(session_config(cluster(), "edf", 0), config, None)
+                .expect("fresh wal session");
+            (dir, session)
+        };
+
+        // (a) One line at a time through the loopback transport.
+        let (dir_a, session) = open("single");
+        let mut lb = Loopback::new(session);
+        let replies_a: Vec<String> = lines.iter().map(|l| lb.request_line(l)).collect();
+        let session_a = lb.into_session();
+
+        // (b) The same lines through `handle_lines`, cut where `cuts` says.
+        let (dir_b, mut session_b) = open("chunked");
+        let mut replies_b = Vec::new();
+        let (mut rest, mut cut) = (lines.iter().map(String::as_str).collect::<Vec<_>>(), cuts.iter().cycle());
+        while !rest.is_empty() {
+            let tail = rest.split_off((*cut.next().expect("cycle")).min(rest.len()));
+            let (replies, shutdown) = session_b.handle_lines(&rest);
+            prop_assert!(!shutdown);
+            replies_b.extend(replies);
+            rest = tail;
+        }
+
+        prop_assert_eq!(&replies_a, &replies_b);
+        prop_assert_eq!(segments(&dir_a), segments(&dir_b));
+        let expect = drained_bytes(&session_a);
+        prop_assert_eq!(&expect, &drained_bytes(&session_b));
+        prop_assert_eq!(
+            serde_json::to_string(session_a.log()).expect("log"),
+            serde_json::to_string(session_b.log()).expect("log")
+        );
+        prop_assert_eq!(session_a.request_ids(), session_b.request_ids());
+        drop((session_a, session_b));
+
+        // Either directory recovers to the same drained session.
+        for dir in [&dir_a, &dir_b] {
+            let config = WalConfig { segment_max_records, ..daemon_util::wal_config(dir, fsync) };
+            let (recovered, report) = Session::recover(session_config(cluster(), "edf", 0), config, None)
+                .expect("recovers");
+            prop_assert!(report.tail.is_none());
+            prop_assert_eq!(&expect, &drained_bytes(&recovered));
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }

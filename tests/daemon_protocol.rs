@@ -272,8 +272,11 @@ fn spawn_tcp(scheduler: &str) -> (std::net::SocketAddr, std::thread::JoinHandle<
 }
 
 fn request(stream: &mut TcpStream, line: &str) -> String {
-    stream.write_all(line.as_bytes()).expect("write");
-    stream.write_all(b"\n").expect("write newline");
+    // One segment: a newline sent on its own waits behind Nagle for the
+    // ACK of the line, 40 ms a request.
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("write");
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
     let mut response = String::new();
     reader.read_line(&mut response).expect("read response");
@@ -383,11 +386,13 @@ fn tcp_interleaves_multiple_clients_in_arrival_order() {
 }
 
 /// Like [`spawn_tcp`] but crash-consistent: the session writes a WAL in
-/// `dir` with `fsync=always`.
-fn spawn_tcp_wal(
+/// `dir` with `fsync=always`; the thread hands back what `report` reads
+/// off the served session.
+fn spawn_tcp_wal_with<T: Send + 'static>(
     scheduler: &str,
     dir: &std::path::Path,
-) -> (std::net::SocketAddr, std::thread::JoinHandle<(bool, usize)>) {
+    report: fn(&Session) -> T,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<T>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("bound address");
     let scheduler = scheduler.to_string();
@@ -399,10 +404,17 @@ fn spawn_tcp_wal(
             None,
         )
         .expect("fresh wal session");
-        let session = serve(listener, session, None).expect("server runs");
-        (session.drained(), session.log().len())
+        report(&serve(listener, session, None).expect("server runs"))
     });
     (addr, handle)
+}
+
+/// [`spawn_tcp_wal_with`] reporting `(drained, log length)`.
+fn spawn_tcp_wal(
+    scheduler: &str,
+    dir: &std::path::Path,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<(bool, usize)>) {
+    spawn_tcp_wal_with(scheduler, dir, |s| (s.drained(), s.log().len()))
 }
 
 /// Satellite contract: abusive clients — a mid-request disconnect and an
@@ -485,5 +497,288 @@ fn rejected_requests_leave_no_partial_wal_records() {
     )
     .expect("session recovers");
     assert_eq!(session.log().len(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reads one reply line off a persistent reader.
+fn read_reply(reader: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read reply");
+    assert!(line.ends_with('\n'), "connection closed mid-reply: {line}");
+    line.trim_end().to_string()
+}
+
+/// A `u64` field of a reply, by path below the top-level object.
+fn reply_u64(reply: &str, path: &[&str]) -> u64 {
+    let mut v = &serde_json::parse(reply).unwrap_or_else(|e| panic!("{reply}: {e}"));
+    for key in path {
+        v = v
+            .get(key)
+            .unwrap_or_else(|| panic!("no `{key}` in {reply}"));
+    }
+    match v {
+        serde_json::Value::U64(n) => *n,
+        other => panic!("`{path:?}` is {other:?} in {reply}"),
+    }
+}
+
+/// One slow reader used to stall every client: the loop retried a blocked
+/// write forever. Connection A streams over 4 MiB of `status` lines and
+/// reads nothing; B must be served meanwhile; then A collects and every
+/// one of its replies is there, in order.
+#[test]
+fn a_client_that_never_reads_stalls_nobody_and_loses_nothing() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let (addr, handle) = spawn_tcp("fifo");
+    let status = "{\"req\":\"status\"}\n";
+    const CHUNK_LINES: usize = 4096;
+    let chunks = (4 << 20) / (CHUNK_LINES * status.len()) + 1;
+
+    let a = TcpStream::connect(addr).expect("connect a");
+    let mut a_send = a.try_clone().expect("clone a");
+    let (progress, written) = mpsc::channel();
+    // A's own sends block once the daemon stops reading it, so they need
+    // a thread of their own.
+    let sender = std::thread::spawn(move || {
+        let chunk = status.repeat(CHUNK_LINES);
+        for _ in 0..chunks {
+            a_send.write_all(chunk.as_bytes()).expect("a sends");
+            let _ = progress.send(());
+        }
+    });
+    // Let A get well ahead of what the daemon will read from it (or block
+    // trying) before B asks for anything.
+    for _ in 0..chunks / 2 {
+        if written.recv_timeout(Duration::from_secs(2)).is_err() {
+            break;
+        }
+    }
+
+    let mut b = TcpStream::connect(addr).expect("connect b");
+    b.set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout");
+    let r = request(&mut b, "{\"req\":\"status\"}");
+    assert_eq!(reply_u64(&r, &["ok", "logged"]), 0, "{r}");
+    let r = request(&mut b, &adhoc_line(&adhoc(0)));
+    assert_eq!(reply_u64(&r, &["ok", "sub"]), 0, "{r}");
+    let r = request(&mut b, "{\"req\":\"status\"}");
+    assert_eq!(reply_u64(&r, &["ok", "logged"]), 1, "{r}");
+
+    // A collects: one reply per line it sent, none missing, in order —
+    // the ones answered before B's submit say `logged` 0, the rest 1.
+    let mut reader = BufReader::new(a);
+    let mut logged = 0;
+    for i in 0..chunks * CHUNK_LINES {
+        let r = read_reply(&mut reader);
+        assert!(
+            r.starts_with("{\"ok\":{\"phase\":\"accepting\""),
+            "{i}: {r}"
+        );
+        let now = u64::from(r.ends_with("\"logged\":1}}"));
+        assert!(now >= logged && (now == 1 || r.ends_with("\"logged\":0}}")));
+        logged = now;
+    }
+    assert_eq!(logged, 1, "A was still being answered after B's submit");
+    sender.join().expect("sender");
+
+    let r = request(&mut b, "{\"req\":\"shutdown\"}");
+    assert!(r.starts_with("{\"ok\":"), "{r}");
+    let (_, log_len) = handle.join().expect("server thread");
+    assert_eq!(log_len, 1);
+}
+
+/// A request line that is not UTF-8 used to be repaired (`U+FFFD`),
+/// acknowledged and logged under a name the client never sent. It is a
+/// typed refusal naming the byte; nothing reaches the WAL; the connection
+/// keeps being served.
+#[test]
+fn tcp_refuses_non_utf8_lines_typed_and_logs_nothing() {
+    let dir = daemon_util::wal_dir("tcp-not-utf8");
+    let (addr, handle) = spawn_tcp_wal("fifo", &dir);
+    let mut s = TcpStream::connect(addr).expect("connect");
+
+    let good = adhoc_line(&adhoc(0));
+    let at = good.find("\"name\":\"a\"").expect("job name") + "\"name\":\"a".len();
+    let mut bad = good.as_bytes().to_vec();
+    bad.splice(at..at, [0xff, 0xfe]);
+    bad.push(b'\n');
+    s.write_all(&bad).expect("write");
+    let mut reader = BufReader::new(s.try_clone().expect("clone"));
+    let r = read_reply(&mut reader);
+    assert!(
+        r.contains(codes::MALFORMED_JSON) && r.contains(&format!("not UTF-8 at byte {at}")),
+        "expected a typed refusal naming byte {at}, got: {r}"
+    );
+    // A CRLF client and a bare bad byte, for good measure.
+    s.write_all(b"{\"req\":\"status\"}\r\n\x80\n")
+        .expect("write");
+    let r = read_reply(&mut reader);
+    assert_eq!(reply_u64(&r, &["ok", "logged"]), 0, "{r}");
+    assert_eq!(
+        reply_u64(&r, &["ok", "wal", "records"]),
+        1,
+        "genesis only: {r}"
+    );
+    let r = read_reply(&mut reader);
+    assert!(r.contains("not UTF-8 at byte 0"), "{r}");
+
+    let r = request(&mut s, &good);
+    assert_eq!(reply_u64(&r, &["ok", "sub"]), 0, "{r}");
+    let r = request(&mut s, "{\"req\":\"shutdown\"}");
+    assert!(r.starts_with("{\"ok\":"), "{r}");
+    handle.join().expect("server thread");
+
+    let (session, report) = Session::recover(
+        daemon_util::session_config(cluster(), "fifo", 0),
+        daemon_util::wal_config(&dir, flowtime_daemon::FsyncPolicy::Always),
+        None,
+    )
+    .expect("session recovers");
+    assert_eq!(report.records_replayed, 2, "genesis + the one valid submit");
+    let logged = serde_json::to_string(session.log()).expect("log serializes");
+    assert!(!logged.contains('\u{fffd}'), "{logged}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `n` submit lines carrying `request_id`s `<tag>-0..n`, newline-joined.
+fn pipelined_submits(tag: &str, n: usize) -> String {
+    (0..n)
+        .map(|i| {
+            daemon_util::with_request_id(&adhoc_line(&adhoc(i as u64 / 8)), &format!("{tag}-{i}"))
+                + "\n"
+        })
+        .collect()
+}
+
+/// The order rule (DESIGN.md §23): per connection FIFO; sequence numbers
+/// are handed out in the order lines reach the session, which is the
+/// order of the WAL's records; recovery reads that order back and never
+/// re-derives it.
+#[test]
+fn pipelined_connections_are_fifo_and_the_wal_records_the_global_order() {
+    let dir = daemon_util::wal_dir("tcp-order");
+    let (addr, handle) = spawn_tcp_wal_with("fifo", &dir, |s| s.outcome_json().map(str::to_string));
+    const N: usize = 500;
+
+    // Both connections write everything before reading anything.
+    let clients: Vec<_> = ["a", "b"]
+        .into_iter()
+        .map(|tag| {
+            std::thread::spawn(move || {
+                let mut s = TcpStream::connect(addr).expect("connect");
+                s.write_all(pipelined_submits(tag, N).as_bytes())
+                    .expect("pipeline");
+                let mut reader = BufReader::new(s);
+                (0..N)
+                    .map(|_| reply_u64(&read_reply(&mut reader), &["ok", "sub"]))
+                    .collect::<Vec<u64>>()
+            })
+        })
+        .collect();
+    let subs: Vec<Vec<u64>> = clients
+        .into_iter()
+        .map(|c| c.join().expect("client"))
+        .collect();
+    for per_conn in &subs {
+        assert!(
+            per_conn.windows(2).all(|w| w[0] < w[1]),
+            "acks of one connection are not in send order: {per_conn:?}"
+        );
+    }
+    let mut all: Vec<u64> = subs.concat();
+    all.sort_unstable();
+    assert_eq!(all, (0..2 * N as u64).collect::<Vec<_>>());
+
+    let mut s = TcpStream::connect(addr).expect("connect");
+    let r = request(&mut s, "{\"req\":\"drain\"}");
+    assert!(r.starts_with("{\"ok\":"), "{r}");
+    let r = request(&mut s, "{\"req\":\"shutdown\"}");
+    assert!(r.starts_with("{\"ok\":"), "{r}");
+    let live = handle.join().expect("server thread").expect("drained");
+
+    let config = daemon_util::wal_config(&dir, flowtime_daemon::FsyncPolicy::Always);
+    let recovered = flowtime_daemon::wal::recover_dir(&config, None).expect("wal recovers");
+    let seqs: Vec<u64> = recovered
+        .tail
+        .iter()
+        .filter_map(|r| match r {
+            flowtime_daemon::WalRecord::Entry { entry, .. } => Some(entry.seq()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(seqs, (0..2 * N as u64).collect::<Vec<_>>());
+    drop(recovered);
+    let (session, _) = Session::recover(
+        daemon_util::session_config(cluster(), "fifo", 0),
+        config,
+        None,
+    )
+    .expect("session recovers");
+    assert_eq!(session.outcome_json(), Some(live.as_str()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Group commit, counted: under `--fsync always` a pipelined burst costs
+/// one sync per wake, not one per submit, and still loses nothing; the
+/// same lines one round trip at a time cost exactly one sync each.
+#[test]
+fn pipelined_submits_share_syncs_and_all_survive() {
+    const N: usize = 2000;
+    let lines = pipelined_submits("g", N);
+    let config =
+        |dir: &std::path::Path| daemon_util::wal_config(dir, flowtime_daemon::FsyncPolicy::Always);
+    let recovered_len = |dir: &std::path::Path| {
+        Session::recover(
+            daemon_util::session_config(cluster(), "fifo", 0),
+            config(dir),
+            None,
+        )
+        .expect("session recovers")
+        .0
+        .log()
+        .len()
+    };
+
+    let dir = daemon_util::wal_dir("tcp-group-commit");
+    let (addr, handle) = spawn_tcp_wal("fifo", &dir);
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.write_all(lines.as_bytes()).expect("one write, no read");
+    let mut reader = BufReader::new(s.try_clone().expect("clone"));
+    for i in 0..N as u64 {
+        assert_eq!(reply_u64(&read_reply(&mut reader), &["ok", "sub"]), i);
+    }
+    let r = request(&mut s, "{\"req\":\"status\"}");
+    let (records, syncs) = (
+        reply_u64(&r, &["ok", "wal", "records"]),
+        reply_u64(&r, &["ok", "wal", "syncs"]),
+    );
+    assert_eq!(records, N as u64 + 1, "genesis + every submit: {r}");
+    assert!(syncs <= records / 4, "{syncs} syncs for {records} records");
+    // The session is dropped as a `kill -9` drops it: no drain, no flush.
+    let r = request(&mut s, "{\"req\":\"shutdown\"}");
+    assert!(r.starts_with("{\"ok\":"), "{r}");
+    handle.join().expect("server thread");
+    assert_eq!(recovered_len(&dir), N);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = daemon_util::wal_dir("tcp-no-group-commit");
+    let (addr, handle) = spawn_tcp_wal("fifo", &dir);
+    let mut s = TcpStream::connect(addr).expect("connect");
+    for line in lines.lines() {
+        let r = request(&mut s, line);
+        assert!(r.starts_with("{\"ok\":"), "{r}");
+    }
+    let r = request(&mut s, "{\"req\":\"status\"}");
+    assert_eq!(
+        reply_u64(&r, &["ok", "wal", "syncs"]),
+        reply_u64(&r, &["ok", "wal", "records"]),
+        "{r}"
+    );
+    let r = request(&mut s, "{\"req\":\"shutdown\"}");
+    assert!(r.starts_with("{\"ok\":"), "{r}");
+    handle.join().expect("server thread");
+    assert_eq!(recovered_len(&dir), N);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -121,6 +121,17 @@ pub fn adhoc_line(sub: &AdhocSubmission) -> String {
     )
 }
 
+/// Splices a `request_id` field into a rendered submit line.
+pub fn with_request_id(line: &str, rid: &str) -> String {
+    let spliced = line.replacen(
+        ",\"submission\":",
+        &format!(",\"request_id\":\"{rid}\",\"submission\":"),
+        1,
+    );
+    assert_ne!(spliced, line, "submit lines carry a submission field");
+    spliced
+}
+
 /// Sends a line and asserts the daemon replied `{"ok": ...}`.
 pub fn ok(lb: &mut Loopback, line: &str) -> String {
     let response = lb.request_line(line);

@@ -11,7 +11,7 @@ mod daemon_util;
 
 use daemon_util::{
     adhoc_line, drain, loopback, loopback_wal, ok, session_config, trace_bytes, wal_config,
-    wal_dir, workflow_line, TRACE_CAPACITY,
+    wal_dir, with_request_id, workflow_line, TRACE_CAPACITY,
 };
 use flowtime_bench::experiments::{faulted_instance, testbed_cluster, WorkflowExperiment};
 use flowtime_daemon::{wal, DiskFaultPlan, FaultKind, FsyncPolicy, Loopback, Session, WalError};
@@ -52,17 +52,6 @@ fn scripted(seed: u64, tag: &str) -> (ClusterConfig, Vec<String>) {
         }
     }
     (faulted_cluster, lines)
-}
-
-/// Splices a `request_id` field into a rendered submit line.
-fn with_request_id(line: &str, rid: &str) -> String {
-    let spliced = line.replacen(
-        ",\"submission\":",
-        &format!(",\"request_id\":\"{rid}\",\"submission\":"),
-        1,
-    );
-    assert_ne!(spliced, line, "submit lines carry a submission field");
-    spliced
 }
 
 /// True for lines that carry an idempotency key (the submits).
@@ -679,6 +668,200 @@ fn torn_segment_header_survives_two_restarts() {
     assert_eq!(bytes, expect_bytes);
     assert_eq!(trace_bytes(&trace), expect_trace);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A 3-submit prelude (one request each) and a 20-submit run, all keyed.
+fn prelude_and_run() -> (Vec<String>, Vec<String>) {
+    let line = |i: u64| {
+        let sub = flowtime_sim::AdhocSubmission::new(
+            flowtime_dag::JobSpec::new(
+                format!("j{i}"),
+                1 + i % 3,
+                1,
+                flowtime_dag::ResourceVec::new([1, 1024]),
+            ),
+            i / 4,
+        );
+        with_request_id(&adhoc_line(&sub), &format!("run-{i}"))
+    };
+    ((0..3).map(line).collect(), (3..23).map(line).collect())
+}
+
+fn segment_len(dir: &Path) -> u64 {
+    fs::metadata(dir.join("wal-000001.log"))
+        .expect("segment 1")
+        .len()
+}
+
+/// Feeds the prelude one request at a time, then the run through one
+/// `handle_lines`; returns the session, the state just before the run —
+/// `(log length, segment length)` — and the run's replies.
+fn prelude_then_run(
+    dir: &Path,
+    wal: flowtime_daemon::WalConfig,
+    faults: Option<DiskFaultPlan>,
+) -> (Session, (usize, u64), Vec<String>) {
+    let (prelude, run) = prelude_and_run();
+    let (session, _) = Session::recover(session_config(testbed_cluster(), "edf", 0), wal, faults)
+        .expect("fresh wal session");
+    let mut lb = Loopback::new(session);
+    for line in &prelude {
+        ok(&mut lb, line);
+    }
+    let mut session = lb.into_session();
+    let before = (session.log().len(), segment_len(dir));
+    let run: Vec<&str> = run.iter().map(String::as_str).collect();
+    let (replies, shutdown) = session.handle_lines(&run);
+    assert!(!shutdown);
+    assert_eq!(replies.len(), run.len());
+    (session, before, replies)
+}
+
+/// PR 10's rollback / poison contract with *run* for *record*: a fault in
+/// the middle of a 20-submit run rejects all 20 with the one typed error
+/// and leaves log and segment as they were; disk-full lets the next run
+/// through, a failed fsync poisons exactly as it poisons a single append;
+/// a short write is invisible. Recovery never replays a rejected run.
+#[test]
+fn a_fault_inside_a_run_rejects_the_run_whole() {
+    let (_, run) = prelude_and_run();
+    let run: Vec<&str> = run.iter().map(String::as_str).collect();
+    let clean_dir = wal_dir("run-clean");
+    let (clean, (_, start), replies) = prelude_then_run(
+        &clean_dir,
+        wal_config(&clean_dir, FsyncPolicy::Always),
+        None,
+    );
+    assert!(replies.iter().all(|r| r.starts_with("{\"ok\":")));
+    let clean_bytes = fs::read(clean_dir.join("wal-000001.log")).unwrap();
+    let middle = (start + clean_bytes.len() as u64) / 2;
+    let recovered_len = |dir: &Path| {
+        let (session, report) = Session::recover(
+            session_config(testbed_cluster(), "edf", 0),
+            wal_config(dir, FsyncPolicy::Always),
+            None,
+        )
+        .expect("recovers");
+        assert!(report.tail.is_none(), "a rollback leaves no torn tail");
+        session.log().len()
+    };
+
+    for kind in [
+        FaultKind::DiskFull,
+        FaultKind::FsyncFail,
+        FaultKind::ShortWrite,
+    ] {
+        let dir = wal_dir("run-faulted");
+        let plan = DiskFaultPlan::single(middle, kind);
+        let (mut session, before, replies) =
+            prelude_then_run(&dir, wal_config(&dir, FsyncPolicy::Always), Some(plan));
+        if matches!(kind, FaultKind::ShortWrite) {
+            assert!(
+                replies.iter().all(|r| r.starts_with("{\"ok\":")),
+                "{kind:?}"
+            );
+            assert_eq!(fs::read(dir.join("wal-000001.log")).unwrap(), clean_bytes);
+            continue;
+        }
+        assert!(
+            replies.iter().all(|r| r.contains("\"code\":\"wal-io\"")),
+            "{kind:?}: every reply of the run is the typed error: {replies:?}"
+        );
+        assert!(
+            replies.windows(2).all(|w| w[0] == w[1]),
+            "one error, 20 times"
+        );
+        assert_eq!((session.log().len(), segment_len(&dir)), before, "{kind:?}");
+        assert!(session.request_ids().len() == 3, "{kind:?}");
+
+        // The next run: through after a full disk, refused after a failed
+        // fsync — where a single append is poisoned too.
+        let (again, _) = session.handle_lines(&run);
+        if matches!(kind, FaultKind::DiskFull) {
+            assert_eq!(again, clean_replies(&run, 3), "{kind:?}");
+            assert_eq!(fs::read(dir.join("wal-000001.log")).unwrap(), clean_bytes);
+            assert_eq!(session.log().len(), clean.log().len());
+        } else {
+            assert!(
+                again.iter().all(|r| r.contains("wal poisoned")),
+                "{again:?}"
+            );
+            assert_eq!((session.log().len(), segment_len(&dir)), before);
+        }
+        drop(session);
+        let expect = if matches!(kind, FaultKind::DiskFull) {
+            23
+        } else {
+            3
+        };
+        assert_eq!(
+            recovered_len(&dir),
+            expect,
+            "{kind:?}: none of a rejected run"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+    let _ = fs::remove_dir_all(&clean_dir);
+}
+
+/// The acknowledgements `lines` get on a session that has logged `first`
+/// entries and is at slot 0.
+fn clean_replies(lines: &[&str], first: u64) -> Vec<String> {
+    (first..first + lines.len() as u64)
+        .map(|i| {
+            format!(
+                "{{\"ok\":{{\"sub\":{i},\"arrival\":{},\"jobs\":1}}}}",
+                i / 4
+            )
+        })
+        .collect()
+}
+
+/// The crashing half of the next test: run only as a child process, with
+/// the directory and the kill point in the environment. It never returns.
+#[test]
+fn chaos_kill_inside_a_run_child() {
+    let Ok(spec) = std::env::var("FLOWTIME_TEST_CHAOS_KILL") else {
+        return;
+    };
+    let (dir, kill) = spec.split_once('|').expect("dir|N[:BYTES]");
+    let mut wal = wal_config(Path::new(dir), FsyncPolicy::Always);
+    wal.chaos_kill = Some(kill.parse().expect("kill point"));
+    prelude_then_run(Path::new(dir), wal, None);
+}
+
+/// `--chaos-kill-after N[:BYTES]` with `N` inside a run: the process
+/// aborts at that record, the records before it — of earlier requests
+/// and of the run — are on disk, and with `BYTES` so is that much of it.
+#[test]
+fn chaos_kill_inside_a_run_aborts_at_that_record() {
+    // Appends: 1 genesis, 2–4 the prelude, 5–24 the run.
+    for (kill, torn) in [("12", false), ("12:17", true), ("5", false)] {
+        let dir = wal_dir(&format!("run-chaos-{}", kill.replace(':', "_")));
+        let status = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", "chaos_kill_inside_a_run_child", "--nocapture"])
+            .env(
+                "FLOWTIME_TEST_CHAOS_KILL",
+                format!("{}|{kill}", dir.display()),
+            )
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("child runs");
+        assert!(!status.success(), "kill point {kill} never fired");
+        let n: u64 = kill.split(':').next().unwrap().parse().unwrap();
+        let rec = wal::recover_dir(&wal_config(&dir, FsyncPolicy::Always), None).expect("recovers");
+        assert_eq!(
+            rec.report.records_replayed,
+            n - 1,
+            "records < {n} are on disk"
+        );
+        assert_eq!(rec.report.tail.is_some(), torn, "kill point {kill}");
+        if let Some(t) = rec.report.tail {
+            assert_eq!(t.dropped_bytes, 17);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 /// Lists `(segments, snapshots)` by number, ascending.

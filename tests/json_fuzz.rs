@@ -94,15 +94,24 @@ fn mutated_documents_parse_or_fail_but_never_panic() {
     let docs = corpus();
     let (outcome, small) = docs.split_last().expect("corpus is not empty");
     let mut rng = StdRng::seed_from_u64(0x6a73_6f6e);
-    let (mut parsed, mut refused) = (0u32, 0u32);
+    let (mut parsed, mut refused, mut not_utf8) = (0u32, 0u32, 0u32);
     let mut check = |bytes: Vec<u8>| {
         // Input reaches the parser as `&str`; a mutation that broke the
-        // UTF-8 is refused one layer up, by `from_slice`.
-        let Ok(text) = String::from_utf8(bytes) else {
-            refused += 1;
-            return;
+        // UTF-8 is refused one layer up, where the wire is decoded — typed,
+        // at the first bad byte, never repaired.
+        let text = match flowtime_daemon::protocol::decode_line(&bytes) {
+            Ok(text) => text,
+            Err(e) => {
+                let at = std::str::from_utf8(&bytes)
+                    .expect_err("refused")
+                    .valid_up_to();
+                assert_eq!(e.code, flowtime_daemon::codes::MALFORMED_JSON);
+                assert_eq!(e.detail, format!("request line is not UTF-8 at byte {at}"));
+                not_utf8 += 1;
+                return;
+            }
         };
-        match serde_json::parse(&text) {
+        match serde_json::parse(text) {
             // What parses is emitted as a document that parses back to
             // the same bytes.
             Ok(value) => {
@@ -123,8 +132,8 @@ fn mutated_documents_parse_or_fail_but_never_panic() {
         check(mutate(outcome, &mut rng));
     }
     assert!(
-        parsed > 500 && refused > 5_000,
-        "{parsed} ok / {refused} err"
+        parsed > 500 && refused + not_utf8 > 5_000 && not_utf8 > 100,
+        "{parsed} ok / {refused} err / {not_utf8} not UTF-8"
     );
 }
 
