@@ -185,7 +185,7 @@ impl FlowTimeScheduler {
         let far = state
             .workflows()
             .iter()
-            .filter(|wf| !wf.completed.iter().all(|&c| c))
+            .filter(|wf| !wf.is_complete())
             .map(|wf| wf.workflow.deadline_slot())
             .max()
             .unwrap_or(now)
@@ -205,7 +205,7 @@ impl FlowTimeScheduler {
             return;
         }
         for wf in state.workflows() {
-            if self.seen_workflows.contains(&wf.id()) && !wf.completed.iter().all(|&c| c) {
+            if self.seen_workflows.contains(&wf.id()) && !wf.is_complete() {
                 self.decompose_into_windows(&wf);
             }
         }
@@ -392,11 +392,7 @@ impl FlowTimeScheduler {
 /// Completed workflow jobs across every arrived workflow — the progress
 /// counter a plan is stamped with and `needs_replan` compares against.
 fn completed_jobs(state: &SimState) -> usize {
-    state
-        .workflows()
-        .iter()
-        .map(|w| w.completed.iter().filter(|&&c| c).count())
-        .sum()
+    state.workflows().iter().map(|w| w.completed_count).sum()
 }
 
 impl Scheduler for FlowTimeScheduler {

@@ -25,7 +25,7 @@ use crate::trace::{TraceCtx, TraceEvent, TraceHandle, TraceHeader, TraceJobMeta}
 use flowtime_dag::{JobId, ResourceVec};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Result of a completed simulation.
@@ -125,6 +125,10 @@ struct RecoveryCtx {
     plan: RuntimeFaultPlan,
     /// Retry bounds and degradation rules (sustain clamped to ≥ 1).
     policy: RecoveryPolicy,
+    /// Work of ad-hoc jobs deferred by admission control and not yet
+    /// re-admitted: they have arrived but sit outside `SimState::visible`,
+    /// and the overload detector counts them in its backlog.
+    deferred_backlog: u64,
     /// Materialized node-crash windows, ascending by `from_slot`.
     windows: Vec<CapacityWindow>,
     /// First window whose opening has not yet been processed.
@@ -168,6 +172,9 @@ pub struct Engine {
     /// recovery branch untaken and the run byte-identical to builds that
     /// predate the subsystem.
     recovery: Option<RecoveryCtx>,
+    /// Buffer for one slot's `job → tasks` grants, reused from slot to
+    /// slot.
+    pairs: Vec<(JobId, u64)>,
 }
 
 /// Incremental builder for the engine's dense job table. Both the batch
@@ -259,10 +266,8 @@ impl TableBuilder {
             preds.push(n_preds);
         }
         self.pending_preds.push(preds);
-        self.workflows.push(WorkflowInstance {
-            submission,
-            job_ids,
-        });
+        self.workflows
+            .push(WorkflowInstance::new(submission, job_ids));
         Ok(())
     }
 
@@ -355,19 +360,18 @@ impl Engine {
             pending_preds,
             ..
         } = table;
-        let by_id: HashMap<JobId, usize> =
-            jobs.iter().enumerate().map(|(i, j)| (j.id, i)).collect();
         let mut state = SimState {
             now: 0,
             cluster,
             jobs,
             workflows,
-            by_id,
             runnable: Default::default(),
             visible: Default::default(),
+            departed: Vec::new(),
             incomplete: 0,
             crash_overlay: Vec::new(),
         };
+        assert!(state.ids_are_dense(0), "job ids name their table rows");
         // Seed the incremental indices for slot 0 (so views are correct
         // even before `run`) and queue every future state change.
         state.rebuild_indices();
@@ -400,6 +404,7 @@ impl Engine {
             job_nodes,
             pending_preds,
             recovery: None,
+            pairs: Vec::new(),
         }
     }
 
@@ -489,6 +494,7 @@ impl Engine {
             policy,
             windows,
             next_window: 0,
+            deferred_backlog: 0,
             overload_streak: 0,
             stats: RecoveryStats::default(),
             flagged,
@@ -626,7 +632,9 @@ impl Engine {
 
             // Validate: scheduler rules plus (by default) the accounting
             // invariants, all owned by the checker.
-            let pairs: Vec<(JobId, u64)> = allocation.iter().collect();
+            let mut pairs = std::mem::take(&mut self.pairs);
+            pairs.clear();
+            pairs.extend(allocation.iter());
             self.checker.check_slot(&self.state, &pairs)?;
             let used = self.state.allocation_usage(&pairs);
             if let Some(ctx) = &mut self.trace {
@@ -652,13 +660,13 @@ impl Engine {
                 // this slot's (sorted) grants was preempted.
                 for &id in &ctx.prev_granted {
                     if pairs.binary_search_by_key(&id, |&(pid, _)| pid).is_err()
-                        && !self.state.jobs[self.state.by_id[&id]].is_complete()
+                        && !self.state.issued(id).is_complete()
                     {
                         ctx.push(TraceEvent::Preempt { slot: now, job: id });
                     }
                 }
                 for &(id, q) in &pairs {
-                    if self.state.jobs[self.state.by_id[&id]].done_work == 0 {
+                    if self.state.issued(id).done_work == 0 {
                         ctx.push(TraceEvent::Start { slot: now, job: id });
                     }
                     ctx.push(TraceEvent::Grant {
@@ -667,7 +675,8 @@ impl Engine {
                         tasks: q,
                     });
                 }
-                ctx.prev_granted = pairs.iter().map(|&(id, _)| id).collect();
+                ctx.prev_granted.clear();
+                ctx.prev_granted.extend(pairs.iter().map(|&(id, _)| id));
             }
 
             // Apply: each allocated task performs one task-slot of work.
@@ -685,17 +694,14 @@ impl Engine {
             if let Some(pool) = &self.nodes {
                 let requests: Vec<_> = pairs
                     .iter()
-                    .map(|&(id, q)| {
-                        let shape = self.state.jobs[self.state.by_id[&id]].estimate.per_task();
-                        (id, shape, q)
-                    })
+                    .map(|&(id, q)| (id, self.state.issued(id).estimate.per_task(), q))
                     .collect();
                 self.placement_shortfalls
                     .push(pool.pack(&requests).unplaced_tasks());
             }
             let mut failed: Vec<(JobId, u32)> = Vec::new();
-            for (id, q) in pairs {
-                let idx = self.state.by_id[&id];
+            for &(id, q) in &pairs {
+                let idx = self.state.issued_row(id);
                 // Straggler inflation fires at the job's first-ever grant
                 // (attempt 0, no prior progress): the ground truth grows
                 // before this slot's work is applied, and at most once —
@@ -758,6 +764,7 @@ impl Engine {
             for (id, attempt) in failed {
                 scheduler.on_failure(&self.state, id, attempt);
             }
+            self.pairs = pairs;
             self.update_degradation();
             self.state.now += 1;
         }
@@ -776,7 +783,7 @@ impl Engine {
             self.events.pop();
             self.telemetry.heap_ops += 1;
             self.telemetry.events_processed += 1;
-            let idx = self.state.by_id[&id];
+            let idx = self.state.issued_row(id);
             let job = &self.state.jobs[idx];
             if job.is_complete() || job.shed_slot.is_some() {
                 continue;
@@ -805,6 +812,7 @@ impl Engine {
                                         let job = &mut self.state.jobs[idx];
                                         job.deferred = true;
                                         job.ready_slot = Some(until);
+                                        rec.deferred_backlog += job.remaining_actual();
                                         self.events.push(Reverse((until, EV_ARRIVAL, id)));
                                         self.events.push(Reverse((until, EV_READY, id)));
                                         self.telemetry.heap_ops += 2;
@@ -821,6 +829,11 @@ impl Engine {
                                     _ => {}
                                 }
                             }
+                        }
+                    }
+                    if deferred {
+                        if let Some(rec) = &mut self.recovery {
+                            rec.deferred_backlog -= self.state.jobs[idx].remaining_actual();
                         }
                     }
                     self.state.visible.insert(key);
@@ -936,18 +949,33 @@ impl Engine {
         };
         let now = self.state.now;
         if rec.policy.shed != ShedPolicy::None {
-            let backlog: u64 = self
-                .state
-                .jobs
-                .iter()
-                .filter(|j| {
-                    j.class.is_adhoc()
-                        && j.arrival_slot <= now
-                        && j.shed_slot.is_none()
-                        && !j.is_complete()
-                })
-                .map(|j| j.remaining_actual())
-                .sum();
+            // Arrived, un-shed, incomplete ad-hoc work: the live set's
+            // share plus what admission control is holding back.
+            let backlog: u64 = rec.deferred_backlog
+                + self
+                    .state
+                    .visible
+                    .iter()
+                    .map(|&(_, id)| self.state.issued(id))
+                    .filter(|j| j.class.is_adhoc())
+                    .map(|j| j.remaining_actual())
+                    .sum::<u64>();
+            #[cfg(any(test, feature = "oracle"))]
+            assert_eq!(
+                backlog,
+                self.state
+                    .jobs
+                    .iter()
+                    .filter(|j| {
+                        j.class.is_adhoc()
+                            && j.arrival_slot <= now
+                            && j.shed_slot.is_none()
+                            && !j.is_complete()
+                    })
+                    .map(|j| j.remaining_actual())
+                    .sum::<u64>(),
+                "live-set backlog equals the whole-table backlog"
+            );
             let cores = self.state.capacity_now().dim(0);
             if backlog as f64 > rec.policy.overload_factor * cores as f64 {
                 rec.overload_streak += 1;
@@ -957,13 +985,15 @@ impl Engine {
         }
         let base_cores = self.state.cluster.capacity().dim(0);
         for (w, inst) in self.state.workflows.iter().enumerate() {
-            if rec.flagged[w] || inst.submission.workflow.submit_slot() > now {
+            // A finished workflow has nothing remaining and is never flagged.
+            if rec.flagged[w] || inst.is_complete() || inst.submission.workflow.submit_slot() > now
+            {
                 continue;
             }
             let remaining: u64 = inst
                 .job_ids
                 .iter()
-                .map(|id| self.state.jobs[self.state.by_id[id]].remaining_actual())
+                .map(|&id| self.state.issued(id).remaining_actual())
                 .sum();
             let deadline = inst.submission.workflow.deadline_slot();
             // Even granting every core of every remaining slot, the
@@ -981,23 +1011,18 @@ impl Engine {
     /// matching the historical end-of-slot release rule.
     fn on_complete(&mut self, idx: usize, now: u64) {
         let key = (self.state.jobs[idx].arrival_slot, self.state.jobs[idx].id);
-        self.state.runnable.remove(&key);
-        self.state.visible.remove(&key);
+        self.state.retire(key);
         self.state.incomplete -= 1;
         let Some((w, node)) = self.job_nodes[idx] else {
             return;
         };
-        let successors: Vec<usize> = self.state.workflows[w]
-            .submission
-            .workflow
-            .dag()
-            .successors(node)
-            .to_vec();
-        for s in successors {
+        self.state.mark_node_complete(w, node);
+        let inst = &self.state.workflows[w];
+        for &s in inst.submission.workflow.dag().successors(node) {
             self.pending_preds[w][s] -= 1;
             if self.pending_preds[w][s] == 0 {
-                let sid = self.state.workflows[w].job_ids[s];
-                let sidx = self.state.by_id[&sid];
+                let sid = inst.job_ids[s];
+                let sidx = self.state.issued_row(sid);
                 self.state.jobs[sidx].ready_slot = Some(now + 1);
                 self.events.push(Reverse((now + 1, EV_READY, sid)));
                 self.telemetry.heap_ops += 1;
@@ -1056,7 +1081,7 @@ impl Engine {
                 let completion = w
                     .job_ids
                     .iter()
-                    .map(|id| self.state.jobs[self.state.by_id[id]].completion_slot)
+                    .map(|&id| self.state.issued(id).completion_slot)
                     .collect::<Option<Vec<u64>>>()?
                     .into_iter()
                     .max()
@@ -1080,7 +1105,7 @@ impl Engine {
                 let completions: Vec<u64> = w
                     .job_ids
                     .iter()
-                    .map(|id| self.state.jobs[self.state.by_id[id]].completion_slot)
+                    .map(|&id| self.state.issued(id).completion_slot)
                     .collect::<Option<Vec<u64>>>()?;
                 let culprits: Vec<NodeSlackUse> = completions
                     .iter()
@@ -1129,21 +1154,21 @@ impl Engine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::job::{AdhocSubmission, WorkflowSubmission};
     use crate::scheduler::Allocation;
     use flowtime_dag::{JobSpec, ResourceVec, WorkflowBuilder, WorkflowId};
 
-    /// Greedy FIFO test scheduler.
-    struct Greedy;
+    /// Greedy FIFO test scheduler (also driven by the checker's tests).
+    pub(crate) struct Greedy;
     impl Scheduler for Greedy {
         fn name(&self) -> &str {
             "greedy"
         }
         fn plan_slot(&mut self, state: &SimState) -> Allocation {
             let mut alloc = Allocation::new();
-            let mut free = state.capacity();
+            let mut free = state.capacity_now();
             for job in state.runnable_jobs() {
                 let fit = job
                     .per_task
@@ -1278,6 +1303,39 @@ mod tests {
             .run(&mut EagerBeaver)
             .unwrap_err();
         assert!(matches!(err, SimError::JobNotRunnable { .. }));
+    }
+
+    #[test]
+    fn allocating_to_an_unknown_id_is_a_typed_error() {
+        /// Grants one task to a fixed id, whatever the table holds.
+        struct Stray(JobId);
+        impl Scheduler for Stray {
+            fn name(&self) -> &str {
+                "stray"
+            }
+            fn plan_slot(&mut self, state: &SimState) -> Allocation {
+                assert!(state.job(self.0).is_none());
+                let mut a = Allocation::new();
+                a.assign(self.0, 1);
+                a
+            }
+        }
+        // One past the two-row table, and an id no `usize` cast may wrap
+        // back into it.
+        for raw in [2, u64::MAX, u64::MAX - 1, 1 << 32] {
+            let mut wl = SimWorkload::default();
+            wl.workflows.push(chain_workflow(0, 100));
+            let err = Engine::new(cluster(8), wl, 100)
+                .unwrap()
+                .run(&mut Stray(JobId::new(raw)))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SimError::UnknownJob {
+                    job: JobId::new(raw)
+                }
+            );
+        }
     }
 
     #[test]

@@ -32,21 +32,77 @@
 //!   `[submit, deadline]` window and non-decreasing along DAG edges;
 //! * `completion-ordering` — at the end of the run every job completed
 //!   after it arrived and became ready.
+//!
+//! # Which rows the accounting rules visit
+//!
+//! The scheduler rules look at the granted rows. The three per-slot
+//! accounting rules look at the **live set** — `SimState::visible`: rows
+//! that have arrived, are incomplete and were not shed — plus the rows
+//! that left that set since the previous pass (`SimState::departed`, an
+//! append-only log the checker remembers its place in). Those are the
+//! only rows the engine writes `done_work`, `wasted`, `actual_work` or
+//! `completion_slot` of:
+//!
+//! * the apply loop of `Engine::step` (and of the linear-scan oracle)
+//!   adds a grant to `done_work` and stamps `completion_slot`; a grant
+//!   has passed the scheduler rules, so its row is arrived, ready and
+//!   incomplete — live;
+//! * `Engine::kill_job` moves `done_work` into `wasted`, for a row picked
+//!   among those with progress and no completion (crash windows) or
+//!   granted this slot (task failures) — live;
+//! * straggler inflation grows `actual_work` at a row's first grant —
+//!   live.
+//!
+//! A row not yet arrived, shed or deferred at arrival has never been
+//! written: it is incomplete and carries no work. A row that completed is
+//! never written again. So a departing row is checked one last time and
+//! its completed flag and `done_work + wasted` are folded into running
+//! sums; live rows plus those sums are the whole-table totals
+//! `monotone-completion` compares. One slot costs O(live + granted + just
+//! retired) rows however long the table has grown.
+//!
+//! The whole table is still visited: once at the end of the run by
+//! [`InvariantChecker::check_final`], and — in test builds and under the
+//! `oracle` feature, which only `[dev-dependencies]` may enable — by the
+//! reference pass that runs beside the live-set pass on **every** slot and
+//! must reach the same verdict and the same two totals
+//! (`live-set-agreement`). A write to a frozen row is therefore caught at
+//! the end of the run by a release binary and at the very slot by every
+//! suite built with `oracle`.
 
 use crate::error::SimError;
+use crate::job::JobRuntime;
 use crate::state::SimState;
 use flowtime_dag::JobId;
+
+/// What `monotone-completion` compares from slot to slot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Totals {
+    /// Completed jobs.
+    completed: usize,
+    /// `done_work + wasted`, summed: wasted work from killed attempts
+    /// counts, because a kill moves progress from `done_work` to `wasted`
+    /// rather than destroying it, so the sum still never regresses.
+    work: u64,
+}
 
 /// Stateful checker driven by [`crate::Engine`] once per slot plus once at
 /// the end of the run. See the [module docs](self) for the rule catalogue.
 #[derive(Debug, Clone, Default)]
 pub struct InvariantChecker {
-    /// Completed-job count observed at the previous check.
-    completed_prev: usize,
-    /// Total done work observed at the previous check.
-    done_prev: u64,
+    /// Whole-table totals observed at the previous check.
+    prev: Totals,
     /// Whether the one-time static checks have run.
     static_checked: bool,
+    /// Rows that have left the live set, each folded exactly once: the
+    /// first `folded` entries of `SimState::departed`.
+    retired: Totals,
+    /// How far into `SimState::departed` the checker has read.
+    folded: usize,
+    /// Rows the live-set pass has visited so far (the reference pass
+    /// beside it is not counted).
+    #[cfg(test)]
+    pub(crate) rows_visited: u64,
 }
 
 impl InvariantChecker {
@@ -72,10 +128,10 @@ impl InvariantChecker {
 
         // Scheduler rules.
         for &(id, q) in pairs {
-            let Some(&idx) = state.by_id.get(&id) else {
+            let Some(row) = state.row(id) else {
                 return Err(SimError::UnknownJob { job: id });
             };
-            let job = &state.jobs[idx];
+            let job = &state.jobs[row];
             if job.arrival_slot > now || !job.is_runnable(now) {
                 return Err(SimError::JobNotRunnable { job: id, slot: now });
             }
@@ -102,30 +158,96 @@ impl InvariantChecker {
             self.check_milestone_consistency(state)?;
         }
 
-        // Accounting rules over the whole job table.
-        let mut completed = 0usize;
-        let mut done_total = 0u64;
-        for job in &state.jobs {
-            if job.done_work > job.actual_work {
-                return Err(Self::violation(now, Some(job.id), "work-conservation"));
-            }
-            if job.is_complete() != (job.done_work >= job.actual_work) {
-                return Err(Self::violation(now, Some(job.id), "completion-accounting"));
-            }
-            if job.is_complete() {
-                completed += 1;
-            }
-            // Wasted work from killed attempts counts toward the monotone
-            // total: a kill moves progress from `done_work` to `wasted`
-            // rather than destroying it, so the sum still never regresses.
-            done_total += job.done_work + job.wasted;
-        }
-        if completed < self.completed_prev || done_total < self.done_prev {
+        // Accounting rules.
+        let totals = self.live_pass(state);
+        #[cfg(any(test, feature = "oracle"))]
+        let totals = Self::agree(now, totals, Self::table_pass(state));
+        let totals = totals?;
+        if totals.completed < self.prev.completed || totals.work < self.prev.work {
             return Err(Self::violation(now, None, "monotone-completion"));
         }
-        self.completed_prev = completed;
-        self.done_prev = done_total;
+        self.prev = totals;
         Ok(())
+    }
+
+    /// `work-conservation` and `completion-accounting` on one row, then its
+    /// contribution to the `monotone-completion` totals.
+    fn account(now: u64, job: &JobRuntime, totals: &mut Totals) -> Result<(), SimError> {
+        if job.done_work > job.actual_work {
+            return Err(Self::violation(now, Some(job.id), "work-conservation"));
+        }
+        if job.is_complete() != (job.done_work >= job.actual_work) {
+            return Err(Self::violation(now, Some(job.id), "completion-accounting"));
+        }
+        if job.is_complete() {
+            totals.completed += 1;
+        }
+        totals.work += job.done_work + job.wasted;
+        Ok(())
+    }
+
+    /// The accounting rules over the rows that left the live set since the
+    /// previous pass — checked one last time, then folded into `retired` —
+    /// and over the live set; returns the whole-table totals.
+    fn live_pass(&mut self, state: &SimState) -> Result<Totals, SimError> {
+        let now = state.now();
+        while let Some(&id) = state.departed.get(self.folded) {
+            Self::account(now, state.issued(id), &mut self.retired)?;
+            self.folded += 1;
+            #[cfg(test)]
+            {
+                self.rows_visited += 1;
+            }
+        }
+        let mut totals = self.retired;
+        for &(_, id) in &state.visible {
+            Self::account(now, state.issued(id), &mut totals)?;
+        }
+        #[cfg(test)]
+        {
+            self.rows_visited += state.visible.len() as u64;
+        }
+        Ok(totals)
+    }
+
+    /// The accounting rules over the whole job table, in row order: the
+    /// reference [`Self::live_pass`] is held to on every slot of a test or
+    /// `oracle` build. It also re-derives, from the rows, the per-workflow
+    /// completion flags that `SimState::workflows` lends to schedulers.
+    #[cfg(any(test, feature = "oracle"))]
+    fn table_pass(state: &SimState) -> Result<Totals, SimError> {
+        let now = state.now();
+        let mut totals = Totals::default();
+        for job in &state.jobs {
+            Self::account(now, job, &mut totals)?;
+        }
+        for w in &state.workflows {
+            let rows = w.job_ids.iter().map(|&id| state.issued(id).is_complete());
+            if !rows.clone().eq(w.completed.iter().copied())
+                || rows.filter(|&c| c).count() != w.completed_count
+            {
+                return Err(Self::violation(now, None, "live-set-agreement"));
+            }
+        }
+        Ok(totals)
+    }
+
+    /// Holds the live-set pass to the whole-table pass. The reference's
+    /// error wins (so a corrupted frozen row fails the slot it was written
+    /// in, under the rule it broke); any other difference — a verdict the
+    /// reference does not share, or other totals — is the checker's own
+    /// bug and fails as `live-set-agreement`.
+    #[cfg(any(test, feature = "oracle"))]
+    fn agree(
+        now: u64,
+        live: Result<Totals, SimError>,
+        table: Result<Totals, SimError>,
+    ) -> Result<Totals, SimError> {
+        let table = table?;
+        if live != Ok(table) {
+            return Err(Self::violation(now, None, "live-set-agreement"));
+        }
+        Ok(table)
     }
 
     /// Per-workflow milestone consistency: each job deadline lies inside
@@ -336,5 +458,247 @@ mod tests {
         engine.state_mut().jobs[0].done_work = actual;
         engine.state_mut().jobs[0].completion_slot = Some(0);
         checker.check_final(engine.state()).unwrap();
+    }
+
+    // ---- live-set pass against the whole-table pass ----
+
+    use crate::engine::tests::Greedy;
+    use crate::faults::{RecoveryPolicy, RecoverySetup, RuntimeFaultConfig};
+    use crate::online::OnlineEngine;
+
+    /// Rows 0–2 finish within three slots (retired), row 3 runs for the
+    /// whole test (live), row 4 arrives at slot 50 (not yet arrived).
+    /// Stepped to slot 5, so the retired rows have been folded.
+    fn engine_with_all_three_kinds_of_row() -> Engine {
+        let mut wl = SimWorkload::default();
+        for _ in 0..3 {
+            wl.adhoc.push(AdhocSubmission::new(spec(2, 1), 0));
+        }
+        wl.adhoc.push(AdhocSubmission::new(spec(1, 40), 0));
+        wl.adhoc.push(AdhocSubmission::new(spec(2, 2), 50));
+        let mut engine = Engine::new(cluster(), wl, 1_000).unwrap();
+        for _ in 0..5 {
+            engine.step(&mut Greedy, false).unwrap();
+        }
+        assert!(engine.state().jobs[..3].iter().all(|j| j.is_complete()));
+        assert_eq!(engine.state().visible.len(), 1);
+        engine
+    }
+
+    /// Both passes on the engine's own checker, neither committed.
+    fn both_passes(engine: &mut Engine) -> (Result<Totals, SimError>, Result<Totals, SimError>) {
+        let live = engine.checker.live_pass(&engine.state);
+        (live, InvariantChecker::table_pass(&engine.state))
+    }
+
+    #[test]
+    fn live_pass_totals_are_the_whole_table_totals() {
+        let mut engine = engine_with_all_three_kinds_of_row();
+        let (live, table) = both_passes(&mut engine);
+        // Three retired rows (2 task-slots each) and five slots of the
+        // live one: the running sums carry what the live set no longer has.
+        assert_eq!(
+            table,
+            Ok(Totals {
+                completed: 3,
+                work: 11
+            })
+        );
+        assert_eq!(live, table);
+    }
+
+    #[test]
+    fn corrupting_a_live_row_fails_both_passes_alike() {
+        for corrupt in [
+            (|j: &mut JobRuntime| j.done_work = 1_000) as fn(&mut JobRuntime),
+            |j| j.completion_slot = Some(3),
+        ] {
+            let mut engine = engine_with_all_three_kinds_of_row();
+            assert_eq!(both_passes(&mut engine).0, both_passes(&mut engine).1);
+            corrupt(&mut engine.state_mut().jobs[3]);
+            let (live, table) = both_passes(&mut engine);
+            assert!(matches!(
+                table,
+                Err(SimError::InvariantViolation {
+                    slot: 5,
+                    job: Some(id),
+                    ..
+                }) if id == JobId::new(3)
+            ));
+            assert_eq!(live, table, "same rule, same slot, same job");
+            let slot = engine.checker.check_slot(&engine.state, &[]).unwrap_err();
+            assert_eq!(Err(slot), table);
+        }
+    }
+
+    #[test]
+    fn corrupting_a_frozen_row_is_left_to_the_reference_and_the_final_check() {
+        // Row 1 retired, row 4 has not arrived: neither is in the live set.
+        for row in [1usize, 4] {
+            for corrupt in [
+                (|j: &mut JobRuntime| j.done_work += 7) as fn(&mut JobRuntime),
+                |j| {
+                    j.completion_slot = match j.completion_slot {
+                        Some(_) => None,
+                        None => Some(2),
+                    }
+                },
+            ] {
+                let mut engine = engine_with_all_three_kinds_of_row();
+                let (before, _) = both_passes(&mut engine);
+                corrupt(&mut engine.state_mut().jobs[row]);
+                let (live, table) = both_passes(&mut engine);
+                assert_eq!(live, before, "the live-set pass alone does not see it");
+                assert!(matches!(
+                    table,
+                    Err(SimError::InvariantViolation { slot: 5, job: Some(id), .. })
+                        if id == JobId::new(row as u64)
+                ));
+                // The per-slot cross-check fails the slot of the write ...
+                let slot = engine.checker.check_slot(&engine.state, &[]).unwrap_err();
+                assert_eq!(Err(slot), table);
+                // ... and, without it, the end of the run still would.
+                assert!(matches!(
+                    engine.checker.check_final(&engine.state),
+                    Err(SimError::InvariantViolation { job: Some(id), .. })
+                        if id <= JobId::new(row as u64)
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn totals_that_differ_fail_as_live_set_agreement() {
+        let ok = Totals {
+            completed: 3,
+            work: 11,
+        };
+        assert_eq!(InvariantChecker::agree(5, Ok(ok), Ok(ok)), Ok(ok));
+        let short = Totals {
+            completed: 0,
+            work: 5,
+        };
+        let disagreement = Err(SimError::InvariantViolation {
+            slot: 5,
+            job: None,
+            rule: "live-set-agreement",
+        });
+        assert_eq!(InvariantChecker::agree(5, Ok(short), Ok(ok)), disagreement);
+        let live_only = InvariantChecker::violation(5, Some(JobId::new(3)), "work-conservation");
+        assert_eq!(
+            InvariantChecker::agree(5, Err(live_only), Ok(ok)),
+            disagreement
+        );
+    }
+
+    #[test]
+    fn kills_and_stragglers_keep_the_totals_monotone() {
+        let mut wl = SimWorkload::default();
+        for i in 0..12 {
+            wl.adhoc.push(AdhocSubmission::new(spec(3, 4), i % 4));
+        }
+        let setup = RecoverySetup::new(
+            RuntimeFaultConfig::none(7)
+                .with_task_failures(0.9)
+                .with_crashes(0.5)
+                .with_crash_period(5)
+                .with_stragglers(0.9, 1.0),
+            RecoveryPolicy::default().with_max_retries(3),
+        );
+        // Every slot of the run went through the live-set pass, rule 7 and
+        // the whole-table cross-check.
+        let out = Engine::new(cluster(), wl, 10_000)
+            .unwrap()
+            .with_recovery(setup)
+            .run(&mut Greedy)
+            .unwrap();
+        assert!(out.is_complete());
+        assert!(out.recovery.retries > 0 && out.recovery.wasted_work > 0);
+        assert!(out.recovery.stragglers > 0 && out.recovery.straggler_extra_work > 0);
+    }
+
+    // ---- counted, not timed ----
+
+    #[test]
+    fn counted_slot_cost_follows_the_live_set_not_the_table() {
+        // 20 000 one-slot jobs, 500 per slot on a 500-core cluster, then
+        // ten long ones.
+        let big = ClusterConfig::new(ResourceVec::new([500, 500 * 4096]), 10.0);
+        let mut wl = SimWorkload::default();
+        for i in 0..20_000u64 {
+            wl.adhoc.push(AdhocSubmission::new(spec(1, 1), i / 500));
+        }
+        for _ in 0..10 {
+            wl.adhoc.push(AdhocSubmission::new(spec(1, 500), 45));
+        }
+        let mut engine = Engine::new(big, wl, 10_000).unwrap();
+        while engine.state().now() < 50 {
+            engine.step(&mut Greedy, false).unwrap();
+        }
+        assert_eq!(engine.state().jobs.len(), 20_010);
+        assert_eq!(engine.state().visible.len(), 10);
+        for _ in 0..100 {
+            let before = engine.checker.rows_visited;
+            engine.step(&mut Greedy, false).unwrap();
+            // Ten live rows, nothing retired since the previous slot.
+            assert_eq!(engine.checker.rows_visited - before, 10);
+        }
+    }
+
+    #[test]
+    fn counted_online_step_cost_is_flat_over_the_session() {
+        let cores = ClusterConfig::new(ResourceVec::new([64, 64 * 4096]), 10.0);
+        let mut online = OnlineEngine::new(cores, 100_000);
+        let mut per_step = Vec::new();
+        for slot in 0..200u64 {
+            for _ in 0..25 {
+                online
+                    .submit_adhoc(AdhocSubmission::new(spec(1, 1), slot))
+                    .unwrap();
+            }
+            let before = online.engine().checker.rows_visited;
+            online.step(&mut Greedy).unwrap();
+            per_step.push(online.engine().checker.rows_visited - before);
+        }
+        assert_eq!(online.engine().state().jobs.len(), 5_000);
+        // 25 live rows plus the 25 that finished in the slot before.
+        assert_eq!(per_step[1..100].iter().max(), Some(&50));
+        assert_eq!(per_step[100..].iter().max(), Some(&50));
+    }
+
+    #[test]
+    fn counted_view_of_a_finished_workflow_reads_no_job_row() {
+        let mut b = WorkflowBuilder::new(WorkflowId::new(1), "wf");
+        let a = b.add_job(spec(2, 1));
+        let c = b.add_job(spec(2, 1));
+        b.add_dep(a, c).unwrap();
+        let mut wl = SimWorkload::default();
+        wl.workflows
+            .push(WorkflowSubmission::new(b.window(0, 50).build().unwrap()));
+        wl.adhoc.push(AdhocSubmission::new(spec(1, 40), 0));
+        let mut engine = Engine::new(cluster(), wl, 1_000).unwrap();
+        for _ in 0..6 {
+            engine.step(&mut Greedy, false).unwrap();
+        }
+        let lookups = || crate::state::ROW_LOOKUPS.with(|c| c.get());
+        let before = lookups();
+        let views = engine.state().workflows();
+        assert_eq!(lookups(), before);
+        assert_eq!(views.len(), 1);
+        assert!(views[0].is_complete());
+        assert_eq!(views[0].completed, [true, true]);
+        assert_eq!(views[0].completed_count, 2);
+        drop(views);
+
+        // The lent flags are held to the rows by the reference pass.
+        engine.state_mut().workflows[0].completed[1] = false;
+        assert_eq!(
+            engine.step(&mut Greedy, false),
+            Err(SimError::InvariantViolation {
+                slot: 6,
+                job: None,
+                rule: "live-set-agreement",
+            })
+        );
     }
 }

@@ -132,8 +132,7 @@ impl OnlineEngine {
 
     /// Progress of one materialized job, if the id exists.
     pub fn job_progress(&self, id: JobId) -> Option<JobProgress> {
-        let &idx = self.engine.state.by_id.get(&id)?;
-        let job = &self.engine.state.jobs[idx];
+        let job = &self.engine.state.jobs[self.engine.state.row(id)?];
         Some(JobProgress {
             id: job.id,
             arrival_slot: job.arrival_slot,
@@ -213,12 +212,12 @@ impl OnlineEngine {
             ..
         } = table;
         let ids: Vec<JobId> = jobs.iter().map(|j| j.id).collect();
-        let n_new = jobs.len();
-        for job in jobs {
-            let idx = self.engine.state.jobs.len();
-            self.engine.state.by_id.insert(job.id, idx);
-            self.engine.state.jobs.push(job);
-        }
+        let first_new = self.engine.state.jobs.len();
+        self.engine.state.jobs.extend(jobs);
+        assert!(
+            self.engine.state.ids_are_dense(first_new),
+            "job ids name their table rows"
+        );
         self.engine.state.workflows.extend(workflows);
         self.engine.job_nodes.extend(job_nodes);
         self.engine.pending_preds.extend(pending_preds);
@@ -230,9 +229,8 @@ impl OnlineEngine {
         } else {
             // Future arrival: queue the same events batch construction
             // queues, with the same heap-op accounting.
-            self.engine.state.incomplete += n_new;
-            for &id in &ids {
-                let job = &self.engine.state.jobs[self.engine.state.by_id[&id]];
+            self.engine.state.incomplete += ids.len();
+            for job in &self.engine.state.jobs[first_new..] {
                 debug_assert!(job.arrival_slot > 0);
                 self.engine
                     .events
@@ -292,6 +290,16 @@ impl OnlineEngine {
             ctx.buffer().header.jobs = self.engine.trace_job_metas();
         }
         self.engine.finish(scheduler.telemetry())
+    }
+}
+
+// Below the last line of non-test code, where CI's "no panic path" gate
+// stops reading this file.
+#[cfg(test)]
+impl OnlineEngine {
+    /// The wrapped engine (for in-crate tests that read its counters).
+    pub(crate) fn engine(&self) -> &Engine {
+        &self.engine
     }
 }
 
@@ -425,6 +433,10 @@ mod tests {
         online.step(&mut sched).unwrap();
         let p = online.job_progress(id).unwrap();
         assert!(p.done_work > 0);
-        assert!(online.job_progress(JobId::new(99)).is_none());
+        // Ids no row carries — one past the table, far past `usize` — are
+        // absent, never an index panic or a wrapped cast.
+        for raw in [1, 99, u64::MAX] {
+            assert!(online.job_progress(JobId::new(raw)).is_none());
+        }
     }
 }

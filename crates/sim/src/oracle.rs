@@ -99,20 +99,20 @@ impl OracleEngine {
             if let Some(pool) = &e.nodes {
                 let requests: Vec<_> = pairs
                     .iter()
-                    .map(|&(id, q)| {
-                        let shape = e.state.jobs[e.state.by_id[&id]].estimate.per_task();
-                        (id, shape, q)
-                    })
+                    .map(|&(id, q)| (id, e.state.issued(id).estimate.per_task(), q))
                     .collect();
                 e.placement_shortfalls
                     .push(pool.pack(&requests).unplaced_tasks());
             }
             for (id, q) in pairs {
-                let idx = e.state.by_id[&id];
+                let idx = e.state.issued_row(id);
                 let job = &mut e.state.jobs[idx];
                 job.done_work += q;
                 if job.done_work >= job.actual_work {
                     job.completion_slot = Some(now + 1);
+                    if let Some((w, node)) = e.job_nodes[idx] {
+                        e.state.mark_node_complete(w, node);
+                    }
                 }
             }
             release_dependents(&mut e.state, now);
@@ -135,14 +135,14 @@ fn release_dependents(state: &mut SimState, now: u64) {
         let n = state.workflows[w].job_ids.len();
         for node in 0..n {
             let id = state.workflows[w].job_ids[node];
-            let idx = state.by_id[&id];
+            let idx = state.issued_row(id);
             if state.jobs[idx].ready_slot.is_some() {
                 continue;
             }
             let dag = state.workflows[w].submission.workflow.dag();
             let all_done = dag.predecessors(node).iter().all(|&p| {
                 let pid = state.workflows[w].job_ids[p];
-                state.jobs[state.by_id[&pid]].is_complete()
+                state.issued(pid).is_complete()
             });
             if all_done {
                 state.jobs[idx].ready_slot = Some(now + 1);

@@ -9,7 +9,7 @@
 use crate::cluster::ClusterConfig;
 use crate::job::{JobClass, JobRuntime, WorkflowSubmission};
 use flowtime_dag::{JobId, ResourceVec, Workflow, WorkflowId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Scheduler-visible snapshot of one job.
 #[derive(Debug, Clone)]
@@ -56,7 +56,9 @@ pub struct WorkflowView<'a> {
     /// Engine job id of each DAG node.
     pub job_ids: &'a [JobId],
     /// Completion flag of each DAG node.
-    pub completed: Vec<bool>,
+    pub completed: &'a [bool],
+    /// How many nodes have completed (the `true` entries of `completed`).
+    pub completed_count: usize,
 }
 
 impl WorkflowView<'_> {
@@ -67,28 +69,63 @@ impl WorkflowView<'_> {
 
     /// True once every node has completed.
     pub fn is_complete(&self) -> bool {
-        self.completed.iter().all(|&c| c)
+        self.completed_count == self.completed.len()
     }
 }
 
 pub(crate) struct WorkflowInstance {
     pub submission: WorkflowSubmission,
     pub job_ids: Vec<JobId>,
+    /// Completion flag of each DAG node, set by
+    /// [`SimState::mark_node_complete`] the moment the node's job
+    /// completes, so views lend it instead of re-deriving it.
+    pub completed: Vec<bool>,
+    /// Number of `true` entries in `completed`.
+    pub completed_count: usize,
+}
+
+impl WorkflowInstance {
+    pub(crate) fn new(submission: WorkflowSubmission, job_ids: Vec<JobId>) -> Self {
+        WorkflowInstance {
+            completed: vec![false; job_ids.len()],
+            completed_count: 0,
+            submission,
+            job_ids,
+        }
+    }
+
+    /// True once every node has completed.
+    pub(crate) fn is_complete(&self) -> bool {
+        self.completed_count == self.job_ids.len()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Id → row translations done on this thread; lets a test pin "this
+    /// view was built without touching the job table".
+    pub(crate) static ROW_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// The engine's world state, exposed read-only to schedulers.
 pub struct SimState {
     pub(crate) now: u64,
     pub(crate) cluster: ClusterConfig,
+    /// The dense job table: `jobs[i].id == JobId::new(i)`, asserted where
+    /// rows are appended (`Engine::assemble`, `OnlineEngine::splice`), so
+    /// [`Self::row`] is a bounds test, not a map probe.
     pub(crate) jobs: Vec<JobRuntime>,
     pub(crate) workflows: Vec<WorkflowInstance>,
-    pub(crate) by_id: HashMap<JobId, usize>,
     /// Arrived, ready, incomplete jobs keyed `(arrival_slot, id)` — the
     /// iteration order [`Self::runnable_jobs`] has always promised.
     /// Maintained incrementally by the engine's event queue.
     pub(crate) runnable: BTreeSet<(u64, JobId)>,
     /// Arrived, incomplete jobs (superset of `runnable`), same key.
     pub(crate) visible: BTreeSet<(u64, JobId)>,
+    /// Every job that has left `visible`, in order of departure.
+    /// Append-only, so the invariant checker folds each departed row
+    /// exactly once by remembering how far it has read.
+    pub(crate) departed: Vec<JobId>,
     /// Count of jobs not yet complete — lets the engine's run loop test
     /// for termination without scanning every job each slot.
     pub(crate) incomplete: usize,
@@ -135,6 +172,42 @@ impl SimState {
         self.cluster.slot_seconds()
     }
 
+    /// The table row of `id`, or `None` for an id no row carries.
+    pub(crate) fn row(&self, id: JobId) -> Option<usize> {
+        #[cfg(test)]
+        ROW_LOOKUPS.with(|c| c.set(c.get() + 1));
+        usize::try_from(id.as_u64())
+            .ok()
+            .filter(|&row| row < self.jobs.len())
+    }
+
+    /// The table row of an id the engine issued itself (index sets, event
+    /// heap, workflow node tables, an allocation `check_slot` accepted).
+    pub(crate) fn issued_row(&self, id: JobId) -> usize {
+        self.row(id).expect("engine-issued job id is a table row")
+    }
+
+    /// The runtime row behind an engine-issued id.
+    pub(crate) fn issued(&self, id: JobId) -> &JobRuntime {
+        &self.jobs[self.issued_row(id)]
+    }
+
+    /// True when every row sits at the index its id names, from `from` on.
+    pub(crate) fn ids_are_dense(&self, from: usize) -> bool {
+        self.jobs[from..]
+            .iter()
+            .zip(from as u64..)
+            .all(|(job, row)| job.id == JobId::new(row))
+    }
+
+    /// Records that `node` of workflow `w` completed.
+    pub(crate) fn mark_node_complete(&mut self, w: usize, node: usize) {
+        let inst = &mut self.workflows[w];
+        if !std::mem::replace(&mut inst.completed[node], true) {
+            inst.completed_count += 1;
+        }
+    }
+
     fn view_of(&self, job: &JobRuntime) -> JobView {
         let (estimated_remaining, estimated_total, task_slots) = match job.class {
             JobClass::AdHoc => (None, None, None),
@@ -168,7 +241,7 @@ impl SimState {
     pub fn runnable_jobs(&self) -> Vec<JobView> {
         self.runnable
             .iter()
-            .map(|&(_, id)| self.view_of(&self.jobs[self.by_id[&id]]))
+            .map(|&(_, id)| self.view_of(self.issued(id)))
             .collect()
     }
 
@@ -177,7 +250,7 @@ impl SimState {
     pub fn visible_jobs(&self) -> Vec<JobView> {
         self.visible
             .iter()
-            .map(|&(_, id)| self.view_of(&self.jobs[self.by_id[&id]]))
+            .map(|&(_, id)| self.view_of(self.issued(id)))
             .collect()
     }
 
@@ -186,8 +259,8 @@ impl SimState {
     /// them incrementally; this is the reference path used by the
     /// linear-scan oracle (and by `Engine::new` to seed the counter).
     pub(crate) fn rebuild_indices(&mut self) {
+        let was_visible = std::mem::take(&mut self.visible);
         self.runnable.clear();
-        self.visible.clear();
         self.incomplete = 0;
         for job in &self.jobs {
             if job.is_complete() || job.shed_slot.is_some() {
@@ -202,18 +275,30 @@ impl SimState {
                 self.runnable.insert((job.arrival_slot, job.id));
             }
         }
+        self.departed
+            .extend(was_visible.difference(&self.visible).map(|&(_, id)| id));
+    }
+
+    /// Drops a job from the live indices (it completed).
+    pub(crate) fn retire(&mut self, key: (u64, JobId)) {
+        self.runnable.remove(&key);
+        if self.visible.remove(&key) {
+            self.departed.push(key.1);
+        }
     }
 
     /// Looks up one job by id (visible only once arrived).
     pub fn job(&self, id: JobId) -> Option<JobView> {
-        self.by_id
-            .get(&id)
-            .map(|&idx| &self.jobs[idx])
+        self.row(id)
+            .map(|row| &self.jobs[row])
             .filter(|j| j.arrival_slot <= self.now)
             .map(|j| self.view_of(j))
     }
 
-    /// Workflows that have arrived, with per-node completion status.
+    /// Workflows that have arrived, with per-node completion status. The
+    /// flags are lent from the engine's own bookkeeping: a view costs the
+    /// same for a finished workflow as for a live one, and no job row is
+    /// read to build it.
     pub fn workflows(&self) -> Vec<WorkflowView<'_>> {
         self.workflows
             .iter()
@@ -221,11 +306,8 @@ impl SimState {
             .map(|w| WorkflowView {
                 workflow: &w.submission.workflow,
                 job_ids: &w.job_ids,
-                completed: w
-                    .job_ids
-                    .iter()
-                    .map(|id| self.jobs[self.by_id[id]].is_complete())
-                    .collect(),
+                completed: &w.completed,
+                completed_count: w.completed_count,
             })
             .collect()
     }
@@ -233,8 +315,7 @@ impl SimState {
     /// Sum of resources held by an allocation mapping `job → tasks`.
     pub(crate) fn allocation_usage(&self, pairs: &[(JobId, u64)]) -> ResourceVec {
         pairs.iter().fold(ResourceVec::zero(), |acc, &(id, q)| {
-            let job = &self.jobs[self.by_id[&id]];
-            acc + job.estimate.per_task() * q
+            acc + self.issued(id).estimate.per_task() * q
         })
     }
 }

@@ -198,3 +198,62 @@ fn chaos_sweep_is_byte_identical_across_thread_counts() {
         );
     }
 }
+
+/// Per slot, the engine's accounting invariants visit only the live set
+/// and fold the rows that leave it into running sums; this binary builds
+/// `flowtime-sim` with `oracle`, so the whole-table pass runs beside that
+/// on every slot and a difference in verdict or totals fails the run as
+/// `live-set-agreement`. Kills (progress moved into `wasted`), straggler
+/// inflation (`actual_work` grown mid-run), shedding and deferral are the
+/// writes the linear-scan `OracleEngine` of `tests/differential.rs` does
+/// not model, so they get their own grid here: six schedulers × 20 fault
+/// seeds × {task failures + crashes + stragglers} × {shed, delay}.
+#[test]
+fn live_set_invariant_pass_agrees_with_the_whole_table_on_every_chaos_slot() {
+    let cluster = testbed_cluster();
+    let workload = experiment().build(&cluster);
+    let mut totals = RecoveryStats::default();
+    let mut runs = 0;
+    for &algo in Algo::FIG4.iter() {
+        for seed in 0..20u64 {
+            for shed in [ShedPolicy::Shed, ShedPolicy::Delay { slots: 3 }] {
+                let setup = RecoverySetup::new(
+                    RuntimeFaultConfig::none(seed)
+                        .with_task_failures(0.1 + 0.04 * seed as f64)
+                        .with_crashes(0.3)
+                        .with_crash_period(12)
+                        .with_stragglers(0.3, 0.5),
+                    RecoveryPolicy::default()
+                        .with_max_retries(3)
+                        .with_shed(shed)
+                        .with_overload(0.5, 1),
+                );
+                let spec = RunSpec {
+                    recovery: Some(setup),
+                    ..RunSpec::new(algo)
+                };
+                let out = match flowtime::run(&spec, &cluster, &workload) {
+                    Ok(out) => out.outcome,
+                    Err(e) => panic!("{} seed {seed} {shed:?}: {e}", algo.name()),
+                };
+                for pod in &out.pods {
+                    let r = &pod.recovery;
+                    totals.retries += r.retries;
+                    totals.wasted_work += r.wasted_work;
+                    totals.stragglers += r.stragglers;
+                    totals.shed_jobs += r.shed_jobs;
+                    totals.delayed_jobs += r.delayed_jobs;
+                }
+                runs += 1;
+            }
+        }
+    }
+    assert_eq!(runs, 6 * 20 * 2);
+    // Every write path the frozen-row argument lists was exercised.
+    assert!(totals.retries > 0 && totals.wasted_work > 0, "{totals:?}");
+    assert!(totals.stragglers > 0, "{totals:?}");
+    assert!(
+        totals.shed_jobs > 0 && totals.delayed_jobs > 0,
+        "{totals:?}"
+    );
+}
