@@ -72,9 +72,12 @@ pub fn solve_with(
                 solve_flow(leveling, shape)
             }
             // Heterogeneous shapes: the transportation reduction does not
-            // apply; fall back to the LP with a bounded refinement budget
-            // (full lexicographic depth on long horizons would cost
-            // hundreds of LP solves per re-plan).
+            // apply; fall back to the LP with a bounded refinement budget.
+            // A round is one cold main solve plus one probe of its
+            // retained optimum per peak pair; the probes are cheap (tens
+            // of microseconds), so what full lexicographic depth would
+            // cost on a long horizon is its main solves — one per
+            // distinct load level, each a cold phase 1.
             None => solve_simplex(leveling, 1 + FLOW_LEX_ROUNDS, stats),
         },
         SolverBackend::Simplex { lex_rounds } => solve_simplex(leveling, lex_rounds, stats),

@@ -15,11 +15,11 @@
 //! the peak level as a progress fallback — the result is then min-max
 //! optimal at every completed level and approximately lexmin below.
 
-use super::formulation;
+use super::formulation::{self, Formulation};
 use super::{LevelingProblem, SolveStats};
 use crate::error::CoreError;
 use flowtime_dag::NUM_RESOURCES;
-use flowtime_lp::{Basis, LpError, SimplexOptions};
+use flowtime_lp::{LpError, Probe, Retained, SimplexOptions, Solution};
 use std::collections::HashMap;
 
 /// A fractional lexmin-max solution.
@@ -37,46 +37,18 @@ pub struct FractionalPlan {
     pub thetas: Vec<f64>,
 }
 
-fn solve_once(
-    leveling: &LevelingProblem,
-    frozen: &HashMap<(usize, usize), f64>,
-    warm: Option<&Basis>,
-    stats: &mut SolveStats,
-) -> Result<(f64, Vec<Vec<f64>>, Basis), CoreError> {
-    let horizon = leveling.horizon();
-    let f = formulation::build(leveling, frozen)?;
-    let res = match f.problem.solve_warm(&SimplexOptions::default(), warm) {
-        Ok(res) => res,
-        Err(e) => {
-            // Errors (infeasible, unbounded) are always diagnosed by the
-            // cold path: the warm attempt either never matched or repaired
-            // into the fallback before failing.
-            stats.cold_solves += 1;
-            if warm.is_some() {
-                stats.warm_fallbacks += 1;
-            }
-            return Err(e.into());
-        }
-    };
-    if res.warm_used {
-        stats.warm_solves += 1;
-        stats.warm_pivots += res.solution.iterations as u64;
-    } else {
-        stats.cold_solves += 1;
-        stats.cold_pivots += res.solution.iterations as u64;
-        if warm.is_some() {
-            stats.warm_fallbacks += 1;
+/// Absolute load caps of the `(slot, resource)` pairs frozen so far.
+type Frozen = HashMap<(usize, usize), f64>;
+
+/// The dense allocation matrix a main solve's `solution` describes.
+fn allocation(leveling: &LevelingProblem, f: &Formulation, solution: &Solution) -> Vec<Vec<f64>> {
+    let mut x = vec![vec![0.0f64; leveling.horizon()]; leveling.jobs.len()];
+    for ((row, job), vars) in x.iter_mut().zip(&leveling.jobs).zip(&f.x) {
+        for (slot, &v) in row[job.window.0..].iter_mut().zip(vars) {
+            *slot = solution.value(v);
         }
     }
-    let sol = &res.solution;
-    let theta = sol.value(f.theta);
-    let mut x = vec![vec![0.0f64; horizon]; leveling.jobs.len()];
-    for (i, (job, vars)) in leveling.jobs.iter().zip(f.x.iter()).enumerate() {
-        for (off, &v) in vars.iter().enumerate() {
-            x[i][job.window.0 + off] = sol.value(v);
-        }
-    }
-    Ok((theta, x, res.basis))
+    x
 }
 
 fn loads_of(leveling: &LevelingProblem, x: &[Vec<f64>]) -> Vec<[f64; NUM_RESOURCES]> {
@@ -91,6 +63,84 @@ fn loads_of(leveling: &LevelingProblem, x: &[Vec<f64>]) -> Vec<[f64; NUM_RESOURC
     loads
 }
 
+/// One necessity trial by the cold rebuild: the LP with `(t, r)` also
+/// frozen at `cap`, built and solved from scratch. This is the all-cold
+/// reference (`warm_trials = false`) and what decides a trial the probe
+/// leaves [`Probe::Undecided`]. `None` means infeasible.
+fn cold_trial(
+    leveling: &LevelingProblem,
+    frozen: &Frozen,
+    pair: (usize, usize),
+    cap: f64,
+    stats: &mut SolveStats,
+) -> Result<Option<f64>, CoreError> {
+    let mut trial = frozen.clone();
+    trial.insert(pair, cap);
+    let f = formulation::build(leveling, &trial)?;
+    stats.cold_solves += 1;
+    match f.problem.solve_with(&SimplexOptions::default()) {
+        Ok(solution) => {
+            stats.cold_pivots += solution.iterations as u64;
+            Ok(Some(solution.value(f.theta)))
+        }
+        Err(LpError::Infeasible) => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// The peak pairs of a round that are **necessarily** tight: capped just
+/// below the peak level, the LP turns infeasible or its peak rises. Each
+/// trial is a probe of the round's retained optimum `optimum` — the trial
+/// LP is the main LP `f` with the pair's load row stripped of `θ` and
+/// capped; without an `optimum` (the all-cold reference) every trial is
+/// the cold rebuild. When no pair is necessary, all of `peaks` are
+/// returned (the tie fallback of the module docs).
+fn necessary_peaks(
+    leveling: &LevelingProblem,
+    frozen: &Frozen,
+    f: &Formulation,
+    mut optimum: Option<&mut Retained<'_>>,
+    theta: f64,
+    peaks: &[(usize, usize)],
+    stats: &mut SolveStats,
+) -> Result<Frozen, CoreError> {
+    let level_of = |t: usize, r: usize| theta * leveling.slot_caps[t].dim(r) as f64;
+    let mut necessary = Frozen::new();
+    for &(t, r) in peaks {
+        let level = level_of(t, r);
+        let delta = (level * 1e-3).max(0.5);
+        let cap = (level - delta).max(0.0);
+        let probed = match (&mut optimum, f.load_row(t, r)) {
+            (Some(optimum), Some(row)) => optimum.probe(row, f.theta, cap)?,
+            _ => Probe::Undecided,
+        };
+        let theta_new = match probed {
+            Probe::Optimal { objective, pivots } => {
+                stats.warm_solves += 1;
+                stats.warm_pivots += pivots as u64;
+                Some(objective)
+            }
+            Probe::Infeasible => {
+                stats.warm_solves += 1;
+                None
+            }
+            Probe::Undecided => {
+                if optimum.is_some() {
+                    stats.warm_fallbacks += 1;
+                }
+                cold_trial(leveling, frozen, (t, r), cap, stats)?
+            }
+        };
+        if theta_new.is_none_or(|new| new > theta + 1e-6) {
+            necessary.insert((t, r), level);
+        }
+    }
+    if necessary.is_empty() {
+        necessary.extend(peaks.iter().map(|&(t, r)| ((t, r), level_of(t, r))));
+    }
+    Ok(necessary)
+}
+
 /// Solves `leveling` lexicographically with at most `rounds` freeze
 /// iterations (`1` = plain min-max, no refinement solves).
 ///
@@ -103,19 +153,22 @@ pub fn solve(leveling: &LevelingProblem, rounds: usize) -> Result<FractionalPlan
     solve_with_stats(leveling, rounds, true, &mut SolveStats::default())
 }
 
-/// [`solve`] with explicit control over warm-started necessity trials and
-/// solver-effort accounting.
+/// [`solve`] with explicit control over how necessity trials are answered
+/// and solver-effort accounting.
 ///
 /// Every round's **main** solve is always cold: the returned vertex defines
 /// the peak candidates and the final allocation, so it must not depend on
-/// warm-start state. When `warm_trials` is set, the objective-only
-/// necessity trials of each round warm-start from that round's main
-/// optimal basis — the trial LP differs from the main LP by one capacity
-/// row, the textbook dual-repair case. Trials only compare the optimal
-/// *objective* against a threshold, and warm and cold solves provably agree
-/// on the objective, so the freezing decisions (and therefore the returned
-/// plan) are identical either way; `tests/warm_start_props.rs` checks
-/// exactly that.
+/// any carried state. When `warm_trials` is set, the objective-only
+/// necessity trials of each round are **probes** of that main solve's
+/// retained, factored optimum ([`flowtime_lp::Retained::probe`]): the
+/// trial LP differs from the main LP by one capacity row, the textbook
+/// dual-repair case, and nothing is rebuilt or re-factored for it. A probe
+/// the engine cannot decide exactly is solved by the cold rebuild instead.
+/// With `warm_trials` off every trial is that cold rebuild — the
+/// reference. Trials only compare the optimal *objective* against a
+/// threshold, and probe and cold solve provably agree on the objective, so
+/// the freezing decisions (and therefore the returned plan) are identical
+/// either way; `tests/warm_start_props.rs` checks exactly that.
 ///
 /// # Errors
 ///
@@ -126,72 +179,49 @@ pub fn solve_with_stats(
     warm_trials: bool,
     stats: &mut SolveStats,
 ) -> Result<FractionalPlan, CoreError> {
-    let mut frozen: HashMap<(usize, usize), f64> = HashMap::new();
-    let mut result: Option<FractionalPlan> = None;
-    let mut first_peak = 0.0f64;
-    let mut thetas: Vec<f64> = Vec::new();
     let rounds = rounds.max(1);
-    for round in 0..rounds {
-        let (theta, x, basis) = solve_once(leveling, &frozen, None, stats)?;
-        if round == 0 {
-            first_peak = theta;
-        }
+    let mut frozen = Frozen::new();
+    let mut thetas: Vec<f64> = Vec::new();
+    loop {
+        let f = formulation::build(leveling, &frozen)?;
+        stats.cold_solves += 1;
+        let (solution, mut optimum) = f.problem.solve_retained(&SimplexOptions::default())?;
+        stats.cold_pivots += solution.iterations as u64;
+        let theta = solution.value(f.theta);
         thetas.push(theta);
-        let loads = loads_of(leveling, &x);
-        result = Some(FractionalPlan {
-            x,
-            peak_ratio: first_peak,
-            rounds_used: round + 1,
-            thetas: thetas.clone(),
-        });
-        if round + 1 == rounds || theta <= 1e-9 {
-            break;
-        }
+        let x = allocation(leveling, &f, &solution);
         // Candidate peak pairs among the unfrozen.
-        let peaks: Vec<(usize, usize, f64)> = loads
-            .iter()
-            .enumerate()
-            .flat_map(|(t, load)| load.iter().enumerate().map(move |(r, &z)| (t, r, z)))
-            .filter(|&(t, r, _)| !frozen.contains_key(&(t, r)))
-            .filter(|&(t, r, _)| {
-                let cap = leveling.slot_caps[t].dim(r) as f64;
-                cap > 0.0 && loads[t][r] / cap >= theta - 1e-7
-            })
-            .collect();
-        if peaks.is_empty() {
-            break;
-        }
-        // Necessity test per candidate: cap it just below the peak level
-        // and see whether the peak must rise.
-        let mut necessary: Vec<((usize, usize), f64)> = Vec::new();
-        for &(t, r, _) in &peaks {
-            let cap = leveling.slot_caps[t].dim(r) as f64;
-            let level = theta * cap;
-            let delta = (level * 1e-3).max(0.5);
-            let mut trial = frozen.clone();
-            trial.insert((t, r), (level - delta).max(0.0));
-            let warm = if warm_trials { Some(&basis) } else { None };
-            let tight = match solve_once(leveling, &trial, warm, stats) {
-                Ok((theta_new, _, _)) => theta_new > theta + 1e-6,
-                Err(CoreError::Lp(LpError::Infeasible)) => true,
-                Err(e) => return Err(e),
-            };
-            if tight {
-                necessary.push(((t, r), level));
-            }
-        }
-        if necessary.is_empty() {
-            // Tie between equivalent peaks: freeze them all at the peak
-            // level (progress fallback, see module docs).
-            for &(t, r, _) in &peaks {
-                let cap = leveling.slot_caps[t].dim(r) as f64;
-                frozen.insert((t, r), theta * cap);
-            }
+        let peaks: Vec<(usize, usize)> = if thetas.len() == rounds || theta <= 1e-9 {
+            Vec::new()
         } else {
-            frozen.extend(necessary);
+            let loads = loads_of(leveling, &x);
+            (0..leveling.horizon())
+                .flat_map(|t| (0..NUM_RESOURCES).map(move |r| (t, r)))
+                .filter(|pair| !frozen.contains_key(pair))
+                .filter(|&(t, r)| {
+                    let cap = leveling.slot_caps[t].dim(r) as f64;
+                    cap > 0.0 && loads[t][r] / cap >= theta - 1e-7
+                })
+                .collect()
+        };
+        if peaks.is_empty() {
+            return Ok(FractionalPlan {
+                x,
+                peak_ratio: thetas[0],
+                rounds_used: thetas.len(),
+                thetas,
+            });
         }
+        frozen.extend(necessary_peaks(
+            leveling,
+            &frozen,
+            &f,
+            warm_trials.then_some(&mut optimum),
+            theta,
+            &peaks,
+            stats,
+        )?);
     }
-    Ok(result.expect("at least one round"))
 }
 
 #[cfg(test)]

@@ -38,15 +38,20 @@ use std::collections::HashMap;
 /// to assert warm-start and cache behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Simplex solves that ran the cold two-phase path.
+    /// Simplex solves that ran the cold two-phase path: each lexmin
+    /// round's main solve, plus each necessity trial solved by the cold
+    /// rebuild.
     pub cold_solves: u64,
-    /// Simplex solves warm-started from a previous optimal basis.
+    /// Necessity trials a probe of the round's retained optimum decided in
+    /// place (optimal or certified infeasible). `cold_solves +
+    /// warm_solves` is the same whether trials are probed or rebuilt.
     pub warm_solves: u64,
-    /// Warm-start attempts that fell back cold (also in `cold_solves`).
+    /// Probes left undecided and solved cold (also in `cold_solves`).
     pub warm_fallbacks: u64,
     /// Pivots spent in cold solves.
     pub cold_pivots: u64,
-    /// Pivots spent in successful warm-started solves.
+    /// Dual-repair and phase-2 pivots spent in probes that found an
+    /// optimum.
     pub warm_pivots: u64,
     /// Solves answered by the parametric-flow backend.
     pub flow_solves: u64,

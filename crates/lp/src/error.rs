@@ -25,6 +25,21 @@ pub enum LpError {
         /// Number of declared variables.
         len: usize,
     },
+    /// A probe addressed a constraint row that does not exist.
+    RowOutOfRange {
+        /// The raw row index.
+        row: usize,
+        /// Number of constraint rows.
+        len: usize,
+    },
+    /// A probe asked to remove a variable from a row that has no term in
+    /// it.
+    VarNotInRow {
+        /// The raw variable index.
+        var: usize,
+        /// The constraint row.
+        row: usize,
+    },
     /// The LP is infeasible (phase 1 terminated with positive residual).
     Infeasible,
     /// The LP is unbounded below.
@@ -68,6 +83,12 @@ impl fmt::Display for LpError {
                     "variable {var} out of range for problem with {len} variables"
                 )
             }
+            LpError::RowOutOfRange { row, len } => {
+                write!(f, "row {row} out of range for problem with {len} rows")
+            }
+            LpError::VarNotInRow { var, row } => {
+                write!(f, "variable {var} has no term in row {row}")
+            }
             LpError::Infeasible => f.write_str("linear program is infeasible"),
             LpError::Unbounded => f.write_str("linear program is unbounded"),
             LpError::IterationLimit { limit } => {
@@ -102,6 +123,8 @@ mod tests {
             },
             LpError::NonFiniteCoefficient,
             LpError::VarOutOfRange { var: 4, len: 2 },
+            LpError::RowOutOfRange { row: 4, len: 2 },
+            LpError::VarNotInRow { var: 1, row: 0 },
             LpError::Infeasible,
             LpError::Unbounded,
             LpError::IterationLimit { limit: 10 },

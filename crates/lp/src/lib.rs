@@ -35,6 +35,10 @@
 //!
 //! Both engines share the warm-start contract: [`Basis`] export/import and
 //! bounded dual-simplex repair, so cached bases transfer across engines.
+//! A cold solve can also keep its factored optimum
+//! ([`Problem::solve_retained`]); [`Retained::probe`] then answers LPs that
+//! differ from it in one row — a term removed, the right-hand side moved —
+//! in place, and leaves the retained optimum as it found it.
 //!
 //! The solver is exact enough for the scheduling LPs of the paper: the
 //! constraint matrices there are totally unimodular (paper Lemma 2), so
@@ -75,5 +79,5 @@ pub use error::LpError;
 pub use problem::{Problem, Relation, VarId};
 #[cfg(any(test, feature = "oracle"))]
 pub use simplex::{default_engine, set_default_engine, DenseOracle};
-pub use simplex::{Basis, SimplexEngine, SimplexOptions, WarmSolveResult};
+pub use simplex::{Basis, Probe, Retained, SimplexEngine, SimplexOptions, WarmSolveResult};
 pub use solution::{Solution, Status};

@@ -51,6 +51,16 @@ pub(crate) struct Constraint {
     pub(crate) rhs: f64,
 }
 
+/// A one-row variation of a [`Problem`], validated against it: constraint
+/// `row` loses its term in `var` and gets right-hand side `rhs`. This is
+/// what a [`simplex::Retained::probe`] answers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RowPatch {
+    pub(crate) row: usize,
+    pub(crate) var: usize,
+    pub(crate) rhs: f64,
+}
+
 /// A linear program `min cᵀx  s.t.  Ax {≤,=,≥} b,  l ≤ x ≤ u`.
 ///
 /// The objective sense is *minimization*; to maximize, negate the objective
@@ -177,6 +187,12 @@ impl Problem {
             return Err(LpError::NonFiniteCoefficient);
         }
         let n = self.num_vars();
+        // Rows come almost always without duplicates: one sort of the
+        // indices finds that out, and only a row that has some pays the
+        // quadratic merge (which keeps first-occurrence order).
+        let mut seen: Vec<usize> = terms.iter().map(|&(var, _)| var.0).collect();
+        seen.sort_unstable();
+        let distinct = seen.windows(2).all(|w| w[0] != w[1]);
         let mut dense: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
         for &(var, coeff) in terms {
             if !coeff.is_finite() {
@@ -185,7 +201,12 @@ impl Problem {
             if var.0 >= n {
                 return Err(LpError::VarOutOfRange { var: var.0, len: n });
             }
-            match dense.iter_mut().find(|(v, _)| *v == var.0) {
+            let earlier = if distinct {
+                None
+            } else {
+                dense.iter_mut().find(|(v, _)| *v == var.0)
+            };
+            match earlier {
                 Some((_, c)) => *c += coeff,
                 None => dense.push((var.0, coeff)),
             }
@@ -230,6 +251,56 @@ impl Problem {
         warm: Option<&simplex::Basis>,
     ) -> Result<simplex::WarmSolveResult, LpError> {
         simplex::solve_with_warm_start(self, options, warm)
+    }
+
+    /// Solves the problem cold and keeps the factored optimum, so that
+    /// one-row variations can be answered by [`simplex::Retained::probe`];
+    /// see [`simplex::solve_retained`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Problem::solve`].
+    pub fn solve_retained(
+        &self,
+        options: &SimplexOptions,
+    ) -> Result<(Solution, simplex::Retained<'_>), LpError> {
+        simplex::solve_retained(self, options)
+    }
+
+    /// Checks a probe's address against this problem.
+    pub(crate) fn row_patch(&self, row: usize, var: VarId, rhs: f64) -> Result<RowPatch, LpError> {
+        if !rhs.is_finite() {
+            return Err(LpError::NonFiniteCoefficient);
+        }
+        let con = self.constraints.get(row).ok_or(LpError::RowOutOfRange {
+            row,
+            len: self.constraints.len(),
+        })?;
+        if var.0 >= self.num_vars() {
+            return Err(LpError::VarOutOfRange {
+                var: var.0,
+                len: self.num_vars(),
+            });
+        }
+        if !con.terms.iter().any(|&(v, _)| v == var.0) {
+            return Err(LpError::VarNotInRow { var: var.0, row });
+        }
+        Ok(RowPatch {
+            row,
+            var: var.0,
+            rhs,
+        })
+    }
+
+    /// The problem `patch` describes, built the long way (the dense
+    /// oracle's probe).
+    #[cfg(any(test, feature = "oracle"))]
+    pub(crate) fn patched(&self, patch: &RowPatch) -> Problem {
+        let mut p = self.clone();
+        let con = &mut p.constraints[patch.row];
+        con.terms.retain(|&(v, _)| v != patch.var);
+        con.rhs = patch.rhs;
+        p
     }
 
     /// Evaluates the objective at a point (no feasibility check).
@@ -320,6 +391,11 @@ impl Problem {
 
     /// Checks whether `x` satisfies all constraints and bounds within `tol`.
     pub fn is_feasible(&self, x: &[f64], tol: f64) -> bool {
+        self.is_feasible_under(None, x, tol)
+    }
+
+    /// [`Problem::is_feasible`] against this problem with `patch` applied.
+    pub(crate) fn is_feasible_under(&self, patch: Option<&RowPatch>, x: &[f64], tol: f64) -> bool {
         if x.len() != self.num_vars() {
             return false;
         }
@@ -328,12 +404,20 @@ impl Problem {
                 return false;
             }
         }
-        for c in &self.constraints {
-            let lhs: f64 = c.terms.iter().map(|&(v, a)| a * x[v]).sum();
+        for (i, c) in self.constraints.iter().enumerate() {
+            let patch = patch.filter(|p| p.row == i);
+            let dropped = patch.map(|p| p.var);
+            let rhs = patch.map_or(c.rhs, |p| p.rhs);
+            let lhs: f64 = c
+                .terms
+                .iter()
+                .filter(|&&(v, _)| Some(v) != dropped)
+                .map(|&(v, a)| a * x[v])
+                .sum();
             let ok = match c.relation {
-                Relation::Le => lhs <= c.rhs + tol,
-                Relation::Eq => (lhs - c.rhs).abs() <= tol,
-                Relation::Ge => lhs >= c.rhs - tol,
+                Relation::Le => lhs <= rhs + tol,
+                Relation::Eq => (lhs - rhs).abs() <= tol,
+                Relation::Ge => lhs >= rhs - tol,
             };
             if !ok {
                 return false;
@@ -383,6 +467,16 @@ mod tests {
         p.add_constraint(&[(x, 1.0), (x, 2.0)], Relation::Le, 1.0)
             .unwrap();
         assert_eq!(p.constraints[0].terms, vec![(0, 3.0)]);
+        // Merged terms keep first-occurrence order; a row without
+        // duplicates is stored as given, sorted or not.
+        let y = p.add_var(0.0, 0.0, 1.0).unwrap();
+        let z = p.add_var(0.0, 0.0, 1.0).unwrap();
+        p.add_constraint(&[(z, 1.0), (x, 1.0), (z, 2.0), (y, 4.0)], Relation::Le, 1.0)
+            .unwrap();
+        assert_eq!(p.constraints[1].terms, vec![(2, 3.0), (0, 1.0), (1, 4.0)]);
+        p.add_constraint(&[(z, 1.0), (x, 1.0), (y, 4.0)], Relation::Le, 1.0)
+            .unwrap();
+        assert_eq!(p.constraints[2].terms, vec![(2, 1.0), (0, 1.0), (1, 4.0)]);
     }
 
     #[test]

@@ -20,10 +20,11 @@
 
 use crate::error::LpError;
 use crate::lu::{self, Factorization};
-use crate::problem::Problem;
+use crate::problem::{Problem, RowPatch};
 use crate::simplex::{
-    auto_iteration_cap, quantize, Basis, CycleDetector, Pricing, RatioOutcome, SimplexOptions,
-    SolverCore, DEGEN_SNAP, PRICE_TIE, RATIO_TIE,
+    auto_iteration_cap, certifies_infeasible, quantize, Basis, CycleDetector, Pricing,
+    RatioOutcome, Repair, SimplexOptions, SolverCore, WarmOutcome, DEGEN_SNAP, PRICE_TIE,
+    RATIO_TIE,
 };
 use crate::solution::{Solution, Status};
 use crate::sparse::SparseForm;
@@ -64,6 +65,29 @@ struct Rev {
     lu: Factorization,
     /// Non-LU operation counter (pricing, ratio tests, updates).
     work: u64,
+    /// Set while a probe runs: what the incremental steps below change
+    /// that a snapshot of the dense vectors does not cover.
+    trail: Option<Trail>,
+}
+
+/// The part of a probe's undo record that is written where the change
+/// happens: every column complemented, in order, and the factorization a
+/// refactorization inside the probe replaced.
+#[derive(Default)]
+struct Trail {
+    flips: Vec<usize>,
+    parked: Option<Factorization>,
+}
+
+impl Rev {
+    /// Complements column `j` (storage, right-hand side, objective
+    /// constant); the caller owns any `beta` update.
+    fn flip(&mut self, j: usize) {
+        self.f.flip_column(j);
+        if let Some(trail) = &mut self.trail {
+            trail.flips.push(j);
+        }
+    }
 }
 
 /// Relative residual bound for the `‖B·β − b‖∞` self-check run at every
@@ -86,6 +110,7 @@ fn build_cold(problem: &Problem) -> Result<Rev, LpError> {
         beta,
         lu,
         work: 0,
+        trail: None,
     })
 }
 
@@ -105,7 +130,7 @@ fn objective(rev: &Rev, phase1: bool) -> f64 {
 /// left).
 fn flip_basic(rev: &mut Rev, r: usize) {
     let k = rev.basis[r];
-    rev.f.flip_column(k);
+    rev.flip(k);
     rev.beta[r] = rev.f.upper[k] - rev.beta[r];
 }
 
@@ -150,8 +175,12 @@ fn apply_pivot(rev: &mut Rev, r: usize, j: usize, w: &[f64], step: f64) -> Resul
 /// than a silently wrong plan.
 fn refactor(rev: &mut Rev) -> Result<(), LpError> {
     let carried = rev.lu.work;
-    rev.lu = Factorization::factor(&rev.f.a, &rev.basis)?;
+    let fresh = Factorization::factor(&rev.f.a, &rev.basis)?;
+    let replaced = std::mem::replace(&mut rev.lu, fresh);
     rev.lu.work += carried;
+    if let Some(trail) = &mut rev.trail {
+        trail.parked.get_or_insert(replaced);
+    }
     check_residual(rev)
 }
 
@@ -295,7 +324,7 @@ fn run_phase(
                         rev.beta[i] -= wi * u;
                     }
                 }
-                rev.f.flip_column(j);
+                rev.flip(j);
             }
             RatioOutcome::LeaveLower(r) => pivot(rev, r, j, &w)?,
             RatioOutcome::LeaveUpper(r) => {
@@ -421,6 +450,16 @@ fn export_basis(rev: &Rev, n_struct: usize) -> Basis {
 }
 
 fn cold(problem: &Problem, options: &SimplexOptions) -> Result<(Solution, Basis), LpError> {
+    cold_retained(problem, options).map(|(solution, basis, _)| (solution, basis))
+}
+
+/// The cold two-phase solve, handing back its final state beside the
+/// solution: the standard form in its final orientation, the optimal
+/// basis, `beta`, and the LU factors with their eta file.
+pub(crate) fn cold_retained(
+    problem: &Problem,
+    options: &SimplexOptions,
+) -> Result<(Solution, Basis, RetainedRev), LpError> {
     let tol = options.tolerance;
     let mut rev = build_cold(problem)?;
     let max_iterations = auto_iteration_cap(options, rev.f.m, rev.f.n_real);
@@ -452,7 +491,11 @@ fn cold(problem: &Problem, options: &SimplexOptions) -> Result<(Solution, Basis)
     check_residual(&rev)?;
     let solution = extract_solution(&rev, problem, iterations);
     let basis = export_basis(&rev, problem.num_vars());
-    Ok((solution, basis))
+    let retained = RetainedRev {
+        rev,
+        saved: Saved::default(),
+    };
+    Ok((solution, basis, retained))
 }
 
 /// All basic values within their (working-space) bounds?
@@ -465,10 +508,13 @@ fn primal_feasible(rev: &Rev, tol: f64) -> bool {
 }
 
 /// Bounded-variable dual simplex on the revised representation, mirroring
-/// the dense `dual_repair` step for step. Returns `None` — caller falls
-/// back to a cold solve — on lost dual feasibility, an unsatisfiable row,
-/// or a stalled repair.
-fn dual_repair(rev: &mut Rev, iterations: &mut usize) -> Option<()> {
+/// the dense `dual_repair` step for step. [`Repair::Undecided`] — caller
+/// falls back to a cold solve — on lost dual feasibility, a stalled
+/// repair, or a violated row with no entering candidate whose Farkas
+/// certificate is not macroscopic (see
+/// [`crate::simplex::certifies_infeasible`]); [`Repair::Infeasible`] when
+/// it is.
+fn dual_repair(rev: &mut Rev, iterations: &mut usize) -> Repair {
     const FEAS_TOL: f64 = 1e-7;
     let m = rev.f.m;
     let step_cap = 4 * m + 50;
@@ -493,11 +539,11 @@ fn dual_repair(rev: &mut Rev, iterations: &mut usize) -> Option<()> {
                 worst = Some((r, violation, at_upper));
             }
         }
-        let Some((r, _, at_upper)) = worst else {
-            return Some(()); // primal feasible again
+        let Some((r, violation, at_upper)) = worst else {
+            return Repair::Feasible; // primal feasible again
         };
         if steps >= step_cap {
-            return None;
+            return Repair::Undecided;
         }
         // Price pre-flip: a basic-variable complement leaves reduced costs
         // unchanged, and the dense engine's post-flip pivot row is exactly
@@ -514,15 +560,21 @@ fn dual_repair(rev: &mut Rev, iterations: &mut usize) -> Option<()> {
         rev.work += 2 * rev.f.a.nnz() as u64;
         let sgn = if at_upper { -1.0 } else { 1.0 };
         let mut entering: Option<(f64, usize)> = None;
+        // The most the non-basic columns can move row `r` towards its
+        // bound, for the certificate below.
+        let mut reach = 0.0f64;
         for j in 0..rev.f.n_real {
             if rev.in_basis[j] || rev.f.upper[j] <= 0.0 {
                 continue;
             }
             let dj = rev.f.effective_cost2(j) - rev.f.a.col_dot(j, &y);
             if dj < -1e-7 {
-                return None; // dual feasibility lost: repair unsound
+                return Repair::Undecided; // dual feasibility lost: repair unsound
             }
             let a = sgn * rev.f.a.col_dot(j, &rho);
+            if a < 0.0 && rev.f.upper[j].is_finite() {
+                reach -= a * rev.f.upper[j];
+            }
             if a < -1e-9 {
                 let ratio = dj.max(0.0) / -a;
                 let better = match entering {
@@ -534,24 +586,76 @@ fn dual_repair(rev: &mut Rev, iterations: &mut usize) -> Option<()> {
                 }
             }
         }
-        let (_, j) = entering?; // no candidate: row unsatisfiable
+        let Some((_, j)) = entering else {
+            // No candidate: `rho` is a Farkas multiplier for the row.
+            let scale: f64 = rho.iter().zip(&rev.f.b).map(|(p, b)| (p * b).abs()).sum();
+            return if certifies_infeasible(violation - reach, scale) {
+                Repair::Infeasible
+            } else {
+                Repair::Undecided
+            };
+        };
         for v in w.iter_mut() {
             *v = 0.0;
         }
         rev.f.a.scatter_col(j, 1.0, &mut w);
         rev.lu.ftran(&mut w);
-        if at_upper {
+        let pivoted = if at_upper {
             flip_basic(rev, r);
-            pivot_flipped(rev, r, j, &w).ok()?;
+            pivot_flipped(rev, r, j, &w)
         } else {
-            pivot(rev, r, j, &w).ok()?;
+            pivot(rev, r, j, &w)
+        };
+        if pivoted.is_err() {
+            return Repair::Undecided;
         }
         *iterations += 1;
         steps += 1;
-        if rev.lu.needs_refactor() {
-            refactor(rev).ok()?;
+        if rev.lu.needs_refactor() && refactor(rev).is_err() {
+            return Repair::Undecided;
         }
     }
+}
+
+/// What the warm path and a probe share once the basis stands on the LP
+/// to solve: dual repair if the vertex is primal infeasible, phase 2, the
+/// residual self-check, and the feasibility safety net — against
+/// `problem` with `patch` applied. Anything short of a checked optimum or
+/// a certified infeasibility is [`WarmOutcome::Undecided`]; the cold path
+/// re-derives it authoritatively.
+fn finish_from_basis(
+    rev: &mut Rev,
+    problem: &Problem,
+    patch: Option<&RowPatch>,
+    options: &SimplexOptions,
+) -> WarmOutcome {
+    let max_iterations = auto_iteration_cap(options, rev.f.m, rev.f.n_real);
+    let mut iterations = 0usize;
+    if !primal_feasible(rev, 1e-7) {
+        match dual_repair(rev, &mut iterations) {
+            Repair::Feasible => {}
+            Repair::Infeasible => return WarmOutcome::Infeasible,
+            Repair::Undecided => return WarmOutcome::Undecided,
+        }
+    }
+    let finished = run_phase(
+        rev,
+        false,
+        options.tolerance,
+        max_iterations,
+        options.stall_limit,
+        &mut iterations,
+    );
+    if finished.is_err() || check_residual(rev).is_err() {
+        return WarmOutcome::Undecided;
+    }
+    let solution = extract_solution(rev, problem, iterations);
+    // Safety net: numerical trouble on the warm path must never leak an
+    // infeasible "solution"; the cold path re-solves from scratch instead.
+    if !problem.is_feasible_under(patch, &solution.x, 1e-6) {
+        return WarmOutcome::Undecided;
+    }
+    WarmOutcome::Optimal(solution)
 }
 
 /// Attempts the warm path; `None` means "fall back to a cold solve".
@@ -615,30 +719,523 @@ fn warm(problem: &Problem, options: &SimplexOptions, start: &Basis) -> Option<(S
         beta,
         lu,
         work: 0,
+        trail: None,
+    };
+    match finish_from_basis(&mut rev, problem, None, options) {
+        WarmOutcome::Optimal(solution) => {
+            let basis = export_basis(&rev, problem.num_vars());
+            Some((solution, basis))
+        }
+        WarmOutcome::Infeasible | WarmOutcome::Undecided => None,
+    }
+}
+
+/// A cold solve's final state, kept so that one-row variations of its LP
+/// are answered from it ([`probe`]) instead of from a rebuilt standard
+/// form and a fresh factorization.
+pub(crate) struct RetainedRev {
+    rev: Rev,
+    saved: Saved,
+}
+
+/// The snapshot half of a probe's undo record: the dense vectors (a few
+/// hundred words each), copied into buffers that are reused from probe to
+/// probe. The matrix and the factors are far larger and are put back from
+/// the [`Trail`] instead.
+#[derive(Default)]
+struct Saved {
+    b: Vec<f64>,
+    beta: Vec<f64>,
+    basis: Vec<usize>,
+}
+
+/// Pivot of the column-replacement eta below which the patched basis
+/// counts as singular (the threshold both engines factor a prescribed
+/// basis with).
+const PATCH_PIVOT_TOL: f64 = 1e-7;
+
+/// Solves `problem` with `patch` applied, starting from the optimum
+/// `state` retains, and puts `state` back bit for bit.
+///
+/// The patched LP differs from the retained one in one stored entry of
+/// one column and one right-hand side, so the retained factorization is
+/// one product-form eta away from a factorization of the patched basis.
+pub(crate) fn probe(
+    state: &mut RetainedRev,
+    problem: &Problem,
+    patch: &RowPatch,
+    options: &SimplexOptions,
+) -> WarmOutcome {
+    let RetainedRev { rev, saved } = state;
+    saved.b.clone_from(&rev.f.b);
+    saved.beta.clone_from(&rev.beta);
+    saved.basis.clone_from(&rev.basis);
+    let flip_const2 = rev.f.flip_const2;
+    let etas = rev.lu.etas.len();
+    let (work, lu_work) = (rev.work, rev.lu.work);
+    rev.trail = Some(Trail::default());
+
+    let entry = rev.f.a.take_entry(patch.row, patch.var);
+    let outcome = match rebase(rev, problem, patch) {
+        Some(()) => finish_from_basis(rev, problem, Some(patch), options),
+        None => WarmOutcome::Undecided,
     };
 
-    let tol = options.tolerance;
-    let max_iterations = auto_iteration_cap(options, rev.f.m, rev.f.n_real);
-    let mut iterations = 0usize;
-    if !primal_feasible(&rev, 1e-7) {
-        dual_repair(&mut rev, &mut iterations)?;
+    let trail = rev.trail.take().unwrap_or_default();
+    // Negation is exact, so re-complementing in reverse order restores
+    // every stored value; `b` and the objective constant are not
+    // (`b − a·u + a·u`), hence the snapshot.
+    for &j in trail.flips.iter().rev() {
+        rev.f.a.negate_col(j);
+        rev.f.flipped[j] = !rev.f.flipped[j];
     }
-    run_phase(
-        &mut rev,
-        false,
-        tol,
-        max_iterations,
-        options.stall_limit,
-        &mut iterations,
-    )
-    .ok()?;
-    check_residual(&rev).ok()?;
-    let solution = extract_solution(&rev, problem, iterations);
-    // Safety net: numerical trouble on the warm path must never leak an
-    // infeasible "solution"; the cold path re-solves from scratch instead.
-    if !problem.is_feasible(&solution.x, 1e-6) {
-        return None;
+    if let Some((k, value)) = entry {
+        rev.f.a.values[k] = value;
     }
-    let basis = export_basis(&rev, problem.num_vars());
-    Some((solution, basis))
+    for &j in &rev.basis {
+        rev.in_basis[j] = false;
+    }
+    for &j in &saved.basis {
+        rev.in_basis[j] = true;
+    }
+    rev.f.b.clone_from(&saved.b);
+    rev.beta.clone_from(&saved.beta);
+    rev.basis.clone_from(&saved.basis);
+    rev.f.flip_const2 = flip_const2;
+    if let Some(parked) = trail.parked {
+        rev.lu = parked;
+    }
+    rev.lu.etas.truncate(etas);
+    rev.lu.work = lu_work;
+    rev.work = work;
+    outcome
+}
+
+/// Moves `rev` from the retained LP's optimal vertex onto the same basis
+/// of the patched LP, whose matrix entry is already zeroed. `None` when
+/// the patched basis is singular.
+fn rebase(rev: &mut Rev, problem: &Problem, patch: &RowPatch) -> Option<()> {
+    let RowPatch { row, var, rhs } = *patch;
+    let con = &problem.constraints[row];
+    // The stored row keeps its orientation: `SparseForm::build` negated it
+    // iff its shifted right-hand side was negative. (A fresh build of the
+    // patched problem might orient it the other way; that only matters to
+    // the row's artificial, which is barred.)
+    let (mut before, mut after) = (con.rhs, rhs);
+    for &(v, a) in &con.terms {
+        before -= a * problem.lower[v];
+        if v != var {
+            after -= a * problem.lower[v];
+        }
+    }
+    let sign = if before < 0.0 { -1.0 } else { 1.0 };
+    // Flip-adjusted right-hand side of the patched row, from scratch.
+    let mut b = sign * after;
+    for &(v, a) in &con.terms {
+        if v != var && rev.f.flipped[v] {
+            b -= sign * a * rev.f.upper[v];
+        }
+    }
+    rev.f.b[row] = b;
+    if let Some(p) = rev.basis.iter().position(|&j| j == var) {
+        // The basis column changed: B' = B·E(w) with w = B⁻¹·a'_var.
+        let mut w = vec![0.0f64; rev.f.m];
+        rev.f.a.scatter_col(var, 1.0, &mut w);
+        rev.lu.ftran(&mut w);
+        if w[p].abs() <= PATCH_PIVOT_TOL {
+            return None;
+        }
+        rev.lu.update(p, &w).ok()?;
+    }
+    rev.beta.clone_from(&rev.f.b);
+    rev.lu.ftran(&mut rev.beta);
+    Some(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::problem::{Relation, VarId};
+    use crate::simplex::{Probe, SimplexEngine, NAIVE_CERTIFICATE};
+
+    /// Deterministic LCG stream in `[0, 1)`.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> f64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) as f64) / (u32::MAX as f64 + 1.0)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            ((self.next() * n as f64) as usize).min(n - 1)
+        }
+    }
+
+    /// A random bounded LP: mixed-sign costs, finite boxes with some
+    /// non-zero lower bounds, `≤` rows that keep the origin-ish corner
+    /// feasible plus a few `≥` / `=` rows through a known interior point.
+    fn random_lp(seed: u64) -> Problem {
+        let mut rng = Lcg(seed);
+        let n = 4 + rng.below(7);
+        let m = 3 + rng.below(6);
+        let mut p = Problem::new();
+        let mut point = Vec::new();
+        let vars: Vec<VarId> = (0..n)
+            .map(|_| {
+                let lower = if rng.below(4) == 0 { 1.0 } else { 0.0 };
+                let upper = lower + 1.0 + rng.next() * 9.0;
+                point.push(lower + (upper - lower) * rng.next());
+                p.add_var(rng.next() * 4.0 - 2.0, lower, upper).unwrap()
+            })
+            .collect();
+        for _ in 0..m {
+            let terms: Vec<(VarId, f64)> = vars
+                .iter()
+                .map(|&v| (v, rng.next() * 4.0 - 1.0))
+                .filter(|&(_, c)| c.abs() > 0.5)
+                .collect();
+            if terms.is_empty() {
+                continue;
+            }
+            let at_point: f64 = terms.iter().map(|&(v, c)| c * point[v.index()]).sum();
+            match rng.below(6) {
+                0 => p.add_constraint(&terms, Relation::Eq, at_point),
+                1 => p.add_constraint(&terms, Relation::Ge, at_point - rng.next() * 3.0),
+                _ => p.add_constraint(&terms, Relation::Le, at_point + rng.next() * 3.0),
+            }
+            .unwrap();
+        }
+        p
+    }
+
+    /// A random (row, variable of that row, rhs) patch of `p`.
+    fn random_patch(p: &Problem, rng: &mut Lcg) -> (usize, VarId, f64) {
+        let row = rng.below(p.num_constraints());
+        let con = &p.constraints[row];
+        let var = con.terms[rng.below(con.terms.len())].0;
+        (row, VarId(var), con.rhs + rng.next() * 12.0 - 6.0)
+    }
+
+    fn opts_for(engine: SimplexEngine) -> SimplexOptions {
+        SimplexOptions {
+            engine: Some(engine),
+            ..SimplexOptions::default()
+        }
+    }
+
+    /// The headline property: a probe answers like a cold solve of the
+    /// patched problem, on both engines, and the two engines' probes land
+    /// in the same class with the same pivot count.
+    #[test]
+    fn probe_equals_cold_solve_of_the_patched_lp() {
+        let (mut probes, mut undecided, mut infeasible) = (0usize, 0usize, 0usize);
+        for seed in 0..300u64 {
+            let p = random_lp(0x9e37_79b9 ^ seed.wrapping_mul(0x1000_0001));
+            let sparse = p.solve_retained(&opts_for(SimplexEngine::Sparse));
+            let dense = p.solve_retained(&opts_for(SimplexEngine::Dense));
+            let (Ok((_, mut sparse)), Ok((_, mut dense))) = (sparse, dense) else {
+                continue;
+            };
+            let mut rng = Lcg(seed ^ 0xabcd);
+            for _ in 0..6 {
+                let (row, var, rhs) = random_patch(&p, &mut rng);
+                let patch = p.row_patch(row, var, rhs).unwrap();
+                let cold = p.patched(&patch).solve();
+                let s = sparse.probe(row, var, rhs).unwrap();
+                let d = dense.probe(row, var, rhs).unwrap();
+                probes += 1;
+                for (engine, got) in [("sparse", s), ("dense", d)] {
+                    match (got, &cold) {
+                        (Probe::Optimal { objective, .. }, Ok(c)) => assert!(
+                            (objective - c.objective).abs() <= 1e-9 * (1.0 + c.objective.abs()),
+                            "seed {seed} {engine}: probe {objective} vs cold {}",
+                            c.objective
+                        ),
+                        (Probe::Infeasible, Err(LpError::Infeasible)) => {}
+                        (Probe::Undecided, _) => {}
+                        (got, cold) => panic!("seed {seed} {engine}: {got:?} vs cold {cold:?}"),
+                    }
+                }
+                assert_eq!(s, d, "seed {seed}: engines answered differently");
+                undecided += usize::from(s == Probe::Undecided);
+                infeasible += usize::from(s == Probe::Infeasible);
+            }
+        }
+        assert!(probes >= 1000, "corpus too small: {probes}");
+        assert!(
+            infeasible * 20 >= probes,
+            "no infeasible patches: {infeasible}"
+        );
+        // Random patches are far harsher than a necessity trial: most
+        // remove a *basic* variable from a row it is pinned by, which
+        // leaves the column set singular (two thirds of the undecided) or
+        // costs dual feasibility (the rest). Measured: 500 of 1 800.
+        assert!(
+            undecided * 3 <= probes,
+            "{undecided} of {probes} probes undecided"
+        );
+    }
+
+    /// Everything a probe touches, as bits.
+    #[derive(Debug, PartialEq)]
+    struct Bits {
+        values: Vec<u64>,
+        b: Vec<u64>,
+        beta: Vec<u64>,
+        basis: Vec<usize>,
+        in_basis: Vec<bool>,
+        flipped: Vec<bool>,
+        flip_const2: u64,
+        etas: usize,
+        l_cols: Vec<Vec<(usize, u64)>>,
+        work: (u64, u64),
+    }
+
+    fn bits(state: &RetainedRev) -> Bits {
+        let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let rev = &state.rev;
+        Bits {
+            values: to_bits(&rev.f.a.values),
+            b: to_bits(&rev.f.b),
+            beta: to_bits(&rev.beta),
+            basis: rev.basis.clone(),
+            in_basis: rev.in_basis.clone(),
+            flipped: rev.f.flipped.clone(),
+            flip_const2: rev.f.flip_const2.to_bits(),
+            etas: rev.lu.etas.len(),
+            l_cols: rev
+                .lu
+                .l_cols
+                .iter()
+                .map(|col| col.iter().map(|&(r, v)| (r, v.to_bits())).collect())
+                .collect(),
+            work: (rev.work, rev.lu.work),
+        }
+    }
+
+    fn sparse_probe(state: &mut RetainedRev, p: &Problem, patch: (usize, VarId, f64)) -> Probe {
+        let patch = p.row_patch(patch.0, patch.1, patch.2).unwrap();
+        match probe(state, p, &patch, &SimplexOptions::default()) {
+            WarmOutcome::Optimal(s) => Probe::Optimal {
+                objective: s.objective,
+                pivots: s.iterations,
+            },
+            WarmOutcome::Infeasible => Probe::Infeasible,
+            WarmOutcome::Undecided => Probe::Undecided,
+        }
+    }
+
+    /// Probe A, probe B, probe A again: the two A's are bit-identical and
+    /// the retained state never moves.
+    #[test]
+    fn probes_leave_no_trace() {
+        let mut pivoting = 0usize;
+        for seed in 0..400u64 {
+            let p = random_lp(0x51ce ^ seed.wrapping_mul(0x2545_f491));
+            let Ok((_, _, mut state)) = cold_retained(&p, &SimplexOptions::default()) else {
+                continue;
+            };
+            let before = bits(&state);
+            let mut rng = Lcg(seed ^ 0x77);
+            let a = random_patch(&p, &mut rng);
+            let b = random_patch(&p, &mut rng);
+            let first = sparse_probe(&mut state, &p, a);
+            assert_eq!(bits(&state), before, "seed {seed}: probe A left a trace");
+            sparse_probe(&mut state, &p, b);
+            assert_eq!(bits(&state), before, "seed {seed}: probe B left a trace");
+            let again = sparse_probe(&mut state, &p, a);
+            assert_eq!(first, again, "seed {seed}: probe A is not repeatable");
+            if let Probe::Optimal { pivots, .. } = first {
+                pivoting += usize::from(pivots > 0);
+            }
+        }
+        assert!(pivoting >= 20, "only {pivoting} probes moved the basis");
+    }
+
+    /// A probe that crosses the refactorization threshold rebuilds the
+    /// factors of the *patched* basis mid-trial; the retained factors must
+    /// come back all the same.
+    #[test]
+    fn probe_restores_across_a_refactorization() {
+        let mut crossed = 0usize;
+        for seed in 0..600u64 {
+            let p = random_lp(0xfeed ^ seed.wrapping_mul(0x9e37_79b1));
+            let Ok((_, _, mut state)) = cold_retained(&p, &SimplexOptions::default()) else {
+                continue;
+            };
+            // Pad the eta file with identity updates up to one short of
+            // the threshold: replacing a basic column then reaches it, and
+            // the first pivot of the trial refactors.
+            let mut unit = vec![0.0f64; state.rev.f.m];
+            unit[0] = 1.0;
+            while state.rev.lu.etas.len() + 1 < lu::REFACTOR_EVERY {
+                state.rev.lu.update(0, &unit).unwrap();
+            }
+            let mut rng = Lcg(seed ^ 0x1234);
+            let patch = random_patch(&p, &mut rng);
+            if !state.rev.in_basis[patch.1.index()] {
+                continue;
+            }
+            let before = bits(&state);
+            let first = sparse_probe(&mut state, &p, patch);
+            assert_eq!(bits(&state), before, "seed {seed}: factors not restored");
+            assert_eq!(first, sparse_probe(&mut state, &p, patch), "seed {seed}");
+            let cold = p
+                .patched(&p.row_patch(patch.0, patch.1, patch.2).unwrap())
+                .solve();
+            if let (Probe::Optimal { objective, pivots }, Ok(c)) = (first, cold) {
+                assert!((objective - c.objective).abs() <= 1e-9 * (1.0 + c.objective.abs()));
+                crossed += usize::from(pivots > 0);
+            }
+        }
+        assert!(crossed >= 10, "only {crossed} trials refactored mid-probe");
+    }
+
+    /// The leveling LP of `tests/warm_start_props.rs`'s replay case 27 in
+    /// its second lexmin round: 11 slots of `[10, 10240]`, tasks of
+    /// `[1, 1024]`, slots 8–10 frozen at the quantized level
+    /// `θ·C = 0.833333333·C` of the round before. Returns the problem, `θ`
+    /// and the row of slot 5's core load.
+    fn case_27() -> (Problem, VarId, usize) {
+        // (window start, window end, demand, per-slot cap)
+        let jobs = [
+            (1usize, 2usize, 5.0, 5.0),
+            (2, 8, 12.0, 4.0),
+            (0, 5, 10.0, 2.0),
+            (1, 6, 3.0, 3.0),
+            (8, 11, 25.0, 25.0),
+        ];
+        let mut p = Problem::new();
+        let theta = p.add_var(1.0, 0.0, 1.0).unwrap();
+        let mut loads: Vec<Vec<VarId>> = vec![Vec::new(); 11];
+        for &(start, end, demand, cap) in &jobs {
+            let vars: Vec<VarId> = (start..end)
+                .map(|_| p.add_var(0.0, 0.0, cap).unwrap())
+                .collect();
+            let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
+            p.add_constraint(&terms, Relation::Eq, demand).unwrap();
+            for (&v, slot) in vars.iter().zip(&mut loads[start..end]) {
+                slot.push(v);
+            }
+        }
+        let mut probed_row = 0;
+        for (t, vars) in loads.iter().enumerate() {
+            for (req, cap) in [(1.0, 10.0), (1024.0, 10240.0)] {
+                let mut terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, req)).collect();
+                let row = if t >= 8 {
+                    let frozen = if req == 1.0 {
+                        8.33333333
+                    } else {
+                        8533.33332992
+                    };
+                    p.add_constraint(&terms, Relation::Le, frozen)
+                } else {
+                    terms.push((theta, -cap));
+                    p.add_constraint(&terms, Relation::Le, 0.0)
+                }
+                .unwrap();
+                if (t, req) == (5, 1.0) {
+                    probed_row = row;
+                }
+            }
+        }
+        (p, theta, probed_row)
+    }
+
+    /// Regression for the certificate's margin. The frozen caps of slots
+    /// 8–10 sum to 24.99999999 core-slots against a demand of 25, so the
+    /// main optimum already carries a memory-row slack of −1.0e-5 — within
+    /// every tolerance of the cold solve, which finds the trial feasible
+    /// at `θ = 0.7`. The dual repair meets that row with no entering
+    /// candidate; read against the absolute 1e-7 it "proves"
+    /// infeasibility and the freeze decision flips.
+    #[test]
+    fn case_27_rounding_in_a_frozen_row_is_not_a_certificate() {
+        let (p, theta, row) = case_27();
+        let cold = p.patched(&p.row_patch(row, theta, 6.5).unwrap()).solve();
+        assert!((cold.unwrap().objective - 0.7).abs() < 1e-9);
+        for engine in [SimplexEngine::Sparse, SimplexEngine::Dense] {
+            let (main, mut optimum) = p.solve_retained(&opts_for(engine)).unwrap();
+            assert!((main.objective - 0.7).abs() < 1e-9);
+            assert_eq!(
+                optimum.probe(row, theta, 6.5),
+                Ok(Probe::Undecided),
+                "{engine:?}"
+            );
+            // Not vacuous: the naive reading of the same row is wrong.
+            NAIVE_CERTIFICATE.set(true);
+            let naive = optimum.probe(row, theta, 6.5);
+            NAIVE_CERTIFICATE.set(false);
+            assert_eq!(naive, Ok(Probe::Infeasible), "{engine:?}");
+        }
+    }
+
+    /// `max 3x + 5y` over `x ≤ 4`, `2y ≤ 12`, `3x + 2y ≤ 18`: returns the
+    /// problem, `y`, and the row of the third constraint.
+    fn textbook() -> (Problem, VarId, usize) {
+        let mut p = Problem::new();
+        let x = p.add_var(-3.0, 0.0, f64::INFINITY).unwrap();
+        let y = p.add_var(-5.0, 0.0, f64::INFINITY).unwrap();
+        p.add_constraint(&[(x, 1.0)], Relation::Le, 4.0).unwrap();
+        p.add_constraint(&[(y, 2.0)], Relation::Le, 12.0).unwrap();
+        let row = p
+            .add_constraint(&[(x, 3.0), (y, 2.0)], Relation::Le, 18.0)
+            .unwrap();
+        (p, y, row)
+    }
+
+    #[test]
+    fn probe_refuses_a_row_out_of_range() {
+        let (p, y, _) = textbook();
+        let (_, mut optimum) = p.solve_retained(&SimplexOptions::default()).unwrap();
+        let len = p.num_constraints();
+        assert_eq!(
+            optimum.probe(len, y, 1.0),
+            Err(LpError::RowOutOfRange { row: len, len })
+        );
+    }
+
+    #[test]
+    fn probe_refuses_a_variable_absent_from_the_row() {
+        let (p, y, row) = textbook();
+        let (_, mut optimum) = p.solve_retained(&SimplexOptions::default()).unwrap();
+        // Row 0 is `x ≤ 4`: no y in it.
+        assert_eq!(
+            optimum.probe(0, y, 1.0),
+            Err(LpError::VarNotInRow { var: 1, row: 0 })
+        );
+        let beyond = VarId(p.num_vars());
+        assert_eq!(
+            optimum.probe(row, beyond, 1.0),
+            Err(LpError::VarOutOfRange {
+                var: p.num_vars(),
+                len: p.num_vars()
+            })
+        );
+    }
+
+    #[test]
+    fn probe_refuses_a_non_finite_rhs() {
+        let (p, y, row) = textbook();
+        let (_, mut optimum) = p.solve_retained(&SimplexOptions::default()).unwrap();
+        for rhs in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                optimum.probe(row, y, rhs),
+                Err(LpError::NonFiniteCoefficient)
+            );
+        }
+        // A refused probe ran nothing: the next one still answers
+        // (`3x ≤ 9` instead of `3x + 2y ≤ 18`: x = 3, y = 6).
+        assert_eq!(
+            optimum.probe(row, y, 9.0),
+            Ok(Probe::Optimal {
+                objective: -39.0,
+                pivots: 0
+            })
+        );
+    }
 }

@@ -27,7 +27,7 @@
 //! genuine cycle into a typed [`LpError::Cycling`] instead of a hang.
 
 use crate::error::LpError;
-use crate::problem::{Problem, Relation};
+use crate::problem::{Problem, Relation, VarId};
 use crate::solution::Solution;
 #[cfg(any(test, feature = "oracle"))]
 use crate::solution::Status;
@@ -240,6 +240,58 @@ pub(crate) enum RatioOutcome {
     LeaveUpper(usize),
     /// No limit: the LP is unbounded in this direction.
     Unbounded,
+}
+
+/// How a dual repair ended.
+pub(crate) enum Repair {
+    /// Primal feasible again; phase 2 may finish.
+    Feasible,
+    /// A violated row no non-basic column can mend, by a macroscopic
+    /// margin ([`certifies_infeasible`]): the LP has no feasible point.
+    Infeasible,
+    /// Lost dual feasibility, a stalled repair, or an unmendable row whose
+    /// margin is within noise: only a cold solve can tell.
+    Undecided,
+}
+
+/// Result of finishing a solve from a prescribed basis — the warm path's
+/// and a probe's common currency.
+pub(crate) enum WarmOutcome {
+    /// A checked optimum.
+    Optimal(Solution),
+    /// Certified infeasible by the dual repair.
+    Infeasible,
+    /// Not decided here; the caller solves cold.
+    Undecided,
+}
+
+/// Relative margin of the infeasibility certificate.
+const CERT_MARGIN: f64 = 1e-6;
+
+/// Whether a violated tableau row with no entering candidate proves the
+/// LP infeasible. `gap` is the bound violation left after every non-basic
+/// column has moved as far towards mending it as its bounds allow; `scale`
+/// is `Σ|ρ_i·b_i|`, the magnitude of the terms that cancel into the row's
+/// basic value `ρᵀb`. The gap must exceed [`CERT_MARGIN`] of that scale:
+/// a violation that is small against the numbers it was computed from is
+/// rounding in the data (a frozen cap of `θ·C` with `θ` on the 1e-9 grid
+/// sits up to `C·5e-10` below the load that defined it), not a proof —
+/// comparing it with the absolute 1e-7 feasibility tolerance reports
+/// feasible LPs infeasible.
+pub(crate) fn certifies_infeasible(gap: f64, scale: f64) -> bool {
+    #[cfg(test)]
+    if NAIVE_CERTIFICATE.get() {
+        return gap > 1e-7;
+    }
+    gap > CERT_MARGIN * (1.0 + scale)
+}
+
+// Mutation switch for the certificate's regression test: reads the gap
+// against the absolute feasibility tolerance, as a first version would.
+#[cfg(test)]
+thread_local! {
+    pub(crate) static NAIVE_CERTIFICATE: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
 }
 
 #[cfg(any(test, feature = "oracle"))]
@@ -735,6 +787,117 @@ pub fn solve_with_warm_start(
     })
 }
 
+/// The answer of a [`Retained::probe`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Probe {
+    /// The varied LP has this optimal objective, reached in `pivots`
+    /// pivots from the retained optimum.
+    Optimal {
+        /// Optimal objective value of the varied LP.
+        objective: f64,
+        /// Dual-repair plus phase-2 pivots spent.
+        pivots: usize,
+    },
+    /// The varied LP has no feasible point (certified by the dual repair).
+    Infeasible,
+    /// The probe could not decide exactly — a singular patched basis, lost
+    /// dual feasibility, the repair's step cap, an infeasibility
+    /// certificate within noise, or a failed residual or feasibility
+    /// check. Solve the varied LP cold.
+    Undecided,
+}
+
+/// The optimum of a cold solve of `problem`, kept in factored form
+/// ([`solve_retained`]) so that LPs differing from `problem` in one row
+/// are answered from it by [`Retained::probe`].
+pub struct Retained<'p> {
+    problem: &'p Problem,
+    options: SimplexOptions,
+    state: RetainedState,
+}
+
+enum RetainedState {
+    /// Standard form, basis, basic values and LU factors, probed in place.
+    Sparse(Box<crate::revised::RetainedRev>),
+    /// The dense oracle keeps the exported basis and answers a probe the
+    /// way it answers a warm solve: rebuilt tableau, prescribed basis.
+    #[cfg(any(test, feature = "oracle"))]
+    Dense(Basis),
+}
+
+impl std::fmt::Debug for Retained<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Retained").finish_non_exhaustive()
+    }
+}
+
+/// [`solve`], keeping the optimum for [`Retained::probe`]. The solve is
+/// the same cold two-phase solve: same pivots, same solution.
+///
+/// # Errors
+///
+/// Same as [`solve`].
+pub fn solve_retained<'p>(
+    problem: &'p Problem,
+    options: &SimplexOptions,
+) -> Result<(Solution, Retained<'p>), LpError> {
+    let (solution, state) = match engine_for(options) {
+        SimplexEngine::Sparse => {
+            let (solution, _, state) = crate::revised::cold_retained(problem, options)?;
+            (solution, RetainedState::Sparse(Box::new(state)))
+        }
+        #[cfg(any(test, feature = "oracle"))]
+        SimplexEngine::Dense => {
+            let (solution, basis) = dense_solve_cold(problem, options)?;
+            (solution, RetainedState::Dense(basis))
+        }
+    };
+    let retained = Retained {
+        problem,
+        options: options.clone(),
+        state,
+    };
+    Ok((solution, retained))
+}
+
+impl Retained<'_> {
+    /// Solves the retained problem with constraint `row` changed — its
+    /// term in `var` removed, its right-hand side set to `rhs` — starting
+    /// from the retained optimum, and leaves that optimum as it found it:
+    /// probes are independent of each other and of their order.
+    ///
+    /// # Errors
+    ///
+    /// A probe that does not address the problem is refused, not run:
+    /// [`LpError::NonFiniteCoefficient`] for a non-finite `rhs`,
+    /// [`LpError::RowOutOfRange`], [`LpError::VarOutOfRange`], and
+    /// [`LpError::VarNotInRow`] when `row` has no term in `var`.
+    pub fn probe(&mut self, row: usize, var: VarId, rhs: f64) -> Result<Probe, LpError> {
+        let patch = self.problem.row_patch(row, var, rhs)?;
+        let outcome = match &mut self.state {
+            RetainedState::Sparse(state) => {
+                crate::revised::probe(state, self.problem, &patch, &self.options)
+            }
+            #[cfg(any(test, feature = "oracle"))]
+            RetainedState::Dense(basis) => {
+                let patched = self.problem.patched(&patch);
+                match dense_prepare_warm(&patched, basis) {
+                    Some(mut tab) => dense_finish_from_basis(&mut tab, &patched, &self.options),
+                    None => WarmOutcome::Undecided,
+                }
+            }
+        };
+        Ok(match outcome {
+            WarmOutcome::Optimal(solution) => Probe::Optimal {
+                objective: solution.objective,
+                pivots: solution.iterations,
+            },
+            WarmOutcome::Infeasible => Probe::Infeasible,
+            WarmOutcome::Undecided => Probe::Undecided,
+        })
+    }
+}
+
 /// Attempts the warm path; `None` means "fall back to a cold solve"
 /// (covers both basis incompatibility and any in-flight solver error,
 /// which the cold path will re-derive authoritatively).
@@ -744,6 +907,21 @@ fn dense_try_warm(
     options: &SimplexOptions,
     start: &Basis,
 ) -> Option<(Solution, Basis)> {
+    let mut tab = dense_prepare_warm(problem, start)?;
+    match dense_finish_from_basis(&mut tab, problem, options) {
+        WarmOutcome::Optimal(solution) => {
+            let basis = export_basis(&tab, problem.num_vars());
+            Some((solution, basis))
+        }
+        WarmOutcome::Infeasible | WarmOutcome::Undecided => None,
+    }
+}
+
+/// The tableau of `problem` refactorized onto the basis `start`
+/// prescribes, bound flips restored; `None` when the basis does not fit
+/// or is (near-)singular for the current coefficients.
+#[cfg(any(test, feature = "oracle"))]
+fn dense_prepare_warm(problem: &Problem, start: &Basis) -> Option<Tableau> {
     if !start.fits(problem) {
         return None;
     }
@@ -819,30 +997,44 @@ fn dense_try_warm(
         }
         rows = deferred;
     }
+    Some(tab)
+}
 
-    let tol = options.tolerance;
+/// Mirror of the sparse engine's `finish_from_basis`: dual repair if
+/// needed, phase 2, and the feasibility safety net.
+#[cfg(any(test, feature = "oracle"))]
+fn dense_finish_from_basis(
+    tab: &mut Tableau,
+    problem: &Problem,
+    options: &SimplexOptions,
+) -> WarmOutcome {
     let max_iterations = auto_iteration_cap(options, tab.m, tab.n_real);
     let mut iterations = 0usize;
-    if !primal_feasible(&tab, 1e-7) {
-        dual_repair(&mut tab, &mut iterations)?;
+    if !primal_feasible(tab, 1e-7) {
+        match dual_repair(tab, problem, &mut iterations) {
+            Repair::Feasible => {}
+            Repair::Infeasible => return WarmOutcome::Infeasible,
+            Repair::Undecided => return WarmOutcome::Undecided,
+        }
     }
-    run_phase(
-        &mut tab,
+    let finished = run_phase(
+        tab,
         false,
-        tol,
+        options.tolerance,
         max_iterations,
         options.stall_limit,
         &mut iterations,
-    )
-    .ok()?;
-    let solution = extract_solution(&tab, problem, iterations);
+    );
+    if finished.is_err() {
+        return WarmOutcome::Undecided;
+    }
+    let solution = extract_solution(tab, problem, iterations);
     // Safety net: numerical trouble on the warm path must never leak an
     // infeasible "solution"; the cold path re-solves from scratch instead.
     if !problem.is_feasible(&solution.x, 1e-6) {
-        return None;
+        return WarmOutcome::Undecided;
     }
-    let basis = export_basis(&tab, problem.num_vars());
-    Some((solution, basis))
+    WarmOutcome::Optimal(solution)
 }
 
 /// All basic values within their (working-space) bounds?
@@ -857,12 +1049,12 @@ fn primal_feasible(tab: &Tableau, tol: f64) -> bool {
 
 /// Bounded-variable dual simplex: restores primal feasibility after
 /// RHS/bound perturbations while preserving dual feasibility (non-negative
-/// phase-2 reduced costs). Returns `None` — caller falls back to a cold
-/// solve — on lost dual feasibility, an unsatisfiable row (primal
-/// infeasibility, which the cold path confirms authoritatively), or a
-/// stalled repair.
+/// phase-2 reduced costs). [`Repair::Undecided`] — caller falls back to a
+/// cold solve — on lost dual feasibility, a stalled repair, or an
+/// unsatisfiable row whose certificate is within noise;
+/// [`Repair::Infeasible`] when [`certifies_infeasible`] holds for it.
 #[cfg(any(test, feature = "oracle"))]
-fn dual_repair(tab: &mut Tableau, iterations: &mut usize) -> Option<()> {
+fn dual_repair(tab: &mut Tableau, problem: &Problem, iterations: &mut usize) -> Repair {
     const FEAS_TOL: f64 = 1e-7;
     let step_cap = 4 * tab.m + 50;
     let mut steps = 0usize;
@@ -883,11 +1075,11 @@ fn dual_repair(tab: &mut Tableau, iterations: &mut usize) -> Option<()> {
                 worst = Some((r, violation, at_upper));
             }
         }
-        let Some((r, _, at_upper)) = worst else {
-            return Some(()); // primal feasible again
+        let Some((r, violation, at_upper)) = worst else {
+            return Repair::Feasible; // primal feasible again
         };
         if steps >= step_cap {
-            return None;
+            return Repair::Undecided;
         }
         if at_upper {
             // Complement the basic variable so the violation is uniformly
@@ -901,14 +1093,20 @@ fn dual_repair(tab: &mut Tableau, iterations: &mut usize) -> Option<()> {
         }
         let row = r * tab.width;
         let mut entering: Option<(f64, usize)> = None;
+        // The most the non-basic columns can move row `r` towards its
+        // bound, for the certificate below.
+        let mut reach = 0.0f64;
         for (j, &dj) in d.iter().enumerate().take(tab.n_real) {
             if in_basis[j] || tab.upper[j] <= 0.0 {
                 continue;
             }
             if dj < -1e-7 {
-                return None; // dual feasibility lost: repair unsound
+                return Repair::Undecided; // dual feasibility lost: repair unsound
             }
             let a = tab.t[row + j];
+            if a < 0.0 && tab.upper[j].is_finite() {
+                reach -= a * tab.upper[j];
+            }
             if a < -1e-9 {
                 let ratio = dj.max(0.0) / -a;
                 let better = match entering {
@@ -920,11 +1118,41 @@ fn dual_repair(tab: &mut Tableau, iterations: &mut usize) -> Option<()> {
                 }
             }
         }
-        let (_, j) = entering?; // no candidate: row unsatisfiable
+        let Some((_, j)) = entering else {
+            // No candidate: the row's slice of B⁻¹ (the artificial block)
+            // is a Farkas multiplier.
+            let rho = &tab.t[row + tab.art_start..row + tab.width];
+            let scale: f64 = rho
+                .iter()
+                .zip(current_rhs(tab, problem))
+                .map(|(p, b)| (p * b).abs())
+                .sum();
+            return if certifies_infeasible(violation - reach, scale) {
+                Repair::Infeasible
+            } else {
+                Repair::Undecided
+            };
+        };
         tab.pivot(r, j);
         *iterations += 1;
         steps += 1;
     }
+}
+
+/// Magnitude of each row's flip-adjusted right-hand side — what the
+/// sparse engine keeps as `SparseForm::b` — recomputed from the problem.
+#[cfg(any(test, feature = "oracle"))]
+fn current_rhs<'a>(tab: &'a Tableau, problem: &'a Problem) -> impl Iterator<Item = f64> + 'a {
+    problem.constraints.iter().map(|con| {
+        let mut rhs = con.rhs;
+        for &(v, a) in &con.terms {
+            rhs -= a * problem.lower[v];
+            if tab.flipped[v] {
+                rhs -= a * tab.upper[v];
+            }
+        }
+        rhs.abs()
+    })
 }
 
 #[cfg(any(test, feature = "oracle"))]

@@ -83,6 +83,14 @@ impl CscMatrix {
         }
     }
 
+    /// Zeroes the stored entry of column `j` in row `row`, keeping its
+    /// place in the pattern; returns its index in `values` and the value
+    /// it held, or `None` when the column stores nothing there.
+    pub fn take_entry(&mut self, row: usize, j: usize) -> Option<(usize, f64)> {
+        let k = (self.col_ptr[j]..self.col_ptr[j + 1]).find(|&k| self.row_idx[k] == row)?;
+        Some((k, std::mem::replace(&mut self.values[k], 0.0)))
+    }
+
     /// Sparse dot product of column `j` with a dense vector.
     pub fn col_dot(&self, j: usize, x: &[f64]) -> f64 {
         self.col(j).map(|(r, v)| v * x[r]).sum()

@@ -31,16 +31,22 @@ use serde::{DeError, Deserialize, Serialize, Value};
 pub struct SolverTelemetry {
     /// Full replans performed (LP or flow re-solved, or cache hit).
     pub replans: u64,
-    /// Simplex solves that ran the cold two-phase path.
+    /// Simplex solves that ran the cold two-phase path: every lexmin
+    /// round's main solve, and every necessity trial its probe left
+    /// undecided.
     pub cold_solves: u64,
-    /// Simplex solves warm-started from a previous optimal basis.
+    /// Necessity trials decided in place by a probe of the round's
+    /// retained optimum — optimal or certified infeasible, one count per
+    /// trial.
     pub warm_solves: u64,
-    /// Warm-start attempts that fell back to a cold solve (basis
-    /// incompatible or repair failed). Counted in `cold_solves` too.
+    /// Probes that could not decide (singular patched basis, lost dual
+    /// feasibility, a certificate within noise, a failed residual or
+    /// feasibility check) and were solved cold. Counted in `cold_solves`
+    /// too.
     pub warm_fallbacks: u64,
     /// Simplex pivots spent in cold solves.
     pub cold_pivots: u64,
-    /// Simplex pivots spent in (successful) warm-started solves.
+    /// Simplex pivots spent in probes that found an optimum.
     pub warm_pivots: u64,
     /// Replans answered verbatim by the plan cache (identical problem).
     pub cache_hits_exact: u64,
