@@ -4,13 +4,14 @@ use flowtime::decompose::{decompose, slack::slacked_windows, DecomposeConfig};
 use flowtime::{Algo, Args, FlowTimeConfig, RunOutput, RunSpec};
 use flowtime_dag::ResourceVec;
 use flowtime_sim::{
-    ClusterConfig, FaultConfig, FaultPlan, Metrics, RecoveryPolicy, RecoverySetup,
-    RuntimeFaultConfig, ShedPolicy, DEFAULT_TRACE_CAPACITY,
+    ClusterConfig, DecisionTrace, FaultConfig, FaultPlan, Metrics, RecoveryPolicy, RecoverySetup,
+    RuntimeFaultConfig, ShedPolicy, SimOutcome, DEFAULT_TRACE_CAPACITY,
 };
 use flowtime_workload::trace::{ProductionTraceConfig, Trace};
+use serde::Serialize;
 use std::error::Error;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 
 type CliResult = Result<(), Box<dyn Error>>;
 
@@ -142,6 +143,23 @@ fn load_trace(args: &Args) -> Result<Trace, Box<dyn Error>> {
     let path = args.get("trace").ok_or("--trace <file> is required")?;
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     Ok(Trace::read_jsonl(BufReader::new(file))?)
+}
+
+/// The scenario every simulating subcommand runs or verifies against:
+/// `--trace` with the decomposer's per-job milestones attached, then the
+/// FAULTS flags applied.
+fn load_scenario(args: &Args) -> Result<Trace, Box<dyn Error>> {
+    let mut trace = load_trace(args)?;
+    let cfg = DecomposeConfig::new(trace.cluster.capacity());
+    for sub in &mut trace.workload.workflows {
+        if sub.job_deadlines.is_none() {
+            if let Ok(d) = decompose(&sub.workflow, &cfg) {
+                sub.job_deadlines = Some(d.job_deadlines());
+            }
+        }
+    }
+    apply_faults(args, &mut trace)?;
+    Ok(trace)
 }
 
 /// Resolves a scheduler name through the registry; every subcommand, the
@@ -279,18 +297,7 @@ fn run_spec(args: &Args, default_scheduler: &str) -> Result<RunSpec, Box<dyn Err
     })
 }
 
-fn attach_milestones(trace: &mut Trace) {
-    let cfg = DecomposeConfig::new(trace.cluster.capacity());
-    for sub in &mut trace.workload.workflows {
-        if sub.job_deadlines.is_none() {
-            if let Ok(d) = decompose(&sub.workflow, &cfg) {
-                sub.job_deadlines = Some(d.job_deadlines());
-            }
-        }
-    }
-}
-
-fn recovery_line(outcome: &flowtime_sim::SimOutcome) -> Option<String> {
+fn recovery_line(outcome: &SimOutcome) -> Option<String> {
     let r = &outcome.recovery;
     if r.is_inert() && outcome.shed.is_empty() {
         return None;
@@ -309,16 +316,34 @@ fn recovery_line(outcome: &flowtime_sim::SimOutcome) -> Option<String> {
     ))
 }
 
-fn summary_line(name: &str, m: &Metrics) -> String {
-    format!(
+/// Prints one pod's metrics row, the line `simulate` and `compare` share.
+fn print_summary(name: &str, pod: usize, sharded: bool, m: &Metrics) {
+    println!(
         "{:<16} jobs {:>4}  misses {:>3}  wf-misses {:>2}  adhoc-tat {:>8.1}s  util {:.3}",
-        name,
+        pod_label(name, pod, sharded),
         m.completed_jobs(),
         m.job_deadline_misses(),
         m.workflow_deadline_misses(),
         m.avg_adhoc_turnaround_seconds().unwrap_or(0.0),
         m.avg_peak_utilization(),
-    )
+    );
+}
+
+/// Prints why an uncertified run was rejected, one violation a line.
+fn print_violations(violations: &[impl std::fmt::Display]) {
+    for v in violations {
+        eprintln!("  {v}");
+    }
+}
+
+/// Writes one JSON artifact, pretty-printed, and says where.
+fn write_json<T: Serialize + ?Sized>(path: &str, value: &T, what: &str) -> CliResult {
+    let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    let mut out = BufWriter::new(file);
+    serde_json::to_writer_pretty(&mut out, value)?;
+    out.flush()?;
+    println!("{what} written to {path}");
+    Ok(())
 }
 
 fn generate(args: &Args) -> CliResult {
@@ -359,7 +384,7 @@ fn pod_label(label: &str, pod: usize, sharded: bool) -> String {
     }
 }
 
-fn write_decisions(path: &str, decisions: &flowtime_sim::DecisionTrace) -> CliResult {
+fn write_decisions(path: &str, decisions: &DecisionTrace) -> CliResult {
     let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
     decisions.write_jsonl(BufWriter::new(file))?;
     println!(
@@ -383,9 +408,7 @@ fn write_decisions(path: &str, decisions: &flowtime_sim::DecisionTrace) -> CliRe
 /// timelines / metrics are not merged, so `--gantt` and `--out` are
 /// errors.
 fn simulate(args: &Args) -> CliResult {
-    let mut trace = load_trace(args)?;
-    attach_milestones(&mut trace);
-    apply_faults(args, &mut trace)?;
+    let trace = load_scenario(args)?;
     let mut spec = run_spec(args, "flowtime")?;
     let sharded = args.has("pods");
     if sharded && args.has("gantt") {
@@ -428,9 +451,7 @@ fn simulate(args: &Args) -> CliResult {
         );
         println!("{:<16} {}", "audit", report.summary());
         if !report.is_certified() {
-            for v in &report.violations {
-                eprintln!("  {v}");
-            }
+            print_violations(&report.violations);
             return Err("auditor rejected the traced run (engine bug?)".into());
         }
     }
@@ -440,18 +461,13 @@ fn simulate(args: &Args) -> CliResult {
         }
     }
     if let Some(out) = args.get("outcome-out") {
-        let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
         match outcome.pods.as_slice() {
-            [pod] => serde_json::to_writer_pretty(BufWriter::new(file), pod)?,
-            _ => serde_json::to_writer_pretty(BufWriter::new(file), &outcome)?,
+            [pod] => write_json(out, pod, "full outcome")?,
+            _ => write_json(out, &outcome, "full outcome")?,
         }
-        println!("full outcome written to {out}");
     }
     for (i, pod) in outcome.pods.iter().enumerate() {
-        println!(
-            "{}",
-            summary_line(&pod_label(spec.algo.name(), i, sharded), &pod.metrics)
-        );
+        print_summary(spec.algo.name(), i, sharded, &pod.metrics);
         if let Some(t) = &pod.solver_telemetry {
             println!("{:<16} {}", pod_label("solver", i, sharded), t.summary());
         }
@@ -473,127 +489,111 @@ fn simulate(args: &Args) -> CliResult {
         );
     }
     if let Some(out) = args.get("out") {
-        let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-        serde_json::to_writer_pretty(BufWriter::new(file), &outcome.pods[0].metrics)?;
-        println!("full metrics written to {out}");
+        write_json(out, &outcome.pods[0].metrics, "full metrics")?;
     }
     Ok(())
 }
 
-/// Reads the `--decision-trace` file.
-fn load_decisions(args: &Args) -> Result<flowtime_sim::DecisionTrace, Box<dyn Error>> {
+/// A recorded run — `--decision-trace` and `--outcome` — with the run its
+/// flags describe (the scheduler defaulting to the recorded one) and the
+/// scenario it must be verified against: the whole scenario for an
+/// unsharded (or K=1) trace, the trace's own pod slice when its header
+/// carries a shard provenance stamp. The stamp makes `--pods` redundant on
+/// `audit`/`explain`; if given anyway it must agree with the header. The
+/// outcome file of a pod may hold its own [`SimOutcome`] or the full
+/// [`flowtime_sim::ShardedOutcome`] `simulate --pods K` writes.
+struct Recorded {
+    scenario: Trace,
+    decisions: DecisionTrace,
+    outcome: SimOutcome,
+    spec: RunSpec,
+    /// `(pod, pods)` when the trace is one pod's of a sharded run.
+    pod: Option<(usize, usize)>,
+}
+
+/// Loads a [`Recorded`] run the way `audit`, `explain` and `whatif` read
+/// it: the scenario re-derived exactly as `simulate` derives it (so pass
+/// the FAULTS that produced the run), then the recorded artifacts.
+fn load_recorded(args: &Args) -> Result<Recorded, Box<dyn Error>> {
+    let mut scenario = load_scenario(args)?;
     let dpath = args
         .get("decision-trace")
         .ok_or("--decision-trace <file> is required")?;
     let file = File::open(dpath).map_err(|e| format!("cannot open {dpath}: {e}"))?;
-    Ok(
-        flowtime_sim::DecisionTrace::read_jsonl(BufReader::new(file))
-            .map_err(|e| format!("malformed decision trace {dpath}: {e}"))?,
-    )
-}
-
-/// The scenario slice a recorded trace must be verified against: the whole
-/// cluster/workload for an unsharded (or K=1) trace, or the trace's own
-/// pod slice when its header carries a shard provenance stamp. The stamp
-/// makes `--pods` redundant on `audit`/`explain`; if given anyway it must
-/// agree with the header.
-struct AuditScope {
-    cluster: ClusterConfig,
-    workload: flowtime_sim::SimWorkload,
-    pod: Option<(usize, usize)>,
-}
-
-fn audit_scope(
-    args: &Args,
-    given: usize,
-    trace: &Trace,
-    decisions: &flowtime_sim::DecisionTrace,
-) -> Result<AuditScope, Box<dyn Error>> {
+    let decisions = DecisionTrace::read_jsonl(BufReader::new(file))
+        .map_err(|e| format!("malformed decision trace {dpath}: {e}"))?;
+    let spec = run_spec(args, &decisions.header.scheduler)?;
     let header = &decisions.header;
-    if header.pods <= 1 {
-        if given > 1 {
+    let (pod, pods) = (header.pod as usize, header.pods as usize);
+    if pods <= 1 && spec.pods > 1 {
+        return Err(format!(
+            "--pods {} given, but the decision trace is from an unsharded (or K=1) run",
+            spec.pods
+        )
+        .into());
+    }
+    if pods > 1 {
+        if args.has("pods") && spec.pods != pods {
             return Err(format!(
-                "--pods {given} given, but the decision trace is from an unsharded (or K=1) run"
+                "--pods {} disagrees with the trace header (pods={pods})",
+                spec.pods
             )
             .into());
         }
-        return Ok(AuditScope {
-            cluster: trace.cluster.clone(),
-            workload: trace.workload.clone(),
-            pod: None,
-        });
+        let placement = flowtime_sim::place(&scenario.cluster, &scenario.workload, pods);
+        let mut workloads = placement.pod_workloads(&scenario.workload)?;
+        if pod >= workloads.len() {
+            return Err(
+                format!("trace header claims pod {pod} of {pods}, placement disagrees").into(),
+            );
+        }
+        scenario = Trace {
+            cluster: flowtime_sim::pod_cluster(&scenario.cluster, pods, pod),
+            workload: workloads.swap_remove(pod),
+        };
     }
-    let pods = header.pods as usize;
-    let pod = header.pod as usize;
-    if args.has("pods") && given != pods {
-        return Err(format!("--pods {given} disagrees with the trace header (pods={pods})").into());
-    }
-    let placement = flowtime_sim::place(&trace.cluster, &trace.workload, pods);
-    let mut workloads = placement.pod_workloads(&trace.workload)?;
-    if pod >= workloads.len() {
-        return Err(format!("trace header claims pod {pod} of {pods}, placement disagrees").into());
-    }
-    Ok(AuditScope {
-        cluster: flowtime_sim::pod_cluster(&trace.cluster, pods, pod),
-        workload: workloads.swap_remove(pod),
-        pod: Some((pod, pods)),
-    })
-}
-
-/// Reads `--outcome`, slicing out the right pod when the decision trace is
-/// from a sharded run: the file may hold either the pod's own
-/// [`flowtime_sim::SimOutcome`] or the full
-/// [`flowtime_sim::ShardedOutcome`] `simulate --pods K` writes.
-fn load_outcome(
-    args: &Args,
-    decisions: &flowtime_sim::DecisionTrace,
-) -> Result<flowtime_sim::SimOutcome, Box<dyn Error>> {
     let opath = args.get("outcome").ok_or("--outcome <file> is required")?;
     let raw = std::fs::read_to_string(opath).map_err(|e| format!("cannot open {opath}: {e}"))?;
     let value = serde_json::parse(&raw).map_err(|e| format!("malformed outcome {opath}: {e}"))?;
-    if decisions.header.pods > 1 && value.get("placement").is_some() {
+    let outcome = if pods > 1 && value.get("placement").is_some() {
         let sharded: flowtime_sim::ShardedOutcome = serde_json::from_value(&value)
             .map_err(|e| format!("malformed sharded outcome {opath}: {e}"))?;
-        let pod = decisions.header.pod as usize;
-        return (sharded.pods.into_iter().nth(pod))
-            .ok_or_else(|| format!("{opath} holds a sharded outcome without pod {pod}").into());
-    }
-    Ok(serde_json::from_value::<flowtime_sim::SimOutcome>(&value)
-        .map_err(|e| format!("malformed outcome {opath}: {e}"))?)
+        (sharded.pods.into_iter().nth(pod))
+            .ok_or_else(|| format!("{opath} holds a sharded outcome without pod {pod}"))?
+    } else {
+        serde_json::from_value(&value).map_err(|e| format!("malformed outcome {opath}: {e}"))?
+    };
+    Ok(Recorded {
+        scenario,
+        decisions,
+        outcome,
+        spec,
+        pod: (pods > 1).then_some((pod, pods)),
+    })
 }
 
 /// Offline certification: replays a decision trace against the scenario it
 /// claims to describe and the outcome the engine reported, sharing no state
-/// with the engine. The scenario is re-derived exactly as `simulate` does
-/// (same milestone attachment, same fault flags), so pass the same FAULTS
-/// that produced the run. Traces recorded by sharded runs carry their pod
-/// provenance in the header and are verified against their own pod slice.
+/// with the engine ([`load_recorded`]). Traces recorded by sharded runs are
+/// verified against their own pod slice.
 fn audit_cmd(args: &Args) -> CliResult {
-    let mut trace = load_trace(args)?;
-    attach_milestones(&mut trace);
-    apply_faults(args, &mut trace)?;
-    let decisions = load_decisions(args)?;
-    let spec = run_spec(args, "flowtime")?;
-    let scope = audit_scope(args, spec.pods, &trace, &decisions)?;
-    let outcome = load_outcome(args, &decisions)?;
-    if let Some((pod, pods)) = scope.pod {
+    let run = load_recorded(args)?;
+    if let Some((pod, pods)) = run.pod {
         println!(
             "{:<16} verifying pod {pod} of {pods} against its own slice",
             "shard"
         );
     }
     let report = flowtime_sim::certify_with_recovery(
-        &scope.cluster,
-        &scope.workload,
-        &outcome,
-        &decisions,
-        spec.recovery.as_ref(),
+        &run.scenario.cluster,
+        &run.scenario.workload,
+        &run.outcome,
+        &run.decisions,
+        run.spec.recovery.as_ref(),
     );
     println!("{}", report.summary());
     if !report.is_certified() {
-        for v in &report.violations {
-            eprintln!("  {v}");
-        }
+        print_violations(&report.violations);
         return Err(format!("audit failed with {} violation(s)", report.violations.len()).into());
     }
     for a in &report.attribution {
@@ -617,25 +617,17 @@ fn audit_cmd(args: &Args) -> CliResult {
 /// auditor's independent MissAttribution recount. Refuses uncertifiable
 /// runs with a nonzero exit.
 fn explain_cmd(args: &Args) -> CliResult {
-    let mut trace = load_trace(args)?;
-    attach_milestones(&mut trace);
-    apply_faults(args, &mut trace)?;
-    let decisions = load_decisions(args)?;
-    let spec = run_spec(args, "flowtime")?;
-    let scope = audit_scope(args, spec.pods, &trace, &decisions)?;
-    let outcome = load_outcome(args, &decisions)?;
+    let run = load_recorded(args)?;
     let report = flowtime_sim::explain(
-        &scope.cluster,
-        &scope.workload,
-        &outcome,
-        &decisions,
-        spec.recovery.as_ref(),
+        &run.scenario.cluster,
+        &run.scenario.workload,
+        &run.outcome,
+        &run.decisions,
+        run.spec.recovery.as_ref(),
     )
     .map_err(|e| {
         if let flowtime_sim::ExplainError::Uncertified { violations, .. } = &e {
-            for v in violations {
-                eprintln!("  {v}");
-            }
+            print_violations(violations);
         }
         format!("{e}")
     })?;
@@ -678,9 +670,7 @@ fn explain_cmd(args: &Args) -> CliResult {
         }
     }
     if let Some(out) = args.get("out") {
-        let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-        serde_json::to_writer_pretty(BufWriter::new(file), &report)?;
-        println!("explain report written to {out}");
+        write_json(out, &report, "explain report")?;
     }
     Ok(())
 }
@@ -722,32 +712,33 @@ fn alt_recovery_setup(
 /// emits the certified two-sided diff of `flowtime_sim::whatif`. Both
 /// sides must certify — an uncertifiable diff is a nonzero exit.
 fn whatif_cmd(args: &Args) -> CliResult {
-    let mut trace = load_trace(args)?;
-    attach_milestones(&mut trace);
-    apply_faults(args, &mut trace)?;
-    let decisions = load_decisions(args)?;
-    if decisions.header.pods > 1 {
+    // `--scheduler` names the alt side and defaults to the recorded
+    // scheduler: the trace header carries its display name ("EDF"), which
+    // the registry parses as is. A recording made with flowtime-no-ds
+    // replays as plain flowtime unless the variant is re-stated. The
+    // RECOVERY flags describe the recorded base run.
+    let Recorded {
+        scenario: trace,
+        decisions,
+        outcome,
+        spec,
+        pod,
+    } = load_recorded(args)?;
+    if pod.is_some() {
         return Err(
             "whatif wants an unsharded base recording; re-record with --pods 1 (sharded \
              alternatives go on the alt side via --alt-pods)"
                 .into(),
         );
     }
-    let outcome = load_outcome(args, &decisions)?;
-    // `--scheduler` names the alt side and defaults to the recorded
-    // scheduler: the trace header carries its display name ("EDF"), which
-    // the registry parses as is. A recording made with flowtime-no-ds
-    // replays as plain flowtime unless the variant is re-stated. The
-    // RECOVERY flags describe the recorded base run.
-    let stated = run_spec(args, &decisions.header.scheduler)?;
-    let base_recovery = stated.recovery.clone();
+    let base_recovery = spec.recovery.clone();
     let alt_pods = args.pods("alt-pods")?;
     let alt_spec = RunSpec {
         recovery: alt_recovery_setup(args, base_recovery.as_ref())?,
         threads: alt_pods,
         pods: alt_pods,
         trace_capacity: Some(DEFAULT_TRACE_CAPACITY),
-        ..stated
+        ..spec
     };
     let mut alt = flowtime::run(&alt_spec, &trace.cluster, &trace.workload)?;
     let diff = if args.has("alt-pods") {
@@ -796,9 +787,7 @@ fn whatif_cmd(args: &Args) -> CliResult {
     }
     .map_err(|e| {
         let flowtime_sim::WhatIfError::Uncertified { violations, .. } = &e;
-        for v in violations {
-            eprintln!("  {v}");
-        }
+        print_violations(violations);
         format!("{e}")
     })?;
 
@@ -861,17 +850,13 @@ fn whatif_cmd(args: &Args) -> CliResult {
         );
     }
     if let Some(out) = args.get("out") {
-        let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-        serde_json::to_writer_pretty(BufWriter::new(file), &diff)?;
-        println!("whatif diff written to {out}");
+        write_json(out, &diff, "whatif diff")?;
     }
     Ok(())
 }
 
 fn compare(args: &Args) -> CliResult {
-    let mut trace = load_trace(args)?;
-    attach_milestones(&mut trace);
-    apply_faults(args, &mut trace)?;
+    let trace = load_scenario(args)?;
     let spec = run_spec(args, "flowtime")?;
     let sharded = args.has("pods");
     for algo in Algo::FIG4 {
@@ -884,10 +869,7 @@ fn compare(args: &Args) -> CliResult {
             &trace.workload,
         )?;
         for (i, pod) in run.outcome.pods.iter().enumerate() {
-            println!(
-                "{}",
-                summary_line(&pod_label(algo.name(), i, sharded), &pod.metrics)
-            );
+            print_summary(algo.name(), i, sharded, &pod.metrics);
             if let Some(line) = recovery_line(pod) {
                 println!("{:<16} {}", "", line);
             }

@@ -122,3 +122,37 @@ fn every_subcommand_refuses_bad_flags() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A trace whose submissions no builder could have built — a workflow of
+/// no jobs, an ad-hoc job of zero tasks — is refused when it is read:
+/// exit code 1, one line on stderr naming the record, no panic.
+#[test]
+fn malformed_trace_submissions_exit_nonzero_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("cli_bad_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let generated = cli(&dir, &["generate", "--out", "t.jsonl", "--workflows", "1"]);
+    assert!(generated.status.success());
+    let good = std::fs::read_to_string(dir.join("t.jsonl")).unwrap();
+    for bad in [
+        "{\"Workflow\":{\"workflow\":{\"id\":9,\"name\":\"empty\",\"jobs\":[],\
+         \"dag\":{\"n\":0,\"succ\":[],\"pred\":[],\"edge_count\":0},\
+         \"submit_slot\":0,\"deadline_slot\":20},\"actual_work\":null,\"job_deadlines\":null}}",
+        "{\"Adhoc\":{\"spec\":{\"name\":\"z\",\"tasks\":0,\"task_slots\":1,\
+         \"per_task\":[1,1024],\"max_parallel\":null},\"arrival_slot\":0}}",
+    ] {
+        std::fs::write(dir.join("bad.jsonl"), format!("{good}{bad}\n")).unwrap();
+        let line = good.lines().count() + 1;
+        for command in ["simulate", "compare"] {
+            let out = cli(&dir, &[command, "--trace", "bad.jsonl"]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{command}: {stderr}");
+            assert!(
+                stderr.contains(&format!("line {line}")) && stderr.contains("malformed submission"),
+                "{command}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -31,37 +31,12 @@ use crate::error::CoreError;
 use flowtime_dag::{JobId, ResourceVec};
 use std::collections::HashMap;
 
-/// Solver-effort counters accumulated across one or more backend solves.
-///
-/// The scheduler folds these into the simulator's
-/// [`flowtime_sim::SolverTelemetry`] per replan; tests read them directly
-/// to assert warm-start and cache behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Simplex solves that ran the cold two-phase path: each lexmin
-    /// round's main solve, plus each necessity trial solved by the cold
-    /// rebuild.
-    pub cold_solves: u64,
-    /// Necessity trials a probe of the round's retained optimum decided in
-    /// place (optimal or certified infeasible). `cold_solves +
-    /// warm_solves` is the same whether trials are probed or rebuilt.
-    pub warm_solves: u64,
-    /// Probes left undecided and solved cold (also in `cold_solves`).
-    pub warm_fallbacks: u64,
-    /// Pivots spent in cold solves.
-    pub cold_pivots: u64,
-    /// Dual-repair and phase-2 pivots spent in probes that found an
-    /// optimum.
-    pub warm_pivots: u64,
-    /// Solves answered by the parametric-flow backend.
-    pub flow_solves: u64,
-    /// Plan-cache hits on a byte-identical problem.
-    pub cache_hits_exact: u64,
-    /// Plan-cache hits on a pure elapsed-time relabel of the cached problem.
-    pub cache_hits_shift: u64,
-    /// Cache lookups that found no reusable plan (cache enabled only).
-    pub cache_misses: u64,
-}
+/// Solver-effort counters accumulated across one or more backend solves:
+/// the simulator's own [`flowtime_sim::SolverTelemetry`], of which a solve
+/// fills the effort and cache fields. The scheduler folds one replan's
+/// into its run telemetry with `accumulate`; tests read them directly to
+/// assert warm-start and cache behaviour.
+pub use flowtime_sim::SolverTelemetry as SolveStats;
 
 /// One deadline job as seen by the planner.
 #[derive(Debug, Clone, PartialEq, Eq)]

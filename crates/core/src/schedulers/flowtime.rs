@@ -327,20 +327,6 @@ impl FlowTimeScheduler {
         }
     }
 
-    /// Folds one replan's solver counters into the run telemetry.
-    fn absorb_stats(&mut self, stats: &SolveStats) {
-        let t = &mut self.telemetry;
-        t.cold_solves += stats.cold_solves;
-        t.warm_solves += stats.warm_solves;
-        t.warm_fallbacks += stats.warm_fallbacks;
-        t.cold_pivots += stats.cold_pivots;
-        t.warm_pivots += stats.warm_pivots;
-        t.cache_hits_exact += stats.cache_hits_exact;
-        t.cache_hits_shift += stats.cache_hits_shift;
-        t.cache_misses += stats.cache_misses;
-        t.flow_solves += stats.flow_solves;
-    }
-
     fn replan(&mut self, state: &SimState, pending: &[JobView]) {
         let problem = self.build_problem(state, pending);
         self.solves += 1;
@@ -355,7 +341,7 @@ impl FlowTimeScheduler {
         };
         let solved = backend::solve_with(&problem, self.config.backend, cache, &mut stats);
         self.telemetry.replan_wall_nanos += started.elapsed().as_nanos() as u64;
-        self.absorb_stats(&stats);
+        self.telemetry.accumulate(&stats);
         match solved {
             Ok(plan) => {
                 self.plan_suffix = plan

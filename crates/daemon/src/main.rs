@@ -3,8 +3,7 @@
 //! ```text
 //! flowtimed [--listen ADDR] [--scheduler NAME] [--cores N] [--mem-mb N]
 //!           [--slot-seconds F] [--max-slots N] [--trace-capacity N]
-//!           [--pods K]
-//!           [--snapshot PATH] [--snapshot-every N]
+//!           [--pods K] [--snapshot-every N]
 //!           [--wal-dir DIR] [--fsync always|batch:N|none]
 //!           [--keep-snapshots N] [--chaos-kill-after N[:BYTES]]
 //! ```
@@ -21,14 +20,14 @@
 //! deterministic crash point: the process aborts during the Nth WAL
 //! append, optionally after writing only BYTES bytes of it.
 //!
-//! With `--snapshot PATH` (and no `--wal-dir`): legacy mode — if the
-//! file exists at startup the session is restored from it; the running
-//! session persists a fresh snapshot there every `--snapshot-every`
-//! requests and on explicit `snapshot` requests. All argument errors are
-//! typed and exit nonzero; nothing defaults silently on malformed input.
+//! The WAL directory is the one way a session persists. Without
+//! `--wal-dir` nothing outlives the process: a `snapshot` request is
+//! refused and `--snapshot-every` has nothing to write. All argument
+//! errors are typed and exit nonzero; nothing defaults silently on
+//! malformed input.
 
 use flowtime::Args;
-use flowtime_daemon::{serve, snapshot, FsyncPolicy, Session, SessionConfig, WalConfig};
+use flowtime_daemon::{serve, FsyncPolicy, Session, SessionConfig, WalConfig};
 use flowtime_dag::ResourceVec;
 use flowtime_sim::ClusterConfig;
 use std::net::TcpListener;
@@ -46,8 +45,7 @@ const USAGE: &str = "flowtimed: FlowTime online-submission daemon\n\n\
      --max-slots N        virtual-time horizon (default 100000)\n  \
      --trace-capacity N   decision-trace ring size (default 4096)\n  \
      --pods K             shard the cluster into K pods (default 1)\n  \
-     --snapshot PATH      snapshot file; restored at startup if present\n  \
-     --snapshot-every N   snapshot every N requests (default 256, 0 disables)\n  \
+     --snapshot-every N   WAL snapshot every N requests (default 256, 0 disables)\n  \
      --wal-dir DIR        write-ahead log directory (crash-consistent mode)\n  \
      --fsync POLICY       always|batch:N|none (default always; needs --wal-dir)\n  \
      --keep-snapshots N   WAL snapshot generations to retain (default 2)\n  \
@@ -73,7 +71,7 @@ fn run() -> Result<(), String> {
         scheduler: args.get("scheduler").unwrap_or("flowtime").to_string(),
         max_slots: args.get_parsed("max-slots", 100_000u64)?,
         trace_capacity: args.get_parsed("trace-capacity", 4096u64)?,
-        snapshot_path: args.get("snapshot").map(str::to_string),
+        snapshot_path: None,
         pods: args.get_parsed("pods", 0u64)?,
         placer: None,
     };
@@ -130,18 +128,7 @@ fn run() -> Result<(), String> {
             }
             session
         }
-        None => match &config.snapshot_path {
-            Some(path) if std::path::Path::new(path).exists() => {
-                let body = snapshot::load(path).map_err(|e| e.to_string())?;
-                let session = Session::restore(body).map_err(|e| e.to_string())?;
-                eprintln!(
-                    "flowtimed: restored session from {path} at virtual slot {}",
-                    session.now()
-                );
-                session
-            }
-            _ => Session::new(config).map_err(|e| e.to_string())?,
-        },
+        None => Session::new(config).map_err(|e| e.to_string())?,
     };
 
     let listener = TcpListener::bind(listen).map_err(|e| format!("cannot bind {listen}: {e}"))?;

@@ -21,7 +21,7 @@
 //! | `drain`           | — (run everything to completion)         |
 //! | `outcome`         | — (after drain: the final `SimOutcome`)  |
 //! | `explain`         | — (after drain: per-missed-workflow E00x causal chains) |
-//! | `snapshot`        | — (persist session state now)            |
+//! | `snapshot`        | — (snapshot into the WAL directory now)  |
 //! | `shutdown`        | — (respond, then close the server)       |
 //!
 //! Submission payloads are the serde forms of
@@ -46,9 +46,9 @@
 //! durable. Consecutive submissions that reach the daemon together are
 //! appended and synced as one *run* and acknowledged together: the
 //! contract holds with *run* for *request*, and a run the WAL refuses is
-//! rejected whole. Without `--wal-dir` the daemon runs in the legacy
-//! `durability=none` mode: replies promise nothing beyond process
-//! lifetime, exactly as before.
+//! rejected whole. The WAL directory is the one way a session persists:
+//! without `--wal-dir` replies promise nothing beyond process lifetime,
+//! and a `snapshot` request is refused with [`codes::SNAPSHOT_IO`].
 //!
 //! # Idempotency keys
 //!
@@ -95,7 +95,7 @@ pub mod codes {
     pub const NOT_DRAINED: &str = "not-drained";
     /// Virtual time cannot advance: the slot horizon is exhausted.
     pub const HORIZON_EXHAUSTED: &str = "horizon-exhausted";
-    /// Snapshot persistence failed (no path configured, or I/O error).
+    /// Snapshot persistence failed (no WAL directory, or an I/O error).
     pub const SNAPSHOT_IO: &str = "snapshot-io";
     /// A snapshot file failed validation (format or checksum).
     pub const SNAPSHOT_CORRUPT: &str = "snapshot-corrupt";

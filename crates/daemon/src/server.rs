@@ -215,8 +215,8 @@ pub fn serve(
             conn.flush();
         }
         conns.retain(|c| !(c.dead || c.closing && c.out.is_empty()));
-        // Nowhere to write (neither `--snapshot` nor `--wal-dir`) is the
-        // flagless default, not a failure: skip before any state is copied.
+        // Nowhere to write (no `--wal-dir`) is the flagless default, not a
+        // failure: skip before any state is copied.
         if every.is_some_and(|n| handled / n > before / n)
             && !session.drained()
             && session.snapshot_target().is_some()

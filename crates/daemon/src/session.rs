@@ -42,7 +42,7 @@
 //! cannot diverge from live.
 
 use crate::protocol::{self, codes, ProtocolError, Request};
-use crate::snapshot::{self, SnapshotBody};
+use crate::snapshot::SnapshotBody;
 use crate::wal::{self, DiskFaultPlan, RecoveryReport, Wal, WalConfig, WalRecord};
 use flowtime::Algo;
 use flowtime_dag::JobId;
@@ -68,7 +68,10 @@ pub struct SessionConfig {
     pub max_slots: u64,
     /// Decision-trace ring capacity (events).
     pub trace_capacity: u64,
-    /// Where `snapshot` requests persist state; `None` disables them.
+    /// Read by nothing: the snapshot file of a persistence mode that is
+    /// gone (DESIGN.md §26). Kept so that recorded configs keep their
+    /// bytes and `benchmark/`, which builds this struct by literal, still
+    /// compiles.
     #[serde(default)]
     pub snapshot_path: Option<String>,
     /// Number of pods to shard the cluster into; `0` and `1` both mean the
@@ -570,27 +573,24 @@ impl Session {
 
     /// The checks only a live request needs — a logged entry passed them
     /// when it was accepted, so replay skips them — and the reply the
-    /// request gets once it is durable and applied.
+    /// request gets once it is durable and applied. A submission that the
+    /// builders could not have built is refused here, before it reaches
+    /// the WAL.
     fn check(&self, entry: &LogEntry) -> Result<String, ProtocolError> {
         let (seq, arrival, jobs) = match entry {
             LogEntry::Workflow {
                 seq, submission, ..
             } => {
-                let (arrival, n) = (submission.workflow.submit_slot(), submission.workflow.len());
-                let fits = |v: &Option<Vec<u64>>| v.as_ref().is_none_or(|v| v.len() == n);
+                let arrival = submission.workflow.submit_slot();
                 self.check_arrival(arrival)?;
-                if !fits(&submission.actual_work) || !fits(&submission.job_deadlines) {
-                    return Err(ProtocolError::new(
-                        codes::MALFORMED_SUBMISSION,
-                        "per-node vector length differs from workflow size",
-                    ));
-                }
-                (seq, arrival, n)
+                submission.validate()?;
+                (seq, arrival, submission.workflow.len())
             }
             LogEntry::Adhoc {
                 seq, submission, ..
             } => {
                 self.check_arrival(submission.arrival_slot)?;
+                submission.validate()?;
                 (seq, submission.arrival_slot, 1)
             }
             LogEntry::Cancel { target, .. } => {
@@ -966,22 +966,17 @@ impl Session {
         Ok(format!("{{\"explain\":{}}}", json(&report)?))
     }
 
-    /// Where a `snapshot` request would persist to: the WAL directory
-    /// when a WAL is attached, else the legacy `snapshot_path`, else
-    /// nowhere. The periodic-snapshot loop asks this before asking for a
-    /// snapshot, and [`Session::write_snapshot`] before building one.
+    /// Where a `snapshot` request would persist to: the WAL directory,
+    /// the one place a session persists; nowhere without a WAL. The
+    /// periodic-snapshot loop asks this before asking for a snapshot.
     pub fn snapshot_target(&self) -> Option<&Path> {
-        match &self.wal {
-            Some(wal) => Some(wal.dir()),
-            None => self.config.snapshot_path.as_deref().map(Path::new),
-        }
+        self.wal.as_ref().map(Wal::dir)
     }
 
-    /// Persists the session's replayable state. With a WAL attached the
-    /// snapshot is a compaction point in the WAL directory (segment
-    /// sealed and rotated, old generations pruned after the new
-    /// snapshot self-checks); otherwise it goes to the legacy
-    /// `snapshot_path`.
+    /// Persists the session's replayable state as a compaction point in
+    /// the WAL directory: segment sealed and rotated, old generations
+    /// pruned after the new snapshot self-checks. A session without a
+    /// WAL is refused before its log is copied.
     pub fn write_snapshot(&mut self) -> Result<String, ProtocolError> {
         if self.drained() {
             return Err(ProtocolError::new(
@@ -989,28 +984,20 @@ impl Session {
                 "drained sessions have nothing left to snapshot",
             ));
         }
-        let Some(target) = self.snapshot_target().map(Path::to_path_buf) else {
+        let Some(wal) = &mut self.wal else {
             return Err(ProtocolError::new(
                 codes::SNAPSHOT_IO,
-                "no snapshot path configured",
+                "snapshots are written to the WAL directory; start flowtimed with --wal-dir",
             ));
         };
-        let body = SnapshotBody {
+        let (path, bytes) = wal.save_snapshot(SnapshotBody {
             config: self.config.clone(),
             log: self.log.clone(),
-            now: self.now(),
+            now: self.clock,
             next_seq: self.next_seq,
             wal_segment: 0,
             request_ids: self.request_ids.clone(),
-        };
-        let (path, bytes) = match &mut self.wal {
-            Some(wal) => wal.save_snapshot(body)?,
-            None => {
-                let bytes = snapshot::save(&target, &body)
-                    .map_err(|e| ProtocolError::new(codes::SNAPSHOT_IO, e.to_string()))?;
-                (target, bytes)
-            }
-        };
+        })?;
         Ok(format!(
             "{{\"path\":{},\"bytes\":{bytes}}}",
             json(&path.display().to_string())?

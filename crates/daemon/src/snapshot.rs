@@ -44,9 +44,9 @@ pub struct SnapshotBody {
     pub now: u64,
     /// Next sequence number to assign.
     pub next_seq: u64,
-    /// First WAL segment *not* covered by this snapshot (0 when the
-    /// session runs without a WAL; skipped then, so legacy snapshot
-    /// bytes are unchanged).
+    /// First WAL segment *not* covered by this snapshot (0 for a body
+    /// saved outside a WAL directory; skipped then, so such bytes keep
+    /// their pre-WAL form).
     #[serde(default, skip_serializing_if = "zero_u64")]
     pub wal_segment: u64,
     /// Idempotency keys already seen → the sequence number each was
@@ -88,9 +88,10 @@ impl std::error::Error for SnapshotError {}
 /// Renders `body` as the two-line document and lands it at `path`
 /// atomically: `write` puts the bytes into a sibling temp file and makes
 /// them durable, then the temp file is renamed over `path`. The writer is
-/// the only difference between a legacy snapshot ([`save`]) and a WAL
-/// compaction point (which writes through its fault plan), so both are
-/// framed identically. Returns the document's byte length.
+/// the only difference between [`save`] (a plain file write, what tests
+/// and the benchmark call) and a WAL compaction point (which writes
+/// through its fault plan), so both are framed identically. Returns the
+/// document's byte length.
 ///
 /// # Errors
 ///

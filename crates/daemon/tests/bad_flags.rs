@@ -17,6 +17,9 @@ fn startup_refuses_unknown_flags_before_any_work() {
             &["--pods", "2", "--placer", "demand", "--wal-dir", wal],
             "unknown flag --placer",
         ),
+        // A session persists through its WAL directory only (DESIGN.md
+        // §26): the snapshot-file mode's flag is gone.
+        (&["--snapshot", "/tmp/x"][..], "unknown flag --snapshot"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_flowtimed"))
             .args(argv)

@@ -57,6 +57,14 @@ pub enum DagError {
         /// Human-readable reason.
         reason: &'static str,
     },
+    /// A deserialized graph is not one over the workflow's jobs: another
+    /// node count, or adjacency lists that disagree with each other.
+    Inconsistent {
+        /// The graph's own node count.
+        nodes: usize,
+        /// The number of jobs it should range over.
+        jobs: usize,
+    },
 }
 
 impl fmt::Display for DagError {
@@ -82,6 +90,10 @@ impl fmt::Display for DagError {
             DagError::InvalidJob { index, reason } => {
                 write!(f, "job {index} is invalid: {reason}")
             }
+            DagError::Inconsistent { nodes, jobs } => write!(
+                f,
+                "dependency graph of {nodes} nodes is not a graph over the {jobs} jobs"
+            ),
         }
     }
 }
@@ -108,6 +120,7 @@ mod tests {
                 index: 0,
                 reason: "zero tasks",
             },
+            DagError::Inconsistent { nodes: 3, jobs: 2 },
         ];
         for e in errs {
             let msg = e.to_string();

@@ -89,6 +89,28 @@ impl Dag {
         Ok(())
     }
 
+    /// Checks that this is a graph [`Dag::from_edges`] builds over `n`
+    /// nodes — what a deserialized graph must be before its adjacency
+    /// lists are indexed.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Dag::add_edge`] for an edge that is not one over
+    /// `n` nodes; [`DagError::Inconsistent`] for a node count other than
+    /// `n` or adjacency lists that disagree with each other.
+    pub fn validate(&self, n: usize) -> Result<(), DagError> {
+        let rebuilt = Dag::from_edges(n, self.edges())?;
+        // `from_edges` lists each node's predecessors in ascending order;
+        // a builder lists them in the order the edges were added.
+        let mut sorted = self.clone();
+        sorted.pred.iter_mut().for_each(|p| p.sort_unstable());
+        if sorted != rebuilt {
+            let (nodes, jobs) = (self.n, n);
+            return Err(DagError::Inconsistent { nodes, jobs });
+        }
+        Ok(())
+    }
+
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.n
@@ -188,6 +210,27 @@ mod tests {
         assert!(dag.is_empty());
         assert_eq!(dag.sources().count(), 0);
         assert_eq!(dag.in_degrees(), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn validate_accepts_any_edge_order_and_refuses_other_graphs() {
+        let dag = Dag::from_edges(3, [(1, 2), (0, 2)]).unwrap();
+        assert_eq!(dag.predecessors(2), &[1, 0]);
+        assert_eq!(dag.validate(3), Ok(()));
+        assert_eq!(
+            dag.validate(2),
+            Err(DagError::NodeOutOfRange { node: 2, len: 2 })
+        );
+        assert_eq!(
+            dag.validate(4),
+            Err(DagError::Inconsistent { nodes: 3, jobs: 4 })
+        );
+        let mut torn = dag.clone();
+        torn.pred[0].push(2);
+        assert_eq!(
+            torn.validate(3),
+            Err(DagError::Inconsistent { nodes: 3, jobs: 3 })
+        );
     }
 
     #[test]

@@ -133,8 +133,16 @@ impl JobSpec {
         self.total_demand().get(kind)
     }
 
-    /// Validates the spec, returning a reason string on failure.
-    pub(crate) fn validate(&self) -> Result<(), &'static str> {
+    /// Validates the spec, returning a reason string on failure:
+    /// [`crate::WorkflowBuilder::build`] checks every job with it, and a
+    /// spec that did not go through a builder (an ad-hoc submission) must
+    /// pass it before it runs.
+    ///
+    /// # Errors
+    ///
+    /// Zero tasks, zero task duration, no resources per task, or a
+    /// `max_parallel` of zero.
+    pub fn validate(&self) -> Result<(), &'static str> {
         if self.tasks == 0 {
             return Err("job has zero tasks");
         }

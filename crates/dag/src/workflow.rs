@@ -123,6 +123,37 @@ impl Workflow {
             .sum()
     }
 
+    /// The checks [`WorkflowBuilder::build`] makes, for a workflow that
+    /// did not come out of it (one deserialized from a request, a trace
+    /// file or a log) and must pass them before anything indexes it.
+    ///
+    /// # Errors
+    ///
+    /// * [`DagError::EmptyWorkflow`] if there are no jobs.
+    /// * [`DagError::InvalidWindow`] if `deadline <= submit`.
+    /// * [`DagError::InvalidJob`] if a job spec is degenerate.
+    /// * The errors of [`Dag::validate`] if the DAG is not one over the
+    ///   jobs, [`DagError::Cycle`] if it is cyclic.
+    pub fn validate(&self) -> Result<(), DagError> {
+        if self.jobs.is_empty() {
+            return Err(DagError::EmptyWorkflow);
+        }
+        if self.deadline_slot <= self.submit_slot {
+            return Err(DagError::InvalidWindow {
+                submit: self.submit_slot,
+                deadline: self.deadline_slot,
+            });
+        }
+        for (index, job) in self.jobs.iter().enumerate() {
+            if let Err(reason) = job.validate() {
+                return Err(DagError::InvalidJob { index, reason });
+            }
+        }
+        self.dag.validate(self.jobs.len())?;
+        topological_order(&self.dag)?; // acyclicity check
+        Ok(())
+    }
+
     /// Returns a copy of this workflow shifted to a new submission slot,
     /// keeping the window length — used to instantiate recurring runs.
     #[must_use]
@@ -226,35 +257,18 @@ impl WorkflowBuilder {
     ///
     /// # Errors
     ///
-    /// * [`DagError::EmptyWorkflow`] if no jobs were added.
-    /// * [`DagError::InvalidWindow`] if `deadline <= submit`.
-    /// * [`DagError::InvalidJob`] if a job spec is degenerate.
-    /// * [`DagError::Cycle`] if the dependencies are cyclic.
+    /// Those of [`Workflow::validate`].
     pub fn build(self) -> Result<Workflow, DagError> {
-        if self.jobs.is_empty() {
-            return Err(DagError::EmptyWorkflow);
-        }
-        if self.deadline_slot <= self.submit_slot {
-            return Err(DagError::InvalidWindow {
-                submit: self.submit_slot,
-                deadline: self.deadline_slot,
-            });
-        }
-        for (index, job) in self.jobs.iter().enumerate() {
-            if let Err(reason) = job.validate() {
-                return Err(DagError::InvalidJob { index, reason });
-            }
-        }
-        let dag = Dag::from_edges(self.jobs.len(), self.edges)?;
-        topological_order(&dag)?; // acyclicity check
-        Ok(Workflow {
+        let workflow = Workflow {
+            dag: Dag::from_edges(self.jobs.len(), self.edges)?,
             id: self.id,
             name: self.name,
             jobs: self.jobs,
-            dag,
             submit_slot: self.submit_slot,
             deadline_slot: self.deadline_slot,
-        })
+        };
+        workflow.validate()?;
+        Ok(workflow)
     }
 }
 

@@ -216,22 +216,9 @@ impl TableBuilder {
     /// Appends one workflow submission: one job per DAG node, in node
     /// order, with sources ready at the submit slot.
     pub(crate) fn push_workflow(&mut self, submission: WorkflowSubmission) -> Result<(), SimError> {
+        submission.validate()?;
         let wf = &submission.workflow;
         let n = wf.len();
-        if let Some(actual) = &submission.actual_work {
-            if actual.len() != n {
-                return Err(SimError::MalformedSubmission {
-                    reason: "actual_work length differs from workflow size",
-                });
-            }
-        }
-        if let Some(dls) = &submission.job_deadlines {
-            if dls.len() != n {
-                return Err(SimError::MalformedSubmission {
-                    reason: "job_deadlines length differs from workflow size",
-                });
-            }
-        }
         let mut job_ids = Vec::with_capacity(n);
         let mut preds = Vec::with_capacity(n);
         for (node, spec) in wf.jobs().iter().enumerate() {
@@ -272,7 +259,8 @@ impl TableBuilder {
     }
 
     /// Appends one ad-hoc job, ready at its arrival slot.
-    pub(crate) fn push_adhoc(&mut self, adhoc: AdhocSubmission) {
+    pub(crate) fn push_adhoc(&mut self, adhoc: AdhocSubmission) -> Result<(), SimError> {
+        adhoc.validate()?;
         let id = JobId::new(self.base_job + self.jobs.len() as u64);
         self.jobs.push(JobRuntime {
             id,
@@ -291,6 +279,7 @@ impl TableBuilder {
             deferred: false,
         });
         self.job_nodes.push(None);
+        Ok(())
     }
 }
 
@@ -302,8 +291,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`SimError::MalformedSubmission`] if a workflow's `actual_work` or
-    /// `job_deadlines` vector does not match its node count.
+    /// [`SimError::MalformedSubmission`] for a submission that fails its
+    /// `validate` ([`WorkflowSubmission::validate`],
+    /// [`AdhocSubmission::validate`]).
     pub fn new(
         cluster: ClusterConfig,
         workload: SimWorkload,
@@ -314,7 +304,7 @@ impl Engine {
             table.push_workflow(submission)?;
         }
         for adhoc in workload.adhoc {
-            table.push_adhoc(adhoc);
+            table.push_adhoc(adhoc)?;
         }
         Ok(Self::assemble(cluster, table, max_slots))
     }
@@ -327,8 +317,8 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`SimError::MalformedSubmission`] for inconsistent workflow vectors
-    /// or a cancel entry that does not resolve to exactly one earlier
+    /// [`SimError::MalformedSubmission`] for a submission that fails its
+    /// `validate`, or a cancel entry that does not resolve to exactly one earlier
     /// submission.
     pub fn from_log(
         cluster: ClusterConfig,
@@ -342,7 +332,7 @@ impl Engine {
                     table.push_workflow(sub.clone())?;
                 }
                 crate::submission::EffectiveSubmission::Adhoc(sub) => {
-                    table.push_adhoc(sub.clone());
+                    table.push_adhoc(sub.clone())?;
                 }
             }
         }

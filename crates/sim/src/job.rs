@@ -1,6 +1,7 @@
 //! Workload submissions and runtime job state.
 
-use flowtime_dag::{JobId, JobSpec, Workflow, WorkflowId};
+use crate::error::SimError;
+use flowtime_dag::{DagError, JobId, JobSpec, Workflow, WorkflowId};
 use serde::{Deserialize, Serialize};
 
 /// Which workload class a job belongs to.
@@ -39,6 +40,18 @@ impl AdhocSubmission {
     pub fn new(spec: JobSpec, arrival_slot: u64) -> Self {
         AdhocSubmission { spec, arrival_slot }
     }
+
+    /// The job-spec check a workflow's builder applies to each of its
+    /// jobs ([`JobSpec::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MalformedSubmission`] naming the degenerate field.
+    pub fn validate(&self) -> Result<(), SimError> {
+        self.spec
+            .validate()
+            .map_err(|reason| SimError::MalformedSubmission { reason })
+    }
 }
 
 /// A deadline-aware workflow submission.
@@ -66,6 +79,35 @@ impl WorkflowSubmission {
             actual_work: None,
             job_deadlines: None,
         }
+    }
+
+    /// The one validity check of a submission that did not come out of
+    /// [`flowtime_dag::WorkflowBuilder::build`] — one read from a request,
+    /// a trace file or a log: the builder's checks ([`Workflow::validate`]),
+    /// then one entry per node in each per-node vector.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MalformedSubmission`] naming the first failed check.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let malformed = |reason| SimError::MalformedSubmission { reason };
+        self.workflow.validate().map_err(|e| {
+            malformed(match e {
+                DagError::EmptyWorkflow => "workflow has no jobs",
+                DagError::InvalidWindow { .. } => "workflow deadline is not after its submit slot",
+                DagError::InvalidJob { reason, .. } => reason,
+                DagError::Cycle { .. } => "workflow dependencies are cyclic",
+                _ => "workflow dependency graph is not a graph over its jobs",
+            })
+        })?;
+        let n = self.workflow.len();
+        if self.actual_work.as_ref().is_some_and(|v| v.len() != n) {
+            return Err(malformed("actual_work length differs from workflow size"));
+        }
+        if self.job_deadlines.as_ref().is_some_and(|v| v.len() != n) {
+            return Err(malformed("job_deadlines length differs from workflow size"));
+        }
+        Ok(())
     }
 
     /// Attaches ground-truth work (estimation error injection).

@@ -148,8 +148,9 @@ impl OnlineEngine {
     ///
     /// # Errors
     ///
-    /// [`SimError::MalformedSubmission`] for inconsistent per-node
-    /// vectors or an arrival slot that has already been simulated.
+    /// [`SimError::MalformedSubmission`] for a submission that fails
+    /// [`WorkflowSubmission::validate`] or an arrival slot that has
+    /// already been simulated.
     pub fn submit_workflow(
         &mut self,
         submission: WorkflowSubmission,
@@ -168,7 +169,8 @@ impl OnlineEngine {
     ///
     /// # Errors
     ///
-    /// [`SimError::MalformedSubmission`] if the arrival slot has already
+    /// [`SimError::MalformedSubmission`] for a submission that fails
+    /// [`AdhocSubmission::validate`] or an arrival slot that has already
     /// been simulated.
     pub fn submit_adhoc(&mut self, submission: AdhocSubmission) -> Result<JobId, SimError> {
         let arrival = submission.arrival_slot;
@@ -177,7 +179,7 @@ impl OnlineEngine {
             self.engine.state.jobs.len() as u64,
             self.engine.state.workflows.len(),
         );
-        table.push_adhoc(submission);
+        table.push_adhoc(submission)?;
         let ids = self.splice(table, arrival);
         Ok(ids[0])
     }

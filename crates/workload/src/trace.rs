@@ -120,7 +120,9 @@ impl Trace {
     /// # Errors
     ///
     /// * [`WorkloadError::Io`] on read failures.
-    /// * [`WorkloadError::Parse`] on malformed records or a missing header.
+    /// * [`WorkloadError::Parse`] on malformed records, a submission that
+    ///   fails its `validate` (the checks a builder applies), or a missing
+    ///   header.
     pub fn read_jsonl<R: BufRead>(reader: R) -> Result<Self, WorkloadError> {
         let mut cluster: Option<ClusterConfig> = None;
         let mut workload = SimWorkload::default();
@@ -129,14 +131,22 @@ impl Trace {
             if line.trim().is_empty() {
                 continue;
             }
-            let record: Record = serde_json::from_str(&line).map_err(|e| WorkloadError::Parse {
+            let parse_error = |message: String| WorkloadError::Parse {
                 line: idx + 1,
-                message: e.to_string(),
-            })?;
+                message,
+            };
+            let record: Record =
+                serde_json::from_str(&line).map_err(|e| parse_error(e.to_string()))?;
             match record {
                 Record::Header { cluster: c, .. } => cluster = Some(c),
-                Record::Workflow(wf) => workload.workflows.push(*wf),
-                Record::Adhoc(job) => workload.adhoc.push(job),
+                Record::Workflow(wf) => {
+                    wf.validate().map_err(|e| parse_error(e.to_string()))?;
+                    workload.workflows.push(*wf);
+                }
+                Record::Adhoc(job) => {
+                    job.validate().map_err(|e| parse_error(e.to_string()))?;
+                    workload.adhoc.push(job);
+                }
             }
         }
         let cluster = cluster.ok_or(WorkloadError::Parse {
@@ -251,6 +261,24 @@ mod tests {
         let data = b"{\"Adhoc\":{\"spec\":{\"name\":\"x\",\"tasks\":1,\"task_slots\":1,\"per_task\":[1,1],\"max_parallel\":null},\"arrival_slot\":0}}\n";
         let err = Trace::read_jsonl(std::io::BufReader::new(&data[..])).unwrap_err();
         assert!(matches!(err, WorkloadError::Parse { .. }));
+    }
+
+    #[test]
+    fn invalid_submissions_are_parse_errors_at_their_line() {
+        let header = "{\"Header\":{\"cluster\":{\"capacity\":[8,8192],\"slot_seconds\":10.0},\"version\":1}}";
+        for bad in [
+            "{\"Adhoc\":{\"spec\":{\"name\":\"x\",\"tasks\":0,\"task_slots\":1,\"per_task\":[1,1],\"max_parallel\":null},\"arrival_slot\":0}}",
+            "{\"Workflow\":{\"workflow\":{\"id\":0,\"name\":\"w\",\"jobs\":[],\"dag\":{\"n\":0,\"succ\":[],\"pred\":[],\"edge_count\":0},\"submit_slot\":0,\"deadline_slot\":9},\"actual_work\":null,\"job_deadlines\":null}}",
+        ] {
+            let data = format!("{header}\n{bad}\n");
+            match Trace::read_jsonl(std::io::BufReader::new(data.as_bytes())) {
+                Err(WorkloadError::Parse { line, message }) => {
+                    assert_eq!(line, 2, "{message}");
+                    assert!(message.contains("malformed submission"), "{message}");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -56,6 +56,39 @@ fn malformed_and_unknown_requests_are_typed_errors() {
     ok(&mut lb, "{\"req\":\"status\"}");
 }
 
+/// Each malformed submission is a typed `malformed-submission` refusal
+/// that logs nothing, over loopback and over TCP with a WAL, and the
+/// session still drains after it.
+#[test]
+fn malformed_submissions_are_refused_typed_and_logged_nowhere() {
+    for line in daemon_util::malformed_submissions() {
+        let mut lb = loopback(cluster(), "edf");
+        err_code(&mut lb, line, codes::MALFORMED_SUBMISSION);
+        assert_eq!(lb.session().log().len(), 0, "{line}");
+        ok(&mut lb, &adhoc_line(&adhoc(0)));
+        ok(&mut lb, "{\"req\":\"drain\"}");
+
+        let dir = daemon_util::wal_dir("tcp-malformed");
+        let (addr, handle) = spawn_tcp_wal("edf", &dir);
+        let mut s = TcpStream::connect(addr).expect("connect");
+        let r = request(&mut s, line);
+        assert!(r.contains(codes::MALFORMED_SUBMISSION), "{line}: {r}");
+        let r = request(&mut s, "{\"req\":\"status\"}");
+        assert_eq!(reply_u64(&r, &["ok", "logged"]), 0, "{r}");
+        assert_eq!(
+            reply_u64(&r, &["ok", "wal", "records"]),
+            1,
+            "genesis only: {r}"
+        );
+        let r = request(&mut s, "{\"req\":\"drain\"}");
+        assert!(r.starts_with("{\"ok\":"), "{line}: {r}");
+        let r = request(&mut s, "{\"req\":\"shutdown\"}");
+        assert!(r.starts_with("{\"ok\":"), "{r}");
+        assert_eq!(handle.join().expect("server thread"), (true, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn lifecycle_violations_are_typed_errors() {
     let mut lb = loopback(cluster(), "edf");
@@ -155,7 +188,7 @@ fn explain_rejects_sharded_sessions_typed() {
 
 #[test]
 fn horizon_exhaustion_is_a_typed_error() {
-    let mut lb = daemon_util::loopback_with_snapshot(cluster(), "edf", None);
+    let mut lb = loopback(cluster(), "edf");
     // A session with a tiny horizon cannot tick past it.
     let mut tiny = flowtime_daemon::Loopback::new(
         Session::new(SessionConfig {

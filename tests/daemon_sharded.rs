@@ -12,8 +12,8 @@
 mod daemon_util;
 
 use daemon_util::{
-    adhoc_line, loopback, loopback_sharded, loopback_sharded_with_snapshot, loopback_wal, ok,
-    session_config, trace_bytes, wal_config, wal_dir, workflow_line, TRACE_CAPACITY,
+    adhoc_line, loopback, loopback_sharded, loopback_wal, ok, session_config, snapshot_file,
+    trace_bytes, wal_config, wal_dir, workflow_line, TRACE_CAPACITY,
 };
 use flowtime_bench::experiments::{testbed_cluster, Algo, WorkflowExperiment};
 use flowtime_daemon::{codes, FsyncPolicy, Loopback, Session, SessionConfig, WalRecord};
@@ -207,24 +207,21 @@ fn single_pod_session_is_byte_identical_to_unsharded() {
     }
 }
 
-/// A sharded session snapshots and restores exactly: the restored session
-/// drains to the same per-pod bytes as the original.
+/// A sharded session snapshots (into its WAL directory) and restores
+/// exactly: the restored session drains to the same per-pod bytes as the
+/// original.
 #[test]
 fn sharded_snapshot_restores_byte_identically() {
-    let dir = std::env::temp_dir().join("flowtime-daemon-shard-snap");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("sharded.snap");
-    let _ = std::fs::remove_file(&path);
-
+    let dir = wal_dir("shard-snap");
     let cluster = testbed_cluster();
     let workload = experiment(4).build(&cluster);
-    let mut lb = loopback_sharded_with_snapshot(
-        cluster.clone(),
-        "flowtime",
-        2,
-        Some("demand".to_string()),
-        Some(path.to_string_lossy().into_owned()),
-    );
+    let config = SessionConfig {
+        placer: Some("demand".to_string()),
+        ..session_config(cluster.clone(), "flowtime", 2)
+    };
+    let (session, _) = Session::recover(config, wal_config(&dir, FsyncPolicy::None), None)
+        .expect("fresh wal session");
+    let mut lb = Loopback::new(session);
     for sub in &workload.workflows {
         ok(&mut lb, &workflow_line(sub));
     }
@@ -232,7 +229,7 @@ fn sharded_snapshot_restores_byte_identically() {
         ok(&mut lb, &adhoc_line(sub));
     }
     ok(&mut lb, "{\"req\":\"tick\",\"to\":30}");
-    ok(&mut lb, "{\"req\":\"snapshot\"}");
+    let path = snapshot_file(&mut lb);
 
     let body = flowtime_daemon::snapshot::load(&path).expect("snapshot loads");
     assert_eq!(body.config.pods, 2, "pod count must survive the snapshot");
@@ -246,7 +243,7 @@ fn sharded_snapshot_restores_byte_identically() {
         restored.into_session().outcome_json().expect("drained"),
         "restored sharded session must drain to identical bytes"
     );
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Sharding config errors are typed `bad-request`s at construction, and

@@ -1,14 +1,15 @@
-//! Snapshot/restore: a session killed mid-run and restored from its
-//! snapshot, then fed the same remaining requests, drains to a
-//! `SimOutcome` byte-identical to the uninterrupted session — and every
-//! form of snapshot corruption is a typed error, never a silently-wrong
-//! session (mutation-negative coverage).
+//! Snapshot/restore: a session killed mid-run and restored from the
+//! snapshot its WAL directory holds (`snap-*.snap`), then fed the same
+//! remaining requests, drains to a `SimOutcome` byte-identical to the
+//! uninterrupted session — and every form of snapshot corruption is a
+//! typed error, never a silently-wrong session (mutation-negative
+//! coverage).
 
 mod daemon_util;
 
 use daemon_util::{
-    adhoc_line, drain, err_code, loopback, loopback_wal, loopback_with_snapshot, ok,
-    session_config, trace_bytes, wal_config, wal_dir, workflow_line,
+    adhoc_line, drain, loopback, loopback_wal, ok, session_config, snapshot_file, trace_bytes,
+    wal_config, wal_dir, workflow_line,
 };
 use flowtime_bench::experiments::{faulted_instance, testbed_cluster, WorkflowExperiment};
 use flowtime_daemon::{
@@ -16,7 +17,6 @@ use flowtime_daemon::{
 };
 use flowtime_sim::{FaultConfig, LogEntry};
 use std::fs;
-use std::path::Path;
 
 fn scripted_requests() -> (flowtime_sim::ClusterConfig, Vec<String>) {
     let cluster = testbed_cluster();
@@ -56,14 +56,12 @@ fn scripted_requests() -> (flowtime_sim::ClusterConfig, Vec<String>) {
 
 #[test]
 fn restore_from_mid_run_snapshot_is_byte_identical() {
-    let dir = std::env::temp_dir().join("flowtime-daemon-snap-test");
-    fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("mid_run.snap").to_string_lossy().into_owned();
+    let dir = wal_dir("snap-mid-run");
     let (cluster, lines) = scripted_requests();
     let kill_at = lines.len() * 2 / 3;
 
     // Uninterrupted session: all requests, then drain.
-    let mut uninterrupted = loopback_with_snapshot(cluster.clone(), "flowtime", Some(path.clone()));
+    let mut uninterrupted = loopback(cluster.clone(), "flowtime");
     for line in &lines {
         let r = uninterrupted.request_line(line);
         assert!(
@@ -74,11 +72,11 @@ fn restore_from_mid_run_snapshot_is_byte_identical() {
     let (expect_bytes, _, expect_trace) = drain(uninterrupted);
 
     // Killed session: first two-thirds of the requests, snapshot, drop.
-    let mut killed = loopback_with_snapshot(cluster.clone(), "flowtime", Some(path.clone()));
+    let mut killed = loopback_wal(cluster, "flowtime", 0, &dir, FsyncPolicy::None, None);
     for line in &lines[..kill_at] {
         killed.request_line(line);
     }
-    ok(&mut killed, "{\"req\":\"snapshot\"}");
+    let path = snapshot_file(&mut killed);
     drop(killed); // The "crash": no drain, session state gone.
 
     // Restore and feed the remaining requests.
@@ -104,16 +102,15 @@ fn restore_from_mid_run_snapshot_is_byte_identical() {
 
 #[test]
 fn corrupted_snapshots_are_typed_errors() {
-    let dir = std::env::temp_dir().join("flowtime-daemon-snap-corrupt");
-    fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("s.snap").to_string_lossy().into_owned();
+    let dir = wal_dir("snap-corrupt");
     let (cluster, lines) = scripted_requests();
 
-    let mut lb = loopback_with_snapshot(cluster, "edf", Some(path.clone()));
+    let mut lb = loopback_wal(cluster, "edf", 0, &dir, FsyncPolicy::None, None);
     for line in &lines[..4] {
         lb.request_line(line);
     }
-    ok(&mut lb, "{\"req\":\"snapshot\"}");
+    let path = snapshot_file(&mut lb);
+    drop(lb);
     let good = fs::read_to_string(&path).unwrap();
     let body_line = good.lines().nth(1).unwrap().to_string();
 
@@ -173,13 +170,10 @@ fn corrupted_snapshots_are_typed_errors() {
 /// same outcome bytes as the session that was never interrupted.
 #[test]
 fn restore_at_every_request_boundary_is_byte_identical() {
-    let dir = std::env::temp_dir().join("flowtime-daemon-snap-sweep");
-    fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sweep.snap").to_string_lossy().into_owned();
     let (cluster, lines) = scripted_requests();
     assert!(lines.iter().any(|l| l.contains("\"cancel\"")));
 
-    let mut uninterrupted = loopback_with_snapshot(cluster.clone(), "flowtime", Some(path.clone()));
+    let mut uninterrupted = loopback(cluster.clone(), "flowtime");
     let replies: Vec<String> = lines
         .iter()
         .map(|l| uninterrupted.request_line(l))
@@ -187,11 +181,19 @@ fn restore_at_every_request_boundary_is_byte_identical() {
     let (expect_bytes, _, _) = drain(uninterrupted);
 
     for cut in 0..=lines.len() {
-        let mut killed = loopback_with_snapshot(cluster.clone(), "flowtime", Some(path.clone()));
+        let dir = wal_dir("snap-sweep");
+        let mut killed = loopback_wal(
+            cluster.clone(),
+            "flowtime",
+            0,
+            &dir,
+            FsyncPolicy::None,
+            None,
+        );
         for line in &lines[..cut] {
             killed.request_line(line);
         }
-        ok(&mut killed, "{\"req\":\"snapshot\"}");
+        let path = snapshot_file(&mut killed);
         drop(killed);
         let body = snapshot::load(&path).expect("snapshot loads");
         let mut resumed = Loopback::new(Session::restore(body).expect("snapshot restores"));
@@ -203,8 +205,8 @@ fn restore_at_every_request_boundary_is_byte_identical() {
             got_bytes, expect_bytes,
             "cut {cut}: drained outcome differs"
         );
+        let _ = fs::remove_dir_all(&dir);
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// One entry, two codes: a log that cancels a submission which is not
@@ -213,9 +215,7 @@ fn restore_at_every_request_boundary_is_byte_identical() {
 /// reported under the artifact that was damaged.
 #[test]
 fn cancel_of_a_non_pending_submission_is_typed_per_artifact() {
-    let dir = std::env::temp_dir().join("flowtime-daemon-snap-badcancel");
-    fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("s.snap").to_string_lossy().into_owned();
+    let dir = wal_dir("snap-badcancel");
     let (cluster, lines) = scripted_requests();
     let bad_cancel = |seq| LogEntry::Cancel {
         seq,
@@ -223,12 +223,11 @@ fn cancel_of_a_non_pending_submission_is_typed_per_artifact() {
         target: 999,
     };
 
-    let mut lb = loopback_with_snapshot(cluster.clone(), "edf", Some(path.clone()));
+    let mut lb = loopback_wal(cluster.clone(), "edf", 0, &dir, FsyncPolicy::None, None);
     for line in &lines[..3] {
         ok(&mut lb, line);
     }
-    ok(&mut lb, "{\"req\":\"snapshot\"}");
-    let mut body = snapshot::load(&path).expect("good snapshot loads");
+    let mut body = snapshot::load(snapshot_file(&mut lb)).expect("good snapshot loads");
     body.log.entries.push(bad_cancel(body.next_seq));
     body.next_seq += 1;
     let err = Session::restore(body).err().expect("restore must refuse");
@@ -260,7 +259,8 @@ fn cancel_of_a_non_pending_submission_is_typed_per_artifact() {
 /// A session with nowhere to write a snapshot says so up front: the
 /// destination is resolved before the log is copied into a body (the
 /// flagless daemon used to deep-copy its whole log every 256 requests and
-/// then discover there was no path).
+/// then discover there was no path). Snapshots live in the WAL directory,
+/// so the refusal names `--wal-dir`.
 #[test]
 fn snapshot_without_a_destination_is_refused_before_any_copy() {
     let (cluster, lines) = scripted_requests();
@@ -269,18 +269,17 @@ fn snapshot_without_a_destination_is_refused_before_any_copy() {
         ok(&mut lb, line);
     }
     assert_eq!(lb.session().snapshot_target(), None);
-    err_code(&mut lb, "{\"req\":\"snapshot\"}", codes::SNAPSHOT_IO);
+    let reply = lb.request_line("{\"req\":\"snapshot\"}");
+    assert!(
+        reply.contains(codes::SNAPSHOT_IO) && reply.contains("--wal-dir"),
+        "{reply}"
+    );
     assert_eq!(
         lb.session().log().len(),
         3,
         "a refused snapshot changes nothing"
     );
 
-    let with_path = loopback_with_snapshot(cluster.clone(), "edf", Some("/tmp/x.snap".into()));
-    assert_eq!(
-        with_path.session().snapshot_target(),
-        Some(Path::new("/tmp/x.snap"))
-    );
     let wdir = wal_dir("snaptarget");
     let with_wal = loopback_wal(cluster, "edf", 0, &wdir, FsyncPolicy::None, None);
     assert_eq!(with_wal.session().snapshot_target(), Some(wdir.as_path()));

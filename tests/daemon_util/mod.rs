@@ -15,43 +15,14 @@ pub const TRACE_CAPACITY: u64 = 1 << 18;
 
 /// A loopback session over the given cluster and scheduler.
 pub fn loopback(cluster: ClusterConfig, scheduler: &str) -> Loopback {
-    loopback_with_snapshot(cluster, scheduler, None)
-}
-
-/// A loopback session with an optional snapshot path.
-pub fn loopback_with_snapshot(
-    cluster: ClusterConfig,
-    scheduler: &str,
-    snapshot_path: Option<String>,
-) -> Loopback {
-    loopback_sharded_with_snapshot(cluster, scheduler, 0, None, snapshot_path)
+    loopback_sharded(cluster, scheduler, 0)
 }
 
 /// A loopback session sharded into `pods` pods (0 and 1 both mean the
 /// unsharded engine).
 pub fn loopback_sharded(cluster: ClusterConfig, scheduler: &str, pods: u64) -> Loopback {
-    loopback_sharded_with_snapshot(cluster, scheduler, pods, None, None)
-}
-
-/// The fully general loopback builder: pod count, placer, snapshot path.
-pub fn loopback_sharded_with_snapshot(
-    cluster: ClusterConfig,
-    scheduler: &str,
-    pods: u64,
-    placer: Option<String>,
-    snapshot_path: Option<String>,
-) -> Loopback {
     Loopback::new(
-        Session::new(SessionConfig {
-            cluster,
-            scheduler: scheduler.to_string(),
-            max_slots: 1_000_000,
-            trace_capacity: TRACE_CAPACITY,
-            snapshot_path,
-            pods,
-            placer,
-        })
-        .expect("valid session config"),
+        Session::new(session_config(cluster, scheduler, pods)).expect("valid session config"),
     )
 }
 
@@ -103,6 +74,43 @@ pub fn loopback_wal(
     )
     .expect("wal recovery succeeds");
     Loopback::new(session)
+}
+
+/// Asks a session with a WAL for a snapshot and returns the path of the
+/// `snap-*.snap` file its reply names.
+pub fn snapshot_file(lb: &mut Loopback) -> PathBuf {
+    let reply = ok(lb, "{\"req\":\"snapshot\"}");
+    let value = serde_json::parse(&reply).expect("reply is JSON");
+    let path = value
+        .get("ok")
+        .and_then(|body| body.get("path"))
+        .and_then(serde_json::Value::as_str)
+        .unwrap_or_else(|| panic!("snapshot reply names no file: {reply}"));
+    let path = PathBuf::from(path);
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+    assert!(
+        name.starts_with("snap-") && name.ends_with(".snap"),
+        "not a WAL-directory snapshot: {reply}"
+    );
+    path
+}
+
+/// Submissions no builder could have built: a workflow of no jobs, a
+/// workflow whose DAG has more nodes than it has jobs, an ad-hoc job of
+/// zero tasks. Each used to be acknowledged and then panic the engine (or
+/// fail every later `drain`) once injected.
+pub fn malformed_submissions() -> [&'static str; 3] {
+    [
+        "{\"req\":\"submit_workflow\",\"submission\":{\"workflow\":{\"id\":7,\"name\":\"empty\",\
+         \"jobs\":[],\"dag\":{\"n\":0,\"succ\":[],\"pred\":[],\"edge_count\":0},\
+         \"submit_slot\":0,\"deadline_slot\":20},\"actual_work\":null,\"job_deadlines\":null}}",
+        "{\"req\":\"submit_workflow\",\"submission\":{\"workflow\":{\"id\":8,\"name\":\"short\",\
+         \"jobs\":[{\"name\":\"a\",\"tasks\":2,\"task_slots\":1,\"per_task\":[1,1024],\"max_parallel\":null}],\
+         \"dag\":{\"n\":2,\"succ\":[[1],[]],\"pred\":[[],[0]],\"edge_count\":1},\
+         \"submit_slot\":0,\"deadline_slot\":20},\"actual_work\":null,\"job_deadlines\":null}}",
+        "{\"req\":\"submit_adhoc\",\"submission\":{\"spec\":{\"name\":\"z\",\"tasks\":0,\
+         \"task_slots\":1,\"per_task\":[1,1024],\"max_parallel\":null},\"arrival_slot\":0}}",
+    ]
 }
 
 /// Renders a `submit_workflow` request line.

@@ -14,7 +14,9 @@ use daemon_util::{
     wal_dir, with_request_id, workflow_line, TRACE_CAPACITY,
 };
 use flowtime_bench::experiments::{faulted_instance, testbed_cluster, WorkflowExperiment};
-use flowtime_daemon::{wal, DiskFaultPlan, FaultKind, FsyncPolicy, Loopback, Session, WalError};
+use flowtime_daemon::{
+    codes, wal, DiskFaultPlan, FaultKind, FsyncPolicy, Loopback, Session, WalError,
+};
 use flowtime_sim::{certify_log, ClusterConfig, Engine, FaultConfig};
 use std::fs;
 use std::path::Path;
@@ -560,6 +562,48 @@ fn drained_session_recovers_drained() {
     .expect("drained session recovers");
     assert!(session.drained(), "the Drain record must replay");
     assert_eq!(session.outcome_json().unwrap(), expect);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Malformed submissions leave no record: a directory that was sent them
+/// recovers the accepted requests only, drains, and recovers drained
+/// again. (They used to be acknowledged and logged, and the logged
+/// `drain` panicked the engine at every restart.)
+#[test]
+fn malformed_submissions_leave_a_directory_that_recovers_and_drains() {
+    let (cluster, lines) = scripted(9, "refused");
+    let dir = wal_dir("refused");
+    let mut lb = loopback_wal(cluster.clone(), "edf", 0, &dir, FsyncPolicy::Always, None);
+    let mut reference = loopback(cluster.clone(), "edf");
+    for (i, line) in lines.iter().enumerate() {
+        assert_eq!(ok(&mut lb, line), ok(&mut reference, line));
+        if i == 2 {
+            for bad in daemon_util::malformed_submissions() {
+                let r = lb.request_line(bad);
+                assert!(r.contains(codes::MALFORMED_SUBMISSION), "{r}");
+            }
+        }
+    }
+    drop(lb); // kill -9 before the drain
+
+    let recover = || {
+        Session::recover(
+            session_config(cluster.clone(), "edf", 0),
+            wal_config(&dir, FsyncPolicy::Always),
+            None,
+        )
+        .expect("the directory recovers")
+        .0
+    };
+    let mut restarted = Loopback::new(recover());
+    assert_eq!(restarted.session().log(), reference.session().log());
+    ok(&mut restarted, "{\"req\":\"drain\"}");
+    let (expect, _, _) = drain(reference);
+    assert_eq!(restarted.session().outcome_json(), Some(expect.as_str()));
+    drop(restarted);
+    let again = recover();
+    assert!(again.drained(), "the Drain record must replay");
+    assert_eq!(again.outcome_json(), Some(expect.as_str()));
     let _ = fs::remove_dir_all(&dir);
 }
 

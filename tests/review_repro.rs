@@ -3,8 +3,8 @@
 
 mod daemon_util;
 
-use daemon_util::{adhoc_line, loopback_with_snapshot};
-use flowtime_daemon::{snapshot, Session};
+use daemon_util::{adhoc_line, loopback_wal, snapshot_file, wal_dir};
+use flowtime_daemon::{snapshot, FsyncPolicy, Session};
 use flowtime_dag::{JobSpec, ResourceVec};
 use flowtime_sim::{AdhocSubmission, ClusterConfig};
 
@@ -14,10 +14,8 @@ fn cluster() -> ClusterConfig {
 
 #[test]
 fn restore_after_cancel_of_gap_burned_submission() {
-    let dir = std::env::temp_dir().join("flowtime-review-repro");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("repro.snap").to_string_lossy().into_owned();
-    let mut lb = loopback_with_snapshot(cluster(), "fifo", Some(path.clone()));
+    let dir = wal_dir("review-repro");
+    let mut lb = loopback_wal(cluster(), "fifo", 0, &dir, FsyncPolicy::None, None);
     // Submit an ad-hoc job far in the future (arrival slot 100).
     let sub = AdhocSubmission {
         spec: JobSpec::new("a", 1, 1, ResourceVec::new([1, 1024])),
@@ -35,9 +33,8 @@ fn restore_after_cancel_of_gap_burned_submission() {
     println!("cancel: {r}");
     assert!(r.contains("ok"), "{r}");
     // Snapshot the session (now = 10, log = [adhoc, cancel]).
-    let r = lb.request_line("{\"req\":\"snapshot\"}");
-    println!("snapshot: {r}");
-    assert!(r.contains("ok"), "{r}");
+    let path = snapshot_file(&mut lb);
+    println!("snapshot: {}", path.display());
     // Restore must succeed: this is a reachable state.
     let body = snapshot::load(&path).expect("snapshot loads");
     let restored = Session::restore(body);
@@ -50,4 +47,5 @@ fn restore_after_cancel_of_gap_burned_submission() {
         "restore failed: {:?}",
         restored.err().map(|e| e.to_string())
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
