@@ -100,8 +100,8 @@ impl Scheduler for CoraScheduler {
     fn plan_slot(&mut self, state: &SimState) -> Allocation {
         self.absorb_arrivals(state);
         let now = state.now();
-        let jobs = state.runnable_jobs();
-        let mut filler = SlotFiller::new(state.capacity_now());
+        let jobs: Vec<JobView> = state.runnable().collect();
+        let mut filler = SlotFiller::new(state);
         // Water-fill by utility deficit, one task at a time.
         loop {
             let best = jobs
@@ -118,7 +118,7 @@ impl Scheduler for CoraScheduler {
             }
         }
         // Residual work conservation: fill anything left in arrival order.
-        filler.greedy_fill(jobs.iter());
+        filler.greedy_fill(jobs);
         filler.into_allocation()
     }
 }

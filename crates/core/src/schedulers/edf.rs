@@ -3,7 +3,7 @@
 use super::util::SlotFiller;
 use flowtime_dag::WorkflowId;
 use flowtime_sim::{Allocation, JobClass, Scheduler, SimState};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The EDF baseline of the paper's motivation (Fig. 1): deadline workflows
 /// are served strictly before ad-hoc jobs, ordered by *workflow* deadline
@@ -23,7 +23,9 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EdfScheduler {
-    _private: (),
+    /// Each arrived workflow's deadline, recorded the first slot the
+    /// workflow is seen.
+    deadlines: BTreeMap<WorkflowId, u64>,
 }
 
 impl EdfScheduler {
@@ -43,27 +45,25 @@ impl Scheduler for EdfScheduler {
     }
 
     fn plan_slot(&mut self, state: &SimState) -> Allocation {
-        let workflow_deadline: HashMap<WorkflowId, u64> = state
-            .workflows()
-            .iter()
-            .map(|w| (w.id(), w.workflow.deadline_slot()))
-            .collect();
-        let jobs = state.runnable_jobs();
-        let mut deadline_jobs: Vec<&_> = jobs.iter().filter(|j| !j.is_adhoc()).collect();
+        for wf in state.workflows() {
+            self.deadlines
+                .entry(wf.id())
+                .or_insert_with(|| wf.workflow.deadline_slot());
+        }
+        let mut deadline_jobs: Vec<_> = state.runnable_deadline().collect();
         deadline_jobs.sort_by_key(|j| {
             let wd = match j.class {
-                JobClass::Deadline { workflow, .. } => workflow_deadline
-                    .get(&workflow)
-                    .copied()
-                    .unwrap_or(u64::MAX),
+                JobClass::Deadline { workflow, .. } => {
+                    self.deadlines.get(&workflow).copied().unwrap_or(u64::MAX)
+                }
                 JobClass::AdHoc => u64::MAX,
             };
             (wd, j.id)
         });
-        let mut filler = SlotFiller::new(state.capacity_now());
+        let mut filler = SlotFiller::new(state);
         filler.greedy_fill(deadline_jobs);
         // Ad-hoc jobs only see the leftovers, in arrival order.
-        filler.greedy_fill(jobs.iter().filter(|j| j.is_adhoc()));
+        filler.greedy_fill(state.runnable_adhoc());
         filler.into_allocation()
     }
 }

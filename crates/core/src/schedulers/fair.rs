@@ -38,10 +38,8 @@ impl Scheduler for FairScheduler {
     }
 
     fn plan_slot(&mut self, state: &SimState) -> Allocation {
-        let jobs = state.runnable_jobs();
-        let refs: Vec<&_> = jobs.iter().collect();
-        let mut filler = SlotFiller::new(state.capacity_now());
-        filler.fair_fill(&refs);
+        let mut filler = SlotFiller::new(state);
+        filler.fair_fill(state.runnable());
         filler.into_allocation()
     }
 }

@@ -37,9 +37,9 @@ impl Scheduler for FifoScheduler {
     }
 
     fn plan_slot(&mut self, state: &SimState) -> Allocation {
-        let mut filler = SlotFiller::new(state.capacity_now());
-        // runnable_jobs() is already sorted by (arrival, id).
-        filler.greedy_fill(state.runnable_jobs().iter());
+        let mut filler = SlotFiller::new(state);
+        // runnable() yields in (arrival, id) order.
+        filler.greedy_fill(state.runnable());
         filler.into_allocation()
     }
 }

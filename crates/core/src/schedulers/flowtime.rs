@@ -224,15 +224,6 @@ impl FlowTimeScheduler {
         dirty
     }
 
-    /// Pending (incomplete, arrived) deadline jobs.
-    fn pending_deadline_jobs(state: &SimState) -> Vec<JobView> {
-        state
-            .visible_jobs()
-            .into_iter()
-            .filter(|j| !j.is_adhoc())
-            .collect()
-    }
-
     fn needs_replan(&self, state: &SimState, pending: &[JobView]) -> bool {
         if self.config.replan_every_slot {
             return true;
@@ -414,19 +405,19 @@ impl Scheduler for FlowTimeScheduler {
     fn plan_slot(&mut self, state: &SimState) -> Allocation {
         self.refresh_regime(state);
         let arrived = self.absorb_arrivals(state);
-        let pending = Self::pending_deadline_jobs(state);
+        let pending: Vec<JobView> = state.visible_deadline().collect();
         if arrived || self.needs_replan(state, &pending) {
             self.replan(state, &pending);
         }
 
         let now = state.now();
-        let runnable = state.runnable_jobs();
-        let mut filler = SlotFiller::new(state.capacity_now());
+        let deadline_jobs: Vec<JobView> = state.runnable_deadline().collect();
+        let mut filler = SlotFiller::new(state);
 
         // 1. Deadline jobs draw their planned allocation for this slot.
         if let Some((origin, plan)) = &self.plan {
             let rel = (now - origin) as usize;
-            for job in runnable.iter().filter(|j| !j.is_adhoc()) {
+            for job in &deadline_jobs {
                 let planned = plan.tasks_at(job.id, rel);
                 if planned > 0 {
                     filler.grant(job, planned);
@@ -434,7 +425,7 @@ impl Scheduler for FlowTimeScheduler {
             }
         } else if self.degraded {
             // EDF-greedy fallback: most urgent scheduling deadline first.
-            let mut urgent: Vec<&JobView> = runnable.iter().filter(|j| !j.is_adhoc()).collect();
+            let mut urgent = deadline_jobs.clone();
             urgent.sort_by_key(|j| {
                 (
                     self.windows.get(&j.id).map_or(u64::MAX, |w| w.deadline),
@@ -450,15 +441,14 @@ impl Scheduler for FlowTimeScheduler {
         //    objective, and firing at the slacked deadline — slack_slots
         //    before the true milestone — is precisely the recovery window
         //    the slack buys (Section VII-B.2).
-        let mut overdue: Vec<&JobView> = runnable
+        let mut overdue: Vec<JobView> = deadline_jobs
             .iter()
             .filter(|j| {
-                !j.is_adhoc()
-                    && self
-                        .windows
-                        .get(&j.id)
-                        .is_some_and(|w| w.deadline <= now + 1)
+                self.windows
+                    .get(&j.id)
+                    .is_some_and(|w| w.deadline <= now + 1)
             })
+            .copied()
             .collect();
         overdue.sort_by_key(|j| {
             (
@@ -470,13 +460,12 @@ impl Scheduler for FlowTimeScheduler {
 
         // 3. Ad-hoc jobs share the residual capacity fairly — the whole
         //    point of flattening the deadline profile.
-        let adhoc: Vec<&JobView> = runnable.iter().filter(|j| j.is_adhoc()).collect();
-        filler.fair_fill(&adhoc);
+        filler.fair_fill(state.runnable_adhoc());
 
         // 4. Work conservation: leftover capacity tops up deadline jobs
         //    (finishing early is free; the profile constraint only matters
         //    while there is competition, which step 2 already resolved).
-        let mut by_deadline: Vec<&JobView> = runnable.iter().filter(|j| !j.is_adhoc()).collect();
+        let mut by_deadline = deadline_jobs;
         by_deadline.sort_by_key(|j| {
             (
                 self.windows.get(&j.id).map_or(u64::MAX, |w| w.deadline),

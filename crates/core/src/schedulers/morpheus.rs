@@ -178,13 +178,13 @@ impl Scheduler for MorpheusScheduler {
     fn plan_slot(&mut self, state: &SimState) -> Allocation {
         self.absorb_arrivals(state);
         let now = state.now();
-        let jobs = state.runnable_jobs();
-        let mut filler = SlotFiller::new(state.capacity_now());
+        let deadline_jobs: Vec<JobView> = state.runnable_deadline().collect();
+        let mut filler = SlotFiller::new(state);
 
         // 1. Deadline jobs draw down their reservation backlog (reserved
         //    through now, minus work already done).
         let mut reserved_jobs: Vec<(&JobView, u64)> = Vec::new();
-        for job in jobs.iter().filter(|j| !j.is_adhoc()) {
+        for job in &deadline_jobs {
             if let Some(res) = self.reservations.get(&job.id) {
                 let backlog = res.cumulative_through(now).saturating_sub(job.done_work);
                 // Past the SLO, the whole remaining reservation is overdue.
@@ -204,10 +204,10 @@ impl Scheduler for MorpheusScheduler {
         }
 
         // 2. Ad-hoc jobs take the leftovers, FIFO.
-        filler.greedy_fill(jobs.iter().filter(|j| j.is_adhoc()));
+        filler.greedy_fill(state.runnable_adhoc());
 
         // 3. Work conservation: deadline jobs may run ahead of reservation.
-        filler.greedy_fill(jobs.iter().filter(|j| !j.is_adhoc()));
+        filler.greedy_fill(deadline_jobs);
         filler.into_allocation()
     }
 }

@@ -18,7 +18,7 @@ use crate::metrics::{
 };
 use crate::placement::NodePool;
 use crate::scheduler::Scheduler;
-use crate::state::{SimState, WorkflowInstance};
+use crate::state::{Live, SimState, WorkflowInstance};
 use crate::telemetry::{EngineTelemetry, SolverTelemetry};
 use crate::timeline::{Timeline, TimelineEntry};
 use crate::trace::{TraceCtx, TraceEvent, TraceHandle, TraceHeader, TraceJobMeta};
@@ -356,7 +356,10 @@ impl Engine {
             jobs,
             workflows,
             runnable: Default::default(),
+            runnable_deadline: Default::default(),
             visible: Default::default(),
+            visible_deadline: Default::default(),
+            zero_need: Default::default(),
             departed: Vec::new(),
             incomplete: 0,
             crash_overlay: Vec::new(),
@@ -778,7 +781,6 @@ impl Engine {
             if job.is_complete() || job.shed_slot.is_some() {
                 continue;
             }
-            let key = (job.arrival_slot, id);
             let adhoc = job.class.is_adhoc();
             let deferred = job.deferred;
             let ready_slot = job.ready_slot;
@@ -826,7 +828,7 @@ impl Engine {
                             rec.deferred_backlog -= self.state.jobs[idx].remaining_actual();
                         }
                     }
-                    self.state.visible.insert(key);
+                    self.state.enter(Live::Visible, idx);
                     if let Some(ctx) = &self.trace {
                         ctx.push(TraceEvent::Arrival { slot, job: id });
                     }
@@ -837,7 +839,7 @@ impl Engine {
                     if ready_slot.is_none_or(|r| r > slot) {
                         continue;
                     }
-                    self.state.runnable.insert(key);
+                    self.state.enter(Live::Runnable, idx);
                     if let Some(ctx) = &self.trace {
                         ctx.push(TraceEvent::Ready { slot, job: id });
                     }
@@ -846,7 +848,7 @@ impl Engine {
                     // EV_RETRY: the kill's backoff expired; the next
                     // attempt re-enters the runnable set silently (the
                     // Kill event plus the policy already pin this slot).
-                    self.state.runnable.insert(key);
+                    self.state.enter(Live::Runnable, idx);
                 }
             }
         }
@@ -913,9 +915,8 @@ impl Engine {
         } else {
             rec.stats.task_failures += 1;
         }
-        let key = (job.arrival_slot, job.id);
         let id = job.id;
-        self.state.runnable.remove(&key);
+        self.state.leave(Live::Runnable, idx);
         self.events.push(Reverse((retry_at, EV_RETRY, id)));
         self.telemetry.heap_ops += 1;
         if let Some(ctx) = &self.trace {
@@ -1000,8 +1001,8 @@ impl Engine {
     /// predecessor this was. Released jobs become runnable from `now + 1`,
     /// matching the historical end-of-slot release rule.
     fn on_complete(&mut self, idx: usize, now: u64) {
-        let key = (self.state.jobs[idx].arrival_slot, self.state.jobs[idx].id);
-        self.state.retire(key);
+        self.state.leave(Live::Runnable, idx);
+        self.state.leave(Live::Visible, idx);
         self.state.incomplete -= 1;
         let Some((w, node)) = self.job_nodes[idx] else {
             return;
@@ -1159,7 +1160,7 @@ pub(crate) mod tests {
         fn plan_slot(&mut self, state: &SimState) -> Allocation {
             let mut alloc = Allocation::new();
             let mut free = state.capacity_now();
-            for job in state.runnable_jobs() {
+            for job in state.runnable() {
                 let fit = job
                     .per_task
                     .times_fitting(&free)
@@ -1253,7 +1254,7 @@ pub(crate) mod tests {
             }
             fn plan_slot(&mut self, state: &SimState) -> Allocation {
                 let mut a = Allocation::new();
-                for job in state.runnable_jobs() {
+                for job in state.runnable() {
                     a.assign(job.id, job.max_tasks_this_slot);
                 }
                 a
@@ -1280,7 +1281,7 @@ pub(crate) mod tests {
             fn plan_slot(&mut self, state: &SimState) -> Allocation {
                 // Allocates to *visible* (not necessarily ready) jobs.
                 let mut a = Allocation::new();
-                for job in state.visible_jobs() {
+                for job in state.visible() {
                     a.assign(job.id, 1);
                 }
                 a
@@ -1337,7 +1338,7 @@ pub(crate) mod tests {
             }
             fn plan_slot(&mut self, state: &SimState) -> Allocation {
                 let mut a = Allocation::new();
-                for job in state.runnable_jobs() {
+                for job in state.runnable() {
                     a.assign(job.id, job.max_tasks_this_slot + 1);
                 }
                 a
@@ -1350,6 +1351,40 @@ pub(crate) mod tests {
             .run(&mut Wide)
             .unwrap_err();
         assert!(matches!(err, SimError::ParallelismExceeded { .. }));
+    }
+
+    #[test]
+    fn an_overflowing_request_is_refused_not_wrapped() {
+        /// Asks for 2⁶⁴ + 1 tasks in two grants. Wrapped, that reads as one
+        /// task, which the cap would accept.
+        struct Overflowing;
+        impl Scheduler for Overflowing {
+            fn name(&self) -> &str {
+                "overflowing"
+            }
+            fn plan_slot(&mut self, state: &SimState) -> Allocation {
+                let mut a = Allocation::new();
+                for job in state.runnable() {
+                    a.assign(job.id, u64::MAX);
+                    a.assign(job.id, 2);
+                }
+                a
+            }
+        }
+        let mut wl = SimWorkload::default();
+        wl.adhoc.push(AdhocSubmission::new(spec(4, 1), 0));
+        let err = Engine::new(cluster(64), wl, 100)
+            .unwrap()
+            .run(&mut Overflowing)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::ParallelismExceeded {
+                job: JobId::new(0),
+                requested: u64::MAX,
+                cap: 4,
+            }
+        );
     }
 
     #[test]
@@ -1453,8 +1488,7 @@ pub(crate) mod tests {
         wl.adhoc.push(AdhocSubmission::new(spec(8, 2), 0));
         wl.workflows.push(chain_workflow(0, 100));
         let engine = Engine::new(cluster(8), wl, 100).unwrap();
-        let views = engine.state.runnable_jobs();
-        for v in views {
+        for v in engine.state.runnable() {
             match v.class {
                 JobClass::AdHoc => {
                     assert_eq!(v.estimated_remaining, None);
@@ -1481,8 +1515,8 @@ pub(crate) mod tests {
             }
             fn plan_slot(&mut self, state: &SimState) -> Allocation {
                 let now = state.now();
-                let visible = state.visible_jobs();
-                let runnable: Vec<_> = state.runnable_jobs().iter().map(|v| v.id).collect();
+                let visible: Vec<_> = state.visible().collect();
+                let runnable: Vec<_> = state.runnable().map(|v| v.id).collect();
                 // The runnable set is exactly the ready subset of the
                 // visible set, in the same (arrival, id) order, and every
                 // indexed job has arrived.

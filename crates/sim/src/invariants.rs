@@ -213,7 +213,9 @@ impl InvariantChecker {
     /// The accounting rules over the whole job table, in row order: the
     /// reference [`Self::live_pass`] is held to on every slot of a test or
     /// `oracle` build. It also re-derives, from the rows, the per-workflow
-    /// completion flags that `SimState::workflows` lends to schedulers.
+    /// completion flags that `SimState::workflows` lends to schedulers,
+    /// and recounts the deadline subsets and zero-need counts the
+    /// schedulers read beside `runnable` / `visible`.
     #[cfg(any(test, feature = "oracle"))]
     fn table_pass(state: &SimState) -> Result<Totals, SimError> {
         let now = state.now();
@@ -228,6 +230,9 @@ impl InvariantChecker {
             {
                 return Err(Self::violation(now, None, "live-set-agreement"));
             }
+        }
+        if !state.derived_indices_agree() {
+            return Err(Self::violation(now, None, "live-set-agreement"));
         }
         Ok(totals)
     }

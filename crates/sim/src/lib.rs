@@ -38,7 +38,7 @@
 //!     fn plan_slot(&mut self, state: &SimState) -> Allocation {
 //!         let mut alloc = Allocation::new();
 //!         let mut free = state.capacity();
-//!         for job in state.runnable_jobs() {
+//!         for job in state.runnable() {
 //!             let fit = job.per_task.times_fitting(&free).min(job.max_tasks_this_slot);
 //!             if fit > 0 {
 //!                 alloc.assign(job.id, fit);

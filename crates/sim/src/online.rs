@@ -321,7 +321,7 @@ mod tests {
         fn plan_slot(&mut self, state: &SimState) -> Allocation {
             let mut alloc = Allocation::new();
             let mut free = state.capacity();
-            for job in state.runnable_jobs() {
+            for job in state.runnable() {
                 let fit = job
                     .per_task
                     .times_fitting(&free)

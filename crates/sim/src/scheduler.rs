@@ -2,14 +2,14 @@
 
 use crate::state::SimState;
 use flowtime_dag::JobId;
-use std::collections::BTreeMap;
 
 /// A per-slot allocation decision: how many concurrent tasks each job runs
 /// during the coming slot.
 ///
-/// Backed by a `BTreeMap` so iteration order — and therefore engine
-/// behaviour — is deterministic regardless of how the scheduler inserted
-/// entries.
+/// One `(job, tasks)` entry per job, kept sorted by id, so iteration order
+/// — and therefore engine behaviour — is deterministic regardless of how
+/// the scheduler inserted entries. A grant to an id above every id already
+/// present is an append.
 ///
 /// # Example
 ///
@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Allocation {
-    tasks: BTreeMap<JobId, u64>,
+    tasks: Vec<(JobId, u64)>,
 }
 
 impl Allocation {
@@ -33,21 +33,33 @@ impl Allocation {
     }
 
     /// Adds `tasks` concurrent tasks for `job` (accumulating with prior
-    /// assignments). Zero-task assignments are ignored.
+    /// assignments, saturating at `u64::MAX` — more than any job's cap, so
+    /// the engine refuses the slot instead of running a wrapped count).
+    /// Zero-task assignments are ignored.
     pub fn assign(&mut self, job: JobId, tasks: u64) {
-        if tasks > 0 {
-            *self.tasks.entry(job).or_insert(0) += tasks;
+        if tasks == 0 {
+            return;
+        }
+        if self.tasks.last().is_none_or(|&(last, _)| last < job) {
+            self.tasks.push((job, tasks));
+            return;
+        }
+        match self.tasks.binary_search_by_key(&job, |&(id, _)| id) {
+            Ok(i) => self.tasks[i].1 = self.tasks[i].1.saturating_add(tasks),
+            Err(i) => self.tasks.insert(i, (job, tasks)),
         }
     }
 
     /// The tasks assigned to `job` (zero if unassigned).
     pub fn get(&self, job: JobId) -> u64 {
-        self.tasks.get(&job).copied().unwrap_or(0)
+        self.tasks
+            .binary_search_by_key(&job, |&(id, _)| id)
+            .map_or(0, |i| self.tasks[i].1)
     }
 
     /// Iterates `(job, tasks)` pairs in job-id order.
     pub fn iter(&self) -> impl Iterator<Item = (JobId, u64)> + '_ {
-        self.tasks.iter().map(|(&id, &q)| (id, q))
+        self.tasks.iter().copied()
     }
 
     /// Number of jobs with a positive assignment.
@@ -138,6 +150,21 @@ mod tests {
         assert_eq!(a.get(JobId::new(9)), 0);
         let order: Vec<_> = a.iter().map(|(id, _)| id).collect();
         assert_eq!(order, vec![JobId::new(1), JobId::new(3)]);
+    }
+
+    #[test]
+    fn out_of_order_grants_land_sorted_and_overflow_saturates() {
+        let mut a = Allocation::new();
+        for (id, q) in [(5, 1), (2, 1), (9, 1), (2, 4), (0, 1), (9, u64::MAX)] {
+            a.assign(JobId::new(id), q);
+        }
+        let entries: Vec<_> = a.iter().map(|(id, q)| (id.as_u64(), q)).collect();
+        assert_eq!(entries, [(0, 1), (2, 5), (5, 1), (9, u64::MAX)]);
+        // Wrapping would read `u64::MAX + 2` as 1 task.
+        let mut b = Allocation::new();
+        b.assign(JobId::new(3), u64::MAX);
+        b.assign(JobId::new(3), 2);
+        assert_eq!(b.get(JobId::new(3)), u64::MAX);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 
 use crate::cluster::ClusterConfig;
 use crate::job::{JobClass, JobRuntime, WorkflowSubmission};
-use flowtime_dag::{JobId, ResourceVec, Workflow, WorkflowId};
+use flowtime_dag::{JobId, ResourceVec, Workflow, WorkflowId, NUM_RESOURCES};
 use std::collections::BTreeSet;
 
 /// Scheduler-visible snapshot of one job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct JobView {
     /// Unique job id.
     pub id: JobId,
@@ -107,6 +107,35 @@ thread_local! {
     pub(crate) static ROW_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
+#[cfg(any(test, feature = "oracle"))]
+thread_local! {
+    static VIEWS_BUILT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// [`JobView`]s built on this thread so far — what a counted test reads
+/// around one `plan_slot` to pin "a slot builds the views it grants, not
+/// one per runnable job". Test and `oracle` builds only.
+#[cfg(any(test, feature = "oracle"))]
+pub fn views_built() -> u64 {
+    VIEWS_BUILT.with(std::cell::Cell::get)
+}
+
+/// The resource dimensions a task of shape `need` uses none of.
+fn zero_dims(need: ResourceVec) -> impl Iterator<Item = usize> {
+    (0..NUM_RESOURCES).filter(move |&r| need.dim(r) == 0)
+}
+
+/// Which live index [`SimState::enter`] / [`SimState::leave`] move a row
+/// into or out of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Live {
+    /// Arrived and incomplete: `visible` and its deadline subset.
+    Visible,
+    /// Also ready: `runnable`, its deadline subset and the zero-need
+    /// counts.
+    Runnable,
+}
+
 /// The engine's world state, exposed read-only to schedulers.
 pub struct SimState {
     pub(crate) now: u64,
@@ -117,11 +146,20 @@ pub struct SimState {
     pub(crate) jobs: Vec<JobRuntime>,
     pub(crate) workflows: Vec<WorkflowInstance>,
     /// Arrived, ready, incomplete jobs keyed `(arrival_slot, id)` — the
-    /// iteration order [`Self::runnable_jobs`] has always promised.
-    /// Maintained incrementally by the engine's event queue.
+    /// iteration order [`Self::runnable`] promises. Maintained
+    /// incrementally by the engine's event queue. This set, the three
+    /// below it and `zero_need` change only through [`Self::enter`] and
+    /// [`Self::leave`].
     pub(crate) runnable: BTreeSet<(u64, JobId)>,
+    /// The deadline-class rows of `runnable`, same key.
+    pub(crate) runnable_deadline: BTreeSet<(u64, JobId)>,
     /// Arrived, incomplete jobs (superset of `runnable`), same key.
     pub(crate) visible: BTreeSet<(u64, JobId)>,
+    /// The deadline-class rows of `visible`, same key.
+    pub(crate) visible_deadline: BTreeSet<(u64, JobId)>,
+    /// Per resource dimension, the `runnable` rows whose task needs none
+    /// of it (see [`Self::runnable_zero_need`]).
+    pub(crate) zero_need: [usize; NUM_RESOURCES],
     /// Every job that has left `visible`, in order of departure.
     /// Append-only, so the invariant checker folds each departed row
     /// exactly once by remembering how far it has read.
@@ -209,6 +247,8 @@ impl SimState {
     }
 
     fn view_of(&self, job: &JobRuntime) -> JobView {
+        #[cfg(any(test, feature = "oracle"))]
+        VIEWS_BUILT.with(|c| c.set(c.get() + 1));
         let (estimated_remaining, estimated_total, task_slots) = match job.class {
             JobClass::AdHoc => (None, None, None),
             JobClass::Deadline { .. } => (
@@ -235,34 +275,124 @@ impl SimState {
         }
     }
 
+    /// The views of the rows `keys` names, in key order, each built only
+    /// when it is pulled.
+    fn views<'a>(&'a self, keys: &'a BTreeSet<(u64, JobId)>) -> impl Iterator<Item = JobView> + 'a {
+        keys.iter().map(|&(_, id)| self.view_of(self.issued(id)))
+    }
+
     /// Jobs that have arrived, are ready, and are incomplete — the set a
     /// scheduler may allocate to this slot. Ordered by arrival slot, then
-    /// id, for determinism.
-    pub fn runnable_jobs(&self) -> Vec<JobView> {
+    /// id, for determinism. Lazy: a view is built when it is pulled, so a
+    /// scheduler that stops early pays for the views it read.
+    pub fn runnable(&self) -> impl Iterator<Item = JobView> + '_ {
+        self.views(&self.runnable)
+    }
+
+    /// The deadline-class (workflow) jobs of [`Self::runnable`], same
+    /// order, read from their own index.
+    pub fn runnable_deadline(&self) -> impl Iterator<Item = JobView> + '_ {
+        self.views(&self.runnable_deadline)
+    }
+
+    /// The ad-hoc jobs of [`Self::runnable`], same order: a deadline row
+    /// it skips costs a class test, not a view.
+    pub fn runnable_adhoc(&self) -> impl Iterator<Item = JobView> + '_ {
         self.runnable
             .iter()
-            .map(|&(_, id)| self.view_of(self.issued(id)))
-            .collect()
+            .map(|&(_, id)| self.issued(id))
+            .filter(|job| job.class.is_adhoc())
+            .map(|job| self.view_of(job))
     }
 
     /// All arrived, incomplete jobs — including workflow jobs whose
-    /// dependencies are still pending (useful for planning ahead).
-    pub fn visible_jobs(&self) -> Vec<JobView> {
-        self.visible
-            .iter()
-            .map(|&(_, id)| self.view_of(self.issued(id)))
-            .collect()
+    /// dependencies are still pending (useful for planning ahead). Same
+    /// order and laziness as [`Self::runnable`].
+    pub fn visible(&self) -> impl Iterator<Item = JobView> + '_ {
+        self.views(&self.visible)
     }
 
-    /// Rebuilds the `runnable`/`visible` indices and the `incomplete`
-    /// counter from a full scan of the job table. The heap engine keeps
-    /// them incrementally; this is the reference path used by the
-    /// linear-scan oracle (and by `Engine::new` to seed the counter).
+    /// The deadline-class jobs of [`Self::visible`], same order, read
+    /// from their own index.
+    pub fn visible_deadline(&self) -> impl Iterator<Item = JobView> + '_ {
+        self.views(&self.visible_deadline)
+    }
+
+    /// Per resource dimension `r`, how many [`Self::runnable`] jobs have
+    /// tasks that need none of `r`. Where that count is zero and `r` is
+    /// used up, no runnable job fits another task this slot.
+    pub fn runnable_zero_need(&self) -> [usize; NUM_RESOURCES] {
+        self.zero_need
+    }
+
+    /// Puts the job at `row` into the `live` index and its derived ones
+    /// (the deadline subset; for `runnable`, the zero-need counts). Every
+    /// insert into the live indices goes through here; inserting a row
+    /// already present changes nothing.
+    pub(crate) fn enter(&mut self, live: Live, row: usize) {
+        let job = &self.jobs[row];
+        let key = (job.arrival_slot, job.id);
+        let deadline = !job.class.is_adhoc();
+        let need = job.estimate.per_task();
+        let (set, subset) = match live {
+            Live::Visible => (&mut self.visible, &mut self.visible_deadline),
+            Live::Runnable => (&mut self.runnable, &mut self.runnable_deadline),
+        };
+        if !set.insert(key) {
+            return;
+        }
+        if deadline {
+            subset.insert(key);
+        }
+        if live == Live::Runnable {
+            for r in zero_dims(need) {
+                self.zero_need[r] += 1;
+            }
+        }
+    }
+
+    /// Takes the job at `row` out of the `live` index and its derived
+    /// ones; a row leaving `visible` is logged in `departed`. Every remove
+    /// from the live indices goes through here; removing an absent row
+    /// changes nothing.
+    pub(crate) fn leave(&mut self, live: Live, row: usize) {
+        let job = &self.jobs[row];
+        let key = (job.arrival_slot, job.id);
+        let deadline = !job.class.is_adhoc();
+        let need = job.estimate.per_task();
+        let (set, subset) = match live {
+            Live::Visible => (&mut self.visible, &mut self.visible_deadline),
+            Live::Runnable => (&mut self.runnable, &mut self.runnable_deadline),
+        };
+        if !set.remove(&key) {
+            return;
+        }
+        if deadline {
+            subset.remove(&key);
+        }
+        match live {
+            Live::Visible => self.departed.push(key.1),
+            Live::Runnable => {
+                for r in zero_dims(need) {
+                    self.zero_need[r] -= 1;
+                }
+            }
+        }
+    }
+
+    /// Rebuilds the live indices and the `incomplete` counter from a full
+    /// scan of the job table. The heap engine keeps them incrementally;
+    /// this is the reference path used by the linear-scan oracle (and by
+    /// `Engine::new` to seed the counter).
     pub(crate) fn rebuild_indices(&mut self) {
         let was_visible = std::mem::take(&mut self.visible);
+        self.visible_deadline.clear();
         self.runnable.clear();
+        self.runnable_deadline.clear();
+        self.zero_need = [0; NUM_RESOURCES];
         self.incomplete = 0;
-        for job in &self.jobs {
+        for row in 0..self.jobs.len() {
+            let job = &self.jobs[row];
             if job.is_complete() || job.shed_slot.is_some() {
                 continue;
             }
@@ -270,21 +400,37 @@ impl SimState {
             if job.arrival_slot > self.now {
                 continue;
             }
-            self.visible.insert((job.arrival_slot, job.id));
-            if job.is_runnable(self.now) {
-                self.runnable.insert((job.arrival_slot, job.id));
+            let runnable = job.is_runnable(self.now);
+            self.enter(Live::Visible, row);
+            if runnable {
+                self.enter(Live::Runnable, row);
             }
         }
         self.departed
             .extend(was_visible.difference(&self.visible).map(|&(_, id)| id));
     }
 
-    /// Drops a job from the live indices (it completed).
-    pub(crate) fn retire(&mut self, key: (u64, JobId)) {
-        self.runnable.remove(&key);
-        if self.visible.remove(&key) {
-            self.departed.push(key.1);
+    /// True when the derived indices are what a recount of `runnable` and
+    /// `visible` gives: the reference the invariant checker holds
+    /// [`Self::enter`] / [`Self::leave`] to on every slot of a test or
+    /// `oracle` build.
+    #[cfg(any(test, feature = "oracle"))]
+    pub(crate) fn derived_indices_agree(&self) -> bool {
+        let deadline_rows = |set: &BTreeSet<(u64, JobId)>| -> BTreeSet<(u64, JobId)> {
+            set.iter()
+                .filter(|&&(_, id)| !self.issued(id).class.is_adhoc())
+                .copied()
+                .collect()
+        };
+        let mut zero_need = [0; NUM_RESOURCES];
+        for &(_, id) in &self.runnable {
+            for r in zero_dims(self.issued(id).estimate.per_task()) {
+                zero_need[r] += 1;
+            }
         }
+        deadline_rows(&self.runnable) == self.runnable_deadline
+            && deadline_rows(&self.visible) == self.visible_deadline
+            && zero_need == self.zero_need
     }
 
     /// Looks up one job by id (visible only once arrived).

@@ -578,7 +578,7 @@ mod tests {
         fn plan_slot(&mut self, state: &SimState) -> Allocation {
             let mut alloc = Allocation::new();
             let mut free = state.capacity();
-            for job in state.runnable_jobs() {
+            for job in state.runnable() {
                 let fit = job
                     .per_task
                     .times_fitting(&free)
@@ -602,7 +602,7 @@ mod tests {
         fn plan_slot(&mut self, state: &SimState) -> Allocation {
             let mut alloc = Allocation::new();
             let mut free = state.capacity();
-            for job in state.runnable_jobs() {
+            for job in state.runnable() {
                 if job.per_task.times_fitting(&free) > 0 && job.max_tasks_this_slot > 0 {
                     alloc.assign(job.id, 1);
                     free -= job.per_task * 1;

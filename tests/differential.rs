@@ -291,7 +291,7 @@ fn oversubscribing_scheduler_is_rejected() {
         fn plan_slot(&mut self, state: &SimState) -> Allocation {
             let mut alloc = Allocation::new();
             // Full parallelism for every runnable job, capacity be damned.
-            for job in state.runnable_jobs() {
+            for job in state.runnable() {
                 alloc.assign(job.id, job.max_tasks_this_slot);
             }
             alloc
@@ -323,7 +323,7 @@ fn oversubscription_canary_premise_holds_on_minimal_instance() {
         }
         fn plan_slot(&mut self, state: &SimState) -> Allocation {
             let mut alloc = Allocation::new();
-            for job in state.runnable_jobs() {
+            for job in state.runnable() {
                 alloc.assign(job.id, job.max_tasks_this_slot);
             }
             alloc
