@@ -1,6 +1,6 @@
 //! Error type for the FlowTime core.
 
-use flowtime_dag::DagError;
+use flowtime_dag::{DagError, JobId};
 use flowtime_flow::FlowError;
 use flowtime_lp::LpError;
 use std::error::Error;
@@ -29,6 +29,14 @@ pub enum CoreError {
         /// Human-readable reason.
         reason: &'static str,
     },
+    /// A solver returned a non-finite allocation, which no integral plan
+    /// can be rounded from.
+    NonFiniteAllocation {
+        /// The job the value belongs to.
+        job: JobId,
+        /// The horizon slot it was for.
+        slot: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -42,6 +50,9 @@ impl fmt::Display for CoreError {
                 "workflow window of {window} slots cannot cover {level_sets} sequential level sets"
             ),
             CoreError::BadHorizon { reason } => write!(f, "bad planning horizon: {reason}"),
+            CoreError::NonFiniteAllocation { job, slot } => {
+                write!(f, "non-finite allocation for job {job} in slot {slot}")
+            }
         }
     }
 }
@@ -95,5 +106,10 @@ mod tests {
         assert!(e.source().is_none());
         assert!(!e.to_string().is_empty());
         assert!(!CoreError::BadHorizon { reason: "x" }.to_string().is_empty());
+        let e = CoreError::NonFiniteAllocation {
+            job: JobId::new(4),
+            slot: 2,
+        };
+        assert!(e.to_string().contains("slot 2"), "{e}");
     }
 }

@@ -73,11 +73,12 @@ pub fn solve_with(
             }
             // Heterogeneous shapes: the transportation reduction does not
             // apply; fall back to the LP with a bounded refinement budget.
-            // A round is one cold main solve plus one probe of its
-            // retained optimum per peak pair; the probes are cheap (tens
-            // of microseconds), so what full lexicographic depth would
-            // cost on a long horizon is its main solves — one per
-            // distinct load level, each a cold phase 1.
+            // A solve is one cold main solve; every later round commits
+            // the last round's freezes into its retained optimum, and
+            // every necessity trial probes it. Both are cheap next to the
+            // cold phase 1, so what full lexicographic depth would cost on
+            // a long horizon is its trials — one probe per candidate pair
+            // per round.
             None => solve_simplex(leveling, 1 + FLOW_LEX_ROUNDS, stats),
         },
         SolverBackend::Simplex { lex_rounds } => solve_simplex(leveling, lex_rounds, stats),
@@ -247,7 +248,10 @@ mod tests {
         let backend = SolverBackend::Simplex { lex_rounds: 2 };
         let first = solve_with(&p, backend, Some(&mut cache), &mut stats).unwrap();
         assert_eq!(stats.cache_misses, 1);
-        assert!(stats.cold_solves >= 1, "main solves stay cold");
+        assert!(
+            stats.cold_solves >= 1,
+            "the first round's main solve is cold"
+        );
         // Identical problem: answered from cache, no new solves.
         let solves_before = stats.cold_solves + stats.warm_solves;
         let again = solve_with(&p, backend, Some(&mut cache), &mut stats).unwrap();

@@ -35,20 +35,49 @@ pub struct FractionalPlan {
     /// lexicographic objective vector, for cross-configuration equivalence
     /// checks.
     pub thetas: Vec<f64>,
+    /// What each round before the last froze, in round order — the freeze
+    /// decisions, for the same checks.
+    pub freezes: Vec<Freeze>,
+}
+
+/// The pairs one round froze.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Freeze {
+    /// The frozen `(slot, resource)` pairs, ascending.
+    pub pairs: Vec<(usize, usize)>,
+    /// Whether they are the round's necessary peaks. `false` when no peak
+    /// was necessary and the tie fallback froze every peak of the round's
+    /// optimal vertex.
+    pub necessary: bool,
 }
 
 /// Absolute load caps of the `(slot, resource)` pairs frozen so far.
 type Frozen = HashMap<(usize, usize), f64>;
 
 /// The dense allocation matrix a main solve's `solution` describes.
-fn allocation(leveling: &LevelingProblem, f: &Formulation, solution: &Solution) -> Vec<Vec<f64>> {
+///
+/// # Errors
+///
+/// [`CoreError::NonFiniteAllocation`] for a value no plan can be rounded
+/// from.
+fn allocation(
+    leveling: &LevelingProblem,
+    f: &Formulation,
+    solution: &Solution,
+) -> Result<Vec<Vec<f64>>, CoreError> {
     let mut x = vec![vec![0.0f64; leveling.horizon()]; leveling.jobs.len()];
     for ((row, job), vars) in x.iter_mut().zip(&leveling.jobs).zip(&f.x) {
-        for (slot, &v) in row[job.window.0..].iter_mut().zip(vars) {
+        for (t, (slot, &v)) in row[job.window.0..].iter_mut().zip(vars).enumerate() {
             *slot = solution.value(v);
+            if !slot.is_finite() {
+                return Err(CoreError::NonFiniteAllocation {
+                    job: job.id,
+                    slot: job.window.0 + t,
+                });
+            }
         }
     }
-    x
+    Ok(x)
 }
 
 fn loads_of(leveling: &LevelingProblem, x: &[Vec<f64>]) -> Vec<[f64; NUM_RESOURCES]> {
@@ -61,6 +90,26 @@ fn loads_of(leveling: &LevelingProblem, x: &[Vec<f64>]) -> Vec<[f64; NUM_RESOURC
         }
     }
     loads
+}
+
+/// A round's main solve by the cold rebuild: the LP with every pair of
+/// `frozen` capped, built and solved from scratch, its optimum retained
+/// for the round's probes and the next round's commit. The first round of
+/// every solve, every round of the all-cold reference (`warm_trials =
+/// false`), and what replaces a commit that could not decide.
+fn cold_round(
+    leveling: &LevelingProblem,
+    frozen: &Frozen,
+    stats: &mut SolveStats,
+) -> Result<(Formulation, Solution, Retained), CoreError> {
+    let mut f = formulation::build(leveling, frozen)?;
+    stats.cold_solves += 1;
+    // The LP moves into the retained optimum, which commits patch in place;
+    // the round loop reads only `f`'s variable ids and row indices.
+    let problem = std::mem::take(&mut f.problem);
+    let (solution, optimum) = problem.solve_retained(&SimplexOptions::default())?;
+    stats.cold_pivots += solution.iterations as u64;
+    Ok((f, solution, optimum))
 }
 
 /// One necessity trial by the cold rebuild: the LP with `(t, r)` also
@@ -91,19 +140,19 @@ fn cold_trial(
 /// The peak pairs of a round that are **necessarily** tight: capped just
 /// below the peak level, the LP turns infeasible or its peak rises. Each
 /// trial is a probe of the round's retained optimum `optimum` — the trial
-/// LP is the main LP `f` with the pair's load row stripped of `θ` and
+/// LP is the round's LP with the pair's load row stripped of `θ` and
 /// capped; without an `optimum` (the all-cold reference) every trial is
 /// the cold rebuild. When no pair is necessary, all of `peaks` are
-/// returned (the tie fallback of the module docs).
+/// returned (the tie fallback of the module docs) and the flag is `false`.
 fn necessary_peaks(
     leveling: &LevelingProblem,
     frozen: &Frozen,
     f: &Formulation,
-    mut optimum: Option<&mut Retained<'_>>,
+    mut optimum: Option<&mut Retained>,
     theta: f64,
     peaks: &[(usize, usize)],
     stats: &mut SolveStats,
-) -> Result<Frozen, CoreError> {
+) -> Result<(Frozen, bool), CoreError> {
     let level_of = |t: usize, r: usize| theta * leveling.slot_caps[t].dim(r) as f64;
     let mut necessary = Frozen::new();
     for &(t, r) in peaks {
@@ -136,9 +185,10 @@ fn necessary_peaks(
         }
     }
     if necessary.is_empty() {
-        necessary.extend(peaks.iter().map(|&(t, r)| ((t, r), level_of(t, r))));
+        let all = peaks.iter().map(|&(t, r)| ((t, r), level_of(t, r)));
+        return Ok((all.collect(), false));
     }
-    Ok(necessary)
+    Ok((necessary, true))
 }
 
 /// Solves `leveling` lexicographically with at most `rounds` freeze
@@ -153,22 +203,37 @@ pub fn solve(leveling: &LevelingProblem, rounds: usize) -> Result<FractionalPlan
     solve_with_stats(leveling, rounds, true, &mut SolveStats::default())
 }
 
-/// [`solve`] with explicit control over how necessity trials are answered
-/// and solver-effort accounting.
+/// [`solve`] with explicit control over how rounds after the first and
+/// necessity trials are answered, and solver-effort accounting.
 ///
-/// Every round's **main** solve is always cold: the returned vertex defines
-/// the peak candidates and the final allocation, so it must not depend on
-/// any carried state. When `warm_trials` is set, the objective-only
-/// necessity trials of each round are **probes** of that main solve's
-/// retained, factored optimum ([`flowtime_lp::Retained::probe`]): the
-/// trial LP differs from the main LP by one capacity row, the textbook
-/// dual-repair case, and nothing is rebuilt or re-factored for it. A probe
-/// the engine cannot decide exactly is solved by the cold rebuild instead.
-/// With `warm_trials` off every trial is that cold rebuild — the
-/// reference. Trials only compare the optimal *objective* against a
-/// threshold, and probe and cold solve provably agree on the objective, so
-/// the freezing decisions (and therefore the returned plan) are identical
-/// either way; `tests/warm_start_props.rs` checks exactly that.
+/// The first round's main solve is cold ([`cold_round`]). With
+/// `warm_trials` set, everything after it continues from that solve's
+/// retained, factored optimum ([`flowtime_lp::Retained`]): a round's
+/// objective-only necessity trials are **probes** of it — the trial LP
+/// differs from the round's LP by one capacity row, the textbook
+/// dual-repair case — and the next round's main solve is a **commit** of
+/// the pairs the round froze: round `k + 1`'s LP is round `k`'s with each
+/// newly frozen load row stripped of `θ` and capped at its level, exactly
+/// what `formulation::build` writes for a frozen pair, so the retained
+/// optimum is patched in place and re-optimised from its own vertex
+/// ([`flowtime_lp::Retained::commit`]). One cold solve per call; a probe
+/// or a commit the engine cannot decide exactly is replaced by the cold
+/// rebuild. With `warm_trials` off every trial and every round is that
+/// cold rebuild — the reference.
+///
+/// What the two configurations share is what the objective fixes: every
+/// round's optimal peak (`thetas`, up to the solver's tolerances: a
+/// frozen level is `θ` on the 1e-9 grid times `C`, so a later round's LP
+/// may be feasible only within them, and two solves of it may read its
+/// peak a few grid steps apart), the verdict of every trial (probe and
+/// cold solve agree on the optimal objective), and the number of rounds.
+/// The vertex a degenerate round lands on may differ — a commit continues
+/// from the last one, the rebuild starts from the all-artificial basis —
+/// and with it `x` and which pairs sit at the peak, so which are tried: a
+/// tie-fallback freeze, and a pair necessary only within the trial's
+/// margin that sits just under the peak in one vertex and is therefore
+/// not frozen by that configuration in that round.
+/// `tests/warm_start_props.rs` checks exactly that split.
 ///
 /// # Errors
 ///
@@ -182,14 +247,12 @@ pub fn solve_with_stats(
     let rounds = rounds.max(1);
     let mut frozen = Frozen::new();
     let mut thetas: Vec<f64> = Vec::new();
+    let mut freezes: Vec<Freeze> = Vec::new();
+    let (mut f, mut solution, mut optimum) = cold_round(leveling, &frozen, stats)?;
     loop {
-        let f = formulation::build(leveling, &frozen)?;
-        stats.cold_solves += 1;
-        let (solution, mut optimum) = f.problem.solve_retained(&SimplexOptions::default())?;
-        stats.cold_pivots += solution.iterations as u64;
         let theta = solution.value(f.theta);
         thetas.push(theta);
-        let x = allocation(leveling, &f, &solution);
+        let x = allocation(leveling, &f, &solution)?;
         // Candidate peak pairs among the unfrozen.
         let peaks: Vec<(usize, usize)> = if thetas.len() == rounds || theta <= 1e-9 {
             Vec::new()
@@ -210,9 +273,10 @@ pub fn solve_with_stats(
                 peak_ratio: thetas[0],
                 rounds_used: thetas.len(),
                 thetas,
+                freezes,
             });
         }
-        frozen.extend(necessary_peaks(
+        let (newly, necessary) = necessary_peaks(
             leveling,
             &frozen,
             &f,
@@ -220,7 +284,36 @@ pub fn solve_with_stats(
             theta,
             &peaks,
             stats,
-        )?);
+        )?;
+        let mut newly: Vec<((usize, usize), f64)> = newly.into_iter().collect();
+        newly.sort_unstable_by_key(|&(pair, _)| pair);
+        // The next round's LP, as patches of this one's load rows.
+        let caps: Option<Vec<(usize, f64)>> = newly
+            .iter()
+            .map(|&((t, r), level)| Some((f.load_row(t, r)?, level)))
+            .collect();
+        frozen.extend(newly.iter().copied());
+        freezes.push(Freeze {
+            pairs: newly.iter().map(|&(pair, _)| pair).collect(),
+            necessary,
+        });
+        let committed = match caps {
+            Some(caps) if warm_trials => optimum.commit(f.theta, &caps)?,
+            _ => None,
+        };
+        match committed {
+            Some(next) => {
+                stats.warm_solves += 1;
+                stats.warm_pivots += next.iterations as u64;
+                solution = next;
+            }
+            None => {
+                if warm_trials {
+                    stats.warm_fallbacks += 1;
+                }
+                (f, solution, optimum) = cold_round(leveling, &frozen, stats)?;
+            }
+        }
     }
 }
 
@@ -293,11 +386,11 @@ mod tests {
     }
 
     #[test]
-    fn warm_trials_match_cold_trials_exactly() {
+    fn carried_rounds_match_the_all_cold_reference() {
         // Rigid + flexible jobs force several freeze rounds with real
-        // necessity trials; warm-started trials must reproduce the cold
-        // path's allocation and objective vector bit for bit (the main
-        // solves are cold in both configurations).
+        // necessity trials. Carried rounds (one cold solve, then commits,
+        // trials probed) must reach the all-cold reference's objective
+        // vector through the same freezes; the vertex may differ.
         let p = LevelingProblem {
             slot_caps: uniform_caps(8, 10),
             jobs: vec![job(1, (0, 2), 14), job(2, (2, 8), 12), job(3, (1, 5), 6)],
@@ -306,17 +399,17 @@ mod tests {
         let mut cold_stats = SolveStats::default();
         let warm = solve_with_stats(&p, 6, true, &mut warm_stats).unwrap();
         let cold = solve_with_stats(&p, 6, false, &mut cold_stats).unwrap();
-        assert_eq!(warm.x, cold.x);
         assert_eq!(warm.thetas, cold.thetas);
         assert_eq!(warm.rounds_used, cold.rounds_used);
+        assert_eq!(warm.freezes, cold.freezes);
+        assert!(warm.rounds_used >= 3, "{warm:?}");
         // The cold configuration never warm-starts anything...
         assert_eq!(cold_stats.warm_solves, 0);
         assert_eq!(cold_stats.warm_fallbacks, 0);
-        // ...and the warm configuration actually exercised warm trials.
-        assert!(
-            warm_stats.warm_solves > 0,
-            "no warm trials ran: {warm_stats:?}"
-        );
+        // ...and the carried one solved cold once: every later round was
+        // a commit, every trial a probe.
+        assert_eq!(warm_stats.cold_solves, 1, "{warm_stats:?}");
+        assert_eq!(warm_stats.warm_fallbacks, 0, "{warm_stats:?}");
         assert_eq!(
             warm_stats.cold_solves + warm_stats.warm_solves,
             cold_stats.cold_solves,

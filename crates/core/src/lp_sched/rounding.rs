@@ -30,11 +30,15 @@ pub fn round_plan(leveling: &LevelingProblem, x: &[Vec<f64>]) -> Plan {
             let fl = fl.min(cap);
             alloc[t] = fl;
             assigned += fl;
-            fracs.push((t, v - fl as f64));
+            // `+ 0.0` turns a `-0.0` into `0.0`: `total_cmp` then orders
+            // every finite fraction as `partial_cmp` does, and a NaN or an
+            // infinity (which `lexmin` refuses upstream) cannot panic the
+            // sort.
+            fracs.push((t, v - fl as f64 + 0.0));
         }
         // Distribute the remainder to the largest fractional parts first.
         let mut remainder = job.demand.saturating_sub(assigned);
-        fracs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        fracs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         // First pass: honour fractional preference; further passes: any
         // window slot with headroom (handles caps hit during pass one).
         for pass in 0..2 {
@@ -95,7 +99,9 @@ fn repair_capacity(leveling: &LevelingProblem, plan: &mut Plan) {
             if over_t < job.window.0 || over_t >= job.window.1 {
                 continue;
             }
-            let alloc = plan.tasks.get_mut(&job.id).expect("planned job");
+            let Some(alloc) = plan.tasks.get_mut(&job.id) else {
+                continue;
+            };
             if alloc[over_t] == 0 {
                 continue;
             }
@@ -206,6 +212,26 @@ mod tests {
             is_feasible(&p, &plan),
             "repair should shift one task: {plan:?}"
         );
+    }
+
+    #[test]
+    fn non_finite_values_round_without_panicking() {
+        let p = problem(vec![job(1, (0, 3), 4, None)], 3, 10);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let plan = round_plan(&p, &[vec![bad, 1.5, 1.5]]);
+            assert_eq!(plan.tasks[&JobId::new(1)].iter().sum::<u64>(), 4, "{bad}");
+        }
+    }
+
+    #[test]
+    fn equal_fractions_go_to_the_earliest_slot_whatever_their_sign() {
+        // `-0.0` and `0.0` tie, as under `partial_cmp`: the slot order
+        // decides.
+        let p = problem(vec![job(1, (0, 3), 1, None)], 3, 10);
+        let plan = round_plan(&p, &[vec![-0.0, 0.0, 0.0]]);
+        assert_eq!(plan.tasks[&JobId::new(1)], vec![1, 0, 0]);
+        let plan = round_plan(&p, &[vec![0.0, -0.0, -0.0]]);
+        assert_eq!(plan.tasks[&JobId::new(1)], vec![1, 0, 0]);
     }
 
     #[test]

@@ -38,7 +38,9 @@
 //! A cold solve can also keep its factored optimum
 //! ([`Problem::solve_retained`]); [`Retained::probe`] then answers LPs that
 //! differ from it in one row — a term removed, the right-hand side moved —
-//! in place, and leaves the retained optimum as it found it.
+//! in place, and leaves the retained optimum as it found it;
+//! [`Retained::commit`] applies such changes to a few rows for good and
+//! re-optimises from the retained vertex, keeping the new optimum.
 //!
 //! The solver is exact enough for the scheduling LPs of the paper: the
 //! constraint matrices there are totally unimodular (paper Lemma 2), so

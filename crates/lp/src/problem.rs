@@ -53,7 +53,8 @@ pub(crate) struct Constraint {
 
 /// A one-row variation of a [`Problem`], validated against it: constraint
 /// `row` loses its term in `var` and gets right-hand side `rhs`. This is
-/// what a [`simplex::Retained::probe`] answers.
+/// what a [`simplex::Retained::probe`] answers, and what a
+/// [`simplex::Retained::commit`] applies to each of its rows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct RowPatch {
     pub(crate) row: usize,
@@ -254,16 +255,19 @@ impl Problem {
     }
 
     /// Solves the problem cold and keeps the factored optimum, so that
-    /// one-row variations can be answered by [`simplex::Retained::probe`];
-    /// see [`simplex::solve_retained`].
+    /// one-row variations can be answered by [`simplex::Retained::probe`]
+    /// and a sequence of few-row changes solved by
+    /// [`simplex::Retained::commit`]; see [`simplex::solve_retained`]. The
+    /// problem moves into the [`simplex::Retained`], which commits patch it
+    /// in place.
     ///
     /// # Errors
     ///
     /// Same as [`Problem::solve`].
     pub fn solve_retained(
-        &self,
+        self,
         options: &SimplexOptions,
-    ) -> Result<(Solution, simplex::Retained<'_>), LpError> {
+    ) -> Result<(Solution, simplex::Retained), LpError> {
         simplex::solve_retained(self, options)
     }
 
@@ -292,14 +296,20 @@ impl Problem {
         })
     }
 
-    /// The problem `patch` describes, built the long way (the dense
-    /// oracle's probe).
-    #[cfg(any(test, feature = "oracle"))]
+    /// Makes this problem the one `patch` describes.
+    pub(crate) fn apply(&mut self, patch: &RowPatch) {
+        if let Some(con) = self.constraints.get_mut(patch.row) {
+            con.terms.retain(|&(v, _)| v != patch.var);
+            con.rhs = patch.rhs;
+        }
+    }
+
+    /// The problem `patch` describes, built the long way (what the
+    /// in-crate tests solve cold to check a probe).
+    #[cfg(test)]
     pub(crate) fn patched(&self, patch: &RowPatch) -> Problem {
         let mut p = self.clone();
-        let con = &mut p.constraints[patch.row];
-        con.terms.retain(|&(v, _)| v != patch.var);
-        con.rhs = patch.rhs;
+        p.apply(patch);
         p
     }
 
@@ -391,11 +401,21 @@ impl Problem {
 
     /// Checks whether `x` satisfies all constraints and bounds within `tol`.
     pub fn is_feasible(&self, x: &[f64], tol: f64) -> bool {
-        self.is_feasible_under(None, x, tol)
+        self.within(&[], x, tol, false)
     }
 
-    /// [`Problem::is_feasible`] against this problem with `patch` applied.
-    pub(crate) fn is_feasible_under(&self, patch: Option<&RowPatch>, x: &[f64], tol: f64) -> bool {
+    /// The solvers' safety net: [`Problem::is_feasible`] against this
+    /// problem with `patches` applied (at most one per row), each row
+    /// allowed to miss by `tol` relative to its activity, `tol·(1 +
+    /// Σ|a_j·x_j|)`. An absolute `tol` is finer than the solvers work to
+    /// on a row with large coefficients: basic values are feasible to
+    /// 1e-7 and extracted values sit on a 1e-9 grid, and a 655 360 MB
+    /// memory row multiplies either by its capacity.
+    pub(crate) fn is_nearly_feasible(&self, patches: &[RowPatch], x: &[f64], tol: f64) -> bool {
+        self.within(patches, x, tol, true)
+    }
+
+    fn within(&self, patches: &[RowPatch], x: &[f64], tol: f64, relative: bool) -> bool {
         if x.len() != self.num_vars() {
             return false;
         }
@@ -405,15 +425,16 @@ impl Problem {
             }
         }
         for (i, c) in self.constraints.iter().enumerate() {
-            let patch = patch.filter(|p| p.row == i);
+            let patch = patches.iter().find(|p| p.row == i);
             let dropped = patch.map(|p| p.var);
             let rhs = patch.map_or(c.rhs, |p| p.rhs);
-            let lhs: f64 = c
-                .terms
-                .iter()
-                .filter(|&&(v, _)| Some(v) != dropped)
-                .map(|&(v, a)| a * x[v])
-                .sum();
+            let kept = || c.terms.iter().filter(|&&(v, _)| Some(v) != dropped);
+            let lhs: f64 = kept().map(|&(v, a)| a * x[v]).sum();
+            let tol = if relative {
+                tol * (1.0 + kept().map(|&(v, a)| (a * x[v]).abs()).sum::<f64>())
+            } else {
+                tol
+            };
             let ok = match c.relation {
                 Relation::Le => lhs <= rhs + tol,
                 Relation::Eq => (lhs - rhs).abs() <= tol,

@@ -22,9 +22,10 @@ use crate::error::LpError;
 use crate::lu::{self, Factorization};
 use crate::problem::{Problem, RowPatch};
 use crate::simplex::{
-    auto_iteration_cap, certifies_infeasible, quantize, Basis, CycleDetector, Pricing,
-    RatioOutcome, Repair, SimplexOptions, SolverCore, WarmOutcome, DEGEN_SNAP, PRICE_TIE,
-    RATIO_TIE,
+    auto_iteration_cap, certifies_infeasible, held_value, infeasibility, largest_pivot,
+    phase1_block, pivot_floor, quantize, slack_of, violation, Basis, CycleDetector, Mend, Pricing,
+    RatioOutcome, Repair, SimplexOptions, SolverCore, Stall, WarmOutcome, DEGEN_SNAP,
+    PATCH_PIVOT_TOL, PRICE_TIE, RATIO_TIE,
 };
 use crate::solution::{Solution, Status};
 use crate::sparse::SparseForm;
@@ -276,8 +277,9 @@ fn run_phase(
         } else {
             RatioOutcome::Unbounded
         };
+        let floor = pivot_floor(w.iter().copied(), rev.f.a.col_max(j));
         for (i, &a) in w.iter().enumerate() {
-            if a > 1e-9 {
+            if a > floor {
                 let numer = rev.beta[i].max(0.0);
                 let ratio = if numer < DEGEN_SNAP { 0.0 } else { numer / a };
                 let tie = RATIO_TIE * (1.0 + best.abs());
@@ -287,7 +289,7 @@ fn run_phase(
                     best = ratio;
                     outcome = RatioOutcome::LeaveLower(i);
                 }
-            } else if a < -1e-9 {
+            } else if a < -floor {
                 let ub = rev.f.upper[rev.basis[i]];
                 if ub.is_finite() {
                     let numer = (ub - rev.beta[i]).max(0.0);
@@ -617,42 +619,170 @@ fn dual_repair(rev: &mut Rev, iterations: &mut usize) -> Repair {
     }
 }
 
-/// What the warm path and a probe share once the basis stands on the LP
-/// to solve: dual repair if the vertex is primal infeasible, phase 2, the
-/// residual self-check, and the feasibility safety net — against
-/// `problem` with `patch` applied. Anything short of a checked optimum or
-/// a certified infeasibility is [`WarmOutcome::Undecided`]; the cold path
-/// re-derives it authoritatively.
-fn finish_from_basis(
-    rev: &mut Rev,
-    problem: &Problem,
-    patch: Option<&RowPatch>,
-    options: &SimplexOptions,
-) -> WarmOutcome {
-    let max_iterations = auto_iteration_cap(options, rev.f.m, rev.f.n_real);
-    let mut iterations = 0usize;
-    if !primal_feasible(rev, 1e-7) {
-        match dual_repair(rev, &mut iterations) {
-            Repair::Feasible => {}
-            Repair::Infeasible => return WarmOutcome::Infeasible,
-            Repair::Undecided => return WarmOutcome::Undecided,
+/// Primal phase 1 from a prescribed basis, mirroring the dense
+/// `primal_repair` step for step: minimises the sum of the basic values'
+/// bound violations (cost −1 below the lower bound, +1 above the upper),
+/// with a ratio test that lets a violated value travel to the bound it
+/// violates but not past a bound it respects. Needs no dual feasibility,
+/// which a basis that has just had a column exchanged in does not have.
+/// When no column reduces the violation any more, the phase-1 duals `y`
+/// are a Farkas multiplier: [`Repair::Infeasible`] if the violation left
+/// passes [`certifies_infeasible`] against `Σ|y_i·b_i|`. A violation
+/// within that margin is rounding in the data (a frozen cap of `θ·C` with
+/// `θ` on the 1e-9 grid), which the cold phase 1 accepts as well
+/// ([`Repair::Feasible`]: phase 2 runs from there, and the safety net has
+/// the last word) — also when degenerate steps stop reducing it
+/// ([`Stall`]). [`Repair::Undecided`] at the step cap.
+fn primal_repair(rev: &mut Rev, tol: f64, iterations: &mut usize) -> Repair {
+    let m = rev.f.m;
+    let step_cap = 4 * m + 50;
+    let mut steps = 0usize;
+    let mut y = vec![0.0f64; m];
+    let mut w = vec![0.0f64; m];
+    let mut stall = Stall::default();
+    loop {
+        let mut gap = 0.0f64;
+        for (i, slot) in y.iter_mut().enumerate() {
+            let upper = rev.f.upper[rev.basis[i]];
+            *slot = infeasibility(rev.beta[i], upper);
+            gap += violation(*slot, rev.beta[i], upper);
+        }
+        if y.iter().all(|&c| c == 0.0) {
+            return Repair::Feasible;
+        }
+        if steps >= step_cap {
+            return Repair::Undecided;
+        }
+        rev.lu.btran(&mut y);
+        let scale: f64 = y.iter().zip(&rev.f.b).map(|(y, b)| (y * b).abs()).sum();
+        let noise = !certifies_infeasible(gap, scale);
+        if noise && stall.stuck(gap) {
+            return Repair::Feasible;
+        }
+        let mut entering: Option<(usize, f64)> = None;
+        for j in 0..rev.f.n_real {
+            if rev.in_basis[j] || rev.f.upper[j] <= 0.0 {
+                continue;
+            }
+            let d = -rev.f.a.col_dot(j, &y);
+            if d < -tol && entering.is_none_or(|(_, bd)| d < bd - PRICE_TIE * (1.0 + bd.abs())) {
+                entering = Some((j, d));
+            }
+        }
+        rev.work += rev.f.a.nnz() as u64 + m as u64;
+        let Some((j, _)) = entering else {
+            return if noise {
+                Repair::Feasible
+            } else {
+                Repair::Infeasible
+            };
+        };
+        for v in w.iter_mut() {
+            *v = 0.0;
+        }
+        rev.f.a.scatter_col(j, 1.0, &mut w);
+        rev.lu.ftran(&mut w);
+        let mut best = rev.f.upper[j];
+        let mut outcome = if best.is_finite() {
+            RatioOutcome::Flip
+        } else {
+            RatioOutcome::Unbounded
+        };
+        let floor = pivot_floor(w.iter().copied(), rev.f.a.col_max(j));
+        for (i, &a) in w.iter().enumerate() {
+            let upper = rev.f.upper[rev.basis[i]];
+            let Some((ratio, at_upper)) = phase1_block(rev.beta[i], upper, a, floor) else {
+                continue;
+            };
+            let tie = RATIO_TIE * (1.0 + best.abs());
+            let open = matches!(outcome, RatioOutcome::Flip | RatioOutcome::Unbounded);
+            if ratio < best - tie || (ratio < best + tie && open) {
+                best = ratio;
+                outcome = if at_upper {
+                    RatioOutcome::LeaveUpper(i)
+                } else {
+                    RatioOutcome::LeaveLower(i)
+                };
+            }
+        }
+        rev.work += m as u64;
+        let pivoted = match outcome {
+            RatioOutcome::Unbounded => return Repair::Undecided,
+            RatioOutcome::Flip => {
+                let u = rev.f.upper[j];
+                for (i, &wi) in w.iter().enumerate() {
+                    if wi != 0.0 {
+                        rev.beta[i] -= wi * u;
+                    }
+                }
+                rev.flip(j);
+                Ok(())
+            }
+            RatioOutcome::LeaveLower(r) => pivot(rev, r, j, &w),
+            RatioOutcome::LeaveUpper(r) => {
+                flip_basic(rev, r);
+                pivot_flipped(rev, r, j, &w)
+            }
+        };
+        if pivoted.is_err() {
+            return Repair::Undecided;
+        }
+        *iterations += 1;
+        steps += 1;
+        if rev.lu.needs_refactor() && refactor(rev).is_err() {
+            return Repair::Undecided;
         }
     }
-    let finished = run_phase(
+}
+
+/// What the warm path, a probe and a commit share once the basis stands
+/// on the LP to solve: `mend` if the vertex is primal infeasible, then
+/// phase 2, counting pivots into `iterations`. `Err` says how the attempt
+/// ended short of an optimum.
+fn settle(
+    rev: &mut Rev,
+    options: &SimplexOptions,
+    mend: Mend,
+    iterations: &mut usize,
+) -> Result<(), WarmOutcome> {
+    let max_iterations = auto_iteration_cap(options, rev.f.m, rev.f.n_real);
+    if !primal_feasible(rev, 1e-7) {
+        let repaired = match mend {
+            Mend::Dual => match dual_repair(rev, iterations) {
+                Repair::Undecided => primal_repair(rev, options.tolerance, iterations),
+                decided => decided,
+            },
+            Mend::Primal => primal_repair(rev, options.tolerance, iterations),
+        };
+        match repaired {
+            Repair::Feasible => {}
+            Repair::Infeasible => return Err(WarmOutcome::Infeasible),
+            Repair::Undecided => return Err(WarmOutcome::Undecided),
+        }
+    }
+    run_phase(
         rev,
         false,
         options.tolerance,
         max_iterations,
         options.stall_limit,
-        &mut iterations,
-    );
-    if finished.is_err() || check_residual(rev).is_err() {
+        iterations,
+    )
+    .map_err(|_| WarmOutcome::Undecided)
+}
+
+/// The residual self-check and the feasibility safety net on a settled
+/// basis, against `problem` with `patch` applied. Anything short of a
+/// checked optimum is [`WarmOutcome::Undecided`]; the cold path
+/// re-derives it authoritatively.
+fn checked(rev: &Rev, problem: &Problem, patches: &[RowPatch], iterations: usize) -> WarmOutcome {
+    if check_residual(rev).is_err() {
         return WarmOutcome::Undecided;
     }
     let solution = extract_solution(rev, problem, iterations);
     // Safety net: numerical trouble on the warm path must never leak an
     // infeasible "solution"; the cold path re-solves from scratch instead.
-    if !problem.is_feasible_under(patch, &solution.x, 1e-6) {
+    if !problem.is_nearly_feasible(patches, &solution.x, 1e-6) {
         return WarmOutcome::Undecided;
     }
     WarmOutcome::Optimal(solution)
@@ -721,7 +851,12 @@ fn warm(problem: &Problem, options: &SimplexOptions, start: &Basis) -> Option<(S
         work: 0,
         trail: None,
     };
-    match finish_from_basis(&mut rev, problem, None, options) {
+    let mut iterations = 0usize;
+    let outcome = match settle(&mut rev, options, Mend::Dual, &mut iterations) {
+        Ok(()) => checked(&rev, problem, &[], iterations),
+        Err(outcome) => outcome,
+    };
+    match outcome {
         WarmOutcome::Optimal(solution) => {
             let basis = export_basis(&rev, problem.num_vars());
             Some((solution, basis))
@@ -738,10 +873,10 @@ pub(crate) struct RetainedRev {
     saved: Saved,
 }
 
-/// The snapshot half of a probe's undo record: the dense vectors (a few
-/// hundred words each), copied into buffers that are reused from probe to
-/// probe. The matrix and the factors are far larger and are put back from
-/// the [`Trail`] instead.
+/// The snapshot half of an undo record: the dense vectors (a few hundred
+/// words each), copied into buffers that are reused from probe to probe.
+/// The matrix and the factors are far larger and are put back from the
+/// [`Trail`] instead.
 #[derive(Default)]
 struct Saved {
     b: Vec<f64>,
@@ -749,10 +884,70 @@ struct Saved {
     basis: Vec<usize>,
 }
 
-/// Pivot of the column-replacement eta below which the patched basis
-/// counts as singular (the threshold both engines factor a prescribed
-/// basis with).
-const PATCH_PIVOT_TOL: f64 = 1e-7;
+/// The rest of a probe's or a commit's undo record: the scalars, the
+/// matrix entries zeroed (with the value each held), and a column whose
+/// upper bound was moved (with its old bound).
+struct Mark {
+    flip_const2: f64,
+    etas: usize,
+    work: u64,
+    lu_work: u64,
+    entries: Vec<(usize, f64)>,
+    bound: Option<(usize, f64)>,
+}
+
+/// Starts an undo record of `state` and arms its trail.
+fn mark(state: &mut RetainedRev) -> Mark {
+    let RetainedRev { rev, saved } = state;
+    saved.b.clone_from(&rev.f.b);
+    saved.beta.clone_from(&rev.beta);
+    saved.basis.clone_from(&rev.basis);
+    rev.trail = Some(Trail::default());
+    Mark {
+        flip_const2: rev.f.flip_const2,
+        etas: rev.lu.etas.len(),
+        work: rev.work,
+        lu_work: rev.lu.work,
+        entries: Vec::new(),
+        bound: None,
+    }
+}
+
+/// Puts `state` back bit for bit as [`mark`] found it.
+fn rollback(state: &mut RetainedRev, mark: Mark) {
+    let RetainedRev { rev, saved } = state;
+    let trail = rev.trail.take().unwrap_or_default();
+    // Negation is exact, so re-complementing in reverse order restores
+    // every stored value; `b` and the objective constant are not
+    // (`b − a·u + a·u`), hence the snapshot. Entries are taken before
+    // any complement, so they go back after the last one is undone.
+    for &j in trail.flips.iter().rev() {
+        rev.f.a.negate_col(j);
+        rev.f.flipped[j] = !rev.f.flipped[j];
+    }
+    for &(k, value) in &mark.entries {
+        rev.f.a.values[k] = value;
+    }
+    if let Some((j, upper)) = mark.bound {
+        rev.f.upper[j] = upper;
+    }
+    for &j in &rev.basis {
+        rev.in_basis[j] = false;
+    }
+    for &j in &saved.basis {
+        rev.in_basis[j] = true;
+    }
+    rev.f.b.clone_from(&saved.b);
+    rev.beta.clone_from(&saved.beta);
+    rev.basis.clone_from(&saved.basis);
+    rev.f.flip_const2 = mark.flip_const2;
+    if let Some(parked) = trail.parked {
+        rev.lu = parked;
+    }
+    rev.lu.etas.truncate(mark.etas);
+    rev.lu.work = mark.lu_work;
+    rev.work = mark.work;
+}
 
 /// Solves `problem` with `patch` applied, starting from the optimum
 /// `state` retains, and puts `state` back bit for bit.
@@ -766,89 +961,221 @@ pub(crate) fn probe(
     patch: &RowPatch,
     options: &SimplexOptions,
 ) -> WarmOutcome {
-    let RetainedRev { rev, saved } = state;
-    saved.b.clone_from(&rev.f.b);
-    saved.beta.clone_from(&rev.beta);
-    saved.basis.clone_from(&rev.basis);
-    let flip_const2 = rev.f.flip_const2;
-    let etas = rev.lu.etas.len();
-    let (work, lu_work) = (rev.work, rev.lu.work);
-    rev.trail = Some(Trail::default());
-
-    let entry = rev.f.a.take_entry(patch.row, patch.var);
-    let outcome = match rebase(rev, problem, patch) {
-        Some(()) => finish_from_basis(rev, problem, Some(patch), options),
-        None => WarmOutcome::Undecided,
-    };
-
-    let trail = rev.trail.take().unwrap_or_default();
-    // Negation is exact, so re-complementing in reverse order restores
-    // every stored value; `b` and the objective constant are not
-    // (`b − a·u + a·u`), hence the snapshot.
-    for &j in trail.flips.iter().rev() {
-        rev.f.a.negate_col(j);
-        rev.f.flipped[j] = !rev.f.flipped[j];
-    }
-    if let Some((k, value)) = entry {
-        rev.f.a.values[k] = value;
-    }
-    for &j in &rev.basis {
-        rev.in_basis[j] = false;
-    }
-    for &j in &saved.basis {
-        rev.in_basis[j] = true;
-    }
-    rev.f.b.clone_from(&saved.b);
-    rev.beta.clone_from(&saved.beta);
-    rev.basis.clone_from(&saved.basis);
-    rev.f.flip_const2 = flip_const2;
-    if let Some(parked) = trail.parked {
-        rev.lu = parked;
-    }
-    rev.lu.etas.truncate(etas);
-    rev.lu.work = lu_work;
-    rev.work = work;
+    let mut undo = mark(state);
+    let patches = std::slice::from_ref(patch);
+    let outcome = carry(
+        &mut state.rev,
+        &mut undo,
+        problem,
+        patches,
+        options,
+        Mend::Dual,
+    );
+    rollback(state, undo);
     outcome
 }
 
-/// Moves `rev` from the retained LP's optimal vertex onto the same basis
-/// of the patched LP, whose matrix entry is already zeroed. `None` when
-/// the patched basis is singular.
-fn rebase(rev: &mut Rev, problem: &Problem, patch: &RowPatch) -> Option<()> {
-    let RowPatch { row, var, rhs } = *patch;
-    let con = &problem.constraints[row];
-    // The stored row keeps its orientation: `SparseForm::build` negated it
-    // iff its shifted right-hand side was negative. (A fresh build of the
-    // patched problem might orient it the other way; that only matters to
-    // the row's artificial, which is barred.)
-    let (mut before, mut after) = (con.rhs, rhs);
-    for &(v, a) in &con.terms {
-        before -= a * problem.lower[v];
-        if v != var {
-            after -= a * problem.lower[v];
-        }
+/// Makes `state` the optimum of `problem` with `patches` applied — all of
+/// one variable, ascending rows — starting from the retained vertex. On
+/// an optimum the new state is kept; otherwise `state` is put back bit
+/// for bit.
+pub(crate) fn commit(
+    state: &mut RetainedRev,
+    problem: &Problem,
+    patches: &[RowPatch],
+    options: &SimplexOptions,
+) -> WarmOutcome {
+    let mut undo = mark(state);
+    let outcome = carry(
+        &mut state.rev,
+        &mut undo,
+        problem,
+        patches,
+        options,
+        Mend::Primal,
+    );
+    match outcome {
+        WarmOutcome::Optimal(_) => state.rev.trail = None,
+        WarmOutcome::Infeasible | WarmOutcome::Undecided => rollback(state, undo),
     }
-    let sign = if before < 0.0 { -1.0 } else { 1.0 };
-    // Flip-adjusted right-hand side of the patched row, from scratch.
-    let mut b = sign * after;
-    for &(v, a) in &con.terms {
-        if v != var && rev.f.flipped[v] {
-            b -= sign * a * rev.f.upper[v];
-        }
+    outcome
+}
+
+/// What a probe and a commit do to `rev`, recording in `undo` what the
+/// trail does not (the zeroed entries, a moved bound): moves `rev` from
+/// the retained vertex onto the LP `problem` with `patches` applied, and
+/// re-optimises there — by `mend` when the patched basis stands, by
+/// primal phase 1 when [`unpin`] had to take the patched column out.
+fn carry(
+    rev: &mut Rev,
+    undo: &mut Mark,
+    problem: &Problem,
+    patches: &[RowPatch],
+    options: &SimplexOptions,
+    mut mend: Mend,
+) -> WarmOutcome {
+    for patch in patches {
+        undo.entries
+            .extend(rev.f.a.take_entry(patch.row, patch.var));
     }
-    rev.f.b[row] = b;
-    if let Some(p) = rev.basis.iter().position(|&j| j == var) {
+    for &RowPatch { row, var, rhs } in patches {
+        let con = &problem.constraints[row];
+        rev.f.b[row] = rev
+            .f
+            .row_rhs(row, &con.terms, Some(var), rhs, &problem.lower);
+    }
+    let var = patches.first().map(|patch| patch.var);
+    if let Some((var, p)) =
+        var.and_then(|var| Some((var, rev.basis.iter().position(|&j| j == var)?)))
+    {
         // The basis column changed: B' = B·E(w) with w = B⁻¹·a'_var.
         let mut w = vec![0.0f64; rev.f.m];
         rev.f.a.scatter_col(var, 1.0, &mut w);
         rev.lu.ftran(&mut w);
-        if w[p].abs() <= PATCH_PIVOT_TOL {
-            return None;
+        if w[p].abs() > PATCH_PIVOT_TOL {
+            if rev.lu.update(p, &w).is_err() {
+                return WarmOutcome::Undecided;
+            }
+        } else if unpin(rev, undo, problem, var, p, patches).is_some() {
+            mend = Mend::Primal;
+        } else {
+            return WarmOutcome::Undecided;
         }
-        rev.lu.update(p, &w).ok()?;
     }
     rev.beta.clone_from(&rev.f.b);
     rev.lu.ftran(&mut rev.beta);
+    let mut iterations = 0usize;
+    let mut settled = settle(rev, options, mend, &mut iterations);
+    if let (Some(var), Some((_, upper))) = (var, undo.bound) {
+        // Phase 1 proved the LP with `var` held infeasible, or phase 2
+        // left it at the held value: neither says anything about the LP
+        // itself. Give `var` its own bound back and, in those two cases,
+        // go on from there.
+        let held = !rev.in_basis[var] && rev.f.flipped[var];
+        let proved = matches!(settled, Err(WarmOutcome::Infeasible));
+        if settled.is_ok() || proved {
+            if release(rev, var, upper).is_none() {
+                return WarmOutcome::Undecided;
+            }
+            if held || proved {
+                settled = settle(rev, options, Mend::Primal, &mut iterations);
+            }
+        }
+    }
+    if let Err(outcome) = settled {
+        return outcome;
+    }
+    // A basis that moved is factored afresh and priced again before it is
+    // trusted (and a commit keeps the fresh factors): a pivot on
+    // cancellation noise — an entry of 1e-9 in a column of 6.6e5 at a
+    // degenerate vertex — passes every incremental check and leaves a
+    // singular basis, or a vertex phase 2 only believed optimal.
+    if iterations > 0 && (refactor(rev).is_err() || !dual_feasible(rev)) {
+        return WarmOutcome::Undecided;
+    }
+    checked(rev, problem, patches, iterations)
+}
+
+/// Whether no non-basic column prices below −1e-7 (the dual repair's
+/// bound) from duals solved afresh: the optimality half of the check a
+/// moved basis passes.
+fn dual_feasible(rev: &mut Rev) -> bool {
+    let mut y: Vec<f64> = rev
+        .basis
+        .iter()
+        .map(|&b| rev.f.effective_cost2(b))
+        .collect();
+    rev.lu.btran(&mut y);
+    rev.work += rev.f.a.nnz() as u64;
+    (0..rev.f.n_real).all(|j| {
+        rev.in_basis[j]
+            || rev.f.upper[j] <= 0.0
+            || rev.f.effective_cost2(j) - rev.f.a.col_dot(j, &y) >= -1e-7
+    })
+}
+
+/// The basic column `var` at position `p` can no longer stand in the
+/// basis (its patched column is a combination of the others — in a
+/// lexmin round, `θ` once every row that pinned it is frozen). The slack
+/// of the patched row with the largest `|(B⁻¹)_{p,row}|` takes its
+/// position — or, when no patched row's slack can, the non-basic column
+/// with the largest pivot — in one BTRAN and one eta, and `var` is held
+/// non-basic at the value it had, as a temporary upper bound (recorded in
+/// `undo`) it sits at. The old vertex is then a basic solution of the
+/// patched LP again. `None` when no column can take the position.
+fn unpin(
+    rev: &mut Rev,
+    undo: &mut Mark,
+    problem: &Problem,
+    var: usize,
+    p: usize,
+    patches: &[RowPatch],
+) -> Option<()> {
+    let m = rev.f.m;
+    let mut rho = vec![0.0f64; m];
+    rho[p] = 1.0;
+    rev.lu.btran(&mut rho);
+    let slacks = patches.iter().filter_map(|patch| {
+        let slack = slack_of(problem, patch.row)?;
+        (!rev.in_basis[slack]).then_some((slack, rho[patch.row]))
+    });
+    let entering = largest_pivot(slacks).or_else(|| {
+        let columns = (0..rev.f.n_real).filter(|&j| !rev.in_basis[j] && rev.f.upper[j] > 0.0);
+        largest_pivot(columns.map(|j| (j, rev.f.a.col_dot(j, &rho))))
+    })?;
+    let mut w = vec![0.0f64; m];
+    rev.f.a.scatter_col(entering, 1.0, &mut w);
+    rev.lu.ftran(&mut w);
+    rev.lu.update(p, &w).ok()?;
+    rev.in_basis[var] = false;
+    rev.in_basis[entering] = true;
+    rev.basis[p] = entering;
+    let upper = rev.f.upper[var];
+    let value = if rev.f.flipped[var] {
+        upper - rev.beta[p]
+    } else {
+        rev.beta[p]
+    };
+    let at = held_value(value, upper);
+    if rev.f.flipped[var] {
+        rev.flip(var);
+    }
+    if at > 0.0 {
+        if at < upper {
+            undo.bound = Some((var, upper));
+            rev.f.upper[var] = at;
+        }
+        rev.flip(var);
+    }
+    Some(())
+}
+
+/// Gives `var` its own upper bound back after phase 1 or phase 2 ran
+/// under the temporary one [`unpin`] set. A basic `var` keeps its value
+/// and is un-complemented in place (its column negated back: one eta,
+/// `−e_p`); a non-basic one at its lower bound stays there; one at the
+/// temporary bound moves to its own upper bound (or, if that is
+/// infinite, to its lower one), and `beta` is solved afresh.
+fn release(rev: &mut Rev, var: usize, upper: f64) -> Option<()> {
+    match rev.basis.iter().position(|&j| j == var) {
+        Some(p) if rev.f.flipped[var] => {
+            flip_basic(rev, p);
+            let mut w = vec![0.0f64; rev.f.m];
+            w[p] = -1.0;
+            rev.lu.update(p, &w).ok()?;
+        }
+        None if rev.f.flipped[var] => {
+            rev.flip(var);
+            rev.f.upper[var] = upper;
+            if upper.is_finite() {
+                rev.flip(var);
+            }
+            rev.beta.clone_from(&rev.f.b);
+            rev.lu.ftran(&mut rev.beta);
+        }
+        Some(_) | None => {}
+    }
+    rev.f.upper[var] = upper;
     Some(())
 }
 
@@ -935,8 +1262,8 @@ mod tests {
         let (mut probes, mut undecided, mut infeasible) = (0usize, 0usize, 0usize);
         for seed in 0..300u64 {
             let p = random_lp(0x9e37_79b9 ^ seed.wrapping_mul(0x1000_0001));
-            let sparse = p.solve_retained(&opts_for(SimplexEngine::Sparse));
-            let dense = p.solve_retained(&opts_for(SimplexEngine::Dense));
+            let sparse = p.clone().solve_retained(&opts_for(SimplexEngine::Sparse));
+            let dense = p.clone().solve_retained(&opts_for(SimplexEngine::Dense));
             let (Ok((_, mut sparse)), Ok((_, mut dense))) = (sparse, dense) else {
                 continue;
             };
@@ -1152,20 +1479,23 @@ mod tests {
     /// every tolerance of the cold solve, which finds the trial feasible
     /// at `θ = 0.7`. The dual repair meets that row with no entering
     /// candidate; read against the absolute 1e-7 it "proves"
-    /// infeasibility and the freeze decision flips.
+    /// infeasibility and the freeze decision flips. Within the margin the
+    /// repair cannot decide, and primal phase 1 from where it stopped
+    /// reads the row as the rounding it is: the probe answers 0.7.
     #[test]
     fn case_27_rounding_in_a_frozen_row_is_not_a_certificate() {
         let (p, theta, row) = case_27();
         let cold = p.patched(&p.row_patch(row, theta, 6.5).unwrap()).solve();
         assert!((cold.unwrap().objective - 0.7).abs() < 1e-9);
         for engine in [SimplexEngine::Sparse, SimplexEngine::Dense] {
-            let (main, mut optimum) = p.solve_retained(&opts_for(engine)).unwrap();
+            let (main, mut optimum) = p.clone().solve_retained(&opts_for(engine)).unwrap();
             assert!((main.objective - 0.7).abs() < 1e-9);
-            assert_eq!(
-                optimum.probe(row, theta, 6.5),
-                Ok(Probe::Undecided),
-                "{engine:?}"
-            );
+            match optimum.probe(row, theta, 6.5) {
+                Ok(Probe::Optimal { objective, .. }) => {
+                    assert!((objective - 0.7).abs() < 1e-9, "{engine:?}: {objective}")
+                }
+                other => panic!("{engine:?}: {other:?}"),
+            }
             // Not vacuous: the naive reading of the same row is wrong.
             NAIVE_CERTIFICATE.set(true);
             let naive = optimum.probe(row, theta, 6.5);
@@ -1191,7 +1521,10 @@ mod tests {
     #[test]
     fn probe_refuses_a_row_out_of_range() {
         let (p, y, _) = textbook();
-        let (_, mut optimum) = p.solve_retained(&SimplexOptions::default()).unwrap();
+        let (_, mut optimum) = p
+            .clone()
+            .solve_retained(&SimplexOptions::default())
+            .unwrap();
         let len = p.num_constraints();
         assert_eq!(
             optimum.probe(len, y, 1.0),
@@ -1202,7 +1535,10 @@ mod tests {
     #[test]
     fn probe_refuses_a_variable_absent_from_the_row() {
         let (p, y, row) = textbook();
-        let (_, mut optimum) = p.solve_retained(&SimplexOptions::default()).unwrap();
+        let (_, mut optimum) = p
+            .clone()
+            .solve_retained(&SimplexOptions::default())
+            .unwrap();
         // Row 0 is `x ≤ 4`: no y in it.
         assert_eq!(
             optimum.probe(0, y, 1.0),
@@ -1221,7 +1557,10 @@ mod tests {
     #[test]
     fn probe_refuses_a_non_finite_rhs() {
         let (p, y, row) = textbook();
-        let (_, mut optimum) = p.solve_retained(&SimplexOptions::default()).unwrap();
+        let (_, mut optimum) = p
+            .clone()
+            .solve_retained(&SimplexOptions::default())
+            .unwrap();
         for rhs in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(
                 optimum.probe(row, y, rhs),
@@ -1236,6 +1575,344 @@ mod tests {
                 objective: -39.0,
                 pivots: 0
             })
+        );
+    }
+
+    /// A random leveling LP, the shape every lexmin round solves: `θ`
+    /// (cost 1, in `[0, 1]`), per-slot allocations of a few jobs with
+    /// windows and per-slot caps, one demand row per job and one load row
+    /// `Σ x − C·θ ≤ 0` per slot some window reaches. Returns the problem,
+    /// `θ`, and each load row with its slot's capacity.
+    fn random_leveling(seed: u64) -> (Problem, VarId, Vec<(usize, f64)>) {
+        let mut rng = Lcg(seed);
+        let horizon = 4 + rng.below(6);
+        let caps: Vec<f64> = (0..horizon).map(|_| (5 + rng.below(6)) as f64).collect();
+        let mut p = Problem::new();
+        let theta = p.add_var(1.0, 0.0, 1.0).unwrap();
+        let mut by_slot: Vec<Vec<VarId>> = vec![Vec::new(); horizon];
+        for _ in 0..2 + rng.below(5) {
+            let start = rng.below(horizon);
+            let end = (start + 1 + rng.below(4)).min(horizon);
+            let cap = 2 + rng.below(4);
+            let demand = 1 + rng.below(cap * (end - start));
+            let vars: Vec<VarId> = (start..end)
+                .map(|_| p.add_var(0.0, 0.0, cap as f64).unwrap())
+                .collect();
+            let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
+            p.add_constraint(&terms, Relation::Eq, demand as f64)
+                .unwrap();
+            for (&v, slot) in vars.iter().zip(&mut by_slot[start..end]) {
+                slot.push(v);
+            }
+        }
+        let mut rows = Vec::new();
+        for (t, vars) in by_slot.iter().enumerate() {
+            if vars.is_empty() {
+                continue;
+            }
+            let mut terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
+            terms.push((theta, -caps[t]));
+            let row = p.add_constraint(&terms, Relation::Le, 0.0).unwrap();
+            rows.push((row, caps[t]));
+        }
+        (p, theta, rows)
+    }
+
+    /// What a lexmin round freezes from the optimum `x`: every load row
+    /// not yet frozen whose load sits at the peak `θ`, capped at its level.
+    fn peak_caps(
+        p: &Problem,
+        x: &[f64],
+        theta: VarId,
+        rows: &[(usize, f64)],
+        frozen: &[usize],
+    ) -> Vec<(usize, f64)> {
+        let level = x[theta.index()];
+        rows.iter()
+            .filter(|(row, _)| !frozen.contains(row))
+            .filter_map(|&(row, cap)| {
+                let load: f64 = p.constraints[row]
+                    .terms
+                    .iter()
+                    .filter(|&&(v, _)| v != theta.index())
+                    .map(|&(v, a)| a * x[v])
+                    .sum();
+                (load >= (level - 1e-7) * cap).then_some((row, level * cap))
+            })
+            .collect()
+    }
+
+    fn outcome(outcome: WarmOutcome) -> Option<Solution> {
+        match outcome {
+            WarmOutcome::Optimal(solution) => Some(solution),
+            WarmOutcome::Infeasible | WarmOutcome::Undecided => None,
+        }
+    }
+
+    /// The headline property of a commit, in the order lexmin issues them:
+    /// round after round, the peak rows are frozen at their level and the
+    /// retained optimum re-optimised in place. Every commit that decides
+    /// equals a cold solve of the LP with all commits so far applied; the
+    /// dense oracle decides the same commits in the same pivots; one that
+    /// does not decide leaves the retained state bit for bit as it was.
+    #[test]
+    fn commits_equal_cold_solves_of_the_patched_lp() {
+        let (mut commits, mut decided, mut pinned) = (0usize, 0usize, 0usize);
+        for seed in 0..300u64 {
+            let (p, theta, rows) = random_leveling(0x5eed ^ seed.wrapping_mul(0x9e37_79b9));
+            let options = SimplexOptions::default();
+            let Ok((first, _, mut state)) = cold_retained(&p, &options) else {
+                continue;
+            };
+            let (_, mut dense) = p
+                .clone()
+                .solve_retained(&opts_for(SimplexEngine::Dense))
+                .unwrap();
+            let mut current = p.clone();
+            let mut frozen = Vec::new();
+            let mut x = first.x;
+            for round in 1..4 {
+                let caps = peak_caps(&p, &x, theta, &rows, &frozen);
+                if caps.is_empty() || x[theta.index()] <= 1e-9 {
+                    break;
+                }
+                let patches: Vec<RowPatch> = caps
+                    .iter()
+                    .map(|&(row, rhs)| current.row_patch(row, theta, rhs).unwrap())
+                    .collect();
+                let mut next = current.clone();
+                for patch in &patches {
+                    next.apply(patch);
+                }
+                pinned += usize::from(state.rev.in_basis[theta.index()]);
+                let before = bits(&state);
+                let s = outcome(commit(&mut state, &current, &patches, &options));
+                let d = dense.commit(theta, &caps).unwrap();
+                commits += 1;
+                let tag = format!("seed {seed} round {round}");
+                assert_eq!(
+                    s.as_ref().map(|s| s.iterations),
+                    d.as_ref().map(|d| d.iterations),
+                    "{tag}: engines split"
+                );
+                let Some(s) = s else {
+                    assert_eq!(bits(&state), before, "{tag}: undecided commit left a trace");
+                    break;
+                };
+                decided += 1;
+                let cold = next.solve().unwrap_or_else(|e| panic!("{tag}: cold {e}"));
+                assert!(
+                    (s.objective - cold.objective).abs() <= 1e-9 * (1.0 + cold.objective.abs()),
+                    "{tag}: commit {} vs cold {}",
+                    s.objective,
+                    cold.objective
+                );
+                assert!(
+                    next.is_feasible(&s.x, 1e-6),
+                    "{tag}: commit vertex infeasible"
+                );
+                frozen.extend(caps.iter().map(|&(row, _)| row));
+                current = next;
+                x = s.x;
+            }
+        }
+        assert!(commits >= 300, "corpus too small: {commits}");
+        assert_eq!(decided, commits, "{decided} of {commits} commits decided");
+        // The case the commit exists for: θ basic, its column left with no
+        // entry a frozen row pins it by.
+        assert!(pinned * 2 >= commits, "θ basic in {pinned} of {commits}");
+    }
+
+    /// Commits of arbitrary rows of arbitrary LPs: several rows of one
+    /// variable at once, right-hand sides moved anywhere. A commit that
+    /// decides equals the cold solve; one on an infeasible LP never
+    /// decides; both engines agree on which and in how many pivots.
+    #[test]
+    fn random_commits_are_exact_or_undecided() {
+        let (mut feasible, mut infeasible, mut decided) = (0usize, 0usize, 0usize);
+        for seed in 0..300u64 {
+            let p = random_lp(0xc0de ^ seed.wrapping_mul(0x2545_f491));
+            let sparse = p.clone().solve_retained(&opts_for(SimplexEngine::Sparse));
+            let dense = p.clone().solve_retained(&opts_for(SimplexEngine::Dense));
+            let (Ok((_, mut sparse)), Ok((_, mut dense))) = (sparse, dense) else {
+                continue;
+            };
+            let mut rng = Lcg(seed ^ 0x5151);
+            let mut current = p.clone();
+            for step in 0..3 {
+                let rows: Vec<usize> = (0..current.num_constraints())
+                    .filter(|&i| !current.constraints[i].terms.is_empty())
+                    .collect();
+                let row = rows[rng.below(rows.len())];
+                let con = &current.constraints[row];
+                let var = VarId(con.terms[rng.below(con.terms.len())].0);
+                let mut caps: Vec<(usize, f64)> = Vec::new();
+                for (i, con) in current.constraints.iter().enumerate() {
+                    let has = con.terms.iter().any(|&(v, _)| v == var.index());
+                    if has && caps.len() < 3 && (i == row || rng.below(2) == 0) {
+                        caps.push((i, con.rhs + rng.next() * 8.0 - 4.0));
+                    }
+                }
+                let mut next = current.clone();
+                for &(row, rhs) in &caps {
+                    next.apply(&next.row_patch(row, var, rhs).unwrap());
+                }
+                let cold = next.solve();
+                let s = sparse.commit(var, &caps).unwrap();
+                let d = dense.commit(var, &caps).unwrap();
+                feasible += usize::from(cold.is_ok());
+                infeasible += usize::from(cold == Err(LpError::Infeasible));
+                let tag = format!("seed {seed} step {step}");
+                assert_eq!(
+                    s.as_ref().map(|s| s.iterations),
+                    d.as_ref().map(|d| d.iterations),
+                    "{tag}: engines split"
+                );
+                match (&s, &cold) {
+                    (Some(s), Ok(c)) => assert!(
+                        (s.objective - c.objective).abs() <= 1e-9 * (1.0 + c.objective.abs()),
+                        "{tag}: commit {} vs cold {}",
+                        s.objective,
+                        c.objective
+                    ),
+                    (Some(s), Err(e)) => panic!("{tag}: committed {} where cold {e}", s.objective),
+                    (None, _) => continue,
+                }
+                decided += 1;
+                current = next;
+            }
+        }
+        assert!(
+            infeasible >= 300,
+            "too few infeasible commits: {infeasible}"
+        );
+        // Measured: all 271 feasible commits decide (and 629 infeasible).
+        assert!(
+            decided * 10 >= feasible * 9,
+            "{decided} of {feasible} feasible commits decided"
+        );
+    }
+
+    /// A probe of a committed optimum answers like a cold solve of the LP
+    /// with every commit and the probe's own patch applied, and leaves the
+    /// committed state bit for bit as it found it.
+    #[test]
+    fn probes_of_a_committed_optimum_are_exact_and_leave_no_trace() {
+        let mut probes = 0usize;
+        for seed in 0..200u64 {
+            let (p, theta, rows) = random_leveling(0xbead ^ seed.wrapping_mul(0x9e37_79b9));
+            let options = SimplexOptions::default();
+            let Ok((first, _, mut state)) = cold_retained(&p, &options) else {
+                continue;
+            };
+            let (_, mut dense) = p
+                .clone()
+                .solve_retained(&opts_for(SimplexEngine::Dense))
+                .unwrap();
+            let caps = peak_caps(&p, &first.x, theta, &rows, &[]);
+            if caps.is_empty() {
+                continue;
+            }
+            let patches: Vec<RowPatch> = caps
+                .iter()
+                .map(|&(row, rhs)| p.row_patch(row, theta, rhs).unwrap())
+                .collect();
+            let mut committed = p.clone();
+            for patch in &patches {
+                committed.apply(patch);
+            }
+            if outcome(commit(&mut state, &p, &patches, &options)).is_none() {
+                continue;
+            }
+            dense.commit(theta, &caps).unwrap();
+            let before = bits(&state);
+            let mut rng = Lcg(seed ^ 0x3c3c);
+            for _ in 0..4 {
+                let patch = random_patch(&committed, &mut rng);
+                let cold = committed
+                    .patched(&committed.row_patch(patch.0, patch.1, patch.2).unwrap())
+                    .solve();
+                let s = sparse_probe(&mut state, &committed, patch);
+                assert_eq!(bits(&state), before, "seed {seed}: the probe left a trace");
+                let d = dense.probe(patch.0, patch.1, patch.2).unwrap();
+                match (s, d) {
+                    (
+                        Probe::Optimal { objective, pivots },
+                        Probe::Optimal {
+                            objective: o,
+                            pivots: p,
+                        },
+                    ) => assert!(
+                        pivots == p && (objective - o).abs() <= 1e-8,
+                        "seed {seed}: sparse {s:?} vs dense {d:?}"
+                    ),
+                    _ => assert_eq!(s, d, "seed {seed}: engines answered differently"),
+                }
+                match (s, &cold) {
+                    (Probe::Optimal { objective, .. }, Ok(c)) => assert!(
+                        (objective - c.objective).abs() <= 1e-9 * (1.0 + c.objective.abs()),
+                        "seed {seed}: probe {objective} vs cold {}",
+                        c.objective
+                    ),
+                    (Probe::Infeasible, Err(LpError::Infeasible)) | (Probe::Undecided, _) => {}
+                    (got, cold) => panic!("seed {seed}: {got:?} vs cold {cold:?}"),
+                }
+                probes += 1;
+            }
+        }
+        assert!(probes >= 300, "corpus too small: {probes}");
+    }
+
+    /// A commit that does not address the problem is refused before
+    /// anything runs, as a probe is — a row named twice included — and the
+    /// retained optimum still answers afterwards.
+    #[test]
+    fn commit_refusals_are_typed_and_change_nothing() {
+        let (p, y, row) = textbook();
+        let (_, mut optimum) = p
+            .clone()
+            .solve_retained(&SimplexOptions::default())
+            .unwrap();
+        let len = p.num_constraints();
+        assert_eq!(
+            optimum.commit(y, &[(len, 1.0)]),
+            Err(LpError::RowOutOfRange { row: len, len })
+        );
+        assert_eq!(
+            optimum.commit(y, &[(0, 1.0)]),
+            Err(LpError::VarNotInRow { var: 1, row: 0 })
+        );
+        let beyond = VarId(p.num_vars());
+        assert_eq!(
+            optimum.commit(beyond, &[(row, 1.0)]),
+            Err(LpError::VarOutOfRange {
+                var: p.num_vars(),
+                len: p.num_vars()
+            })
+        );
+        assert_eq!(
+            optimum.commit(y, &[(row, f64::NAN)]),
+            Err(LpError::NonFiniteCoefficient)
+        );
+        assert_eq!(
+            optimum.commit(y, &[(row, 9.0), (row, 8.0)]),
+            Err(LpError::VarNotInRow { var: 1, row })
+        );
+        // Nothing ran: the probe answers as it did before any refusal, and
+        // the commit it previews lands (`3x ≤ 9`: x = 3, y = 6).
+        assert_eq!(
+            optimum.probe(row, y, 9.0),
+            Ok(Probe::Optimal {
+                objective: -39.0,
+                pivots: 0
+            })
+        );
+        let committed = optimum.commit(y, &[(row, 9.0)]).unwrap().unwrap();
+        assert_eq!(committed.objective, -39.0);
+        // The committed row no longer holds `y`.
+        assert_eq!(
+            optimum.probe(row, y, 9.0),
+            Err(LpError::VarNotInRow { var: 1, row })
         );
     }
 }

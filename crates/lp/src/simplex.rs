@@ -27,6 +27,8 @@
 //! genuine cycle into a typed [`LpError::Cycling`] instead of a hang.
 
 use crate::error::LpError;
+#[cfg(any(test, feature = "oracle"))]
+use crate::problem::RowPatch;
 use crate::problem::{Problem, Relation, VarId};
 use crate::solution::Solution;
 #[cfg(any(test, feature = "oracle"))]
@@ -294,6 +296,170 @@ thread_local! {
         const { std::cell::Cell::new(false) };
 }
 
+/// How a prescribed basis whose vertex is not primal feasible is mended
+/// before phase 2.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mend {
+    /// Bounded dual simplex: the basis is dual feasible (a warm start, a
+    /// probe), and a row it cannot mend is an infeasibility certificate.
+    /// What it cannot decide goes on to primal phase 1.
+    Dual,
+    /// Primal phase 1 on the sum of infeasibilities: the basis need not be
+    /// dual feasible (a commit, whose held column prices negative).
+    Primal,
+}
+
+/// Bound violation below which a basic value counts as feasible, in the
+/// repairs as in the `primal_feasible` check before them.
+const FEAS_TOL: f64 = 1e-7;
+
+/// Pivot of a column-replacement eta below which a patched basis counts
+/// as singular (the threshold both engines factor a prescribed basis
+/// with).
+pub(crate) const PATCH_PIVOT_TOL: f64 = 1e-7;
+
+/// The phase-1 cost of a basic value with working-space bounds `[0,
+/// upper]`: −1 below the lower bound, +1 above the upper, 0 within.
+pub(crate) fn infeasibility(beta: f64, upper: f64) -> f64 {
+    if beta < -FEAS_TOL {
+        -1.0
+    } else if upper.is_finite() && beta > upper + FEAS_TOL {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+/// Phase 1's progress watch: whether its violation has stopped falling
+/// for [`Stall::STEPS`] steps in a row. Degenerate steps can circle a
+/// violation of rounding size for as long as the step cap lets them;
+/// once it is within noise, that is as feasible as the data allow.
+#[derive(Default)]
+pub(crate) struct Stall {
+    best: Option<f64>,
+    steps: usize,
+}
+
+impl Stall {
+    const STEPS: usize = 50;
+
+    /// Records this step's violation `gap`; `true` once it has not fallen
+    /// below the best seen for [`Stall::STEPS`] steps.
+    pub(crate) fn stuck(&mut self, gap: f64) -> bool {
+        if self.best.is_none_or(|best| gap < best - 1e-12) {
+            self.best = Some(gap);
+            self.steps = 0;
+        } else {
+            self.steps += 1;
+        }
+        self.steps >= Self::STEPS
+    }
+}
+
+/// How far a basic value lies outside `[0, upper]`, given its
+/// [`infeasibility`] cost.
+pub(crate) fn violation(cost: f64, beta: f64, upper: f64) -> f64 {
+    if cost > 0.0 {
+        beta - upper
+    } else if cost < 0.0 {
+        -beta
+    } else {
+        0.0
+    }
+}
+
+/// The smallest entry of an entering column `B⁻¹a_j` the ratio tests
+/// pivot on: 1e-9, or [`PIVOT_REL`] of the largest magnitude among its
+/// entries and `a_j`'s own (`scale`) if that is more. An entry is a sum of
+/// products of that size; on a 655 360 MB memory row `θ`'s column holds
+/// 6.6e5, and an entry of 3e-9 in `B⁻¹a_θ` is cancellation noise at a
+/// degenerate vertex — pivoting on it leaves a basis no fresh
+/// factorization accepts.
+pub(crate) fn pivot_floor(column: impl IntoIterator<Item = f64>, scale: f64) -> f64 {
+    let largest = column.into_iter().fold(scale, |m, a| m.max(a.abs()));
+    (PIVOT_REL * largest).max(1e-9)
+}
+
+/// See [`pivot_floor`].
+const PIVOT_REL: f64 = 1e-12;
+
+/// Phase 1's ratio test for one basic value `beta` (bounds `[0, upper]`)
+/// whose tableau entry in the entering column is `a` (`floor` from
+/// [`pivot_floor`]): the step at which it blocks, and whether it leaves
+/// at its upper bound; `None` when it never blocks. A violated value
+/// blocks on reaching the bound it violates; a value within its bounds
+/// blocks on the bound it moves towards.
+pub(crate) fn phase1_block(beta: f64, upper: f64, a: f64, floor: f64) -> Option<(f64, bool)> {
+    let below = beta < -FEAS_TOL;
+    let above = upper.is_finite() && beta > upper + FEAS_TOL;
+    let (numer, at_upper) = if a > floor {
+        // The entering column rises, this value falls.
+        if below {
+            return None;
+        }
+        if above {
+            (beta - upper, true)
+        } else {
+            (beta.max(0.0), false)
+        }
+    } else if a < -floor {
+        if above {
+            return None;
+        }
+        if below {
+            (-beta, false)
+        } else if upper.is_finite() {
+            ((upper - beta).max(0.0), true)
+        } else {
+            return None;
+        }
+    } else {
+        return None;
+    };
+    let ratio = if numer < DEGEN_SNAP {
+        0.0
+    } else {
+        numer / a.abs()
+    };
+    Some((ratio, at_upper))
+}
+
+/// The slack column of constraint `row` in both engines' standard form;
+/// `None` for an equality row (or a row out of range).
+pub(crate) fn slack_of(problem: &Problem, row: usize) -> Option<usize> {
+    let cons = &problem.constraints;
+    if cons.get(row)?.relation == Relation::Eq {
+        return None;
+    }
+    let before = cons[..row]
+        .iter()
+        .filter(|c| c.relation != Relation::Eq)
+        .count();
+    Some(problem.num_vars() + before)
+}
+
+/// Which column takes the position of a basic column a patch left
+/// singular: of `candidates` — `(column, its pivot at that position)` in
+/// ascending column order — the largest pivot magnitude above
+/// [`PATCH_PIVOT_TOL`], ties within [`RATIO_TIE`] to the lowest column,
+/// so that both engines pick the same one.
+pub(crate) fn largest_pivot(candidates: impl IntoIterator<Item = (usize, f64)>) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for (column, pivot) in candidates {
+        let mag = pivot.abs();
+        if mag > PATCH_PIVOT_TOL && best.is_none_or(|(_, b)| mag > b + RATIO_TIE * (1.0 + b)) {
+            best = Some((column, mag));
+        }
+    }
+    best.map(|(column, _)| column)
+}
+
+/// The working-space value a column leaving the basis in a commit is held
+/// at: its value clamped into `[0, upper]`.
+pub(crate) fn held_value(value: f64, upper: f64) -> f64 {
+    value.max(0.0).min(upper)
+}
+
 #[cfg(any(test, feature = "oracle"))]
 struct Tableau {
     m: usize,
@@ -317,6 +483,9 @@ struct Tableau {
     flip_const2: f64,
     /// First artificial column index.
     art_start: usize,
+    /// Largest coefficient magnitude of each column of the problem (1 for
+    /// a slack or an artificial): the `scale` of [`pivot_floor`].
+    col_max: Vec<f64>,
 }
 
 #[cfg(any(test, feature = "oracle"))]
@@ -565,6 +734,13 @@ fn build_tableau(problem: &Problem) -> Result<Tableau, LpError> {
         .map(|(c, l)| c * l)
         .sum();
 
+    let mut col_max = vec![1.0f64; width];
+    col_max[..n_struct].fill(0.0);
+    for con in &problem.constraints {
+        for &(v, a) in &con.terms {
+            col_max[v] = col_max[v].max(a.abs());
+        }
+    }
     Ok(Tableau {
         m,
         n_real,
@@ -577,6 +753,7 @@ fn build_tableau(problem: &Problem) -> Result<Tableau, LpError> {
         cost2,
         flip_const2,
         art_start: n_real,
+        col_max,
     })
 }
 
@@ -807,48 +984,54 @@ pub enum Probe {
     Undecided,
 }
 
-/// The optimum of a cold solve of `problem`, kept in factored form
-/// ([`solve_retained`]) so that LPs differing from `problem` in one row
-/// are answered from it by [`Retained::probe`].
-pub struct Retained<'p> {
-    problem: &'p Problem,
+/// The optimum of a solve of an LP, kept in factored form
+/// ([`solve_retained`]) so that LPs differing from it in one row are
+/// answered from it by [`Retained::probe`], and so that a sequence of LPs
+/// each differing from the last in a few rows is solved from it by
+/// [`Retained::commit`]. It owns the LP it holds the optimum of, which
+/// each commit patches in place.
+pub struct Retained {
+    problem: Problem,
     options: SimplexOptions,
     state: RetainedState,
 }
 
 enum RetainedState {
-    /// Standard form, basis, basic values and LU factors, probed in place.
+    /// Standard form, basis, basic values and LU factors, probed and
+    /// committed in place.
     Sparse(Box<crate::revised::RetainedRev>),
-    /// The dense oracle keeps the exported basis and answers a probe the
-    /// way it answers a warm solve: rebuilt tableau, prescribed basis.
+    /// The dense oracle keeps the exported basis and answers a probe or a
+    /// commit the way it answers a warm solve: rebuilt tableau, prescribed
+    /// basis.
     #[cfg(any(test, feature = "oracle"))]
     Dense(Basis),
 }
 
-impl std::fmt::Debug for Retained<'_> {
+impl std::fmt::Debug for Retained {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Retained").finish_non_exhaustive()
     }
 }
 
-/// [`solve`], keeping the optimum for [`Retained::probe`]. The solve is
-/// the same cold two-phase solve: same pivots, same solution.
+/// [`solve`], keeping the optimum for [`Retained::probe`] and
+/// [`Retained::commit`]. The solve is the same cold two-phase solve: same
+/// pivots, same solution.
 ///
 /// # Errors
 ///
 /// Same as [`solve`].
-pub fn solve_retained<'p>(
-    problem: &'p Problem,
+pub fn solve_retained(
+    problem: Problem,
     options: &SimplexOptions,
-) -> Result<(Solution, Retained<'p>), LpError> {
+) -> Result<(Solution, Retained), LpError> {
     let (solution, state) = match engine_for(options) {
         SimplexEngine::Sparse => {
-            let (solution, _, state) = crate::revised::cold_retained(problem, options)?;
+            let (solution, _, state) = crate::revised::cold_retained(&problem, options)?;
             (solution, RetainedState::Sparse(Box::new(state)))
         }
         #[cfg(any(test, feature = "oracle"))]
         SimplexEngine::Dense => {
-            let (solution, basis) = dense_solve_cold(problem, options)?;
+            let (solution, basis) = dense_solve_cold(&problem, options)?;
             (solution, RetainedState::Dense(basis))
         }
     };
@@ -860,7 +1043,7 @@ pub fn solve_retained<'p>(
     Ok((solution, retained))
 }
 
-impl Retained<'_> {
+impl Retained {
     /// Solves the retained problem with constraint `row` changed — its
     /// term in `var` removed, its right-hand side set to `rhs` — starting
     /// from the retained optimum, and leaves that optimum as it found it:
@@ -876,15 +1059,11 @@ impl Retained<'_> {
         let patch = self.problem.row_patch(row, var, rhs)?;
         let outcome = match &mut self.state {
             RetainedState::Sparse(state) => {
-                crate::revised::probe(state, self.problem, &patch, &self.options)
+                crate::revised::probe(state, &self.problem, &patch, &self.options)
             }
             #[cfg(any(test, feature = "oracle"))]
             RetainedState::Dense(basis) => {
-                let patched = self.problem.patched(&patch);
-                match dense_prepare_warm(&patched, basis) {
-                    Some(mut tab) => dense_finish_from_basis(&mut tab, &patched, &self.options),
-                    None => WarmOutcome::Undecided,
-                }
+                dense_carry(&self.problem, basis, &[patch], &self.options, Mend::Dual).0
             }
         };
         Ok(match outcome {
@@ -895,6 +1074,215 @@ impl Retained<'_> {
             WarmOutcome::Infeasible => Probe::Infeasible,
             WarmOutcome::Undecided => Probe::Undecided,
         })
+    }
+
+    /// Makes the retained problem the LP with every row of `caps` changed
+    /// as a probe changes one — its term in `var` removed, its right-hand
+    /// side set — and re-optimises from the retained vertex. The new
+    /// optimum replaces the retained one: later probes and commits start
+    /// from it.
+    ///
+    /// When `var` is basic and the changed column can no longer stand in
+    /// the basis, it is exchanged for the slack of one of `caps`' rows and
+    /// held at its value by a temporary upper bound while the new optimum
+    /// is sought (primal phase 1 if the held vertex is off by rounding,
+    /// then phase 2), and given its own bound back at the end.
+    ///
+    /// Returns the new optimum — its `iterations` are the pivots from the
+    /// retained vertex — or `None` when it could not be reached exactly
+    /// that way (no row can take `var`'s place, phase 1 or phase 2 gave
+    /// up, `var` ended at its temporary bound, or the residual or
+    /// feasibility check failed). Then nothing changed: the retained
+    /// problem and optimum are as they were, and the caller solves the
+    /// changed LP cold.
+    ///
+    /// # Errors
+    ///
+    /// Refused before anything runs, as a probe is, when a row of `caps`
+    /// does not address the problem — and with [`LpError::VarNotInRow`]
+    /// when a row is named twice.
+    pub fn commit(
+        &mut self,
+        var: VarId,
+        caps: &[(usize, f64)],
+    ) -> Result<Option<Solution>, LpError> {
+        let mut patches = caps
+            .iter()
+            .map(|&(row, rhs)| self.problem.row_patch(row, var, rhs))
+            .collect::<Result<Vec<_>, _>>()?;
+        patches.sort_unstable_by_key(|patch| patch.row);
+        // A row named twice would lose its term in `var` by the first patch.
+        if let Some(twice) = patches.windows(2).find(|w| w[0].row == w[1].row) {
+            return Err(LpError::VarNotInRow {
+                var: var.0,
+                row: twice[0].row,
+            });
+        }
+        let outcome = match &mut self.state {
+            RetainedState::Sparse(state) => {
+                crate::revised::commit(state, &self.problem, &patches, &self.options)
+            }
+            #[cfg(any(test, feature = "oracle"))]
+            RetainedState::Dense(basis) => {
+                match dense_carry(&self.problem, basis, &patches, &self.options, Mend::Primal) {
+                    (outcome, Some(next)) => {
+                        *basis = next;
+                        outcome
+                    }
+                    (outcome, None) => outcome,
+                }
+            }
+        };
+        Ok(match outcome {
+            WarmOutcome::Optimal(solution) => {
+                for patch in &patches {
+                    self.problem.apply(patch);
+                }
+                Some(solution)
+            }
+            WarmOutcome::Infeasible | WarmOutcome::Undecided => None,
+        })
+    }
+}
+
+/// The dense mirror of the sparse engine's `carry`, for a probe and a
+/// commit alike: the retained vertex is rebuilt from `basis` on `problem`;
+/// if the patched variable is basic there and its changed column is
+/// singular, the column [`largest_pivot`] picks takes its position and the
+/// variable is held at its value by a temporary upper bound on the
+/// tableau, and `mend` gives way to primal phase 1; then the patched LP is
+/// refactored onto that basis and settled. Returns the outcome and, on an
+/// optimum, the basis it reached.
+#[cfg(any(test, feature = "oracle"))]
+fn dense_carry(
+    problem: &Problem,
+    basis: &Basis,
+    patches: &[RowPatch],
+    options: &SimplexOptions,
+    mut mend: Mend,
+) -> (WarmOutcome, Option<Basis>) {
+    let undecided = (WarmOutcome::Undecided, None);
+    let mut patched = problem.clone();
+    for patch in patches {
+        patched.apply(patch);
+    }
+    let mut start = basis.clone();
+    let mut bound = None;
+    let var = patches.first().map(|patch| patch.var);
+    if let Some(var) = var.filter(|&var| basis.rows.contains(&Some(var))) {
+        let Some(tab) = dense_prepare_warm(problem, basis, None) else {
+            return undecided;
+        };
+        let Some(p) = tab.basis.iter().position(|&j| j == var) else {
+            return undecided;
+        };
+        // Row p of the tableau's artificial block is row p of B⁻¹ (rows
+        // normalised as `build_tableau` normalised them).
+        let rho = |i: usize| tab.t[p * tab.width + tab.art_start + i];
+        let column = if tab.flipped[var] { -1.0 } else { 1.0 };
+        let pivot: f64 = patched
+            .constraints
+            .iter()
+            .enumerate()
+            .flat_map(|(i, con)| con.terms.iter().map(move |&(v, a)| (i, v, a)))
+            .filter(|&(_, v, _)| v == var)
+            .map(|(i, _, a)| rho(i) * row_sign(problem, i) * a * column)
+            .sum();
+        if pivot.abs() <= PATCH_PIVOT_TOL {
+            let slacks = patches.iter().filter_map(|patch| {
+                let slack = slack_of(problem, patch.row)?;
+                (!tab.basis.contains(&slack)).then_some((slack, rho(patch.row)))
+            });
+            let entering = largest_pivot(slacks).or_else(|| {
+                let columns = (0..tab.n_real)
+                    .filter(|&j| !tab.basis.contains(&j) && j != var && tab.upper[j] > 0.0);
+                largest_pivot(columns.map(|j| (j, tab.t[p * tab.width + j])))
+            });
+            let Some(entering) = entering else {
+                return undecided;
+            };
+            start.rows[p] = Some(entering);
+            let upper = tab.upper[var];
+            let value = if tab.flipped[var] {
+                upper - tab.beta[p]
+            } else {
+                tab.beta[p]
+            };
+            let at = held_value(value, upper);
+            start.flipped[var] = at > 0.0;
+            if at > 0.0 && at < upper {
+                bound = Some((var, at));
+            }
+            mend = Mend::Primal;
+        }
+    }
+    let Some(mut tab) = dense_prepare_warm(&patched, &start, bound) else {
+        return undecided;
+    };
+    let mut iterations = 0usize;
+    let mut settled = dense_settle(&mut tab, &patched, options, mend, &mut iterations);
+    if let Some((var, _)) = bound {
+        // The sparse engine's `release`, and the settle after it.
+        let upper = patched.upper[var] - patched.lower[var];
+        let basic = tab.basis.iter().position(|&j| j == var);
+        let held = basic.is_none() && tab.flipped[var];
+        let proved = matches!(settled, Err(WarmOutcome::Infeasible));
+        if settled.is_ok() || proved {
+            match basic {
+                Some(r) if tab.flipped[var] => tab.flip_basic_row(r),
+                None if held => {
+                    tab.flip_column(var);
+                    tab.upper[var] = upper;
+                    if upper.is_finite() {
+                        tab.flip_column(var);
+                    }
+                }
+                Some(_) | None => {}
+            }
+            tab.upper[var] = upper;
+            if held || proved {
+                settled = dense_settle(&mut tab, &patched, options, Mend::Primal, &mut iterations);
+            }
+        }
+    }
+    if let Err(outcome) = settled {
+        return (outcome, None);
+    }
+    // The sparse engine factors and prices a basis that moved afresh: one
+    // that cannot be factored, or prices below −1e-7, is no answer.
+    let next = export_basis(&tab, patched.num_vars());
+    if iterations > 0 {
+        let Some(fresh) = dense_prepare_warm(&patched, &next, None) else {
+            return undecided;
+        };
+        let d = fresh.reduced_costs(false);
+        let basic: HashSet<usize> = fresh.basis.iter().copied().collect();
+        let priced =
+            (0..fresh.n_real).all(|j| basic.contains(&j) || fresh.upper[j] <= 0.0 || d[j] >= -1e-7);
+        if !priced {
+            return undecided;
+        }
+    }
+    let solution = extract_solution(&tab, &patched, iterations);
+    // Safety net, as on the warm path.
+    if !patched.is_nearly_feasible(&[], &solution.x, 1e-6) {
+        return undecided;
+    }
+    (WarmOutcome::Optimal(solution), Some(next))
+}
+
+/// The sign `build_tableau` normalised row `i` of `problem` by.
+#[cfg(any(test, feature = "oracle"))]
+fn row_sign(problem: &Problem, i: usize) -> f64 {
+    let con = &problem.constraints[i];
+    let mut rhs = con.rhs;
+    for &(v, a) in &con.terms {
+        rhs -= a * problem.lower[v];
+    }
+    if rhs < 0.0 {
+        -1.0
+    } else {
+        1.0
     }
 }
 
@@ -907,7 +1295,7 @@ fn dense_try_warm(
     options: &SimplexOptions,
     start: &Basis,
 ) -> Option<(Solution, Basis)> {
-    let mut tab = dense_prepare_warm(problem, start)?;
+    let mut tab = dense_prepare_warm(problem, start, None)?;
     match dense_finish_from_basis(&mut tab, problem, options) {
         WarmOutcome::Optimal(solution) => {
             let basis = export_basis(&tab, problem.num_vars());
@@ -918,16 +1306,25 @@ fn dense_try_warm(
 }
 
 /// The tableau of `problem` refactorized onto the basis `start`
-/// prescribes, bound flips restored; `None` when the basis does not fit
+/// prescribes, bound flips restored, each basic column in the row `start`
+/// gives it; `bound` (a column and a working-space upper bound) replaces
+/// that column's own before any flip. `None` when the basis does not fit
 /// or is (near-)singular for the current coefficients.
 #[cfg(any(test, feature = "oracle"))]
-fn dense_prepare_warm(problem: &Problem, start: &Basis) -> Option<Tableau> {
+fn dense_prepare_warm(
+    problem: &Problem,
+    start: &Basis,
+    bound: Option<(usize, f64)>,
+) -> Option<Tableau> {
     if !start.fits(problem) {
         return None;
     }
     let mut tab = build_tableau(problem).ok()?;
     if start.flipped.len() != tab.n_real {
         return None;
+    }
+    if let Some((j, upper)) = bound {
+        *tab.upper.get_mut(j)? = upper;
     }
     // Range/duplicate check on the prescribed basic columns.
     let mut prescribed = vec![false; tab.n_real];
@@ -997,7 +1394,66 @@ fn dense_prepare_warm(problem: &Problem, start: &Basis) -> Option<Tableau> {
         }
         rows = deferred;
     }
+    // The greedy sweep may leave a prescribed column in another row than
+    // `start` gave it. Tableau rows follow basis positions, so permuting
+    // them is free: put every column back in its own row, the position
+    // the sparse engine keeps it at, so that both engines break ratio
+    // ties on the same rows.
+    let mut row_of = vec![usize::MAX; tab.width];
+    for (i, &col) in tab.basis.iter().enumerate() {
+        row_of[col] = i;
+    }
+    let width = tab.width;
+    let (t, beta, basis) = (
+        std::mem::take(&mut tab.t),
+        tab.beta.clone(),
+        tab.basis.clone(),
+    );
+    tab.t.reserve(t.len());
+    for (r, col) in start.rows.iter().enumerate() {
+        let i = *row_of.get(col.unwrap_or(tab.art_start + r))?;
+        tab.t.extend_from_slice(t.get(i * width..(i + 1) * width)?);
+        tab.beta[r] = beta[i];
+        tab.basis[r] = basis[i];
+    }
     Some(tab)
+}
+
+/// Mirror of the sparse engine's `settle`: `mend` if the vertex is not
+/// primal feasible, then phase 2, counting pivots into `iterations`; `Err`
+/// says how it ended short of an optimum.
+#[cfg(any(test, feature = "oracle"))]
+fn dense_settle(
+    tab: &mut Tableau,
+    problem: &Problem,
+    options: &SimplexOptions,
+    mend: Mend,
+    iterations: &mut usize,
+) -> Result<(), WarmOutcome> {
+    let max_iterations = auto_iteration_cap(options, tab.m, tab.n_real);
+    if !primal_feasible(tab, 1e-7) {
+        let repaired = match mend {
+            Mend::Dual => match dual_repair(tab, problem, iterations) {
+                Repair::Undecided => primal_repair(tab, problem, options.tolerance, iterations),
+                decided => decided,
+            },
+            Mend::Primal => primal_repair(tab, problem, options.tolerance, iterations),
+        };
+        match repaired {
+            Repair::Feasible => {}
+            Repair::Infeasible => return Err(WarmOutcome::Infeasible),
+            Repair::Undecided => return Err(WarmOutcome::Undecided),
+        }
+    }
+    run_phase(
+        tab,
+        false,
+        options.tolerance,
+        max_iterations,
+        options.stall_limit,
+        iterations,
+    )
+    .map_err(|_| WarmOutcome::Undecided)
 }
 
 /// Mirror of the sparse engine's `finish_from_basis`: dual repair if
@@ -1008,33 +1464,114 @@ fn dense_finish_from_basis(
     problem: &Problem,
     options: &SimplexOptions,
 ) -> WarmOutcome {
-    let max_iterations = auto_iteration_cap(options, tab.m, tab.n_real);
     let mut iterations = 0usize;
-    if !primal_feasible(tab, 1e-7) {
-        match dual_repair(tab, problem, &mut iterations) {
-            Repair::Feasible => {}
-            Repair::Infeasible => return WarmOutcome::Infeasible,
-            Repair::Undecided => return WarmOutcome::Undecided,
-        }
-    }
-    let finished = run_phase(
-        tab,
-        false,
-        options.tolerance,
-        max_iterations,
-        options.stall_limit,
-        &mut iterations,
-    );
-    if finished.is_err() {
-        return WarmOutcome::Undecided;
+    if let Err(outcome) = dense_settle(tab, problem, options, Mend::Dual, &mut iterations) {
+        return outcome;
     }
     let solution = extract_solution(tab, problem, iterations);
     // Safety net: numerical trouble on the warm path must never leak an
     // infeasible "solution"; the cold path re-solves from scratch instead.
-    if !problem.is_feasible(&solution.x, 1e-6) {
+    if !problem.is_nearly_feasible(&[], &solution.x, 1e-6) {
         return WarmOutcome::Undecided;
     }
     WarmOutcome::Optimal(solution)
+}
+
+/// Primal phase 1 on the tableau, the sparse engine's `primal_repair`
+/// step for step: sum-of-infeasibilities pricing over the real columns,
+/// [`phase1_block`]'s ratio test, earliest row on a tie.
+#[cfg(any(test, feature = "oracle"))]
+fn primal_repair(tab: &mut Tableau, problem: &Problem, tol: f64, iterations: &mut usize) -> Repair {
+    let step_cap = 4 * tab.m + 50;
+    let mut steps = 0usize;
+    let mut stall = Stall::default();
+    loop {
+        let cost: Vec<f64> = (0..tab.m)
+            .map(|r| infeasibility(tab.beta[r], tab.upper[tab.basis[r]]))
+            .collect();
+        let gap: f64 = (0..tab.m)
+            .map(|r| violation(cost[r], tab.beta[r], tab.upper[tab.basis[r]]))
+            .sum();
+        if cost.iter().all(|&c| c == 0.0) {
+            return Repair::Feasible;
+        }
+        if steps >= step_cap {
+            return Repair::Undecided;
+        }
+        // The phase-1 duals, `y_i = Σ_r cost_r·(B⁻¹)_{r,i}`, read off the
+        // artificial block.
+        let y = (0..tab.m).map(|i| {
+            (0..tab.m)
+                .map(|r| cost[r] * tab.t[r * tab.width + tab.art_start + i])
+                .sum::<f64>()
+        });
+        let scale: f64 = y
+            .zip(current_rhs(tab, problem))
+            .map(|(y, b)| (y * b).abs())
+            .sum();
+        let noise = !certifies_infeasible(gap, scale);
+        if noise && stall.stuck(gap) {
+            return Repair::Feasible;
+        }
+        let mut in_basis = vec![false; tab.width];
+        for &b in &tab.basis {
+            in_basis[b] = true;
+        }
+        let mut entering: Option<(usize, f64)> = None;
+        for (j, &basic) in in_basis.iter().enumerate().take(tab.n_real) {
+            if basic || tab.upper[j] <= 0.0 {
+                continue;
+            }
+            let d: f64 = -(0..tab.m)
+                .map(|r| cost[r] * tab.t[r * tab.width + j])
+                .sum::<f64>();
+            if d < -tol && entering.is_none_or(|(_, bd)| d < bd - PRICE_TIE * (1.0 + bd.abs())) {
+                entering = Some((j, d));
+            }
+        }
+        let Some((j, _)) = entering else {
+            return if noise {
+                Repair::Feasible
+            } else {
+                Repair::Infeasible
+            };
+        };
+        let mut best = tab.upper[j];
+        let mut outcome = if best.is_finite() {
+            RatioOutcome::Flip
+        } else {
+            RatioOutcome::Unbounded
+        };
+        let floor = pivot_floor((0..tab.m).map(|i| tab.t[i * tab.width + j]), tab.col_max[j]);
+        for i in 0..tab.m {
+            let a = tab.t[i * tab.width + j];
+            let upper = tab.upper[tab.basis[i]];
+            let Some((ratio, at_upper)) = phase1_block(tab.beta[i], upper, a, floor) else {
+                continue;
+            };
+            let tie = RATIO_TIE * (1.0 + best.abs());
+            let open = matches!(outcome, RatioOutcome::Flip | RatioOutcome::Unbounded);
+            if ratio < best - tie || (ratio < best + tie && open) {
+                best = ratio;
+                outcome = if at_upper {
+                    RatioOutcome::LeaveUpper(i)
+                } else {
+                    RatioOutcome::LeaveLower(i)
+                };
+            }
+        }
+        match outcome {
+            RatioOutcome::Unbounded => return Repair::Undecided,
+            RatioOutcome::Flip => tab.flip_column(j),
+            RatioOutcome::LeaveLower(r) => tab.pivot(r, j),
+            RatioOutcome::LeaveUpper(r) => {
+                tab.flip_basic_row(r);
+                tab.pivot(r, j);
+            }
+        }
+        *iterations += 1;
+        steps += 1;
+    }
 }
 
 /// All basic values within their (working-space) bounds?
@@ -1228,9 +1765,10 @@ fn run_phase(
         } else {
             RatioOutcome::Unbounded
         };
+        let floor = pivot_floor((0..tab.m).map(|i| tab.t[i * tab.width + j]), tab.col_max[j]);
         for i in 0..tab.m {
             let a = tab.t[i * tab.width + j];
-            if a > 1e-9 {
+            if a > floor {
                 let numer = tab.beta[i].max(0.0);
                 let ratio = if numer < DEGEN_SNAP { 0.0 } else { numer / a };
                 let tie = RATIO_TIE * (1.0 + best.abs());
@@ -1240,7 +1778,7 @@ fn run_phase(
                     best = ratio;
                     outcome = RatioOutcome::LeaveLower(i);
                 }
-            } else if a < -1e-9 {
+            } else if a < -floor {
                 let ub = tab.upper[tab.basis[i]];
                 if ub.is_finite() {
                     let numer = (ub - tab.beta[i]).max(0.0);

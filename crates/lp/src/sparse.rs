@@ -91,6 +91,11 @@ impl CscMatrix {
         Some((k, std::mem::replace(&mut self.values[k], 0.0)))
     }
 
+    /// Largest magnitude stored in column `j`.
+    pub fn col_max(&self, j: usize) -> f64 {
+        self.col(j).fold(0.0f64, |m, (_, v)| m.max(v.abs()))
+    }
+
     /// Sparse dot product of column `j` with a dense vector.
     pub fn col_dot(&self, j: usize, x: &[f64]) -> f64 {
         self.col(j).map(|(r, v)| v * x[r]).sum()
@@ -126,6 +131,10 @@ pub struct SparseForm {
     /// Current effective right-hand side, adjusted for every flip applied
     /// so far (`b − Σ_flipped u_j · a_j` in current orientations).
     pub b: Vec<f64>,
+    /// `−1.0` for a row stored negated (its shifted right-hand side was
+    /// negative when the form was built), else `1.0`. A row patched later
+    /// keeps the orientation it was stored in.
+    pub sign: Vec<f64>,
     /// Upper bound of each column in the working (shifted) space.
     pub upper: Vec<f64>,
     /// Whether each column is currently complemented.
@@ -223,11 +232,39 @@ impl SparseForm {
             art_start: n_real,
             a,
             b,
+            sign,
             upper,
             flipped: vec![false; width],
             cost2,
             flip_const2,
         })
+    }
+
+    /// The effective right-hand side of stored row `row` for the
+    /// constraint `Σ terms ⋈ rhs` with `skip`'s term left out, from
+    /// scratch: shifted by the lower bounds, less the share of every
+    /// complemented column, in the row's stored orientation.
+    pub fn row_rhs(
+        &self,
+        row: usize,
+        terms: &[(usize, f64)],
+        skip: Option<usize>,
+        rhs: f64,
+        lower: &[f64],
+    ) -> f64 {
+        let kept = || terms.iter().filter(|&&(v, _)| Some(v) != skip);
+        let sign = self.sign[row];
+        let mut shifted = rhs;
+        for &(v, a) in kept() {
+            shifted -= a * lower[v];
+        }
+        let mut b = sign * shifted;
+        for &(v, a) in kept() {
+            if self.flipped[v] {
+                b -= sign * a * self.upper[v];
+            }
+        }
+        b
     }
 
     /// Phase-2 cost of column `j` in its current orientation.

@@ -31,22 +31,23 @@ use serde::{DeError, Deserialize, Serialize, Value};
 pub struct SolverTelemetry {
     /// Full replans performed (LP or flow re-solved, or cache hit).
     pub replans: u64,
-    /// Simplex solves that ran the cold two-phase path: every lexmin
-    /// round's main solve, and every necessity trial its probe left
-    /// undecided.
+    /// Simplex solves that ran the cold two-phase path: the first lexmin
+    /// round's main solve, and every later round's or necessity trial's
+    /// that its commit or probe left undecided.
     pub cold_solves: u64,
-    /// Necessity trials decided in place by a probe of the round's
-    /// retained optimum — optimal or certified infeasible, one count per
-    /// trial.
+    /// Lexmin steps decided in place from the retained optimum: necessity
+    /// trials answered by a probe (optimal or certified infeasible) and
+    /// rounds after the first reached by a commit of the last round's
+    /// freezes. One count per trial or round.
     pub warm_solves: u64,
-    /// Probes that could not decide (singular patched basis, lost dual
-    /// feasibility, a certificate within noise, a failed residual or
-    /// feasibility check) and were solved cold. Counted in `cold_solves`
-    /// too.
+    /// Probes and commits that could not decide (no column to take `θ`'s
+    /// place, lost dual feasibility, a certificate within noise, a step
+    /// cap, a failed residual or feasibility check) and were solved cold.
+    /// Counted in `cold_solves` too.
     pub warm_fallbacks: u64,
     /// Simplex pivots spent in cold solves.
     pub cold_pivots: u64,
-    /// Simplex pivots spent in probes that found an optimum.
+    /// Simplex pivots spent in probes and commits that found an optimum.
     pub warm_pivots: u64,
     /// Replans answered verbatim by the plan cache (identical problem).
     pub cache_hits_exact: u64,

@@ -1,16 +1,23 @@
-//! Warm-start equivalence harness (this PR's headline test): warm-started
-//! simplex, cold simplex, and the parametric-flow backend must produce
-//! plans with identical lexicographic load profiles and objective vectors,
-//! both on randomized standalone instances and along replayed replan
-//! sequences of the kind fault injection produces (completions shrinking
-//! demands, elapsed time shifting the horizon, capacity churn).
+//! Carried-round equivalence harness: a lexmin solve that runs one cold
+//! solve and continues from its retained optimum — necessity trials as
+//! probes, every later round's main solve as a commit — against the
+//! all-cold reference that rebuilds and solves every trial and every
+//! round from scratch, and both against the parametric-flow backend, on
+//! randomized standalone instances and along replayed replan sequences of
+//! the kind fault injection produces (completions shrinking demands,
+//! elapsed time shifting the horizon, capacity churn).
 //!
-//! The equivalence argument being checked: every lexmin round's **main**
-//! solve is cold in both configurations, and necessity trials — probes of
-//! that solve's retained optimum in one, cold rebuilds in the other — only
-//! compare the optimal *objective* against a threshold, a quantity probe
-//! and cold solve provably share; so freezing decisions, and with them the
-//! final allocation, must be bit-identical.
+//! The equivalence argument being checked: the objective of every LP
+//! involved is unique, so a round's optimal peak (`thetas`), the verdict
+//! of every trial (probe and cold solve agree on the optimal objective)
+//! and the number of rounds agree, whichever way each LP was solved. What
+//! may differ is the vertex a degenerate round lands on — a commit
+//! continues from the last one, the rebuild starts from the all-artificial
+//! basis — and with it the allocation `x` and which pairs sit at the peak
+//! and are tried: a tie-fallback freeze (all peaks of that vertex), and a
+//! pair necessary only within the trial's margin that one vertex has just
+//! under the peak. Rounding either allocation must still give a feasible,
+//! demand-conserving plan.
 //!
 //! Since the flow backend took over uniform shapes, the only product path
 //! into the simplex is `backend::solve_with`'s heterogeneous-shape
@@ -19,14 +26,34 @@
 //! the same equivalence.
 
 use flowtime::lp_sched::{
-    backend::plan_peak, lexmin, rounding, LevelingProblem, PlanJob, SolveStats, SolverBackend,
+    backend::plan_peak,
+    formulation,
+    lexmin::{self, FractionalPlan},
+    rounding, LevelingProblem, PlanJob, SolveStats, SolverBackend,
 };
-use flowtime_dag::{JobId, ResourceVec, NUM_RESOURCES};
+use flowtime_dag::{JobId, ResourceVec};
+use flowtime_lp::{LpError, SimplexOptions};
 use proptest::prelude::*;
+use std::collections::HashMap;
+
+/// Absolute load caps of frozen `(slot, resource)` pairs.
+type Frozen = HashMap<(usize, usize), f64>;
 
 /// Freeze/re-solve budget deep enough to exercise several necessity-trial
 /// rounds on the generated instances.
 const LEX_ROUNDS: usize = 6;
+
+/// How far a carried round's `θ` may sit from the reference's, against
+/// `1 + θ`. Each is read off a vertex on the solver's 1e-9 grid, and every
+/// frozen level is such a `θ` times `C`, so a later round's LP may be
+/// feasible only within the solver's tolerances (1e-7 on a basic value,
+/// ratio ties within 1e-6): which vertex a solve of it ends on moves its
+/// `θ` by grid steps, and a step in one round's `θ` moves the next round's
+/// LP. Measured over this file's instances and the ill-scaled family of
+/// `tests/solver_props.rs`: at most 4 steps (3.1e-9 against `1 + θ`), in
+/// both directions, with the reference off a round value as often as the
+/// carried run. 1e-9 does not hold on that corpus.
+const THETA_TOL: f64 = 1e-8;
 
 /// The two task shapes of the generator: the YARN container every
 /// uniform instance uses, and a core-heavy one.
@@ -90,23 +117,6 @@ fn leveling_instance() -> impl Strategy<Value = LevelingProblem> {
     })
 }
 
-/// Per-slot normalized loads of a fractional allocation — the vector the
-/// lexicographic objective orders.
-fn load_profile(p: &LevelingProblem, x: &[Vec<f64>]) -> Vec<[f64; NUM_RESOURCES]> {
-    let mut loads = vec![[0.0f64; NUM_RESOURCES]; p.horizon()];
-    for (i, job) in p.jobs.iter().enumerate() {
-        for t in job.window.0..job.window.1 {
-            for (r, load) in loads[t].iter_mut().enumerate() {
-                let cap = p.slot_caps[t].dim(r) as f64;
-                if cap > 0.0 {
-                    *load += x[i][t] * job.per_task.dim(r) as f64 / cap;
-                }
-            }
-        }
-    }
-    loads
-}
-
 /// SplitMix64-style mixer: deterministic pseudo-random streams from
 /// proptest-generated seeds without depending on a test-side RNG.
 fn mix(seed: u64, k: u64) -> u64 {
@@ -116,6 +126,79 @@ fn mix(seed: u64, k: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// Whether `pair`, capped just below its level at peak `theta`, makes the
+/// LP with `frozen` infeasible or raises its peak — lexmin's necessity
+/// trial, solved cold.
+fn necessary(p: &LevelingProblem, frozen: &Frozen, pair: (usize, usize), theta: f64) -> bool {
+    let level = theta * p.slot_caps[pair.0].dim(pair.1) as f64;
+    let mut trial = frozen.clone();
+    trial.insert(pair, (level - (level * 1e-3).max(0.5)).max(0.0));
+    let f = formulation::build(p, &trial).unwrap();
+    match f.problem.solve_with(&SimplexOptions::default()) {
+        Ok(solution) => solution.value(f.theta) > theta + 1e-6,
+        Err(LpError::Infeasible) => true,
+        Err(e) => panic!("trial of {pair:?}: {e}"),
+    }
+}
+
+/// `carried` against the all-cold `reference` on `p`: equal objective
+/// vectors (to [`THETA_TOL`]) and round counts; equal freezes for every
+/// round whose LP is the same in both — the first, and each one after a
+/// round that froze the same pairs. Only the pairs at the peak of a
+/// round's vertex are tried, so two vertices may freeze differently: a
+/// tie-fallback freeze may pick other peaks (only its flag must agree),
+/// and a pair necessary only within the trial's margin may sit at the
+/// peak in one vertex and just under it in the other — every pair one
+/// configuration froze and the other did not must then pass a cold
+/// necessity trial. Rounding the carried allocation gives a feasible,
+/// demand-conserving plan.
+fn check_carried(
+    p: &LevelingProblem,
+    carried: &FractionalPlan,
+    reference: &FractionalPlan,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(carried.rounds_used, reference.rounds_used);
+    prop_assert_eq!(carried.thetas.len(), reference.thetas.len());
+    for (k, (a, b)) in carried.thetas.iter().zip(&reference.thetas).enumerate() {
+        prop_assert!(
+            (a - b).abs() <= THETA_TOL * (1.0 + b.abs()),
+            "round {}: carried theta {} vs reference {}",
+            k,
+            a,
+            b
+        );
+    }
+    prop_assert_eq!(carried.freezes.len(), reference.freezes.len());
+    let mut frozen = Frozen::new();
+    for (k, (a, b)) in carried.freezes.iter().zip(&reference.freezes).enumerate() {
+        prop_assert_eq!(a.necessary, b.necessary, "{:?} vs {:?}", a, b);
+        if a != b {
+            if b.necessary {
+                let only_one = a.pairs.iter().filter(|pair| !b.pairs.contains(pair));
+                for &pair in only_one.chain(b.pairs.iter().filter(|pair| !a.pairs.contains(pair))) {
+                    prop_assert!(
+                        necessary(p, &frozen, pair, reference.thetas[k]),
+                        "round {}: {:?} frozen by one configuration only and not necessary",
+                        k,
+                        pair
+                    );
+                }
+            }
+            break; // the next rounds solve different LPs
+        }
+        let theta = reference.thetas[k];
+        for &(t, r) in &b.pairs {
+            frozen.insert((t, r), theta * p.slot_caps[t].dim(r) as f64);
+        }
+    }
+    let plan = rounding::round_plan(p, &carried.x);
+    prop_assert!(rounding::is_feasible(p, &plan), "carried plan infeasible");
+    for job in &p.jobs {
+        prop_assert_eq!(plan.tasks[&job.id].iter().sum::<u64>(), job.demand);
+    }
+    Ok(())
 }
 
 /// Runs the full three-way equivalence check on one instance. Returns
@@ -135,28 +218,19 @@ fn check_equivalence(p: &LevelingProblem) -> Result<bool, TestCaseError> {
             )))
         }
     };
-
-    // Warm-started and cold simplex: bit-identical allocations, objective
-    // vectors, and (therefore) lexicographic load profiles.
-    prop_assert_eq!(&warm.x, &cold.x, "allocations diverged");
-    prop_assert_eq!(&warm.thetas, &cold.thetas, "objective vectors diverged");
-    prop_assert_eq!(warm.rounds_used, cold.rounds_used);
-    prop_assert_eq!(
-        load_profile(p, &warm.x),
-        load_profile(p, &cold.x),
-        "lexicographic load profiles diverged"
+    check_carried(p, &warm, &cold)?;
+    let reference = rounding::round_plan(p, &cold.x);
+    prop_assert!(
+        rounding::is_feasible(p, &reference),
+        "reference plan infeasible"
     );
-    // The cold configuration must never warm-start; both do the same
-    // number of LP solves.
+    // The cold configuration never warm-starts; the carried one solves
+    // cold once plus once per undecided probe or commit. (How many trials
+    // each runs depends on the vertex: a pair tight by accident is a
+    // candidate in one and not in the other.)
     prop_assert_eq!(cold_stats.warm_solves, 0);
     prop_assert_eq!(cold_stats.warm_fallbacks, 0);
-    prop_assert_eq!(
-        warm_stats.cold_solves + warm_stats.warm_solves,
-        cold_stats.cold_solves,
-        "solve counts diverged: {:?} vs {:?}",
-        warm_stats,
-        cold_stats
-    );
+    prop_assert_eq!(warm_stats.cold_solves, 1 + warm_stats.warm_fallbacks);
 
     let uniform = p.jobs.windows(2).all(|w| w[0].per_task == w[1].per_task);
     if !uniform {
@@ -181,13 +255,10 @@ fn check_equivalence(p: &LevelingProblem) -> Result<bool, TestCaseError> {
                 )))
             }
         }
-        let probed = lexmin::solve_with_stats(p, 3, true, &mut SolveStats::default());
+        let carried = lexmin::solve_with_stats(p, 3, true, &mut SolveStats::default());
         let rebuilt = lexmin::solve_with_stats(p, 3, false, &mut SolveStats::default());
-        match (probed, rebuilt) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(&a.x, &b.x, "three-round allocations diverged");
-                prop_assert_eq!(&a.thetas, &b.thetas);
-            }
+        match (carried, rebuilt) {
+            (Ok(a), Ok(b)) => check_carried(p, &a, &b)?,
             (a, b) => {
                 return Err(TestCaseError::fail(format!(
                     "three-round runs disagree: {a:?} vs {b:?}"
@@ -334,10 +405,11 @@ fn unit_job(id: u64, window: (usize, usize), demand: u64, per_slot_cap: Option<u
 /// round's own optimum carries a memory-row slack of −1.0e-5. A probe's
 /// dual repair finds that row with no entering candidate. Read as a proof
 /// of infeasibility (any gap above 1e-7) it freezes slot 5 at the wrong
-/// level and the allocation diverges from the all-cold reference; with the
-/// certificate's relative margin the probe is undecided, the trial is
-/// solved cold, and every verdict agrees. (`flowtime-lp` pins the same LP
-/// and shows the naive reading fails on it.)
+/// level and the objective vector diverges from the all-cold reference;
+/// with the certificate's relative margin the repair cannot decide, primal
+/// phase 1 takes the row for the rounding it is, and every verdict agrees
+/// without a cold trial. (`flowtime-lp` pins the same LP and shows the
+/// naive reading fails on it.)
 #[test]
 fn case_27_rounding_in_a_frozen_row_does_not_flip_a_freeze() {
     let p = LevelingProblem {
@@ -354,15 +426,70 @@ fn case_27_rounding_in_a_frozen_row_does_not_flip_a_freeze() {
     let mut stats = SolveStats::default();
     let plan = lexmin::solve_with_stats(&p, LEX_ROUNDS, true, &mut stats).unwrap();
     assert!((plan.thetas[1] - 0.7).abs() < 1e-9, "{:?}", plan.thetas);
-    assert!(stats.warm_fallbacks > 0, "nothing was undecided: {stats:?}");
+    assert_eq!(stats.warm_fallbacks, 0, "{stats:?}");
+    assert_eq!(stats.cold_solves, 1, "{stats:?}");
 }
 
-/// The counted row: a trial that is tight *by infeasibility* is decided
-/// where it is probed. Job 0 fills both of its slots to its per-slot cap,
-/// so capping either below that level leaves its demand no room — the
-/// four trials of round one are all infeasible. The parent answered each
-/// with a failed warm start plus a cold solve; now the dual repair's
-/// certificate answers, and the only cold solves left are the main solves.
+/// A pair necessary only within the trial's margin, under the peak in one
+/// vertex (case 21 of the replay property above). At round two's peak of
+/// a third, slot 8 takes at most 3 of job 1's 5 tasks (a third of 9
+/// cores), so slot 7 carries at least 2; a third of its 7 cores is 2.33
+/// and the trial caps it at 1.83, so it is necessary. The all-cold reference's vertex has it at
+/// the peak and freezes it at 2.33; the vertex the commit lands on holds
+/// it at 2, so it is not tried there. Both configurations still reach the
+/// objective vector the parent's all-cold lexmin computes.
+#[test]
+fn a_necessary_pair_under_the_peak_changes_no_theta() {
+    let job = |id: u64, window: (usize, usize), demand: u64, shape: usize, cap: u64| PlanJob {
+        id: JobId::new(id),
+        window,
+        demand,
+        per_task: ResourceVec::new(SHAPES[shape]),
+        per_slot_cap: Some(cap),
+    };
+    let p = LevelingProblem {
+        slot_caps: [5, 6, 9, 0, 9, 9, 8, 7, 9, 10]
+            .iter()
+            .map(|&cores| ResourceVec::new([cores, cores * 1024]))
+            .collect(),
+        jobs: vec![
+            job(0, (2, 5), 3, 1, 2),
+            job(1, (7, 9), 5, 0, 5),
+            job(2, (0, 2), 9, 0, 6),
+            job(3, (5, 10), 6, 0, 7),
+        ],
+    };
+    let parent = [
+        0.818181818,
+        0.333333333,
+        0.3125,
+        0.222222222,
+        0.083333333,
+        0.0,
+    ];
+    for rounds in [3, LEX_ROUNDS] {
+        let mut stats = SolveStats::default();
+        let carried = lexmin::solve_with_stats(&p, rounds, true, &mut stats).unwrap();
+        let reference =
+            lexmin::solve_with_stats(&p, rounds, false, &mut SolveStats::default()).unwrap();
+        assert_eq!(carried.thetas, parent[..rounds], "{rounds} rounds");
+        assert_eq!(reference.thetas, parent[..rounds], "{rounds} rounds");
+        assert!(
+            reference.freezes[1].pairs.contains(&(7, 0)),
+            "{reference:?}"
+        );
+        assert!(!carried.freezes[1].pairs.contains(&(7, 0)), "{carried:?}");
+        check_carried(&p, &carried, &reference).unwrap();
+        assert_eq!(stats.cold_solves, 1, "{stats:?}");
+    }
+}
+
+/// The counted row of trials: a trial that is tight *by infeasibility* is
+/// decided where it is probed. Job 0 fills both of its slots to its
+/// per-slot cap, so capping either below that level leaves its demand no
+/// room — the four trials of round one are all infeasible, and the dual
+/// repair's certificate answers each. The one cold solve left is round
+/// one's; every later round is a commit.
 #[test]
 fn an_infeasible_trial_is_decided_in_place() {
     let p = LevelingProblem {
@@ -372,16 +499,78 @@ fn an_infeasible_trial_is_decided_in_place() {
             unit_job(1, (2, 8), 12, None),
         ],
     };
-    let mut probed = SolveStats::default();
+    let mut carried = SolveStats::default();
     let mut rebuilt = SolveStats::default();
-    let plan = lexmin::solve_with_stats(&p, LEX_ROUNDS, true, &mut probed).unwrap();
+    let plan = lexmin::solve_with_stats(&p, LEX_ROUNDS, true, &mut carried).unwrap();
     let reference = lexmin::solve_with_stats(&p, LEX_ROUNDS, false, &mut rebuilt).unwrap();
-    assert_eq!(plan.x, reference.x);
     assert_eq!(plan.thetas, reference.thetas);
+    assert_eq!(plan.freezes, reference.freezes);
     assert_eq!(plan.thetas[..2], [0.7, 0.2]);
-    assert_eq!(probed.warm_fallbacks, 0, "{probed:?}");
-    assert_eq!(probed.cold_solves, plan.rounds_used as u64, "{probed:?}");
-    // One count per trial either way; here every trial is a probe.
-    assert!(probed.warm_solves >= 4, "{probed:?}");
-    assert_eq!(rebuilt.cold_solves, probed.cold_solves + probed.warm_solves);
+    assert_eq!(carried.warm_fallbacks, 0, "{carried:?}");
+    assert_eq!(carried.cold_solves, 1, "{carried:?}");
+    // One count per trial and per round either way; here every trial is a
+    // probe and every round after the first a commit: four trials and at
+    // least one commit.
+    assert!(carried.warm_solves > 4, "{carried:?}");
+    assert_eq!(
+        rebuilt.cold_solves,
+        carried.cold_solves + carried.warm_solves
+    );
+}
+
+/// A leveling problem shaped like one `sim-simplex` replan: 32 jobs of
+/// four eight-job workflows with staggered windows of 3–8 slots on a
+/// 160-core / 640 GiB cluster, three task shapes (one needing no memory),
+/// per-slot caps on every job. Deterministic in `seed`.
+fn replan_shaped(seed: u64) -> LevelingProblem {
+    let shapes = [[1, 1024], [2, 4096], [1, 0]];
+    let horizon = 40usize;
+    let jobs = (0..32u64)
+        .map(|i| {
+            let r = mix(seed, i);
+            let workflow = (i / 8) as usize;
+            let start = (workflow * 6 + (r % 12) as usize).min(horizon - 8);
+            let len = 3 + (r >> 8) as usize % 6;
+            let cap = 4 + (r >> 16) % 40;
+            PlanJob {
+                id: JobId::new(i),
+                window: (start, start + len),
+                demand: (cap * len as u64 / 2).max(1) + (r >> 24) % 7,
+                per_task: ResourceVec::new(shapes[(r >> 32) as usize % 3]),
+                per_slot_cap: Some(cap),
+            }
+        })
+        .collect();
+    LevelingProblem {
+        slot_caps: vec![ResourceVec::new([160, 655_360]); horizon],
+        jobs,
+    }
+}
+
+/// The counted row of rounds: on replan-shaped instances a solve is one
+/// cold solve however deep it goes — every round after the first is a
+/// commit that decides — and reaches the all-cold reference's objective
+/// vector through the same freezes.
+#[test]
+fn a_round_after_the_first_is_a_commit() {
+    for seed in 0..4u64 {
+        let p = replan_shaped(seed);
+        for rounds in [2, LEX_ROUNDS] {
+            let mut carried = SolveStats::default();
+            let plan = lexmin::solve_with_stats(&p, rounds, true, &mut carried).unwrap();
+            let reference =
+                lexmin::solve_with_stats(&p, rounds, false, &mut SolveStats::default()).unwrap();
+            assert!(plan.rounds_used >= 2, "seed {seed}: {:?}", plan.thetas);
+            assert_eq!(
+                carried.cold_solves, 1,
+                "seed {seed}, {rounds} rounds: {carried:?}"
+            );
+            assert_eq!(
+                carried.warm_fallbacks, 0,
+                "seed {seed}, {rounds} rounds: {carried:?}"
+            );
+            check_carried(&p, &plan, &reference)
+                .unwrap_or_else(|e| panic!("seed {seed}, {rounds} rounds: {e:?}"));
+        }
+    }
 }
