@@ -89,7 +89,6 @@ pub struct FlowTimeScheduler {
     /// EDF-style greedy until the next successful replan.
     degraded: bool,
     last_replan_slot: u64,
-    solves: usize,
     /// The conservative capacity regime the current windows were
     /// decomposed under (elementwise minimum of `capacity_at` over the
     /// tracked lookahead). `None` until the first slot.
@@ -116,7 +115,6 @@ impl FlowTimeScheduler {
             planned_completions: 0,
             degraded: false,
             last_replan_slot: 0,
-            solves: 0,
             capacity_regime: None,
             planned_deadlines: HashMap::new(),
             cache: PlanCache::new(),
@@ -125,9 +123,9 @@ impl FlowTimeScheduler {
     }
 
     /// Number of LP/flow solves performed so far (scheduling-latency
-    /// accounting, Fig. 7).
+    /// accounting, Fig. 7): the telemetry's replan counter.
     pub fn solves(&self) -> usize {
-        self.solves
+        self.telemetry.replans as usize
     }
 
     /// The capacity figure deadline decomposition runs against: the
@@ -320,7 +318,6 @@ impl FlowTimeScheduler {
 
     fn replan(&mut self, state: &SimState, pending: &[JobView]) {
         let problem = self.build_problem(state, pending);
-        self.solves += 1;
         self.telemetry.replans += 1;
         self.last_replan_slot = state.now();
         let started = Instant::now();
@@ -392,8 +389,8 @@ impl Scheduler for FlowTimeScheduler {
     fn on_failure(&mut self, _state: &SimState, job: JobId, _attempt: u32) {
         // A killed attempt reverts the job's progress to zero, so a plan
         // paced against the old `done_work` now under-provisions it. Drop
-        // the plan: the next slot replans through the warm-started cache
-        // (the windows and milestones survive — only the pacing is stale).
+        // the plan: the next slot simply replans (the windows and
+        // milestones survive — only the pacing is stale).
         // Ad-hoc failures don't touch the LP, which never plans them.
         if self.windows.contains_key(&job) {
             self.plan = None;

@@ -3,7 +3,7 @@
 //! ```text
 //! flowtimed [--listen ADDR] [--scheduler NAME] [--cores N] [--mem-mb N]
 //!           [--slot-seconds F] [--max-slots N] [--trace-capacity N]
-//!           [--pods K] [--snapshot-every N]
+//!           [--snapshot-every N]
 //!           [--wal-dir DIR] [--fsync always|batch:N|none]
 //!           [--keep-snapshots N] [--chaos-kill-after N[:BYTES]]
 //! ```
@@ -25,6 +25,10 @@
 //! refused and `--snapshot-every` has nothing to write. All argument
 //! errors are typed and exit nonzero; nothing defaults silently on
 //! malformed input.
+//!
+//! A session runs one engine over the whole cluster (DESIGN.md §29):
+//! `--pods` is not a flag here, and a WAL directory or snapshot recorded
+//! by an older `flowtimed --pods K` with K > 1 is refused at startup.
 
 use flowtime::Args;
 use flowtime_daemon::{serve, FsyncPolicy, Session, SessionConfig, WalConfig};
@@ -44,7 +48,6 @@ const USAGE: &str = "flowtimed: FlowTime online-submission daemon\n\n\
      --slot-seconds F     seconds per scheduling slot (default 10)\n  \
      --max-slots N        virtual-time horizon (default 100000)\n  \
      --trace-capacity N   decision-trace ring size (default 4096)\n  \
-     --pods K             shard the cluster into K pods (default 1)\n  \
      --snapshot-every N   WAL snapshot every N requests (default 256, 0 disables)\n  \
      --wal-dir DIR        write-ahead log directory (crash-consistent mode)\n  \
      --fsync POLICY       always|batch:N|none (default always; needs --wal-dir)\n  \
@@ -72,7 +75,7 @@ fn run() -> Result<(), String> {
         max_slots: args.get_parsed("max-slots", 100_000u64)?,
         trace_capacity: args.get_parsed("trace-capacity", 4096u64)?,
         snapshot_path: None,
-        pods: args.get_parsed("pods", 0u64)?,
+        pods: 0,
         placer: None,
     };
     let snapshot_every = match args.get_parsed("snapshot-every", 256u64)? {

@@ -2,44 +2,33 @@
 //!
 //! # Virtual-time model
 //!
-//! The session owns a virtual clock that advances **only** through
-//! explicit `tick` and `drain` requests — never from wall-clock time — so
-//! a session is a deterministic function of its request sequence.
-//! Submissions are accepted for any arrival slot at or after the clock,
-//! parked in a pending queue, and injected into an engine exactly when
-//! virtual time reaches their arrival slot; until then they can be
-//! cancelled. This queued-injection discipline is what makes the recorded
-//! [`SubmissionLog`] replayable: a batch [`flowtime_sim::Engine::from_log`]
-//! run over the same log materializes the identical dense job table and
-//! produces a byte-identical [`SimOutcome`].
+//! The session's virtual clock (its engine's `now`) advances **only**
+//! through explicit `tick` and `drain` requests — never from wall-clock
+//! time — so a session is a deterministic function of its request
+//! sequence. Submissions are accepted for any arrival slot at or after
+//! the clock, parked in a pending queue, and injected into the engine
+//! exactly when virtual time reaches their arrival slot; until then they
+//! can be cancelled. This queued-injection discipline is what makes the
+//! recorded [`SubmissionLog`] replayable: a batch
+//! [`flowtime_sim::Engine::from_log`] run over the same log materializes
+//! the identical dense job table and produces a byte-identical
+//! [`SimOutcome`].
 //!
-//! # Sharding
-//!
-//! With [`SessionConfig::pods`] > 1 the session runs one engine per pod
-//! over the pod's capacity slice ([`flowtime_sim::pod_cluster`]), each with
-//! its own scheduler instance (and plan cache). Submissions are placed at
-//! injection time through the same [`PlacerState`] rule the batch layer
-//! uses, in `(arrival, seq)` order — exactly the order
-//! [`flowtime_sim::place_log`] replays — so a batch run over each per-pod
-//! sub-log reproduces the per-pod outcomes byte-for-byte. A pod with no
-//! work parks (its local clock lags the session clock) and resumes when a
-//! placement lands on it; its local timeline therefore matches the batch
-//! engine's, which also simulates idle gaps only up to its own last
-//! completion. One pod is `pods = 1` of the same code; the three
-//! places where K=1 differs on the wire (`status` body, `outcome` body,
-//! gap-burn rule) are each one commented `pods.len() == 1`, and its
-//! responses are byte-identical to the pre-sharding daemon's.
+//! A session runs one engine over the whole cluster (DESIGN.md §29).
+//! Pods — the cluster split into independent engines — are a batch
+//! experiment (`flowtime-cli simulate --pods`); a recorded session config
+//! asking for more than one is refused, never replayed onto one engine.
 //!
 //! # Lifecycle
 //!
 //! [`Phase::Accepting`] (submissions + ticks) → `drain` (runs everything
 //! to completion, freezes the outcome and trace) → [`Phase::Drained`]
 //! (read-only: `status` / `trace` / `outcome` still served; mutations are
-//! typed errors). Engines exist only in the first phase, frozen artifacts
-//! only in the second. Every change to the submission log — live request
-//! (`Session::step` into a run, `Session::commit`), recovered WAL
-//! record, snapshot log — goes through `Session::apply_entry`, so replay
-//! cannot diverge from live.
+//! typed errors). The engine exists only in the first phase, frozen
+//! artifacts only in the second. Every change to the submission log —
+//! live request (`Session::step` into a run, `Session::commit`),
+//! recovered WAL record, snapshot log — goes through
+//! `Session::apply_entry`, so replay cannot diverge from live.
 
 use crate::protocol::{self, codes, ProtocolError, Request};
 use crate::snapshot::SnapshotBody;
@@ -47,12 +36,10 @@ use crate::wal::{self, DiskFaultPlan, RecoveryReport, Wal, WalConfig, WalRecord}
 use flowtime::Algo;
 use flowtime_dag::JobId;
 use flowtime_sim::{
-    pod_cluster, require_demand_placer, ClusterConfig, DecisionTrace, LogEntry, OnlineEngine,
-    PlacerState, Scheduler, SimError, SimOutcome, SolverTelemetry, StepOutcome, SubmissionLog,
-    TraceHandle,
+    require_demand_placer, ClusterConfig, DecisionTrace, LogEntry, OnlineEngine, Scheduler,
+    SimError, SimOutcome, StepOutcome, SubmissionLog, TraceHandle,
 };
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -74,9 +61,10 @@ pub struct SessionConfig {
     /// compiles.
     #[serde(default)]
     pub snapshot_path: Option<String>,
-    /// Number of pods to shard the cluster into; `0` and `1` both mean the
-    /// unsharded single engine. Serialized only when sharded, so unsharded
-    /// snapshots keep their pre-sharding bytes.
+    /// The pod count sessions could choose before DESIGN.md §29. Kept so
+    /// that recorded configs keep their bytes (it is serialized only when
+    /// nonzero) and `benchmark/`, which builds this struct by literal,
+    /// still compiles; only `0` and `1` — one engine — are accepted.
     #[serde(default, skip_serializing_if = "flowtime_sim::serde_skip::zero_u64")]
     pub pods: u64,
     /// The placement policy name sessions could choose before DESIGN.md
@@ -94,78 +82,48 @@ enum SeqState {
     Pending(u64),
     /// Cancelled while pending; will never materialize.
     Cancelled,
-    /// Materialized into pod `pod`'s engine as these job ids.
-    Injected { pod: usize, ids: Vec<JobId> },
+    /// Materialized into the engine as these job ids.
+    Injected(Vec<JobId>),
     /// The sequence number belongs to a cancel request itself.
     CancelRequest,
 }
 
 /// The frozen result of a drained session.
 struct Finished {
-    /// For one pod, `serde_json::to_string(&outcome)` — the canonical
-    /// bytes the differential harness compares against a batch run. For
-    /// several pods, `{"pods":[...]}` over the per-pod outcomes (each of
-    /// which is individually batch-comparable).
+    /// `serde_json::to_string(&outcome)` — the canonical bytes the
+    /// differential harness compares against a batch run.
     outcome_json: String,
-    outcomes: Vec<SimOutcome>,
-    traces: Vec<DecisionTrace>,
+    outcome: SimOutcome,
+    trace: DecisionTrace,
 }
 
 impl Finished {
-    fn now(&self) -> u64 {
-        self.outcomes
-            .iter()
-            .map(|o| o.slots_elapsed)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The fields `drain` and a drained `status` both report.
     fn summary(&self) -> String {
         format!(
             "\"now\":{},\"completed_jobs\":{},\"complete\":{}",
-            self.now(),
-            self.outcomes
-                .iter()
-                .map(|o| o.metrics.jobs.len())
-                .sum::<usize>(),
-            self.outcomes.iter().all(SimOutcome::is_complete)
+            self.outcome.slots_elapsed,
+            self.outcome.metrics.jobs.len(),
+            self.outcome.is_complete()
         )
     }
 }
 
-/// One pod's engine, scheduler, and trace recorder.
-struct PodRuntime {
-    scheduler: Box<dyn Scheduler>,
-    online: OnlineEngine,
-    trace: TraceHandle,
-}
-
-/// Injected jobs not yet complete, over all pods.
-fn incomplete(pods: &[PodRuntime]) -> usize {
-    pods.iter().map(|p| p.online.incomplete()).sum()
-}
-
-/// The session lifecycle. `drain` consumes the engines into the frozen
+/// The session lifecycle. `drain` consumes the engine into the frozen
 /// artifacts, so neither half can be observed in the wrong phase.
 enum Phase {
     Accepting {
-        /// One entry per pod; a single entry is the unsharded engine.
-        pods: Vec<PodRuntime>,
-        /// Placement state; with one pod it always answers pod 0.
-        placer: PlacerState,
+        scheduler: Box<dyn Scheduler>,
+        online: Box<OnlineEngine>,
+        trace: TraceHandle,
     },
-    Drained(Finished),
+    Drained(Box<Finished>),
 }
 
 /// One protocol-driven online run. See the module docs.
 pub struct Session {
     config: SessionConfig,
     phase: Phase,
-    /// The session's virtual clock. With one pod this always equals the
-    /// engine's `now`; with several it bounds every pod's local clock
-    /// from above (parked pods lag it).
-    clock: u64,
     /// Pending submissions keyed by `(arrival, seq)` — iteration order is
     /// exactly the injection (and batch materialization) order — mapped
     /// to the submission's index in `log.entries`, its only copy.
@@ -202,12 +160,11 @@ impl Session {
     /// # Errors
     ///
     /// [`ProtocolError`] with [`codes::BAD_REQUEST`] for an unknown
-    /// scheduler name or a placer other than `demand` — also when the
-    /// config comes out of a snapshot or a WAL genesis record, so a
-    /// session recorded under `firstfit` is refused rather than replayed
-    /// onto different pods.
+    /// scheduler name, a placer other than `demand`, or more than one pod
+    /// — also when the config comes out of a snapshot or a WAL genesis
+    /// record, so a session recorded under `firstfit` or on two pods is
+    /// refused rather than replayed onto one engine.
     pub fn new(config: SessionConfig) -> Result<Self, ProtocolError> {
-        let pod_count = config.pods.max(1) as usize;
         let bad = |detail: String| ProtocolError::new(codes::BAD_REQUEST, detail);
         // The same registry a batch comparison run resolves through: both
         // must start from identical scheduler state for the differential
@@ -217,24 +174,24 @@ impl Session {
         if let Some(name) = &config.placer {
             require_demand_placer("config.placer", name).map_err(bad)?;
         }
-        let pods = (0..pod_count)
-            .map(|i| {
-                let pc = pod_cluster(&config.cluster, pod_count, i);
-                let scheduler = algo.make(&pc);
-                let (online, trace) = OnlineEngine::new(pc, config.max_slots)
-                    .with_trace(config.trace_capacity as usize);
-                PodRuntime {
-                    scheduler,
-                    online,
-                    trace,
-                }
-            })
-            .collect();
-        let placer = PlacerState::new(&config.cluster, pod_count);
+        if config.pods > 1 {
+            return Err(bad(format!(
+                "config.pods: {} pods are refused: a session runs one engine (0 or 1), so \
+                 this recording cannot be replayed; shard a batch run with \
+                 `flowtime-cli simulate --pods` instead",
+                config.pods
+            )));
+        }
+        let scheduler = algo.make(&config.cluster);
+        let (online, trace) = OnlineEngine::new(config.cluster.clone(), config.max_slots)
+            .with_trace(config.trace_capacity as usize);
         Ok(Session {
             config,
-            phase: Phase::Accepting { pods, placer },
-            clock: 0,
+            phase: Phase::Accepting {
+                scheduler,
+                online: Box::new(online),
+                trace,
+            },
             pending: BTreeMap::new(),
             seq_state: BTreeMap::new(),
             log: SubmissionLog::new(),
@@ -259,7 +216,9 @@ impl Session {
     /// # Errors
     ///
     /// A typed [`ProtocolError`] (`wal-io` / `wal-corrupt` /
-    /// `snapshot-corrupt`) — a damaged directory is never a panic.
+    /// `snapshot-corrupt`) — a damaged directory is never a panic — or
+    /// the `bad-request` of [`Session::new`] for a recorded config this
+    /// tree refuses, leaving the directory as it was.
     pub fn recover(
         fallback: SessionConfig,
         wal_config: WalConfig,
@@ -269,24 +228,25 @@ impl Session {
             snapshot,
             tail,
             report,
-            mut wal,
+            next,
         } = wal::recover_dir(&wal_config, faults)?;
         let corrupt = |detail: &str| ProtocolError::new(codes::WAL_CORRUPT, detail);
         let mut records = tail.into_iter();
+        // The config is checked before the next segment exists.
         let mut session = match snapshot {
             Some(body) => Session::restore(body)?,
             // Nothing valid was ever written: the tail is empty too.
-            None if report.fresh => {
-                let session = Session::new(fallback)?;
-                let config = session.config.clone();
-                wal.append(&WalRecord::Genesis { config })?;
-                session
-            }
+            None if report.fresh => Session::new(fallback)?,
             None => match records.next() {
                 Some(WalRecord::Genesis { config }) => Session::new(config)?,
                 _ => return Err(corrupt("wal segment 1 must open with a genesis record")),
             },
         };
+        let mut wal = next.open()?;
+        if report.fresh {
+            let config = session.config.clone();
+            wal.append(&WalRecord::Genesis { config })?;
+        }
         // `Tick` and `Drain` swallow their (deterministic) runtime errors:
         // the live session also replied with an error and kept going, so
         // the replayed state still matches it exactly.
@@ -335,10 +295,10 @@ impl Session {
         Ok(session)
     }
 
-    /// The engines of a running session; `already-drained` otherwise.
-    fn running(&self) -> Result<&[PodRuntime], ProtocolError> {
+    /// The engine of a running session; `already-drained` otherwise.
+    fn running(&self) -> Result<&OnlineEngine, ProtocolError> {
         match &self.phase {
-            Phase::Accepting { pods, .. } => Ok(pods),
+            Phase::Accepting { online, .. } => Ok(online),
             Phase::Drained(_) => Err(ProtocolError::new(
                 codes::ALREADY_DRAINED,
                 "session is drained; no further mutation is accepted",
@@ -355,7 +315,10 @@ impl Session {
 
     /// Current virtual slot.
     pub fn now(&self) -> u64 {
-        self.finished().map_or(self.clock, Finished::now)
+        match &self.phase {
+            Phase::Accepting { online, .. } => online.now(),
+            Phase::Drained(f) => f.outcome.slots_elapsed,
+        }
     }
 
     /// True once the session has been drained.
@@ -369,19 +332,14 @@ impl Session {
         self.finished().map(|f| f.outcome_json.as_str())
     }
 
-    /// The frozen pod-0 decision trace of a drained session.
+    /// The frozen decision trace of a drained session.
     pub fn final_trace(&self) -> Option<&DecisionTrace> {
-        self.finished().and_then(|f| f.traces.first())
+        self.finished().map(|f| &f.trace)
     }
 
-    /// All frozen per-pod decision traces of a drained session.
-    pub fn final_traces(&self) -> Option<&[DecisionTrace]> {
-        self.finished().map(|f| f.traces.as_slice())
-    }
-
-    /// All per-pod outcomes of a drained session, in pod order.
+    /// The outcome of a drained session, as a one-element slice.
     pub fn final_outcomes(&self) -> Option<&[SimOutcome]> {
-        self.finished().map(|f| f.outcomes.as_slice())
+        self.finished().map(|f| std::slice::from_ref(&f.outcome))
     }
 
     /// The recorded submission log (the replay artifact).
@@ -660,29 +618,25 @@ impl Session {
         Ok(())
     }
 
-    /// Materializes every pending submission whose arrival slot has been
-    /// reached by the session clock, in `(arrival, seq)` order — the order
-    /// [`flowtime_sim::place_log`] replays — placing each through the
-    /// placer and cloning it out of the log, its one resident copy.
+    /// Materializes every pending submission whose arrival slot virtual
+    /// time has reached, in `(arrival, seq)` order — the order a batch run
+    /// sorts its table in — cloning each out of the log, its one resident
+    /// copy.
     fn flush_arrivals(&mut self) -> Result<(), ProtocolError> {
-        let Phase::Accepting { pods, placer } = &mut self.phase else {
+        let Phase::Accepting { online, .. } = &mut self.phase else {
             return Ok(());
         };
         while let Some(first) = self.pending.first_entry() {
             let (arrival, seq) = *first.key();
-            if arrival > self.clock {
+            if arrival > online.now() {
                 break;
             }
-            let (pod, ids) = match self.log.entries.get(first.remove()) {
+            let ids = match self.log.entries.get(first.remove()) {
                 Some(LogEntry::Workflow { submission, .. }) => {
-                    let pod = placer.place_workflow(submission);
-                    let ids = pods[pod].online.submit_workflow(submission.clone());
-                    (pod, ids)
+                    online.submit_workflow(submission.clone())
                 }
                 Some(LogEntry::Adhoc { submission, .. }) => {
-                    let pod = placer.place_adhoc(submission);
-                    let id = pods[pod].online.submit_adhoc(submission.clone());
-                    (pod, id.map(|id| vec![id]))
+                    online.submit_adhoc(submission.clone()).map(|id| vec![id])
                 }
                 Some(LogEntry::Cancel { .. }) | None => {
                     return Err(ProtocolError::new(
@@ -691,19 +645,18 @@ impl Session {
                     ))
                 }
             };
-            let ids = ids?;
-            self.seq_state.insert(seq, SeqState::Injected { pod, ids });
+            self.seq_state.insert(seq, SeqState::Injected(ids?));
         }
         Ok(())
     }
 
     /// One iteration of virtual time, shared by `tick`, `drain`, WAL
     /// replay and snapshot restore: inject due arrivals, park if nothing
-    /// is left to simulate, otherwise move the clock one slot and bring
-    /// every pod up to it. A pod with incomplete work simulates its next
-    /// local slots; an idle pod of a sharded session parks instead — its
-    /// local clock lags until a placement lands on it, keeping its
-    /// timeline identical to a batch run over its sub-log.
+    /// is left to simulate, otherwise simulate one slot — a `step` while
+    /// injected work is incomplete, an idle `step_idle` that burns the gap
+    /// while future submissions are queued (what a batch run whose table
+    /// holds that arrival does, and what `engine.now` in the golden
+    /// transcript pins).
     ///
     /// `replay` disables parking: during snapshot restore the recorded
     /// `now` proves the live session reached the slot, even though a
@@ -713,41 +666,19 @@ impl Session {
     /// queue — so the restored session continues byte-identically.
     fn step_slot(&mut self, replay: bool) -> Result<StepOutcome, ProtocolError> {
         self.flush_arrivals()?;
-        let Phase::Accepting { pods, .. } = &mut self.phase else {
+        let Phase::Accepting {
+            scheduler, online, ..
+        } = &mut self.phase
+        else {
             return Ok(StepOutcome::Complete);
         };
-        let queued = !self.pending.is_empty();
-        if !replay && !queued && incomplete(pods) == 0 {
-            return Ok(StepOutcome::Complete);
+        if online.incomplete() > 0 {
+            Ok(online.step(&mut **scheduler)?)
+        } else if replay || !self.pending.is_empty() {
+            Ok(online.step_idle(&mut **scheduler)?)
+        } else {
+            Ok(StepOutcome::Complete)
         }
-        self.clock += 1;
-        // K=1 only: a sole idle pod burns the gap slot while future
-        // submissions are queued (or on replay, were) — what the
-        // pre-sharding daemon did, what a batch run whose table holds
-        // that arrival does, and what `engine.now` in the golden
-        // transcript pins. Catching the pod up lazily instead is
-        // DESIGN.md §19's "rejected until measured".
-        let burn_gap = pods.len() == 1 && (replay || queued);
-        for pod in pods.iter_mut() {
-            while pod.online.now() < self.clock {
-                let step = if pod.online.incomplete() > 0 {
-                    pod.online.step(&mut *pod.scheduler)
-                } else if burn_gap {
-                    pod.online.step_idle(&mut *pod.scheduler)
-                } else {
-                    break; // Parked: local time lags until new work arrives.
-                }?;
-                match step {
-                    StepOutcome::Advanced => {}
-                    StepOutcome::Complete => break,
-                    StepOutcome::HorizonExhausted => {
-                        self.clock -= 1;
-                        return Ok(StepOutcome::HorizonExhausted);
-                    }
-                }
-            }
-        }
-        Ok(StepOutcome::Advanced)
     }
 
     /// Advances virtual time to `target`, injecting arrivals on the way.
@@ -755,7 +686,7 @@ impl Session {
     /// would have ended there too — unless `replay` (see
     /// [`Session::step_slot`]).
     fn run_to(&mut self, target: u64, replay: bool) -> Result<(), ProtocolError> {
-        while self.clock < target {
+        while self.now() < target {
             match self.step_slot(replay)? {
                 StepOutcome::Advanced => {}
                 StepOutcome::Complete => break,
@@ -777,10 +708,11 @@ impl Session {
         // the record reproduces the same partial state and same error.
         self.commit(&mut vec![WalRecord::Tick { to }])?;
         self.run_to(to, false)?;
+        let online = self.running()?;
         Ok(format!(
             "{{\"now\":{},\"incomplete\":{},\"pending\":{}}}",
-            self.clock,
-            incomplete(self.running()?),
+            online.now(),
+            online.incomplete(),
             self.pending.len()
         ))
     }
@@ -791,7 +723,7 @@ impl Session {
     /// record).
     fn drain(&mut self) -> Result<String, ProtocolError> {
         if !self.drained() {
-            let at = self.clock;
+            let at = self.now();
             self.commit(&mut vec![WalRecord::Drain { at }])?;
         }
         self.drain_inner()
@@ -806,74 +738,41 @@ impl Session {
                 stop => break stop,
             }
         };
-        let summary = match &mut self.phase {
-            Phase::Drained(finished) => finished.summary(),
-            Phase::Accepting { pods, .. } => {
-                if let StepOutcome::Complete = stop {
-                    // Mirror the batch engine's final step: observing
-                    // `Complete` runs the exact-conservation final check
-                    // on every pod (a violation is an engine bug and
-                    // surfaces as a typed error). A horizon-stopped
-                    // session freezes its partial outcome as is.
-                    for pod in pods.iter_mut() {
-                        pod.online.step(&mut *pod.scheduler)?;
-                    }
-                }
-                let mut outcomes = Vec::with_capacity(pods.len());
-                let mut traces = Vec::with_capacity(pods.len());
-                for mut pod in pods.drain(..) {
-                    outcomes.push(pod.online.finish(&mut *pod.scheduler));
-                    traces.push(pod.trace.take());
-                }
-                let mut per_pod = outcomes.iter().map(json).collect::<Result<Vec<_>, _>>()?;
-                // Wire format: one pod's outcome is the bare `SimOutcome`
-                // the batch differential compares byte for byte.
-                let outcome_json = if per_pod.len() == 1 {
-                    per_pod.swap_remove(0)
-                } else {
-                    format!("{{\"pods\":[{}]}}", per_pod.join(","))
-                };
-                let finished = Finished {
-                    outcome_json,
-                    outcomes,
-                    traces,
-                };
-                let summary = finished.summary();
-                self.phase = Phase::Drained(finished);
-                summary
-            }
+        let (scheduler, online, trace) = match &mut self.phase {
+            Phase::Drained(finished) => return Ok(format!("{{{}}}", finished.summary())),
+            Phase::Accepting {
+                scheduler,
+                online,
+                trace,
+            } => (scheduler, online, trace),
         };
+        if let StepOutcome::Complete = stop {
+            // Mirror the batch engine's final step: observing `Complete`
+            // runs the exact-conservation final check (a violation is an
+            // engine bug and surfaces as a typed error). A horizon-stopped
+            // session freezes its partial outcome as is.
+            online.step(&mut **scheduler)?;
+        }
+        // `finish` consumes the engine: an empty one stands in until the
+        // drained phase replaces the whole variant below.
+        let spent = Box::new(OnlineEngine::new(self.config.cluster.clone(), 0));
+        let outcome = std::mem::replace(online, spent).finish(&mut **scheduler);
+        let finished = Finished {
+            outcome_json: json(&outcome)?,
+            trace: trace.take(),
+            outcome,
+        };
+        let summary = finished.summary();
+        self.phase = Phase::Drained(Box::new(finished));
         Ok(format!("{{{summary}}}"))
     }
 
     fn status(&mut self) -> Result<String, ProtocolError> {
-        let pods = match &self.phase {
+        let (scheduler, online) = match &self.phase {
             Phase::Drained(f) => return Ok(format!("{{\"phase\":\"drained\",{}}}", f.summary())),
-            Phase::Accepting { pods, .. } => pods,
-        };
-        let mut pod_statuses = Vec::with_capacity(pods.len());
-        let mut solver: Option<SolverTelemetry> = None;
-        for pod in pods {
-            pod_statuses.push(json(&pod.online.status())?);
-            if let Some(t) = pod.scheduler.telemetry() {
-                match &mut solver {
-                    Some(agg) => agg.accumulate(&t),
-                    None => solver = Some(t),
-                }
-            }
-        }
-        // Wire format: one pod's status *is* the `engine` object; several
-        // get an aggregate `engine` header (so clients that only read
-        // `engine.now` keep working) plus one full status per pod.
-        let engine = if pods.len() == 1 {
-            pod_statuses.concat()
-        } else {
-            format!(
-                "{{\"now\":{},\"incomplete\":{}}},\"pods\":[{}]",
-                self.clock,
-                incomplete(pods),
-                pod_statuses.join(",")
-            )
+            Phase::Accepting {
+                scheduler, online, ..
+            } => (scheduler, online),
         };
         // Only a session with a WAL reports one, so WAL-less replies keep
         // their bytes (and the golden transcript its own).
@@ -882,8 +781,9 @@ impl Session {
             .as_ref()
             .map_or_else(String::new, |wal| format!(",\"wal\":{}", wal.status_json()));
         Ok(format!(
-            "{{\"phase\":\"accepting\",\"engine\":{engine},\"solver\":{},\"pending\":{},\"logged\":{}{wal}}}",
-            json(&solver)?,
+            "{{\"phase\":\"accepting\",\"engine\":{},\"solver\":{},\"pending\":{},\"logged\":{}{wal}}}",
+            json(&online.status())?,
+            json(&scheduler.telemetry())?,
             self.pending.len(),
             self.log.len()
         ))
@@ -895,13 +795,12 @@ impl Session {
             Some(SeqState::CancelRequest) => "\"cancel-request\"".to_string(),
             Some(SeqState::Pending(arrival)) => format!("\"pending\",\"arrival\":{arrival}"),
             Some(SeqState::Cancelled) => "\"cancelled\"".to_string(),
-            Some(SeqState::Injected { pod, ids }) => {
+            Some(SeqState::Injected(ids)) => {
                 let mut jobs = Vec::new();
                 for id in ids {
                     match &self.phase {
-                        Phase::Accepting { pods, .. } => {
-                            if let Some(p) = pods.get(*pod).and_then(|r| r.online.job_progress(*id))
-                            {
+                        Phase::Accepting { online, .. } => {
+                            if let Some(p) = online.job_progress(*id) {
                                 jobs.push(json(&p)?);
                             }
                         }
@@ -915,13 +814,14 @@ impl Session {
     }
 
     fn trace_tail(&mut self, limit: usize) -> Result<String, ProtocolError> {
-        // Sharded sessions serve pod 0's trace here; the full per-pod set
-        // is available through [`Session::final_traces`] after drain.
+        let live;
         let trace = match &self.phase {
-            Phase::Drained(f) => f.traces.first().map(Cow::Borrowed),
-            Phase::Accepting { pods, .. } => pods.first().map(|p| Cow::Owned(p.trace.snapshot())),
-        }
-        .ok_or_else(|| ProtocolError::new(codes::ENGINE_ERROR, "session has no pods"))?;
+            Phase::Drained(f) => &f.trace,
+            Phase::Accepting { trace, .. } => {
+                live = trace.snapshot();
+                &live
+            }
+        };
         let events: Vec<&flowtime_sim::TraceEvent> = trace.events().collect();
         let skip = events.len().saturating_sub(limit);
         let tail = events[skip..]
@@ -946,23 +846,12 @@ impl Session {
     /// `explain` over a drained session: re-certifies the frozen outcome
     /// and trace against the recorded submission log, then emits the
     /// per-missed-workflow E00x causal chains
-    /// ([`flowtime_sim::explain_log`]). Only unsharded sessions can be
-    /// explained in place — the log-replay certifier has no per-pod
-    /// workload slices; sharded sessions export their per-pod traces
-    /// (whose headers carry the pod provenance) for the offline
-    /// `flowtime-cli explain` path instead.
+    /// ([`flowtime_sim::explain_log`]).
     fn explain_report(&self) -> Result<String, ProtocolError> {
-        let finished = self.finished().ok_or_else(|| not_drained("explain"))?;
-        let ([outcome], [trace]) = (finished.outcomes.as_slice(), finished.traces.as_slice())
-        else {
-            return Err(ProtocolError::new(
-                codes::BAD_REQUEST,
-                "explain serves unsharded sessions; export the per-pod traces and use \
-                 `flowtime-cli explain` (the trace headers carry the pod provenance)",
-            ));
-        };
-        let report = flowtime_sim::explain_log(&self.config.cluster, &self.log, outcome, trace)
-            .map_err(|e| ProtocolError::new(codes::ENGINE_ERROR, e.to_string()))?;
+        let f = self.finished().ok_or_else(|| not_drained("explain"))?;
+        let report =
+            flowtime_sim::explain_log(&self.config.cluster, &self.log, &f.outcome, &f.trace)
+                .map_err(|e| ProtocolError::new(codes::ENGINE_ERROR, e.to_string()))?;
         Ok(format!("{{\"explain\":{}}}", json(&report)?))
     }
 
@@ -984,6 +873,7 @@ impl Session {
                 "drained sessions have nothing left to snapshot",
             ));
         }
+        let now = self.now();
         let Some(wal) = &mut self.wal else {
             return Err(ProtocolError::new(
                 codes::SNAPSHOT_IO,
@@ -993,7 +883,7 @@ impl Session {
         let (path, bytes) = wal.save_snapshot(SnapshotBody {
             config: self.config.clone(),
             log: self.log.clone(),
-            now: self.clock,
+            now,
             next_seq: self.next_seq,
             wal_segment: 0,
             request_ids: self.request_ids.clone(),

@@ -610,8 +610,8 @@ pub struct RecoveryReport {
     pub tail: Option<TailTruncation>,
 }
 
-/// The append half of the log. Created fresh by [`create`] or handed
-/// back by [`recover_dir`] positioned on a new segment.
+/// The append half of the log. Created fresh by [`create`] or, after
+/// [`recover_dir`], by [`NextSegment::open`] on a new segment.
 pub struct Wal {
     config: WalConfig,
     faults: Option<SharedFaults>,
@@ -931,8 +931,8 @@ impl Wal {
 // -------------------------------------------------------------- recovery
 
 /// Everything [`recover_dir`] hands back: the snapshot to restore from
-/// (if any), the tail records to replay, the report, and a [`Wal`]
-/// opened on a fresh segment for the recovered session's appends.
+/// (if any), the tail records to replay, the report, and the fresh
+/// segment the recovered session's appends go to.
 pub struct WalRecovered {
     /// Newest valid snapshot body, if one was usable.
     pub snapshot: Option<SnapshotBody>,
@@ -941,8 +941,29 @@ pub struct WalRecovered {
     pub tail: Vec<WalRecord>,
     /// What recovery did.
     pub report: RecoveryReport,
-    /// The append handle, positioned on a brand-new segment.
-    pub wal: Wal,
+    /// Where appends continue. The segment is created only by
+    /// [`NextSegment::open`], so a caller that refuses what it recovered
+    /// (a recorded config this tree does not run) leaves the directory
+    /// as recovery found it.
+    pub next: NextSegment,
+}
+
+/// A brand-new segment, not yet on disk (see [`WalRecovered::next`]).
+pub struct NextSegment {
+    config: WalConfig,
+    faults: Option<SharedFaults>,
+    segment: u64,
+}
+
+impl NextSegment {
+    /// Creates the segment and returns the append handle positioned on it.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Io`] when the segment file cannot be written.
+    pub fn open(self) -> Result<Wal, WalError> {
+        open_segment(self.config, self.faults, self.segment)
+    }
 }
 
 /// Lists `(segments, snapshots)` by number, ascending. Unknown files are
@@ -1148,12 +1169,15 @@ pub fn recover_dir(
         tail.extend(scanned.records);
     }
 
-    let wal = open_segment(config.clone(), fault_state, open_at)?;
     Ok(WalRecovered {
         snapshot: chosen,
         tail,
         report,
-        wal,
+        next: NextSegment {
+            config: config.clone(),
+            faults: fault_state,
+            segment: open_at,
+        },
     })
 }
 
@@ -1214,7 +1238,11 @@ mod tests {
         assert!(t.dropped_bytes > 0);
         // The file was physically truncated at the valid boundary.
         assert_eq!(fs::metadata(&path).unwrap().len(), t.offset);
-        assert_eq!(rec.wal.segment(), 2, "appends continue in a new segment");
+        assert_eq!(
+            rec.next.open().unwrap().segment(),
+            2,
+            "appends continue in a new segment"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1374,11 +1402,12 @@ mod tests {
         let t = rec.report.tail.expect("torn header reported");
         assert_eq!((t.segment, t.offset), (2, 0));
         assert!(
-            !segment_path(&dir, 2).exists() || rec.wal.segment() == 2,
+            !segment_path(&dir, 2).exists(),
             "the dead file must not linger as an empty segment"
         );
-        assert_eq!(rec.wal.segment(), 2, "the never-valid number is reused");
-        drop(rec.wal);
+        let wal = rec.next.open().unwrap();
+        assert_eq!(wal.segment(), 2, "the never-valid number is reused");
+        drop(wal);
         // The second restart must not classify the remnant as sealed-
         // history corruption.
         let rec = recover_dir(&WalConfig::new(&dir), None).unwrap();
@@ -1395,7 +1424,7 @@ mod tests {
         let rec = recover_dir(&WalConfig::new(&dir), None).unwrap();
         assert!(rec.tail.is_empty());
         assert!(rec.report.fresh, "nothing valid was ever written");
-        assert_eq!(rec.wal.segment(), 1);
+        assert_eq!(rec.next.open().unwrap().segment(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -14,9 +14,12 @@ fn startup_refuses_unknown_flags_before_any_work() {
         // The placement policy is not a choice (DESIGN.md §22), even
         // spelled the way that used to be valid.
         (
-            &["--pods", "2", "--placer", "demand", "--wal-dir", wal],
+            &["--placer", "demand", "--wal-dir", wal],
             "unknown flag --placer",
         ),
+        // A session runs one engine (DESIGN.md §29): pods are a batch
+        // experiment, not a daemon setting.
+        (&["--pods", "2", "--wal-dir", wal], "unknown flag --pods"),
         // A session persists through its WAL directory only (DESIGN.md
         // §26): the snapshot-file mode's flag is gone.
         (&["--snapshot", "/tmp/x"][..], "unknown flag --snapshot"),

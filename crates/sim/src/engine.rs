@@ -723,17 +723,18 @@ impl Engine {
                 // reaches the failure threshold, even if that grant would
                 // have finished the job. The final permitted attempt is
                 // exempt, so no job is ever lost to task failures.
-                let fails = self.recovery.as_ref().is_some_and(|rec| {
-                    let job = &self.state.jobs[idx];
+                let job = &self.state.jobs[idx];
+                let failing = self.recovery.take_if(|rec| {
                     job.attempt < rec.policy.max_retries
                         && rec
                             .plan
                             .attempt_failure(id, job.attempt, job.actual_work)
                             .is_some_and(|fail_at| job.done_work >= fail_at)
                 });
-                if fails {
+                if let Some(mut rec) = failing {
                     let attempt = self.state.jobs[idx].attempt;
-                    self.kill_job(idx, now, false);
+                    self.kill_job(&mut rec, idx, now, false);
+                    self.recovery = Some(rec);
                     failed.push((id, attempt + 1));
                     continue;
                 }
@@ -861,20 +862,18 @@ impl Engine {
     /// loop can notify the scheduler once state is consistent.
     fn process_crash_windows(&mut self) -> Vec<(JobId, u32)> {
         let mut killed = Vec::new();
+        // Taken out for the loop and put back after it, so `kill_job` is
+        // handed the context instead of looking it up.
+        let Some(mut rec) = self.recovery.take() else {
+            return killed;
+        };
         let now = self.state.now;
-        loop {
-            let Some(rec) = &self.recovery else {
-                return killed;
-            };
-            let Some(w) = rec.windows.get(rec.next_window) else {
-                return killed;
-            };
+        while let Some(w) = rec.windows.get(rec.next_window) {
             if w.from_slot > now {
-                return killed;
+                break;
             }
-            let opens_now = w.from_slot == now;
-            let w_idx = rec.next_window as u64;
-            if opens_now {
+            if w.from_slot == now {
+                let w_idx = rec.next_window as u64;
                 // Job-id order, so Kill events land deterministically.
                 for idx in 0..self.state.jobs.len() {
                     let j = &self.state.jobs[idx];
@@ -882,24 +881,25 @@ impl Engine {
                         continue;
                     }
                     let (id, attempt) = (j.id, j.attempt);
-                    let rec = self.recovery.as_ref().expect("recovery armed");
                     if attempt < rec.policy.max_retries && rec.plan.crash_kills(w_idx, id) {
-                        self.kill_job(idx, now, true);
+                        self.kill_job(&mut rec, idx, now, true);
                         killed.push((id, attempt + 1));
                     }
                 }
             }
-            self.recovery.as_mut().expect("recovery armed").next_window += 1;
+            rec.next_window += 1;
         }
+        self.recovery = Some(rec);
+        killed
     }
 
     /// Kills the current attempt of the job at `idx`: its progress is
     /// discarded into `wasted`, the attempt counter bumps, and the job
     /// leaves the runnable set until its deterministic backoff slot, when
     /// an [`EV_RETRY`] event re-admits it. `crash` selects which stats
-    /// counter the kill lands in.
-    fn kill_job(&mut self, idx: usize, now: u64, crash: bool) {
-        let rec = self.recovery.as_mut().expect("kill with recovery armed");
+    /// counter of `rec` — the recovery context, borrowed out of the
+    /// engine by the caller — the kill lands in.
+    fn kill_job(&mut self, rec: &mut RecoveryCtx, idx: usize, now: u64, crash: bool) {
         let job = &mut self.state.jobs[idx];
         let wasted = job.done_work;
         let killed_attempt = job.attempt;
@@ -1040,18 +1040,20 @@ impl Engine {
                 });
                 continue;
             }
-            match j.completion_slot {
-                Some(completion_slot) => job_outcomes.push(JobOutcome {
+            // A job completes only after it was ready, so both slots are
+            // set; a row with one of them missing is still in flight.
+            match (j.completion_slot, j.ready_slot) {
+                (Some(completion_slot), Some(ready_slot)) => job_outcomes.push(JobOutcome {
                     id: j.id,
                     class: j.class,
                     arrival_slot: j.arrival_slot,
-                    ready_slot: j.ready_slot.expect("completed jobs were ready"),
+                    ready_slot,
                     completion_slot,
                     deadline_slot: j.deadline_slot,
                     retries: j.attempt as u64,
                     wasted_work: j.wasted,
                 }),
-                None => in_flight.push(InFlightJob {
+                _ => in_flight.push(InFlightJob {
                     id: j.id,
                     class: j.class,
                     arrival_slot: j.arrival_slot,
@@ -1075,8 +1077,7 @@ impl Engine {
                     .map(|&id| self.state.issued(id).completion_slot)
                     .collect::<Option<Vec<u64>>>()?
                     .into_iter()
-                    .max()
-                    .expect("workflows are non-empty");
+                    .max()?;
                 Some(WorkflowOutcome {
                     id: w.submission.workflow.id(),
                     deadline_slot: w.submission.workflow.deadline_slot(),
@@ -1098,6 +1099,7 @@ impl Engine {
                     .iter()
                     .map(|&id| self.state.issued(id).completion_slot)
                     .collect::<Option<Vec<u64>>>()?;
+                let completion_slot = completions.iter().max().copied()?;
                 let culprits: Vec<NodeSlackUse> = completions
                     .iter()
                     .enumerate()
@@ -1115,7 +1117,7 @@ impl Engine {
                 Some(MissAttribution {
                     workflow: w.submission.workflow.id(),
                     deadline_slot: w.submission.workflow.deadline_slot(),
-                    completion_slot: *completions.iter().max().expect("workflows are non-empty"),
+                    completion_slot,
                     total_overrun_slots: culprits.iter().map(|c| c.overrun_slots).sum(),
                     culprits,
                 })

@@ -12,7 +12,7 @@
 //! * [`split_capacity`] slices cluster capacity into K pod slices that
 //!   sum **exactly** to the cluster capacity (remainders go to the first
 //!   pods), including every [`crate::cluster::CapacityWindow`].
-//! * [`PlacerState`] assigns each workflow / ad-hoc submission to the pod
+//! * [`place`] assigns each workflow / ad-hoc submission to the pod
 //!   whose peak normalized demand stays lowest with the submission on it.
 //!   It is the only placement rule, and placement is final: the first-fit
 //!   and worst-fit policies and the rebalance pass were cut when the one
@@ -40,7 +40,6 @@ use crate::cluster::ClusterConfig;
 use crate::engine::SimOutcome;
 use crate::error::SimError;
 use crate::job::{AdhocSubmission, SimWorkload, WorkflowSubmission};
-use crate::submission::{LogEntry, SubmissionLog};
 use flowtime_dag::{ResourceVec, NUM_RESOURCES};
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -234,10 +233,9 @@ pub fn pod_cluster(cluster: &ClusterConfig, pods: usize, pod: usize) -> ClusterC
 ///
 /// All decisions are pure integer/f64 arithmetic over a fixed order, so
 /// a placement is reproducible from the submission sequence alone — the
-/// property both the batch [`place`] and the daemon's online injection
-/// path rely on.
+/// property the auditor's recomputation of [`place`] relies on.
 #[derive(Debug, Clone)]
-pub struct PlacerState {
+struct PlacerState {
     caps: Vec<ResourceVec>,
     load: Vec<[f64; NUM_RESOURCES]>,
 }
@@ -245,7 +243,7 @@ pub struct PlacerState {
 impl PlacerState {
     /// A fresh state over the canonical capacity split of `cluster` into
     /// `pods` pods (`0` is read as `1`).
-    pub fn new(cluster: &ClusterConfig, pods: usize) -> Self {
+    fn new(cluster: &ClusterConfig, pods: usize) -> Self {
         let caps = split_capacity(cluster.capacity(), pods);
         PlacerState {
             load: vec![[0.0; NUM_RESOURCES]; caps.len()],
@@ -283,12 +281,12 @@ impl PlacerState {
     }
 
     /// Places a workflow submission.
-    pub fn place_workflow(&mut self, sub: &WorkflowSubmission) -> usize {
+    fn place_workflow(&mut self, sub: &WorkflowSubmission) -> usize {
         self.place_rate(workflow_rate(sub))
     }
 
     /// Places an ad-hoc submission.
-    pub fn place_adhoc(&mut self, sub: &AdhocSubmission) -> usize {
+    fn place_adhoc(&mut self, sub: &AdhocSubmission) -> usize {
         self.place_rate(adhoc_rate(sub))
     }
 }
@@ -317,7 +315,7 @@ fn adhoc_rate(sub: &AdhocSubmission) -> [f64; NUM_RESOURCES] {
 
 /// Computes the full batch placement: workflows first (in submission
 /// order), then ad-hoc jobs (in submission order), each through one
-/// [`PlacerState`].
+/// `PlacerState`.
 pub fn place(cluster: &ClusterConfig, workload: &SimWorkload, pods: usize) -> PlacementLog {
     let mut st = PlacerState::new(cluster, pods);
     PlacementLog {
@@ -329,67 +327,6 @@ pub fn place(cluster: &ClusterConfig, workload: &SimWorkload, pods: usize) -> Pl
             .map(|sub| st.place_adhoc(sub))
             .collect(),
     }
-}
-
-/// Places the effective submissions of a recorded [`SubmissionLog`] in
-/// materialization order (`(arrival, seq)` — exactly the order the
-/// daemon injects them) and splits the log into one sub-log per pod,
-/// preserving entry order. Cancelled submissions and cancel requests are
-/// dropped (they never materialize, so they are never placed).
-///
-/// This is the batch replay contract of a **sharded daemon session**:
-/// running [`crate::Engine::from_log`] over each returned sub-log reproduces
-/// the session's per-pod outcomes byte-for-byte.
-///
-/// # Errors
-///
-/// [`SimError::MalformedSubmission`] when the log's cancellations do not
-/// resolve (see [`SubmissionLog::effective`]).
-pub fn place_log(
-    cluster: &ClusterConfig,
-    log: &SubmissionLog,
-    pods: usize,
-) -> Result<Vec<SubmissionLog>, SimError> {
-    // Surface malformed cancellations with the same error `from_log` would.
-    log.effective()?;
-    let mut cancelled: Vec<u64> = Vec::new();
-    for entry in &log.entries {
-        if let LogEntry::Cancel { target, .. } = entry {
-            cancelled.push(*target);
-        }
-    }
-    // (arrival, seq) over surviving submissions = injection order; each
-    // carries its entry index and the demand rate it is placed by.
-    let mut keyed: Vec<(u64, u64, usize, [f64; NUM_RESOURCES])> = Vec::new();
-    for (idx, entry) in log.entries.iter().enumerate() {
-        match entry {
-            LogEntry::Workflow {
-                seq, submission, ..
-            } if !cancelled.contains(seq) => {
-                let arrival = submission.workflow.submit_slot();
-                keyed.push((arrival, *seq, idx, workflow_rate(submission)));
-            }
-            LogEntry::Adhoc {
-                seq, submission, ..
-            } if !cancelled.contains(seq) => {
-                keyed.push((submission.arrival_slot, *seq, idx, adhoc_rate(submission)));
-            }
-            _ => {}
-        }
-    }
-    keyed.sort_by_key(|&(arrival, seq, ..)| (arrival, seq));
-    let mut st = PlacerState::new(cluster, pods);
-    let mut pod_of_entry: Vec<Option<usize>> = vec![None; log.entries.len()];
-    for (_, _, idx, rate) in keyed {
-        pod_of_entry[idx] = Some(st.place_rate(rate));
-    }
-    let mut out = vec![SubmissionLog::new(); st.caps.len()];
-    for (entry, pod) in log.entries.iter().zip(pod_of_entry) {
-        if let Some(pod) = pod {
-            out[pod].entries.push(entry.clone());
-        }
-    }
-    Ok(out)
 }
 
 /// The result of a sharded run: the placement that shaped it plus one
@@ -613,38 +550,5 @@ mod tests {
             let err = serde_json::from_str::<PlacementLog>(&bytes).unwrap_err();
             assert!(err.to_string().contains(names), "{bytes}: {err}");
         }
-    }
-
-    #[test]
-    fn place_log_matches_injection_order_and_drops_cancelled() {
-        let cluster = ClusterConfig::new(ResourceVec::new([8, 8192]), 10.0);
-        let mut log = SubmissionLog::new();
-        log.entries.push(LogEntry::Adhoc {
-            seq: 0,
-            at: 0,
-            submission: adhoc(4, 4, 5),
-        });
-        log.entries.push(LogEntry::Adhoc {
-            seq: 1,
-            at: 0,
-            submission: adhoc(4, 4, 2),
-        });
-        log.entries.push(LogEntry::Adhoc {
-            seq: 2,
-            at: 0,
-            submission: adhoc(4, 4, 9),
-        });
-        log.entries.push(LogEntry::Cancel {
-            seq: 3,
-            at: 0,
-            target: 2,
-        });
-        let sublogs = place_log(&cluster, &log, 2).unwrap();
-        assert_eq!(sublogs.len(), 2);
-        let total: usize = sublogs.iter().map(|l| l.len()).sum();
-        assert_eq!(total, 2, "cancelled submission and cancel entry dropped");
-        // Deterministic.
-        let again = place_log(&cluster, &log, 2).unwrap();
-        assert_eq!(again, sublogs);
     }
 }

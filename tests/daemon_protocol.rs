@@ -6,10 +6,14 @@
 
 mod daemon_util;
 
-use daemon_util::{adhoc_line, err_code, loopback, ok};
-use flowtime_daemon::{codes, serve, Session, SessionConfig, MAX_LINE_BYTES};
+use daemon_util::{adhoc_line, err_code, loopback, ok, session_config, wal_config, workflow_line};
+use flowtime_bench::experiments::{testbed_cluster, WorkflowExperiment};
+use flowtime_daemon::{
+    codes, serve, FsyncPolicy, Loopback, Session, SessionConfig, SnapshotBody, WalRecord,
+    MAX_LINE_BYTES,
+};
 use flowtime_dag::{JobSpec, ResourceVec};
-use flowtime_sim::{AdhocSubmission, ClusterConfig};
+use flowtime_sim::{AdhocSubmission, ClusterConfig, SubmissionLog};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
@@ -176,14 +180,228 @@ fn lifecycle_violations_are_typed_errors() {
     ok(&mut lb, "{\"req\":\"drain\"}");
 }
 
+/// `pods: 1` is the one engine, bit for bit: the whole response stream —
+/// submit acks, tick responses, status, trace tail, drain summary, and
+/// the embedded outcome — matches a `pods: 0` session byte-for-byte.
 #[test]
-fn explain_rejects_sharded_sessions_typed() {
-    let mut lb = daemon_util::loopback_sharded(cluster(), "edf", 2);
-    ok(&mut lb, &adhoc_line(&adhoc(0)));
-    ok(&mut lb, "{\"req\":\"drain\"}");
-    // A sharded session has no in-place log-replay certifier; the typed
-    // error points at the offline per-pod trace path.
-    err_code(&mut lb, "{\"req\":\"explain\"}", codes::BAD_REQUEST);
+fn single_pod_session_is_byte_identical_to_unsharded() {
+    let cluster = testbed_cluster();
+    let workload = WorkflowExperiment {
+        workflows: 3,
+        jobs_per_workflow: 6,
+        adhoc_horizon: 80,
+        seed: 2,
+        ..Default::default()
+    }
+    .build(&cluster);
+    let mut plain = loopback(cluster.clone(), "flowtime");
+    let mut one_pod = Loopback::new(
+        Session::new(session_config(cluster, "flowtime", 1)).expect("one pod is one engine"),
+    );
+
+    let mut script = Vec::new();
+    for sub in &workload.workflows {
+        script.push(workflow_line(sub));
+    }
+    for sub in &workload.adhoc {
+        script.push(adhoc_line(sub));
+    }
+    script.push("{\"req\":\"tick\",\"to\":40}".to_string());
+    script.push("{\"req\":\"status\"}".to_string());
+    script.push("{\"req\":\"query\",\"sub\":0}".to_string());
+    script.push("{\"req\":\"trace\",\"limit\":8}".to_string());
+    script.push("{\"req\":\"drain\"}".to_string());
+    script.push("{\"req\":\"status\"}".to_string());
+    script.push("{\"req\":\"outcome\"}".to_string());
+    script.push("{\"req\":\"explain\"}".to_string());
+    for line in &script {
+        assert_eq!(
+            plain.request_line(line),
+            one_pod.request_line(line),
+            "pods=1 response diverges from pods=0 for `{line}`"
+        );
+    }
+}
+
+/// A session config keeps the serialized form it had before pods and
+/// placers existed — no `pods` key at 0, no `placer` key when unset — so
+/// recorded configs parse unchanged; `placer` names the one rule or
+/// nothing, whichever pod count (0 or 1) the config says.
+#[test]
+fn session_config_validation_and_serde_compat() {
+    let base = SessionConfig {
+        cluster: testbed_cluster(),
+        scheduler: "edf".to_string(),
+        max_slots: 1000,
+        trace_capacity: 64,
+        snapshot_path: None,
+        pods: 0,
+        placer: None,
+    };
+    for pods in [0, 1] {
+        let naming = |placer: &str| SessionConfig {
+            pods,
+            placer: Some(placer.to_string()),
+            ..base.clone()
+        };
+        for placer in ["firstfit", "Worst-Fit", "round-robin"] {
+            let err = Session::new(naming(placer))
+                .err()
+                .unwrap_or_else(|| panic!("{placer} must be refused"));
+            assert_eq!(err.code, codes::BAD_REQUEST, "{placer}: {}", err.detail);
+            assert!(err.detail.contains("config.placer"), "{}", err.detail);
+        }
+        // The surviving rule's name is accepted the way the flag spelled it.
+        for placer in ["demand", "Demand"] {
+            Session::new(naming(placer)).expect("the one rule, by name");
+        }
+    }
+
+    let json = serde_json::to_string(&base).expect("config serializes");
+    assert!(
+        !json.contains("\"pods\"") && !json.contains("\"placer\""),
+        "an unset config must keep its pre-sharding bytes: {json}"
+    );
+    // And a pre-sharding config document (no such keys) still parses.
+    let legacy: SessionConfig =
+        serde_json::from_value(&serde_json::parse(&json).expect("parses")).expect("deserializes");
+    assert_eq!(legacy, base);
+    let one_pod = SessionConfig { pods: 1, ..base };
+    let json = serde_json::to_string(&one_pod).expect("config serializes");
+    assert!(json.contains("\"pods\":1"), "{json}");
+}
+
+/// Every file under `dir`, by name, with its bytes.
+fn dir_bytes(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("dir lists")
+        .map(|e| {
+            let path = e.expect("dir entry").path();
+            let name = path
+                .file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read(&path).expect("file reads"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A session runs one engine, so a config asking for more than one pod
+/// is a typed `bad-request` naming `config.pods` wherever it comes from —
+/// the caller, a WAL directory's genesis record, a snapshot — and a
+/// refused directory is left byte for byte as it was: no genesis, no new
+/// segment. A retired placer is refused the same way.
+#[test]
+fn multi_pod_recordings_are_refused_and_left_untouched() {
+    let config = |pods: u64, placer: Option<&str>| SessionConfig {
+        placer: placer.map(str::to_string),
+        ..session_config(cluster(), "edf", pods)
+    };
+    let refused = |result: Result<Session, flowtime_daemon::ProtocolError>, field: &str| {
+        let err = result
+            .err()
+            .unwrap_or_else(|| panic!("{field} must be refused"));
+        assert_eq!(err.code, codes::BAD_REQUEST, "{field}: {}", err.detail);
+        assert!(err.detail.contains(field), "{field}: {}", err.detail);
+    };
+    refused(Session::new(config(2, None)), "config.pods");
+    refused(Session::new(config(8, Some("demand"))), "config.pods");
+
+    let root = daemon_util::wal_dir("refused-recordings");
+    for (tag, recorded, field) in [
+        ("pods", config(2, None), "config.pods"),
+        ("placer", config(2, Some("firstfit")), "config.placer"),
+    ] {
+        // What an older `flowtimed --pods 2` left behind: a genesis
+        // record, one submission, and a snapshot of that state.
+        let dir = root.join(tag);
+        let mut wal = flowtime_daemon::wal::create(wal_config(&dir, FsyncPolicy::None), None)
+            .expect("wal opens");
+        wal.append(&WalRecord::Genesis {
+            config: recorded.clone(),
+        })
+        .expect("append");
+        let genesis_only = dir_bytes(&dir);
+        let fallback = config(0, None);
+        let recovered =
+            Session::recover(fallback.clone(), wal_config(&dir, FsyncPolicy::None), None);
+        refused(recovered.map(|(session, _)| session), field);
+        assert_eq!(
+            dir_bytes(&dir),
+            genesis_only,
+            "{tag}: the genesis-only directory changed"
+        );
+
+        let body = SnapshotBody {
+            config: recorded,
+            log: SubmissionLog::new(),
+            now: 0,
+            next_seq: 0,
+            wal_segment: 0,
+            request_ids: Default::default(),
+        };
+        let (snap, _) = wal.save_snapshot(body).expect("snapshot saves");
+        drop(wal);
+        let body = flowtime_daemon::snapshot::load(&snap).expect("snapshot loads");
+        refused(Session::restore(body), field);
+        let with_snapshot = dir_bytes(&dir);
+        let recovered = Session::recover(fallback, wal_config(&dir, FsyncPolicy::None), None);
+        refused(recovered.map(|(session, _)| session), field);
+        assert_eq!(
+            dir_bytes(&dir),
+            with_snapshot,
+            "{tag}: the snapshot directory changed"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A WAL directory recorded with `pods: 1` — killed after a snapshot and
+/// a tail — recovers and drains byte-identically to an uncrashed `pods: 0`
+/// session given the same lines.
+#[test]
+fn single_pod_wal_directory_recovers_byte_identically() {
+    let lines: Vec<String> = (0..12)
+        .map(|i| adhoc_line(&adhoc(i * 3)))
+        .chain(["{\"req\":\"tick\",\"to\":9}".to_string()])
+        .collect();
+    let mut plain = loopback(cluster(), "fifo");
+    for line in &lines {
+        ok(&mut plain, line);
+    }
+
+    let dir = daemon_util::wal_dir("one-pod");
+    let mut lb = daemon_util::loopback_wal(cluster(), "fifo", 1, &dir, FsyncPolicy::None, None);
+    for (i, line) in lines.iter().enumerate() {
+        ok(&mut lb, line);
+        if i == 5 {
+            daemon_util::snapshot_file(&mut lb);
+        }
+    }
+    drop(lb); // kill -9
+    let (session, report) = Session::recover(
+        session_config(cluster(), "fifo", 0),
+        wal_config(&dir, FsyncPolicy::None),
+        None,
+    )
+    .expect("a one-pod directory recovers");
+    assert!(
+        report.snapshot.is_some(),
+        "recovery starts from the snapshot"
+    );
+    let mut recovered = Loopback::new(session);
+    for line in [
+        "{\"req\":\"drain\"}",
+        "{\"req\":\"outcome\"}",
+        "{\"req\":\"trace\",\"limit\":16}",
+    ] {
+        let (want, got) = (plain.request_line(line), recovered.request_line(line));
+        assert_eq!(want, got, "`{line}` diverges after recovery");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

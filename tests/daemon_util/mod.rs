@@ -15,14 +15,8 @@ pub const TRACE_CAPACITY: u64 = 1 << 18;
 
 /// A loopback session over the given cluster and scheduler.
 pub fn loopback(cluster: ClusterConfig, scheduler: &str) -> Loopback {
-    loopback_sharded(cluster, scheduler, 0)
-}
-
-/// A loopback session sharded into `pods` pods (0 and 1 both mean the
-/// unsharded engine).
-pub fn loopback_sharded(cluster: ClusterConfig, scheduler: &str, pods: u64) -> Loopback {
     Loopback::new(
-        Session::new(session_config(cluster, scheduler, pods)).expect("valid session config"),
+        Session::new(session_config(cluster, scheduler, 0)).expect("valid session config"),
     )
 }
 
@@ -36,7 +30,8 @@ pub fn wal_dir(tag: &str) -> PathBuf {
 }
 
 /// A [`SessionConfig`] matching the loopback builders (used as the
-/// recovery fallback config).
+/// recovery fallback config). `pods` is what a recorded config may say:
+/// 0 and 1 are one engine, anything more is refused.
 pub fn session_config(cluster: ClusterConfig, scheduler: &str, pods: u64) -> SessionConfig {
     SessionConfig {
         cluster,
