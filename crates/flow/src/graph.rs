@@ -58,6 +58,16 @@ impl FlowNetwork {
         }
     }
 
+    /// A network whose node `v` has room for exactly `degrees[v]` arcs
+    /// (forward arcs out of it plus residual twins into it) and for `edges`
+    /// edges, so a build that adds exactly those never reallocates.
+    pub(crate) fn with_degrees(degrees: &[usize], edges: usize) -> Self {
+        FlowNetwork {
+            adj: degrees.iter().map(|&d| Vec::with_capacity(d)).collect(),
+            edges: Vec::with_capacity(edges),
+        }
+    }
+
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.adj.len()

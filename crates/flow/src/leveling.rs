@@ -11,8 +11,14 @@
 //! 1. **Parametric search** for the minimal peak ratio `λ`: feasibility at a
 //!    given `λ` (slot caps `⌊λ·C_t⌋`) is one max-flow; bisection converges
 //!    to the minimal feasible breakpoint. When all free slot capacities are
-//!    equal the search runs directly over integer per-slot loads and is
-//!    exact by construction.
+//!    equal the search runs over integer per-slot loads and starts at the
+//!    round's **interval-density bound** — the densest interval's demand,
+//!    net of the frozen caps inside it, per free slot inside it (Hall's
+//!    condition read per interval). No level below it can be feasible, and
+//!    it *is* the minimal level whenever per-job slot caps do not bind
+//!    (Gale 1957; the critical interval of Yao–Demers–Shenker), so the
+//!    round's first question is its allocation at the bound. Only when
+//!    that fails does an exact bisection over the levels above it run.
 //! 2. **Min-cut slot fixing** for the lexicographic refinement: at the
 //!    optimal `λ`, slots that cannot shed load (their capacity arc is
 //!    saturated and they cannot reach the sink in the residual graph) are
@@ -118,52 +124,7 @@ impl LevelingInstance {
     /// Same as [`LevelingInstance::solve_minmax`].
     pub fn solve_lexmin_rounds(&self, max_rounds: usize) -> Result<LevelingSolution, FlowError> {
         self.validate()?;
-        let horizon = self.horizon();
-        let mut net = LevelNet::build(self)?;
-        // Feasibility requires the full-capacity instance to fit. Later
-        // rounds need not ask again: freezing slots at the caps in use
-        // keeps the previous round's allocation feasible.
-        if !net.feasible(&self.slot_caps) {
-            return Err(FlowError::Infeasible);
-        }
-        let mut fixed: Vec<Option<u64>> = vec![None; horizon];
-        // For the same reason the previous round's per-slot peak bound
-        // upper-bounds the next round's optimum — each refinement round
-        // searches a strictly smaller range.
-        let mut peak_hint = None;
-        for round in 1.. {
-            let (caps, bound) = net.minmax_caps(&fixed, peak_hint);
-            net.allocate(&caps)?;
-            peak_hint = bound;
-            let critical = net.critical_slots(&caps, &fixed);
-            let mut fixed_any = false;
-            for t in 0..horizon {
-                if critical[t] {
-                    fixed[t] = Some(caps[t]);
-                    fixed_any = true;
-                }
-            }
-            if !fixed_any {
-                // No free slot is pinned at the peak: the remaining profile
-                // is already lexicographically settled by the caps in use.
-                // Freeze all saturated free slots to make progress; if none
-                // are saturated we are done.
-                let mut saturated_any = false;
-                for t in 0..horizon {
-                    if fixed[t].is_none() && caps[t] > 0 && net.slot_load(t) == caps[t] {
-                        fixed[t] = Some(caps[t]);
-                        saturated_any = true;
-                    }
-                }
-                if !saturated_any {
-                    break;
-                }
-            }
-            if round >= max_rounds || fixed.iter().all(Option::is_some) {
-                break;
-            }
-        }
-        Ok(net.solution())
+        LevelNet::build(self)?.solve(max_rounds)
     }
 
     /// The slot caps of a probe: frozen slots at their `fixed` value, every
@@ -186,21 +147,55 @@ struct LevelNet<'a> {
     source_edges: Vec<EdgeId>,
     /// `slot t → sink`: the only arcs whose capacity ever changes.
     sink_edges: Vec<EdgeId>,
+    /// Every job's `(start, end, demand)`, latest start first — the order
+    /// [`LevelNet::density_bound`] sweeps in.
+    windows: Vec<(usize, usize, u64)>,
     /// Σ demand — the flow value that places every job.
     total: u64,
     flow: u64,
+    asked: Asked,
+}
+
+/// What a solve has asked its network so far.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Asked {
+    /// [`LevelNet::feasible`] calls.
+    warm_probes: u32,
+    /// [`LevelNet::allocate`] calls.
+    cold_runs: u32,
+    /// Rounds that allocated at their density bound first.
+    bound_tries: u32,
+    /// Bound tries that were infeasible. After the first, later rounds of
+    /// the solve no longer try: per-slot caps are binding here, and a
+    /// failed cold run costs more than the probes it would save.
+    bound_misses: u32,
 }
 
 impl<'a> LevelNet<'a> {
-    /// Builds the topology with every slot at full capacity. Dinic's walk,
-    /// hence every allocation, depends on the per-node arc order fixed
-    /// here: jobs in instance order, each job's slots ascending, then the
-    /// slot → sink arcs.
+    /// Builds the topology with every slot at full capacity, each node's
+    /// arc list reserved at its exact degree. Dinic's walk, hence every
+    /// allocation, depends on the per-node arc order fixed here: jobs in
+    /// instance order, each job's slots ascending, then the slot → sink
+    /// arcs. The caller has validated the windows.
     fn build(inst: &'a LevelingInstance) -> Result<Self, FlowError> {
-        let n_jobs = inst.jobs.len();
+        let (n_jobs, horizon) = (inst.jobs.len(), inst.horizon());
         let slot_base = 1 + n_jobs;
-        let sink = slot_base + inst.horizon();
-        let mut net = FlowNetwork::new(sink + 1);
+        let sink = slot_base + horizon;
+        // Source: one arc per job. Job: its source twin and one arc per
+        // window slot. Slot: one twin per covering job and its sink arc.
+        // Sink: one twin per slot.
+        let mut degrees = vec![1; sink + 1];
+        degrees[SOURCE] = n_jobs;
+        degrees[sink] = horizon;
+        let mut window_arcs = 0;
+        for (j, job) in inst.jobs.iter().enumerate() {
+            degrees[1 + j] += job.end - job.start;
+            window_arcs += job.end - job.start;
+            for slot in &mut degrees[slot_base + job.start..slot_base + job.end] {
+                *slot += 1;
+            }
+        }
+        let mut net = FlowNetwork::with_degrees(&degrees, n_jobs + window_arcs + horizon);
         let mut source_edges = Vec::with_capacity(n_jobs);
         for (j, job) in inst.jobs.iter().enumerate() {
             source_edges.push(net.add_edge(SOURCE, 1 + j, job.demand)?);
@@ -209,18 +204,68 @@ impl<'a> LevelNet<'a> {
                 net.add_edge(1 + j, slot_base + t, per_slot)?;
             }
         }
-        let mut sink_edges = Vec::with_capacity(inst.horizon());
+        let mut sink_edges = Vec::with_capacity(horizon);
         for (t, &cap) in inst.slot_caps.iter().enumerate() {
             sink_edges.push(net.add_edge(slot_base + t, sink, cap)?);
         }
+        let mut windows: Vec<_> = (inst.jobs.iter())
+            .map(|j| (j.start, j.end, j.demand))
+            .collect();
+        windows.sort_unstable_by_key(|w| std::cmp::Reverse(w.0));
         Ok(LevelNet {
             inst,
             net,
             source_edges,
             sink_edges,
+            windows,
             total: inst.jobs.iter().map(|j| j.demand).sum(),
             flow: 0,
+            asked: Asked::default(),
         })
+    }
+
+    /// The lexicographic rounds, at most `max_rounds` (at least one); the
+    /// last round's allocation is left on the network and read out.
+    fn solve(&mut self, max_rounds: usize) -> Result<LevelingSolution, FlowError> {
+        let horizon = self.inst.horizon();
+        let mut fixed: Vec<Option<u64>> = vec![None; horizon];
+        // Freezing slots at the caps in use keeps the previous round's
+        // allocation feasible, so its per-slot level upper-bounds the next
+        // round's optimum — each refinement round searches a strictly
+        // smaller range.
+        let mut peak_hint = None;
+        for round in 1.. {
+            let (caps, level) = self.level_round(&fixed, peak_hint, round == 1)?;
+            peak_hint = level;
+            let critical = self.critical_slots(&caps, &fixed);
+            let mut fixed_any = false;
+            for t in 0..horizon {
+                if critical[t] {
+                    fixed[t] = Some(caps[t]);
+                    fixed_any = true;
+                }
+            }
+            if !fixed_any {
+                // No free slot is pinned at the peak: the remaining profile
+                // is already lexicographically settled by the caps in use.
+                // Freeze all saturated free slots to make progress; if none
+                // are saturated we are done.
+                let mut saturated_any = false;
+                for t in 0..horizon {
+                    if fixed[t].is_none() && caps[t] > 0 && self.slot_load(t) == caps[t] {
+                        fixed[t] = Some(caps[t]);
+                        saturated_any = true;
+                    }
+                }
+                if !saturated_any {
+                    break;
+                }
+            }
+            if round >= max_rounds || fixed.iter().all(Option::is_some) {
+                break;
+            }
+        }
+        Ok(self.solution())
     }
 
     fn slot_node(&self, t: usize) -> NodeId {
@@ -245,6 +290,7 @@ impl<'a> LevelNet<'a> {
     /// from there. Only the boolean is meaningful; which maximum flow the
     /// network ends up holding depends on the probes before this one.
     fn feasible(&mut self, caps: &[u64]) -> bool {
+        self.asked.warm_probes += 1;
         for (t, &cap) in caps.iter().enumerate() {
             let excess = self.slot_load(t).saturating_sub(cap);
             if excess > 0 {
@@ -292,6 +338,7 @@ impl<'a> LevelNet<'a> {
     /// The round's allocation under `caps`: Dinic **from zero flow**, so
     /// the flow found is the one a freshly built network would give.
     fn allocate(&mut self, caps: &[u64]) -> Result<(), FlowError> {
+        self.asked.cold_runs += 1;
         self.net.reset();
         self.flow = 0;
         for (&edge, &cap) in self.sink_edges.iter().zip(caps) {
@@ -304,54 +351,115 @@ impl<'a> LevelNet<'a> {
         }
     }
 
-    /// One parametric round: the caps with the minimal peak over free
-    /// slots given `fixed` caps, and — on the uniform integer-search path —
-    /// the minimal per-slot bound, which the caller feeds back as
-    /// `peak_hint` to shrink the next round's search range. The caller
-    /// vouches that full capacity (and the hint) is feasible under `fixed`.
-    fn minmax_caps(
+    /// One parametric round, left allocated on the network: the caps with
+    /// the minimal peak over free slots given `fixed` caps and — on the
+    /// uniform integer path — that minimal per-slot level, which the caller
+    /// feeds back as `peak_hint` to top the next round's search. Only the
+    /// `first` round can find the instance infeasible; the caller vouches
+    /// that full capacity and the hint are feasible in later ones.
+    fn level_round(
         &mut self,
         fixed: &[Option<u64>],
         peak_hint: Option<u64>,
-    ) -> (Vec<u64>, Option<u64>) {
+        first: bool,
+    ) -> Result<(Vec<u64>, Option<u64>), FlowError> {
         let inst = self.inst;
         let mut free_caps = (0..inst.horizon())
             .filter(|&t| fixed[t].is_none())
             .map(|t| inst.slot_caps[t]);
-        let first = free_caps.next();
-        let uniform = free_caps.all(|c| Some(c) == first);
-        if let (true, Some(c)) = (uniform, first) {
-            // Exact integer search over the per-slot load bound `m`,
-            // top-seeded by the previous round's bound when available.
-            let bounded = |m: u64| inst.caps(fixed, |c| m.min(c));
-            let mut hi = peak_hint.map_or(c, |h| h.min(c));
-            let mut lo = 0u64;
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if self.feasible(&bounded(mid)) {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
+        let first_cap = free_caps.next();
+        let uniform = free_caps.all(|c| Some(c) == first_cap);
+        let full = |net: &mut Self| net.feasible(&inst.caps(fixed, |c| c));
+        let Some(c) = first_cap.filter(|_| uniform) else {
+            if first && !full(self) {
+                return Err(FlowError::Infeasible);
             }
-            (bounded(lo), Some(lo))
-        } else {
-            // Bisection on the real ratio λ; integer caps change only at
-            // breakpoints k/C_t, so 60 iterations pin the minimal one for
-            // any realistic capacity magnitude.
-            let at =
-                |lambda: f64| inst.caps(fixed, |c| ((lambda * c as f64) + 1e-9).floor() as u64);
-            let (mut lo, mut hi) = (0.0f64, 1.0f64);
-            for _ in 0..60 {
-                let mid = 0.5 * (lo + hi);
-                if self.feasible(&at(mid)) {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
+            let caps = self.ratio_caps(fixed);
+            self.allocate(&caps)?;
+            return Ok((caps, None));
+        };
+        // Exact integer search over the per-slot level `m`, from the
+        // density bound up to the previous round's level.
+        let bounded = |m: u64| inst.caps(fixed, |c| m.min(c));
+        let mut hi = peak_hint.map_or(c, |h| h.min(c));
+        let mut lo = self.density_bound(fixed, hi);
+        if self.asked.bound_misses == 0 {
+            // No level below the bound fits, so if the bound does, this
+            // allocation is the round's — and in round 1 it also answers
+            // the full-capacity question.
+            self.asked.bound_tries += 1;
+            let caps = bounded(lo);
+            if self.allocate(&caps).is_ok() {
+                return Ok((caps, Some(lo)));
             }
-            (at(hi), None)
+            self.asked.bound_misses += 1;
+            lo = hi.min(lo + 1);
         }
+        if first && !full(self) {
+            return Err(FlowError::Infeasible);
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.feasible(&bounded(mid)) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        let caps = bounded(lo);
+        self.allocate(&caps)?;
+        Ok((caps, Some(lo)))
+    }
+
+    /// The round's interval-density bound on the per-slot level: the
+    /// maximum over intervals `[a, b)` with `a` a job start of
+    /// ⌈(demand of the jobs whose windows lie inside − frozen caps inside)
+    /// / free slots inside⌉, clamped to `hi`. That demand can go nowhere
+    /// but the interval, so some free slot inside carries at least the
+    /// bound at every feasible level; when no job's per-slot cap binds the
+    /// converse holds too (Hall's condition read per interval), and the
+    /// bound is the minimal level. One sweep per distinct start.
+    fn density_bound(&self, fixed: &[Option<u64>], hi: u64) -> u64 {
+        let horizon = self.inst.horizon();
+        // Demand of the jobs starting at or after the current `a`, by end.
+        let mut ending = vec![0u64; horizon + 1];
+        let mut bound = 0;
+        let mut windows = self.windows.iter().peekable();
+        while let Some(&&(a, _, _)) = windows.peek() {
+            while let Some(&(_, end, demand)) = windows.next_if(|w| w.0 == a) {
+                ending[end] += demand;
+            }
+            let (mut inside, mut frozen, mut free) = (0u64, 0u64, 0u64);
+            for b in a + 1..=horizon {
+                inside += ending[b];
+                match fixed[b - 1] {
+                    Some(cap) => frozen += cap,
+                    None => free += 1,
+                }
+                if free > 0 {
+                    bound = bound.max(inside.saturating_sub(frozen).div_ceil(free));
+                }
+            }
+        }
+        bound.min(hi)
+    }
+
+    /// Bisection on the real ratio λ, for free slots of unequal capacity;
+    /// integer caps change only at breakpoints k/C_t, so 60 iterations pin
+    /// the minimal one for any realistic capacity magnitude.
+    fn ratio_caps(&mut self, fixed: &[Option<u64>]) -> Vec<u64> {
+        let inst = self.inst;
+        let at = |lambda: f64| inst.caps(fixed, |c| ((lambda * c as f64) + 1e-9).floor() as u64);
+        let (mut lo, mut hi) = (0.0f64, 1.0f64);
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            if self.feasible(&at(mid)) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        at(hi)
     }
 
     /// Free slots that cannot shed load at the caps just allocated: the
@@ -478,13 +586,7 @@ mod tests {
         for _ in 0..400 {
             let inst = random_instance(&mut rng);
             let top = inst.slot_caps.iter().copied().max().unwrap_or(0);
-            let fixed: Vec<Option<u64>> = (inst.slot_caps.iter())
-                .map(|&c| {
-                    next(&mut rng)
-                        .is_multiple_of(4)
-                        .then(|| next(&mut rng) % (c + 1))
-                })
-                .collect();
+            let fixed = random_fixed(&inst, &mut rng);
             let ascending: Vec<u64> = (0..=top).collect();
             let descending: Vec<u64> = (0..=top).rev().collect();
             let mut shuffled = ascending.clone();
@@ -500,6 +602,126 @@ mod tests {
                     let carried: u64 = (0..inst.horizon()).map(|t| warm.slot_load(t)).sum();
                     assert_eq!(carried, warm.flow, "flow value out of step");
                 }
+            }
+        }
+    }
+
+    /// Random frozen caps, a quarter of the slots, each at most the slot's
+    /// capacity (zero included).
+    fn random_fixed(inst: &LevelingInstance, rng: &mut u64) -> Vec<Option<u64>> {
+        (inst.slot_caps.iter())
+            .map(|&c| next(rng).is_multiple_of(4).then(|| next(rng) % (c + 1)))
+            .collect()
+    }
+
+    #[test]
+    fn density_bound_is_a_lower_bound_and_exact_without_binding_caps() {
+        // The minimal level comes from cold probes on fresh networks, level
+        // by level; infeasible instances (no level fits) are kept to check
+        // the clamp. Exactness is asserted under Gale's condition: every
+        // job's arc cap at least every cap in its window at that level.
+        let mut rng = 0xb0_0d_u64;
+        let (mut feasible, mut exact) = (0, 0);
+        for _ in 0..8000 {
+            let inst = random_instance(&mut rng);
+            let fixed = random_fixed(&inst, &mut rng);
+            let mut free = (0..inst.horizon()).filter(|&t| fixed[t].is_none());
+            let Some(c) = free.next().map(|t| inst.slot_caps[t]) else {
+                continue;
+            };
+            if !free.all(|t| inst.slot_caps[t] == c) {
+                continue;
+            }
+            let net = LevelNet::build(&inst).unwrap();
+            let bound = net.density_bound(&fixed, c);
+            assert!(bound <= c, "{inst:?} {fixed:?}: bound {bound} above {c}");
+            let fits = |m: u64| {
+                let caps = inst.caps(&fixed, |c| m.min(c));
+                LevelNet::build(&inst).unwrap().feasible(&caps)
+            };
+            let Some(level) = (0..=c).find(|&m| fits(m)) else {
+                continue;
+            };
+            feasible += 1;
+            assert!(bound <= level, "{inst:?} {fixed:?}: {bound} > {level}");
+            let caps = inst.caps(&fixed, |c| level.min(c));
+            let uncapped = inst.jobs.iter().all(|job| {
+                let arc = job.per_slot_cap.unwrap_or(job.demand).min(job.demand);
+                caps[job.start..job.end].iter().all(|&cap| arc >= cap)
+            });
+            if uncapped {
+                exact += 1;
+                assert_eq!(bound, level, "{inst:?} {fixed:?}");
+            }
+        }
+        assert!(
+            feasible > 600 && exact > 400,
+            "{feasible} feasible, {exact} exact"
+        );
+    }
+
+    #[test]
+    fn a_round_at_its_bound_costs_one_allocation() {
+        // The instance of `tests/flow_props.rs`'
+        // `peak_hint_seeding_matches_unseeded_refinement`.
+        let inst = LevelingInstance {
+            slot_caps: vec![10; 8],
+            jobs: vec![job(0, 2, 14), job(1, 5, 6), job(2, 8, 12)],
+        };
+        let mut net = LevelNet::build(&inst).unwrap();
+        let sol = net.solve(inst.horizon() + 1).unwrap();
+        assert_eq!(sol.slot_loads, vec![7, 7, 3, 3, 3, 3, 3, 3]);
+        // Round 1 pins slots 0-1 at 7, round 2 the rest at 3.
+        let asked = Asked {
+            warm_probes: 0,
+            cold_runs: 2,
+            bound_tries: 2,
+            bound_misses: 0,
+        };
+        assert_eq!(net.asked, asked);
+    }
+
+    #[test]
+    fn a_missed_bound_is_not_tried_again() {
+        // Job 1 may place one unit per slot, so slots 0-1 need level 4
+        // while the densest interval says 3: round 1 misses, asks the
+        // full-capacity question and bisects; round 2 goes straight to its
+        // bisection.
+        let inst = LevelingInstance {
+            slot_caps: vec![10; 4],
+            jobs: vec![
+                LevelingJob {
+                    per_slot_cap: Some(3),
+                    ..job(0, 2, 6)
+                },
+                LevelingJob {
+                    per_slot_cap: Some(1),
+                    ..job(0, 4, 4)
+                },
+            ],
+        };
+        let mut net = LevelNet::build(&inst).unwrap();
+        assert_eq!(net.density_bound(&[None; 4], 10), 3);
+        let sol = net.solve(inst.horizon() + 1).unwrap();
+        // The bisection-only search's plan (the only one at these levels).
+        assert_eq!(sol.allocation, vec![vec![3, 3, 0, 0], vec![1, 1, 1, 1]]);
+        assert_eq!(sol.slot_loads, vec![4, 4, 1, 1]);
+        assert_eq!((net.asked.bound_tries, net.asked.bound_misses), (1, 1));
+        // One allocation per round plus the missed try.
+        assert_eq!(net.asked.cold_runs, 3);
+        assert!(net.asked.warm_probes > 1, "{:?}", net.asked);
+    }
+
+    #[test]
+    fn build_reserves_each_arc_list_exactly() {
+        // A degree counted short makes its list reallocate (capacity
+        // doubles past the length); one counted long leaves it slack.
+        let mut rng = 0xa7c5_u64;
+        for _ in 0..400 {
+            let inst = random_instance(&mut rng);
+            let net = LevelNet::build(&inst).unwrap();
+            for (v, arcs) in net.net.adj.iter().enumerate() {
+                assert_eq!(arcs.capacity(), arcs.len(), "node {v} of {inst:?}");
             }
         }
     }

@@ -90,8 +90,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The lexmin peak is optimal: no feasible allocation has a lower max
-    /// load, verified against the average-load lower bound and the
-    /// single-job density lower bound.
+    /// load, verified against the densest single job and the densest
+    /// interval — ⌈demand of the jobs whose windows lie inside `[a, b)` /
+    /// (b − a)⌉, by brute force over every interval. This generator's
+    /// slots are uniform and its jobs uncapped, so no arc cap binds and the
+    /// interval bound is exact (Hall's condition read per interval): the
+    /// min-max round's peak load equals it.
     #[test]
     fn lexmin_peak_respects_lower_bounds(inst in leveling()) {
         let cap = inst.slot_caps[0];
@@ -106,11 +110,24 @@ proptest! {
             let density = job.demand as f64 / ((job.end - job.start) as f64 * cap as f64);
             prop_assert!(sol.peak_ratio >= density - 1e-9);
         }
+        // Lower bound 2: densest interval, in whole units per slot.
+        let horizon = inst.horizon();
+        let mut bound = 0u64;
+        for a in 0..horizon {
+            for b in a + 1..=horizon {
+                let inside = inst.jobs.iter().filter(|j| j.start >= a && j.end <= b);
+                let demand: u64 = inside.map(|j| j.demand).sum();
+                bound = bound.max(demand.div_ceil((b - a) as u64));
+            }
+        }
+        prop_assert!(sol.peak_ratio >= bound as f64 / cap as f64 - 1e-9);
         // Upper bound sanity: a peak ratio is at most 1.
         prop_assert!(sol.peak_ratio <= 1.0 + 1e-9);
-        // Minmax round can never beat lexmin's first level.
+        // Minmax round can never beat lexmin's first level, and sits at the
+        // interval bound exactly.
         let minmax = inst.solve_minmax().unwrap();
         prop_assert!((minmax.peak_ratio - sol.peak_ratio).abs() < 1e-6);
+        prop_assert_eq!(minmax.slot_loads.iter().max().copied(), Some(bound));
     }
 
     /// Leveling solutions never violate slot capacities.
@@ -366,7 +383,7 @@ fn peak_hint_seeding_matches_unseeded_refinement() {
     let seeded = inst.solve_lexmin().unwrap();
     let unseeded = reference::solve_lexmin_rounds(&inst, inst.horizon() + 1).unwrap();
     assert_eq!(seeded, unseeded);
-    // Three refinement levels: the hint is live in rounds 2 and 3.
+    // Two rounds, at levels 7 and 3: the hint is live in round 2.
     assert_eq!(seeded.slot_loads, vec![7, 7, 3, 3, 3, 3, 3, 3]);
 }
 
