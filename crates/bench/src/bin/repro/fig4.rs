@@ -41,7 +41,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let mut rows = Vec::new();
     for algo in Algo::FIG4 {
         let workload = exp.build(&cluster);
-        let (outcome, _) = run_checked(&RunSpec::new(algo), &cluster, &workload).into_single();
+        let outcome = run_checked(&RunSpec::new(algo), &cluster, &workload).outcome;
         rows.push(summarize(algo, &outcome.metrics));
     }
     println!();

@@ -31,8 +31,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     );
     let mut rows = Vec::new();
     for algo in [Algo::FlowTime, Algo::FlowTimeNoDs] {
-        let (outcome, _) =
-            run_checked(&RunSpec::new(algo), &cluster, &exp.build(&cluster)).into_single();
+        let outcome = run_checked(&RunSpec::new(algo), &cluster, &exp.build(&cluster)).outcome;
         rows.push(summarize(algo, &outcome.metrics));
     }
     println!();

@@ -13,7 +13,7 @@
 //!
 //! Usage: `repro fig_explain [--threads N] [--seeds N] [--rates 0.1,0.3,0.5]`
 
-use flowtime::{Args, RunSpec};
+use flowtime::{Args, RunOutput, RunSpec};
 use flowtime_bench::experiments::{run_checked, testbed_cluster, Algo, WorkflowExperiment};
 use flowtime_bench::report;
 use flowtime_bench::sweep::RecoveryProfile;
@@ -101,7 +101,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             trace_capacity: Some(DEFAULT_TRACE_CAPACITY),
             ..RunSpec::new(algo)
         };
-        let (outcome, trace) = run_checked(&spec, &cluster, &workload).into_single();
+        let RunOutput { outcome, trace } = run_checked(&spec, &cluster, &workload);
         let trace = trace.expect("traced run");
         let report = explain(
             &cluster,

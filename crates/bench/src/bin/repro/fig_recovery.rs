@@ -52,7 +52,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         schedulers: Algo::FIG4.to_vec(),
         fault_seeds: (0..fault_seeds).collect(),
         audit: true,
-        pods: None,
     };
     println!(
         "fig_recovery: deadline misses vs mid-run task-failure rate, \

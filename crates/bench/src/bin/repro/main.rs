@@ -24,7 +24,6 @@ mod fig6;
 mod fig7;
 mod fig_explain;
 mod fig_recovery;
-mod fig_shard;
 mod robustness;
 mod trace_sim;
 
@@ -74,7 +73,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "trace_sim",
         run: trace_sim::run,
-        usage: "[seed] [--workflows 10] [--save trace.jsonl] [--load trace.jsonl] [--pods K]",
+        usage: "[seed] [--workflows 10] [--save trace.jsonl] [--load trace.jsonl]",
         positionals: 1,
     },
     Experiment {
@@ -94,12 +93,6 @@ const EXPERIMENTS: &[Experiment] = &[
         run: fig_recovery::run,
         usage: "[seed] [fault-seeds] [threads]",
         positionals: 3,
-    },
-    Experiment {
-        name: "fig_shard",
-        run: fig_shard::run,
-        usage: "[--pods 1,2,4,8] [--workflows 8] [--jobs 12] [--adhoc-horizon 400]",
-        positionals: 0,
     },
     Experiment {
         name: "fig_explain",

@@ -51,8 +51,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             seed,
             ..Default::default()
         };
-        let (outcome, _) =
-            run_checked(&RunSpec::new(algo), &cluster, &exp.build(&cluster)).into_single();
+        let outcome = run_checked(&RunSpec::new(algo), &cluster, &exp.build(&cluster)).outcome;
         let row = summarize(algo, &outcome.metrics);
         Point {
             overrun_pct,

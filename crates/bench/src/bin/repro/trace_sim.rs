@@ -9,56 +9,22 @@
 //! imperfect runtime estimates.
 //!
 //! Usage: `repro trace_sim [seed] [--workflows 10] [--save trace.jsonl]
-//! [--load trace.jsonl] [--pods K]`
+//! [--load trace.jsonl]`
 //!
 //! Every algorithm runs through the one run path ([`flowtime::run`] via
-//! the bench harness); without `--pods` that is its one-pod case. With
-//! `--pods K` (K>1) the cluster splits into K pods, each pod records its
-//! own decision trace (whose header carries the pod provenance, so
-//! downstream `audit` / `explain` need no `--pods` re-statement), and the
-//! whole run is certified by [`flowtime_sim::certify_sharded`] before the
-//! per-pod metrics are merged into the comparison table.
+//! the bench harness).
 
 use flowtime::decompose::{decompose, DecomposeConfig};
 use flowtime::{Args, RunSpec};
 use flowtime_bench::experiments::{run_checked, summarize, Algo, SLOT_SECONDS};
 use flowtime_bench::report;
 use flowtime_dag::ResourceVec;
-use flowtime_sim::{certify_sharded, ClusterConfig, Metrics, DEFAULT_TRACE_CAPACITY};
+use flowtime_sim::ClusterConfig;
 use flowtime_workload::trace::{ProductionTraceConfig, Trace};
-
-/// Merges per-pod metrics into one cluster-wide view: job/workflow rows
-/// concatenate, per-slot loads and capacities add elementwise (shorter
-/// pods pad loads with zero and capacities with their base capacity, i.e.
-/// an idle pod), and the capacity is the sum of the pod slices.
-fn merge_pod_metrics(pods: &[Metrics]) -> Metrics {
-    let slots = pods.iter().map(|m| m.slot_loads.len()).max().unwrap_or(0);
-    let mut merged = Metrics {
-        jobs: Vec::new(),
-        workflows: Vec::new(),
-        slot_loads: vec![ResourceVec::default(); slots],
-        slot_capacities: vec![ResourceVec::default(); slots],
-        capacity: ResourceVec::default(),
-        slot_seconds: pods.first().map_or(SLOT_SECONDS, |m| m.slot_seconds),
-    };
-    for m in pods {
-        merged.jobs.extend(m.jobs.iter().cloned());
-        merged.workflows.extend(m.workflows.iter().cloned());
-        merged.capacity += m.capacity;
-        for (slot, acc) in merged.slot_loads.iter_mut().enumerate() {
-            *acc += m.slot_loads.get(slot).copied().unwrap_or_default();
-        }
-        for (slot, acc) in merged.slot_capacities.iter_mut().enumerate() {
-            *acc += m.slot_capacities.get(slot).copied().unwrap_or(m.capacity);
-        }
-    }
-    merged
-}
 
 pub fn run(args: &Args) -> Result<(), String> {
     let seed = args.positional(0, "seed", 7u64)?;
     let workflows = args.get_parsed("workflows", 10usize)?;
-    let pods = args.pods("pods")?;
 
     let cluster = ClusterConfig::new(ResourceVec::new([160, 655_360]), SLOT_SECONDS);
     let mut trace = if let Some(path) = args.get("load") {
@@ -106,101 +72,13 @@ pub fn run(args: &Args) -> Result<(), String> {
         trace.workload.adhoc.len(),
         seed
     );
-    if pods > 1 {
-        println!("trace_sim: sharded across {pods} pods");
-    }
     let mut rows = Vec::new();
     for algo in Algo::FIG4 {
-        let spec = RunSpec {
-            pods,
-            trace_capacity: (pods > 1).then_some(DEFAULT_TRACE_CAPACITY),
-            threads: pods,
-            ..RunSpec::new(algo)
-        };
-        let out = run_checked(&spec, &trace.cluster, &trace.workload);
-        if pods > 1 {
-            let audit = certify_sharded(
-                &trace.cluster,
-                &trace.workload,
-                pods,
-                &out.outcome,
-                &out.traces,
-                None,
-            );
-            if !audit.is_certified() {
-                for v in &audit.violations {
-                    eprintln!("  {v}");
-                }
-                return Err(format!(
-                    "{}: sharded auditor rejected the run (engine bug?)",
-                    algo.name()
-                ));
-            }
-        }
-        // Over one pod the merge is the identity.
-        let metrics = merge_pod_metrics(
-            &out.outcome
-                .pods
-                .into_iter()
-                .map(|p| p.metrics)
-                .collect::<Vec<_>>(),
-        );
-        rows.push(summarize(algo, &metrics));
+        let outcome = run_checked(&RunSpec::new(algo), &trace.cluster, &trace.workload).outcome;
+        rows.push(summarize(algo, &outcome.metrics));
     }
     println!();
     print!("{}", report::render_table("Trace-driven simulation", &rows));
     report::persist("trace_sim", &rows);
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use flowtime_sim::metrics::{JobOutcome, WorkflowOutcome};
-    use flowtime_sim::JobClass;
-
-    fn pod_metrics(cap: [u64; 2], loads: &[[u64; 2]], jobs: usize, wfs: usize) -> Metrics {
-        Metrics {
-            jobs: (0..jobs)
-                .map(|i| JobOutcome {
-                    id: flowtime_dag::JobId::new(i as u64),
-                    class: JobClass::AdHoc,
-                    arrival_slot: 0,
-                    ready_slot: 0,
-                    completion_slot: 1,
-                    deadline_slot: None,
-                    retries: 0,
-                    wasted_work: 0,
-                })
-                .collect(),
-            workflows: (0..wfs)
-                .map(|i| WorkflowOutcome {
-                    id: flowtime_dag::WorkflowId::new(i as u64),
-                    deadline_slot: 10,
-                    completion_slot: 5,
-                })
-                .collect(),
-            slot_loads: loads.iter().map(|&l| ResourceVec::new(l)).collect(),
-            slot_capacities: loads.iter().map(|_| ResourceVec::new(cap)).collect(),
-            capacity: ResourceVec::new(cap),
-            slot_seconds: SLOT_SECONDS,
-        }
-    }
-
-    #[test]
-    fn merged_pod_metrics_conserve_jobs_and_capacity() {
-        let a = pod_metrics([4, 1024], &[[2, 512], [4, 1024]], 3, 1);
-        let b = pod_metrics([4, 1024], &[[1, 256]], 2, 2);
-        let merged = merge_pod_metrics(&[a, b]);
-        assert_eq!(merged.completed_jobs(), 5);
-        assert_eq!(merged.workflows.len(), 3);
-        assert_eq!(merged.capacity, ResourceVec::new([8, 2048]));
-        // Slot 0 sums both pods' loads and capacities.
-        assert_eq!(merged.slot_loads[0], ResourceVec::new([3, 768]));
-        assert_eq!(merged.slot_capacities[0], ResourceVec::new([8, 2048]));
-        // Slot 1 pads the finished pod with an idle load and its base
-        // capacity, so utilization stays cluster-relative.
-        assert_eq!(merged.slot_loads[1], ResourceVec::new([4, 1024]));
-        assert_eq!(merged.slot_capacities[1], ResourceVec::new([8, 2048]));
-    }
 }

@@ -172,22 +172,19 @@ pub fn faulted_instance(
 ///
 /// # Panics
 ///
-/// Panics if any pod's engine rejects the scheduler (a bug) or exhausts
-/// the horizon (workload mis-sized) — the engine reports exhaustion via
+/// Panics if the engine rejects the scheduler (a bug) or exhausts the
+/// horizon (workload mis-sized) — the engine reports exhaustion via
 /// [`flowtime_sim::SimOutcome::in_flight`], and the harness treats a
 /// partial run as unusable for comparisons.
 pub fn run_checked(spec: &RunSpec, cluster: &ClusterConfig, workload: &SimWorkload) -> RunOutput {
     let name = spec.algo.name();
     let out =
         flowtime::run(spec, cluster, workload).unwrap_or_else(|e| panic!("{name} failed: {e}"));
-    for pod in &out.outcome.pods {
-        assert!(
-            pod.is_complete(),
-            "{name} pod {}: horizon exhausted with {} jobs in flight",
-            pod.pod,
-            pod.in_flight.len()
-        );
-    }
+    assert!(
+        out.outcome.is_complete(),
+        "{name}: horizon exhausted with {} jobs in flight",
+        out.outcome.in_flight.len()
+    );
     out
 }
 
@@ -284,7 +281,7 @@ mod tests {
         };
         let workload = exp.build(&cluster);
         for algo in Algo::FIG4 {
-            let (outcome, _) = run_checked(&RunSpec::new(algo), &cluster, &workload).into_single();
+            let outcome = run_checked(&RunSpec::new(algo), &cluster, &workload).outcome;
             let metrics = outcome.metrics;
             assert!(metrics.completed_jobs() > 12, "{}", algo.name());
             let row = summarize(algo, &metrics);

@@ -177,18 +177,10 @@ pub struct SweepSpec {
     /// Fault seeds, in report order.
     pub fault_seeds: Vec<u64>,
     /// When true, every cell additionally records a decision trace and the
-    /// offline auditor ([`flowtime_sim::certify_sharded`], whose one-pod
-    /// case is the plain per-run certification plus trivially true
-    /// cross-pod checks) must certify the run; a rejected cell aborts the
-    /// sweep. The report's bytes are unchanged by this flag — auditing only
-    /// verifies.
+    /// offline auditor ([`flowtime_sim::certify_with_recovery`]) must
+    /// certify the run; a rejected cell aborts the sweep. The report's
+    /// bytes are unchanged by this flag — auditing only verifies.
     pub audit: bool,
-    /// Pod-level sharding ([`flowtime_sim::shard`]) applied to every cell.
-    /// `None` is the one-pod run with no pod keys in the report; `Some(k)`
-    /// runs each cell as `k` per-pod engines (sequentially inside the cell
-    /// — the sweep grid already saturates the workers) and aggregates
-    /// per-pod outcomes into the cell row.
-    pub pods: Option<usize>,
 }
 
 /// One cell of the expanded grid.
@@ -234,10 +226,6 @@ pub struct SweepCellRow {
     pub overrun_slots: u64,
     /// Slots simulated.
     pub slots_elapsed: u64,
-    /// Number of pods the cell ran sharded across; omitted — keeping
-    /// unsharded report bytes — for unsharded cells.
-    #[serde(skip_serializing_if = "is_zero_usize")]
-    pub pods: usize,
     /// Mid-run failure/recovery counters of the cell (task failures, crash
     /// kills, retries, wasted work, sheds); omitted — keeping pre-recovery
     /// report bytes — when nothing fired.
@@ -312,19 +300,10 @@ pub struct SweepReport {
     pub schedulers: Vec<String>,
     /// The fault-seed axis.
     pub fault_seeds: Vec<u64>,
-    /// The pod count every cell ran under; omitted — keeping pre-shard
-    /// report bytes — for unsharded sweeps.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub pods: Option<usize>,
     /// Per-cell rows in canonical (scenario, scheduler, seed) order.
     pub cells: Vec<SweepCellRow>,
     /// Per-`(scenario, scheduler)` aggregates, same order as the axes.
     pub rollups: Vec<SweepRollup>,
-}
-
-/// True for zero (skip the field in serialization).
-fn is_zero_usize(v: &usize) -> bool {
-    *v == 0
 }
 
 impl SweepSpec {
@@ -341,7 +320,6 @@ impl SweepSpec {
             schedulers: Algo::FIG4.to_vec(),
             fault_seeds: (0..fault_seeds as u64).collect(),
             audit: false,
-            pods: None,
         }
     }
 
@@ -367,8 +345,7 @@ impl SweepSpec {
     }
 
     /// Builds and runs one cell, fully isolated: its own workload, its own
-    /// scheduler instance(s), its own engine(s). An unsharded sweep is the
-    /// one-pod case of the same run.
+    /// scheduler instance, its own engine.
     fn run_cell(&self, cell: &SweepCell) -> CellOutcome {
         let scenario = &self.scenarios[cell.scenario];
         let exp = WorkflowExperiment {
@@ -377,23 +354,18 @@ impl SweepSpec {
         };
         let (workload, cluster) =
             faulted_instance(&exp, &self.cluster, scenario.faults.config(cell.fault_seed));
-        // Pods run sequentially inside the cell (threads = 1): the sweep
-        // grid is already spread across the workers, and nested
-        // parallelism would oversubscribe them.
         let spec = RunSpec {
             recovery: scenario.recovery.as_ref().map(|p| p.setup(cell.fault_seed)),
-            pods: self.pods.unwrap_or(1),
             trace_capacity: self.audit.then_some(flowtime_sim::DEFAULT_TRACE_CAPACITY),
             ..RunSpec::new(cell.algo)
         };
         let run = run_checked(&spec, &cluster, &workload);
-        if self.audit {
-            let report = flowtime_sim::certify_sharded(
+        if let Some(trace) = &run.trace {
+            let report = flowtime_sim::certify_with_recovery(
                 &cluster,
                 &workload,
-                spec.pods,
                 &run.outcome,
-                &run.traces,
+                trace,
                 spec.recovery.as_ref(),
             );
             assert!(
@@ -405,9 +377,7 @@ impl SweepSpec {
                 report.summary()
             );
         }
-        // `pods` is recorded only for sweeps that asked for sharding, so
-        // unsharded report bytes carry no pod keys.
-        cell_outcome(scenario, cell, &run.outcome.pods, self.pods.unwrap_or(0))
+        cell_outcome(scenario, cell, run.outcome)
     }
 
     /// Executes the sweep on up to `threads` workers. The returned report
@@ -439,7 +409,6 @@ impl SweepSpec {
             scenarios: self.scenarios.clone(),
             schedulers: self.schedulers.iter().map(|a| a.name().into()).collect(),
             fault_seeds: self.fault_seeds.clone(),
-            pods: self.pods,
             cells: outcomes.iter().map(|o| o.row.clone()).collect(),
             rollups,
         }
@@ -457,83 +426,51 @@ fn percentile_seconds(sorted_slots: &[u64], p: f64, slot_seconds: f64) -> f64 {
     sorted_slots[idx] as f64 * slot_seconds
 }
 
-/// Folds a cell's per-pod outcomes into a single row: counters sum,
-/// makespan is the slowest pod's, ad-hoc turnarounds pool across pods, and
-/// telemetry accumulates exactly as [`rollup`] does across cells. Over one
-/// pod every fold is the identity, so an unsharded cell's row is that
-/// pod's own numbers.
-fn cell_outcome(
-    scenario: &SweepScenario,
-    cell: &SweepCell,
-    pod_outcomes: &[SimOutcome],
-    pods: usize,
-) -> CellOutcome {
-    let mut adhoc_turnaround_slots: Vec<u64> = Vec::new();
-    let mut overrun_slots = 0u64;
-    let mut top_culprit: Option<(u64, String)> = None;
-    let mut solver: Option<SolverTelemetry> = None;
-    let mut engine = EngineTelemetry::default();
-    let mut recovery = RecoveryStats::default();
-    let mut slot_seconds = 0.0;
-    for pod in pod_outcomes {
-        slot_seconds = pod.metrics.slot_seconds;
-        adhoc_turnaround_slots.extend(pod.metrics.adhoc_jobs().map(|j| j.turnaround_slots()));
-        overrun_slots += pod
-            .deadline_attribution
-            .iter()
-            .map(|a| a.total_overrun_slots)
-            .sum::<u64>();
-        // Strict `>` keeps the first maximum in (pod, workflow, node)
-        // order, so the pick is deterministic.
-        for a in &pod.deadline_attribution {
-            for c in &a.culprits {
-                if top_culprit
-                    .as_ref()
-                    .is_none_or(|(best, _)| c.overrun_slots > *best)
-                {
-                    top_culprit = Some((c.overrun_slots, format!("{}:n{}", a.workflow, c.node)));
-                }
-            }
-        }
-        if let Some(t) = &pod.solver_telemetry {
-            solver
-                .get_or_insert_with(SolverTelemetry::default)
-                .accumulate(t);
-        }
-        engine.accumulate(&pod.engine_telemetry);
-        recovery.accumulate(&pod.recovery);
-    }
+/// Measures one cell's outcome: its report row, its ad-hoc turnaround
+/// samples, its worst milestone overrun and its telemetry.
+fn cell_outcome(scenario: &SweepScenario, cell: &SweepCell, outcome: SimOutcome) -> CellOutcome {
+    let metrics = &outcome.metrics;
+    let mut adhoc_turnaround_slots: Vec<u64> =
+        metrics.adhoc_jobs().map(|j| j.turnaround_slots()).collect();
     adhoc_turnaround_slots.sort_unstable();
     let adhoc_turnaround_s = if adhoc_turnaround_slots.is_empty() {
         0.0
     } else {
         let sum: u64 = adhoc_turnaround_slots.iter().sum();
-        sum as f64 / adhoc_turnaround_slots.len() as f64 * slot_seconds
+        sum as f64 / adhoc_turnaround_slots.len() as f64 * metrics.slot_seconds
     };
-    let metrics = || pod_outcomes.iter().map(|p| &p.metrics);
+    let attribution = &outcome.deadline_attribution;
+    // Strict `>` keeps the first maximum in (workflow, node) order, so the
+    // pick is deterministic.
+    let mut top_culprit: Option<(u64, String)> = None;
+    for a in attribution {
+        for c in &a.culprits {
+            if top_culprit
+                .as_ref()
+                .is_none_or(|(best, _)| c.overrun_slots > *best)
+            {
+                top_culprit = Some((c.overrun_slots, format!("{}:n{}", a.workflow, c.node)));
+            }
+        }
+    }
     CellOutcome {
         row: SweepCellRow {
             scenario: scenario.name.clone(),
             algo: cell.algo.name().to_string(),
             fault_seed: cell.fault_seed,
-            completed_jobs: metrics().map(|m| m.completed_jobs()).sum(),
-            deadline_jobs: metrics().map(|m| m.deadline_jobs().count()).sum(),
-            job_misses: metrics().map(|m| m.job_deadline_misses()).sum(),
-            workflow_misses: metrics().map(|m| m.workflow_deadline_misses()).sum(),
+            completed_jobs: metrics.completed_jobs(),
+            deadline_jobs: metrics.deadline_jobs().count(),
+            job_misses: metrics.job_deadline_misses(),
+            workflow_misses: metrics.workflow_deadline_misses(),
             adhoc_turnaround_s,
-            overrun_slots,
-            slots_elapsed: pod_outcomes
-                .iter()
-                .map(|p| p.slots_elapsed)
-                .max()
-                .unwrap_or(0),
-            pods,
-            recovery,
+            overrun_slots: attribution.iter().map(|a| a.total_overrun_slots).sum(),
+            slots_elapsed: outcome.slots_elapsed,
+            recovery: outcome.recovery,
         },
         adhoc_turnaround_slots,
         top_culprit,
-        solver,
-        engine,
+        solver: outcome.solver_telemetry,
+        engine: outcome.engine_telemetry,
     }
 }
 
@@ -612,7 +549,6 @@ mod tests {
             schedulers: vec![Algo::Edf, Algo::Fifo],
             fault_seeds: vec![0, 1],
             audit: false,
-            pods: None,
         }
     }
 
@@ -704,51 +640,6 @@ mod tests {
         let spec = tiny_spec();
         let bytes = serde_json::to_string_pretty(&spec.run(1)).unwrap();
         assert!(!bytes.contains("\"recovery\""), "inert counters leaked");
-    }
-
-    #[test]
-    fn sharded_sweep_audits_and_stays_thread_deterministic() {
-        let spec = SweepSpec {
-            audit: true,
-            pods: Some(2),
-            ..tiny_spec()
-        };
-        let run = spec.run(1);
-        for row in &run.cells {
-            assert_eq!(row.pods, 2);
-        }
-        assert_eq!(run.pods, Some(2));
-        let sequential = serde_json::to_string_pretty(&run).unwrap();
-        let parallel = serde_json::to_string_pretty(&spec.run(4)).unwrap();
-        assert_eq!(sequential, parallel);
-    }
-
-    #[test]
-    fn single_pod_sharded_rows_match_unsharded_rows() {
-        let spec = tiny_spec();
-        let unsharded = spec.run(1);
-        let sharded = SweepSpec {
-            pods: Some(1),
-            ..spec
-        }
-        .run(1);
-        assert_eq!(unsharded.cells.len(), sharded.cells.len());
-        for (u, s) in unsharded.cells.iter().zip(&sharded.cells) {
-            assert_eq!(s.pods, 1);
-            assert_eq!(u.completed_jobs, s.completed_jobs);
-            assert_eq!(u.job_misses, s.job_misses);
-            assert_eq!(u.workflow_misses, s.workflow_misses);
-            assert_eq!(u.overrun_slots, s.overrun_slots);
-            assert_eq!(u.slots_elapsed, s.slots_elapsed);
-            assert_eq!(u.adhoc_turnaround_s, s.adhoc_turnaround_s);
-        }
-    }
-
-    #[test]
-    fn unsharded_reports_serialize_without_shard_fields() {
-        let spec = tiny_spec();
-        let bytes = serde_json::to_string_pretty(&spec.run(1)).unwrap();
-        assert!(!bytes.contains("\"pods\""), "pod count leaked");
     }
 
     #[test]

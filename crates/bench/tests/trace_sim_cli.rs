@@ -74,7 +74,7 @@ fn unwritable_save_path_errors_cleanly() {
 fn every_experiment_refuses_bad_flags_before_any_work() {
     let dir = std::env::temp_dir().join(format!("repro_bad_flags_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let malformed: [(&str, &[&str], &str); 14] = [
+    let malformed: [(&str, &[&str], &str); 13] = [
         ("fig1", &["7"], "`7`"),
         ("fig4", &["banana"], "[seed]"),
         ("fig5", &["--overrun", "lots"], "--overrun"),
@@ -84,16 +84,12 @@ fn every_experiment_refuses_bad_flags_before_any_work() {
         ("ablation", &["banana"], "[seed]"),
         ("robustness", &["1", "x"], "[fault-seeds]"),
         ("fig_recovery", &["1", "1", "x"], "[threads]"),
-        ("fig_shard", &["--pods", "1,x"], "--pods"),
-        // The placement policy is not a choice (DESIGN.md §22).
-        (
-            "fig_shard",
-            &["--pods", "2", "--placer", "demand"],
-            "unknown flag --placer",
-        ),
+        // A run is one engine over the whole cluster (DESIGN.md §31): the
+        // pod count is no flag, nor is the placement policy (§22).
+        ("trace_sim", &["--pods", "2"], "unknown flag --pods"),
         (
             "trace_sim",
-            &["--pods", "2", "--placer", "demand"],
+            &["--placer", "demand"],
             "unknown flag --placer",
         ),
         ("fig_explain", &["--rates", "0.1,x"], "--rates"),
@@ -120,6 +116,17 @@ fn every_experiment_refuses_bad_flags_before_any_work() {
         refused(&[experiment, "--bogus", "1"], "--bogus");
         refused(&[&[experiment], bad_value].concat(), offender);
     }
+    // The pod-count curve went with the pods: its name is refused like
+    // any unknown experiment, with the list of the ones there are.
+    let out = repro(&["fig_shard"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("repro: error: unknown experiment `fig_shard`"));
+    assert!(
+        !stderr.contains("panicked") && out.stdout.is_empty(),
+        "{stderr}"
+    );
+    assert!(!dir.join("results").exists(), "fig_shard wrote a file");
     // A flag's value is never taken for a positional (`--workflows 1` is
     // not seed 1), and a switch never swallows one (`--quick 5` is seed 5).
     for (argv, seed) in [

@@ -24,7 +24,7 @@ USAGE:
   flowtime-cli simulate  --trace <trace.jsonl> --scheduler <name>
                          [--out metrics.json] [--outcome-out outcome.json]
                          [--trace-out decisions.jsonl] [--gantt]
-                         [--no-plan-cache] [--pods K] [FAULTS]
+                         [--no-plan-cache] [FAULTS]
   flowtime-cli compare   --trace <trace.jsonl> [--no-plan-cache] [FAULTS]
   flowtime-cli decompose --trace <trace.jsonl> [--index I] [--slack S]
   flowtime-cli audit     --trace <trace.jsonl> --decision-trace <d.jsonl>
@@ -34,13 +34,11 @@ USAGE:
   flowtime-cli whatif    --trace <trace.jsonl> --decision-trace <d.jsonl>
                          --outcome <outcome.json> [--scheduler ALT]
                          [--alt-max-retries N] [--alt-retry-backoff B]
-                         [--alt-shed-policy P] [--alt-pods K]
-                         [--out diff.json] [FAULTS]
+                         [--alt-shed-policy P] [--out diff.json] [FAULTS]
   flowtime-cli sweep     [--threads N] [--seeds A..B] [--schedulers a,b,..]
                          [--scenarios clean,mixed-faults,chaos:0.2]
                          [--jobs N] [--adhoc-horizon S] [--seed S]
-                         [--workflows N] [--pods K]
-                         [--out NAME] [--audit]
+                         [--workflows N] [--out NAME] [--audit]
   flowtime-cli submit    --connect HOST:PORT
                          (--adhoc TASKS,DUR[,CORES,MB] [--arrival N]
                           | --workflow-json FILE)
@@ -62,17 +60,6 @@ DAEMON CLIENT (submit/status/drain talk to a running `flowtimed`):
   --retries N          retry a submit N times on transport errors with
                        backoff, reconnecting each time (needs --request-id)
 
-SHARDING (simulate and sweep; see DESIGN.md §15):
-  --pods K           partition the cluster into K pods, each running its own
-                     engine + scheduler over its slice of the workload; a
-                     submission goes to the pod whose peak demand stays
-                     lowest with it. K=1 is byte-identical to the unsharded
-                     engine
-  With --pods K>1, `simulate --trace-out d.jsonl` writes one trace per pod
-  (d.jsonl.pod0, d.jsonl.pod1, ...). `audit` and `explain` read the pod
-  provenance stamped in a sharded trace header, so --pods need not be
-  re-stated (if given, it must agree with the header).
-
 EXPLAIN / WHATIF (see DESIGN.md §16):
   `explain` diagnoses every missed workflow of a certified run: a typed
   E00x causal chain whose slack figures balance exactly against the
@@ -83,7 +70,6 @@ EXPLAIN / WHATIF (see DESIGN.md §16):
   --alt-max-retries N    alt-side retry budget override
   --alt-retry-backoff B  alt-side backoff base override
   --alt-shed-policy P    alt-side admission policy: none | shed | delay:N
-  --alt-pods K           run the alt side sharded into K pods
   The slack-factor axis is the scheduler choice itself (flowtime vs
   flowtime-no-ds). FAULTS/RECOVERY flags describe the recorded base run.
 
@@ -276,14 +262,12 @@ fn recovery_setup(args: &Args) -> Result<Option<RecoverySetup>, Box<dyn Error>> 
 const MAX_SLOTS: u64 = 10_000_000;
 
 /// Parses the flags that describe a run — `--scheduler` (falling back to
-/// `default_scheduler`), `--no-plan-cache`, the RECOVERY family and
-/// `--pods` — into the [`RunSpec`] every simulating
-/// subcommand hands to [`flowtime::run`]. Parsed once per invocation;
-/// subcommands adjust the fields they own (tracing, timeline, the what-if
-/// alt side). Pods run on one worker thread each.
+/// `default_scheduler`), `--no-plan-cache` and the RECOVERY family — into
+/// the [`RunSpec`] every simulating subcommand hands to [`flowtime::run`].
+/// Parsed once per invocation; subcommands adjust the fields they own
+/// (tracing, timeline, the what-if alt side).
 fn run_spec(args: &Args, default_scheduler: &str) -> Result<RunSpec, Box<dyn Error>> {
     let algo = parse_algo(args.get("scheduler").unwrap_or(default_scheduler))?;
-    let pods = args.pods("pods")?;
     Ok(RunSpec {
         flowtime: FlowTimeConfig {
             plan_cache: !args.has("no-plan-cache"),
@@ -291,8 +275,6 @@ fn run_spec(args: &Args, default_scheduler: &str) -> Result<RunSpec, Box<dyn Err
         },
         max_slots: MAX_SLOTS,
         recovery: recovery_setup(args)?,
-        threads: pods,
-        pods,
         ..RunSpec::new(algo)
     })
 }
@@ -316,11 +298,11 @@ fn recovery_line(outcome: &SimOutcome) -> Option<String> {
     ))
 }
 
-/// Prints one pod's metrics row, the line `simulate` and `compare` share.
-fn print_summary(name: &str, pod: usize, sharded: bool, m: &Metrics) {
+/// Prints one run's metrics row, the line `simulate` and `compare` share.
+fn print_summary(name: &str, m: &Metrics) {
     println!(
         "{:<16} jobs {:>4}  misses {:>3}  wf-misses {:>2}  adhoc-tat {:>8.1}s  util {:.3}",
-        pod_label(name, pod, sharded),
+        name,
         m.completed_jobs(),
         m.job_deadline_misses(),
         m.workflow_deadline_misses(),
@@ -374,16 +356,6 @@ fn generate(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Labels a per-pod output row: the bare label for an unsharded run,
-/// `label[pod i]` when `--pods` was given.
-fn pod_label(label: &str, pod: usize, sharded: bool) -> String {
-    if sharded {
-        format!("{label}[pod {pod}]")
-    } else {
-        label.to_string()
-    }
-}
-
 fn write_decisions(path: &str, decisions: &DecisionTrace) -> CliResult {
     let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
     decisions.write_jsonl(BufWriter::new(file))?;
@@ -394,59 +366,27 @@ fn write_decisions(path: &str, decisions: &DecisionTrace) -> CliResult {
     Ok(())
 }
 
-/// Runs one scheduler over the trace. Without `--pods` this is the one-pod
-/// run, recorded and audited only when `--trace-out` asks for the trace.
-/// `--pods K` partitions the cluster, places the workload, runs one engine
-/// per pod (each scheduler gets its own pod-sized cluster and plan cache),
-/// and always self-audits through the sharded certifier's cross-pod +
-/// per-pod checks. With one pod the artifacts are byte-identical either
-/// way (CI diffs `--pods 1` against a plain `simulate`); with several
-/// pods the outcome file holds the full [`flowtime_sim::ShardedOutcome`],
-/// `--trace-out d.jsonl` writes one trace per pod (`d.jsonl.pod0`,
-/// `d.jsonl.pod1`, ...; each header carries its pod provenance, so
-/// `audit`/`explain` need no `--pods` re-statement), and per-pod
-/// timelines / metrics are not merged, so `--gantt` and `--out` are
-/// errors.
+/// Runs one scheduler over the trace, recorded and audited only when
+/// `--trace-out` asks for the trace.
 fn simulate(args: &Args) -> CliResult {
     let trace = load_scenario(args)?;
     let mut spec = run_spec(args, "flowtime")?;
-    let sharded = args.has("pods");
-    if sharded && args.has("gantt") {
-        return Err(
-            "--gantt is not supported with --pods (per-pod timelines are not merged)".into(),
-        );
-    }
-    if spec.pods > 1 && args.has("out") {
-        return Err(
-            "--out (metrics) needs --pods 1; use --outcome-out for the full sharded outcome".into(),
-        );
-    }
     spec.timeline = args.has("gantt");
-    if sharded || args.has("trace-out") {
+    if args.has("trace-out") {
         spec.trace_capacity = Some(DEFAULT_TRACE_CAPACITY);
     }
-    let RunOutput { outcome, traces } = flowtime::run(&spec, &trace.cluster, &trace.workload)?;
-    if sharded {
-        println!("{:<16} {} pod(s)", "shard", outcome.placement.pods);
-    }
-    if let Some(trace_out) = args.get("trace-out") {
-        match traces.as_slice() {
-            [decisions] => write_decisions(trace_out, decisions)?,
-            _ => {
-                for (i, decisions) in traces.iter().enumerate() {
-                    write_decisions(&format!("{trace_out}.pod{i}"), decisions)?;
-                }
-            }
-        }
-    }
-    if spec.trace_capacity.is_some() {
+    let RunOutput {
+        outcome,
+        trace: decisions,
+    } = flowtime::run(&spec, &trace.cluster, &trace.workload)?;
+    if let (Some(trace_out), Some(decisions)) = (args.get("trace-out"), &decisions) {
+        write_decisions(trace_out, decisions)?;
         // Self-check: the auditor must certify the run it just watched.
-        let report = flowtime_sim::certify_sharded(
+        let report = flowtime_sim::certify_with_recovery(
             &trace.cluster,
             &trace.workload,
-            spec.pods,
             &outcome,
-            &traces,
+            decisions,
             spec.recovery.as_ref(),
         );
         println!("{:<16} {}", "audit", report.summary());
@@ -455,67 +395,43 @@ fn simulate(args: &Args) -> CliResult {
             return Err("auditor rejected the traced run (engine bug?)".into());
         }
     }
-    for (i, pod) in outcome.pods.iter().enumerate() {
-        if let Some(line) = recovery_line(pod) {
-            println!("{:<16} {}", pod_label("recovery", i, sharded), line);
-        }
+    if let Some(line) = recovery_line(&outcome) {
+        println!("{:<16} {}", "recovery", line);
     }
     if let Some(out) = args.get("outcome-out") {
-        match outcome.pods.as_slice() {
-            [pod] => write_json(out, pod, "full outcome")?,
-            _ => write_json(out, &outcome, "full outcome")?,
-        }
+        write_json(out, &outcome, "full outcome")?;
     }
-    for (i, pod) in outcome.pods.iter().enumerate() {
-        print_summary(spec.algo.name(), i, sharded, &pod.metrics);
-        if let Some(t) = &pod.solver_telemetry {
-            println!("{:<16} {}", pod_label("solver", i, sharded), t.summary());
-        }
-        if let Some(tl) = &pod.timeline {
-            print!(
-                "{}",
-                flowtime_sim::timeline::render_gantt(tl, Some(&pod.metrics), 100)
-            );
-        }
+    print_summary(spec.algo.name(), &outcome.metrics);
+    if let Some(t) = &outcome.solver_telemetry {
+        println!("{:<16} {}", "solver", t.summary());
     }
-    if outcome.pods.len() > 1 {
-        println!(
-            "{:<16} jobs {:>4}  misses {:>3}  wf-misses {:>2}  slots {:>5}",
-            "total",
-            outcome.completed_jobs(),
-            outcome.job_deadline_misses(),
-            outcome.workflow_deadline_misses(),
-            outcome.slots_elapsed(),
+    if let Some(tl) = &outcome.timeline {
+        print!(
+            "{}",
+            flowtime_sim::timeline::render_gantt(tl, Some(&outcome.metrics), 100)
         );
     }
     if let Some(out) = args.get("out") {
-        write_json(out, &outcome.pods[0].metrics, "full metrics")?;
+        write_json(out, &outcome.metrics, "full metrics")?;
     }
     Ok(())
 }
 
 /// A recorded run — `--decision-trace` and `--outcome` — with the run its
 /// flags describe (the scheduler defaulting to the recorded one) and the
-/// scenario it must be verified against: the whole scenario for an
-/// unsharded (or K=1) trace, the trace's own pod slice when its header
-/// carries a shard provenance stamp. The stamp makes `--pods` redundant on
-/// `audit`/`explain`; if given anyway it must agree with the header. The
-/// outcome file of a pod may hold its own [`SimOutcome`] or the full
-/// [`flowtime_sim::ShardedOutcome`] `simulate --pods K` writes.
+/// scenario it must be verified against.
 struct Recorded {
     scenario: Trace,
     decisions: DecisionTrace,
     outcome: SimOutcome,
     spec: RunSpec,
-    /// `(pod, pods)` when the trace is one pod's of a sharded run.
-    pod: Option<(usize, usize)>,
 }
 
 /// Loads a [`Recorded`] run the way `audit`, `explain` and `whatif` read
 /// it: the scenario re-derived exactly as `simulate` derives it (so pass
 /// the FAULTS that produced the run), then the recorded artifacts.
 fn load_recorded(args: &Args) -> Result<Recorded, Box<dyn Error>> {
-    let mut scenario = load_scenario(args)?;
+    let scenario = load_scenario(args)?;
     let dpath = args
         .get("decision-trace")
         .ok_or("--decision-trace <file> is required")?;
@@ -523,67 +439,33 @@ fn load_recorded(args: &Args) -> Result<Recorded, Box<dyn Error>> {
     let decisions = DecisionTrace::read_jsonl(BufReader::new(file))
         .map_err(|e| format!("malformed decision trace {dpath}: {e}"))?;
     let spec = run_spec(args, &decisions.header.scheduler)?;
-    let header = &decisions.header;
-    let (pod, pods) = (header.pod as usize, header.pods as usize);
-    if pods <= 1 && spec.pods > 1 {
-        return Err(format!(
-            "--pods {} given, but the decision trace is from an unsharded (or K=1) run",
-            spec.pods
-        )
-        .into());
-    }
-    if pods > 1 {
-        if args.has("pods") && spec.pods != pods {
-            return Err(format!(
-                "--pods {} disagrees with the trace header (pods={pods})",
-                spec.pods
-            )
-            .into());
-        }
-        let placement = flowtime_sim::place(&scenario.cluster, &scenario.workload, pods);
-        let mut workloads = placement.pod_workloads(&scenario.workload)?;
-        if pod >= workloads.len() {
-            return Err(
-                format!("trace header claims pod {pod} of {pods}, placement disagrees").into(),
-            );
-        }
-        scenario = Trace {
-            cluster: flowtime_sim::pod_cluster(&scenario.cluster, pods, pod),
-            workload: workloads.swap_remove(pod),
-        };
-    }
     let opath = args.get("outcome").ok_or("--outcome <file> is required")?;
     let raw = std::fs::read_to_string(opath).map_err(|e| format!("cannot open {opath}: {e}"))?;
     let value = serde_json::parse(&raw).map_err(|e| format!("malformed outcome {opath}: {e}"))?;
-    let outcome = if pods > 1 && value.get("placement").is_some() {
-        let sharded: flowtime_sim::ShardedOutcome = serde_json::from_value(&value)
-            .map_err(|e| format!("malformed sharded outcome {opath}: {e}"))?;
-        (sharded.pods.into_iter().nth(pod))
-            .ok_or_else(|| format!("{opath} holds a sharded outcome without pod {pod}"))?
-    } else {
-        serde_json::from_value(&value).map_err(|e| format!("malformed outcome {opath}: {e}"))?
-    };
+    // `simulate --pods K` of trees before DESIGN.md §31 wrote the
+    // placement and one outcome per pod; no one of them is the whole run.
+    if value.get("placement").is_some() {
+        return Err(format!(
+            "outcome {opath}: key `placement` marks a sharded run's outcome, which is \
+             refused: a run is one engine over the whole cluster"
+        )
+        .into());
+    }
+    let outcome =
+        serde_json::from_value(&value).map_err(|e| format!("malformed outcome {opath}: {e}"))?;
     Ok(Recorded {
         scenario,
         decisions,
         outcome,
         spec,
-        pod: (pods > 1).then_some((pod, pods)),
     })
 }
 
 /// Offline certification: replays a decision trace against the scenario it
 /// claims to describe and the outcome the engine reported, sharing no state
-/// with the engine ([`load_recorded`]). Traces recorded by sharded runs are
-/// verified against their own pod slice.
+/// with the engine ([`load_recorded`]).
 fn audit_cmd(args: &Args) -> CliResult {
     let run = load_recorded(args)?;
-    if let Some((pod, pods)) = run.pod {
-        println!(
-            "{:<16} verifying pod {pod} of {pods} against its own slice",
-            "shard"
-        );
-    }
     let report = flowtime_sim::certify_with_recovery(
         &run.scenario.cluster,
         &run.scenario.workload,
@@ -722,69 +604,31 @@ fn whatif_cmd(args: &Args) -> CliResult {
         decisions,
         outcome,
         spec,
-        pod,
     } = load_recorded(args)?;
-    if pod.is_some() {
-        return Err(
-            "whatif wants an unsharded base recording; re-record with --pods 1 (sharded \
-             alternatives go on the alt side via --alt-pods)"
-                .into(),
-        );
-    }
     let base_recovery = spec.recovery.clone();
-    let alt_pods = args.pods("alt-pods")?;
     let alt_spec = RunSpec {
         recovery: alt_recovery_setup(args, base_recovery.as_ref())?,
-        threads: alt_pods,
-        pods: alt_pods,
         trace_capacity: Some(DEFAULT_TRACE_CAPACITY),
         ..spec
     };
-    let mut alt = flowtime::run(&alt_spec, &trace.cluster, &trace.workload)?;
-    let diff = if args.has("alt-pods") {
-        // Sharded alternatives diff at workflow granularity. The recorded
-        // unsharded base is the one-pod case of the same run path, so it
-        // slots into the sharded differ as a one-pod side.
-        let base = flowtime_sim::ShardedRunArtifacts {
-            outcome: flowtime_sim::ShardedOutcome {
-                placement: flowtime_sim::place(&trace.cluster, &trace.workload, 1),
-                pods: vec![outcome],
-            },
-            traces: vec![decisions],
-        };
-        flowtime_sim::certified_sharded_diff(
-            &trace.cluster,
-            &trace.workload,
-            &base,
-            1,
-            base_recovery.as_ref(),
-            &flowtime_sim::ShardedRunArtifacts {
-                outcome: alt.outcome,
-                traces: alt.traces,
-            },
-            alt_pods,
-            alt_spec.recovery.as_ref(),
-        )
-    } else {
-        let (Some(alt_outcome), Some(alt_trace)) = (alt.outcome.pods.pop(), alt.traces.pop())
-        else {
-            return Err("the traced one-pod alt run returned no outcome or no trace".into());
-        };
-        flowtime_sim::certified_diff(
-            &trace.cluster,
-            &trace.workload,
-            &flowtime_sim::RunArtifacts {
-                outcome,
-                trace: decisions,
-            },
-            base_recovery.as_ref(),
-            &flowtime_sim::RunArtifacts {
-                outcome: alt_outcome,
-                trace: alt_trace,
-            },
-            alt_spec.recovery.as_ref(),
-        )
-    }
+    let alt = flowtime::run(&alt_spec, &trace.cluster, &trace.workload)?;
+    let Some(alt_trace) = alt.trace else {
+        return Err("the traced alt run returned no trace".into());
+    };
+    let diff = flowtime_sim::certified_diff(
+        &trace.cluster,
+        &trace.workload,
+        &flowtime_sim::RunArtifacts {
+            outcome,
+            trace: decisions,
+        },
+        base_recovery.as_ref(),
+        &flowtime_sim::RunArtifacts {
+            outcome: alt.outcome,
+            trace: alt_trace,
+        },
+        alt_spec.recovery.as_ref(),
+    )
     .map_err(|e| {
         let flowtime_sim::WhatIfError::Uncertified { violations, .. } = &e;
         print_violations(violations);
@@ -858,7 +702,6 @@ fn whatif_cmd(args: &Args) -> CliResult {
 fn compare(args: &Args) -> CliResult {
     let trace = load_scenario(args)?;
     let spec = run_spec(args, "flowtime")?;
-    let sharded = args.has("pods");
     for algo in Algo::FIG4 {
         let run = flowtime::run(
             &RunSpec {
@@ -868,14 +711,12 @@ fn compare(args: &Args) -> CliResult {
             &trace.cluster,
             &trace.workload,
         )?;
-        for (i, pod) in run.outcome.pods.iter().enumerate() {
-            print_summary(algo.name(), i, sharded, &pod.metrics);
-            if let Some(line) = recovery_line(pod) {
-                println!("{:<16} {}", "", line);
-            }
-            if let Some(t) = &pod.solver_telemetry {
-                println!("{:<16} {}", "", t.summary());
-            }
+        print_summary(algo.name(), &run.outcome.metrics);
+        if let Some(line) = recovery_line(&run.outcome) {
+            println!("{:<16} {}", "", line);
+        }
+        if let Some(t) = &run.outcome.solver_telemetry {
+            println!("{:<16} {}", "", t.summary());
         }
     }
     Ok(())
@@ -904,7 +745,6 @@ fn sweep_cmd(args: &Args) -> CliResult {
     use flowtime_bench::sweep::{SweepScenario, SweepSpec};
 
     let threads = args.get_parsed("threads", 1usize)?.max(1);
-    let pods = args.pods("pods")?;
     let fault_seeds = parse_seed_range(args.get("seeds").unwrap_or("0..4"))?;
     let schedulers = match args.list::<String>("schedulers")? {
         None => Algo::FIG4.to_vec(),
@@ -955,8 +795,6 @@ fn sweep_cmd(args: &Args) -> CliResult {
         schedulers,
         fault_seeds,
         audit: args.has("audit"),
-        // Only a sweep that asked for pods records pod keys in its report.
-        pods: args.has("pods").then_some(pods),
     };
 
     let report = spec.run(threads);
@@ -1509,94 +1347,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_trace_out_then_audit_without_restating_pods() {
-        let dir = std::env::temp_dir().join("flowtime-cli-test-shard-audit");
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace_path = dir.join("t.jsonl");
-        let decisions_path = dir.join("d.jsonl");
-        let outcome_path = dir.join("o.json");
-        dispatch(&argv(&[
-            "generate",
-            "--out",
-            trace_path.to_str().unwrap(),
-            "--workflows",
-            "3",
-            "--cores",
-            "64",
-            "--seed",
-            "5",
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "simulate",
-            "--trace",
-            trace_path.to_str().unwrap(),
-            "--scheduler",
-            "edf",
-            "--pods",
-            "2",
-            "--trace-out",
-            decisions_path.to_str().unwrap(),
-            "--outcome-out",
-            outcome_path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        // One trace per pod, each self-describing: the audit needs no
-        // --pods because the header records the shard provenance.
-        for pod in 0..2 {
-            let pod_trace = format!("{}.pod{pod}", decisions_path.to_str().unwrap());
-            assert!(std::path::Path::new(&pod_trace).exists());
-            dispatch(&argv(&[
-                "audit",
-                "--trace",
-                trace_path.to_str().unwrap(),
-                "--decision-trace",
-                &pod_trace,
-                "--outcome",
-                outcome_path.to_str().unwrap(),
-            ]))
-            .unwrap();
-            // explain reads the same provenance and diagnoses the pod slice.
-            dispatch(&argv(&[
-                "explain",
-                "--trace",
-                trace_path.to_str().unwrap(),
-                "--decision-trace",
-                &pod_trace,
-                "--outcome",
-                outcome_path.to_str().unwrap(),
-            ]))
-            .unwrap();
-        }
-        // Explicit flags are allowed only when they agree with the header.
-        let pod0 = format!("{}.pod0", decisions_path.to_str().unwrap());
-        assert!(dispatch(&argv(&[
-            "audit",
-            "--trace",
-            trace_path.to_str().unwrap(),
-            "--decision-trace",
-            &pod0,
-            "--outcome",
-            outcome_path.to_str().unwrap(),
-            "--pods",
-            "3",
-        ]))
-        .is_err());
-        // A sharded recording cannot seed a whatif base.
-        assert!(dispatch(&argv(&[
-            "whatif",
-            "--trace",
-            trace_path.to_str().unwrap(),
-            "--decision-trace",
-            &pod0,
-            "--outcome",
-            outcome_path.to_str().unwrap(),
-        ]))
-        .is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn explain_round_trip_and_scenario_mismatch() {
         let dir = std::env::temp_dir().join("flowtime-cli-test-explain");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1734,23 +1484,9 @@ mod tests {
             serde_json::from_str(&std::fs::read_to_string(&diff_path).unwrap()).unwrap();
         assert_eq!(diff.base_policy.to_lowercase(), "edf");
         assert_eq!(diff.alt_policy.to_lowercase(), "fifo");
-        // A sharded alternative diffs at workflow granularity.
-        dispatch(&argv(&[
-            "whatif",
-            "--trace",
-            trace_path.to_str().unwrap(),
-            "--decision-trace",
-            decisions_path.to_str().unwrap(),
-            "--outcome",
-            outcome_path.to_str().unwrap(),
-            "--alt-pods",
-            "2",
-        ]))
-        .unwrap();
         // Malformed requests are reported, not panicked on.
         for bad in [
             vec!["--scheduler", "nonsense"],
-            vec!["--alt-pods", "0"],
             vec!["--alt-shed-policy", "nonsense"],
         ] {
             let mut a = vec![
@@ -1844,156 +1580,6 @@ mod tests {
         // the trace contains kills the clean scenario cannot explain.
         assert!(dispatch(&argv(&plain)).is_err());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_single_pod_simulate_matches_unsharded_byte_for_byte() {
-        let dir = std::env::temp_dir().join("flowtime-cli-test-shard1");
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace_path = dir.join("t.jsonl");
-        dispatch(&argv(&[
-            "generate",
-            "--out",
-            trace_path.to_str().unwrap(),
-            "--workflows",
-            "2",
-            "--cores",
-            "64",
-            "--seed",
-            "3",
-        ]))
-        .unwrap();
-        let run = |extra: &[&str], tag: &str| {
-            let outcome = dir.join(format!("{tag}-o.json"));
-            let decisions = dir.join(format!("{tag}-d.jsonl"));
-            let mut a = vec![
-                "simulate",
-                "--trace",
-                trace_path.to_str().unwrap(),
-                "--scheduler",
-                "flowtime",
-                "--outcome-out",
-                outcome.to_str().unwrap(),
-                "--trace-out",
-                decisions.to_str().unwrap(),
-            ];
-            a.extend_from_slice(extra);
-            dispatch(&argv(&a)).unwrap();
-            (
-                std::fs::read_to_string(outcome).unwrap(),
-                std::fs::read_to_string(decisions).unwrap(),
-            )
-        };
-        let (plain_outcome, plain_trace) = run(&[], "plain");
-        let (pod_outcome, pod_trace) = run(&["--pods", "1"], "pod");
-        assert_eq!(
-            plain_outcome, pod_outcome,
-            "--pods 1 outcome must not differ"
-        );
-        assert_eq!(
-            plain_trace, pod_trace,
-            "--pods 1 decision trace must not differ"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_multi_pod_simulate_writes_certified_sharded_outcome() {
-        let dir = std::env::temp_dir().join("flowtime-cli-test-shardk");
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace_path = dir.join("t.jsonl");
-        let outcome_path = dir.join("o.json");
-        dispatch(&argv(&[
-            "generate",
-            "--out",
-            trace_path.to_str().unwrap(),
-            "--workflows",
-            "2",
-            "--cores",
-            "64",
-            "--seed",
-            "3",
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "simulate",
-            "--trace",
-            trace_path.to_str().unwrap(),
-            "--scheduler",
-            "edf",
-            "--pods",
-            "2",
-            "--outcome-out",
-            outcome_path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let raw = std::fs::read_to_string(&outcome_path).unwrap();
-        let outcome: flowtime_sim::ShardedOutcome = serde_json::from_str(&raw).unwrap();
-        assert_eq!(outcome.pods.len(), 2);
-        assert_eq!(outcome.placement.pods, 2);
-        assert!(outcome.is_complete());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_simulate_rejects_bad_flag_combinations() {
-        let dir = std::env::temp_dir().join("flowtime-cli-test-shardbad");
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace_path = dir.join("t.jsonl");
-        dispatch(&argv(&[
-            "generate",
-            "--out",
-            trace_path.to_str().unwrap(),
-            "--workflows",
-            "1",
-            "--cores",
-            "64",
-            "--seed",
-            "3",
-        ]))
-        .unwrap();
-        for bad in [
-            vec!["--pods", "0"],
-            vec!["--pods"],
-            vec!["--pods", "two"],
-            vec!["--pods", "2", "--gantt"],
-            vec!["--pods", "2", "--out", "/tmp/m.json"],
-        ] {
-            let mut a = vec!["simulate", "--trace", trace_path.to_str().unwrap()];
-            a.extend_from_slice(&bad);
-            assert!(dispatch(&argv(&a)).is_err(), "{bad:?} should be rejected");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_sweep_records_the_pod_count() {
-        dispatch(&argv(&[
-            "sweep",
-            "--workflows",
-            "1",
-            "--jobs",
-            "4",
-            "--adhoc-horizon",
-            "20",
-            "--seeds",
-            "0..2",
-            "--schedulers",
-            "edf",
-            "--scenarios",
-            "clean",
-            "--pods",
-            "2",
-            "--audit",
-            "--out",
-            "cli-shard-sweep-test",
-        ]))
-        .unwrap();
-        let path = std::path::Path::new("results/cli-shard-sweep-test.json");
-        let written = std::fs::read_to_string(path).unwrap();
-        assert!(written.contains("\"pods\":2") || written.contains("\"pods\": 2"));
-        let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_dir("results");
     }
 
     #[test]

@@ -32,13 +32,30 @@ fn every_subcommand_refuses_bad_flags() {
     assert!(generated.status.success());
     let files_before = std::fs::read_dir(&dir).unwrap().count();
 
-    let malformed: [(&str, &[&str], &str); 15] = [
+    let malformed: [(&str, &[&str], &str); 18] = [
         (
             "generate",
             &["--out", "g.jsonl", "--workflows", "banana"],
             "--workflows",
         ),
-        ("simulate", &["--pods", "two", "--out", "m.json"], "--pods"),
+        // A run is one engine over the whole cluster (DESIGN.md §31): no
+        // subcommand takes a pod count.
+        (
+            "simulate",
+            &["--pods", "2", "--out", "m.json"],
+            "unknown flag --pods",
+        ),
+        ("compare", &["--pods", "1"], "unknown flag --pods"),
+        (
+            "sweep",
+            &["--pods", "2", "--out", "s"],
+            "unknown flag --pods",
+        ),
+        (
+            "whatif",
+            &["--alt-pods", "2", "--out", "w.json"],
+            "unknown flag --alt-pods",
+        ),
         ("simulate", &["--lp-backend", "dense"], "--lp-backend"),
         ("simulate", &["--schedular", "edf"], "--schedular"),
         // The placement policy is not a choice (DESIGN.md §22): both of its
@@ -46,26 +63,12 @@ fn every_subcommand_refuses_bad_flags() {
         ("compare", &["--placer", "demand"], "unknown flag --placer"),
         (
             "simulate",
-            &[
-                "--pods",
-                "2",
-                "--placer",
-                "demand",
-                "--outcome-out",
-                "o.json",
-            ],
+            &["--placer", "demand", "--outcome-out", "o.json"],
             "unknown flag --placer",
         ),
         (
             "whatif",
-            &[
-                "--alt-pods",
-                "2",
-                "--alt-placer",
-                "demand",
-                "--out",
-                "w.json",
-            ],
+            &["--alt-placer", "demand", "--out", "w.json"],
             "unknown flag --alt-placer",
         ),
         ("decompose", &["--index", "x"], "--index"),
@@ -152,6 +155,92 @@ fn malformed_trace_submissions_exit_nonzero_without_a_panic() {
                 "{command}: {stderr}"
             );
             assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What `simulate --pods K` wrote before a run became one engine over the
+/// whole cluster (DESIGN.md §31) — a decision trace whose header carries
+/// the pod count, an outcome file holding the placement and one outcome
+/// per pod — is refused by `audit`, `explain` and `whatif`: exit code 1,
+/// one line on stderr naming `header.pods` or the `placement` key, no
+/// file written, and every input file byte-identical afterwards.
+#[test]
+fn multi_pod_recordings_are_refused_and_left_untouched() {
+    let dir = std::env::temp_dir().join(format!("cli_multi_pod_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let generated = cli(&dir, &["generate", "--out", "t.jsonl", "--workflows", "1"]);
+    assert!(generated.status.success());
+    let simulated = cli(
+        &dir,
+        &[
+            "simulate",
+            "--trace",
+            "t.jsonl",
+            "--scheduler",
+            "edf",
+            "--trace-out",
+            "d.jsonl",
+            "--outcome-out",
+            "o.json",
+        ],
+    );
+    assert!(simulated.status.success());
+    let decisions = std::fs::read_to_string(dir.join("d.jsonl")).unwrap();
+    let outcome = std::fs::read_to_string(dir.join("o.json")).unwrap();
+    // The parent-shaped K = 2 artifacts, built from this run's own bytes.
+    let (header, rest) = decisions.split_once('\n').unwrap();
+    let stamped = format!(
+        "{},\"pods\":2,\"pod\":1}}}}\n{rest}",
+        &header[..header.len() - 2]
+    );
+    std::fs::write(dir.join("d2.jsonl"), &stamped).unwrap();
+    let sharded = format!(
+        "{{\"placement\":{{\"pods\":2,\"workflows\":[0],\"adhoc\":[]}},\"pods\":[{outcome},{outcome}]}}"
+    );
+    std::fs::write(dir.join("o2.json"), &sharded).unwrap();
+    let snapshot = |dir: &Path| {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (
+                    e.file_name().to_string_lossy().into_owned(),
+                    std::fs::read(e.path()).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = snapshot(&dir);
+    for (decision_trace, outcome_file, names) in [
+        ("d2.jsonl", "o.json", "header.pods"),
+        ("d.jsonl", "o2.json", "`placement`"),
+    ] {
+        for (command, out) in [
+            ("audit", None),
+            ("explain", Some("e.json")),
+            ("whatif", Some("w.json")),
+        ] {
+            let mut argv = vec![
+                command,
+                "--trace",
+                "t.jsonl",
+                "--decision-trace",
+                decision_trace,
+                "--outcome",
+                outcome_file,
+            ];
+            argv.extend(out.iter().flat_map(|out| ["--out", *out]));
+            let run = cli(&dir, &argv);
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(1), "{argv:?}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{argv:?}: {stderr}");
+            assert!(stderr.contains(names), "{argv:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+            assert!(snapshot(&dir) == before, "{argv:?} changed or wrote a file");
         }
     }
     std::fs::remove_dir_all(&dir).ok();

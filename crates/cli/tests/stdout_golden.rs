@@ -1,6 +1,6 @@
 //! What `flowtime-cli` prints, pinned: one scripted session through every
-//! batch subcommand — `generate`, `simulate` (plain, `--pods 2`, and a
-//! chaos run writing its decision trace and outcome), `compare`, `audit`,
+//! batch subcommand — `generate`, `simulate` (plain, and a chaos run
+//! writing its decision trace and outcome), `compare`, `audit`,
 //! `explain`, `whatif`, `decompose` and a two-cell `sweep` — with each
 //! command's exit code and stdout, then the length and FNV-1a hash of every
 //! file the session wrote. The one wall-clock field on stdout, the solver
@@ -83,17 +83,6 @@ fn cli_stdout_and_artifacts_match_the_golden() {
             "3",
         ],
         vec!["simulate", "--trace", "t.jsonl", "--out", "m.json"],
-        vec![
-            "simulate",
-            "--trace",
-            "t.jsonl",
-            "--scheduler",
-            "edf",
-            "--pods",
-            "2",
-            "--outcome-out",
-            "s2.json",
-        ],
         [
             &[
                 "simulate",

@@ -86,7 +86,7 @@ impl Args {
         parsed(self.get(key), &format!("--{key}"), default)
     }
 
-    /// Parsed comma-separated value of a flag (`--pods 1,2,4`), `None`
+    /// Parsed comma-separated value of a flag (`--rates 0.1,0.3`), `None`
     /// when the flag is absent. Every item must parse.
     pub fn list<T: FromStr>(&self, key: &str) -> Result<Option<Vec<T>>, String> {
         self.get(key)
@@ -112,16 +112,6 @@ impl Args {
         let raw = self.positional.get(index).map(String::as_str);
         parsed(raw, &format!("[{name}]"), default)
     }
-
-    /// The pod count of a `--pods`-style flag (`whatif` reads its alt side
-    /// from `--alt-pods`). An absent flag is one pod, i.e. the unsharded
-    /// run; `0` and a bare flag are errors.
-    pub fn pods(&self, key: &str) -> Result<usize, String> {
-        match self.get_parsed(key, 1)? {
-            0 => Err(format!("--{key} must be at least 1")),
-            pods => Ok(pods),
-        }
-    }
 }
 
 /// `raw` parsed as `T`, `default` when absent; `what` names the argument.
@@ -140,7 +130,7 @@ mod tests {
 
     fn parse(s: &[&str]) -> Result<Args, String> {
         let argv: Vec<String> = s.iter().map(|x| x.to_string()).collect();
-        let usage = "[seed] --trace <file> [--n N] [--quiet]\n  --pods/--alt-pods, [--rates a,b]";
+        let usage = "[seed] --trace <file> [--n N] [--quiet]\n  --cores/--alt-cores, [--rates a,b]";
         Args::parse(&argv, usage, &["quiet"], 1)
     }
 
@@ -150,7 +140,7 @@ mod tests {
         assert_eq!(a.get("trace"), Some("t.jsonl"));
         assert!(a.has("quiet") && !a.has("n-not-given"));
         assert_eq!(a.get_parsed("n", 0u64), Ok(5));
-        assert_eq!(a.get_parsed("pods", 7u64), Ok(7));
+        assert_eq!(a.get_parsed("cores", 7u64), Ok(7));
         // The switch did not swallow the positional after it.
         assert_eq!(a.positional(0, "seed", 1u64), Ok(7));
         assert_eq!(parse(&[]).unwrap().positional(0, "seed", 1u64), Ok(1));
@@ -163,7 +153,7 @@ mod tests {
             "unknown flag --schedular"
         );
         // Known means named as a whole word: no prefixes, no bare `--`.
-        assert_eq!(parse(&["--pod", "2"]).unwrap_err(), "unknown flag --pod");
+        assert_eq!(parse(&["--core", "2"]).unwrap_err(), "unknown flag --core");
         assert_eq!(parse(&["--"]).unwrap_err(), "unknown flag --");
         assert_eq!(
             parse(&["1", "2"]).unwrap_err(),
@@ -173,11 +163,11 @@ mod tests {
 
     #[test]
     fn malformed_values_error_instead_of_defaulting() {
-        let a = parse(&["--n", "banana", "--pods", "--trace", "4", "x"]).unwrap();
+        let a = parse(&["--n", "banana", "--cores", "--trace", "4", "x"]).unwrap();
         assert!(a.get_parsed("n", 0u64).unwrap_err().contains("--n"));
         // A bare valued flag holds the empty string: present, unparseable.
-        assert_eq!(a.get("pods"), Some(""));
-        assert!(a.get_parsed("pods", 0u64).is_err());
+        assert_eq!(a.get("cores"), Some(""));
+        assert!(a.get_parsed("cores", 0u64).is_err());
         // A flag's value is never taken for a positional.
         assert_eq!(a.get("trace"), Some("4"));
         assert!(a.positional(0, "seed", 0u64).unwrap_err().contains("`x`"));
@@ -185,20 +175,9 @@ mod tests {
 
     #[test]
     fn lists_parse_every_item_or_fail() {
-        let a = parse(&["--pods", "1, 2,4", "--rates", "0.1,x"]).unwrap();
-        assert_eq!(a.list::<usize>("pods"), Ok(Some(vec![1, 2, 4])));
+        let a = parse(&["--cores", "1, 2,4", "--rates", "0.1,x"]).unwrap();
+        assert_eq!(a.list::<usize>("cores"), Ok(Some(vec![1, 2, 4])));
         assert_eq!(a.list::<usize>("n"), Ok(None));
         assert!(a.list::<f64>("rates").unwrap_err().contains("--rates"));
-    }
-
-    #[test]
-    fn pods_is_at_least_one_or_an_error() {
-        let pods = |s: &[&str]| parse(s).unwrap().pods("pods");
-        assert_eq!(pods(&[]), Ok(1));
-        assert_eq!(pods(&["--pods", "2"]), Ok(2));
-        assert_eq!(parse(&["--alt-pods", "3"]).unwrap().pods("alt-pods"), Ok(3));
-        for bad in [&["--pods", "0"][..], &["--pods"], &["--pods", "two"]] {
-            assert!(pods(bad).is_err(), "{bad:?} should be rejected");
-        }
     }
 }

@@ -46,11 +46,11 @@ use std::collections::HashMap;
 ///
 /// Caches are strictly per-scheduler-instance: there is no interior
 /// sharing, no global state, and `Clone` deep-copies the entry, so two
-/// scheduler instances (two sweep cells, or two pods of a sharded run,
-/// each owning its own scheduler) can never observe each other's plans.
-/// The sharded engine's pods-in-parallel determinism contract leans on
-/// this — a pod's replan sequence is a function of that pod's inputs
-/// alone, regardless of what any other pod solved concurrently.
+/// scheduler instances (two sweep cells, each owning its own scheduler)
+/// can never observe each other's plans. The parallel sweep's determinism
+/// contract leans on this — a cell's replan sequence is a function of
+/// that cell's inputs alone, regardless of what any other cell solved
+/// concurrently.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
     entry: Option<(SolverBackend, LevelingProblem, Plan)>,
@@ -263,7 +263,7 @@ mod tests {
 
     #[test]
     fn instances_are_independent() {
-        // Two caches model two scheduler instances (two pods): storing in
+        // Two caches model two scheduler instances (two sweep cells): storing in
         // one never answers probes on the other, and a clone is a deep
         // copy — clearing or restocking the original leaves it untouched.
         let p = LevelingProblem {
@@ -271,16 +271,16 @@ mod tests {
             jobs: vec![job(1, (0, 4), 8)],
         };
         let plan = p.solve(SolverBackend::default()).unwrap();
-        let mut pod_a = PlanCache::new();
-        let mut pod_b = PlanCache::new();
-        pod_a.store(&p, SolverBackend::default(), &plan);
+        let mut cell_a = PlanCache::new();
+        let mut cell_b = PlanCache::new();
+        cell_a.store(&p, SolverBackend::default(), &plan);
         assert_eq!(
-            pod_b.lookup(&p, SolverBackend::default()),
+            cell_b.lookup(&p, SolverBackend::default()),
             CacheLookup::Miss,
-            "a pod must never see another pod's plans"
+            "a cell must never see another cell's plans"
         );
-        let cloned = pod_a.clone();
-        pod_a.clear();
+        let cloned = cell_a.clone();
+        cell_a.clear();
         assert_eq!(
             cloned.lookup(&p, SolverBackend::default()),
             CacheLookup::Exact(plan.clone()),
@@ -291,7 +291,7 @@ mod tests {
             jobs: vec![job(2, (0, 4), 4)],
         };
         let plan_q = q.solve(SolverBackend::default()).unwrap();
-        pod_b.store(&q, SolverBackend::default(), &plan_q);
+        cell_b.store(&q, SolverBackend::default(), &plan_q);
         assert_eq!(
             cloned.lookup(&q, SolverBackend::default()),
             CacheLookup::Miss,

@@ -14,10 +14,9 @@
 //! the identical dense job table and produces a byte-identical
 //! [`SimOutcome`].
 //!
-//! A session runs one engine over the whole cluster (DESIGN.md §29).
-//! Pods — the cluster split into independent engines — are a batch
-//! experiment (`flowtime-cli simulate --pods`); a recorded session config
-//! asking for more than one is refused, never replayed onto one engine.
+//! A session runs one engine over the whole cluster (DESIGN.md §29), as
+//! every batch run does (DESIGN.md §31); a recorded session config asking
+//! for more than one pod is refused, never replayed onto one engine.
 //!
 //! # Lifecycle
 //!
@@ -36,8 +35,8 @@ use crate::wal::{self, DiskFaultPlan, RecoveryReport, Wal, WalConfig, WalRecord}
 use flowtime::Algo;
 use flowtime_dag::JobId;
 use flowtime_sim::{
-    require_demand_placer, ClusterConfig, DecisionTrace, LogEntry, OnlineEngine, Scheduler,
-    SimError, SimOutcome, StepOutcome, SubmissionLog, TraceHandle,
+    ClusterConfig, DecisionTrace, LogEntry, OnlineEngine, Scheduler, SimError, SimOutcome,
+    StepOutcome, SubmissionLog, TraceHandle,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -149,6 +148,27 @@ fn unknown_submission(seq: u64) -> ProtocolError {
     ProtocolError::new(codes::UNKNOWN_SUBMISSION, detail)
 }
 
+/// Checks the placement policy `name` a recorded session config carries
+/// in `field`. Trees before DESIGN.md §22 let a session choose
+/// `firstfit`, `worstfit` or `demand`; only `demand` was left as the rule,
+/// so only a `demand` recording is accepted (and then refused or not by
+/// its pod count); case and separators are ignored, as they were when
+/// the name was a flag.
+///
+/// # Errors
+///
+/// A one-line refusal of any other name, naming the field.
+fn require_demand_placer(field: &str, name: &str) -> Result<(), String> {
+    let plain = name.chars().filter(char::is_ascii_alphanumeric);
+    if plain.map(|c| c.to_ascii_lowercase()).eq("demand".chars()) {
+        return Ok(());
+    }
+    Err(format!(
+        "{field}: placer `{name}` is retired: submissions are placed by the `demand` rule \
+         only, so this recording cannot be replayed onto the pods it ran on"
+    ))
+}
+
 /// Serializes a reply fragment; a failure is the engine's, typed.
 fn json<T: Serialize + ?Sized>(value: &T) -> Result<String, ProtocolError> {
     serde_json::to_string(value).map_err(|e| ProtocolError::new(codes::ENGINE_ERROR, e.to_string()))
@@ -177,8 +197,7 @@ impl Session {
         if config.pods > 1 {
             return Err(bad(format!(
                 "config.pods: {} pods are refused: a session runs one engine (0 or 1), so \
-                 this recording cannot be replayed; shard a batch run with \
-                 `flowtime-cli simulate --pods` instead",
+                 this recording cannot be replayed",
                 config.pods
             )));
         }

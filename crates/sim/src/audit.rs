@@ -45,9 +45,6 @@
 //! | `retry-accounting` | retry counters, backoff gates, or wasted-work totals do not recount |
 //! | `shed-violation` | admission-control events/records contradict the policy or replay |
 //! | `straggler-mismatch` | straggler inflation disagrees with the seeded expectation |
-//! | `shard-pod-count` | sharded artifacts disagree on the pod count, or a pod stamp is wrong |
-//! | `shard-capacity-sum` | per-pod capacity slices do not sum to the cluster capacity |
-//! | `shard-placement-mismatch` | the recorded placement does not recompute from the scenario (an edited, dropped or added pod assignment) |
 //!
 //! Runs recorded with the mid-run failure/recovery subsystem armed
 //! ([`crate::Engine::with_recovery`]) are certified via
@@ -65,7 +62,6 @@ use crate::faults::{
 };
 use crate::job::{AdhocSubmission, JobClass, SimWorkload, WorkflowSubmission};
 use crate::metrics::{MissAttribution, NodeSlackUse, RecoveryStats};
-use crate::shard::{place, pod_cluster, PlacementLog, ShardedOutcome};
 use crate::submission::{EffectiveSubmission, SubmissionLog};
 use crate::trace::{DecisionTrace, TraceEvent};
 use flowtime_dag::{JobId, ResourceVec};
@@ -279,154 +275,6 @@ pub fn certify_log(
     trace: &DecisionTrace,
 ) -> AuditReport {
     certify_table(cluster, build_table_from_log(log), outcome, trace, None, 0)
-}
-
-/// Certifies a sharded run (a traced `flowtime::run` over any pod count): the
-/// cross-pod conservation checks below, then a full
-/// [`certify_with_recovery`] of every pod against its own capacity slice
-/// and sub-workload (violations prefixed `pod N:`).
-///
-/// Cross-pod checks, all recomputed from the scenario alone:
-///
-/// * **pod count** — placement, outcomes, traces, and pod stamps must
-///   all agree with `pods` (`shard-pod-count`);
-/// * **capacity conservation** — the per-pod capacities the traces were
-///   recorded against must sum exactly to the cluster capacity
-///   (`shard-capacity-sum`);
-/// * **placement replay** — recomputing [`place`] from
-///   `(cluster, workload, pods)` must reproduce the recorded
-///   [`PlacementLog`] exactly, so an edited, dropped or
-///   added assignment is caught (`shard-placement-mismatch`). That every
-///   submission sits on exactly one pod needs no check: the log holds one
-///   pod per submission and nothing else.
-pub fn certify_sharded(
-    cluster: &ClusterConfig,
-    workload: &SimWorkload,
-    pods: usize,
-    outcome: &ShardedOutcome,
-    traces: &[DecisionTrace],
-    recovery: Option<&RecoverySetup>,
-) -> AuditReport {
-    let mut report = AuditReport {
-        violations: Vec::new(),
-        attribution: Vec::new(),
-        events_checked: 0,
-    };
-    let push = |r: &mut AuditReport, code: &'static str, detail: String| {
-        r.violations.push(AuditViolation {
-            code,
-            slot: 0,
-            job: None,
-            detail,
-        });
-    };
-
-    // ---- Pod-count agreement across every sharded artifact. -------------
-    for (what, got) in [
-        ("placement", outcome.placement.pods),
-        ("outcome", outcome.pods.len()),
-        ("trace set", traces.len()),
-    ] {
-        if got != pods {
-            push(
-                &mut report,
-                "shard-pod-count",
-                format!("{what} covers {got} pod(s), the run was asked for {pods}"),
-            );
-        }
-    }
-    for (i, pod) in outcome.pods.iter().enumerate() {
-        if pod.pod != i as u64 {
-            push(
-                &mut report,
-                "shard-pod-count",
-                format!("outcome at position {i} is stamped pod {}", pod.pod),
-            );
-        }
-    }
-    // Trace headers carry the same provenance stamp (pods/pod) for K > 1
-    // runs — and must stay unstamped for K = 1, whose bytes are pinned to
-    // the unsharded engine's.
-    for (i, t) in traces.iter().enumerate() {
-        let h = &t.header;
-        let expected = if pods > 1 {
-            (pods as u64, i as u64)
-        } else {
-            (0, 0)
-        };
-        if (h.pods, h.pod) != expected {
-            push(
-                &mut report,
-                "shard-pod-count",
-                format!(
-                    "trace at position {i} records pods={} pod={}, the run was asked for {pods}",
-                    h.pods, h.pod
-                ),
-            );
-        }
-    }
-
-    // ---- Capacity conservation: trace headers record the capacity each
-    // pod actually ran against; their sum must be the whole cluster.
-    if traces.len() == pods {
-        let mut sum = ResourceVec::zero();
-        for t in traces {
-            sum += t.header.capacity;
-        }
-        if sum != cluster.capacity() {
-            push(
-                &mut report,
-                "shard-capacity-sum",
-                format!(
-                    "pod capacities sum to {sum}, cluster has {}",
-                    cluster.capacity()
-                ),
-            );
-        }
-    }
-
-    // ---- Placement replay: the log is a pure function of the scenario.
-    let expected = place(cluster, workload, pods);
-    if expected != outcome.placement {
-        let placed = |log: &PlacementLog| log.workflows.len() + log.adhoc.len();
-        push(
-            &mut report,
-            "shard-placement-mismatch",
-            format!(
-                "recorded placement ({} submission(s) on {} pod(s)) does not recompute \
-                 from the scenario ({} submission(s) on {} pod(s))",
-                placed(&outcome.placement),
-                outcome.placement.pods,
-                placed(&expected),
-                expected.pods,
-            ),
-        );
-    }
-
-    // ---- Per-pod certification against each pod's own slice. ------------
-    // Only meaningful when the placement splits cleanly; the replay check
-    // above already rejects a placement that does not.
-    if let Ok(workloads) = outcome.placement.pod_workloads(workload) {
-        if workloads.len() == outcome.pods.len() && workloads.len() == traces.len() {
-            for (i, (pod_workload, (pod_outcome, trace))) in workloads
-                .iter()
-                .zip(outcome.pods.iter().zip(traces.iter()))
-                .enumerate()
-            {
-                let pc = pod_cluster(cluster, pods, i);
-                let sub = certify_with_recovery(&pc, pod_workload, pod_outcome, trace, recovery);
-                report
-                    .violations
-                    .extend(sub.violations.into_iter().map(|mut v| {
-                        v.detail = format!("pod {i}: {}", v.detail);
-                        v
-                    }));
-                report.attribution.extend(sub.attribution);
-                report.events_checked += sub.events_checked;
-            }
-        }
-    }
-    report
 }
 
 /// Shared certification core: every check below runs against the

@@ -70,12 +70,6 @@ pub struct SimOutcome {
     /// fired. Shed jobs count as neither completed nor in flight.
     #[serde(default, skip_serializing_if = "crate::serde_skip::empty_vec")]
     pub shed: Vec<ShedJob>,
-    /// Pod index this outcome was produced on, for sharded runs
-    /// ([`crate::shard`]). Zero — and omitted from serialization — for
-    /// unsharded runs and for pod 0, keeping K=1 sharded bytes identical
-    /// to the unsharded engine's.
-    #[serde(default, skip_serializing_if = "crate::serde_skip::zero_u64")]
-    pub pod: u64,
 }
 
 impl SimOutcome {
@@ -542,9 +536,6 @@ impl Engine {
                 slot_seconds: self.state.cluster.slot_seconds(),
                 max_slots: self.max_slots,
                 jobs: self.trace_job_metas(),
-                // Pod provenance is stamped after the run by the sharding
-                // layer ([`crate::shard`]); the engine itself is pod-blind.
-                ..TraceHeader::default()
             };
             // Slot-0 arrivals and readies are seeded directly into the
             // incremental indices (never through the event heap), so they
@@ -1141,7 +1132,6 @@ impl Engine {
             deadline_attribution,
             recovery: self.recovery.map(|r| r.stats).unwrap_or_default(),
             shed,
-            pod: 0,
         }
     }
 }

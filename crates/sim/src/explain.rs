@@ -24,11 +24,11 @@
 //! | `E006` | node | **dependency-wait** — the node became ready *after* its own milestone: upstream overruns doomed it before it could run. |
 //! | `E007` | node | **preemption** — the node was left unallocated while incomplete after having run. |
 //! | `E008` | workflow | **fault-injection** — pre-run fault injection rewrote the scenario (submit delays, misestimates, capacity churn, bursts). |
-//! | `E009` | workflow | **placement** — the workflow ran inside a pod of a sharded cluster; the pod stamp from the trace header is quoted. |
+//! | `E009` | workflow | *retired* — **placement** quoted the pod stamp of a sharded run's trace; runs have one engine over the whole cluster, and a pod-stamped trace is refused when it is read. The code is not reused. |
 //! | `E010` | workflow | **admission-interference** — admission control shed or deferred ad-hoc arrivals before the workflow completed, changing the contention it faced. |
 //!
 //! Within one workflow the chain order is deterministic: workflow-level
-//! context first (`E008`, `E009`, `E010`), then per culprit node in
+//! context first (`E008`, `E010`), then per culprit node in
 //! [`MissAttribution::culprits`] order: `E001` followed by `E002`–`E007`
 //! in code order.
 //!
@@ -324,21 +324,6 @@ fn build_report(
                     "{} pre-run fault injection(s) rewrote the scenario: {}",
                     trace.faults.len(),
                     kinds.join(", ")
-                ),
-                evidence: Vec::new(),
-            });
-        }
-        // Placement context (E009): the pod stamp from a sharded run.
-        if trace.header.pods > 1 {
-            chain.push(Diagnostic {
-                code: "E009".into(),
-                job: None,
-                node: None,
-                slot: 0,
-                slack_slots: 0,
-                detail: format!(
-                    "workflow ran on pod {} of {}: its contention set was fixed by placement, not scheduling",
-                    trace.header.pod, trace.header.pods
                 ),
                 evidence: Vec::new(),
             });

@@ -79,7 +79,6 @@ pub mod online;
 pub mod oracle;
 pub mod placement;
 pub mod scheduler;
-pub mod shard;
 pub mod state;
 pub mod submission;
 pub mod sweep;
@@ -88,9 +87,7 @@ pub mod timeline;
 pub mod trace;
 pub mod whatif;
 
-pub use audit::{
-    certify, certify_log, certify_sharded, certify_with_recovery, AuditReport, AuditViolation,
-};
+pub use audit::{certify, certify_log, certify_with_recovery, AuditReport, AuditViolation};
 pub use cluster::ClusterConfig;
 pub use engine::{Engine, SimOutcome, StepOutcome};
 pub use error::SimError;
@@ -111,9 +108,6 @@ pub use online::{OnlineEngine, OnlineStatus};
 pub use oracle::OracleEngine;
 pub use placement::{NodePool, PackResult};
 pub use scheduler::{Allocation, Scheduler};
-pub use shard::{
-    place, pod_cluster, require_demand_placer, split_capacity, PlacementLog, ShardedOutcome,
-};
 pub use state::{JobView, SimState, WorkflowView};
 pub use submission::{EffectiveSubmission, LogEntry, SubmissionLog};
 pub use sweep::run_cells;
@@ -124,8 +118,8 @@ pub use trace::{
     DEFAULT_TRACE_CAPACITY,
 };
 pub use whatif::{
-    certified_diff, certified_sharded_diff, diff_runs, DiffRow, DiffSummary, Divergence, JobFate,
-    RunArtifacts, ShardedRunArtifacts, WhatIfDiff, WhatIfError, WorkflowDiffRow,
+    certified_diff, diff_runs, DiffRow, DiffSummary, Divergence, JobFate, RunArtifacts, WhatIfDiff,
+    WhatIfError, WorkflowDiffRow,
 };
 
 /// Serde `skip_serializing_if` predicates shared by the outcome types:

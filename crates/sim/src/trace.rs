@@ -86,17 +86,6 @@ pub struct TraceHeader {
     pub max_slots: u64,
     /// Per-job metadata in engine id order.
     pub jobs: Vec<TraceJobMeta>,
-    /// Total pod count of the sharded run ([`crate::shard`]) that produced
-    /// this trace. Zero — and omitted from serialization — for unsharded
-    /// runs and for K = 1 sharded runs, keeping their trace bytes
-    /// identical to pre-shard recordings.
-    #[serde(default, skip_serializing_if = "crate::serde_skip::zero_u64")]
-    pub pods: u64,
-    /// Pod index this trace was recorded on; only meaningful when
-    /// `pods > 1` (pod 0 serializes identically to an unsharded trace
-    /// apart from `pods`).
-    #[serde(default, skip_serializing_if = "crate::serde_skip::zero_u64")]
-    pub pod: u64,
 }
 
 /// One scenario rewrite performed by fault injection before the run.
@@ -404,11 +393,19 @@ impl DecisionTrace {
                 message,
             };
             let value = serde_json::parse(&line).map_err(|e| parse_error(e.to_string()))?;
-            // A K > 1 header written before DESIGN.md §22 names the
-            // placement policy its run chose.
-            let placer = value.get("Header").and_then(|h| h.get("placer"));
-            if let Some(name) = placer.and_then(serde_json::Value::as_str) {
-                crate::shard::require_demand_placer("header.placer", name).map_err(parse_error)?;
+            // Trees before DESIGN.md §31 stamped each pod's trace of a
+            // sharded run with the pod count (and, before §22, the placer).
+            // Such a trace covers one capacity slice and one sub-workload,
+            // neither of which a run over the whole cluster can replay.
+            match value.get("Header").and_then(|h| h.get("pods")) {
+                None | Some(serde_json::Value::U64(0 | 1)) => {}
+                Some(pods) => {
+                    let pods = serde_json::to_string(pods).unwrap_or_default();
+                    return Err(parse_error(format!(
+                        "header.pods: {pods} pods are refused: this trace is one pod's of a \
+                         sharded run, and a run is one engine over the whole cluster"
+                    )));
+                }
             }
             let record = TraceRecord::from_value(&value).map_err(|e| parse_error(e.to_string()))?;
             match record {
@@ -631,7 +628,6 @@ mod tests {
                 actual_work: 4,
                 deadline_slot: None,
             }],
-            ..TraceHeader::default()
         };
         t.faults.push(FaultRecord {
             kind: "burst".into(),
@@ -693,32 +689,33 @@ mod tests {
         }
     }
 
-    /// A K > 1 header written before DESIGN.md §22 names the placement
-    /// policy: `demand` is the rule that is left and loads; any other
-    /// name is refused at the header's line, naming the field.
+    /// A header a sharded run stamped with its pod count is refused at
+    /// the header's line, naming the field, with or without the placer
+    /// older trees wrote next to it; a zero or one-pod stamp loads.
     #[test]
-    fn recorded_placer_must_be_the_one_rule() {
-        let mut t = DecisionTrace::new(4);
-        t.header.pods = 2;
-        t.header.pod = 1;
+    fn multi_pod_headers_are_refused() {
+        let t = DecisionTrace::new(4);
         let mut buf = Vec::new();
         t.write_jsonl(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("\"pods\":2,\"pod\":1}"), "{text}");
-        let recorded_under = |placer: &str| {
-            text.replace(
-                "\"pod\":1}",
-                &format!("\"pod\":1,\"placer\":\"{placer}\"}}"),
-            )
-        };
+        let stamped = |stamp: &str| text.replace("\"jobs\":[]}", &format!("\"jobs\":[]{stamp}}}"));
         let read =
             |text: String| DecisionTrace::read_jsonl(std::io::BufReader::new(text.as_bytes()));
-        assert_eq!(read(recorded_under("demand")).unwrap(), t);
-        match read(recorded_under("firstfit")) {
-            Err(TraceError::Parse { line: 1, message }) => {
-                assert!(message.starts_with("header.placer: "), "{message}")
+        for loads in [",\"pods\":0", ",\"pods\":1"] {
+            assert_eq!(read(stamped(loads)).unwrap(), t, "{loads}");
+        }
+        for refused in [
+            ",\"pods\":2,\"pod\":1",
+            ",\"pods\":2,\"pod\":1,\"placer\":\"firstfit\"",
+            ",\"pods\":\"2\"",
+        ] {
+            assert!(stamped(refused).contains(refused), "{refused}");
+            match read(stamped(refused)) {
+                Err(TraceError::Parse { line: 1, message }) => {
+                    assert!(message.starts_with("header.pods: "), "{message}")
+                }
+                other => panic!("{refused}: unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
         }
     }
 

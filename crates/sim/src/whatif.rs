@@ -3,8 +3,8 @@
 //!
 //! The decision trace and the offline auditor make runs *replayable*; this
 //! module makes them *comparable*. A what-if replays the same scenario
-//! under a modified policy (scheduler, shed/retry policy, fault seed, pod
-//! count) and produces a two-sided diff in which
+//! under a modified policy (scheduler, shed/retry policy, fault seed) and
+//! produces a two-sided diff in which
 //!
 //! * **both sides are certified** — [`certified_diff`] refuses to compare
 //!   runs the auditor rejects, so a diff row can never be an artifact of a
@@ -20,24 +20,17 @@
 //! produce an empty diff ([`WhatIfDiff::identical`] = true, no rows, no
 //! divergence) — anything else means the replay itself is not
 //! deterministic.
-//!
-//! Sharded comparisons ([`certified_sharded_diff`]) diff at workflow
-//! granularity: workflow ids are global and survive re-placement, while
-//! per-pod job ids are pod-local dense indices that do not correspond
-//! across different pod counts. Event divergence is only computed when
-//! both sides used the same pod count (pods then align pairwise).
 
 use std::collections::BTreeMap;
 
 use flowtime_dag::{JobId, WorkflowId};
 use serde::{Deserialize, Serialize};
 
-use crate::audit::{certify_sharded, certify_with_recovery, AuditReport};
+use crate::audit::{certify_with_recovery, AuditReport};
 use crate::cluster::ClusterConfig;
 use crate::engine::SimOutcome;
 use crate::faults::RecoverySetup;
 use crate::job::SimWorkload;
-use crate::shard::ShardedOutcome;
 use crate::trace::{DecisionTrace, TraceEvent};
 
 /// The artifacts of one policy run: the certified outcome plus the full
@@ -51,15 +44,6 @@ pub struct RunArtifacts {
     pub outcome: SimOutcome,
     /// The run's decision trace.
     pub trace: DecisionTrace,
-}
-
-/// The artifacts of one sharded policy run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedRunArtifacts {
-    /// The sharded outcome (placement + per-pod outcomes).
-    pub outcome: ShardedOutcome,
-    /// Per-pod decision traces, in pod order.
-    pub traces: Vec<DecisionTrace>,
 }
 
 /// How one job ended under one policy.
@@ -99,9 +83,6 @@ impl JobFate {
 /// The first trace event on which two replays disagree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Divergence {
-    /// Pod the divergence was found on (sharded diffs only).
-    #[serde(default, skip_serializing_if = "crate::serde_skip::zero_u64")]
-    pub pod: u64,
     /// Position in the compared event sequence (global for
     /// [`WhatIfDiff::first_divergence`], job-filtered for
     /// [`DiffRow::diverged`]).
@@ -178,8 +159,7 @@ pub struct DiffSummary {
 /// A certified two-sided policy diff.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WhatIfDiff {
-    /// Base-side policy label (scheduler name, plus the pod count for
-    /// sharded diffs).
+    /// Base-side policy label (the scheduler name).
     pub base_policy: String,
     /// Alt-side policy label.
     pub alt_policy: String,
@@ -190,8 +170,7 @@ pub struct WhatIfDiff {
     /// The first event on which the two replays disagree, if any.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub first_divergence: Option<Divergence>,
-    /// Jobs whose fate changed, in job-id order. Empty for sharded diffs
-    /// (per-pod job ids do not correspond across pod counts).
+    /// Jobs whose fate changed, in job-id order.
     #[serde(default, skip_serializing_if = "crate::serde_skip::empty_vec")]
     pub jobs: Vec<DiffRow>,
     /// Workflows whose deadline fate changed, in workflow-id order.
@@ -295,13 +274,13 @@ pub fn diff_runs(base: &RunArtifacts, alt: &RunArtifacts) -> WhatIfDiff {
     }
 
     let workflows = workflow_rows(
-        &workflow_fates(std::slice::from_ref(&base.outcome)),
-        &workflow_fates(std::slice::from_ref(&alt.outcome)),
+        &workflow_fates(&base.outcome),
+        &workflow_fates(&alt.outcome),
     );
     let first_divergence = first_divergence_for(&base.trace, &alt.trace, None);
     let summary = summarize(
-        std::slice::from_ref(&base.outcome),
-        std::slice::from_ref(&alt.outcome),
+        &base.outcome,
+        &alt.outcome,
         jobs.len() as u64,
         workflows.len() as u64,
     );
@@ -315,87 +294,6 @@ pub fn diff_runs(base: &RunArtifacts, alt: &RunArtifacts) -> WhatIfDiff {
         workflows,
         summary,
     }
-}
-
-/// Certifies both sharded sides ([`certify_sharded`]) against the shared
-/// scenario, then diffs them at workflow granularity.
-#[allow(clippy::too_many_arguments)]
-pub fn certified_sharded_diff(
-    cluster: &ClusterConfig,
-    workload: &SimWorkload,
-    base: &ShardedRunArtifacts,
-    base_pods: usize,
-    base_recovery: Option<&RecoverySetup>,
-    alt: &ShardedRunArtifacts,
-    alt_pods: usize,
-    alt_recovery: Option<&RecoverySetup>,
-) -> Result<WhatIfDiff, WhatIfError> {
-    let base_report = certify_sharded(
-        cluster,
-        workload,
-        base_pods,
-        &base.outcome,
-        &base.traces,
-        base_recovery,
-    );
-    ensure_certified("base", &base_report)?;
-    let alt_report = certify_sharded(
-        cluster,
-        workload,
-        alt_pods,
-        &alt.outcome,
-        &alt.traces,
-        alt_recovery,
-    );
-    ensure_certified("alt", &alt_report)?;
-
-    let workflows = workflow_rows(
-        &workflow_fates(&base.outcome.pods),
-        &workflow_fates(&alt.outcome.pods),
-    );
-    // Pods only align pairwise when both sides used the same pod count;
-    // otherwise the event streams are incomparable.
-    let first_divergence = if base_pods == alt_pods {
-        base.traces
-            .iter()
-            .zip(alt.traces.iter())
-            .enumerate()
-            .find_map(|(pod, (bt, at))| {
-                first_divergence_for(bt, at, None).map(|mut d| {
-                    d.pod = pod as u64;
-                    d
-                })
-            })
-    } else {
-        None
-    };
-    let summary = summarize(
-        &base.outcome.pods,
-        &alt.outcome.pods,
-        0,
-        workflows.len() as u64,
-    );
-    let identical = workflows.is_empty()
-        && first_divergence.is_none()
-        && summary.base_job_misses == summary.alt_job_misses
-        && summary.base_slots_elapsed == summary.alt_slots_elapsed
-        && summary.base_overrun_slots == summary.alt_overrun_slots;
-    let label = |pods: usize, traces: &[DecisionTrace]| {
-        let scheduler = traces
-            .first()
-            .map(|t| t.header.scheduler.as_str())
-            .unwrap_or("?");
-        format!("{scheduler} [pods={pods}]")
-    };
-    Ok(WhatIfDiff {
-        base_policy: label(base_pods, &base.traces),
-        alt_policy: label(alt_pods, &alt.traces),
-        identical,
-        first_divergence,
-        jobs: Vec::new(),
-        workflows,
-        summary,
-    })
 }
 
 fn job_fates(outcome: &SimOutcome) -> BTreeMap<JobId, JobFate> {
@@ -442,14 +340,10 @@ fn job_fates(outcome: &SimOutcome) -> BTreeMap<JobId, JobFate> {
     fates
 }
 
-fn workflow_fates(pods: &[SimOutcome]) -> BTreeMap<WorkflowId, (u64, Option<u64>)> {
-    let mut fates = BTreeMap::new();
-    for outcome in pods {
-        for wf in &outcome.metrics.workflows {
-            fates.insert(wf.id, (wf.deadline_slot, Some(wf.completion_slot)));
-        }
-    }
-    fates
+fn workflow_fates(outcome: &SimOutcome) -> BTreeMap<WorkflowId, (u64, Option<u64>)> {
+    (outcome.metrics.workflows.iter())
+        .map(|wf| (wf.id, (wf.deadline_slot, Some(wf.completion_slot))))
+        .collect()
 }
 
 fn workflow_rows(
@@ -485,24 +379,21 @@ fn workflow_rows(
 }
 
 fn summarize(
-    base: &[SimOutcome],
-    alt: &[SimOutcome],
+    base: &SimOutcome,
+    alt: &SimOutcome,
     changed_jobs: u64,
     changed_workflows: u64,
 ) -> DiffSummary {
-    let misses = |pods: &[SimOutcome]| -> (u64, u64, u64, u64) {
-        let job: usize = pods.iter().map(|o| o.metrics.job_deadline_misses()).sum();
-        let wf: usize = pods
-            .iter()
-            .map(|o| o.metrics.workflow_deadline_misses())
-            .sum();
-        let slots = pods.iter().map(|o| o.slots_elapsed).max().unwrap_or(0);
-        let overrun: u64 = pods
-            .iter()
-            .flat_map(|o| &o.deadline_attribution)
+    let misses = |o: &SimOutcome| -> (u64, u64, u64, u64) {
+        let overrun: u64 = (o.deadline_attribution.iter())
             .map(|a| a.total_overrun_slots)
             .sum();
-        (job as u64, wf as u64, slots, overrun)
+        (
+            o.metrics.job_deadline_misses() as u64,
+            o.metrics.workflow_deadline_misses() as u64,
+            o.slots_elapsed,
+            overrun,
+        )
     };
     let (bj, bw, bs, bo) = misses(base);
     let (aj, aw, asl, ao) = misses(alt);
@@ -549,7 +440,6 @@ fn first_divergence_for(
                         ev.map(|e| serde_json::to_string(e).expect("trace events serialize"))
                     };
                     return Some(Divergence {
-                        pod: 0,
                         index,
                         slot,
                         base_event: render(be),

@@ -2,12 +2,17 @@
 //! bit-identical fault-injected instances, and metamorphic properties that
 //! must hold regardless of scheduling policy are checked across many fault
 //! seeds. A deliberately broken scheduler proves the engine's invariant
-//! checking actually has teeth.
+//! checking actually has teeth. The one run path, `flowtime::run`, is
+//! pinned byte for byte against an engine assembled by hand.
 
-use flowtime_bench::experiments::{faulted_instance, testbed_cluster, Algo, WorkflowExperiment};
+use flowtime::{RunOutput, RunSpec};
+use flowtime_bench::experiments::{
+    faulted_instance, run_checked, testbed_cluster, Algo, WorkflowExperiment,
+};
+use flowtime_bench::sweep::RecoveryProfile;
 use flowtime_dag::{JobId, ResourceVec};
 use flowtime_sim::prelude::*;
-use flowtime_sim::SimOutcome;
+use flowtime_sim::{SimOutcome, DEFAULT_TRACE_CAPACITY};
 
 /// Small-but-contended instance: 2 scientific workflows (12 deadline jobs)
 /// plus an ad-hoc stream, on the paper's testbed cluster.
@@ -340,4 +345,108 @@ fn oversubscription_canary_premise_holds_on_minimal_instance() {
         .expect("valid workload")
         .run(&mut Oversubscriber);
     assert!(result.is_err(), "16 one-core tasks cannot fit 4 cores");
+}
+
+fn trace_jsonl(trace: &DecisionTrace) -> String {
+    let mut buf = Vec::new();
+    trace.write_jsonl(&mut buf).expect("trace serializes");
+    String::from_utf8(buf).expect("trace is utf-8")
+}
+
+/// The reference the run path is pinned against: an engine assembled by
+/// hand through `Engine`'s builder API, sharing nothing with
+/// `flowtime::run` but the scheduler registry — so the identity below can
+/// never degrade into comparing the run path with itself.
+fn hand_built_run(
+    algo: Algo,
+    cluster: &ClusterConfig,
+    workload: &SimWorkload,
+    recovery: Option<&RecoverySetup>,
+) -> (SimOutcome, DecisionTrace) {
+    let mut scheduler = algo.make(cluster);
+    let mut engine =
+        Engine::new(cluster.clone(), workload.clone(), 1_000_000).expect("valid workload");
+    if let Some(setup) = recovery {
+        engine = engine.with_recovery(setup.clone());
+    }
+    let (engine, handle) = engine.with_trace(DEFAULT_TRACE_CAPACITY);
+    let outcome = engine.run(scheduler.as_mut()).expect("engine runs");
+    (outcome, handle.take())
+}
+
+/// `algo` through the one run path, traced, and its outcome and trace
+/// compared byte for byte with the hand-built engine's; the run path's
+/// pair must also certify.
+fn assert_run_path_is_the_engine(
+    tag: &str,
+    algo: Algo,
+    cluster: &ClusterConfig,
+    workload: &SimWorkload,
+    recovery: Option<&RecoverySetup>,
+) {
+    let (plain, plain_trace) = hand_built_run(algo, cluster, workload, recovery);
+    let spec = RunSpec {
+        recovery: recovery.cloned(),
+        trace_capacity: Some(DEFAULT_TRACE_CAPACITY),
+        ..RunSpec::new(algo)
+    };
+    let RunOutput { outcome, trace } = run_checked(&spec, cluster, workload);
+    let trace = trace.expect("a traced run records a trace");
+    assert_eq!(
+        serde_json::to_string(&outcome).expect("outcome serializes"),
+        serde_json::to_string(&plain).expect("outcome serializes"),
+        "{tag}: the run path's outcome diverges from the hand-built engine"
+    );
+    assert_eq!(
+        trace_jsonl(&trace),
+        trace_jsonl(&plain_trace),
+        "{tag}: the run path's trace diverges from the hand-built engine"
+    );
+    let report = certify_with_recovery(cluster, workload, &outcome, &trace, recovery);
+    assert!(report.is_certified(), "{tag}: {}", report.summary());
+}
+
+fn small_experiment(seed: u64) -> WorkflowExperiment {
+    WorkflowExperiment {
+        workflows: 2,
+        jobs_per_workflow: 5,
+        adhoc_horizon: 40,
+        seed,
+        ..Default::default()
+    }
+}
+
+/// `flowtime::run` is an `Engine` assembled by hand through its builder
+/// API, byte for byte — outcome and decision trace — for all six
+/// schedulers, with and without a chaos recovery layer.
+#[test]
+fn run_path_matches_hand_built_engine_for_all_six_schedulers() {
+    let cluster = testbed_cluster();
+    let workload = small_experiment(0).build(&cluster);
+    let chaos = RecoveryProfile::chaos(0.3).setup(5);
+    for algo in Algo::FIG4 {
+        for recovery in [None, Some(&chaos)] {
+            let tag = format!(
+                "{} ({})",
+                algo.name(),
+                if recovery.is_some() { "chaos" } else { "clean" }
+            );
+            assert_run_path_is_the_engine(&tag, algo, &cluster, &workload, recovery);
+        }
+    }
+}
+
+/// The identity survives pre-run cluster faults: it is a property of the
+/// run path, not of a benign scenario.
+#[test]
+fn run_path_matches_hand_built_engine_under_faults() {
+    let cluster = testbed_cluster();
+    for seed in [1u64, 2] {
+        let (workload, faulted) =
+            faulted_instance(&small_experiment(seed), &cluster, FaultConfig::mixed(seed));
+        for algo in Algo::FIG4 {
+            let tag = format!("{} seed {seed}", algo.name());
+            assert_run_path_is_the_engine(&tag, algo, &faulted, &workload, None);
+        }
+    }
 }

@@ -39,7 +39,7 @@ fn scenario() -> (ClusterConfig, SimWorkload, RecoverySetup) {
     (cluster, workload, setup)
 }
 
-/// The traced one-pod run of `algo` over the pinned scenario.
+/// The traced run of `algo` over the pinned scenario.
 fn record(algo: Algo) -> RunArtifacts {
     let (cluster, workload, setup) = scenario();
     let spec = RunSpec {
@@ -47,9 +47,8 @@ fn record(algo: Algo) -> RunArtifacts {
         trace_capacity: Some(DEFAULT_TRACE_CAPACITY),
         ..RunSpec::new(algo)
     };
-    let (outcome, trace) = flowtime::run(&spec, &cluster, &workload)
-        .expect("replay runs")
-        .into_single();
+    let flowtime::RunOutput { outcome, trace } =
+        flowtime::run(&spec, &cluster, &workload).expect("replay runs");
     RunArtifacts {
         outcome,
         trace: trace.expect("traced run"),

@@ -13,7 +13,7 @@ use flowtime_sim::prelude::*;
 use flowtime_sim::{explain, TraceEvent};
 use proptest::prelude::*;
 
-/// The traced one-pod run of `algo` through the harness's checked runner.
+/// The traced run of `algo` through the harness's checked runner.
 fn record(
     algo: Algo,
     cluster: &ClusterConfig,
@@ -25,7 +25,7 @@ fn record(
         trace_capacity: Some(flowtime_sim::DEFAULT_TRACE_CAPACITY),
         ..RunSpec::new(algo)
     };
-    let (outcome, trace) = run_checked(&spec, cluster, workload).into_single();
+    let flowtime::RunOutput { outcome, trace } = run_checked(&spec, cluster, workload);
     (outcome, trace.expect("traced run"))
 }
 

@@ -10,7 +10,7 @@ use flowtime_bench::sweep::{SweepScenario, SweepSpec};
 use flowtime_sim::prelude::*;
 use proptest::prelude::*;
 
-/// The one-pod run of `algo` with the recovery layer armed, optionally
+/// The run of `algo` with the recovery layer armed, optionally
 /// traced, through the harness's checked runner.
 fn run_recovery(
     algo: Algo,
@@ -24,7 +24,8 @@ fn run_recovery(
         trace_capacity: traced.then_some(flowtime_sim::DEFAULT_TRACE_CAPACITY),
         ..RunSpec::new(algo)
     };
-    run_checked(&spec, cluster, workload).into_single()
+    let out = run_checked(&spec, cluster, workload);
+    (out.outcome, out.trace)
 }
 
 fn experiment() -> WorkflowExperiment {
@@ -183,7 +184,6 @@ fn chaos_sweep_is_byte_identical_across_thread_counts() {
         schedulers: Algo::FIG4.to_vec(),
         fault_seeds: vec![0, 1],
         audit: true,
-        pods: None,
     };
     let sequential = serde_json::to_string_pretty(&spec.run(1)).expect("report serializes");
     assert!(
@@ -236,14 +236,12 @@ fn live_set_invariant_pass_agrees_with_the_whole_table_on_every_chaos_slot() {
                     Ok(out) => out.outcome,
                     Err(e) => panic!("{} seed {seed} {shed:?}: {e}", algo.name()),
                 };
-                for pod in &out.pods {
-                    let r = &pod.recovery;
-                    totals.retries += r.retries;
-                    totals.wasted_work += r.wasted_work;
-                    totals.stragglers += r.stragglers;
-                    totals.shed_jobs += r.shed_jobs;
-                    totals.delayed_jobs += r.delayed_jobs;
-                }
+                let r = &out.recovery;
+                totals.retries += r.retries;
+                totals.wasted_work += r.wasted_work;
+                totals.stragglers += r.stragglers;
+                totals.shed_jobs += r.shed_jobs;
+                totals.delayed_jobs += r.delayed_jobs;
                 runs += 1;
             }
         }

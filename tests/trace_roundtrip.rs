@@ -2,7 +2,7 @@
 
 use flowtime::{FlowTimeConfig, FlowTimeScheduler};
 use flowtime_dag::ResourceVec;
-use flowtime_sim::{ClusterConfig, Engine};
+use flowtime_sim::{ClusterConfig, DecisionTrace, Engine, TraceError};
 use flowtime_workload::trace::{ProductionTraceConfig, Trace};
 
 fn small_trace(seed: u64) -> Trace {
@@ -52,6 +52,50 @@ fn production_trace_deadlines_are_loose_and_met_by_flowtime() {
         .unwrap()
         .metrics;
     assert_eq!(metrics.workflow_deadline_misses(), 0);
+}
+
+/// A decision trace `simulate --pods K` wrote before runs became one
+/// engine (DESIGN.md §31) carries its pod count and index in the header
+/// — before §22 also its placer. Such a file is refused at its header
+/// line with a parse error naming `header.pods`, and is left untouched;
+/// the same trace without the stamp still loads.
+#[test]
+fn multi_pod_decision_traces_are_refused_and_left_untouched() {
+    let trace = small_trace(11);
+    let mut s = FlowTimeScheduler::new(trace.cluster.clone(), FlowTimeConfig::default());
+    let (engine, handle) = Engine::new(trace.cluster.clone(), trace.workload.clone(), 1_000_000)
+        .unwrap()
+        .with_trace(1 << 20);
+    engine.run(&mut s).unwrap();
+    let mut buf = Vec::new();
+    handle.take().write_jsonl(&mut buf).unwrap();
+    let text = String::from_utf8(buf).unwrap();
+    let (header, rest) = text.split_once('\n').unwrap();
+    assert!(header.starts_with("{\"Header\":") && header.ends_with("}}"));
+    let dir = std::env::temp_dir().join(format!("multi_pod_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let read = |path: &std::path::Path| {
+        DecisionTrace::read_jsonl(std::io::BufReader::new(std::fs::File::open(path).unwrap()))
+    };
+    let plain = dir.join("plain.jsonl");
+    std::fs::write(&plain, &text).unwrap();
+    assert!(read(&plain).is_ok());
+    for stamp in [
+        ",\"pods\":2,\"pod\":1",
+        ",\"pods\":2,\"pod\":0,\"placer\":\"Demand\"",
+    ] {
+        let stamped = format!("{}{stamp}}}}}\n{rest}", &header[..header.len() - 2]);
+        let path = dir.join("stamped.jsonl");
+        std::fs::write(&path, &stamped).unwrap();
+        match read(&path) {
+            Err(TraceError::Parse { line: 1, message }) => {
+                assert!(message.starts_with("header.pods: "), "{stamp}: {message}")
+            }
+            other => panic!("{stamp}: expected a refusal, got {other:?}"),
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), stamped, "{stamp}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -48,9 +48,8 @@ fn record(
         trace_capacity: Some(TRACE_CAPACITY),
         ..RunSpec::new(algo)
     };
-    let (outcome, trace) = flowtime::run(&spec, cluster, workload)
-        .expect("replay runs")
-        .into_single();
+    let flowtime::RunOutput { outcome, trace } =
+        flowtime::run(&spec, cluster, workload).expect("replay runs");
     RunArtifacts {
         outcome,
         trace: trace.expect("traced run"),
