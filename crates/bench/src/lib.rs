@@ -12,7 +12,6 @@
 
 pub mod experiments;
 pub mod report;
-pub mod scaling;
 pub mod sweep;
 
 pub use experiments::{Algo, SummaryRow};

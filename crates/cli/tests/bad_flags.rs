@@ -165,7 +165,10 @@ fn malformed_trace_submissions_exit_nonzero_without_a_panic() {
 /// the pod count, an outcome file holding the placement and one outcome
 /// per pod — is refused by `audit`, `explain` and `whatif`: exit code 1,
 /// one line on stderr naming `header.pods` or the `placement` key, no
-/// file written, and every input file byte-identical afterwards.
+/// file written, and every input file byte-identical afterwards. An
+/// unsharded outcome of a tree before DESIGN.md §32, which still carried
+/// `"placement_shortfalls": null`, is read: all three commands print and
+/// write what they do for today's outcome of the same run.
 #[test]
 fn multi_pod_recordings_are_refused_and_left_untouched() {
     let dir = std::env::temp_dir().join(format!("cli_multi_pod_{}", std::process::id()));
@@ -200,6 +203,10 @@ fn multi_pod_recordings_are_refused_and_left_untouched() {
         "{{\"placement\":{{\"pods\":2,\"workflows\":[0],\"adhoc\":[]}},\"pods\":[{outcome},{outcome}]}}"
     );
     std::fs::write(dir.join("o2.json"), &sharded).unwrap();
+    let (head, tail) = outcome.split_once("\n  \"solver_telemetry\"").unwrap();
+    let with_shortfalls =
+        format!("{head}\n  \"placement_shortfalls\": null,\n  \"solver_telemetry\"{tail}");
+    std::fs::write(dir.join("o1.json"), &with_shortfalls).unwrap();
     let snapshot = |dir: &Path| {
         let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
             .unwrap()
@@ -242,6 +249,33 @@ fn multi_pod_recordings_are_refused_and_left_untouched() {
             assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
             assert!(snapshot(&dir) == before, "{argv:?} changed or wrote a file");
         }
+    }
+    for (command, out) in [
+        ("audit", None),
+        ("explain", Some("e.json")),
+        ("whatif", Some("w.json")),
+    ] {
+        let runs: Vec<(Output, Option<Vec<u8>>)> = ["o.json", "o1.json"]
+            .into_iter()
+            .map(|outcome_file| {
+                let mut argv = vec![
+                    command,
+                    "--trace",
+                    "t.jsonl",
+                    "--decision-trace",
+                    "d.jsonl",
+                    "--outcome",
+                    outcome_file,
+                ];
+                argv.extend(out.iter().flat_map(|out| ["--out", *out]));
+                let run = cli(&dir, &argv);
+                let stderr = String::from_utf8_lossy(&run.stderr);
+                assert_eq!(run.status.code(), Some(0), "{argv:?}: {stderr}");
+                (run, out.map(|out| std::fs::read(dir.join(out)).unwrap()))
+            })
+            .collect();
+        assert_eq!(runs[0].0.stdout, runs[1].0.stdout, "{command}: stdout");
+        assert!(runs[0].1 == runs[1].1, "{command}: written report differs");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,7 +7,7 @@
 //! each job ... as well as the estimated running time of tasks in each job"
 //! are known (Section I).
 
-use crate::resources::{ResourceKind, ResourceVec, NUM_RESOURCES};
+use crate::resources::{ResourceVec, NUM_RESOURCES};
 use serde::{Deserialize, Serialize};
 
 /// Static description of a job's estimated shape.
@@ -128,11 +128,6 @@ impl JobSpec {
         self.per_task * self.work()
     }
 
-    /// The demand of a single resource dimension, convenience for summations.
-    pub fn demand_of(&self, kind: ResourceKind) -> u64 {
-        self.total_demand().get(kind)
-    }
-
     /// Validates the spec, returning a reason string on failure:
     /// [`crate::WorkflowBuilder::build`] checks every job with it, and a
     /// spec that did not go through a builder (an ad-hoc submission) must
@@ -163,6 +158,7 @@ impl JobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resources::ResourceKind;
 
     fn spec(tasks: u64, dur: u64) -> JobSpec {
         JobSpec::new("t", tasks, dur, ResourceVec::new([1, 1024]))
@@ -173,7 +169,7 @@ mod tests {
         let j = spec(10, 3);
         assert_eq!(j.work(), 30);
         assert_eq!(j.total_demand(), ResourceVec::new([30, 30 * 1024]));
-        assert_eq!(j.demand_of(ResourceKind::Cpu), 30);
+        assert_eq!(j.total_demand().get(ResourceKind::Cpu), 30);
     }
 
     #[test]

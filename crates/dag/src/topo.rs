@@ -98,22 +98,6 @@ pub fn level_sets(dag: &Dag) -> Result<Vec<Vec<usize>>, DagError> {
     Ok(sets)
 }
 
-/// Returns the level index of each node, as computed by [`level_sets`].
-///
-/// # Errors
-///
-/// Returns [`DagError::Cycle`] if the graph is not acyclic.
-pub fn node_levels(dag: &Dag) -> Result<Vec<usize>, DagError> {
-    let order = topological_order(dag)?;
-    let mut level = vec![0usize; dag.len()];
-    for &v in &order {
-        for &p in dag.predecessors(v) {
-            level[v] = level[v].max(level[p] + 1);
-        }
-    }
-    Ok(level)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,8 +167,6 @@ mod tests {
     fn straggler_joins_level_of_deepest_predecessor() {
         // 0 -> 1 -> 3, 2 -> 3: node 2 is a source but 3 must sit at level 2.
         let dag = Dag::from_edges(4, [(0, 1), (1, 3), (2, 3)]).unwrap();
-        let levels = node_levels(&dag).unwrap();
-        assert_eq!(levels, vec![0, 1, 0, 2]);
         let sets = level_sets(&dag).unwrap();
         assert_eq!(sets, vec![vec![0, 2], vec![1], vec![3]]);
     }

@@ -83,12 +83,6 @@ impl FlowNetwork {
         self.edges.len()
     }
 
-    /// Appends a fresh node, returning its id.
-    pub fn add_node(&mut self) -> NodeId {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
-    }
-
     /// Adds a directed edge `from → to` with capacity `cap`.
     ///
     /// # Errors
@@ -214,15 +208,6 @@ mod tests {
             net.add_edge(0, 3, 1),
             Err(FlowError::NodeOutOfRange { node: 3, len: 1 })
         );
-    }
-
-    #[test]
-    fn add_node_grows() {
-        let mut net = FlowNetwork::new(0);
-        let a = net.add_node();
-        let b = net.add_node();
-        assert_eq!((a, b), (0, 1));
-        assert!(net.add_edge(a, b, 1).is_ok());
     }
 
     #[test]

@@ -126,48 +126,6 @@ impl Problem {
         Ok(VarId(self.objective.len() - 1))
     }
 
-    /// Updates the objective coefficient of an existing variable.
-    ///
-    /// # Errors
-    ///
-    /// * [`LpError::VarOutOfRange`] if `var` was not created by this problem.
-    /// * [`LpError::NonFiniteCoefficient`] if `obj` is not finite.
-    pub fn set_objective(&mut self, var: VarId, obj: f64) -> Result<(), LpError> {
-        if !obj.is_finite() {
-            return Err(LpError::NonFiniteCoefficient);
-        }
-        let slot = self
-            .objective
-            .get_mut(var.0)
-            .ok_or(LpError::VarOutOfRange {
-                var: var.0,
-                len: self.lower.len(),
-            })?;
-        *slot = obj;
-        Ok(())
-    }
-
-    /// Tightens the bounds of an existing variable.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::add_var`] for bound validity, plus
-    /// [`LpError::VarOutOfRange`].
-    pub fn set_bounds(&mut self, var: VarId, lower: f64, upper: f64) -> Result<(), LpError> {
-        if !lower.is_finite() || upper.is_nan() || upper == f64::NEG_INFINITY || lower > upper {
-            return Err(LpError::InvalidBounds { lower, upper });
-        }
-        if var.0 >= self.lower.len() {
-            return Err(LpError::VarOutOfRange {
-                var: var.0,
-                len: self.lower.len(),
-            });
-        }
-        self.lower[var.0] = lower;
-        self.upper[var.0] = upper;
-        Ok(())
-    }
-
     /// Adds the constraint `Σ terms {≤,=,≥} rhs`.
     ///
     /// Duplicate variables within `terms` are summed.
@@ -533,18 +491,5 @@ mod tests {
         assert!(text.contains("x0 >= 0"), "{text}");
         assert!(text.contains("1 <= x1 <= 4"), "{text}");
         assert!(text.trim_end().ends_with("End"), "{text}");
-    }
-
-    #[test]
-    fn set_bounds_and_objective() {
-        let mut p = Problem::new();
-        let x = p.add_var(1.0, 0.0, 10.0).unwrap();
-        p.set_bounds(x, 1.0, 2.0).unwrap();
-        p.set_objective(x, -3.0).unwrap();
-        assert!(p.set_bounds(VarId(9), 0.0, 1.0).is_err());
-        assert!(p.set_objective(VarId(9), 1.0).is_err());
-        assert!(p.set_bounds(x, 3.0, 2.0).is_err());
-        let sol = p.solve().unwrap();
-        assert!((sol.value(x) - 2.0).abs() < 1e-9);
     }
 }

@@ -40,15 +40,6 @@ impl Solution {
     pub fn value(&self, var: VarId) -> f64 {
         self.x[var.index()]
     }
-
-    /// The value of `var` rounded to the nearest integer.
-    ///
-    /// The scheduling LPs have totally unimodular constraint matrices
-    /// (paper Lemma 2), so optimal vertex solutions are integral and this
-    /// rounding only removes floating-point noise.
-    pub fn value_rounded(&self, var: VarId) -> i64 {
-        self.x[var.index()].round() as i64
-    }
 }
 
 #[cfg(test)]
@@ -65,7 +56,7 @@ mod tests {
             work: 12,
         };
         assert_eq!(sol.value(VarId(1)), 2.0000000001);
-        assert_eq!(sol.value_rounded(VarId(1)), 2);
+        assert_eq!(sol.value(VarId(1)).round(), 2.0);
         assert_eq!(sol.status, Status::Optimal);
     }
 }

@@ -87,11 +87,6 @@ impl ClusterConfig {
             .map_or(self.capacity, |w| w.capacity)
     }
 
-    /// True if any capacity override is configured.
-    pub fn has_capacity_windows(&self) -> bool {
-        !self.windows.is_empty()
-    }
-
     /// The configured capacity overrides, in insertion order.
     pub fn windows(&self) -> &[CapacityWindow] {
         &self.windows
@@ -112,7 +107,7 @@ mod tests {
         let c = ClusterConfig::new(ResourceVec::new([10, 100]), 5.0);
         assert_eq!(c.capacity(), ResourceVec::new([10, 100]));
         assert_eq!(c.slot_seconds(), 5.0);
-        assert!(!c.has_capacity_windows());
+        assert!(c.windows().is_empty());
         assert_eq!(c.capacity_at(12345), ResourceVec::new([10, 100]));
     }
 
@@ -123,7 +118,7 @@ mod tests {
             8,
             ResourceVec::new([4, 40]),
         );
-        assert!(c.has_capacity_windows());
+        assert_eq!(c.windows().len(), 1);
         assert_eq!(c.capacity_at(4), ResourceVec::new([10, 100]));
         assert_eq!(c.capacity_at(5), ResourceVec::new([4, 40]));
         assert_eq!(c.capacity_at(7), ResourceVec::new([4, 40]));
@@ -145,6 +140,6 @@ mod tests {
         let json = r#"{"capacity":[8,64],"slot_seconds":10.0}"#;
         let c: ClusterConfig = serde_json::from_str(json).unwrap();
         assert_eq!(c.capacity(), ResourceVec::new([8, 64]));
-        assert!(!c.has_capacity_windows());
+        assert!(c.windows().is_empty());
     }
 }

@@ -16,7 +16,6 @@ use crate::metrics::{
     InFlightJob, JobOutcome, Metrics, MissAttribution, NodeSlackUse, RecoveryStats, ShedJob,
     WorkflowOutcome,
 };
-use crate::placement::NodePool;
 use crate::scheduler::Scheduler;
 use crate::state::{Live, SimState, WorkflowInstance};
 use crate::telemetry::{EngineTelemetry, SolverTelemetry};
@@ -39,10 +38,6 @@ pub struct SimOutcome {
     /// Full allocation recording, when enabled via
     /// [`Engine::with_timeline`].
     pub timeline: Option<Timeline>,
-    /// Per-slot count of tasks that would not have fit on any physical
-    /// node (fragmentation diagnostic), when enabled via
-    /// [`Engine::with_nodes`].
-    pub placement_shortfalls: Option<Vec<u64>>,
     /// Solver-effort counters reported by the scheduler at the end of the
     /// run (see [`crate::telemetry`]); `None` for solver-free schedulers.
     #[serde(default)]
@@ -146,8 +141,6 @@ pub struct Engine {
     pub(crate) slot_loads: Vec<ResourceVec>,
     pub(crate) slot_capacities: Vec<ResourceVec>,
     pub(crate) timeline: Option<Timeline>,
-    pub(crate) nodes: Option<NodePool>,
-    pub(crate) placement_shortfalls: Vec<u64>,
     pub(crate) checker: InvariantChecker,
     pub(crate) telemetry: EngineTelemetry,
     /// Decision-trace recording context; `None` (the default) is the
@@ -382,8 +375,6 @@ impl Engine {
             slot_loads: Vec::new(),
             slot_capacities: Vec::new(),
             timeline: None,
-            nodes: None,
-            placement_shortfalls: Vec::new(),
             checker: InvariantChecker::new(),
             telemetry,
             trace: None,
@@ -426,16 +417,6 @@ impl Engine {
     #[must_use]
     pub fn with_timeline(mut self) -> Self {
         self.timeline = Some(Timeline::default());
-        self
-    }
-
-    /// Enables node-level placement diagnostics: each slot's allocation is
-    /// bin-packed onto `pool` and the unplaceable task count is recorded
-    /// in [`SimOutcome::placement_shortfalls`]. Measured, not enforced
-    /// (see [`crate::placement`]).
-    #[must_use]
-    pub fn with_nodes(mut self, pool: NodePool) -> Self {
-        self.nodes = Some(pool);
         self
     }
 
@@ -674,14 +655,6 @@ impl Engine {
                         tasks: q,
                     });
                 }
-            }
-            if let Some(pool) = &self.nodes {
-                let requests: Vec<_> = pairs
-                    .iter()
-                    .map(|&(id, q)| (id, self.state.issued(id).estimate.per_task(), q))
-                    .collect();
-                self.placement_shortfalls
-                    .push(pool.pack(&requests).unplaced_tasks());
             }
             let mut failed: Vec<(JobId, u32)> = Vec::new();
             for &(id, q) in &pairs {
@@ -1125,7 +1098,6 @@ impl Engine {
             },
             slots_elapsed,
             timeline: self.timeline,
-            placement_shortfalls: self.nodes.is_some().then_some(self.placement_shortfalls),
             solver_telemetry,
             engine_telemetry: self.telemetry,
             in_flight,
@@ -1565,30 +1537,15 @@ pub(crate) mod tests {
         let tl = out.timeline.expect("enabled");
         // Total recorded tasks equal the job's work.
         let id = out.metrics.jobs[0].id;
-        assert_eq!(tl.total_for(id), 16);
+        let total: u64 = tl
+            .entries
+            .iter()
+            .filter(|e| e.job == id)
+            .map(|e| e.tasks)
+            .sum();
+        assert_eq!(total, 16);
         let chart = crate::timeline::render_gantt(&tl, Some(&out.metrics), 40);
         assert!(chart.contains("ad-hoc"));
-    }
-
-    #[test]
-    fn node_placement_diagnostics_record_shortfalls() {
-        // 8-core aggregate as 2x4-core nodes; a job with 3-core containers
-        // can only place 2 tasks (one per node) though aggregate fits 2.67.
-        let mut wl = SimWorkload::default();
-        wl.adhoc.push(AdhocSubmission::new(
-            JobSpec::new("wide", 2, 4, ResourceVec::new([3, 1024])),
-            0,
-        ));
-        let pool = crate::placement::NodePool::new(2, ResourceVec::new([4, 8192]));
-        let out = Engine::new(cluster(8), wl, 100)
-            .unwrap()
-            .with_nodes(pool)
-            .run(&mut Greedy)
-            .unwrap();
-        let shortfalls = out.placement_shortfalls.expect("enabled");
-        // Two 3-core tasks fit one per node: no shortfall in this layout.
-        assert_eq!(shortfalls.iter().sum::<u64>(), 0);
-        assert_eq!(out.metrics.completed_jobs(), 1);
     }
 
     #[test]

@@ -77,7 +77,6 @@ pub mod metrics;
 pub mod online;
 #[cfg(any(test, feature = "oracle"))]
 pub mod oracle;
-pub mod placement;
 pub mod scheduler;
 pub mod state;
 pub mod submission;
@@ -106,7 +105,6 @@ pub use metrics::{
 pub use online::{OnlineEngine, OnlineStatus};
 #[cfg(any(test, feature = "oracle"))]
 pub use oracle::OracleEngine;
-pub use placement::{NodePool, PackResult};
 pub use scheduler::{Allocation, Scheduler};
 pub use state::{JobView, SimState, WorkflowView};
 pub use submission::{EffectiveSubmission, LogEntry, SubmissionLog};

@@ -15,7 +15,6 @@
 use crate::cluster::ClusterConfig;
 use crate::error::SimError;
 use crate::job::SimWorkload;
-use crate::placement::NodePool;
 use crate::scheduler::Scheduler;
 use crate::state::SimState;
 use crate::telemetry::EngineTelemetry;
@@ -49,13 +48,6 @@ impl OracleEngine {
     #[must_use]
     pub fn with_timeline(mut self) -> Self {
         self.inner = self.inner.with_timeline();
-        self
-    }
-
-    /// See [`Engine::with_nodes`].
-    #[must_use]
-    pub fn with_nodes(mut self, pool: NodePool) -> Self {
-        self.inner = self.inner.with_nodes(pool);
         self
     }
 
@@ -95,14 +87,6 @@ impl OracleEngine {
                         tasks: q,
                     });
                 }
-            }
-            if let Some(pool) = &e.nodes {
-                let requests: Vec<_> = pairs
-                    .iter()
-                    .map(|&(id, q)| (id, e.state.issued(id).estimate.per_task(), q))
-                    .collect();
-                e.placement_shortfalls
-                    .push(pool.pack(&requests).unplaced_tasks());
             }
             for (id, q) in pairs {
                 let idx = e.state.issued_row(id);

@@ -21,7 +21,7 @@
 //! [`crate::SimOutcome`]s.
 
 use crate::error::SimError;
-use crate::job::{AdhocSubmission, SimWorkload, WorkflowSubmission};
+use crate::job::{AdhocSubmission, WorkflowSubmission};
 use serde::{Deserialize, Serialize};
 
 /// One accepted request, stamped with the virtual slot (`at`) the daemon
@@ -103,31 +103,6 @@ impl SubmissionLog {
     /// An empty log.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Builds a log from a batch workload: every submission is logged at
-    /// virtual slot 0, workflows first, then ad-hoc jobs — the shape the
-    /// differential harness feeds to a daemon session.
-    pub fn from_workload(workload: &SimWorkload) -> Self {
-        let mut log = SubmissionLog::new();
-        let mut seq = 0u64;
-        for sub in &workload.workflows {
-            log.entries.push(LogEntry::Workflow {
-                seq,
-                at: 0,
-                submission: sub.clone(),
-            });
-            seq += 1;
-        }
-        for sub in &workload.adhoc {
-            log.entries.push(LogEntry::Adhoc {
-                seq,
-                at: 0,
-                submission: sub.clone(),
-            });
-            seq += 1;
-        }
-        log
     }
 
     /// Resolves cancellations and returns the surviving submissions

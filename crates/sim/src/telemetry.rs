@@ -66,11 +66,6 @@ pub struct SolverTelemetry {
 }
 
 impl SolverTelemetry {
-    /// Total simplex solves, cold and warm.
-    pub fn total_solves(&self) -> u64 {
-        self.cold_solves + self.warm_solves
-    }
-
     /// Adds `other`'s counters into `self` (sweep rollups). Wall time
     /// accumulates too, though it stays invisible to serde and equality.
     pub fn accumulate(&mut self, other: &SolverTelemetry) {
@@ -343,7 +338,7 @@ mod tests {
         let t = sample();
         let back = SolverTelemetry::from_value(&t.to_value()).unwrap();
         assert_eq!(back, t);
-        assert_eq!(back.total_solves(), 15);
+        assert_eq!(back.cold_solves + back.warm_solves, 15);
         assert_eq!(back.cache_hits(), 3);
     }
 

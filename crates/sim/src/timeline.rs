@@ -31,15 +31,6 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Total task-slots allocated to `job` over the run.
-    pub fn total_for(&self, job: JobId) -> u64 {
-        self.entries
-            .iter()
-            .filter(|e| e.job == job)
-            .map(|e| e.tasks)
-            .sum()
-    }
-
     /// The last slot with any allocation (0 for empty recordings).
     pub fn horizon(&self) -> u64 {
         self.entries.iter().map(|e| e.slot + 1).max().unwrap_or(0)
@@ -123,13 +114,10 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_horizon() {
+    fn horizon_is_one_past_the_last_slot() {
         let tl = Timeline {
             entries: vec![entry(0, 1, 3), entry(1, 1, 2), entry(5, 2, 7)],
         };
-        assert_eq!(tl.total_for(JobId::new(1)), 5);
-        assert_eq!(tl.total_for(JobId::new(2)), 7);
-        assert_eq!(tl.total_for(JobId::new(9)), 0);
         assert_eq!(tl.horizon(), 6);
         assert_eq!(Timeline::default().horizon(), 0);
     }

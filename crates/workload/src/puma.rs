@@ -94,12 +94,6 @@ impl PumaBenchmark {
         let tasks = (tasks_per_gb * input_gb).max(1);
         JobSpec::new(self.name(), tasks, task_slots, container)
     }
-
-    /// Like [`PumaBenchmark::job`] but capping concurrent tasks (a wave
-    /// limit, as when the job's input splits exceed its queue share).
-    pub fn job_with_parallelism(&self, input_gb: u64, max_parallel: u64) -> JobSpec {
-        self.job(input_gb).with_max_parallel(max_parallel)
-    }
 }
 
 #[cfg(test)]
@@ -121,13 +115,6 @@ mod tests {
     fn zero_input_still_valid() {
         let j = PumaBenchmark::Grep.job(0);
         assert_eq!(j.tasks(), 1);
-    }
-
-    #[test]
-    fn parallelism_cap_applies() {
-        let j = PumaBenchmark::TeraSort.job_with_parallelism(10, 16);
-        assert_eq!(j.max_parallel(), Some(16));
-        assert_eq!(j.min_runtime_slots(), 15); // 80 tasks / 16 wide * 3 slots
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //! and restore the sparse default before releasing it; everything else
 //! pins the engine per solve via [`SimplexOptions::engine`].
 
+mod scaling_util;
+
 use flowtime::lp_sched::SolverBackend;
 use flowtime::{FlowTimeConfig, FlowTimeScheduler};
 use flowtime_bench::experiments::{faulted_instance, testbed_cluster, Algo, WorkflowExperiment};
-use flowtime_bench::scaling::{interval_instance, perturbed};
 use flowtime_dag::ResourceVec;
 use flowtime_lp::{
     set_default_engine, Basis, Problem, Relation, SimplexEngine, SimplexOptions, Solution,
@@ -33,6 +34,7 @@ use flowtime_sim::prelude::*;
 use flowtime_sim::{Scheduler, SimOutcome};
 use flowtime_workload::trace::{ProductionTraceConfig, Trace};
 use proptest::prelude::*;
+use scaling_util::{interval_instance, perturbed};
 use std::sync::Mutex;
 
 /// Guards flips of the process-wide default engine: tests in this binary

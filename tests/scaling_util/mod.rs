@@ -8,8 +8,9 @@
 //! exactly the regime the sparse revised simplex exploits.
 //!
 //! This module generates that family at any job count, deterministically
-//! from a seed, for the differential and scale-stratified property tests
-//! (`tests/lp_differential.rs`, `tests/solver_props.rs`):
+//! from a seed, for the differential and scale-stratified property suites
+//! (`lp_differential.rs`, `solver_props.rs`), which share it the way the
+//! daemon suites share `daemon_util`:
 //!
 //! * `min z  s.t.  Σ_t a_{j,t} = D_j` (one equality per job),
 //!   `Σ_j a_{j,t} − z ≤ 0` (one row per slot), `0 ≤ a_{j,t} ≤ cap`.
@@ -19,6 +20,10 @@
 //! * [`perturbed`] shrinks demands by a few percent (what job completions
 //!   do between replans) without touching the structure, producing the
 //!   realistic warm-start sequence.
+
+// Each suite compiles this module independently and uses a different
+// subset of the generators.
+#![allow(dead_code)]
 
 use flowtime_lp::{Problem, Relation, VarId};
 
@@ -142,54 +147,5 @@ fn assemble(horizon: usize, shape: &[(usize, usize, u64)]) -> ScalingInstance {
         cols,
         nnz,
         shape: shape.to_vec(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use flowtime_lp::SimplexOptions;
-
-    #[test]
-    fn instance_is_feasible_and_leveled() {
-        let inst = interval_instance(40, 7);
-        assert_eq!(inst.rows, 40 + inst.horizon);
-        let sol = inst.problem.solve().unwrap();
-        // z equals the peak usage; the perfectly-leveled lower bound is
-        // total demand over the horizon.
-        let total: u64 = inst.shape.iter().map(|&(_, _, d)| d).sum();
-        let floor = total as f64 / inst.horizon as f64;
-        assert!(sol.objective >= floor - 1e-6, "{} < {floor}", sol.objective);
-        assert!(inst.problem.is_feasible(&sol.x, 1e-6));
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let a = interval_instance(25, 3);
-        let b = interval_instance(25, 3);
-        assert_eq!(a.shape, b.shape);
-        let pa = perturbed(&a, 2, 11);
-        let pb = perturbed(&b, 2, 11);
-        assert_eq!(pa.shape, pb.shape);
-    }
-
-    #[test]
-    fn perturbation_keeps_dimensions_and_feasibility() {
-        let base = interval_instance(30, 5);
-        let stepped = perturbed(&base, 1, 5);
-        assert_eq!(base.rows, stepped.rows);
-        assert_eq!(base.cols, stepped.cols);
-        for (&(s0, l0, d0), &(s1, l1, d1)) in base.shape.iter().zip(&stepped.shape) {
-            assert_eq!((s0, l0), (s1, l1));
-            assert!(d1 <= d0 && d1 >= 1);
-        }
-        // The base optimum warm-starts the perturbed replan.
-        let opts = SimplexOptions::default();
-        let first = base.problem.solve_warm(&opts, None).unwrap();
-        let warm = stepped
-            .problem
-            .solve_warm(&opts, Some(&first.basis))
-            .unwrap();
-        assert!(warm.warm_used, "replan should accept the previous basis");
     }
 }

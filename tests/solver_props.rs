@@ -3,15 +3,17 @@
 //! Lemma 2 interval family, and the ill-scaled family: memory rows frozen
 //! at `θ·655 360` with `θ` off the solver's grid.
 
+mod scaling_util;
+
 use flowtime::lp_sched::{
     backend::plan_peak, formulation, lexmin, rounding, LevelingProblem, PlanJob, SolveStats,
     SolverBackend,
 };
 use flowtime::CoreError;
-use flowtime_bench::scaling::{interval_instance, perturbed, perturbed_jobs};
 use flowtime_dag::{JobId, ResourceVec};
 use flowtime_lp::{Problem, Relation, SimplexEngine, SimplexOptions};
 use proptest::prelude::*;
+use scaling_util::{interval_instance, perturbed, perturbed_jobs};
 use std::collections::HashMap;
 
 /// A random feasible leveling instance with uniform task shape; jobs may
@@ -212,6 +214,51 @@ proptest! {
 // the sparse engine), never wall-clock, so they are stable under machine
 // load and debug builds.
 // ---------------------------------------------------------------------
+
+/// The generator itself: an instance solves, its peak is at least the
+/// perfectly-leveled floor (total demand over the horizon), and the
+/// optimum satisfies every row.
+#[test]
+fn interval_instance_is_feasible_and_leveled() {
+    let inst = interval_instance(40, 7);
+    assert_eq!(inst.rows, 40 + inst.horizon);
+    let sol = inst.problem.solve().unwrap();
+    let total: u64 = inst.shape.iter().map(|&(_, _, d)| d).sum();
+    let floor = total as f64 / inst.horizon as f64;
+    assert!(sol.objective >= floor - 1e-6, "{} < {floor}", sol.objective);
+    assert!(inst.problem.is_feasible(&sol.x, 1e-6));
+}
+
+#[test]
+fn interval_generation_is_deterministic() {
+    let a = interval_instance(25, 3);
+    let b = interval_instance(25, 3);
+    assert_eq!(a.shape, b.shape);
+    let pa = perturbed(&a, 2, 11);
+    let pb = perturbed(&b, 2, 11);
+    assert_eq!(pa.shape, pb.shape);
+}
+
+/// A perturbed replan keeps the base's dimensions and windows, only
+/// shrinks demands, and accepts the base optimum as its warm start.
+#[test]
+fn perturbation_keeps_dimensions_and_feasibility() {
+    let base = interval_instance(30, 5);
+    let stepped = perturbed(&base, 1, 5);
+    assert_eq!(base.rows, stepped.rows);
+    assert_eq!(base.cols, stepped.cols);
+    for (&(s0, l0, d0), &(s1, l1, d1)) in base.shape.iter().zip(&stepped.shape) {
+        assert_eq!((s0, l0), (s1, l1));
+        assert!(d1 <= d0 && d1 >= 1);
+    }
+    let opts = SimplexOptions::default();
+    let first = base.problem.solve_warm(&opts, None).unwrap();
+    let warm = stepped
+        .problem
+        .solve_warm(&opts, Some(&first.basis))
+        .unwrap();
+    assert!(warm.warm_used, "replan should accept the previous basis");
+}
 
 const SCALES: [usize; 3] = [10, 100, 1000];
 const FAMILY_SEED: u64 = 0x5ca1e;
