@@ -80,9 +80,9 @@ pub struct FlowTimeScheduler {
     seen_workflows: HashSet<WorkflowId>,
     /// Current plan and the absolute slot it starts at.
     plan: Option<(u64, Plan)>,
-    /// Suffix sums of planned tasks per job (`[rel] = tasks planned from
-    /// relative slot rel onward`), for O(1) plan-exhaustion checks.
-    plan_suffix: HashMap<JobId, Vec<u64>>,
+    /// One past each job's last relative slot with planned tasks: the plan
+    /// is exhausted for a job once `rel` reaches it (O(1) checks).
+    planned_end: HashMap<JobId, usize>,
     /// Count of completed deadline jobs when the plan was built.
     planned_completions: usize,
     /// True when the last solve failed (infeasible windows): fall back to
@@ -91,7 +91,8 @@ pub struct FlowTimeScheduler {
     last_replan_slot: u64,
     /// The conservative capacity regime the current windows were
     /// decomposed under (elementwise minimum of `capacity_at` over the
-    /// tracked lookahead). `None` until the first slot.
+    /// tracked lookahead). `None` until the first slot, and always on a
+    /// cluster without capacity windows.
     capacity_regime: Option<ResourceVec>,
     /// Scheduling deadlines of the pending jobs as of the last replan —
     /// the plan paces against these, so a later window refresh that moves
@@ -111,7 +112,7 @@ impl FlowTimeScheduler {
             milestones: HashMap::new(),
             seen_workflows: HashSet::new(),
             plan: None,
-            plan_suffix: HashMap::new(),
+            planned_end: HashMap::new(),
             planned_completions: 0,
             degraded: false,
             last_replan_slot: 0,
@@ -179,6 +180,11 @@ impl FlowTimeScheduler {
     /// picks up any deadline that moved via
     /// [`Self::planned_deadlines`].
     fn refresh_regime(&mut self, state: &SimState) {
+        if self.cluster.windows().is_empty() {
+            // Every slot has the nominal capacity, which decomposition
+            // falls back to while no regime is tracked.
+            return;
+        }
         let now = state.now();
         let far = state
             .workflows()
@@ -255,12 +261,8 @@ impl FlowTimeScheduler {
         let rel = (now - origin) as usize;
         for job in pending {
             if job.ready_slot.is_some_and(|r| r <= now) {
-                let planned_left = self
-                    .plan_suffix
-                    .get(&job.id)
-                    .and_then(|sfx| sfx.get(rel).copied())
-                    .unwrap_or(0);
-                if planned_left == 0 && job.estimated_remaining.unwrap_or(0) > 0 {
+                let planned_end = self.planned_end.get(&job.id).copied().unwrap_or(0);
+                if rel >= planned_end && job.estimated_remaining.unwrap_or(0) > 0 {
                     return true;
                 }
             }
@@ -332,15 +334,12 @@ impl FlowTimeScheduler {
         self.telemetry.accumulate(&stats);
         match solved {
             Ok(plan) => {
-                self.plan_suffix = plan
-                    .tasks
-                    .iter()
+                self.planned_end = (plan.tasks.iter())
                     .map(|(&id, per_slot)| {
-                        let mut sfx = vec![0u64; per_slot.len() + 1];
-                        for t in (0..per_slot.len()).rev() {
-                            sfx[t] = sfx[t + 1] + per_slot[t];
-                        }
-                        (id, sfx)
+                        (
+                            id,
+                            per_slot.iter().rposition(|&n| n > 0).map_or(0, |t| t + 1),
+                        )
                     })
                     .collect();
                 self.plan = Some((state.now(), plan));
@@ -350,7 +349,7 @@ impl FlowTimeScheduler {
                 // Infeasible decomposition (e.g. badly under-estimated or
                 // overloaded): degrade to EDF-greedy until feasible again.
                 self.plan = None;
-                self.plan_suffix.clear();
+                self.planned_end.clear();
                 self.degraded = true;
                 self.telemetry.degraded_replans += 1;
             }
@@ -394,7 +393,7 @@ impl Scheduler for FlowTimeScheduler {
         // Ad-hoc failures don't touch the LP, which never plans them.
         if self.windows.contains_key(&job) {
             self.plan = None;
-            self.plan_suffix.clear();
+            self.planned_end.clear();
             self.planned_deadlines.clear();
         }
     }

@@ -157,6 +157,17 @@ impl FlowNetwork {
         arc.cap = cap - flow;
     }
 
+    /// Sends `amount` more units of flow along `edge`, at most its
+    /// residual. Conservation at the edge's endpoints is the caller's to
+    /// keep.
+    pub(crate) fn push(&mut self, edge: EdgeId, amount: u64) {
+        let (node, idx) = self.edges[edge.0];
+        let arc = &mut self.adj[node][idx];
+        arc.cap -= amount;
+        let (to, rev) = (arc.to, arc.rev);
+        self.adj[to][rev].cap += amount;
+    }
+
     /// Takes `amount` units of flow back off `edge`. Conservation at the
     /// edge's endpoints is the caller's to restore.
     pub(crate) fn cancel(&mut self, edge: EdgeId, amount: u64) {

@@ -31,7 +31,8 @@
 //! flow the previous probe left. A round's allocation is the one place the
 //! flow itself is read, so it restarts Dinic from zero flow: its result
 //! depends on nothing but the arc order and the caps, which keeps every
-//! plan independent of the probe sequence that found the caps.
+//! plan independent of the probe sequence that found the caps. Dinic's
+//! first phase from zero flow is one pass over the arcs in that order.
 //!
 //! Total unimodularity of the underlying polytope means the returned
 //! allocation is integral — the combinatorial counterpart of the paper's
@@ -137,6 +138,12 @@ impl LevelingInstance {
 
 const SOURCE: NodeId = 0;
 
+/// Capacity of each of `job`'s `job → slot` arcs: its per-slot cap, never
+/// more than its demand.
+fn slot_arc_cap(job: &LevelingJob) -> u64 {
+    job.per_slot_cap.unwrap_or(job.demand).min(job.demand)
+}
+
 /// The one flow network of a solve — `source → job → slot → sink`, built
 /// once by [`LevelNet::build`] — and the value of the flow it carries now.
 struct LevelNet<'a> {
@@ -169,6 +176,9 @@ struct Asked {
     /// the solve no longer try: per-slot caps are binding here, and a
     /// failed cold run costs more than the probes it would save.
     bound_misses: u32,
+    /// [`LevelNet::critical_slots`] calls: one per round but the one that
+    /// exhausts the budget.
+    reach_passes: u32,
 }
 
 impl<'a> LevelNet<'a> {
@@ -199,9 +209,8 @@ impl<'a> LevelNet<'a> {
         let mut source_edges = Vec::with_capacity(n_jobs);
         for (j, job) in inst.jobs.iter().enumerate() {
             source_edges.push(net.add_edge(SOURCE, 1 + j, job.demand)?);
-            let per_slot = job.per_slot_cap.unwrap_or(job.demand).min(job.demand);
             for t in job.start..job.end {
-                net.add_edge(1 + j, slot_base + t, per_slot)?;
+                net.add_edge(1 + j, slot_base + t, slot_arc_cap(job))?;
             }
         }
         let mut sink_edges = Vec::with_capacity(horizon);
@@ -236,6 +245,10 @@ impl<'a> LevelNet<'a> {
         let mut peak_hint = None;
         for round in 1.. {
             let (caps, level) = self.level_round(&fixed, peak_hint, round == 1)?;
+            if round >= max_rounds {
+                // What the round would freeze only steers later rounds.
+                break;
+            }
             peak_hint = level;
             let critical = self.critical_slots(&caps, &fixed);
             let mut fixed_any = false;
@@ -261,7 +274,7 @@ impl<'a> LevelNet<'a> {
                     break;
                 }
             }
-            if round >= max_rounds || fixed.iter().all(Option::is_some) {
+            if fixed.iter().all(Option::is_some) {
                 break;
             }
         }
@@ -336,13 +349,37 @@ impl<'a> LevelNet<'a> {
     }
 
     /// The round's allocation under `caps`: Dinic **from zero flow**, so
-    /// the flow found is the one a freshly built network would give.
+    /// the flow found is the one a freshly built network would give. From
+    /// zero flow every shortest path is `source → job → slot → sink`, and
+    /// the first phase's current-arc DFS walks the jobs in order and each
+    /// job's slots ascending, so that phase is one pass: each job sends
+    /// `min(demand left, arc cap, slot room)` to each window slot in turn
+    /// (DESIGN.md §33). Dinic continues from its flow.
     fn allocate(&mut self, caps: &[u64]) -> Result<(), FlowError> {
         self.asked.cold_runs += 1;
         self.net.reset();
         self.flow = 0;
-        for (&edge, &cap) in self.sink_edges.iter().zip(caps) {
+        let mut room = caps.to_vec();
+        for (j, job) in self.inst.jobs.iter().enumerate() {
+            let (arc_cap, mut left) = (slot_arc_cap(job), job.demand);
+            let first_arc = self.source_edges[j].0 + 1;
+            for (k, t) in (job.start..job.end).enumerate() {
+                if left == 0 {
+                    break;
+                }
+                let sent = left.min(arc_cap).min(room[t]);
+                if sent > 0 {
+                    self.net.push(EdgeId(first_arc + k), sent);
+                    room[t] -= sent;
+                    left -= sent;
+                }
+            }
+            self.net.push(self.source_edges[j], job.demand - left);
+            self.flow += job.demand - left;
+        }
+        for ((&edge, &cap), left) in self.sink_edges.iter().zip(caps).zip(room) {
             self.net.set_capacity(edge, cap);
+            self.net.push(edge, cap - left);
         }
         if self.augment() {
             Ok(())
@@ -467,7 +504,8 @@ impl<'a> LevelNet<'a> {
     /// rerouting exists. The set of nodes that reach the sink is the same
     /// for every maximum flow (the sink side of the maximal minimum cut),
     /// so these slots are pinned in every feasible allocation at `caps`.
-    fn critical_slots(&self, caps: &[u64], fixed: &[Option<u64>]) -> Vec<bool> {
+    fn critical_slots(&mut self, caps: &[u64], fixed: &[Option<u64>]) -> Vec<bool> {
+        self.asked.reach_passes += 1;
         let reaches_sink = self.net.reaches(self.sink());
         (0..self.inst.horizon())
             .map(|t| fixed[t].is_none() && caps[t] > 0 && !reaches_sink[self.slot_node(t)])
@@ -661,24 +699,90 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_allocation_equals_dinic_from_zero_arc_for_arc() {
+        // The one-pass first phase against Dinic alone on a network built
+        // for the caps, edge by edge. The allocating network has been
+        // allocated at other caps first, so its reset is under test too.
+        // Infeasible caps are kept: the maximum flow is compared either way.
+        let mut rng = 0x00a1_10c8_u64;
+        let (mut capped, mut closed, mut idle) = (0, 0, 0);
+        for _ in 0..2500 {
+            let inst = random_instance(&mut rng);
+            let top = inst.slot_caps.iter().copied().max().unwrap_or(0);
+            let fixed = random_fixed(&inst, &mut rng);
+            let mut at_level = || {
+                let level = next(&mut rng) % (top + 1);
+                inst.caps(&fixed, |c| level.min(c))
+            };
+            let (before, caps) = (at_level(), at_level());
+            let mut net = LevelNet::build(&inst).unwrap();
+            let _ = net.allocate(&before);
+            let _ = net.allocate(&caps);
+            let mut fresh = LevelNet::build(&inst).unwrap();
+            for (&edge, &cap) in fresh.sink_edges.iter().zip(&caps) {
+                fresh.net.set_capacity(edge, cap);
+            }
+            let sink = fresh.sink();
+            let flow = Dinic::new(&mut fresh.net).max_flow(SOURCE, sink);
+            assert_eq!(net.flow, flow, "{inst:?} under {caps:?}");
+            for e in (0..net.net.edge_count()).map(EdgeId) {
+                assert_eq!(
+                    net.net.flow(e),
+                    fresh.net.flow(e),
+                    "{e:?} of {inst:?} under {caps:?}"
+                );
+            }
+            capped += inst
+                .jobs
+                .iter()
+                .filter(|j| j.per_slot_cap.is_some())
+                .count();
+            closed += caps.iter().filter(|&&c| c == 0).count();
+            idle += inst.jobs.iter().filter(|j| j.demand == 0).count();
+        }
+        assert!(
+            capped > 1000 && closed > 1000 && idle > 100,
+            "{capped} capped jobs, {closed} closed slots, {idle} idle jobs"
+        );
+    }
+
+    #[test]
     fn a_round_at_its_bound_costs_one_allocation() {
         // The instance of `tests/flow_props.rs`'
-        // `peak_hint_seeding_matches_unseeded_refinement`.
+        // `peak_hint_seeding_matches_unseeded_refinement`. Round 1 pins
+        // slots 0-1 at 7, round 2 the rest at 3, so the solve ends after
+        // round 2 on any budget above it.
         let inst = LevelingInstance {
             slot_caps: vec![10; 8],
             jobs: vec![job(0, 2, 14), job(1, 5, 6), job(2, 8, 12)],
         };
-        let mut net = LevelNet::build(&inst).unwrap();
-        let sol = net.solve(inst.horizon() + 1).unwrap();
-        assert_eq!(sol.slot_loads, vec![7, 7, 3, 3, 3, 3, 3, 3]);
-        // Round 1 pins slots 0-1 at 7, round 2 the rest at 3.
-        let asked = Asked {
-            warm_probes: 0,
-            cold_runs: 2,
-            bound_tries: 2,
-            bound_misses: 0,
-        };
-        assert_eq!(net.asked, asked);
+        for (budget, rounds) in [(1, 1), (2, 2), (inst.horizon() + 1, 2)] {
+            let mut net = LevelNet::build(&inst).unwrap();
+            let sol = net.solve(budget).unwrap();
+            if rounds == 2 {
+                assert_eq!(sol.slot_loads, vec![7, 7, 3, 3, 3, 3, 3, 3]);
+            }
+            let asked = Asked {
+                warm_probes: 0,
+                cold_runs: rounds,
+                bound_tries: rounds,
+                bound_misses: 0,
+                reach_passes: reach_passes(budget, rounds),
+            };
+            assert_eq!(net.asked, asked, "budget {budget}");
+        }
+    }
+
+    /// Reachability passes of a solve that ran `rounds` rounds on a budget
+    /// of `budget`: none in the round that exhausts the budget, one in
+    /// every other (a solve that ends early needs its last one to see that
+    /// every slot is frozen).
+    fn reach_passes(budget: usize, rounds: u32) -> u32 {
+        if budget as u32 == rounds {
+            rounds - 1
+        } else {
+            rounds
+        }
     }
 
     #[test]
@@ -686,7 +790,7 @@ mod tests {
         // Job 1 may place one unit per slot, so slots 0-1 need level 4
         // while the densest interval says 3: round 1 misses, asks the
         // full-capacity question and bisects; round 2 goes straight to its
-        // bisection.
+        // bisection, and pins the rest.
         let inst = LevelingInstance {
             slot_caps: vec![10; 4],
             jobs: vec![
@@ -700,16 +804,20 @@ mod tests {
                 },
             ],
         };
-        let mut net = LevelNet::build(&inst).unwrap();
-        assert_eq!(net.density_bound(&[None; 4], 10), 3);
-        let sol = net.solve(inst.horizon() + 1).unwrap();
-        // The bisection-only search's plan (the only one at these levels).
-        assert_eq!(sol.allocation, vec![vec![3, 3, 0, 0], vec![1, 1, 1, 1]]);
-        assert_eq!(sol.slot_loads, vec![4, 4, 1, 1]);
-        assert_eq!((net.asked.bound_tries, net.asked.bound_misses), (1, 1));
-        // One allocation per round plus the missed try.
-        assert_eq!(net.asked.cold_runs, 3);
-        assert!(net.asked.warm_probes > 1, "{:?}", net.asked);
+        for budget in [2, inst.horizon() + 1] {
+            let mut net = LevelNet::build(&inst).unwrap();
+            assert_eq!(net.density_bound(&[None; 4], 10), 3);
+            let sol = net.solve(budget).unwrap();
+            // The bisection-only search's plan (the only one at these
+            // levels).
+            assert_eq!(sol.allocation, vec![vec![3, 3, 0, 0], vec![1, 1, 1, 1]]);
+            assert_eq!(sol.slot_loads, vec![4, 4, 1, 1]);
+            assert_eq!((net.asked.bound_tries, net.asked.bound_misses), (1, 1));
+            // One allocation per round plus the missed try.
+            assert_eq!(net.asked.cold_runs, 3);
+            assert!(net.asked.warm_probes > 1, "{:?}", net.asked);
+            assert_eq!(net.asked.reach_passes, reach_passes(budget, 2));
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! check of the one-network lexmin driver against a from-scratch reference.
 
 use flowtime_flow::leveling::{LevelingInstance, LevelingJob, LevelingSolution};
-use flowtime_flow::{Dinic, EdgeId, FlowError, FlowNetwork};
+use flowtime_flow::{Dinic, FlowError, FlowNetwork};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -142,7 +142,7 @@ proptest! {
 }
 
 /// The differential oracle: the lexmin round loop written from scratch on
-/// the public max-flow API. Every probe, every allocation and every
+/// its own textbook Dinic. Every probe, every allocation and every
 /// critical-slot pass builds a fresh network and runs Dinic cold on it; no
 /// round trusts anything the round before learned (no peak hint, the
 /// full-capacity check repeated). The driver in `flowtime_flow::leveling`
@@ -156,6 +156,86 @@ mod reference {
         solution: LevelingSolution,
         /// Slots with no residual path to the sink.
         stuck: Vec<bool>,
+    }
+
+    /// Textbook Dinic on a flat arc list: arc `2k` is the `k`-th edge,
+    /// `2k + 1` its residual twin, and each node lists its arcs in the
+    /// order they were added. BFS levels, then one augmenting path per DFS
+    /// from the source, each node resuming at its current arc. It shares
+    /// no code with the product's `Dinic`.
+    struct Textbook {
+        to: Vec<usize>,
+        residual: Vec<u64>,
+        out: Vec<Vec<usize>>,
+    }
+
+    impl Textbook {
+        fn new(nodes: usize, edges: &[(usize, usize, u64)]) -> Self {
+            let mut net = Textbook {
+                to: Vec::new(),
+                residual: Vec::new(),
+                out: vec![Vec::new(); nodes],
+            };
+            for &(u, v, cap) in edges {
+                for (from, to, cap) in [(u, v, cap), (v, u, 0)] {
+                    net.out[from].push(net.to.len());
+                    net.to.push(to);
+                    net.residual.push(cap);
+                }
+            }
+            net
+        }
+
+        fn max_flow(&mut self, source: usize, sink: usize) -> u64 {
+            let mut total = 0;
+            loop {
+                let mut level = vec![usize::MAX; self.out.len()];
+                level[source] = 0;
+                let mut queue = std::collections::VecDeque::from([source]);
+                while let Some(v) = queue.pop_front() {
+                    for &a in &self.out[v] {
+                        if self.residual[a] > 0 && level[self.to[a]] == usize::MAX {
+                            level[self.to[a]] = level[v] + 1;
+                            queue.push_back(self.to[a]);
+                        }
+                    }
+                }
+                if level[sink] == usize::MAX {
+                    return total;
+                }
+                let mut next = vec![0; self.out.len()];
+                while let sent @ 1.. = self.augment(source, sink, u64::MAX, &level, &mut next) {
+                    total += sent;
+                }
+            }
+        }
+
+        fn augment(
+            &mut self,
+            v: usize,
+            sink: usize,
+            limit: u64,
+            level: &[usize],
+            next: &mut [usize],
+        ) -> u64 {
+            if v == sink {
+                return limit;
+            }
+            while next[v] < self.out[v].len() {
+                let a = self.out[v][next[v]];
+                let w = self.to[a];
+                if self.residual[a] > 0 && level[w] == level[v] + 1 {
+                    let sent = self.augment(w, sink, limit.min(self.residual[a]), level, next);
+                    if sent > 0 {
+                        self.residual[a] -= sent;
+                        self.residual[a ^ 1] += sent;
+                        return sent;
+                    }
+                }
+                next[v] += 1;
+            }
+            0
+        }
     }
 
     fn cold(inst: &LevelingInstance, caps: &[u64]) -> Cold {
@@ -172,24 +252,23 @@ mod reference {
                 .enumerate()
                 .map(|(t, &c)| (slot_base + t, sink, c)),
         );
-        let mut net = FlowNetwork::new(sink + 1);
-        let edges: Vec<(usize, usize, EdgeId)> = (arcs.into_iter())
-            .map(|(u, v, c)| (u, v, net.add_edge(u, v, c).unwrap()))
-            .collect();
-        let flow = Dinic::new(&mut net).max_flow(0, sink);
+        let mut net = Textbook::new(sink + 1, &arcs);
+        let flow = net.max_flow(0, sink);
         let mut allocation = vec![vec![0u64; horizon]; n_jobs];
         let mut slot_loads = vec![0u64; horizon];
         // Residual arcs reversed: `into[v]` lists who can step to `v`.
         let mut into: Vec<Vec<usize>> = vec![Vec::new(); sink + 1];
-        for (u, v, e) in edges {
+        for (k, &(u, v, cap)) in arcs.iter().enumerate() {
+            let (left, carried) = (net.residual[2 * k], net.residual[2 * k + 1]);
+            assert_eq!(left + carried, cap, "arc {k} off its capacity");
             if (1..slot_base).contains(&u) {
-                allocation[u - 1][v - slot_base] = net.flow(e);
-                slot_loads[v - slot_base] += net.flow(e);
+                allocation[u - 1][v - slot_base] = carried;
+                slot_loads[v - slot_base] += carried;
             }
-            if net.residual(e) > 0 {
+            if left > 0 {
                 into[v].push(u);
             }
-            if net.flow(e) > 0 {
+            if carried > 0 {
                 into[u].push(v);
             }
         }
