@@ -135,8 +135,9 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Zero tasks, zero task duration, no resources per task, or a
-    /// `max_parallel` of zero.
+    /// Zero tasks, zero task duration, no resources per task, a
+    /// `max_parallel` of zero, or a [`JobSpec::work`] or
+    /// [`JobSpec::total_demand`] that overflows `u64`.
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.tasks == 0 {
             return Err("job has zero tasks");
@@ -149,6 +150,12 @@ impl JobSpec {
         }
         if self.max_parallel == Some(0) {
             return Err("max_parallel of zero");
+        }
+        let Some(work) = self.tasks.checked_mul(self.task_slots) else {
+            return Err("job work (tasks × task_slots) overflows u64");
+        };
+        if (self.per_task.as_array().iter()).any(|r| r.checked_mul(work).is_none()) {
+            return Err("job demand (work × per_task) overflows u64");
         }
         let _ = NUM_RESOURCES; // dimensionality is fixed at compile time
         Ok(())
@@ -205,5 +212,22 @@ mod tests {
             .is_err());
         assert!(spec(1, 1).with_max_parallel(0).validate().is_err());
         assert!(spec(1, 1).validate().is_ok());
+    }
+
+    #[test]
+    fn validation_refuses_work_or_demand_that_overflows() {
+        let big = 1u64 << 32;
+        assert_eq!(
+            spec(big, big).validate(),
+            Err("job work (tasks × task_slots) overflows u64")
+        );
+        // 2^63 task-slots fit in a u64, but not at 1 024 MB each.
+        assert_eq!(
+            spec(big, 1 << 31).validate(),
+            Err("job demand (work × per_task) overflows u64")
+        );
+        let most = JobSpec::new("t", u64::MAX, 1, ResourceVec::new([1, 0]));
+        assert_eq!(most.validate(), Ok(()));
+        assert_eq!(most.total_demand().get(ResourceKind::Cpu), u64::MAX);
     }
 }

@@ -331,6 +331,16 @@ mod tests {
             b.window(0, 10).build(),
             Err(DagError::InvalidJob { index: 0, .. })
         ));
+        let mut b = WorkflowBuilder::new(WorkflowId::new(1), "w");
+        b.add_job(job(1, 1));
+        b.add_job(job(1 << 32, 1 << 32));
+        assert_eq!(
+            b.window(0, 10).build().unwrap_err(),
+            DagError::InvalidJob {
+                index: 1,
+                reason: "job work (tasks × task_slots) overflows u64"
+            }
+        );
     }
 
     #[test]

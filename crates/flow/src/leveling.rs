@@ -8,19 +8,20 @@
 //!
 //! Algorithm:
 //!
-//! 1. **Parametric search** for the minimal peak ratio `λ`: feasibility at a
-//!    given `λ` (slot caps `⌊λ·C_t⌋`) is one max-flow; bisection converges
-//!    to the minimal feasible breakpoint. When all free slot capacities are
-//!    equal the search runs over integer per-slot loads and starts at the
-//!    round's **interval-density bound** — the densest interval's demand,
-//!    net of the frozen caps inside it, per free slot inside it (Hall's
-//!    condition read per interval). No level below it can be feasible, and
-//!    it *is* the minimal level whenever per-job slot caps do not bind
-//!    (Gale 1957; the critical interval of Yao–Demers–Shenker), so the
-//!    round's first question is its allocation at the bound. Only when
-//!    that fails does an exact bisection over the levels above it run.
+//! 1. **One exact level search** per round. A level `(k, c)` pairs a free
+//!    slot capacity `c` with a load `k ≤ c`: a free slot of capacity `C`
+//!    carries `⌊k·C / c⌋`, less one if that quotient is whole, positive and
+//!    `C > c`. By `k / c`, the smaller `c` first at equal ratios, levels are
+//!    ordered as a peak ratio `λ` with caps `⌊λ·C + 1e-9⌋` meets them, so
+//!    the least feasible one has the caps bisection on `λ` pins (DESIGN.md
+//!    §34). A round first allocates at its **interval-density bound**, the
+//!    least level at or above the densest interval's demand, net of its
+//!    frozen caps, per unit of its free capacity (Hall's condition read per
+//!    interval): no lower level fits, and with one free capacity and no
+//!    binding per-job slot cap it *is* the minimal level (Gale 1957; the
+//!    critical interval of Yao–Demers–Shenker). Only a miss bisects, warm.
 //! 2. **Min-cut slot fixing** for the lexicographic refinement: at the
-//!    optimal `λ`, slots that cannot shed load (their capacity arc is
+//!    optimal level, slots that cannot shed load (their capacity arc is
 //!    saturated and they cannot reach the sink in the residual graph) are
 //!    *peak-critical*; their caps are frozen and the search repeats over the
 //!    remaining slots.
@@ -91,23 +92,11 @@ impl LevelingInstance {
         Ok(())
     }
 
-    /// Minimizes only the single worst normalized slot load
-    /// (one round of the lexicographic process).
-    ///
-    /// # Errors
-    ///
-    /// * [`FlowError::InvalidWindow`] for malformed jobs.
-    /// * [`FlowError::Infeasible`] if demand does not fit even at full
-    ///   capacity.
-    pub fn solve_minmax(&self) -> Result<LevelingSolution, FlowError> {
-        self.solve_lexmin_rounds(1)
-    }
-
     /// Computes the full lexicographic min-max allocation.
     ///
     /// # Errors
     ///
-    /// Same as [`LevelingInstance::solve_minmax`].
+    /// Same as [`LevelingInstance::solve_lexmin_rounds`].
     pub fn solve_lexmin(&self) -> Result<LevelingSolution, FlowError> {
         // Each round fixes at least one slot, so `horizon + 1` rounds are
         // always enough for the exact lexicographic optimum.
@@ -118,11 +107,14 @@ impl LevelingInstance {
     /// `max_rounds` rounds in total (at least one) — the first round is
     /// always the exact min-max; further rounds refine lexicographically
     /// until the budget runs out. Schedulers use this to keep re-planning
-    /// latency bounded on long horizons.
+    /// latency bounded on long horizons. One round minimizes only the
+    /// single worst normalized slot load.
     ///
     /// # Errors
     ///
-    /// Same as [`LevelingInstance::solve_minmax`].
+    /// * [`FlowError::InvalidWindow`] for malformed jobs.
+    /// * [`FlowError::Infeasible`] if demand does not fit even at full
+    ///   capacity.
     pub fn solve_lexmin_rounds(&self, max_rounds: usize) -> Result<LevelingSolution, FlowError> {
         self.validate()?;
         LevelNet::build(self)?.solve(max_rounds)
@@ -142,6 +134,47 @@ const SOURCE: NodeId = 0;
 /// more than its demand.
 fn slot_arc_cap(job: &LevelingJob) -> u64 {
     job.per_slot_cap.unwrap_or(job.demand).min(job.demand)
+}
+
+/// A candidate level of a round: `k` units at capacity `c` (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Level {
+    k: u64,
+    c: u64,
+}
+
+impl Level {
+    /// The cap at this level of a free slot of capacity `cap`: its steps
+    /// `(j, cap)`, `j ≥ 1`, at or below this level.
+    fn cap(self, cap: u64) -> u64 {
+        if self.k == 0 || cap == self.c {
+            return self.k;
+        }
+        let (scaled, c) = (u128::from(self.k) * u128::from(cap), u128::from(self.c));
+        (scaled / c) as u64 - u64::from(cap > self.c && scaled % c == 0)
+    }
+}
+
+impl Ord for Level {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let ratio = |a: &Self, b: &Self| u128::from(a.k) * u128::from(b.c);
+        (ratio(self, other).cmp(&ratio(other, self))).then(self.c.cmp(&other.c))
+    }
+}
+
+impl PartialOrd for Level {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The least `m` in `lo..=hi` where the monotone `holds` is true (at `hi`).
+fn least(mut lo: u64, mut hi: u64, mut holds: impl FnMut(u64) -> bool) -> u64 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        (lo, hi) = if holds(mid) { (lo, mid) } else { (mid + 1, hi) };
+    }
+    lo
 }
 
 /// The one flow network of a solve — `source → job → slot → sink`, built
@@ -172,9 +205,11 @@ struct Asked {
     cold_runs: u32,
     /// Rounds that allocated at their density bound first.
     bound_tries: u32,
-    /// Bound tries that were infeasible. After the first, later rounds of
-    /// the solve no longer try: per-slot caps are binding here, and a
-    /// failed cold run costs more than the probes it would save.
+    /// Infeasible bound tries of rounds with one free capacity. After the
+    /// first, later such rounds no longer try: per-slot caps bind here, and
+    /// a failed cold run costs more than the probes it would save. Rounds
+    /// with unequal capacities always try: rounding down to a level misses
+    /// too, and says nothing of later rounds.
     bound_misses: u32,
     /// [`LevelNet::critical_slots`] calls: one per round but the one that
     /// exhausts the budget.
@@ -242,39 +277,29 @@ impl<'a> LevelNet<'a> {
         // allocation feasible, so its per-slot level upper-bounds the next
         // round's optimum — each refinement round searches a strictly
         // smaller range.
-        let mut peak_hint = None;
+        let mut hint = None;
         for round in 1.. {
-            let (caps, level) = self.level_round(&fixed, peak_hint, round == 1)?;
+            let (caps, level) = self.level_round(&fixed, hint, round == 1)?;
             if round >= max_rounds {
                 // What the round would freeze only steers later rounds.
                 break;
             }
-            peak_hint = level;
-            let critical = self.critical_slots(&caps, &fixed);
-            let mut fixed_any = false;
-            for t in 0..horizon {
-                if critical[t] {
-                    fixed[t] = Some(caps[t]);
-                    fixed_any = true;
-                }
-            }
-            if !fixed_any {
+            hint = Some(level);
+            let mut freeze = self.critical_slots(&caps, &fixed);
+            if freeze.is_empty() {
                 // No free slot is pinned at the peak: the remaining profile
                 // is already lexicographically settled by the caps in use.
                 // Freeze all saturated free slots to make progress; if none
                 // are saturated we are done.
-                let mut saturated_any = false;
-                for t in 0..horizon {
-                    if fixed[t].is_none() && caps[t] > 0 && self.slot_load(t) == caps[t] {
-                        fixed[t] = Some(caps[t]);
-                        saturated_any = true;
-                    }
-                }
-                if !saturated_any {
-                    break;
-                }
+                let open = |t: &usize| fixed[*t].is_none() && caps[*t] > 0;
+                freeze = (0..horizon)
+                    .filter(|t| open(t) && self.slot_load(*t) == caps[*t])
+                    .collect();
             }
-            if fixed.iter().all(Option::is_some) {
+            for &t in &freeze {
+                fixed[t] = Some(caps[t]);
+            }
+            if freeze.is_empty() || fixed.iter().all(Option::is_some) {
                 break;
             }
         }
@@ -381,122 +406,96 @@ impl<'a> LevelNet<'a> {
             self.net.set_capacity(edge, cap);
             self.net.push(edge, cap - left);
         }
-        if self.augment() {
-            Ok(())
-        } else {
-            Err(FlowError::Infeasible)
-        }
+        self.augment().then_some(()).ok_or(FlowError::Infeasible)
     }
 
-    /// One parametric round, left allocated on the network: the caps with
-    /// the minimal peak over free slots given `fixed` caps and — on the
-    /// uniform integer path — that minimal per-slot level, which the caller
-    /// feeds back as `peak_hint` to top the next round's search. Only the
-    /// `first` round can find the instance infeasible; the caller vouches
-    /// that full capacity and the hint are feasible in later ones.
+    /// One round, left allocated on the network: the caps at the minimal
+    /// level over free slots given `fixed` caps, and that level, which tops
+    /// the next round's search as its `hint`. Only the `first` round can
+    /// find the instance infeasible; the caller vouches that full capacity
+    /// and the hint are feasible in later ones.
     fn level_round(
         &mut self,
         fixed: &[Option<u64>],
-        peak_hint: Option<u64>,
+        hint: Option<Level>,
         first: bool,
-    ) -> Result<(Vec<u64>, Option<u64>), FlowError> {
+    ) -> Result<(Vec<u64>, Level), FlowError> {
         let inst = self.inst;
-        let mut free_caps = (0..inst.horizon())
-            .filter(|&t| fixed[t].is_none())
-            .map(|t| inst.slot_caps[t]);
-        let first_cap = free_caps.next();
-        let uniform = free_caps.all(|c| Some(c) == first_cap);
-        let full = |net: &mut Self| net.feasible(&inst.caps(fixed, |c| c));
-        let Some(c) = first_cap.filter(|_| uniform) else {
-            if first && !full(self) {
-                return Err(FlowError::Infeasible);
-            }
-            let caps = self.ratio_caps(fixed);
-            self.allocate(&caps)?;
-            return Ok((caps, None));
-        };
-        // Exact integer search over the per-slot level `m`, from the
-        // density bound up to the previous round's level.
-        let bounded = |m: u64| inst.caps(fixed, |c| m.min(c));
-        let mut hi = peak_hint.map_or(c, |h| h.min(c));
-        let mut lo = self.density_bound(fixed, hi);
-        if self.asked.bound_misses == 0 {
-            // No level below the bound fits, so if the bound does, this
-            // allocation is the round's — and in round 1 it also answers
-            // the full-capacity question.
+        let free = (inst.slot_caps.iter().zip(fixed)).filter(|(_, f)| f.is_none());
+        let mut sizes: Vec<u64> = free.map(|(&c, _)| c).filter(|&c| c > 0).collect();
+        sizes.sort_unstable();
+        sizes.dedup();
+        let top = sizes.last().copied().unwrap_or(0);
+        let grid = |m| Level { k: m, c: top };
+        let cell = |level: Level| least(0, top, |m| grid(m) >= level);
+        let at = |level: Level| inst.caps(fixed, |c| level.cap(c));
+        let hi = hint.map_or(top, cell);
+        let bound = self.density_bound(fixed, &sizes);
+        // No level below the bound fits, so if the bound does, this
+        // allocation is the round's — and in round 1 it also answers the
+        // full-capacity question. A try that returns no answer missed.
+        let tried = sizes.len() > 1 || self.asked.bound_misses == 0;
+        if tried {
             self.asked.bound_tries += 1;
-            let caps = bounded(lo);
+            let caps = at(bound);
             if self.allocate(&caps).is_ok() {
-                return Ok((caps, Some(lo)));
+                return Ok((caps, bound));
             }
-            self.asked.bound_misses += 1;
-            lo = hi.min(lo + 1);
+            self.asked.bound_misses += u32::from(sizes.len() < 2);
         }
-        if first && !full(self) {
+        if first && !self.feasible(&inst.caps(fixed, |c| c)) {
             return Err(FlowError::Infeasible);
         }
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.feasible(&bounded(mid)) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let caps = bounded(lo);
+        // The least feasible load `m` of the top capacity ends a cell that
+        // holds at most one step of each other capacity.
+        let lo = cell(bound) + u64::from(tried && bound.c == top);
+        let m = least(lo.min(hi), hi, |m| self.feasible(&at(grid(m))));
+        let (below, end) = (grid(m.saturating_sub(1)), grid(m));
+        let mut steps: Vec<Level> = (sizes.iter())
+            .map(|&c| Level { k: end.cap(c), c })
+            .filter(|&l| below < l && l < end && (l > bound || l == bound && !tried))
+            .chain([end])
+            .collect();
+        steps.sort_unstable();
+        let last = steps.len() as u64 - 1;
+        let level = steps[least(0, last, |j| self.feasible(&at(steps[j as usize]))) as usize];
+        let caps = at(level);
         self.allocate(&caps)?;
-        Ok((caps, Some(lo)))
+        Ok((caps, level))
     }
 
-    /// The round's interval-density bound on the per-slot level: the
-    /// maximum over intervals `[a, b)` with `a` a job start of
-    /// ⌈(demand of the jobs whose windows lie inside − frozen caps inside)
-    /// / free slots inside⌉, clamped to `hi`. That demand can go nowhere
-    /// but the interval, so some free slot inside carries at least the
-    /// bound at every feasible level; when no job's per-slot cap binds the
-    /// converse holds too (Hall's condition read per interval), and the
-    /// bound is the minimal level. One sweep per distinct start.
-    fn density_bound(&self, fixed: &[Option<u64>], hi: u64) -> u64 {
-        let horizon = self.inst.horizon();
+    /// The round's interval-density bound over the free capacities `sizes`:
+    /// the least level at or above the maximum over intervals `[a, b)`, `a`
+    /// a job start, of (demand of the jobs whose windows lie inside − frozen
+    /// caps inside) / free capacity inside. That demand can go nowhere but
+    /// the interval, so no lower level fits (module docs, step 1). One
+    /// sweep per distinct start.
+    fn density_bound(&self, fixed: &[Option<u64>], sizes: &[u64]) -> Level {
+        let (horizon, wide) = (self.inst.horizon(), u128::from);
         // Demand of the jobs starting at or after the current `a`, by end.
         let mut ending = vec![0u64; horizon + 1];
-        let mut bound = 0;
+        let (mut most, mut per) = (0u64, 1u64);
         let mut windows = self.windows.iter().peekable();
         while let Some(&&(a, _, _)) = windows.peek() {
             while let Some(&(_, end, demand)) = windows.next_if(|w| w.0 == a) {
                 ending[end] += demand;
             }
-            let (mut inside, mut frozen, mut free) = (0u64, 0u64, 0u64);
+            let (mut inside, mut frozen, mut room) = (0u64, 0u64, 0u64);
             for b in a + 1..=horizon {
                 inside += ending[b];
                 match fixed[b - 1] {
                     Some(cap) => frozen += cap,
-                    None => free += 1,
+                    None => room += self.inst.slot_caps[b - 1],
                 }
-                if free > 0 {
-                    bound = bound.max(inside.saturating_sub(frozen).div_ceil(free));
+                let over = inside.saturating_sub(frozen);
+                if room > 0 && wide(over) * wide(per) > wide(most) * wide(room) {
+                    (most, per) = (over, room);
                 }
             }
         }
-        bound.min(hi)
-    }
-
-    /// Bisection on the real ratio λ, for free slots of unequal capacity;
-    /// integer caps change only at breakpoints k/C_t, so 60 iterations pin
-    /// the minimal one for any realistic capacity magnitude.
-    fn ratio_caps(&mut self, fixed: &[Option<u64>]) -> Vec<u64> {
-        let inst = self.inst;
-        let at = |lambda: f64| inst.caps(fixed, |c| ((lambda * c as f64) + 1e-9).floor() as u64);
-        let (mut lo, mut hi) = (0.0f64, 1.0f64);
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if self.feasible(&at(mid)) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        at(hi)
+        let at_least = |c: u64| (wide(most) * wide(c)).div_ceil(wide(per)).min(wide(c)) as u64;
+        let levels = sizes.iter().map(|&c| Level { k: at_least(c), c });
+        levels.min().unwrap_or(Level { k: 0, c: 0 })
     }
 
     /// Free slots that cannot shed load at the caps just allocated: the
@@ -504,11 +503,11 @@ impl<'a> LevelNet<'a> {
     /// rerouting exists. The set of nodes that reach the sink is the same
     /// for every maximum flow (the sink side of the maximal minimum cut),
     /// so these slots are pinned in every feasible allocation at `caps`.
-    fn critical_slots(&mut self, caps: &[u64], fixed: &[Option<u64>]) -> Vec<bool> {
+    fn critical_slots(&mut self, caps: &[u64], fixed: &[Option<u64>]) -> Vec<usize> {
         self.asked.reach_passes += 1;
         let reaches_sink = self.net.reaches(self.sink());
         (0..self.inst.horizon())
-            .map(|t| fixed[t].is_none() && caps[t] > 0 && !reaches_sink[self.slot_node(t)])
+            .filter(|&t| fixed[t].is_none() && caps[t] > 0 && !reaches_sink[self.slot_node(t)])
             .collect()
     }
 
@@ -654,35 +653,48 @@ mod tests {
 
     #[test]
     fn density_bound_is_a_lower_bound_and_exact_without_binding_caps() {
-        // The minimal level comes from cold probes on fresh networks, level
-        // by level; infeasible instances (no level fits) are kept to check
-        // the clamp. Exactness is asserted under Gale's condition: every
+        // The minimal level comes from cold probes on fresh networks over
+        // every candidate level in order; infeasible instances (no level
+        // fits) are kept to check that the bound stays a level. Exactness
+        // is asserted for one free capacity under Gale's condition: every
         // job's arc cap at least every cap in its window at that level.
         let mut rng = 0xb0_0d_u64;
-        let (mut feasible, mut exact) = (0, 0);
+        let (mut feasible, mut unequal, mut exact) = (0, 0, 0);
         for _ in 0..8000 {
             let inst = random_instance(&mut rng);
             let fixed = random_fixed(&inst, &mut rng);
-            let mut free = (0..inst.horizon()).filter(|&t| fixed[t].is_none());
-            let Some(c) = free.next().map(|t| inst.slot_caps[t]) else {
+            let free = (0..inst.horizon()).filter(|&t| fixed[t].is_none());
+            let mut sizes: Vec<u64> = free.map(|t| inst.slot_caps[t]).filter(|&c| c > 0).collect();
+            sizes.sort_unstable();
+            sizes.dedup();
+            let Some(&top) = sizes.last() else {
                 continue;
             };
-            if !free.all(|t| inst.slot_caps[t] == c) {
-                continue;
-            }
             let net = LevelNet::build(&inst).unwrap();
-            let bound = net.density_bound(&fixed, c);
-            assert!(bound <= c, "{inst:?} {fixed:?}: bound {bound} above {c}");
-            let fits = |m: u64| {
-                let caps = inst.caps(&fixed, |c| m.min(c));
+            let bound = net.density_bound(&fixed, &sizes);
+            let full = Level { k: top, c: top };
+            assert!(
+                bound <= full,
+                "{inst:?} {fixed:?}: bound {bound:?} above {full:?}"
+            );
+            let mut levels: Vec<Level> = (sizes.iter())
+                .flat_map(|&c| (0..=c).map(move |k| Level { k, c }))
+                .collect();
+            levels.sort_unstable();
+            let fits = |level: Level| {
+                let caps = inst.caps(&fixed, |c| level.cap(c));
                 LevelNet::build(&inst).unwrap().feasible(&caps)
             };
-            let Some(level) = (0..=c).find(|&m| fits(m)) else {
+            let Some(level) = levels.into_iter().find(|&l| fits(l)) else {
                 continue;
             };
             feasible += 1;
-            assert!(bound <= level, "{inst:?} {fixed:?}: {bound} > {level}");
-            let caps = inst.caps(&fixed, |c| level.min(c));
+            assert!(bound <= level, "{inst:?} {fixed:?}: {bound:?} > {level:?}");
+            if sizes.len() > 1 {
+                unequal += 1;
+                continue;
+            }
+            let caps = inst.caps(&fixed, |c| level.cap(c));
             let uncapped = inst.jobs.iter().all(|job| {
                 let arc = job.per_slot_cap.unwrap_or(job.demand).min(job.demand);
                 caps[job.start..job.end].iter().all(|&cap| arc >= cap)
@@ -693,8 +705,8 @@ mod tests {
             }
         }
         assert!(
-            feasible > 600 && exact > 400,
-            "{feasible} feasible, {exact} exact"
+            feasible > 1000 && unequal > 400 && exact > 400,
+            "{feasible} feasible, {unequal} with unequal capacities, {exact} exact"
         );
     }
 
@@ -773,6 +785,61 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_round_with_unequal_capacities_at_its_bound_costs_one_allocation() {
+        // Round 1's densest interval is slots 0-1 (14 units on 30 of
+        // capacity): level 5 of 10 caps them at 5 and 9 and pins them.
+        // Round 2 spreads 10 units at density 1/6 over capacities 10, 20,
+        // 10, 20: the least level at or above it is 2 of 10, where the
+        // slots of 20 carry 3, and the rest is pinned there.
+        let inst = LevelingInstance {
+            slot_caps: vec![10, 20, 10, 20, 10, 20],
+            jobs: vec![job(0, 2, 14), job(2, 6, 10)],
+        };
+        for (budget, rounds) in [(1, 1), (2, 2), (inst.horizon() + 1, 2)] {
+            let mut net = LevelNet::build(&inst).unwrap();
+            let sol = net.solve(budget).unwrap();
+            if rounds == 2 {
+                assert_eq!(sol.slot_loads, vec![5, 9, 2, 3, 2, 3]);
+            }
+            let asked = Asked {
+                warm_probes: 0,
+                cold_runs: rounds,
+                bound_tries: rounds,
+                bound_misses: 0,
+                reach_passes: reach_passes(budget, rounds),
+            };
+            assert_eq!(net.asked, asked, "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn a_miss_with_unequal_capacities_leaves_later_bounds_tried() {
+        // Round 1's densest interval is slots 0-1 (15 units on 30 of
+        // capacity), but at level 5 of 10 the slot of 20 carries 9: the try
+        // misses, the full-capacity question is asked and the search lands
+        // on 10 of 20. Round 2 has one free capacity and tries its bound (3)
+        // all the same: a miss that rounding down explains says nothing of
+        // per-slot caps.
+        let inst = LevelingInstance {
+            slot_caps: vec![10, 20, 10, 10],
+            jobs: vec![job(0, 2, 15), job(2, 4, 6)],
+        };
+        for budget in [2, inst.horizon() + 1] {
+            let mut net = LevelNet::build(&inst).unwrap();
+            let sol = net.solve(budget).unwrap();
+            assert_eq!(sol.slot_loads, vec![5, 10, 3, 3]);
+            let asked = Asked {
+                warm_probes: 5,
+                cold_runs: 3,
+                bound_tries: 2,
+                bound_misses: 0,
+                reach_passes: reach_passes(budget, 2),
+            };
+            assert_eq!(net.asked, asked, "budget {budget}");
+        }
+    }
+
     /// Reachability passes of a solve that ran `rounds` rounds on a budget
     /// of `budget`: none in the round that exhausts the budget, one in
     /// every other (a solve that ends early needs its last one to see that
@@ -806,7 +873,7 @@ mod tests {
         };
         for budget in [2, inst.horizon() + 1] {
             let mut net = LevelNet::build(&inst).unwrap();
-            assert_eq!(net.density_bound(&[None; 4], 10), 3);
+            assert_eq!(net.density_bound(&[None; 4], &[10]), Level { k: 3, c: 10 });
             let sol = net.solve(budget).unwrap();
             // The bisection-only search's plan (the only one at these
             // levels).
@@ -885,7 +952,10 @@ mod tests {
             jobs: vec![job(0, 2, 5)],
         };
         assert_eq!(inst.solve_lexmin().unwrap_err(), FlowError::Infeasible);
-        assert_eq!(inst.solve_minmax().unwrap_err(), FlowError::Infeasible);
+        assert_eq!(
+            inst.solve_lexmin_rounds(1).unwrap_err(),
+            FlowError::Infeasible
+        );
     }
 
     #[test]
@@ -955,13 +1025,13 @@ mod tests {
 
     #[test]
     fn minmax_alone_does_not_flatten_tail() {
-        // solve_minmax only guarantees the single worst slot; this is the
+        // One round only guarantees the single worst slot; this is the
         // behavioural difference the lexicographic pass exists to fix.
         let inst = LevelingInstance {
             slot_caps: vec![10; 6],
             jobs: vec![job(0, 2, 12), job(2, 6, 8)],
         };
-        let minmax = inst.solve_minmax().unwrap();
+        let minmax = inst.solve_lexmin_rounds(1).unwrap();
         check_valid(&inst, &minmax);
         assert_eq!(minmax.slot_loads[..2].iter().max(), Some(&6));
     }

@@ -10,8 +10,8 @@
 //! * [`graph::FlowNetwork`] + [`dinic::Dinic`] — Dinic's max-flow algorithm
 //!   on integer capacities.
 //! * [`leveling`] — the scheduler's actual question: the **lexicographic
-//!   min-max load profile** (paper Eq. (1)), found by parametric binary
-//!   search over the peak ratio with min-cut-guided slot fixing.
+//!   min-max load profile** (paper Eq. (1)), found by an exact search
+//!   over each round's slot levels with min-cut-guided slot fixing.
 //!
 //! This crate serves as the exact combinatorial backend and as an
 //! independent cross-check of the simplex backend in `flowtime-lp`; the

@@ -92,9 +92,11 @@ pub fn snapshot_file(lb: &mut Loopback) -> PathBuf {
 
 /// Submissions no builder could have built: a workflow of no jobs, a
 /// workflow whose DAG has more nodes than it has jobs, an ad-hoc job of
-/// zero tasks. Each used to be acknowledged and then panic the engine (or
-/// fail every later `drain`) once injected.
-pub fn malformed_submissions() -> [&'static str; 3] {
+/// zero tasks, and an ad-hoc job and a workflow job whose work
+/// (`tasks × task_slots`) or demand (work × per-task resources) overflows
+/// `u64`. Each used to be acknowledged and then panic the engine (or fail
+/// every later `drain`) once injected.
+pub fn malformed_submissions() -> [&'static str; 5] {
     [
         "{\"req\":\"submit_workflow\",\"submission\":{\"workflow\":{\"id\":7,\"name\":\"empty\",\
          \"jobs\":[],\"dag\":{\"n\":0,\"succ\":[],\"pred\":[],\"edge_count\":0},\
@@ -105,6 +107,14 @@ pub fn malformed_submissions() -> [&'static str; 3] {
          \"submit_slot\":0,\"deadline_slot\":20},\"actual_work\":null,\"job_deadlines\":null}}",
         "{\"req\":\"submit_adhoc\",\"submission\":{\"spec\":{\"name\":\"z\",\"tasks\":0,\
          \"task_slots\":1,\"per_task\":[1,1024],\"max_parallel\":null},\"arrival_slot\":0}}",
+        "{\"req\":\"submit_adhoc\",\"submission\":{\"spec\":{\"name\":\"huge\",\
+         \"tasks\":4294967296,\"task_slots\":4294967296,\"per_task\":[1,1024],\
+         \"max_parallel\":null},\"arrival_slot\":0}}",
+        "{\"req\":\"submit_workflow\",\"submission\":{\"workflow\":{\"id\":9,\"name\":\"heavy\",\
+         \"jobs\":[{\"name\":\"a\",\"tasks\":4294967296,\"task_slots\":2147483648,\
+         \"per_task\":[1,1024],\"max_parallel\":null}],\
+         \"dag\":{\"n\":1,\"succ\":[[]],\"pred\":[[]],\"edge_count\":0},\
+         \"submit_slot\":0,\"deadline_slot\":20},\"actual_work\":null,\"job_deadlines\":null}}",
     ]
 }
 
